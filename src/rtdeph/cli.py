@@ -376,8 +376,7 @@ def cmd_recovery(spec: SweepSpec, n: int | None = None) -> tuple[str, int]:
             "concurrence_after": report.concurrence_after,
             "pass": bool(abs(report.concurrence_after - 1.0) <= RECOVERY_ATOL),
         }
-        if not math.isinf(g):
-            entry["expected_uncorrected"] = math.exp(-0.5 * params.gamma * report.t_n)
+        entry["expected_uncorrected"] = float(abs(analytic.coherence_factor(params, report.t_n)))
         entries.append(entry)
     overall = all(entry["pass"] for entry in entries)
     report = {

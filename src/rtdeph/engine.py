@@ -8,25 +8,27 @@ stepping, hence no integration error.  Ensembles average the projectors of
 these states; per-trajectory coherences exp(-i * integral of xi) average to
 the Monte Carlo estimate of the analytic coherence factor.
 
+Ensembles stream through fixed blocks of trajectories: each block is
+sampled, integrated and reduced to its moments on its own, and the block
+moments merge in block order.  Memory is O(block * grid size) whatever the
+number of trajectories, and there is no cap on the ensemble size.
+
 Reproducibility contract: trajectory i draws from a stream derived from
-(master_seed, i) only, and reductions run over fixed-size blocks combined
-in index order, so results are bit-identical for any thread count.
+(master_seed, i) only, and the blocks and their merge order do not depend
+on the thread count, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from rtdeph import _kernels, noise, states
 from rtdeph.analytic import SystemParams
-
-#: Upper bound on n_trajectories * len(t_grid); larger requests would
-#: allocate multi-gigabyte intermediates and are rejected up front.
-MAX_ENSEMBLE_VALUES = 1 << 25
 
 # Fixed reduction block size; must not depend on the thread count.
 _BLOCK = 2048
@@ -58,13 +60,6 @@ class RunConfig:
             raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        total = self.n_trajectories * grid.size
-        if total > MAX_ENSEMBLE_VALUES:
-            raise ValueError(
-                f"ensemble of {self.n_trajectories} trajectories x {grid.size} times "
-                f"needs {total} values, above the limit of {MAX_ENSEMBLE_VALUES}; "
-                "split the time grid or reduce n_trajectories"
-            )
 
 
 @dataclass(frozen=True)
@@ -109,20 +104,115 @@ def evolve_trajectory(system: SystemParams, traj: noise.RTTrajectory, t: float) 
     return state / np.sqrt(2.0)
 
 
-def _dwell_batched(batch: noise.TrajectoryBatch, t_grid: np.ndarray, n_threads: int) -> np.ndarray:
-    if n_threads <= 1 or batch.n <= _BLOCK:
-        return _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, t_grid)
-    starts = range(0, batch.n, _BLOCK)
+@dataclass(frozen=True)
+class _Moments:
+    """Column statistics of per-trajectory coherences z (one row per
+    trajectory): the count, the mean, the sums of squared deviations (M2)
+    of Re z and Im z, and the extremes of |z|^2."""
 
-    def one_block(s):
-        e = min(s + _BLOCK, batch.n)
-        return _kernels.dwell_times(
-            batch.levels[s:e], batch.switch_times[s:e], batch.counts[s:e], t_grid
+    n: int
+    mean: np.ndarray
+    m2_re: np.ndarray
+    m2_im: np.ndarray
+    abs2_min: np.ndarray
+    abs2_max: np.ndarray
+
+    @classmethod
+    def of(cls, z: np.ndarray) -> _Moments:
+        mean = z.mean(axis=0)
+        dev = z - mean
+        modulus = np.abs(z)
+        return cls(
+            n=z.shape[0],
+            mean=mean,
+            m2_re=np.square(dev.real).sum(axis=0),
+            m2_im=np.square(dev.imag).sum(axis=0),
+            abs2_min=modulus.min(axis=0) ** 2,
+            abs2_max=modulus.max(axis=0) ** 2,
         )
 
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(one_block, starts))
-    return np.concatenate(parts, axis=0)
+    def merge(self, other: _Moments) -> _Moments:
+        """Pairwise update of Chan, Golub & LeVeque (1983)."""
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        weight = self.n * other.n / n
+        return _Moments(
+            n=n,
+            mean=self.mean + delta * (other.n / n),
+            m2_re=self.m2_re + other.m2_re + np.square(delta.real) * weight,
+            m2_im=self.m2_im + other.m2_im + np.square(delta.imag) * weight,
+            abs2_min=np.minimum(self.abs2_min, other.abs2_min),
+            abs2_max=np.maximum(self.abs2_max, other.abs2_max),
+        )
+
+    def standard_errors(self) -> tuple[np.ndarray, np.ndarray]:
+        """ddof=1 standard errors of the mean of Re z and of Im z."""
+        if self.n == 1:
+            return np.zeros_like(self.m2_re), np.zeros_like(self.m2_im)
+        return (np.sqrt(self.m2_re / (self.n - 1)) / math.sqrt(self.n),
+                np.sqrt(self.m2_im / (self.n - 1)) / math.sqrt(self.n))
+
+
+def _correction_phase(theta, n: int):
+    """Leftover noise phase at the revival time t_n, which recovery undoes."""
+    return theta - _TWO_PI * n
+
+
+def _recovered(theta: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """Coherences after exp(-i*vartheta/2*sigma_z) on qubit A of each state.
+
+    The states (|00> + z|11>) are carried without the common 1/sqrt(2); the
+    coherence of a corrected state is its |11> amplitude over its |00>
+    amplitude, which has unit modulus.
+    """
+    psi = np.zeros((z.shape[0], 4), dtype=complex)
+    psi[:, 0] = 1.0
+    psi[:, 3] = z[:, 0]
+    psi = states.local_phase_factors(_correction_phase(theta[:, 0], n), "A") * psi
+    return (psi[:, 3] * np.conj(psi[:, 0]))[:, None]
+
+
+def _stream(config: RunConfig, n_threads: int, correct=None) -> _Moments:
+    """Moments of the coherences z = exp(-i*v*dwell) over ``config.t_grid``.
+
+    Block b holds trajectories [b*_BLOCK, (b+1)*_BLOCK): it is sampled up to
+    the last grid time, integrated, exponentiated and reduced on its own,
+    threads map over whole blocks, and the block moments merge in block
+    order.  ``correct(theta, z)``, if given, appends columns computed from
+    the noise phases theta and the coherences z of the block.
+    """
+    params = config.system.rt
+    horizon = float(config.t_grid[-1])
+
+    def one_block(start):
+        count = min(_BLOCK, config.n_trajectories - start)
+        batch = noise.sample_batch(params, horizon, count, config.master_seed, start_index=start)
+        theta = params.v * _kernels.dwell_times(
+            batch.levels, batch.switch_times, batch.counts, config.t_grid
+        )
+        z = np.exp(-1j * theta)
+        if correct is not None:
+            z = np.concatenate([z, correct(theta, z)], axis=1)
+        return _Moments.of(z)
+
+    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
+        blocks = pool.map(one_block, range(0, config.n_trajectories, _BLOCK))
+        return functools.reduce(_Moments.merge, blocks)
+
+
+def _trajectory_entropy(stats: _Moments) -> tuple[np.ndarray, np.ndarray, float]:
+    """E_av, its error and the least trajectory entropy, from |z|^2 extremes.
+
+    The entropy of entanglement of (|00> + z exp(-i*omega*t)|11>)/sqrt(2) is
+    h(1/(1 + |z|^2)): 1 at |z| = 1 and falling on both sides.  So at each
+    grid time every trajectory's entropy lies in [h_min, 1], h_min being the
+    entropy at whichever |z|^2 extreme is worse; E_av is reported as the
+    middle of that interval with half its width as the error.  The closed
+    form evolution keeps |z| = 1, giving exactly 1, 0 and 1.
+    """
+    ends = states.binary_entropy(1.0 / (1.0 + np.stack([stats.abs2_min, stats.abs2_max])))
+    h_min = ends.min(axis=0)
+    return 0.5 * (1.0 + h_min), 0.5 * (1.0 - h_min), float(h_min.min())
 
 
 def _ef_derivative(c: float) -> float:
@@ -149,16 +239,10 @@ def _assemble_rho(q_mean: np.ndarray, omega_sum: float, t_grid: np.ndarray) -> n
     return rho
 
 
-def _coherence_stats(z: np.ndarray):
-    n = z.shape[0]
-    q_mean = z.mean(axis=0)
-    if n > 1:
-        se_re = z.real.std(axis=0, ddof=1) / math.sqrt(n)
-        se_im = z.imag.std(axis=0, ddof=1) / math.sqrt(n)
-    else:
-        se_re = np.zeros(z.shape[1])
-        se_im = np.zeros(z.shape[1])
-    return q_mean, se_re, se_im
+def _x_concurrence(rho: np.ndarray) -> np.ndarray:
+    """Concurrence of the averaged ensembles: with only the Bell corners
+    populated, Wootters' formula reduces to min(2|rho_03|, 1)."""
+    return np.minimum(2.0 * np.abs(rho[..., 0, 3]), 1.0)
 
 
 def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
@@ -166,33 +250,18 @@ def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
 
     For each grid time this produces the averaged density matrix, the mean
     coherence with standard errors, the entanglement of formation of the
-    average (via the general concurrence), the average entanglement over
-    trajectories, and their difference (the hidden entanglement).
-    Deterministic given ``config.master_seed``, independent of ``n_threads``.
+    average, the average entanglement over trajectories, and their
+    difference (the hidden entanglement).  Deterministic given
+    ``config.master_seed``, independent of ``n_threads``.
     """
-    params = config.system.rt
-    horizon = float(config.t_grid[-1])
-    batch = noise.sample_batch(params, horizon, config.n_trajectories, config.master_seed)
-
-    dwell = _dwell_batched(batch, config.t_grid, n_threads)
-    z = np.exp(-1j * (params.v * dwell))
-    q_mean, q_se_re, q_se_im = _coherence_stats(z)
-
-    # Entropy of entanglement of (|00> + z exp(-i*omega*t)|11>)/sqrt(2):
-    # the reduced state of qubit A is diag(1, |z|^2)/(1 + |z|^2).
-    e_traj = states.binary_entropy(1.0 / (1.0 + np.abs(z) ** 2))
-    e_av = e_traj.mean(axis=0)
-    if config.n_trajectories > 1:
-        e_av_se = e_traj.std(axis=0, ddof=1) / math.sqrt(config.n_trajectories)
-    else:
-        e_av_se = np.zeros_like(e_av)
+    stats = _stream(config, n_threads)
+    q_mean = stats.mean
+    q_se_re, q_se_im = stats.standard_errors()
+    e_av, e_av_se, min_entropy = _trajectory_entropy(stats)
 
     omega_sum = config.system.omega_a + config.system.omega_b
     rho = _assemble_rho(q_mean, omega_sum, config.t_grid)
-    e_f = np.array([
-        states.entanglement_of_formation(states.concurrence(rho[gi]))
-        for gi in range(config.t_grid.size)
-    ])
+    e_f = states.entanglement_of_formation(_x_concurrence(rho))
 
     q_abs = np.abs(q_mean)
     se_c = np.where(
@@ -214,7 +283,7 @@ def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
         e_f=e_f,
         e_f_se=e_f_se,
         e_h=e_av - e_f,
-        min_trajectory_entropy=float(e_traj.min()),
+        min_trajectory_entropy=min_entropy,
         n_trajectories=config.n_trajectories,
         master_seed=config.master_seed,
         system=config.system,
@@ -241,7 +310,7 @@ def recover_trajectory(system: SystemParams, traj: noise.RTTrajectory, t_n: floa
     entanglement.
     """
     n = _revival_index(system.rt.v, t_n)
-    vartheta = noise.accumulated_phase(traj, t_n, v=system.rt.v) - _TWO_PI * n
+    vartheta = _correction_phase(noise.accumulated_phase(traj, t_n, v=system.rt.v), n)
     state = evolve_trajectory(system, traj, t_n)
     return states.apply_local_phase(state, vartheta, qubit="A")
 
@@ -260,26 +329,20 @@ def recovery_report(config: RunConfig, n: int, n_threads: int = 1) -> RecoveryRe
     """Concurrence of the averaged ensemble at t_n = 2*pi*n/v, with and
     without the per-trajectory phase correction.
 
-    Uses the same trajectory streams as ``run_ensemble`` for the same seed.
+    Uses the same trajectory streams and block pipeline as ``run_ensemble``
+    for the same seed; the corrected ensemble applies the local unitary of
+    ``recover_trajectory`` to every trajectory state.
     """
     if n < 1:
         raise ValueError(f"revival index must be >= 1, got {n}")
-    params = config.system.rt
-    t_n = _TWO_PI * n / params.v
-    batch = noise.sample_batch(params, t_n, config.n_trajectories, config.master_seed)
-    grid = np.array([t_n])
-    dwell = _dwell_batched(batch, grid, n_threads)
-    theta = params.v * dwell[:, 0]
+    t_n = _TWO_PI * n / config.system.rt.v
+    at_t_n = replace(config, t_grid=np.array([t_n]))
+    stats = _stream(at_t_n, n_threads, correct=functools.partial(_recovered, n=n))
 
     omega_sum = config.system.omega_a + config.system.omega_b
-    z_before = np.exp(-1j * theta)
-    vartheta = theta - _TWO_PI * n
-    z_after = np.exp(-1j * (theta - vartheta))
-
-    before = states.concurrence(_assemble_rho(np.array([z_before.mean()]), omega_sum, grid)[0])
-    after = states.concurrence(_assemble_rho(np.array([z_after.mean()]), omega_sum, grid)[0])
+    before, after = _x_concurrence(_assemble_rho(stats.mean, omega_sum, np.full(2, t_n)))
     return RecoveryReport(
-        t_n=t_n, revival_index=n, concurrence_before=before, concurrence_after=after
+        t_n=t_n, revival_index=n, concurrence_before=float(before), concurrence_after=float(after)
     )
 
 

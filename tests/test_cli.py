@@ -6,6 +6,8 @@ import pytest
 
 from rtdeph import cli, engine
 
+from _oracles import Q_ABS_G5_VT_2PI
+
 
 def read_rows(path):
     lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
@@ -151,10 +153,61 @@ def test_recovery_mode(tmp_path):
     for entry in report["results"]:
         assert entry["concurrence_after"] == pytest.approx(1.0, abs=1e-9)
     finite = next(e for e in report["results"] if e["g"] == "5.0")
-    assert finite["expected_uncorrected"] == pytest.approx(math.exp(-0.2 * math.pi), rel=1e-12)
+    assert finite["expected_uncorrected"] == pytest.approx(Q_ABS_G5_VT_2PI, abs=1e-12)
     assert finite["concurrence_before"] < 0.7
     static = next(e for e in report["results"] if e["g"] == "inf")
     assert static["concurrence_before"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_recovery_expected_uncorrected_is_coherence_modulus(tmp_path):
+    # |q(t_n)|, not the revival envelope exp(-gamma*t_n/2): at g = 0.5 the
+    # two differ by five orders of magnitude
+    out = tmp_path / "rec.json"
+    n_traj = 2000
+    rc = cli.main(
+        ["--mode", "recovery", "--g", "0.5,5", "--n-traj", str(n_traj), "--seed", "0",
+         "--revival-n", "2", "--out", str(out), "--no-timestamp"]
+    )
+    assert rc == 0
+    for entry in json.loads(out.read_text())["results"]:
+        gap = abs(entry["expected_uncorrected"] - entry["concurrence_before"])
+        assert gap <= 4.0 / math.sqrt(n_traj), entry
+
+
+def _wrong_sign(theta, n):
+    return -(theta - 2.0 * math.pi * n)
+
+
+def _from_permuted_realization(theta, n):
+    return np.roll(theta - 2.0 * math.pi * n, 1)
+
+
+@pytest.mark.parametrize("fault", [_wrong_sign, _from_permuted_realization])
+def test_recovery_mode_fail_path(tmp_path, monkeypatch, fault):
+    # negative control: a wrong per-trajectory correction must fail the report
+    monkeypatch.setattr(engine, "_correction_phase", fault)
+    out = tmp_path / "rec.json"
+    rc = cli.main(
+        ["--mode", "recovery", "--g", "5", "--n-traj", "2000", "--seed", "0",
+         "--revival-n", "1", "--out", str(out), "--no-timestamp"]
+    )
+    assert rc == 1
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    assert report["results"][0]["concurrence_after"] < 0.9
+
+
+def test_mc_first_row_is_exact(tmp_path):
+    # at t = 0 every trajectory coherence is exactly 1, so E_f is exactly 1
+    # with a zero standard error
+    out = tmp_path / "mc.csv"
+    rc = cli.main(
+        ["--mode", "mc", "--g", "5", "--vt-step", "1.0", "--vt-max", "3.0",
+         "--n-traj", "200", "--seed", "0", "--out", str(out), "--no-timestamp"]
+    )
+    assert rc == 0
+    first = [l for l in out.read_text().splitlines() if l and not l.startswith("#")][1]
+    assert first.endswith(",1.0,0.0")
 
 
 def test_autocorr_mode(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,10 +30,6 @@ def test_run_config_validation():
         engine.RunConfig(system=system, t_grid=np.array([0.0, 1.0]), n_trajectories=0, master_seed=0)
     with pytest.raises(ValueError):
         engine.RunConfig(system=system, t_grid=np.array([0.0, 1.0]), n_trajectories=10, master_seed=-1)
-    with pytest.raises(ValueError, match="limit"):
-        engine.RunConfig(
-            system=system, t_grid=np.linspace(0.0, 1.0, 1000), n_trajectories=10**6, master_seed=0
-        )
 
 
 def test_evolve_trajectory_examples():
@@ -160,18 +157,56 @@ def test_results_identical_across_thread_counts():
     np.testing.assert_array_equal(single.rho, multi.rho)
 
 
-def test_coherence_statistics_definition():
-    # rebuild the estimator from raw trajectories: mean and ddof=1 errors
-    config, result = run(5.0, n=150, points=6)
+@pytest.mark.parametrize("n", [150, 4097])  # 4097: three blocks, the last of one trajectory
+def test_coherence_statistics_definition(n):
+    # rebuild the estimator from raw trajectories in one pass: mean and
+    # ddof=1 errors, against the block-by-block merge
+    config, result = run(5.0, n=n, points=6)
     params = config.system.rt
-    batch = noise.sample_batch(params, float(config.t_grid[-1]), 150, config.master_seed)
-    z = np.empty((150, 6), dtype=complex)
-    for i in range(150):
+    batch = noise.sample_batch(params, float(config.t_grid[-1]), n, config.master_seed)
+    z = np.empty((n, 6), dtype=complex)
+    for i in range(n):
         traj = batch.trajectory(i)
         for gi, t in enumerate(config.t_grid):
             z[i, gi] = np.exp(-1j * noise.accumulated_phase(traj, t, v=params.v))
     np.testing.assert_allclose(result.q_mean, z.mean(axis=0), atol=1e-12)
-    np.testing.assert_allclose(result.q_se_re, z.real.std(axis=0, ddof=1) / math.sqrt(150), atol=1e-12)
+    np.testing.assert_allclose(result.q_se_re, z.real.std(axis=0, ddof=1) / math.sqrt(n), atol=1e-12)
+    np.testing.assert_allclose(result.q_se_im, z.imag.std(axis=0, ddof=1) / math.sqrt(n), atol=1e-12)
+
+
+def test_ensemble_memory_does_not_grow_with_n():
+    def traced_peak(n):
+        config = engine.RunConfig(system=system_for(5.0), t_grid=np.linspace(0.0, 6.0 * math.pi, 201),
+                                  n_trajectories=n, master_seed=0)
+        tracemalloc.start()
+        try:
+            engine.run_ensemble(config, n_threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(8 * 2048) <= 1.25 * traced_peak(2 * 2048)
+
+
+def test_trajectory_entropy_from_modulus_extremes():
+    phases = np.random.default_rng(1).uniform(0.0, TWO_PI, size=(300, 4))
+    e_av, e_av_se, min_entropy = engine._trajectory_entropy(engine._Moments.of(np.exp(1j * phases)))
+    np.testing.assert_array_equal(e_av, 1.0)
+    np.testing.assert_array_equal(e_av_se, 0.0)
+    assert min_entropy == 1.0
+    # a state off the unit circle is no longer maximally entangled
+    z = np.exp(1j * phases)
+    z[17, 2] *= 0.9
+    e_av, e_av_se, min_entropy = engine._trajectory_entropy(engine._Moments.of(z))
+    assert min_entropy < 1.0 - 1e-9
+    assert e_av[2] < 1.0 - 1e-9 and e_av_se[2] > 1e-9
+    np.testing.assert_array_equal(e_av[[0, 1, 3]], 1.0)
+
+
+def test_ensemble_concurrence_matches_wootters_oracle():
+    config, result = run(5.0, n=500, points=30)
+    oracle = [states.entanglement_of_formation(states.concurrence(rho)) for rho in result.rho]
+    np.testing.assert_allclose(result.e_f, oracle, rtol=0, atol=1e-12)
 
 
 def test_recover_trajectory_static_cases():
