@@ -41,8 +41,6 @@ from rtdeph.noise import (
     estimate_autocorrelation,
     level_at,
     sample_batch,
-    sample_trajectory,
-    trajectory_rng,
 )
 from rtdeph.states import (
     apply_local_phase,
@@ -97,8 +95,6 @@ __all__ = [
     "revival_times",
     "run_ensemble",
     "sample_batch",
-    "sample_trajectory",
     "static_ensemble",
-    "trajectory_rng",
     "__version__",
 ]

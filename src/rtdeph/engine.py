@@ -13,9 +13,11 @@ sampled, integrated and reduced to its moments on its own, and the block
 moments merge in block order.  Memory is O(block * grid size) whatever the
 number of trajectories, and there is no cap on the ensemble size.
 
-Reproducibility contract: trajectory i draws from a stream derived from
-(master_seed, i) only, and the blocks and their merge order do not depend
-on the thread count, so results are bit-identical for any thread count.
+Reproducibility contract: the blocks are the ``noise.BLOCK``-trajectory
+blocks of the random streams, so trajectory i is fixed by (master_seed, i)
+alone (``noise.sample_batch``); the blocks and their merge order do not
+depend on the thread count, so results are bit-identical for any thread
+count.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ import numpy as np
 
 from rtdeph import _kernels, noise, states
 from rtdeph.analytic import SystemParams
-
-# Fixed reduction block size; must not depend on the thread count.
-_BLOCK = 2048
 
 _TWO_PI = 2.0 * math.pi
 
@@ -175,8 +174,9 @@ def _recovered(theta: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
 def _stream(config: RunConfig, n_threads: int, correct=None) -> _Moments:
     """Moments of the coherences z = exp(-i*v*dwell) over ``config.t_grid``.
 
-    Block b holds trajectories [b*_BLOCK, (b+1)*_BLOCK): it is sampled up to
-    the last grid time, integrated, exponentiated and reduced on its own,
+    Block b holds trajectories [b*BLOCK, (b+1)*BLOCK), BLOCK being
+    ``noise.BLOCK``, and so draws from one random stream.  It is sampled up
+    to the last grid time, integrated, exponentiated and reduced on its own,
     threads map over whole blocks, and the block moments merge in block
     order.  ``correct(theta, z)``, if given, appends columns computed from
     the noise phases theta and the coherences z of the block.
@@ -185,7 +185,7 @@ def _stream(config: RunConfig, n_threads: int, correct=None) -> _Moments:
     horizon = float(config.t_grid[-1])
 
     def one_block(start):
-        count = min(_BLOCK, config.n_trajectories - start)
+        count = min(noise.BLOCK, config.n_trajectories - start)
         batch = noise.sample_batch(params, horizon, count, config.master_seed, start_index=start)
         theta = params.v * _kernels.dwell_times(
             batch.levels, batch.switch_times, batch.counts, config.t_grid
@@ -196,7 +196,7 @@ def _stream(config: RunConfig, n_threads: int, correct=None) -> _Moments:
         return _Moments.of(z)
 
     with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
-        blocks = pool.map(one_block, range(0, config.n_trajectories, _BLOCK))
+        blocks = pool.map(one_block, range(0, config.n_trajectories, noise.BLOCK))
         return functools.reduce(_Moments.merge, blocks)
 
 

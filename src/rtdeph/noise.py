@@ -5,6 +5,13 @@ The process xi(t) switches between 0 and an amplitude ``v`` with rate
 exact and grid free: the level at t=0 is drawn from the stationary (1/2,
 1/2) distribution and successive waiting times are exponential with mean
 ``2/gamma``.  ``gamma = 0`` encodes a frozen process that never switches.
+
+Random streams: trajectories come in blocks of ``BLOCK``.  Block b draws
+from one stream keyed by (master_seed, b), and trajectory i is lane
+i % BLOCK of block i // BLOCK, so its identity is (seed, block, lane).  A
+block samples all of its lanes at once in a few vectorized draws, always
+in the same order, so a trajectory does not depend on which other
+trajectories a batch holds, and a shorter horizon sees a prefix of it.
 """
 
 from __future__ import annotations
@@ -15,6 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rtdeph import _kernels
+
+#: Trajectories per random stream, and per block of the engine's pipeline.
+BLOCK = 2048
+
+#: Exponential waits drawn per lane in each sampling round; fixed, so that
+#: the draws do not depend on the horizon.
+_ROUND_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -65,43 +79,6 @@ class RTTrajectory:
                 raise ValueError("switch times must be strictly increasing")
 
 
-def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent random stream for one trajectory index.
-
-    The mapping (master_seed, index) -> stream is fixed, so ensembles are
-    reproducible no matter how trajectories are scheduled.
-    """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(index,))))
-
-
-def _draw_switch_times(rng: np.random.Generator, gamma: float, horizon: float) -> np.ndarray:
-    if gamma == 0.0:
-        return np.empty(0)
-    scale = 2.0 / gamma
-    expected = horizon / scale
-    chunk = max(8, int(expected + 6.0 * math.sqrt(expected) + 8.0))
-    waits = rng.exponential(scale, size=chunk)
-    times = np.cumsum(waits)
-    while times[-1] <= horizon:
-        waits = rng.exponential(scale, size=chunk)
-        times = np.concatenate([times, times[-1] + np.cumsum(waits)])
-    return times[times <= horizon]
-
-
-def sample_trajectory(params: RTParams, horizon: float, rng: np.random.Generator) -> RTTrajectory:
-    """Draw one telegraph realization on [0, horizon].
-
-    The initial level is equiprobable (stationary distribution of the
-    symmetric process); waiting times are exponential with rate gamma/2.
-    With gamma = 0 the trajectory never switches.
-    """
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
-    level = int(rng.integers(0, 2))
-    times = _draw_switch_times(rng, params.gamma, horizon)
-    return RTTrajectory(initial_level=level, switch_times=times, horizon=horizon)
-
-
 @dataclass(frozen=True)
 class TrajectoryBatch:
     """Batch of trajectories in padded-array form for the kernels.
@@ -120,6 +97,7 @@ class TrajectoryBatch:
         return self.levels.shape[0]
 
     def trajectory(self, i: int) -> RTTrajectory:
+        """Row ``i`` as a single realization."""
         c = int(self.counts[i])
         return RTTrajectory(
             initial_level=int(self.levels[i]),
@@ -128,27 +106,68 @@ class TrajectoryBatch:
         )
 
 
+def _sample_block(params: RTParams, horizon: float, master_seed: int,
+                  block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and +inf-padded switch times of all ``BLOCK`` lanes of one block.
+
+    The levels come first from the block stream, then rounds of
+    ``_ROUND_WIDTH`` exponential waits per lane, cumulated along each lane,
+    until every lane has passed the horizon.  Neither the draws nor their
+    order depend on the horizon, so a shorter horizon sees a prefix of the
+    same lanes.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(block,))))
+    levels = rng.integers(0, 2, size=BLOCK, dtype=np.uint8)
+    if params.gamma == 0.0:
+        return levels, np.empty((BLOCK, 0))
+    scale = 2.0 / params.gamma
+    rounds = []
+    last = np.zeros(BLOCK)
+    while last.min() <= horizon:
+        times = rng.exponential(scale, size=(BLOCK, _ROUND_WIDTH))
+        times[:, 0] += last
+        np.cumsum(times, axis=1, out=times)
+        rounds.append(times)
+        last = times[:, -1]
+    times = np.concatenate(rounds, axis=1)
+    times[times > horizon] = np.inf
+    return levels, times
+
+
 def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
                  start_index: int = 0) -> TrajectoryBatch:
-    """Sample ``n`` independent trajectories with per-index streams.
+    """Sample trajectories ``start_index`` to ``start_index + n - 1``.
 
-    Trajectory ``i`` is drawn from ``trajectory_rng(master_seed,
-    start_index + i)`` and depends on nothing else, so batches are
-    reproducible and two batches sharing (seed, index) share realizations.
+    Trajectory ``i`` is lane ``i % BLOCK`` of block ``i // BLOCK``, and block
+    ``b`` draws from its own stream keyed by ``(master_seed, b)``.  Every
+    block is drawn whole and then sliced, so a trajectory is fixed by
+    ``(master_seed, i)`` alone: batches are reproducible, and two batches
+    sharing (seed, index) share realizations whatever their ``n``,
+    ``start_index`` or block boundaries.  A longer horizon extends the same
+    realizations.
     """
     if n < 1:
         raise ValueError(f"need at least one trajectory, got n={n}")
-    trajectories = [
-        sample_trajectory(params, horizon, trajectory_rng(master_seed, start_index + i))
-        for i in range(n)
-    ]
-    counts = np.array([t.switch_times.size for t in trajectories], dtype=np.intp)
+    if start_index < 0:
+        raise ValueError(f"start_index must be >= 0, got {start_index}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+    stop = start_index + n
+    levels, rows = [], []
+    for block in range(start_index // BLOCK, (stop - 1) // BLOCK + 1):
+        block_levels, block_times = _sample_block(params, horizon, master_seed, block)
+        lanes = slice(max(start_index - block * BLOCK, 0), min(stop - block * BLOCK, BLOCK))
+        levels.append(block_levels[lanes])
+        rows.append(block_times[lanes])
+    counts = np.concatenate([np.isfinite(r).sum(axis=1) for r in rows]).astype(np.intp)
     k = int(counts.max())
-    times = np.full((n, k), np.inf)
-    for i, traj in enumerate(trajectories):
-        times[i, : counts[i]] = traj.switch_times
-    levels = np.array([t.initial_level for t in trajectories], dtype=np.uint8)
-    return TrajectoryBatch(levels=levels, switch_times=times, counts=counts, horizon=horizon)
+    # each block is as wide as its own lanes need; pad or trim all to k
+    times = np.concatenate([
+        np.pad(r[:, :k], ((0, 0), (0, k - min(k, r.shape[1]))), constant_values=np.inf)
+        for r in rows
+    ])
+    return TrajectoryBatch(levels=np.concatenate(levels), switch_times=times, counts=counts,
+                           horizon=horizon)
 
 
 def _check_query_time(traj: RTTrajectory, t: float) -> float:
@@ -187,8 +206,8 @@ class AutocorrelationResult:
     n_samples: int = field(default=0)
 
 
-def estimate_autocorrelation(params: RTParams, lags, n_samples: int,
-                             master_seed: int) -> AutocorrelationResult:
+def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed: int,
+                             start_index: int = 0) -> AutocorrelationResult:
     """Estimate the normalized autocorrelation of the telegraph process.
 
     Uses the mean-centered process (xi - v/2), for which the normalized
@@ -196,7 +215,8 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int,
     the raw second-moment ratio of the {0, v} process would saturate at 1/2
     instead of decaying to zero.  Each sample is an independent stationary
     realization; the per-sample product of centered signs at lag 0 and lag
-    tau averages to the estimate, with ddof=1 standard errors.
+    tau averages to the estimate, with ddof=1 standard errors.  The samples
+    are trajectories ``start_index`` onward of ``sample_batch``.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
@@ -213,7 +233,7 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int,
         ones = np.ones_like(lag_arr)
         return AutocorrelationResult(lag_arr, ones, np.zeros_like(lag_arr), n_samples)
 
-    batch = sample_batch(params, horizon, n_samples, master_seed)
+    batch = sample_batch(params, horizon, n_samples, master_seed, start_index=start_index)
     order = np.argsort(lag_arr, kind="stable")
     bits = _kernels.levels_at_times(batch.levels, batch.switch_times, batch.counts,
                                     lag_arr[order])

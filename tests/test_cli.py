@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rtdeph import cli, engine
+from rtdeph import cli, engine, noise
 
 from _oracles import Q_ABS_G5_VT_2PI
 
@@ -197,6 +197,29 @@ def test_recovery_mode_fail_path(tmp_path, monkeypatch, fault):
     assert report["results"][0]["concurrence_after"] < 0.9
 
 
+def test_recovery_mode_fails_on_wrong_uncorrected_concurrence(tmp_path, monkeypatch):
+    # negative control for the "before" half: an uncorrected concurrence
+    # 0.2 away from |q(t_n)| must fail the report even though recovery works
+    real_report = engine.recovery_report
+
+    def shifted(config, n, n_threads=1):
+        report = real_report(config, n, n_threads=n_threads)
+        return engine.RecoveryReport(
+            **{**report.__dict__, "concurrence_before": report.concurrence_before + 0.2}
+        )
+
+    monkeypatch.setattr(engine, "recovery_report", shifted)
+    out = tmp_path / "rec.json"
+    rc = cli.main(
+        ["--mode", "recovery", "--g", "5", "--n-traj", "2000", "--seed", "0",
+         "--revival-n", "1", "--out", str(out), "--no-timestamp"]
+    )
+    assert rc == 1
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    assert report["results"][0]["concurrence_after"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_mc_first_row_is_exact(tmp_path):
     # at t = 0 every trajectory coherence is exactly 1, so E_f is exactly 1
     # with a zero standard error
@@ -236,6 +259,45 @@ def test_autocorr_custom_lags(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert [row["lag"] for row in report["results"][0]["per_lag"]] == [0.25, 1.5]
+
+
+def test_autocorr_mode_samples_each_g_on_its_own(tmp_path):
+    # at the default lags (0.5, 1, 2, 3)/gamma the waiting times scale with
+    # 1/gamma, so shared realizations would give identical estimates for
+    # every g
+    out = tmp_path / "ac.json"
+    rc = cli.main(
+        ["--mode", "autocorr", "--g", "0.5,1", "--n-traj", "2000", "--seed", "4",
+         "--out", str(out), "--no-timestamp"]
+    )
+    assert rc == 0
+    first, second = (
+        [row["estimate"] for row in section["per_lag"]]
+        for section in json.loads(out.read_text())["results"]
+    )
+    assert first != second
+
+
+def test_autocorr_mode_fail_path(tmp_path, monkeypatch):
+    # negative control: corrupt the estimates and expect a failing report
+    real_estimate = cli.estimate_autocorrelation
+
+    def corrupted(*args, **kwargs):
+        result = real_estimate(*args, **kwargs)
+        return noise.AutocorrelationResult(
+            **{**result.__dict__, "estimates": result.estimates + 0.5}
+        )
+
+    monkeypatch.setattr(cli, "estimate_autocorrelation", corrupted)
+    out = tmp_path / "ac.json"
+    rc = cli.main(
+        ["--mode", "autocorr", "--g", "2", "--n-traj", "5000", "--seed", "4",
+         "--out", str(out), "--no-timestamp"]
+    )
+    assert rc == 1
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    assert not any(row["within_3se"] for row in report["results"][0]["per_lag"])
 
 
 def test_autocorr_rejects_static_limit():

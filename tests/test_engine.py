@@ -62,8 +62,9 @@ def test_evolve_trajectory_rejects_beyond_horizon():
 def test_trajectory_states_stay_maximally_entangled():
     params = noise.RTParams(v=1.0, gamma=0.5)
     system = analytic.SystemParams(rt=params)
+    batch = noise.sample_batch(params, 8.0, 20, master_seed=3)
     for i in range(20):
-        traj = noise.sample_trajectory(params, 8.0, noise.trajectory_rng(3, i))
+        traj = batch.trajectory(i)
         for t in (1.0, 4.5, 8.0):
             state = engine.evolve_trajectory(system, traj, t)
             assert states.entropy_of_entanglement(state) == pytest.approx(1.0, abs=1e-9)

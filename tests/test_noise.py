@@ -2,14 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtdeph import noise
 
 from _oracles import riemann_phase
 
+#: Property tests draw their examples from a fixed sequence, so the suite
+#: stays deterministic.
+stream_settings = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
-def rng_for(seed=0, index=0):
-    return noise.trajectory_rng(seed, index)
+
+def lane(params, horizon, seed=0, index=0):
+    """Trajectory ``index`` of the batch streams of ``seed``."""
+    return noise.sample_batch(params, horizon, 1, seed, start_index=index).trajectory(0)
+
+
+def same_rows(a, b):
+    """Two batches hold the same realizations, padding aside."""
+    np.testing.assert_array_equal(a.levels, b.levels)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    k = min(a.switch_times.shape[1], b.switch_times.shape[1])
+    np.testing.assert_array_equal(a.switch_times[:, :k], b.switch_times[:, :k])
 
 
 def test_rtparams_coupling():
@@ -30,21 +44,26 @@ def test_rtparams_validation():
         noise.RTParams(v=1.0, gamma=math.inf)
 
 
-def test_static_limit_has_no_switches():
+@stream_settings
+@given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 3 * noise.BLOCK),
+       horizon=st.floats(0.1, 100.0))
+def test_static_limit_has_no_switches(seed, start, horizon):
     params = noise.RTParams(v=3.0, gamma=0.0)
-    seen = set()
-    for i in range(40):
-        traj = noise.sample_trajectory(params, 10.0, rng_for(index=i))
-        assert traj.switch_times.size == 0
-        seen.add(traj.initial_level)
-    assert seen == {0, 1}
+    batch = noise.sample_batch(params, horizon, 40, seed, start_index=start)
+    assert batch.switch_times.shape == (40, 0)
+    np.testing.assert_array_equal(batch.counts, 0)
+    assert set(batch.levels.tolist()) == {0, 1}
 
 
-def test_sample_trajectory_rejects_bad_horizon():
+def test_sample_batch_rejects_bad_arguments():
     params = noise.RTParams(v=1.0, gamma=1.0)
     for horizon in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            noise.sample_trajectory(params, horizon, rng_for())
+            noise.sample_batch(params, horizon, 4, 0)
+    with pytest.raises(ValueError):
+        noise.sample_batch(params, 1.0, 0, 0)
+    with pytest.raises(ValueError):
+        noise.sample_batch(params, 1.0, 4, 0, start_index=-1)
 
 
 def test_initial_level_equiprobable():
@@ -59,11 +78,8 @@ def test_occupation_fraction_converges_to_half():
     # long-time fraction of time spent at the high level
     params = noise.RTParams(v=1.0, gamma=1.0)
     horizon, n = 50.0, 400
-    fractions = [
-        noise.accumulated_phase(noise.sample_trajectory(params, horizon, rng_for(77, i)), horizon)
-        / horizon
-        for i in range(n)
-    ]
+    batch = noise.sample_batch(params, horizon, n, master_seed=77)
+    fractions = [noise.accumulated_phase(batch.trajectory(i), horizon) / horizon for i in range(n)]
     fractions = np.array(fractions)
     se = fractions.std(ddof=1) / math.sqrt(n)
     assert abs(fractions.mean() - 0.5) <= 3.0 * se
@@ -88,7 +104,7 @@ def test_level_at_examples():
 
 
 def test_level_at_is_piecewise_constant_with_one_flip_per_switch():
-    traj = noise.sample_trajectory(noise.RTParams(v=1.0, gamma=4.0), 5.0, rng_for(5, 3))
+    traj = lane(noise.RTParams(v=1.0, gamma=4.0), 5.0, seed=5, index=3)
     probes = np.concatenate([[0.0], traj.switch_times, [traj.horizon]])
     mids = 0.5 * (probes[1:] + probes[:-1])
     levels = [noise.level_at(traj, t) for t in mids]
@@ -115,8 +131,9 @@ def test_accumulated_phase_examples():
 
 def test_accumulated_phase_matches_riemann_oracle():
     params = noise.RTParams(v=1.7, gamma=2.0)
+    batch = noise.sample_batch(params, 4.0, 4, master_seed=93)
     for i in range(4):
-        traj = noise.sample_trajectory(params, 4.0, rng_for(93, i))
+        traj = batch.trajectory(i)
         for t in (0.9, 2.5, 4.0):
             exact = noise.accumulated_phase(traj, t, v=params.v)
             approx = riemann_phase(traj.initial_level, traj.switch_times, traj.horizon, t, params.v)
@@ -125,7 +142,7 @@ def test_accumulated_phase_matches_riemann_oracle():
 
 def test_accumulated_phase_monotone_and_lipschitz():
     params = noise.RTParams(v=2.0, gamma=3.0)
-    traj = noise.sample_trajectory(params, 6.0, rng_for(15, 0))
+    traj = lane(params, 6.0, seed=15)
     ts = np.sort(np.random.default_rng(3).uniform(0.0, 6.0, size=200))
     phases = np.array([noise.accumulated_phase(traj, t, v=params.v) for t in ts])
     diffs = np.diff(phases)
@@ -150,35 +167,60 @@ def test_trajectory_validation():
         noise.RTTrajectory(2, np.empty(0), horizon=1.0)
 
 
-def test_sampling_is_reproducible_per_index():
-    params = noise.RTParams(v=1.0, gamma=2.0)
-    a = noise.sample_trajectory(params, 8.0, rng_for(99, 4))
-    b = noise.sample_trajectory(params, 8.0, rng_for(99, 4))
-    assert a.initial_level == b.initial_level
-    np.testing.assert_array_equal(a.switch_times, b.switch_times)
-    c = noise.sample_trajectory(params, 8.0, rng_for(99, 5))
-    assert (c.initial_level != a.initial_level) or (not np.array_equal(c.switch_times, a.switch_times))
+@stream_settings
+@given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 3 * noise.BLOCK),
+       n=st.integers(1, 2 * noise.BLOCK + 1), gamma=st.floats(0.05, 20.0))
+def test_sampling_is_reproducible_per_index(seed, start, n, gamma):
+    # a row is fixed by (seed, index): the same rows sampled as a slice across
+    # block boundaries, or as the tail of one batch from index 0, coincide
+    params = noise.RTParams(v=1.0, gamma=gamma)
+    batch = noise.sample_batch(params, 4.0, n, seed, start_index=start)
+    from_zero = noise.sample_batch(params, 4.0, start + n, seed)
+    same_rows(batch, noise.TrajectoryBatch(
+        levels=from_zero.levels[start:], switch_times=from_zero.switch_times[start:],
+        counts=from_zero.counts[start:], horizon=4.0))
+    same_rows(batch, noise.sample_batch(params, 4.0, n, seed, start_index=start))
+    if n > 1:
+        # distinct indices are distinct realizations
+        a, b = batch.trajectory(0), batch.trajectory(n - 1)
+        assert a.initial_level != b.initial_level or not np.array_equal(a.switch_times, b.switch_times)
+    other = noise.sample_batch(params, 4.0, n, seed + 1, start_index=start)
+    assert not (np.array_equal(other.levels, batch.levels)
+                and np.array_equal(other.switch_times, batch.switch_times))
 
 
-def test_longer_horizon_extends_same_realization():
-    # the first draws of a stream do not depend on the horizon, so a longer
-    # run sees the same noise path as a shorter one (relied on by recovery)
-    params = noise.RTParams(v=1.0, gamma=2.0)
-    short = noise.sample_trajectory(params, 3.0, rng_for(12, 0))
-    long = noise.sample_trajectory(params, 9.0, rng_for(12, 0))
-    assert short.initial_level == long.initial_level
-    np.testing.assert_array_equal(short.switch_times, long.switch_times[: short.switch_times.size])
+@stream_settings
+@given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 3 * noise.BLOCK),
+       gamma=st.floats(0.05, 20.0), short=st.floats(0.01, 10.0), factor=st.floats(1.0, 8.0))
+def test_longer_horizon_extends_same_realization(seed, start, gamma, short, factor):
+    # the draws of a lane do not depend on the horizon, so a longer run sees
+    # the same noise path as a shorter one (relied on by recovery)
+    params = noise.RTParams(v=1.0, gamma=gamma)
+    a = noise.sample_batch(params, short, 300, seed, start_index=start)
+    b = noise.sample_batch(params, short * factor, 300, seed, start_index=start)
+    np.testing.assert_array_equal(a.levels, b.levels)
+    np.testing.assert_array_equal(a.counts, (b.switch_times <= short).sum(axis=1))
+    for i in range(300):
+        np.testing.assert_array_equal(a.trajectory(i).switch_times,
+                                      b.switch_times[i, : a.counts[i]])
 
 
 def test_sample_batch_matches_single_trajectories():
+    # batch.trajectory(i) is the single-trajectory view of row i, and the
+    # rows are padded with +inf beyond counts[i]
     params = noise.RTParams(v=1.0, gamma=1.5)
     batch = noise.sample_batch(params, 5.0, 32, master_seed=4, start_index=10)
     for i in (0, 7, 31):
-        single = noise.sample_trajectory(params, 5.0, rng_for(4, 10 + i))
-        again = batch.trajectory(i)
+        single = batch.trajectory(i)
+        assert single.initial_level == batch.levels[i]
+        assert single.horizon == 5.0
+        np.testing.assert_array_equal(single.switch_times, batch.switch_times[i, : batch.counts[i]])
+        again = lane(params, 5.0, seed=4, index=10 + i)
         assert again.initial_level == single.initial_level
         np.testing.assert_array_equal(again.switch_times, single.switch_times)
+    assert batch.switch_times.shape[1] == batch.counts.max()
     assert np.all(np.isinf(batch.switch_times[batch.counts[:, None] <= np.arange(batch.switch_times.shape[1])]))
+    assert np.all(batch.switch_times[batch.counts[:, None] > np.arange(batch.switch_times.shape[1])] <= 5.0)
 
 
 def test_autocorrelation_lag_zero_is_exactly_one():
@@ -196,6 +238,18 @@ def test_autocorrelation_matches_exponential_decay():
     fast = noise.RTParams(v=1.0, gamma=2.0)
     result = noise.estimate_autocorrelation(fast, [3.0], 20000, master_seed=9)
     assert abs(result.estimates[0] - math.exp(-6.0)) <= 3.0 * result.stderrs[0]
+
+
+def test_autocorrelation_start_index_selects_trajectories():
+    # two halves sampled from start indices 0 and n average to the whole
+    params = noise.RTParams(v=1.0, gamma=1.0)
+    lags = [0.5, 1.0, 2.0]
+    whole = noise.estimate_autocorrelation(params, lags, 3000, master_seed=5)
+    halves = [noise.estimate_autocorrelation(params, lags, 1500, master_seed=5, start_index=s)
+              for s in (0, 1500)]
+    np.testing.assert_allclose(0.5 * (halves[0].estimates + halves[1].estimates),
+                               whole.estimates, rtol=0, atol=1e-12)
+    assert not np.array_equal(halves[0].estimates, halves[1].estimates)
 
 
 def test_autocorrelation_static_process_is_frozen():
