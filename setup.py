@@ -1,22 +1,20 @@
-"""Build script for the optional compiled kernels.
+"""Build script for the compiled trajectory kernels.
 
-The package is fully functional without the extension (a numpy fallback is
-selected at import time), so the extension is marked optional: a failed
-compile degrades the install instead of breaking it.
+Compiles the hand-written C extension ``rtdeph._kernels._core`` from
+``src/rtdeph/_kernels/_core.c``; it needs a C compiler and the Python
+headers, nothing else.  ``-ffp-contract=off`` keeps the compiler from
+fusing multiply-adds, so the extension agrees bit for bit with the numpy
+fallback.  The extension is optional: where it cannot be compiled, the
+install goes on without it and the numpy fallback is selected at import.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    kernel = Extension(
-        "rtdeph._kernels._core",
-        sources=["src/rtdeph/_kernels/_core.pyx"],
-        optional=True,
-    )
-    ext_modules = cythonize([kernel], language_level=3)
+kernel = Extension(
+    "rtdeph._kernels._core",
+    sources=["src/rtdeph/_kernels/_core.c"],
+    extra_compile_args=["-ffp-contract=off"],
+    optional=True,
+)
 
-setup(ext_modules=ext_modules)
+setup(ext_modules=[kernel])

@@ -1,10 +1,15 @@
 """Hot-loop kernels with backend selection at import time.
 
-The compiled Cython extension is used when built; otherwise a numpy
-fallback with identical semantics (and, by construction, identical
-floating-point accumulation order) takes over.  Set the environment
-variable ``RTDEPH_BACKEND`` to ``compiled`` or ``pure`` to force a choice;
-``compiled`` raises if the extension is missing.
+The compiled extension ``_core`` (hand-written C in ``_core.c``, which
+setup.py builds whenever a C compiler is available) is used when it
+imports; otherwise the numpy fallback ``_reference`` takes over.  The two
+follow the same floating-point operations in the same order and agree bit
+for bit.  Set the environment variable ``RTDEPH_BACKEND`` to ``compiled``
+or ``pure`` to force a choice; ``compiled`` raises if the extension is
+missing.
+
+The functions here validate and convert the arguments and allocate the
+output, which the selected backend fills.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ elif _requested in ("compiled", "cython"):
     if _core is None:
         raise ImportError(
             "RTDEPH_BACKEND=compiled requested but the rtdeph._kernels._core "
-            "extension is not built; install with the Cython extension or "
-            "use RTDEPH_BACKEND=pure"
+            "extension is not built; build it with a C compiler "
+            "(pip install . or python setup.py build_ext --inplace) or use "
+            "RTDEPH_BACKEND=pure"
         )
     _impl = _core
 elif _requested in ("pure", "python", "numpy"):
@@ -48,12 +54,14 @@ def available_backends() -> dict:
     return backends
 
 
-def _prepare(levels, switch_times, counts, t_grid):
+def _prepare(levels, switch_times, counts, t_grid, dtype):
+    """Contiguous arguments of the dtypes the backends expect, and an empty
+    (n, m) output of ``dtype``."""
     levels = np.ascontiguousarray(levels, dtype=np.uint8)
     switch_times = np.ascontiguousarray(switch_times, dtype=np.float64)
     counts = np.ascontiguousarray(counts, dtype=np.intp)
     t_grid = np.ascontiguousarray(t_grid, dtype=np.float64)
-    if switch_times.ndim != 2 or switch_times.shape[0] != levels.shape[0]:
+    if levels.ndim != 1 or switch_times.ndim != 2 or switch_times.shape[0] != levels.shape[0]:
         raise ValueError("switch_times must be 2-D with one row per trajectory")
     if counts.shape != levels.shape:
         raise ValueError("counts must have one entry per trajectory")
@@ -61,16 +69,26 @@ def _prepare(levels, switch_times, counts, t_grid):
         raise ValueError("t_grid must be 1-D")
     if t_grid.size and (t_grid[0] < 0.0 or np.any(np.diff(t_grid) < 0.0)):
         raise ValueError("t_grid must be ascending and non-negative")
-    return levels, switch_times, counts, t_grid
+    out = np.empty((levels.shape[0], t_grid.shape[0]), dtype=dtype)
+    return levels, switch_times, counts, t_grid, out
 
 
 def dwell_times(levels, switch_times, counts, t_grid, impl=None):
     """Time at the high level in [0, t] per trajectory and grid time."""
-    args = _prepare(levels, switch_times, counts, t_grid)
-    return (impl or _impl).dwell_times(*args)
+    *args, out = _prepare(levels, switch_times, counts, t_grid, np.float64)
+    (impl or _impl).dwell_times(*args, out)
+    return out
 
 
 def levels_at_times(levels, switch_times, counts, t_grid, impl=None):
     """Level bit at each grid time per trajectory."""
-    args = _prepare(levels, switch_times, counts, t_grid)
-    return (impl or _impl).levels_at_times(*args)
+    *args, out = _prepare(levels, switch_times, counts, t_grid, np.uint8)
+    (impl or _impl).levels_at_times(*args, out)
+    return out
+
+
+def coherences(levels, switch_times, counts, t_grid, v, impl=None):
+    """Coherence exp(-i*v*dwell) per trajectory and grid time, in one pass."""
+    *args, out = _prepare(levels, switch_times, counts, t_grid, np.complex128)
+    (impl or _impl).coherences(*args, float(v), out)
+    return out

@@ -1,9 +1,12 @@
 """Pure-numpy implementations of the trajectory-batch kernels.
 
-These mirror the compiled kernels operation for operation: dwell times are
-accumulated segment by segment in switch order (np.cumsum accumulates
-sequentially), and the final per-query expression uses the same operand
-order, so both backends produce bit-identical output.
+These mirror the compiled kernels in ``_core.c`` operation for operation:
+dwell times are accumulated segment by segment in switch order (np.cumsum
+accumulates sequentially), the final per-query expression uses the same
+operand order, and the coherences are numpy's complex exp of -1j * theta,
+whose parts are the cos(theta) and sin(-theta) the compiled kernel calls.
+So both backends produce bit-identical output.  Each kernel fills the
+(n, m) array ``out`` that ``rtdeph._kernels`` allocates.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def dwell_times(levels, switch_times, counts, t_grid):
+def dwell_times(levels, switch_times, counts, t_grid, out):
     """Time spent at the high level in [0, t] per trajectory and grid time.
 
     Parameters
@@ -24,17 +27,15 @@ def dwell_times(levels, switch_times, counts, t_grid):
         Number of valid switch times per row.
     t_grid : float array, shape (m,)
         Ascending query times.
-
-    Returns
-    -------
-    float array, shape (n, m)
+    out : float array, shape (n, m)
+        Filled with the dwell times.
     """
     n, k = switch_times.shape
-    m = t_grid.shape[0]
     lvl0 = levels.astype(np.float64)
 
     if k == 0:
-        return lvl0[:, None] * t_grid[None, :]
+        np.multiply(lvl0[:, None], t_grid[None, :], out=out)
+        return
 
     seg = np.arange(k)
     valid = seg[None, :] < counts[:, None]
@@ -47,24 +48,28 @@ def dwell_times(levels, switch_times, counts, t_grid):
     dwell = np.concatenate([np.zeros((n, 1)), np.cumsum(contrib, axis=1)], axis=1)
     tau_ext = np.concatenate([np.zeros((n, 1)), switch_times], axis=1)
 
-    out = np.empty((n, m))
     for gi, t in enumerate(t_grid):
         j = (switch_times <= t).sum(axis=1)  # inf padding never counts
         dj = np.take_along_axis(dwell, j[:, None], axis=1)[:, 0]
         tj = np.take_along_axis(tau_ext, j[:, None], axis=1)[:, 0]
         lvl = (levels ^ (j & 1)).astype(np.float64)
         out[:, gi] = dj + lvl * (t - tj)
-    return out
 
 
-def levels_at_times(levels, switch_times, counts, t_grid):
-    """Level bit at each grid time per trajectory (parity of prior switches)."""
-    n, k = switch_times.shape
-    m = t_grid.shape[0]
-    if k == 0:
-        return np.repeat(levels[:, None], m, axis=1)
-    out = np.empty((n, m), dtype=np.uint8)
+def levels_at_times(levels, switch_times, counts, t_grid, out):
+    """Level bit at each grid time per trajectory (parity of prior switches),
+    into the uint8 array ``out`` of shape (n, m)."""
+    if switch_times.shape[1] == 0:
+        out[...] = levels[:, None]
+        return
     for gi, t in enumerate(t_grid):
         j = (switch_times <= t).sum(axis=1)
         out[:, gi] = levels ^ (j & 1).astype(np.uint8)
-    return out
+
+
+def coherences(levels, switch_times, counts, t_grid, v, out):
+    """exp(-i*v*dwell) per trajectory and grid time, into the complex
+    array ``out`` of shape (n, m)."""
+    dwell = np.empty(out.shape)
+    dwell_times(levels, switch_times, counts, t_grid, dwell)
+    np.exp(-1j * (v * dwell), out=out)

@@ -9,9 +9,12 @@ these states; per-trajectory coherences exp(-i * integral of xi) average to
 the Monte Carlo estimate of the analytic coherence factor.
 
 Ensembles stream through fixed blocks of trajectories: each block is
-sampled, integrated and reduced to its moments on its own, and the block
-moments merge in block order.  Memory is O(block * grid size) whatever the
-number of trajectories, and there is no cap on the ensemble size.
+sampled, turned into its coherences by one kernel pass over the switch
+times (``_kernels.coherences``: dwell time, phase and exp(-i*phase) per
+grid time, compiled C where built) and reduced to its moments in numpy,
+and the block moments merge in block order.  Memory is O(block * grid
+size) whatever the number of trajectories, and there is no cap on the
+ensemble size.
 
 Reproducibility contract: the blocks are the ``noise.BLOCK``-trajectory
 blocks of the random streams, so trajectory i is fixed by (master_seed, i)
@@ -157,13 +160,17 @@ def _correction_phase(theta, n: int):
     return theta - _TWO_PI * n
 
 
-def _recovered(theta: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+def _recovered(batch: noise.TrajectoryBatch, z: np.ndarray, *, v: float, t_n: float,
+               n: int) -> np.ndarray:
     """Coherences after exp(-i*vartheta/2*sigma_z) on qubit A of each state.
 
-    The states (|00> + z|11>) are carried without the common 1/sqrt(2); the
-    coherence of a corrected state is its |11> amplitude over its |00>
-    amplitude, which has unit modulus.
+    ``z`` holds the coherences of ``batch`` at the revival time t_n, and
+    vartheta comes from each trajectory's noise phase at t_n.  The states
+    (|00> + z|11>) are carried without the common 1/sqrt(2); the coherence
+    of a corrected state is its |11> amplitude over its |00> amplitude,
+    which has unit modulus.
     """
+    theta = v * _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, [t_n])
     psi = np.zeros((z.shape[0], 4), dtype=complex)
     psi[:, 0] = 1.0
     psi[:, 3] = z[:, 0]
@@ -187,12 +194,11 @@ def _stream(config: RunConfig, n_threads: int, correct=None) -> _Moments:
     def one_block(start):
         count = min(noise.BLOCK, config.n_trajectories - start)
         batch = noise.sample_batch(params, horizon, count, config.master_seed, start_index=start)
-        theta = params.v * _kernels.dwell_times(
-            batch.levels, batch.switch_times, batch.counts, config.t_grid
+        z = _kernels.coherences(
+            batch.levels, batch.switch_times, batch.counts, config.t_grid, params.v
         )
-        z = np.exp(-1j * theta)
         if correct is not None:
-            z = np.concatenate([z, correct(theta, z)], axis=1)
+            z = np.concatenate([z, correct(batch, z)], axis=1)
         return _Moments.of(z)
 
     with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
@@ -337,7 +343,8 @@ def recovery_report(config: RunConfig, n: int, n_threads: int = 1) -> RecoveryRe
         raise ValueError(f"revival index must be >= 1, got {n}")
     t_n = _TWO_PI * n / config.system.rt.v
     at_t_n = replace(config, t_grid=np.array([t_n]))
-    stats = _stream(at_t_n, n_threads, correct=functools.partial(_recovered, n=n))
+    correct = functools.partial(_recovered, v=config.system.rt.v, t_n=t_n, n=n)
+    stats = _stream(at_t_n, n_threads, correct=correct)
 
     omega_sum = config.system.omega_a + config.system.omega_b
     before, after = _x_concurrence(_assemble_rho(stats.mean, omega_sum, np.full(2, t_n)))

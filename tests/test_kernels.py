@@ -1,10 +1,18 @@
+import importlib.util
+import os
+import pathlib
+import shutil
 import subprocess
 import sys
+import sysconfig
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtdeph import _kernels, noise
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def make_batch(gamma=2.0, horizon=6.0, n=300, seed=17):
@@ -12,34 +20,108 @@ def make_batch(gamma=2.0, horizon=6.0, n=300, seed=17):
     return noise.sample_batch(params, horizon, n, master_seed=seed)
 
 
+def _c_compiler():
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(cc.split()[0])
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The compiled backend: the installed extension, or else one that
+    setup.py builds from _core.c into a temporary directory.  Skips only
+    where there is no C compiler; a failed build fails the test."""
+    backends = _kernels.available_backends()
+    if "compiled" in backends:
+        return backends["compiled"]
+    if _c_compiler() is None:
+        pytest.skip("no C compiler to build rtdeph._kernels._core")
+    out = tmp_path_factory.mktemp("core")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
+         "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    built = sorted(out.glob("rtdeph/_kernels/_core*" + sysconfig.get_config_var("EXT_SUFFIX")))
+    assert built, f"setup.py did not build _core.c:\n{proc.stdout}\n{proc.stderr}"
+    spec = importlib.util.spec_from_file_location("rtdeph._kernels._core", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def impl(request):
+    if request.param == "pure":
+        return _kernels.available_backends()["pure"]
+    return request.getfixturevalue("compiled")
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def assert_backends_agree(compiled, levels, switch_times, counts, grid, v):
+    pure = _kernels.available_backends()["pure"]
+    args = (levels, switch_times, counts, grid)
+    for kernel in (_kernels.dwell_times, _kernels.levels_at_times):
+        assert_same_bits(kernel(*args, impl=pure), kernel(*args, impl=compiled))
+    assert_same_bits(_kernels.coherences(*args, v, impl=pure),
+                     _kernels.coherences(*args, v, impl=compiled))
+
+
 def test_backend_selection_reports_a_known_name():
     assert _kernels.BACKEND in ("compiled", "pure")
     assert "pure" in _kernels.available_backends()
 
 
-def test_backends_bit_identical():
-    backends = _kernels.available_backends()
-    if "compiled" not in backends:
-        pytest.skip("compiled kernel not built")
+def test_backends_bit_identical(compiled):
     batch = make_batch()
     grid = np.linspace(0.0, 6.0, 37)
-    dwell = {
-        name: _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, grid, impl=mod)
-        for name, mod in backends.items()
-    }
-    np.testing.assert_array_equal(dwell["pure"], dwell["compiled"])
-    levels = {
-        name: _kernels.levels_at_times(batch.levels, batch.switch_times, batch.counts, grid, impl=mod)
-        for name, mod in backends.items()
-    }
-    np.testing.assert_array_equal(levels["pure"], levels["compiled"])
+    assert_backends_agree(compiled, batch.levels, batch.switch_times, batch.counts, grid, 1.0)
+    static = make_batch(gamma=0.0, n=5)
+    assert static.switch_times.shape[1] == 0
+    assert_backends_agree(compiled, static.levels, static.switch_times, static.counts, grid, 2.5)
 
 
-@pytest.mark.parametrize("name", sorted(_kernels.available_backends()))
-def test_dwell_matches_single_trajectory_phase(name):
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([0.0, 0.3, 2.0, 9.0]),
+    v=st.floats(0.05, 20.0).filter(lambda v: v != 1.0),
+    n=st.sampled_from([1, 2048]),
+    horizon=st.floats(0.5, 12.0),
+    m=st.integers(1, 40),
+    stride=st.integers(1, 7),
+)
+def test_coherences_bit_identical_property(compiled, seed, gamma, v, n, horizon, m, stride):
+    # the grid also holds up to ~60 switch times exactly, spread over the
+    # horizon: there a level-0 segment starts or ends, so every rule for
+    # reusing cos/sin is exercised
+    batch = noise.sample_batch(noise.RTParams(v=v, gamma=gamma), horizon, n, master_seed=seed)
+    finite = np.sort(batch.switch_times[np.isfinite(batch.switch_times)])
+    hits = finite[:: max(stride, finite.size // 60)]
+    grid = np.unique(np.concatenate([np.linspace(0.0, horizon, m), hits]))
+    assert_backends_agree(compiled, batch.levels, batch.switch_times, batch.counts, grid, v)
+
+
+def test_compiled_kernels_reject_mismatched_buffers(compiled):
+    batch = make_batch(n=4)
+    grid = np.linspace(0.0, 1.0, 3)
+    args = (batch.levels, batch.switch_times, batch.counts.astype(np.intp), grid)
+    with pytest.raises(ValueError):
+        compiled.dwell_times(*args, np.empty((4, 2)))
+    with pytest.raises(ValueError):
+        compiled.levels_at_times(*args, np.empty((4, 3)))  # float64, not uint8
+    with pytest.raises(ValueError):
+        compiled.coherences(batch.levels[:3], *args[1:], 1.0, np.empty((3, 3), complex))
+    with pytest.raises(ValueError):
+        compiled.dwell_times(*args, np.empty((3, 4)).T)  # not C-contiguous
+
+
+def test_dwell_matches_single_trajectory_phase(impl):
     # independent check: the per-trajectory integrator uses a different
     # (clipped-segment) formulation than the batched kernels
-    impl = _kernels.available_backends()[name]
     batch = make_batch(n=60)
     grid = np.array([0.0, 0.7, 2.3, 4.9, 6.0])
     dwell = _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, grid, impl=impl)
@@ -49,9 +131,7 @@ def test_dwell_matches_single_trajectory_phase(name):
             assert dwell[i, gi] == pytest.approx(noise.accumulated_phase(traj, t), abs=1e-12)
 
 
-@pytest.mark.parametrize("name", sorted(_kernels.available_backends()))
-def test_levels_match_single_trajectory_queries(name):
-    impl = _kernels.available_backends()[name]
+def test_levels_match_single_trajectory_queries(impl):
     batch = make_batch(n=60, seed=23)
     grid = np.array([0.0, 0.4, 1.9, 5.5, 6.0])
     levels = _kernels.levels_at_times(batch.levels, batch.switch_times, batch.counts, grid, impl=impl)
@@ -61,9 +141,7 @@ def test_levels_match_single_trajectory_queries(name):
             assert levels[i, gi] == noise.level_at(traj, t)
 
 
-@pytest.mark.parametrize("name", sorted(_kernels.available_backends()))
-def test_static_batch_dwell_is_level_times_t(name):
-    impl = _kernels.available_backends()[name]
+def test_static_batch_dwell_is_level_times_t(impl):
     batch = make_batch(gamma=0.0, n=40, seed=2)
     grid = np.linspace(0.0, 6.0, 9)
     dwell = _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, grid, impl=impl)
