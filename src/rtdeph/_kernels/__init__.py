@@ -5,8 +5,9 @@ setup.py builds whenever a C compiler is available) is used when it
 imports; otherwise the numpy fallback ``_reference`` takes over.  The two
 follow the same floating-point operations in the same order and agree bit
 for bit.  Set the environment variable ``RTDEPH_BACKEND`` to ``compiled``
-or ``pure`` to force a choice; ``compiled`` raises if the extension is
-missing.
+or ``pure`` to force a choice (``auto``, the default, picks as above);
+``compiled`` raises if the extension is missing, and any other value
+raises ``ValueError``.
 
 The functions here validate and convert the arguments and allocate the
 output, which the selected backend fills.
@@ -26,9 +27,9 @@ except ImportError:
     _core = None
 
 _requested = os.environ.get("RTDEPH_BACKEND", "auto").strip().lower()
-if _requested in ("", "auto"):
+if _requested == "auto":
     _impl = _core if _core is not None else _reference
-elif _requested in ("compiled", "cython"):
+elif _requested == "compiled":
     if _core is None:
         raise ImportError(
             "RTDEPH_BACKEND=compiled requested but the rtdeph._kernels._core "
@@ -37,7 +38,7 @@ elif _requested in ("compiled", "cython"):
             "RTDEPH_BACKEND=pure"
         )
     _impl = _core
-elif _requested in ("pure", "python", "numpy"):
+elif _requested == "pure":
     _impl = _reference
 else:
     raise ValueError(f"unrecognized RTDEPH_BACKEND value: {_requested!r}")

@@ -147,20 +147,32 @@ def coherence_factor_approx(params: RTParams, t):
     return _match_scalar(out, t)
 
 
+def bell_corner_density(q, omega_t) -> np.ndarray:
+    """Average of the projectors of (|00> + z exp(-i*omega*t)|11>)/sqrt(2)
+    over trajectory coherences z with mean ``q``.
+
+    Only the Bell corners are populated: diag(1/2, 0, 0, 1/2) plus
+    <00|rho|11> = conj(q) exp(i*omega*t) / 2, where ``omega_t`` is the
+    frequency phase (omega_a + omega_b) * t.  Broadcasts over ``q`` and
+    ``omega_t``, returning (..., 4, 4).
+    """
+    corner = 0.5 * np.conj(q) * np.exp(1j * omega_t)
+    rho = np.zeros(np.shape(corner) + (4, 4), dtype=complex)
+    rho[..., 0, 0] = rho[..., 3, 3] = 0.5
+    rho[..., 0, 3] = corner
+    rho[..., 3, 0] = np.conj(corner)
+    return rho
+
+
 def density_matrix(system: SystemParams, t: float) -> np.ndarray:
     """Evolved two-qubit density matrix for the initial (|00>+|11>)/sqrt(2).
 
     Populations stay at 1/2 on |00> and |11>; the only coherence is the
-    corner element q(t) exp(i (omega_a + omega_b) t) / 2, so the concurrence
-    equals |q(t)|.
+    corner element conj(q(t)) exp(i (omega_a + omega_b) t) / 2 of
+    ``bell_corner_density``, so the concurrence equals |q(t)|.
     """
-    q = coherence_factor(system.rt, float(t))
-    corner = 0.5 * q * np.exp(1j * (system.omega_a + system.omega_b) * float(t))
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = 0.5
-    rho[0, 3] = corner
-    rho[3, 0] = np.conj(corner)
-    return rho
+    t = float(t)
+    return bell_corner_density(coherence_factor(system.rt, t), (system.omega_a + system.omega_b) * t)
 
 
 @dataclass(frozen=True)

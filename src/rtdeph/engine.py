@@ -8,13 +8,16 @@ stepping, hence no integration error.  Ensembles average the projectors of
 these states; per-trajectory coherences exp(-i * integral of xi) average to
 the Monte Carlo estimate of the analytic coherence factor.
 
-Ensembles stream through fixed blocks of trajectories: each block is
-sampled, turned into its coherences by one kernel pass over the switch
-times (``_kernels.coherences``: dwell time, phase and exp(-i*phase) per
-grid time, compiled C where built) and reduced to its moments in numpy,
-and the block moments merge in block order.  Memory is O(block * grid
-size) whatever the number of trajectories, and there is no cap on the
-ensemble size.
+Ensembles and recovery reports stream through fixed blocks of
+trajectories: each block is sampled and turned into its complex column
+array, the coherences on the grid from one kernel pass over the switch
+times (``_kernels.coherences``: dwell time, phase and exp(-i*phase), in
+compiled C where built), or for recovery the coherences at the revival
+time without and with the phase correction.  The block is then reduced in
+place to its moments over the (Re, Im) pairs of its columns, and the block
+moments merge in block order.  Memory is O(block * columns) whatever the
+number of trajectories, and there is no cap on the ensemble size.  The
+concurrence of an averaged ensemble is min(|q|, 1), q its mean coherence.
 
 Reproducibility contract: the blocks are the ``noise.BLOCK``-trajectory
 blocks of the random streams, so trajectory i is fixed by (master_seed, i)
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from rtdeph import _kernels, noise, states
-from rtdeph.analytic import SystemParams
+from rtdeph.analytic import SystemParams, bell_corner_density
 
 _TWO_PI = 2.0 * math.pi
 
@@ -109,50 +112,48 @@ def evolve_trajectory(system: SystemParams, traj: noise.RTTrajectory, t: float) 
 @dataclass(frozen=True)
 class _Moments:
     """Column statistics of per-trajectory coherences z (one row per
-    trajectory): the count, the mean, the sums of squared deviations (M2)
-    of Re z and Im z, and the extremes of |z|^2."""
+    trajectory), each taken over the (Re z, Im z) pairs: the count, the
+    (m, 2) mean and sums of squared deviations (M2), and the extremes of
+    |z|^2 = re*re + im*im."""
 
     n: int
     mean: np.ndarray
-    m2_re: np.ndarray
-    m2_im: np.ndarray
+    m2: np.ndarray
     abs2_min: np.ndarray
     abs2_max: np.ndarray
 
     @classmethod
     def of(cls, z: np.ndarray) -> _Moments:
-        mean = z.mean(axis=0)
-        dev = z - mean
-        modulus = np.abs(z)
-        return cls(
-            n=z.shape[0],
-            mean=mean,
-            m2_re=np.square(dev.real).sum(axis=0),
-            m2_im=np.square(dev.imag).sum(axis=0),
-            abs2_min=modulus.min(axis=0) ** 2,
-            abs2_max=modulus.max(axis=0) ** 2,
-        )
+        """Moments of the complex (n, m) block ``z``, which is overwritten:
+        its (Re, Im) pairs are reduced in place to squared deviations, and
+        |z|^2 is the only other (n, m) array."""
+        x = z.view(np.float64).reshape(*z.shape, 2)
+        mean = x.mean(axis=0)
+        abs2 = np.einsum("ijk,ijk->ij", x, x)  # re*re + im*im
+        x -= mean
+        x *= x
+        return cls(z.shape[0], mean, x.sum(axis=0), abs2.min(axis=0), abs2.max(axis=0))
+
+    @property
+    def z_mean(self) -> np.ndarray:
+        """The mean coherence per column, a complex view of ``mean``."""
+        return self.mean.view(np.complex128)[:, 0]
 
     def merge(self, other: _Moments) -> _Moments:
         """Pairwise update of Chan, Golub & LeVeque (1983)."""
         n = self.n + other.n
         delta = other.mean - self.mean
-        weight = self.n * other.n / n
         return _Moments(
             n=n,
             mean=self.mean + delta * (other.n / n),
-            m2_re=self.m2_re + other.m2_re + np.square(delta.real) * weight,
-            m2_im=self.m2_im + other.m2_im + np.square(delta.imag) * weight,
+            m2=self.m2 + other.m2 + np.square(delta) * (self.n * other.n / n),
             abs2_min=np.minimum(self.abs2_min, other.abs2_min),
             abs2_max=np.maximum(self.abs2_max, other.abs2_max),
         )
 
-    def standard_errors(self) -> tuple[np.ndarray, np.ndarray]:
-        """ddof=1 standard errors of the mean of Re z and of Im z."""
-        if self.n == 1:
-            return np.zeros_like(self.m2_re), np.zeros_like(self.m2_im)
-        return (np.sqrt(self.m2_re / (self.n - 1)) / math.sqrt(self.n),
-                np.sqrt(self.m2_im / (self.n - 1)) / math.sqrt(self.n))
+    def standard_errors(self) -> np.ndarray:
+        """ddof=1 standard errors of the mean of Re z and Im z, as (m, 2)."""
+        return np.sqrt(self.m2 / max(self.n - 1, 1)) / math.sqrt(self.n)
 
 
 def _correction_phase(theta, n: int):
@@ -160,33 +161,15 @@ def _correction_phase(theta, n: int):
     return theta - _TWO_PI * n
 
 
-def _recovered(batch: noise.TrajectoryBatch, z: np.ndarray, *, v: float, t_n: float,
-               n: int) -> np.ndarray:
-    """Coherences after exp(-i*vartheta/2*sigma_z) on qubit A of each state.
-
-    ``z`` holds the coherences of ``batch`` at the revival time t_n, and
-    vartheta comes from each trajectory's noise phase at t_n.  The states
-    (|00> + z|11>) are carried without the common 1/sqrt(2); the coherence
-    of a corrected state is its |11> amplitude over its |00> amplitude,
-    which has unit modulus.
-    """
-    theta = v * _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, [t_n])
-    psi = np.zeros((z.shape[0], 4), dtype=complex)
-    psi[:, 0] = 1.0
-    psi[:, 3] = z[:, 0]
-    psi = states.local_phase_factors(_correction_phase(theta[:, 0], n), "A") * psi
-    return (psi[:, 3] * np.conj(psi[:, 0]))[:, None]
-
-
-def _stream(config: RunConfig, n_threads: int, correct=None) -> _Moments:
-    """Moments of the coherences z = exp(-i*v*dwell) over ``config.t_grid``.
+def _stream(config: RunConfig, n_threads: int, columns) -> _Moments:
+    """Moments of the per-trajectory columns ``columns(batch)`` over the
+    trajectories of ``config``.
 
     Block b holds trajectories [b*BLOCK, (b+1)*BLOCK), BLOCK being
     ``noise.BLOCK``, and so draws from one random stream.  It is sampled up
-    to the last grid time, integrated, exponentiated and reduced on its own,
-    threads map over whole blocks, and the block moments merge in block
-    order.  ``correct(theta, z)``, if given, appends columns computed from
-    the noise phases theta and the coherences z of the block.
+    to the last grid time, turned into its complex (rows, columns) array
+    and reduced on its own, threads map over whole blocks, and the block
+    moments merge in block order.
     """
     params = config.system.rt
     horizon = float(config.t_grid[-1])
@@ -194,12 +177,7 @@ def _stream(config: RunConfig, n_threads: int, correct=None) -> _Moments:
     def one_block(start):
         count = min(noise.BLOCK, config.n_trajectories - start)
         batch = noise.sample_batch(params, horizon, count, config.master_seed, start_index=start)
-        z = _kernels.coherences(
-            batch.levels, batch.switch_times, batch.counts, config.t_grid, params.v
-        )
-        if correct is not None:
-            z = np.concatenate([z, correct(batch, z)], axis=1)
-        return _Moments.of(z)
+        return _Moments.of(columns(batch))
 
     with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
         blocks = pool.map(one_block, range(0, config.n_trajectories, noise.BLOCK))
@@ -231,26 +209,6 @@ def _ef_derivative(c: float) -> float:
     return (c / (2.0 * s)) * math.log2((1.0 + s) / (1.0 - s))
 
 
-def _assemble_rho(q_mean: np.ndarray, omega_sum: float, t_grid: np.ndarray) -> np.ndarray:
-    """Average of the trajectory projectors, which populates only the Bell
-    corners: diag(1/2, 0, 0, 1/2) plus conj(q_mean) * exp(i*omega_sum*t) / 2
-    in the <00|rho|11> corner."""
-    n_t = t_grid.size
-    rho = np.zeros((n_t, 4, 4), dtype=complex)
-    corner = 0.5 * np.conj(q_mean) * np.exp(1j * omega_sum * t_grid)
-    rho[:, 0, 0] = 0.5
-    rho[:, 3, 3] = 0.5
-    rho[:, 0, 3] = corner
-    rho[:, 3, 0] = np.conj(corner)
-    return rho
-
-
-def _x_concurrence(rho: np.ndarray) -> np.ndarray:
-    """Concurrence of the averaged ensembles: with only the Bell corners
-    populated, Wootters' formula reduces to min(2|rho_03|, 1)."""
-    return np.minimum(2.0 * np.abs(rho[..., 0, 3]), 1.0)
-
-
 def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
     """Average an ensemble of noise realizations over the time grid.
 
@@ -260,30 +218,30 @@ def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
     difference (the hidden entanglement).  Deterministic given
     ``config.master_seed``, independent of ``n_threads``.
     """
-    stats = _stream(config, n_threads)
-    q_mean = stats.mean
-    q_se_re, q_se_im = stats.standard_errors()
+    v = config.system.rt.v
+    stats = _stream(config, n_threads, lambda batch: _kernels.coherences(
+        batch.levels, batch.switch_times, batch.counts, config.t_grid, v))
+    q_mean = stats.z_mean
+    q_se = stats.standard_errors()
     e_av, e_av_se, min_entropy = _trajectory_entropy(stats)
 
-    omega_sum = config.system.omega_a + config.system.omega_b
-    rho = _assemble_rho(q_mean, omega_sum, config.t_grid)
-    e_f = states.entanglement_of_formation(_x_concurrence(rho))
-
     q_abs = np.abs(q_mean)
+    concurrence = np.minimum(q_abs, 1.0)
     se_c = np.where(
         q_abs > 0.0,
-        np.sqrt((q_mean.real * q_se_re) ** 2 + (q_mean.imag * q_se_im) ** 2)
-        / np.where(q_abs > 0.0, q_abs, 1.0),
-        np.maximum(q_se_re, q_se_im),
+        np.sqrt(np.square(stats.mean * q_se).sum(axis=1)) / np.where(q_abs > 0.0, q_abs, 1.0),
+        q_se.max(axis=1),
     )
-    e_f_se = np.array([_ef_derivative(min(c, 1.0)) for c in q_abs]) * se_c
+    e_f = states.entanglement_of_formation(concurrence)
+    e_f_se = np.array([_ef_derivative(c) for c in concurrence]) * se_c
+    omega_sum = config.system.omega_a + config.system.omega_b
 
     return EnsembleResult(
         t_grid=config.t_grid,
-        rho=rho,
+        rho=bell_corner_density(q_mean, omega_sum * config.t_grid),
         q_mean=q_mean,
-        q_se_re=q_se_re,
-        q_se_im=q_se_im,
+        q_se_re=q_se[:, 0],
+        q_se_im=q_se[:, 1],
         e_av=e_av,
         e_av_se=e_av_se,
         e_f=e_f,
@@ -336,18 +294,26 @@ def recovery_report(config: RunConfig, n: int, n_threads: int = 1) -> RecoveryRe
     without the per-trajectory phase correction.
 
     Uses the same trajectory streams and block pipeline as ``run_ensemble``
-    for the same seed; the corrected ensemble applies the local unitary of
-    ``recover_trajectory`` to every trajectory state.
+    for the same seed.  Each block computes the noise phase theta(t_n) once;
+    its uncorrected coherences exp(-i*theta) are those of
+    ``_kernels.coherences`` bit for bit, and the corrected ensemble applies
+    the local unitary of ``recover_trajectory`` to every trajectory state.
     """
     if n < 1:
         raise ValueError(f"revival index must be >= 1, got {n}")
-    t_n = _TWO_PI * n / config.system.rt.v
-    at_t_n = replace(config, t_grid=np.array([t_n]))
-    correct = functools.partial(_recovered, v=config.system.rt.v, t_n=t_n, n=n)
-    stats = _stream(at_t_n, n_threads, correct=correct)
+    v = config.system.rt.v
+    t_n = _TWO_PI * n / v
 
-    omega_sum = config.system.omega_a + config.system.omega_b
-    before, after = _x_concurrence(_assemble_rho(stats.mean, omega_sum, np.full(2, t_n)))
+    def columns(batch):
+        # The states |00> + z|11> are carried without the common 1/sqrt(2);
+        # a corrected state's coherence is its |11> over its |00> amplitude.
+        theta = v * _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, [t_n])[:, 0]
+        z = np.exp(-1j * theta)
+        factors = states.local_phase_factors(_correction_phase(theta, n), "A")
+        return np.stack([z, factors[:, 3] * z * np.conj(factors[:, 0])], axis=1)
+
+    stats = _stream(replace(config, t_grid=np.array([t_n])), n_threads, columns)
+    before, after = np.minimum(np.abs(stats.z_mean), 1.0)
     return RecoveryReport(
         t_n=t_n, revival_index=n, concurrence_before=float(before), concurrence_after=float(after)
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rtdeph import analytic, states
+from rtdeph import analytic, engine, states
 from rtdeph.noise import RTParams
 
 from _oracles import (
@@ -169,9 +169,19 @@ def test_density_matrix_corner_and_concurrence():
     for t in (0.7, 2.0 * math.pi, 11.0):
         rho = analytic.density_matrix(system, t)
         q = analytic.coherence_factor(params, t)
-        assert rho[0, 3] == pytest.approx(0.5 * q, abs=1e-15)
+        assert rho[0, 3] == pytest.approx(0.5 * np.conj(q), abs=1e-15)
         states.check_density_matrix(rho)
         assert states.concurrence(rho) == pytest.approx(abs(q), abs=1e-10)
+
+
+@pytest.mark.parametrize("omega_a, omega_b", [(0.0, 0.0), (0.4, 0.2)])
+def test_density_matrix_is_the_static_ensemble_mixture(omega_a, omega_b):
+    # the closed form and the trajectory states share one Bell-corner
+    # convention: rho_03 = conj(q) exp(i omega t) / 2
+    system = analytic.SystemParams(rt=params_for(math.inf), omega_a=omega_a, omega_b=omega_b)
+    for t in (0.0, 1.3, 4.0):
+        mixture = states.mixture_density(engine.static_ensemble(system, t))
+        np.testing.assert_allclose(analytic.density_matrix(system, t), mixture, rtol=0, atol=1e-12)
 
 
 def test_entanglement_independent_of_qubit_frequencies():

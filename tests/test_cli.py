@@ -85,13 +85,25 @@ def test_figure_mc_envelope_relation(tmp_path):
     assert worst < 0.1
 
 
-def test_csv_byte_identical_across_threads(tmp_path):
-    args = ["--mode", "mc", "--g", "5,1", "--vt-step", "1.3", "--vt-max", "13.0",
-            "--n-traj", "500", "--seed", "8", "--no-timestamp"]
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+def _byte_identical_across_threads(tmp_path, args):
+    out1, out3 = tmp_path / "t1", tmp_path / "t3"
     assert cli.main(args + ["--threads", "1", "--out", str(out1)]) == 0
-    assert cli.main(args + ["--threads", "3", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    assert cli.main(args + ["--threads", "3", "--out", str(out3)]) == 0
+    assert out1.read_bytes() == out3.read_bytes()
+
+
+# 4500 trajectories: three blocks, the last one partial, so that a
+# per-block or merge-order fault shows
+def test_csv_byte_identical_across_threads(tmp_path):
+    _byte_identical_across_threads(
+        tmp_path, ["--mode", "mc", "--g", "5,1", "--vt-step", "1.3", "--vt-max", "13.0",
+                   "--n-traj", "4500", "--seed", "8", "--no-timestamp"])
+
+
+def test_recovery_json_byte_identical_across_threads(tmp_path):
+    _byte_identical_across_threads(
+        tmp_path, ["--mode", "recovery", "--g", "0.5,5,inf", "--revival-n", "2",
+                   "--n-traj", "4500", "--seed", "8", "--no-timestamp"])
 
 
 def test_timestamp_toggle(tmp_path):

@@ -189,6 +189,28 @@ def test_ensemble_memory_does_not_grow_with_n():
     assert traced_peak(8 * 2048) <= 1.25 * traced_peak(2 * 2048)
 
 
+def test_moments_reduce_the_block_in_place():
+    # the block's own buffer holds the squared deviations; |z|^2 is the
+    # only other (n, m) array
+    rng = np.random.default_rng(4)
+    z = np.exp(1j * rng.uniform(0.0, TWO_PI, size=(2048, 101))) * rng.uniform(0.5, 1.0, size=(2048, 101))
+    ref = z.copy()
+    tracemalloc.start()
+    try:
+        stats = engine._Moments.of(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ref.real.nbytes
+    np.testing.assert_allclose(stats.z_mean, ref.mean(axis=0), rtol=0, atol=1e-15)
+    dev = ref - ref.mean(axis=0)
+    np.testing.assert_allclose(stats.m2[:, 0], np.square(dev.real).sum(axis=0), rtol=1e-13)
+    np.testing.assert_allclose(stats.m2[:, 1], np.square(dev.imag).sum(axis=0), rtol=1e-13)
+    abs2 = ref.real * ref.real + ref.imag * ref.imag
+    np.testing.assert_array_equal(stats.abs2_min, abs2.min(axis=0))
+    np.testing.assert_array_equal(stats.abs2_max, abs2.max(axis=0))
+
+
 def test_trajectory_entropy_from_modulus_extremes():
     phases = np.random.default_rng(1).uniform(0.0, TWO_PI, size=(300, 4))
     e_av, e_av_se, min_entropy = engine._trajectory_entropy(engine._Moments.of(np.exp(1j * phases)))

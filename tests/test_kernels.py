@@ -188,9 +188,17 @@ def test_grid_validation():
 
 
 def test_backend_env_override():
-    code = (
-        "import os; os.environ['RTDEPH_BACKEND'] = 'pure'; "
-        "from rtdeph import _kernels; print(_kernels.BACKEND)"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"
+    def import_with(value):
+        code = (
+            f"import os; os.environ['RTDEPH_BACKEND'] = {value!r}; "
+            "from rtdeph import _kernels; print(_kernels.BACKEND)"
+        )
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+    out = import_with("pure")
+    assert out.returncode == 0 and out.stdout.strip() == "pure"
+    # only auto, compiled and pure are names of a backend
+    for stale in ("cython", ""):
+        out = import_with(stale)
+        assert out.returncode != 0
+        assert "ValueError: unrecognized RTDEPH_BACKEND value" in out.stderr
