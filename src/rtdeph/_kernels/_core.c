@@ -3,10 +3,14 @@
  * A batch holds n trajectories: the level bit at t = 0 (uint8, shape (n,)),
  * the switch times (float64, shape (n, k), padded with +inf) and the number
  * of valid switch times per row (intp, shape (n,)).  Each kernel walks every
- * row once along the ascending grid t_grid (float64, shape (m,)) and fills a
- * caller-allocated C-contiguous (n, m) output through the buffer protocol;
- * rtdeph._kernels validates and converts the arguments and allocates the
- * output.  The loops run with the GIL released.
+ * row once along the ascending grid t_grid (float64, shape (m,)).  The
+ * per-point kernels fill a caller-allocated C-contiguous (n, m) output
+ * through the buffer protocol.  block_moments instead walks the rows a tile
+ * at a time into one tile-sized buffer and reduces each tile to column
+ * moments over the (Re, Im) pairs of the coherences, merged in tile order;
+ * column_moments applies the same tile reduction to an existing complex
+ * (n, m) array.  rtdeph._kernels validates and converts the arguments and
+ * allocates the outputs.  The loops run with the GIL released.
  *
  * The arithmetic is that of the numpy reference (_reference.py), operation
  * for operation, so the two backends agree bit for bit.  setup.py compiles
@@ -20,74 +24,94 @@
 #include <stdint.h>
 #include <string.h>
 
-enum { LEVELS, SWITCH_TIMES, COUNTS, T_GRID, OUT, N_VIEWS };
+/* The buffers one call holds: at most a batch of four and four outputs. */
+enum { MAX_VIEWS = 8 };
 
 typedef struct {
-    Py_buffer views[N_VIEWS];
+    Py_buffer views[MAX_VIEWS];
     int held;
+} Views;
+
+static void
+release(Views *vs)
+{
+    while (vs->held > 0)
+        PyBuffer_Release(&vs->views[--vs->held]);
+}
+
+/* A C-contiguous view of obj with ndim dimensions of itemsize-byte items,
+   or NULL with an exception set.  The caller releases every view taken. */
+static Py_buffer *
+view(Views *vs, PyObject *obj, int ndim, Py_ssize_t itemsize, int writable,
+     const char *name)
+{
+    Py_buffer *v = &vs->views[vs->held];
+    if (PyObject_GetBuffer(obj, v, PyBUF_C_CONTIGUOUS | (writable ? PyBUF_WRITABLE : 0)) < 0)
+        return NULL;
+    vs->held++;
+    if (v->ndim != ndim || v->itemsize != itemsize) {
+        PyErr_Format(PyExc_ValueError, "%s must be %d-D with %zd-byte items",
+                     name, ndim, itemsize);
+        return NULL;
+    }
+    return v;
+}
+
+static int
+shape_error(void)
+{
+    PyErr_SetString(PyExc_ValueError, "array shapes do not match");
+    return -1;
+}
+
+typedef struct {
     Py_ssize_t n, k, m;
     const unsigned char *levels;
     const double *switch_times;
     const Py_ssize_t *counts;
     const double *t_grid;
-    void *out;
 } Batch;
 
-static void
-release(Batch *b)
-{
-    while (b->held > 0)
-        PyBuffer_Release(&b->views[--b->held]);
-}
-
 static int
-view(Batch *b, PyObject *obj, int ndim, Py_ssize_t itemsize, const char *name)
+batch_views(Batch *b, Views *vs, PyObject *levels, PyObject *switch_times,
+            PyObject *counts, PyObject *t_grid)
 {
-    Py_buffer *v = &b->views[b->held];
-    int flags = PyBUF_C_CONTIGUOUS | (b->held == OUT ? PyBUF_WRITABLE : 0);
-    if (PyObject_GetBuffer(obj, v, flags) < 0)
+    Py_buffer *lv, *st, *ct, *tg;
+    if (!(lv = view(vs, levels, 1, 1, 0, "levels"))
+        || !(st = view(vs, switch_times, 2, sizeof(double), 0, "switch_times"))
+        || !(ct = view(vs, counts, 1, sizeof(Py_ssize_t), 0, "counts"))
+        || !(tg = view(vs, t_grid, 1, sizeof(double), 0, "t_grid")))
         return -1;
-    b->held++;
-    if (v->ndim != ndim || v->itemsize != itemsize) {
-        PyErr_Format(PyExc_ValueError, "%s must be %d-D with %zd-byte items",
-                     name, ndim, itemsize);
-        return -1;
-    }
+    b->n = lv->shape[0];
+    b->k = st->shape[1];
+    b->m = tg->shape[0];
+    if (st->shape[0] != b->n || ct->shape[0] != b->n)
+        return shape_error();
+    b->levels = lv->buf;
+    b->switch_times = st->buf;
+    b->counts = ct->buf;
+    b->t_grid = tg->buf;
     return 0;
 }
 
-/* Takes (levels, switch_times, counts, t_grid[, v], out).  On failure the
-   caller still releases the views taken so far. */
-static int
-parse(Batch *b, PyObject *args, Py_ssize_t out_itemsize, double *v)
+/* Parses (levels, switch_times, counts, t_grid[, v], out) for a per-point
+   kernel and returns the view of out, (n, m) with itemsize-byte items, or
+   NULL with an exception set.  The caller releases the views either way. */
+static Py_buffer *
+per_point_args(PyObject *args, Batch *b, Views *vs, double *v, Py_ssize_t itemsize)
 {
-    PyObject *o[N_VIEWS];
-    memset(b, 0, sizeof *b);
-    int ok = v ? PyArg_ParseTuple(args, "OOOOdO", &o[LEVELS], &o[SWITCH_TIMES],
-                                  &o[COUNTS], &o[T_GRID], v, &o[OUT])
-               : PyArg_ParseTuple(args, "OOOOO", &o[LEVELS], &o[SWITCH_TIMES],
-                                  &o[COUNTS], &o[T_GRID], &o[OUT]);
-    if (!ok || view(b, o[LEVELS], 1, 1, "levels") < 0
-        || view(b, o[SWITCH_TIMES], 2, sizeof(double), "switch_times") < 0
-        || view(b, o[COUNTS], 1, sizeof(Py_ssize_t), "counts") < 0
-        || view(b, o[T_GRID], 1, sizeof(double), "t_grid") < 0
-        || view(b, o[OUT], 2, out_itemsize, "out") < 0)
-        return -1;
-    Py_buffer *vw = b->views;
-    b->n = vw[LEVELS].shape[0];
-    b->k = vw[SWITCH_TIMES].shape[1];
-    b->m = vw[T_GRID].shape[0];
-    if (vw[SWITCH_TIMES].shape[0] != b->n || vw[COUNTS].shape[0] != b->n
-        || vw[OUT].shape[0] != b->n || vw[OUT].shape[1] != b->m) {
-        PyErr_SetString(PyExc_ValueError, "array shapes do not match");
-        return -1;
+    PyObject *o[5];
+    Py_buffer *out;
+    int ok = v ? PyArg_ParseTuple(args, "OOOOdO", &o[0], &o[1], &o[2], &o[3], v, &o[4])
+               : PyArg_ParseTuple(args, "OOOOO", &o[0], &o[1], &o[2], &o[3], &o[4]);
+    if (!ok || batch_views(b, vs, o[0], o[1], o[2], o[3]) < 0
+        || !(out = view(vs, o[4], 2, itemsize, 1, "out")))
+        return NULL;
+    if (out->shape[0] != b->n || out->shape[1] != b->m) {
+        shape_error();
+        return NULL;
     }
-    b->levels = vw[LEVELS].buf;
-    b->switch_times = vw[SWITCH_TIMES].buf;
-    b->counts = vw[COUNTS].buf;
-    b->t_grid = vw[T_GRID].buf;
-    b->out = vw[OUT].buf;
-    return 0;
+    return out;
 }
 
 /* One row's walk along the grid: j switches passed, the time acc spent at
@@ -121,15 +145,41 @@ dwell_at(Walk *w, double t)
     return w->acc + w->lvl * (t - w->prev);
 }
 
+/* Row i's z = exp(-i*theta) with theta = v * dwell, stored into z as m
+   (cos theta, sin(-theta)) pairs, which is what numpy's complex exp gives
+   for -1j * theta.  On a level-0 segment theta keeps its bits, so cos and
+   sin are computed only when theta's bits differ from the previous grid
+   point's. */
+static void
+coherence_row(const Batch *b, Py_ssize_t i, double v, double *z)
+{
+    Walk w = walk_row(b, i);
+    uint64_t bits, last = 0;
+    double re = 0.0, im = 0.0;
+    for (Py_ssize_t gi = 0; gi < b->m; gi++) {
+        double theta = v * dwell_at(&w, b->t_grid[gi]);
+        memcpy(&bits, &theta, sizeof bits);
+        if (gi == 0 || bits != last) {
+            re = cos(theta);
+            im = sin(-theta);
+            last = bits;
+        }
+        z[2 * gi] = re;
+        z[2 * gi + 1] = im;
+    }
+}
+
 static PyObject *
 dwell_times(PyObject *self, PyObject *args)
 {
+    Views vs = {.held = 0};
     Batch b;
-    if (parse(&b, args, sizeof(double), NULL) < 0) {
-        release(&b);
+    Py_buffer *view_out = per_point_args(args, &b, &vs, NULL, sizeof(double));
+    if (!view_out) {
+        release(&vs);
         return NULL;
     }
-    double *out = b.out;
+    double *out = view_out->buf;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < b.n; i++) {
         Walk w = walk_row(&b, i);
@@ -137,19 +187,21 @@ dwell_times(PyObject *self, PyObject *args)
             out[i * b.m + gi] = dwell_at(&w, b.t_grid[gi]);
     }
     Py_END_ALLOW_THREADS
-    release(&b);
+    release(&vs);
     Py_RETURN_NONE;
 }
 
 static PyObject *
 levels_at_times(PyObject *self, PyObject *args)
 {
+    Views vs = {.held = 0};
     Batch b;
-    if (parse(&b, args, 1, NULL) < 0) {
-        release(&b);
+    Py_buffer *view_out = per_point_args(args, &b, &vs, NULL, 1);
+    if (!view_out) {
+        release(&vs);
         return NULL;
     }
-    unsigned char *out = b.out;
+    unsigned char *out = view_out->buf;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < b.n; i++) {
         Walk w = walk_row(&b, i);
@@ -159,43 +211,190 @@ levels_at_times(PyObject *self, PyObject *args)
         }
     }
     Py_END_ALLOW_THREADS
-    release(&b);
+    release(&vs);
     Py_RETURN_NONE;
 }
 
-/* z = exp(-i*theta) with theta = v * dwell, stored as (cos theta,
-   sin(-theta)), which is what numpy's complex exp gives for -1j * theta.
-   On a level-0 segment theta keeps its bits, so cos and sin are computed
-   only when theta's bits differ from the previous grid point's. */
 static PyObject *
 coherences(PyObject *self, PyObject *args)
 {
+    Views vs = {.held = 0};
     Batch b;
     double v;
-    if (parse(&b, args, 2 * sizeof(double), &v) < 0) {
-        release(&b);
+    Py_buffer *view_out = per_point_args(args, &b, &vs, &v, 2 * sizeof(double));
+    if (!view_out) {
+        release(&vs);
         return NULL;
     }
-    double *z = b.out;
+    double *z = view_out->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < b.n; i++) {
-        Walk w = walk_row(&b, i);
-        uint64_t bits, last = 0;
-        double re = 0.0, im = 0.0;
-        for (Py_ssize_t gi = 0; gi < b.m; gi++) {
-            double theta = v * dwell_at(&w, b.t_grid[gi]);
-            memcpy(&bits, &theta, sizeof bits);
-            if (gi == 0 || bits != last) {
-                re = cos(theta);
-                im = sin(-theta);
-                last = bits;
-            }
-            z[2 * (i * b.m + gi)] = re;
-            z[2 * (i * b.m + gi) + 1] = im;
+    for (Py_ssize_t i = 0; i < b.n; i++)
+        coherence_row(&b, i, v, z + 2 * i * b.m);
+    Py_END_ALLOW_THREADS
+    release(&vs);
+    Py_RETURN_NONE;
+}
+
+/* Column moments over the (Re, Im) pairs of m columns: n rows merged so
+   far, the (m, 2) mean and sums of squared deviations (M2), the extremes of
+   re*re + im*im, and (m, 2) scratch for one tile's mean and M2. */
+typedef struct {
+    Py_ssize_t n, m;
+    double *mean, *m2, *abs2_min, *abs2_max;
+    double *tile_mean, *tile_m2;
+} Moments;
+
+/* Views of the four outputs for m columns; n starts at 0. */
+static int
+moment_views(Moments *s, Views *vs, Py_ssize_t m, PyObject *const *o)
+{
+    Py_buffer *mean, *m2, *lo, *hi;
+    if (!(mean = view(vs, o[0], 2, sizeof(double), 1, "out_mean"))
+        || !(m2 = view(vs, o[1], 2, sizeof(double), 1, "out_m2"))
+        || !(lo = view(vs, o[2], 1, sizeof(double), 1, "out_abs2_min"))
+        || !(hi = view(vs, o[3], 1, sizeof(double), 1, "out_abs2_max")))
+        return -1;
+    if (mean->shape[0] != m || mean->shape[1] != 2 || m2->shape[0] != m
+        || m2->shape[1] != 2 || lo->shape[0] != m || hi->shape[0] != m)
+        return shape_error();
+    *s = (Moments){0, m, mean->buf, m2->buf, lo->buf, hi->buf, NULL, NULL};
+    return 0;
+}
+
+static int
+check_sizes(Py_ssize_t n, Py_ssize_t tile)
+{
+    if (tile < 1 || n < 1) {
+        PyErr_SetString(PyExc_ValueError, "tile and the number of rows must be >= 1");
+        return -1;
+    }
+    return 0;
+}
+
+/* Merges into s the moments of the C-contiguous (rows, m, 2) tile of
+   (Re, Im) pairs at x.  The tile's mean is its row sum, added row by row
+   from 0.0 as numpy sums over axis 0, divided by rows; its M2 is the sum of
+   squared deviations from that mean, added the same way.  The first tile's
+   moments are taken as they are; later ones merge by the pairwise update
+   of Chan, Golub & LeVeque (1983). */
+static void
+merge_tile(Moments *s, const double *restrict x, Py_ssize_t rows)
+{
+    const Py_ssize_t m = s->m, w = 2 * m;
+    const int first = s->n == 0;
+    double *restrict mean = first ? s->mean : s->tile_mean;
+    double *restrict m2 = first ? s->m2 : s->tile_m2;
+    double *restrict lo = s->abs2_min, *restrict hi = s->abs2_max;
+    for (Py_ssize_t j = 0; first && j < m; j++)
+        lo[j] = hi[j] = x[2 * j] * x[2 * j] + x[2 * j + 1] * x[2 * j + 1];
+    for (Py_ssize_t c = 0; c < w; c++)
+        mean[c] = m2[c] = 0.0;
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        const double *restrict row = x + r * w;
+        for (Py_ssize_t c = 0; c < w; c++)
+            mean[c] += row[c];
+        for (Py_ssize_t j = 0; j < m; j++) {
+            double a = row[2 * j] * row[2 * j] + row[2 * j + 1] * row[2 * j + 1];
+            lo[j] = a < lo[j] || isnan(a) ? a : lo[j];
+            hi[j] = a > hi[j] || isnan(a) ? a : hi[j];
         }
     }
+    for (Py_ssize_t c = 0; c < w; c++)
+        mean[c] = mean[c] / (double)rows;
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        const double *restrict row = x + r * w;
+        for (Py_ssize_t c = 0; c < w; c++) {
+            double d = row[c] - mean[c];
+            m2[c] += d * d;
+        }
+    }
+    if (!first) {
+        const Py_ssize_t n = s->n + rows;
+        const double wb = (double)rows / (double)n;
+        const double wab = (double)(s->n * rows) / (double)n;
+        for (Py_ssize_t c = 0; c < w; c++) {
+            double delta = mean[c] - s->mean[c];
+            s->mean[c] = s->mean[c] + delta * wb;
+            s->m2[c] = s->m2[c] + m2[c] + delta * delta * wab;
+        }
+    }
+    s->n += rows;
+}
+
+/* Takes (levels, switch_times, counts, t_grid, v, tile, out_mean, out_m2,
+   out_abs2_min, out_abs2_max).  The one buffer holds a tile of coherences
+   and the tile's mean and M2. */
+static PyObject *
+block_moments(PyObject *self, PyObject *args)
+{
+    PyObject *o[4], *out[4];
+    Views vs = {.held = 0};
+    Batch b;
+    Moments s;
+    double v, *buf = NULL;
+    Py_ssize_t tile, rows, w;
+    if (!PyArg_ParseTuple(args, "OOOOdnOOOO", &o[0], &o[1], &o[2], &o[3], &v, &tile,
+                          &out[0], &out[1], &out[2], &out[3])
+        || batch_views(&b, &vs, o[0], o[1], o[2], o[3]) < 0
+        || moment_views(&s, &vs, b.m, out) < 0 || check_sizes(b.n, tile) < 0) {
+        release(&vs);
+        return NULL;
+    }
+    rows = tile < b.n ? tile : b.n;
+    w = 2 * b.m;
+    if (w == 0 || rows + 2 <= PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) / w)
+        buf = PyMem_RawMalloc((size_t)((rows + 2) * w) * sizeof(double));
+    if (!buf) {
+        release(&vs);
+        return PyErr_NoMemory();
+    }
+    s.tile_mean = buf + rows * w;
+    s.tile_m2 = s.tile_mean + w;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t start = 0; start < b.n; start += rows) {
+        Py_ssize_t count = b.n - start < rows ? b.n - start : rows;
+        for (Py_ssize_t i = 0; i < count; i++)
+            coherence_row(&b, start + i, v, buf + i * w);
+        merge_tile(&s, buf, count);
+    }
     Py_END_ALLOW_THREADS
-    release(&b);
+    PyMem_RawFree(buf);
+    release(&vs);
+    Py_RETURN_NONE;
+}
+
+/* Takes (z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max), z a
+   complex128 (n, m) array whose tiles are reduced where they lie. */
+static PyObject *
+column_moments(PyObject *self, PyObject *args)
+{
+    PyObject *o, *out[4];
+    Views vs = {.held = 0};
+    Py_buffer *z;
+    Moments s;
+    double *buf;
+    Py_ssize_t tile;
+    if (!PyArg_ParseTuple(args, "OnOOOO", &o, &tile, &out[0], &out[1], &out[2], &out[3])
+        || !(z = view(&vs, o, 2, 2 * sizeof(double), 0, "z"))
+        || moment_views(&s, &vs, z->shape[1], out) < 0
+        || check_sizes(z->shape[0], tile) < 0) {
+        release(&vs);
+        return NULL;
+    }
+    const Py_ssize_t n = z->shape[0], w = 2 * s.m;
+    const double *x = z->buf;
+    if (!(buf = PyMem_RawMalloc((size_t)(2 * w) * sizeof(double)))) {
+        release(&vs);
+        return PyErr_NoMemory();
+    }
+    s.tile_mean = buf;
+    s.tile_m2 = buf + w;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t start = 0; start < n; start += tile)
+        merge_tile(&s, x + start * w, n - start < tile ? n - start : tile);
+    Py_END_ALLOW_THREADS
+    PyMem_RawFree(buf);
+    release(&vs);
     Py_RETURN_NONE;
 }
 
@@ -209,6 +408,13 @@ static PyMethodDef methods[] = {
     {"coherences", coherences, METH_VARARGS,
      "coherences(levels, switch_times, counts, t_grid, v, out): "
      "exp(-i*v*dwell) per trajectory and grid time, into complex128 out."},
+    {"block_moments", block_moments, METH_VARARGS,
+     "block_moments(levels, switch_times, counts, t_grid, v, tile, out_mean, "
+     "out_m2, out_abs2_min, out_abs2_max): column moments of exp(-i*v*dwell), "
+     "reduced tile by tile without the (n, m) array."},
+    {"column_moments", column_moments, METH_VARARGS,
+     "column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max): column "
+     "moments of the complex128 (n, m) array z, reduced tile by tile."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,8 +5,12 @@ dwell times are accumulated segment by segment in switch order (np.cumsum
 accumulates sequentially), the final per-query expression uses the same
 operand order, and the coherences are numpy's complex exp of -1j * theta,
 whose parts are the cos(theta) and sin(-theta) the compiled kernel calls.
-So both backends produce bit-identical output.  Each kernel fills the
-(n, m) array ``out`` that ``rtdeph._kernels`` allocates.
+The moment reduction works tile by tile as the compiled one does: numpy
+sums over axis 0 row by row from 0.0, which is the compiled loop's order,
+and the tiles merge in order by the same pairwise update.  So both
+backends produce bit-identical output.  Each kernel fills the outputs that
+``rtdeph._kernels`` allocates.  Unlike the compiled ``block_moments``,
+this one holds the block's (n, m) coherences at once.
 """
 
 from __future__ import annotations
@@ -73,3 +77,47 @@ def coherences(levels, switch_times, counts, t_grid, v, out):
     dwell = np.empty(out.shape)
     dwell_times(levels, switch_times, counts, t_grid, dwell)
     np.exp(-1j * (v * dwell), out=out)
+
+
+def column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max):
+    """Column moments of the complex (n, m) array ``z`` over its (Re, Im)
+    pairs, reduced ``tile`` rows at a time: the (m, 2) mean and sums of
+    squared deviations (M2) into ``out_mean`` and ``out_m2``, and the
+    extremes of re*re + im*im into the (m,) ``out_abs2_min`` and
+    ``out_abs2_max``.
+
+    A tile's mean is its row sum over its row count and its M2 the sum of
+    squared deviations from that mean.  The first tile is taken as it is;
+    later ones merge by the pairwise update of Chan, Golub & LeVeque (1983).
+    """
+    x = z.view(np.float64).reshape(*z.shape, 2)
+    done = 0
+    for start in range(0, x.shape[0], tile):
+        part = x[start : start + tile]
+        rows = part.shape[0]
+        mean = part.sum(axis=0) / rows
+        dev = part - mean
+        m2 = np.square(dev, out=dev).sum(axis=0)
+        abs2 = part[..., 0] * part[..., 0] + part[..., 1] * part[..., 1]
+        if done == 0:
+            out_mean[...] = mean
+            out_m2[...] = m2
+            out_abs2_min[...] = abs2.min(axis=0)
+            out_abs2_max[...] = abs2.max(axis=0)
+        else:
+            total = done + rows
+            delta = mean - out_mean
+            out_mean[...] = out_mean + delta * (rows / total)
+            out_m2[...] = out_m2 + m2 + np.square(delta) * (done * rows / total)
+            np.minimum(out_abs2_min, abs2.min(axis=0), out=out_abs2_min)
+            np.maximum(out_abs2_max, abs2.max(axis=0), out=out_abs2_max)
+        done += rows
+
+
+def block_moments(levels, switch_times, counts, t_grid, v, tile,
+                  out_mean, out_m2, out_abs2_min, out_abs2_max):
+    """``column_moments`` of the coherences exp(-i*v*dwell) of the batch on
+    ``t_grid``, into the same four outputs."""
+    z = np.empty((levels.shape[0], t_grid.shape[0]), dtype=np.complex128)
+    coherences(levels, switch_times, counts, t_grid, v, z)
+    column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max)

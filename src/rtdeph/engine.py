@@ -9,14 +9,17 @@ these states; per-trajectory coherences exp(-i * integral of xi) average to
 the Monte Carlo estimate of the analytic coherence factor.
 
 Ensembles and recovery reports stream through fixed blocks of
-trajectories: each block is sampled and turned into its complex column
-array, the coherences on the grid from one kernel pass over the switch
-times (``_kernels.coherences``: dwell time, phase and exp(-i*phase), in
-compiled C where built), or for recovery the coherences at the revival
-time without and with the phase correction.  The block is then reduced in
-place to its moments over the (Re, Im) pairs of its columns, and the block
-moments merge in block order.  Memory is O(block * columns) whatever the
-number of trajectories, and there is no cap on the ensemble size.  The
+trajectories, and each block is reduced to column moments of its
+coherences over their (Re, Im) pairs: the mean, the sums of squared
+deviations and the |z|^2 extremes.  For an ensemble one backend call
+(``_kernels.block_moments``) walks the switch times to the dwell time,
+phase and exp(-i*phase) on the grid and reduces them tile by tile, so the
+compiled backend never holds the block's (n, m) coherences.  Recovery
+reduces its two columns, the coherences at the revival time without and
+with the phase correction, with the same reduction
+(``_kernels.column_moments``).  The block moments merge in block order.
+Memory does not grow with the number of trajectories, and there is no cap
+on the ensemble size.  The
 concurrence of an averaged ensemble is min(|q|, 1), q its mean coherence.
 
 Reproducibility contract: the blocks are the ``noise.BLOCK``-trajectory
@@ -114,25 +117,14 @@ class _Moments:
     """Column statistics of per-trajectory coherences z (one row per
     trajectory), each taken over the (Re z, Im z) pairs: the count, the
     (m, 2) mean and sums of squared deviations (M2), and the extremes of
-    |z|^2 = re*re + im*im."""
+    |z|^2 = re*re + im*im.  A block's moments come from a ``_kernels``
+    reduction; blocks combine with ``merge``."""
 
     n: int
     mean: np.ndarray
     m2: np.ndarray
     abs2_min: np.ndarray
     abs2_max: np.ndarray
-
-    @classmethod
-    def of(cls, z: np.ndarray) -> _Moments:
-        """Moments of the complex (n, m) block ``z``, which is overwritten:
-        its (Re, Im) pairs are reduced in place to squared deviations, and
-        |z|^2 is the only other (n, m) array."""
-        x = z.view(np.float64).reshape(*z.shape, 2)
-        mean = x.mean(axis=0)
-        abs2 = np.einsum("ijk,ijk->ij", x, x)  # re*re + im*im
-        x -= mean
-        x *= x
-        return cls(z.shape[0], mean, x.sum(axis=0), abs2.min(axis=0), abs2.max(axis=0))
 
     @property
     def z_mean(self) -> np.ndarray:
@@ -161,15 +153,14 @@ def _correction_phase(theta, n: int):
     return theta - _TWO_PI * n
 
 
-def _stream(config: RunConfig, n_threads: int, columns) -> _Moments:
-    """Moments of the per-trajectory columns ``columns(batch)`` over the
-    trajectories of ``config``.
+def _stream(config: RunConfig, n_threads: int, moments) -> _Moments:
+    """Moments over the trajectories of ``config``, ``moments(batch)``
+    giving one block's (mean, m2, abs2_min, abs2_max).
 
     Block b holds trajectories [b*BLOCK, (b+1)*BLOCK), BLOCK being
     ``noise.BLOCK``, and so draws from one random stream.  It is sampled up
-    to the last grid time, turned into its complex (rows, columns) array
-    and reduced on its own, threads map over whole blocks, and the block
-    moments merge in block order.
+    to the last grid time and reduced on its own, threads map over whole
+    blocks, and the block moments merge in block order.
     """
     params = config.system.rt
     horizon = float(config.t_grid[-1])
@@ -177,7 +168,7 @@ def _stream(config: RunConfig, n_threads: int, columns) -> _Moments:
     def one_block(start):
         count = min(noise.BLOCK, config.n_trajectories - start)
         batch = noise.sample_batch(params, horizon, count, config.master_seed, start_index=start)
-        return _Moments.of(columns(batch))
+        return _Moments(count, *moments(batch))
 
     with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
         blocks = pool.map(one_block, range(0, config.n_trajectories, noise.BLOCK))
@@ -219,7 +210,7 @@ def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
     ``config.master_seed``, independent of ``n_threads``.
     """
     v = config.system.rt.v
-    stats = _stream(config, n_threads, lambda batch: _kernels.coherences(
+    stats = _stream(config, n_threads, lambda batch: _kernels.block_moments(
         batch.levels, batch.switch_times, batch.counts, config.t_grid, v))
     q_mean = stats.z_mean
     q_se = stats.standard_errors()
@@ -298,21 +289,23 @@ def recovery_report(config: RunConfig, n: int, n_threads: int = 1) -> RecoveryRe
     its uncorrected coherences exp(-i*theta) are those of
     ``_kernels.coherences`` bit for bit, and the corrected ensemble applies
     the local unitary of ``recover_trajectory`` to every trajectory state.
+    Both columns go through ``_kernels.column_moments``.
     """
     if n < 1:
         raise ValueError(f"revival index must be >= 1, got {n}")
     v = config.system.rt.v
     t_n = _TWO_PI * n / v
 
-    def columns(batch):
+    def moments(batch):
         # The states |00> + z|11> are carried without the common 1/sqrt(2);
         # a corrected state's coherence is its |11> over its |00> amplitude.
         theta = v * _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, [t_n])[:, 0]
         z = np.exp(-1j * theta)
         factors = states.local_phase_factors(_correction_phase(theta, n), "A")
-        return np.stack([z, factors[:, 3] * z * np.conj(factors[:, 0])], axis=1)
+        return _kernels.column_moments(
+            np.stack([z, factors[:, 3] * z * np.conj(factors[:, 0])], axis=1))
 
-    stats = _stream(replace(config, t_grid=np.array([t_n])), n_threads, columns)
+    stats = _stream(replace(config, t_grid=np.array([t_n])), n_threads, moments)
     before, after = np.minimum(np.abs(stats.z_mean), 1.0)
     return RecoveryReport(
         t_n=t_n, revival_index=n, concurrence_before=float(before), concurrence_after=float(after)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rtdeph import cli, engine, noise
+from rtdeph import _kernels, cli, engine, noise
 
 from _oracles import Q_ABS_G5_VT_2PI
 
@@ -104,6 +104,24 @@ def test_recovery_json_byte_identical_across_threads(tmp_path):
     _byte_identical_across_threads(
         tmp_path, ["--mode", "recovery", "--g", "0.5,5,inf", "--revival-n", "2",
                    "--n-traj", "4500", "--seed", "8", "--no-timestamp"])
+
+
+@pytest.mark.parametrize("command, args", [
+    (cli.cmd_figure1, ["--mode", "mc", "--g", "5,1", "--vt-step", "1.3", "--vt-max", "13.0"]),
+    (cli.cmd_recovery, ["--mode", "recovery", "--g", "0.5,5,inf", "--revival-n", "2"]),
+])
+def test_artifacts_identical_across_backends(compiled, monkeypatch, command, args):
+    # 4500 trajectories: three blocks, the last one partial and ending in a
+    # partial tile
+    spec = cli.build_spec(cli.build_parser().parse_args(
+        args + ["--n-traj", "4500", "--seed", "8", "--no-timestamp"]))
+    texts = []
+    for backend in (_kernels.available_backends()["pure"], compiled):
+        monkeypatch.setattr(_kernels, "_impl", backend)
+        text, code = command(spec)
+        assert code == 0
+        texts.append([line for line in text.splitlines() if "backend" not in line])
+    assert texts[0] == texts[1]
 
 
 def test_timestamp_toggle(tmp_path):

@@ -1,10 +1,5 @@
-import importlib.util
-import os
-import pathlib
-import shutil
 import subprocess
 import sys
-import sysconfig
 
 import numpy as np
 import pytest
@@ -12,41 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from rtdeph import _kernels, noise
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-
 
 def make_batch(gamma=2.0, horizon=6.0, n=300, seed=17):
     params = noise.RTParams(v=1.0, gamma=gamma)
     return noise.sample_batch(params, horizon, n, master_seed=seed)
-
-
-def _c_compiler():
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    return shutil.which(cc.split()[0])
-
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    """The compiled backend: the installed extension, or else one that
-    setup.py builds from _core.c into a temporary directory.  Skips only
-    where there is no C compiler; a failed build fails the test."""
-    backends = _kernels.available_backends()
-    if "compiled" in backends:
-        return backends["compiled"]
-    if _c_compiler() is None:
-        pytest.skip("no C compiler to build rtdeph._kernels._core")
-    out = tmp_path_factory.mktemp("core")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
-         "--build-temp", str(out / "temp")],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    built = sorted(out.glob("rtdeph/_kernels/_core*" + sysconfig.get_config_var("EXT_SUFFIX")))
-    assert built, f"setup.py did not build _core.c:\n{proc.stdout}\n{proc.stderr}"
-    spec = importlib.util.spec_from_file_location("rtdeph._kernels._core", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(params=["pure", "compiled"])
@@ -117,6 +81,92 @@ def test_compiled_kernels_reject_mismatched_buffers(compiled):
         compiled.coherences(batch.levels[:3], *args[1:], 1.0, np.empty((3, 3), complex))
     with pytest.raises(ValueError):
         compiled.dwell_times(*args, np.empty((3, 4)).T)  # not C-contiguous
+
+
+def test_counts_must_match_switch_times(compiled):
+    # the compiled walk trusts counts where the numpy one counts the switch
+    # times, so a wrong count made the backends disagree silently: dwell 0.0
+    # against 1.5 for counts [1, 1] at t = 2, and 0.2 against 0.0 for
+    # counts [-1, 1] at t = 0.7
+    levels = np.array([0, 1], dtype=np.uint8)
+    times = np.array([[0.5, 1.0], [0.3, np.inf]])
+    for backend in (_kernels.available_backends()["pure"], compiled):
+        for counts, t in (([1, 1], 2.0), ([-1, 1], 0.7), ([2, 2], 2.0)):
+            for kernel in (_kernels.dwell_times, _kernels.levels_at_times):
+                with pytest.raises(ValueError, match="counts"):
+                    kernel(levels, times, counts, [t], impl=backend)
+            for kernel in (_kernels.coherences, _kernels.block_moments):
+                with pytest.raises(ValueError, match="counts"):
+                    kernel(levels, times, counts, [t], 1.0, impl=backend)
+        dwell = _kernels.dwell_times(levels, times, [2, 1], [0.7, 2.0], impl=backend)
+        np.testing.assert_array_equal(dwell, [[0.7 - 0.5, 0.5], [0.3, 0.3]])
+
+
+def assert_moments_agree(compiled, levels, switch_times, counts, grid, v):
+    pure = _kernels.available_backends()["pure"]
+    args = (levels, switch_times, counts, grid, v)
+    fused = _kernels.block_moments(*args, impl=pure)
+    for out_pure, out_compiled in zip(fused, _kernels.block_moments(*args, impl=compiled)):
+        assert_same_bits(out_pure, out_compiled)
+    # the fused pass is the tile reduction of the coherences
+    z = _kernels.coherences(*args, impl=pure)
+    for backend in (pure, compiled):
+        for out_fused, out_columns in zip(fused, _kernels.column_moments(z, impl=backend)):
+            assert_same_bits(out_fused, out_columns)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([0.0, 0.3, 2.0, 9.0]),
+    v=st.floats(0.05, 20.0),
+    n=st.sampled_from([1, _kernels.TILE - 1, _kernels.TILE + 1, 2048]),
+    horizon=st.floats(0.5, 12.0),
+    m=st.integers(1, 40),
+    stride=st.integers(1, 7),
+)
+def test_block_moments_bit_identical_property(compiled, seed, gamma, v, n, horizon, m, stride):
+    # gamma = 0 gives a batch without switches (k = 0); the grid also holds
+    # up to ~60 switch times exactly
+    batch = noise.sample_batch(noise.RTParams(v=v, gamma=gamma), horizon, n, master_seed=seed)
+    finite = np.sort(batch.switch_times[np.isfinite(batch.switch_times)])
+    hits = finite[:: max(stride, finite.size // 60)]
+    grid = np.unique(np.concatenate([np.linspace(0.0, horizon, m), hits]))
+    assert_moments_agree(compiled, batch.levels, batch.switch_times, batch.counts, grid, v)
+
+
+def test_compiled_moments_reject_mismatched_buffers(compiled):
+    batch = make_batch(n=4)
+    grid = np.linspace(0.0, 1.0, 3)
+    args = (batch.levels, batch.switch_times, batch.counts.astype(np.intp), grid, 1.0)
+    z = np.ones((4, 3), complex)
+
+    def outs(m=3):
+        return [np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m)]
+
+    compiled.block_moments(*args, _kernels.TILE, *outs())
+    compiled.column_moments(z, _kernels.TILE, *outs())
+    mismatched = [
+        (0, np.empty((3, 1))),  # not (m, 2)
+        (1, np.empty((3, 2), np.float32)),
+        (2, np.empty(2)),
+        (3, np.empty((3, 1))),  # not 1-D
+        (0, np.empty((2, 3)).T),  # not C-contiguous
+    ]
+    for index, bad in mismatched:
+        buffers = outs()
+        buffers[index] = bad
+        with pytest.raises(ValueError):
+            compiled.block_moments(*args, _kernels.TILE, *buffers)
+        with pytest.raises(ValueError):
+            compiled.column_moments(z, _kernels.TILE, *buffers)
+    with pytest.raises(ValueError):
+        compiled.block_moments(*args, 0, *outs())  # tile < 1
+    with pytest.raises(ValueError):
+        compiled.block_moments(batch.levels[:0], batch.switch_times[:0], args[2][:0], *args[3:],
+                               _kernels.TILE, *outs())  # no rows
+    with pytest.raises(ValueError):
+        compiled.column_moments(z.real.copy(), _kernels.TILE, *outs())  # float64, not complex128
 
 
 def test_dwell_matches_single_trajectory_phase(impl):
