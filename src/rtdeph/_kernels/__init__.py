@@ -4,24 +4,21 @@ The compiled extension ``_core`` (hand-written C in ``_core.c``, which
 setup.py builds whenever a C compiler is available) is used when it
 imports; otherwise the numpy fallback ``_reference`` takes over.  The two
 follow the same floating-point operations in the same order and agree bit
-for bit.  Set the environment variable ``RTDEPH_BACKEND`` to ``compiled``
-or ``pure`` to force a choice (``auto``, the default, picks as above);
-``compiled`` raises if the extension is missing, and any other value
-raises ``ValueError``.
+for bit.
 
-The per-point kernels (``dwell_times``, ``levels_at_times``,
-``coherences``) return an (n, m) array.  ``block_moments`` returns only
-the column moments of the coherences: the compiled backend computes them
-``TILE`` rows at a time into one tile-sized buffer and merges the tile
-moments in order, so it never holds the (n, m) coherences.
-``column_moments`` is the same tile reduction over an existing complex
-array.  The functions here validate and convert the arguments and allocate
-the outputs, which the selected backend fills.
+A batch is the level bit at t = 0 of each trajectory and its switch times,
+one row per trajectory padded with +inf; the padding is the only record of
+a row's length.  There are three kernels, one per pass a run makes:
+``dwell_times`` (recovery's noise phase) and ``levels_at_times``
+(autocorrelation) return an (n, m) array, and ``block_moments`` (ensembles)
+returns only the column moments of the coherences exp(-i*v*dwell).  The
+compiled ``block_moments`` computes them ``TILE`` rows at a time into one
+tile-sized buffer and merges the tile moments in order, so it never holds
+the (n, m) coherences.  The functions here validate and convert the
+arguments and allocate the outputs, which the selected backend fills.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -32,22 +29,7 @@ try:
 except ImportError:
     _core = None
 
-_requested = os.environ.get("RTDEPH_BACKEND", "auto").strip().lower()
-if _requested == "auto":
-    _impl = _core if _core is not None else _reference
-elif _requested == "compiled":
-    if _core is None:
-        raise ImportError(
-            "RTDEPH_BACKEND=compiled requested but the rtdeph._kernels._core "
-            "extension is not built; build it with a C compiler "
-            "(pip install . or python setup.py build_ext --inplace) or use "
-            "RTDEPH_BACKEND=pure"
-        )
-    _impl = _core
-elif _requested == "pure":
-    _impl = _reference
-else:
-    raise ValueError(f"unrecognized RTDEPH_BACKEND value: {_requested!r}")
+_impl = _core if _core is not None else _reference
 
 #: Name of the backend selected at import: "compiled" or "pure".
 BACKEND = "compiled" if _impl is _core else "pure"
@@ -67,58 +49,40 @@ def available_backends() -> dict:
 TILE = 64
 
 
-def _prepare(levels, switch_times, counts, t_grid):
-    """Contiguous arguments of the dtypes the backends expect.  ``counts``
-    must be the number of finite switch times of each row: the
-    compiled walk trusts it, the numpy one counts the switch times."""
+def _prepare(levels, switch_times, t_grid):
+    """Contiguous arguments of the dtypes the backends expect.  The grid
+    must be finite, so that the +inf padding never counts as a switch."""
     levels = np.ascontiguousarray(levels, dtype=np.uint8)
     switch_times = np.ascontiguousarray(switch_times, dtype=np.float64)
-    counts = np.ascontiguousarray(counts, dtype=np.intp)
     t_grid = np.ascontiguousarray(t_grid, dtype=np.float64)
     if levels.ndim != 1 or switch_times.ndim != 2 or switch_times.shape[0] != levels.shape[0]:
         raise ValueError("switch_times must be 2-D with one row per trajectory")
-    if counts.shape != levels.shape:
-        raise ValueError("counts must have one entry per trajectory")
-    if not np.array_equal(counts, np.isfinite(switch_times).sum(axis=1)):
-        raise ValueError("counts must be the number of finite switch times of each row")
-    if t_grid.ndim != 1:
-        raise ValueError("t_grid must be 1-D")
+    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be 1-D and finite")
     if t_grid.size and (t_grid[0] < 0.0 or np.any(np.diff(t_grid) < 0.0)):
         raise ValueError("t_grid must be ascending and non-negative")
-    return levels, switch_times, counts, t_grid
+    return levels, switch_times, t_grid
 
 
-def _per_point(kernel, dtype, levels, switch_times, counts, t_grid, *extra):
+def _per_point(kernel, dtype, levels, switch_times, t_grid):
     """The (n, m) array of ``dtype`` that ``kernel`` fills for the batch."""
-    args = _prepare(levels, switch_times, counts, t_grid)
-    out = np.empty((args[0].shape[0], args[3].shape[0]), dtype=dtype)
-    kernel(*args, *extra, out)
+    args = _prepare(levels, switch_times, t_grid)
+    out = np.empty((args[0].shape[0], args[2].shape[0]), dtype=dtype)
+    kernel(*args, out)
     return out
 
 
-def dwell_times(levels, switch_times, counts, t_grid, impl=None):
+def dwell_times(levels, switch_times, t_grid, impl=None):
     """Time at the high level in [0, t] per trajectory and grid time."""
-    return _per_point((impl or _impl).dwell_times, np.float64, levels, switch_times, counts, t_grid)
+    return _per_point((impl or _impl).dwell_times, np.float64, levels, switch_times, t_grid)
 
 
-def levels_at_times(levels, switch_times, counts, t_grid, impl=None):
+def levels_at_times(levels, switch_times, t_grid, impl=None):
     """Level bit at each grid time per trajectory."""
-    return _per_point((impl or _impl).levels_at_times, np.uint8, levels, switch_times, counts, t_grid)
+    return _per_point((impl or _impl).levels_at_times, np.uint8, levels, switch_times, t_grid)
 
 
-def coherences(levels, switch_times, counts, t_grid, v, impl=None):
-    """Coherence exp(-i*v*dwell) per trajectory and grid time, in one pass."""
-    return _per_point((impl or _impl).coherences, np.complex128, levels, switch_times, counts,
-                      t_grid, float(v))
-
-
-def _moment_outputs(rows, m):
-    if rows < 1:
-        raise ValueError("moments need at least one row")
-    return np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m)
-
-
-def block_moments(levels, switch_times, counts, t_grid, v, impl=None):
+def block_moments(levels, switch_times, t_grid, v, impl=None):
     """Column moments of the coherences exp(-i*v*dwell) on the grid, without
     their (n, m) array on the compiled backend.
 
@@ -126,17 +90,10 @@ def block_moments(levels, switch_times, counts, t_grid, v, impl=None):
     squared deviations over the (Re, Im) pairs, and the extremes of
     |z|^2 = re*re + im*im, reduced ``TILE`` rows at a time.
     """
-    args = _prepare(levels, switch_times, counts, t_grid)
-    out = _moment_outputs(args[0].shape[0], args[3].shape[0])
+    args = _prepare(levels, switch_times, t_grid)
+    if args[0].shape[0] < 1:
+        raise ValueError("moments need at least one row")
+    m = args[2].shape[0]
+    out = np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m)
     (impl or _impl).block_moments(*args, float(v), TILE, *out)
-    return out
-
-
-def column_moments(z, impl=None):
-    """``block_moments``'s reduction applied to the complex (n, m) array z."""
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    if z.ndim != 2:
-        raise ValueError("z must be 2-D")
-    out = _moment_outputs(*z.shape)
-    (impl or _impl).column_moments(z, TILE, *out)
     return out

@@ -1,16 +1,16 @@
 /* Compiled trajectory-batch kernels.
  *
- * A batch holds n trajectories: the level bit at t = 0 (uint8, shape (n,)),
- * the switch times (float64, shape (n, k), padded with +inf) and the number
- * of valid switch times per row (intp, shape (n,)).  Each kernel walks every
- * row once along the ascending grid t_grid (float64, shape (m,)).  The
- * per-point kernels fill a caller-allocated C-contiguous (n, m) output
- * through the buffer protocol.  block_moments instead walks the rows a tile
- * at a time into one tile-sized buffer and reduces each tile to column
- * moments over the (Re, Im) pairs of the coherences, merged in tile order;
- * column_moments applies the same tile reduction to an existing complex
- * (n, m) array.  rtdeph._kernels validates and converts the arguments and
- * allocates the outputs.  The loops run with the GIL released.
+ * A batch holds n trajectories: the level bit at t = 0 (uint8, shape (n,))
+ * and the switch times (float64, shape (n, k), padded with +inf).  Each
+ * kernel walks every row once along the ascending, finite grid t_grid
+ * (float64, shape (m,)); the walk stops at the padding because +inf is never
+ * <= t.  dwell_times and levels_at_times fill a caller-allocated
+ * C-contiguous (n, m) output through the buffer protocol.  block_moments
+ * instead walks the rows a tile at a time into one tile-sized buffer and
+ * reduces each tile to column moments over the (Re, Im) pairs of the
+ * coherences, merged in tile order.  rtdeph._kernels validates and converts
+ * the arguments and allocates the outputs.  The loops run with the GIL
+ * released.
  *
  * The arithmetic is that of the numpy reference (_reference.py), operation
  * for operation, so the two backends agree bit for bit.  setup.py compiles
@@ -24,8 +24,8 @@
 #include <stdint.h>
 #include <string.h>
 
-/* The buffers one call holds: at most a batch of four and four outputs. */
-enum { MAX_VIEWS = 8 };
+/* The buffers one call holds: at most a batch of three and four outputs. */
+enum { MAX_VIEWS = 7 };
 
 typedef struct {
     Py_buffer views[MAX_VIEWS];
@@ -68,44 +68,40 @@ typedef struct {
     Py_ssize_t n, k, m;
     const unsigned char *levels;
     const double *switch_times;
-    const Py_ssize_t *counts;
     const double *t_grid;
 } Batch;
 
 static int
 batch_views(Batch *b, Views *vs, PyObject *levels, PyObject *switch_times,
-            PyObject *counts, PyObject *t_grid)
+            PyObject *t_grid)
 {
-    Py_buffer *lv, *st, *ct, *tg;
+    Py_buffer *lv, *st, *tg;
     if (!(lv = view(vs, levels, 1, 1, 0, "levels"))
         || !(st = view(vs, switch_times, 2, sizeof(double), 0, "switch_times"))
-        || !(ct = view(vs, counts, 1, sizeof(Py_ssize_t), 0, "counts"))
         || !(tg = view(vs, t_grid, 1, sizeof(double), 0, "t_grid")))
         return -1;
     b->n = lv->shape[0];
     b->k = st->shape[1];
     b->m = tg->shape[0];
-    if (st->shape[0] != b->n || ct->shape[0] != b->n)
+    if (st->shape[0] != b->n)
         return shape_error();
     b->levels = lv->buf;
     b->switch_times = st->buf;
-    b->counts = ct->buf;
     b->t_grid = tg->buf;
     return 0;
 }
 
-/* Parses (levels, switch_times, counts, t_grid[, v], out) for a per-point
-   kernel and returns the view of out, (n, m) with itemsize-byte items, or
-   NULL with an exception set.  The caller releases the views either way. */
+/* Parses (levels, switch_times, t_grid, out) for a per-point kernel and
+   returns the view of out, (n, m) with itemsize-byte items, or NULL with an
+   exception set.  The caller releases the views either way. */
 static Py_buffer *
-per_point_args(PyObject *args, Batch *b, Views *vs, double *v, Py_ssize_t itemsize)
+per_point_args(PyObject *args, Batch *b, Views *vs, Py_ssize_t itemsize)
 {
-    PyObject *o[5];
+    PyObject *o[4];
     Py_buffer *out;
-    int ok = v ? PyArg_ParseTuple(args, "OOOOdO", &o[0], &o[1], &o[2], &o[3], v, &o[4])
-               : PyArg_ParseTuple(args, "OOOOO", &o[0], &o[1], &o[2], &o[3], &o[4]);
-    if (!ok || batch_views(b, vs, o[0], o[1], o[2], o[3]) < 0
-        || !(out = view(vs, o[4], 2, itemsize, 1, "out")))
+    if (!PyArg_ParseTuple(args, "OOOO", &o[0], &o[1], &o[2], &o[3])
+        || batch_views(b, vs, o[0], o[1], o[2]) < 0
+        || !(out = view(vs, o[3], 2, itemsize, 1, "out")))
         return NULL;
     if (out->shape[0] != b->n || out->shape[1] != b->m) {
         shape_error();
@@ -119,16 +115,14 @@ per_point_args(PyObject *args, Batch *b, Views *vs, double *v, Py_ssize_t itemsi
    since then. */
 typedef struct {
     const double *tau;
-    Py_ssize_t c, j;
+    Py_ssize_t k, j;
     double acc, prev, lvl;
 } Walk;
 
 static Walk
 walk_row(const Batch *b, Py_ssize_t i)
 {
-    Py_ssize_t c = b->counts[i];
-    Walk w = {b->switch_times + i * b->k, c < b->k ? c : b->k, 0, 0.0, 0.0,
-              (double)b->levels[i]};
+    Walk w = {b->switch_times + i * b->k, b->k, 0, 0.0, 0.0, (double)b->levels[i]};
     return w;
 }
 
@@ -136,7 +130,7 @@ walk_row(const Batch *b, Py_ssize_t i)
 static inline double
 dwell_at(Walk *w, double t)
 {
-    while (w->j < w->c && w->tau[w->j] <= t) {
+    while (w->j < w->k && w->tau[w->j] <= t) {
         w->acc = w->acc + w->lvl * (w->tau[w->j] - w->prev);
         w->prev = w->tau[w->j];
         w->lvl = 1.0 - w->lvl;
@@ -174,7 +168,7 @@ dwell_times(PyObject *self, PyObject *args)
 {
     Views vs = {.held = 0};
     Batch b;
-    Py_buffer *view_out = per_point_args(args, &b, &vs, NULL, sizeof(double));
+    Py_buffer *view_out = per_point_args(args, &b, &vs, sizeof(double));
     if (!view_out) {
         release(&vs);
         return NULL;
@@ -196,7 +190,7 @@ levels_at_times(PyObject *self, PyObject *args)
 {
     Views vs = {.held = 0};
     Batch b;
-    Py_buffer *view_out = per_point_args(args, &b, &vs, NULL, 1);
+    Py_buffer *view_out = per_point_args(args, &b, &vs, 1);
     if (!view_out) {
         release(&vs);
         return NULL;
@@ -210,26 +204,6 @@ levels_at_times(PyObject *self, PyObject *args)
             out[i * b.m + gi] = b.levels[i] ^ (unsigned char)(w.j & 1);
         }
     }
-    Py_END_ALLOW_THREADS
-    release(&vs);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-coherences(PyObject *self, PyObject *args)
-{
-    Views vs = {.held = 0};
-    Batch b;
-    double v;
-    Py_buffer *view_out = per_point_args(args, &b, &vs, &v, 2 * sizeof(double));
-    if (!view_out) {
-        release(&vs);
-        return NULL;
-    }
-    double *z = view_out->buf;
-    Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < b.n; i++)
-        coherence_row(&b, i, v, z + 2 * i * b.m);
     Py_END_ALLOW_THREADS
     release(&vs);
     Py_RETURN_NONE;
@@ -321,21 +295,21 @@ merge_tile(Moments *s, const double *restrict x, Py_ssize_t rows)
     s->n += rows;
 }
 
-/* Takes (levels, switch_times, counts, t_grid, v, tile, out_mean, out_m2,
+/* Takes (levels, switch_times, t_grid, v, tile, out_mean, out_m2,
    out_abs2_min, out_abs2_max).  The one buffer holds a tile of coherences
    and the tile's mean and M2. */
 static PyObject *
 block_moments(PyObject *self, PyObject *args)
 {
-    PyObject *o[4], *out[4];
+    PyObject *o[3], *out[4];
     Views vs = {.held = 0};
     Batch b;
     Moments s;
     double v, *buf = NULL;
     Py_ssize_t tile, rows, w;
-    if (!PyArg_ParseTuple(args, "OOOOdnOOOO", &o[0], &o[1], &o[2], &o[3], &v, &tile,
+    if (!PyArg_ParseTuple(args, "OOOdnOOOO", &o[0], &o[1], &o[2], &v, &tile,
                           &out[0], &out[1], &out[2], &out[3])
-        || batch_views(&b, &vs, o[0], o[1], o[2], o[3]) < 0
+        || batch_views(&b, &vs, o[0], o[1], o[2]) < 0
         || moment_views(&s, &vs, b.m, out) < 0 || check_sizes(b.n, tile) < 0) {
         release(&vs);
         return NULL;
@@ -363,58 +337,17 @@ block_moments(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* Takes (z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max), z a
-   complex128 (n, m) array whose tiles are reduced where they lie. */
-static PyObject *
-column_moments(PyObject *self, PyObject *args)
-{
-    PyObject *o, *out[4];
-    Views vs = {.held = 0};
-    Py_buffer *z;
-    Moments s;
-    double *buf;
-    Py_ssize_t tile;
-    if (!PyArg_ParseTuple(args, "OnOOOO", &o, &tile, &out[0], &out[1], &out[2], &out[3])
-        || !(z = view(&vs, o, 2, 2 * sizeof(double), 0, "z"))
-        || moment_views(&s, &vs, z->shape[1], out) < 0
-        || check_sizes(z->shape[0], tile) < 0) {
-        release(&vs);
-        return NULL;
-    }
-    const Py_ssize_t n = z->shape[0], w = 2 * s.m;
-    const double *x = z->buf;
-    if (!(buf = PyMem_RawMalloc((size_t)(2 * w) * sizeof(double)))) {
-        release(&vs);
-        return PyErr_NoMemory();
-    }
-    s.tile_mean = buf;
-    s.tile_m2 = buf + w;
-    Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t start = 0; start < n; start += tile)
-        merge_tile(&s, x + start * w, n - start < tile ? n - start : tile);
-    Py_END_ALLOW_THREADS
-    PyMem_RawFree(buf);
-    release(&vs);
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef methods[] = {
     {"dwell_times", dwell_times, METH_VARARGS,
-     "dwell_times(levels, switch_times, counts, t_grid, out): time at the high "
-     "level in [0, t] per trajectory and grid time, into float64 out."},
+     "dwell_times(levels, switch_times, t_grid, out): time at the high level "
+     "in [0, t] per trajectory and grid time, into float64 out."},
     {"levels_at_times", levels_at_times, METH_VARARGS,
-     "levels_at_times(levels, switch_times, counts, t_grid, out): level bit "
-     "at each grid time per trajectory, into uint8 out."},
-    {"coherences", coherences, METH_VARARGS,
-     "coherences(levels, switch_times, counts, t_grid, v, out): "
-     "exp(-i*v*dwell) per trajectory and grid time, into complex128 out."},
+     "levels_at_times(levels, switch_times, t_grid, out): level bit at each "
+     "grid time per trajectory, into uint8 out."},
     {"block_moments", block_moments, METH_VARARGS,
-     "block_moments(levels, switch_times, counts, t_grid, v, tile, out_mean, "
-     "out_m2, out_abs2_min, out_abs2_max): column moments of exp(-i*v*dwell), "
+     "block_moments(levels, switch_times, t_grid, v, tile, out_mean, out_m2, "
+     "out_abs2_min, out_abs2_max): column moments of exp(-i*v*dwell), "
      "reduced tile by tile without the (n, m) array."},
-    {"column_moments", column_moments, METH_VARARGS,
-     "column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max): column "
-     "moments of the complex128 (n, m) array z, reduced tile by tile."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -5,12 +5,13 @@ dwell times are accumulated segment by segment in switch order (np.cumsum
 accumulates sequentially), the final per-query expression uses the same
 operand order, and the coherences are numpy's complex exp of -1j * theta,
 whose parts are the cos(theta) and sin(-theta) the compiled kernel calls.
-The moment reduction works tile by tile as the compiled one does: numpy
-sums over axis 0 row by row from 0.0, which is the compiled loop's order,
-and the tiles merge in order by the same pairwise update.  So both
-backends produce bit-identical output.  Each kernel fills the outputs that
-``rtdeph._kernels`` allocates.  Unlike the compiled ``block_moments``,
-this one holds the block's (n, m) coherences at once.
+The moment reduction (``column_moments``) works tile by tile as the
+compiled one does: numpy sums over axis 0 row by row from 0.0, which is
+the compiled loop's order, and the tiles merge in order by the same
+pairwise update.  So both backends produce bit-identical output.  Each
+kernel fills the outputs that ``rtdeph._kernels`` allocates.  Unlike the
+compiled ``block_moments``, this one holds the block's (n, m) coherences
+at once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def dwell_times(levels, switch_times, counts, t_grid, out):
+def dwell_times(levels, switch_times, t_grid, out):
     """Time spent at the high level in [0, t] per trajectory and grid time.
 
     Parameters
@@ -26,9 +27,7 @@ def dwell_times(levels, switch_times, counts, t_grid, out):
     levels : uint8 array, shape (n,)
         Level bit at t=0 for each trajectory.
     switch_times : float array, shape (n, k)
-        Row i holds counts[i] increasing switch times, padded with +inf.
-    counts : integer array, shape (n,)
-        Number of valid switch times per row.
+        Row i holds its increasing switch times, padded with +inf.
     t_grid : float array, shape (m,)
         Ascending query times.
     out : float array, shape (n, m)
@@ -42,7 +41,7 @@ def dwell_times(levels, switch_times, counts, t_grid, out):
         return
 
     seg = np.arange(k)
-    valid = seg[None, :] < counts[:, None]
+    valid = np.isfinite(switch_times)
     # Finite stand-in for the +inf padding; padded segments are masked out.
     tau_fin = np.where(valid, switch_times, 0.0)
     prev = np.concatenate([np.zeros((n, 1)), tau_fin[:, :-1]], axis=1)
@@ -60,7 +59,7 @@ def dwell_times(levels, switch_times, counts, t_grid, out):
         out[:, gi] = dj + lvl * (t - tj)
 
 
-def levels_at_times(levels, switch_times, counts, t_grid, out):
+def levels_at_times(levels, switch_times, t_grid, out):
     """Level bit at each grid time per trajectory (parity of prior switches),
     into the uint8 array ``out`` of shape (n, m)."""
     if switch_times.shape[1] == 0:
@@ -69,14 +68,6 @@ def levels_at_times(levels, switch_times, counts, t_grid, out):
     for gi, t in enumerate(t_grid):
         j = (switch_times <= t).sum(axis=1)
         out[:, gi] = levels ^ (j & 1).astype(np.uint8)
-
-
-def coherences(levels, switch_times, counts, t_grid, v, out):
-    """exp(-i*v*dwell) per trajectory and grid time, into the complex
-    array ``out`` of shape (n, m)."""
-    dwell = np.empty(out.shape)
-    dwell_times(levels, switch_times, counts, t_grid, dwell)
-    np.exp(-1j * (v * dwell), out=out)
 
 
 def column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max):
@@ -114,10 +105,11 @@ def column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max):
         done += rows
 
 
-def block_moments(levels, switch_times, counts, t_grid, v, tile,
+def block_moments(levels, switch_times, t_grid, v, tile,
                   out_mean, out_m2, out_abs2_min, out_abs2_max):
     """``column_moments`` of the coherences exp(-i*v*dwell) of the batch on
     ``t_grid``, into the same four outputs."""
-    z = np.empty((levels.shape[0], t_grid.shape[0]), dtype=np.complex128)
-    coherences(levels, switch_times, counts, t_grid, v, z)
+    dwell = np.empty((levels.shape[0], t_grid.shape[0]))
+    dwell_times(levels, switch_times, t_grid, dwell)
+    z = np.exp(-1j * (v * dwell))
     column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max)

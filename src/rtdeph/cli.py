@@ -359,11 +359,9 @@ RECOVERY_ATOL = 1e-9
 RECOVERY_SE_MULTIPLE = 4.0
 
 
-def cmd_recovery(spec: SweepSpec, n: int | None = None) -> tuple[str, int]:
+def cmd_recovery(spec: SweepSpec) -> tuple[str, int]:
     """JSON report of concurrence at t_n before and after phase recovery."""
-    n = spec.revival_n if n is None else n
-    if n < 1:
-        raise ValueError(f"revival index must be >= 1, got {n}")
+    n = spec.revival_n
     before_tol = RECOVERY_SE_MULTIPLE / math.sqrt(spec.n_traj)
     entries = []
     for g in spec.g_values:

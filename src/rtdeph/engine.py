@@ -9,18 +9,17 @@ these states; per-trajectory coherences exp(-i * integral of xi) average to
 the Monte Carlo estimate of the analytic coherence factor.
 
 Ensembles and recovery reports stream through fixed blocks of
-trajectories, and each block is reduced to column moments of its
-coherences over their (Re, Im) pairs: the mean, the sums of squared
-deviations and the |z|^2 extremes.  For an ensemble one backend call
-(``_kernels.block_moments``) walks the switch times to the dwell time,
-phase and exp(-i*phase) on the grid and reduces them tile by tile, so the
-compiled backend never holds the block's (n, m) coherences.  Recovery
-reduces its two columns, the coherences at the revival time without and
-with the phase correction, with the same reduction
-(``_kernels.column_moments``).  The block moments merge in block order.
-Memory does not grow with the number of trajectories, and there is no cap
-on the ensemble size.  The
-concurrence of an averaged ensemble is min(|q|, 1), q its mean coherence.
+trajectories, and each block is reduced on its own.  For an ensemble one
+backend call (``_kernels.block_moments``) walks the switch times to the
+dwell time, phase and exp(-i*phase) on the grid and reduces them tile by
+tile to column moments over their (Re, Im) pairs: the mean, the sums of
+squared deviations and the |z|^2 extremes.  The compiled backend never
+holds the block's (n, m) coherences, and the block moments merge in block
+order.  Recovery needs only two means, of the coherences at the revival
+time without and with the phase correction, so each block gives their two
+sums, added in block order.  Memory does not grow with the number of
+trajectories, and there is no cap on the ensemble size.  The concurrence
+of an averaged ensemble is min(|q|, 1), q its mean coherence.
 
 Reproducibility contract: the blocks are the ``noise.BLOCK``-trajectory
 blocks of the random streams, so trajectory i is fixed by (master_seed, i)
@@ -117,8 +116,8 @@ class _Moments:
     """Column statistics of per-trajectory coherences z (one row per
     trajectory), each taken over the (Re z, Im z) pairs: the count, the
     (m, 2) mean and sums of squared deviations (M2), and the extremes of
-    |z|^2 = re*re + im*im.  A block's moments come from a ``_kernels``
-    reduction; blocks combine with ``merge``."""
+    |z|^2 = re*re + im*im.  A block's moments come from
+    ``_kernels.block_moments``; blocks combine with ``merge``."""
 
     n: int
     mean: np.ndarray
@@ -153,26 +152,25 @@ def _correction_phase(theta, n: int):
     return theta - _TWO_PI * n
 
 
-def _stream(config: RunConfig, n_threads: int, moments) -> _Moments:
-    """Moments over the trajectories of ``config``, ``moments(batch)``
-    giving one block's (mean, m2, abs2_min, abs2_max).
+def _stream(config: RunConfig, n_threads: int, reduce_block):
+    """``reduce_block(batch)`` of each block of the trajectories of
+    ``config``, yielded in block order for the caller to fold.
 
     Block b holds trajectories [b*BLOCK, (b+1)*BLOCK), BLOCK being
     ``noise.BLOCK``, and so draws from one random stream.  It is sampled up
-    to the last grid time and reduced on its own, threads map over whole
-    blocks, and the block moments merge in block order.
+    to the last grid time and reduced on its own, and threads map over
+    whole blocks, so the results do not depend on the thread count.
     """
     params = config.system.rt
     horizon = float(config.t_grid[-1])
 
     def one_block(start):
         count = min(noise.BLOCK, config.n_trajectories - start)
-        batch = noise.sample_batch(params, horizon, count, config.master_seed, start_index=start)
-        return _Moments(count, *moments(batch))
+        return reduce_block(
+            noise.sample_batch(params, horizon, count, config.master_seed, start_index=start))
 
     with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
-        blocks = pool.map(one_block, range(0, config.n_trajectories, noise.BLOCK))
-        return functools.reduce(_Moments.merge, blocks)
+        yield from pool.map(one_block, range(0, config.n_trajectories, noise.BLOCK))
 
 
 def _trajectory_entropy(stats: _Moments) -> tuple[np.ndarray, np.ndarray, float]:
@@ -210,8 +208,9 @@ def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
     ``config.master_seed``, independent of ``n_threads``.
     """
     v = config.system.rt.v
-    stats = _stream(config, n_threads, lambda batch: _kernels.block_moments(
-        batch.levels, batch.switch_times, batch.counts, config.t_grid, v))
+    blocks = _stream(config, n_threads, lambda batch: _Moments(batch.n, *_kernels.block_moments(
+        batch.levels, batch.switch_times, config.t_grid, v)))
+    stats = functools.reduce(_Moments.merge, blocks)
     q_mean = stats.z_mean
     q_se = stats.standard_errors()
     e_av, e_av_se, min_entropy = _trajectory_entropy(stats)
@@ -284,29 +283,28 @@ def recovery_report(config: RunConfig, n: int, n_threads: int = 1) -> RecoveryRe
     """Concurrence of the averaged ensemble at t_n = 2*pi*n/v, with and
     without the per-trajectory phase correction.
 
-    Uses the same trajectory streams and block pipeline as ``run_ensemble``
-    for the same seed.  Each block computes the noise phase theta(t_n) once;
-    its uncorrected coherences exp(-i*theta) are those of
-    ``_kernels.coherences`` bit for bit, and the corrected ensemble applies
-    the local unitary of ``recover_trajectory`` to every trajectory state.
-    Both columns go through ``_kernels.column_moments``.
+    Uses the same trajectory streams and blocks as ``run_ensemble`` for the
+    same seed.  Each block computes the noise phase theta(t_n) once
+    (``_kernels.dwell_times``) and sums its uncorrected coherences
+    exp(-i*theta) and its corrected ones, which apply the local unitary of
+    ``recover_trajectory`` to every trajectory state.  The block sums are
+    added in block order, and the ensemble coherences are their means.
     """
     if n < 1:
         raise ValueError(f"revival index must be >= 1, got {n}")
     v = config.system.rt.v
     t_n = _TWO_PI * n / v
 
-    def moments(batch):
+    def sums(batch):
         # The states |00> + z|11> are carried without the common 1/sqrt(2);
         # a corrected state's coherence is its |11> over its |00> amplitude.
-        theta = v * _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, [t_n])[:, 0]
+        theta = v * _kernels.dwell_times(batch.levels, batch.switch_times, [t_n])[:, 0]
         z = np.exp(-1j * theta)
         factors = states.local_phase_factors(_correction_phase(theta, n), "A")
-        return _kernels.column_moments(
-            np.stack([z, factors[:, 3] * z * np.conj(factors[:, 0])], axis=1))
+        return np.array([z.sum(), (factors[:, 3] * z * np.conj(factors[:, 0])).sum()])
 
-    stats = _stream(replace(config, t_grid=np.array([t_n])), n_threads, moments)
-    before, after = np.minimum(np.abs(stats.z_mean), 1.0)
+    total = sum(_stream(replace(config, t_grid=np.array([t_n])), n_threads, sums))
+    before, after = np.minimum(np.abs(total / config.n_trajectories), 1.0)
     return RecoveryReport(
         t_n=t_n, revival_index=n, concurrence_before=float(before), concurrence_after=float(after)
     )

@@ -235,8 +235,7 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed
 
     batch = sample_batch(params, horizon, n_samples, master_seed, start_index=start_index)
     order = np.argsort(lag_arr, kind="stable")
-    bits = _kernels.levels_at_times(batch.levels, batch.switch_times, batch.counts,
-                                    lag_arr[order])
+    bits = _kernels.levels_at_times(batch.levels, batch.switch_times, lag_arr[order])
     bits = bits[:, np.argsort(order, kind="stable")]
     s0 = 2.0 * batch.levels.astype(float) - 1.0
     products = s0[:, None] * (2.0 * bits.astype(float) - 1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rtdeph import _kernels, analytic, engine, noise, states
+from rtdeph._kernels import _reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,51 +207,54 @@ def test_block_holds_no_n_by_m_array(compiled, monkeypatch):
     assert peak < 2048 * 601 * 8
 
 
-def backends(compiled):
-    return (_kernels.available_backends()["pure"], compiled)
+def tile_moments(z):
+    """``_Moments`` of the complex (n, m) array z by the tile reduction of
+    ``_kernels.block_moments`` (its numpy form)."""
+    m = z.shape[1]
+    out = np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m)
+    _reference.column_moments(z, _kernels.TILE, *out)
+    return engine._Moments(len(z), *out)
 
 
-def test_moments_reduce_the_block_in_place(compiled):
+def test_moments_reduce_the_block_in_place():
     # the tiles are reduced where they lie: the block is neither copied nor
     # overwritten, and no (n, m) |z|^2 array is made
     rng = np.random.default_rng(4)
     z = np.exp(1j * rng.uniform(0.0, TWO_PI, size=(2048, 101))) * rng.uniform(0.5, 1.0, size=(2048, 101))
     ref = z.copy()
-    for backend in backends(compiled):
-        tracemalloc.start()
-        try:
-            stats = engine._Moments(len(z), *_kernels.column_moments(z, impl=backend))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * ref.real.nbytes
-        np.testing.assert_array_equal(z, ref)
-        np.testing.assert_allclose(stats.z_mean, ref.mean(axis=0), rtol=0, atol=1e-15)
-        dev = ref - ref.mean(axis=0)
-        np.testing.assert_allclose(stats.m2[:, 0], np.square(dev.real).sum(axis=0), rtol=1e-13)
-        np.testing.assert_allclose(stats.m2[:, 1], np.square(dev.imag).sum(axis=0), rtol=1e-13)
-        abs2 = ref.real * ref.real + ref.imag * ref.imag
-        np.testing.assert_array_equal(stats.abs2_min, abs2.min(axis=0))
-        np.testing.assert_array_equal(stats.abs2_max, abs2.max(axis=0))
+    tracemalloc.start()
+    try:
+        stats = tile_moments(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ref.real.nbytes
+    np.testing.assert_array_equal(z, ref)
+    np.testing.assert_allclose(stats.z_mean, ref.mean(axis=0), rtol=0, atol=1e-15)
+    dev = ref - ref.mean(axis=0)
+    np.testing.assert_allclose(stats.m2[:, 0], np.square(dev.real).sum(axis=0), rtol=1e-13)
+    np.testing.assert_allclose(stats.m2[:, 1], np.square(dev.imag).sum(axis=0), rtol=1e-13)
+    abs2 = ref.real * ref.real + ref.imag * ref.imag
+    np.testing.assert_array_equal(stats.abs2_min, abs2.min(axis=0))
+    np.testing.assert_array_equal(stats.abs2_max, abs2.max(axis=0))
 
 
-def test_trajectory_entropy_from_modulus_extremes(compiled):
-    def entropy(z, backend):
-        return engine._trajectory_entropy(engine._Moments(len(z), *_kernels.column_moments(z, impl=backend)))
+def test_trajectory_entropy_from_modulus_extremes():
+    def entropy(z):
+        return engine._trajectory_entropy(tile_moments(z))
 
     phases = np.random.default_rng(1).uniform(0.0, TWO_PI, size=(300, 4))
-    for backend in backends(compiled):
-        e_av, e_av_se, min_entropy = entropy(np.exp(1j * phases), backend)
-        np.testing.assert_array_equal(e_av, 1.0)
-        np.testing.assert_array_equal(e_av_se, 0.0)
-        assert min_entropy == 1.0
-        # a state off the unit circle is no longer maximally entangled
-        z = np.exp(1j * phases)
-        z[17, 2] *= 0.9
-        e_av, e_av_se, min_entropy = entropy(z, backend)
-        assert min_entropy < 1.0 - 1e-9
-        assert e_av[2] < 1.0 - 1e-9 and e_av_se[2] > 1e-9
-        np.testing.assert_array_equal(e_av[[0, 1, 3]], 1.0)
+    e_av, e_av_se, min_entropy = entropy(np.exp(1j * phases))
+    np.testing.assert_array_equal(e_av, 1.0)
+    np.testing.assert_array_equal(e_av_se, 0.0)
+    assert min_entropy == 1.0
+    # a state off the unit circle is no longer maximally entangled
+    z = np.exp(1j * phases)
+    z[17, 2] *= 0.9
+    e_av, e_av_se, min_entropy = entropy(z)
+    assert min_entropy < 1.0 - 1e-9
+    assert e_av[2] < 1.0 - 1e-9 and e_av_se[2] > 1e-9
+    np.testing.assert_array_equal(e_av[[0, 1, 3]], 1.0)
 
 
 def test_ensemble_concurrence_matches_wootters_oracle():

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,13 +22,14 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
-def assert_backends_agree(compiled, levels, switch_times, counts, grid, v):
+def assert_backends_agree(compiled, levels, switch_times, grid, v):
     pure = _kernels.available_backends()["pure"]
-    args = (levels, switch_times, counts, grid)
+    args = (levels, switch_times, grid)
     for kernel in (_kernels.dwell_times, _kernels.levels_at_times):
         assert_same_bits(kernel(*args, impl=pure), kernel(*args, impl=compiled))
-    assert_same_bits(_kernels.coherences(*args, v, impl=pure),
-                     _kernels.coherences(*args, v, impl=compiled))
+    moments = [_kernels.block_moments(*args, v, impl=backend) for backend in (pure, compiled)]
+    for out_pure, out_compiled in zip(*moments):
+        assert_same_bits(out_pure, out_compiled)
 
 
 def test_backend_selection_reports_a_known_name():
@@ -42,80 +40,39 @@ def test_backend_selection_reports_a_known_name():
 def test_backends_bit_identical(compiled):
     batch = make_batch()
     grid = np.linspace(0.0, 6.0, 37)
-    assert_backends_agree(compiled, batch.levels, batch.switch_times, batch.counts, grid, 1.0)
+    assert_backends_agree(compiled, batch.levels, batch.switch_times, grid, 1.0)
     static = make_batch(gamma=0.0, n=5)
     assert static.switch_times.shape[1] == 0
-    assert_backends_agree(compiled, static.levels, static.switch_times, static.counts, grid, 2.5)
-
-
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    gamma=st.sampled_from([0.0, 0.3, 2.0, 9.0]),
-    v=st.floats(0.05, 20.0).filter(lambda v: v != 1.0),
-    n=st.sampled_from([1, 2048]),
-    horizon=st.floats(0.5, 12.0),
-    m=st.integers(1, 40),
-    stride=st.integers(1, 7),
-)
-def test_coherences_bit_identical_property(compiled, seed, gamma, v, n, horizon, m, stride):
-    # the grid also holds up to ~60 switch times exactly, spread over the
-    # horizon: there a level-0 segment starts or ends, so every rule for
-    # reusing cos/sin is exercised
-    batch = noise.sample_batch(noise.RTParams(v=v, gamma=gamma), horizon, n, master_seed=seed)
-    finite = np.sort(batch.switch_times[np.isfinite(batch.switch_times)])
-    hits = finite[:: max(stride, finite.size // 60)]
-    grid = np.unique(np.concatenate([np.linspace(0.0, horizon, m), hits]))
-    assert_backends_agree(compiled, batch.levels, batch.switch_times, batch.counts, grid, v)
+    assert_backends_agree(compiled, static.levels, static.switch_times, grid, 2.5)
 
 
 def test_compiled_kernels_reject_mismatched_buffers(compiled):
     batch = make_batch(n=4)
     grid = np.linspace(0.0, 1.0, 3)
-    args = (batch.levels, batch.switch_times, batch.counts.astype(np.intp), grid)
+    args = (batch.levels, batch.switch_times, grid)
     with pytest.raises(ValueError):
         compiled.dwell_times(*args, np.empty((4, 2)))
     with pytest.raises(ValueError):
         compiled.levels_at_times(*args, np.empty((4, 3)))  # float64, not uint8
     with pytest.raises(ValueError):
-        compiled.coherences(batch.levels[:3], *args[1:], 1.0, np.empty((3, 3), complex))
+        compiled.dwell_times(batch.levels[:3], *args[1:], np.empty((3, 3)))  # rows differ
     with pytest.raises(ValueError):
         compiled.dwell_times(*args, np.empty((3, 4)).T)  # not C-contiguous
 
 
-def test_counts_must_match_switch_times(compiled):
-    # the compiled walk trusts counts where the numpy one counts the switch
-    # times, so a wrong count made the backends disagree silently: dwell 0.0
-    # against 1.5 for counts [1, 1] at t = 2, and 0.2 against 0.0 for
-    # counts [-1, 1] at t = 0.7
+def test_padding_ends_each_row(compiled):
+    # the +inf padding is the only record of a row's length: row 0 has two
+    # switches, row 1 one
     levels = np.array([0, 1], dtype=np.uint8)
     times = np.array([[0.5, 1.0], [0.3, np.inf]])
     for backend in (_kernels.available_backends()["pure"], compiled):
-        for counts, t in (([1, 1], 2.0), ([-1, 1], 0.7), ([2, 2], 2.0)):
-            for kernel in (_kernels.dwell_times, _kernels.levels_at_times):
-                with pytest.raises(ValueError, match="counts"):
-                    kernel(levels, times, counts, [t], impl=backend)
-            for kernel in (_kernels.coherences, _kernels.block_moments):
-                with pytest.raises(ValueError, match="counts"):
-                    kernel(levels, times, counts, [t], 1.0, impl=backend)
-        dwell = _kernels.dwell_times(levels, times, [2, 1], [0.7, 2.0], impl=backend)
+        dwell = _kernels.dwell_times(levels, times, [0.7, 2.0], impl=backend)
         np.testing.assert_array_equal(dwell, [[0.7 - 0.5, 0.5], [0.3, 0.3]])
+        bits = _kernels.levels_at_times(levels, times, [0.7, 2.0], impl=backend)
+        np.testing.assert_array_equal(bits, [[1, 0], [0, 0]])
 
 
-def assert_moments_agree(compiled, levels, switch_times, counts, grid, v):
-    pure = _kernels.available_backends()["pure"]
-    args = (levels, switch_times, counts, grid, v)
-    fused = _kernels.block_moments(*args, impl=pure)
-    for out_pure, out_compiled in zip(fused, _kernels.block_moments(*args, impl=compiled)):
-        assert_same_bits(out_pure, out_compiled)
-    # the fused pass is the tile reduction of the coherences
-    z = _kernels.coherences(*args, impl=pure)
-    for backend in (pure, compiled):
-        for out_fused, out_columns in zip(fused, _kernels.column_moments(z, impl=backend)):
-            assert_same_bits(out_fused, out_columns)
-
-
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     gamma=st.sampled_from([0.0, 0.3, 2.0, 9.0]),
@@ -127,25 +84,25 @@ def assert_moments_agree(compiled, levels, switch_times, counts, grid, v):
 )
 def test_block_moments_bit_identical_property(compiled, seed, gamma, v, n, horizon, m, stride):
     # gamma = 0 gives a batch without switches (k = 0); the grid also holds
-    # up to ~60 switch times exactly
+    # up to ~60 switch times exactly, spread over the horizon: there a
+    # level-0 segment starts or ends, so every rule for reusing cos/sin is
+    # exercised
     batch = noise.sample_batch(noise.RTParams(v=v, gamma=gamma), horizon, n, master_seed=seed)
     finite = np.sort(batch.switch_times[np.isfinite(batch.switch_times)])
     hits = finite[:: max(stride, finite.size // 60)]
     grid = np.unique(np.concatenate([np.linspace(0.0, horizon, m), hits]))
-    assert_moments_agree(compiled, batch.levels, batch.switch_times, batch.counts, grid, v)
+    assert_backends_agree(compiled, batch.levels, batch.switch_times, grid, v)
 
 
 def test_compiled_moments_reject_mismatched_buffers(compiled):
     batch = make_batch(n=4)
     grid = np.linspace(0.0, 1.0, 3)
-    args = (batch.levels, batch.switch_times, batch.counts.astype(np.intp), grid, 1.0)
-    z = np.ones((4, 3), complex)
+    args = (batch.levels, batch.switch_times, grid, 1.0)
 
     def outs(m=3):
         return [np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m)]
 
     compiled.block_moments(*args, _kernels.TILE, *outs())
-    compiled.column_moments(z, _kernels.TILE, *outs())
     mismatched = [
         (0, np.empty((3, 1))),  # not (m, 2)
         (1, np.empty((3, 2), np.float32)),
@@ -158,15 +115,11 @@ def test_compiled_moments_reject_mismatched_buffers(compiled):
         buffers[index] = bad
         with pytest.raises(ValueError):
             compiled.block_moments(*args, _kernels.TILE, *buffers)
-        with pytest.raises(ValueError):
-            compiled.column_moments(z, _kernels.TILE, *buffers)
     with pytest.raises(ValueError):
         compiled.block_moments(*args, 0, *outs())  # tile < 1
     with pytest.raises(ValueError):
-        compiled.block_moments(batch.levels[:0], batch.switch_times[:0], args[2][:0], *args[3:],
+        compiled.block_moments(batch.levels[:0], batch.switch_times[:0], *args[2:],
                                _kernels.TILE, *outs())  # no rows
-    with pytest.raises(ValueError):
-        compiled.column_moments(z.real.copy(), _kernels.TILE, *outs())  # float64, not complex128
 
 
 def test_dwell_matches_single_trajectory_phase(impl):
@@ -174,7 +127,7 @@ def test_dwell_matches_single_trajectory_phase(impl):
     # (clipped-segment) formulation than the batched kernels
     batch = make_batch(n=60)
     grid = np.array([0.0, 0.7, 2.3, 4.9, 6.0])
-    dwell = _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, grid, impl=impl)
+    dwell = _kernels.dwell_times(batch.levels, batch.switch_times, grid, impl=impl)
     for i in range(batch.n):
         traj = batch.trajectory(i)
         for gi, t in enumerate(grid):
@@ -184,7 +137,7 @@ def test_dwell_matches_single_trajectory_phase(impl):
 def test_levels_match_single_trajectory_queries(impl):
     batch = make_batch(n=60, seed=23)
     grid = np.array([0.0, 0.4, 1.9, 5.5, 6.0])
-    levels = _kernels.levels_at_times(batch.levels, batch.switch_times, batch.counts, grid, impl=impl)
+    levels = _kernels.levels_at_times(batch.levels, batch.switch_times, grid, impl=impl)
     for i in range(batch.n):
         traj = batch.trajectory(i)
         for gi, t in enumerate(grid):
@@ -194,7 +147,7 @@ def test_levels_match_single_trajectory_queries(impl):
 def test_static_batch_dwell_is_level_times_t(impl):
     batch = make_batch(gamma=0.0, n=40, seed=2)
     grid = np.linspace(0.0, 6.0, 9)
-    dwell = _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, grid, impl=impl)
+    dwell = _kernels.dwell_times(batch.levels, batch.switch_times, grid, impl=impl)
     expected = batch.levels[:, None].astype(float) * grid[None, :]
     np.testing.assert_array_equal(dwell, expected)
 
@@ -202,24 +155,22 @@ def test_static_batch_dwell_is_level_times_t(impl):
 def test_query_at_switch_time_counts_the_switch():
     levels = np.array([0], dtype=np.uint8)
     times = np.array([[1.0, 2.0]])
-    counts = np.array([2])
     grid = np.array([1.0, 1.5, 2.0])
     for impl in _kernels.available_backends().values():
-        out = _kernels.levels_at_times(levels, times, counts, grid, impl=impl)
+        out = _kernels.levels_at_times(levels, times, grid, impl=impl)
         np.testing.assert_array_equal(out[0], [1, 1, 0])
-        dwell = _kernels.dwell_times(levels, times, counts, grid, impl=impl)
+        dwell = _kernels.dwell_times(levels, times, grid, impl=impl)
         np.testing.assert_allclose(dwell[0], [0.0, 0.5, 1.0], atol=0)
 
 
 def test_block_slices_reproduce_full_result():
     batch = make_batch(n=257, seed=5)
     grid = np.linspace(0.0, 6.0, 11)
-    full = _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, grid)
+    full = _kernels.dwell_times(batch.levels, batch.switch_times, grid)
     parts = [
         _kernels.dwell_times(
             batch.levels[s : s + 64],
             batch.switch_times[s : s + 64],
-            batch.counts[s : s + 64],
             grid,
         )
         for s in range(0, batch.n, 64)
@@ -229,26 +180,17 @@ def test_block_slices_reproduce_full_result():
 
 def test_grid_validation():
     batch = make_batch(n=4)
+    args = (batch.levels, batch.switch_times)
     with pytest.raises(ValueError):
-        _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, np.array([1.0, 0.5]))
+        _kernels.dwell_times(*args, np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
-        _kernels.dwell_times(batch.levels, batch.switch_times, batch.counts, np.array([-1.0, 0.5]))
+        _kernels.dwell_times(*args, np.array([-1.0, 0.5]))
     with pytest.raises(ValueError):
-        _kernels.dwell_times(batch.levels, batch.switch_times[:2], batch.counts, np.array([0.5]))
-
-
-def test_backend_env_override():
-    def import_with(value):
-        code = (
-            f"import os; os.environ['RTDEPH_BACKEND'] = {value!r}; "
-            "from rtdeph import _kernels; print(_kernels.BACKEND)"
-        )
-        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-
-    out = import_with("pure")
-    assert out.returncode == 0 and out.stdout.strip() == "pure"
-    # only auto, compiled and pure are names of a backend
-    for stale in ("cython", ""):
-        out = import_with(stale)
-        assert out.returncode != 0
-        assert "ValueError: unrecognized RTDEPH_BACKEND value" in out.stderr
+        _kernels.dwell_times(batch.levels, batch.switch_times[:2], np.array([0.5]))
+    # a non-finite grid time would pass the +inf padding as a switch
+    for grid in ([0.2, np.inf], [np.nan]):
+        for kernel in (_kernels.dwell_times, _kernels.levels_at_times):
+            with pytest.raises(ValueError, match="finite"):
+                kernel(*args, grid)
+        with pytest.raises(ValueError, match="finite"):
+            _kernels.block_moments(*args, grid, 1.0)
