@@ -94,6 +94,36 @@ def test_block_moments_bit_identical_property(compiled, seed, gamma, v, n, horiz
     assert_backends_agree(compiled, batch.levels, batch.switch_times, grid, v)
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([0.0, 0.3, 2.0, 9.0]),
+    v=st.floats(0.05, 20.0).filter(lambda v: v != 1.0),
+    n=st.sampled_from([1, 2048]),
+    horizon=st.floats(0.5, 12.0),
+    m=st.integers(1, 40),
+    stride=st.integers(1, 7),
+)
+def test_coherences_bit_identical_property(compiled, seed, gamma, v, n, horizon, m, stride):
+    # the coherences live only inside block_moments now; the mean over a
+    # single row is that row's coherences, so each of the first rows also
+    # checks them against numpy's exp(-1j * v * dwell) point by point
+    batch = noise.sample_batch(noise.RTParams(v=v, gamma=gamma), horizon, n, master_seed=seed)
+    finite = np.sort(batch.switch_times[np.isfinite(batch.switch_times)])
+    hits = finite[:: max(stride, finite.size // 60)]
+    grid = np.unique(np.concatenate([np.linspace(0.0, horizon, m), hits]))
+    assert_backends_agree(compiled, batch.levels, batch.switch_times, grid, v)
+    dwell = _kernels.dwell_times(batch.levels, batch.switch_times, grid, impl=compiled)
+    for i in range(min(n, 3)):
+        row = slice(i, i + 1)
+        mean, m2, _, _ = _kernels.block_moments(batch.levels[row], batch.switch_times[row], grid, v,
+                                               impl=compiled)
+        z = np.exp(-1j * (v * dwell[i]))
+        np.testing.assert_array_equal(mean[:, 0], z.real)
+        np.testing.assert_array_equal(mean[:, 1], z.imag)
+        np.testing.assert_array_equal(m2, 0.0)
+
+
 def test_compiled_moments_reject_mismatched_buffers(compiled):
     batch = make_batch(n=4)
     grid = np.linspace(0.0, 1.0, 3)
