@@ -11,11 +11,16 @@ one row per trajectory padded with +inf; the padding is the only record of
 a row's length.  There are three kernels, one per pass a run makes:
 ``dwell_times`` (recovery's noise phase) and ``levels_at_times``
 (autocorrelation) return an (n, m) array, and ``block_moments`` (ensembles)
-returns only the column moments of the coherences exp(-i*v*dwell).  The
-compiled ``block_moments`` computes them ``TILE`` rows at a time into one
-tile-sized buffer and merges the tile moments in order, so it never holds
-the (n, m) coherences.  The functions here validate and convert the
-arguments and allocate the outputs, which the selected backend fills.
+returns only the column moments of the coherences exp(-i*v*dwell).  Both
+backends form a coherence from at most two complex exponentials, each
+computed once: exp(-i*v*acc) of the segment on level 0, and on level 1 the
+segment factor exp(-i*v*(acc - prev)) times the grid factor exp(-i*v*t),
+multiplied in real arithmetic (acc being the dwell time up to the last
+switch, at time prev).  The compiled ``block_moments`` computes them
+``TILE`` rows at a time into one tile-sized buffer and merges the tile
+moments in order, so it never holds the (n, m) coherences.  The functions
+here validate and convert the arguments and allocate the outputs, which
+the selected backend fills.
 """
 
 from __future__ import annotations
@@ -83,8 +88,9 @@ def levels_at_times(levels, switch_times, t_grid, impl=None):
 
 
 def block_moments(levels, switch_times, t_grid, v, impl=None):
-    """Column moments of the coherences exp(-i*v*dwell) on the grid, without
-    their (n, m) array on the compiled backend.
+    """Column moments of the coherences exp(-i*v*dwell) on the grid, each the
+    segment factor or the segment factor times the grid factor (see the
+    module docstring), without their (n, m) array on the compiled backend.
 
     Returns (mean, m2, abs2_min, abs2_max): the (m, 2) mean and sums of
     squared deviations over the (Re, Im) pairs, and the extremes of

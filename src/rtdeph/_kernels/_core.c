@@ -12,6 +12,13 @@
  * the arguments and allocates the outputs.  The loops run with the GIL
  * released.
  *
+ * A coherence exp(-i*v*dwell) is not one complex exponential per grid
+ * point.  On a level-0 segment the phase v*acc is constant; on a level-1
+ * segment it is v*(acc - prev) + v*t, so the coherence is a segment factor
+ * times a grid factor, each computed once: cos and sin run once per segment
+ * a row visits and once per grid point of the call, not once per point of
+ * the row.
+ *
  * The arithmetic is that of the numpy reference (_reference.py), operation
  * for operation, so the two backends agree bit for bit.  setup.py compiles
  * this file with -ffp-contract=off, so no multiply-add is fused.
@@ -21,8 +28,6 @@
 #include <Python.h>
 
 #include <math.h>
-#include <stdint.h>
-#include <string.h>
 
 /* The buffers one call holds: at most a batch of three and four outputs. */
 enum { MAX_VIEWS = 7 };
@@ -126,9 +131,9 @@ walk_row(const Batch *b, Py_ssize_t i)
     return w;
 }
 
-/* Passes the switches at or before t and returns the dwell time in [0, t]. */
-static inline double
-dwell_at(Walk *w, double t)
+/* Passes the switches at or before t. */
+static inline void
+advance(Walk *w, double t)
 {
     while (w->j < w->k && w->tau[w->j] <= t) {
         w->acc = w->acc + w->lvl * (w->tau[w->j] - w->prev);
@@ -136,30 +141,49 @@ dwell_at(Walk *w, double t)
         w->lvl = 1.0 - w->lvl;
         w->j++;
     }
+}
+
+/* Passes the switches at or before t and returns the dwell time in [0, t]. */
+static inline double
+dwell_at(Walk *w, double t)
+{
+    advance(w, t);
     return w->acc + w->lvl * (t - w->prev);
 }
 
-/* Row i's z = exp(-i*theta) with theta = v * dwell, stored into z as m
-   (cos theta, sin(-theta)) pairs, which is what numpy's complex exp gives
-   for -1j * theta.  On a level-0 segment theta keeps its bits, so cos and
-   sin are computed only when theta's bits differ from the previous grid
-   point's. */
+/* The (cos phase, sin(-phase)) pair of exp(-i*phase) into z[0], z[1]. */
+static inline void
+unit(double phase, double *z)
+{
+    z[0] = cos(phase);
+    z[1] = sin(-phase);
+}
+
+/* Row i's coherences exp(-i*v*dwell) into z as m (Re, Im) pairs.  Entering
+   a segment computes its factor s: exp(-i*v*acc) on level 0, which is the
+   coherence itself, and exp(-i*v*(acc - prev)) on level 1, whose coherence
+   at grid point gi is s times the grid factor exp(-i*v*t) held in
+   e[2*gi], e[2*gi + 1], multiplied in real arithmetic. */
 static void
-coherence_row(const Batch *b, Py_ssize_t i, double v, double *z)
+coherence_row(const Batch *b, Py_ssize_t i, double v, const double *e, double *z)
 {
     Walk w = walk_row(b, i);
-    uint64_t bits, last = 0;
-    double re = 0.0, im = 0.0;
+    Py_ssize_t seg = -1;
+    double s[2] = {0.0, 0.0};
     for (Py_ssize_t gi = 0; gi < b->m; gi++) {
-        double theta = v * dwell_at(&w, b->t_grid[gi]);
-        memcpy(&bits, &theta, sizeof bits);
-        if (gi == 0 || bits != last) {
-            re = cos(theta);
-            im = sin(-theta);
-            last = bits;
+        advance(&w, b->t_grid[gi]);
+        if (w.j != seg) {
+            unit(w.lvl == 0.0 ? v * w.acc : v * (w.acc - w.prev), s);
+            seg = w.j;
         }
-        z[2 * gi] = re;
-        z[2 * gi + 1] = im;
+        if (w.lvl == 0.0) {
+            z[2 * gi] = s[0];
+            z[2 * gi + 1] = s[1];
+        } else {
+            const double er = e[2 * gi], ei = e[2 * gi + 1];
+            z[2 * gi] = s[0] * er - s[1] * ei;
+            z[2 * gi + 1] = s[0] * ei + s[1] * er;
+        }
     }
 }
 
@@ -200,7 +224,7 @@ levels_at_times(PyObject *self, PyObject *args)
     for (Py_ssize_t i = 0; i < b.n; i++) {
         Walk w = walk_row(&b, i);
         for (Py_ssize_t gi = 0; gi < b.m; gi++) {
-            dwell_at(&w, b.t_grid[gi]);
+            advance(&w, b.t_grid[gi]);
             out[i * b.m + gi] = b.levels[i] ^ (unsigned char)(w.j & 1);
         }
     }
@@ -296,8 +320,8 @@ merge_tile(Moments *s, const double *restrict x, Py_ssize_t rows)
 }
 
 /* Takes (levels, switch_times, t_grid, v, tile, out_mean, out_m2,
-   out_abs2_min, out_abs2_max).  The one buffer holds a tile of coherences
-   and the tile's mean and M2. */
+   out_abs2_min, out_abs2_max).  The one buffer holds a tile of coherences,
+   the tile's mean and M2, and the grid factors exp(-i*v*t). */
 static PyObject *
 block_moments(PyObject *self, PyObject *args)
 {
@@ -305,7 +329,7 @@ block_moments(PyObject *self, PyObject *args)
     Views vs = {.held = 0};
     Batch b;
     Moments s;
-    double v, *buf = NULL;
+    double v, *buf = NULL, *e;
     Py_ssize_t tile, rows, w;
     if (!PyArg_ParseTuple(args, "OOOdnOOOO", &o[0], &o[1], &o[2], &v, &tile,
                           &out[0], &out[1], &out[2], &out[3])
@@ -316,19 +340,22 @@ block_moments(PyObject *self, PyObject *args)
     }
     rows = tile < b.n ? tile : b.n;
     w = 2 * b.m;
-    if (w == 0 || rows + 2 <= PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) / w)
-        buf = PyMem_RawMalloc((size_t)((rows + 2) * w) * sizeof(double));
+    if (w == 0 || rows + 3 <= PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) / w)
+        buf = PyMem_RawMalloc((size_t)((rows + 3) * w) * sizeof(double));
     if (!buf) {
         release(&vs);
         return PyErr_NoMemory();
     }
     s.tile_mean = buf + rows * w;
     s.tile_m2 = s.tile_mean + w;
+    e = s.tile_m2 + w;
     Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t gi = 0; gi < b.m; gi++)
+        unit(v * b.t_grid[gi], e + 2 * gi);
     for (Py_ssize_t start = 0; start < b.n; start += rows) {
         Py_ssize_t count = b.n - start < rows ? b.n - start : rows;
         for (Py_ssize_t i = 0; i < count; i++)
-            coherence_row(&b, start + i, v, buf + i * w);
+            coherence_row(&b, start + i, v, e, buf + i * w);
         merge_tile(&s, buf, count);
     }
     Py_END_ALLOW_THREADS

@@ -1,22 +1,56 @@
 """Pure-numpy implementations of the trajectory-batch kernels.
 
-These mirror the compiled kernels in ``_core.c`` operation for operation:
-dwell times are accumulated segment by segment in switch order (np.cumsum
-accumulates sequentially), the final per-query expression uses the same
-operand order, and the coherences are numpy's complex exp of -1j * theta,
-whose parts are the cos(theta) and sin(-theta) the compiled kernel calls.
-The moment reduction (``column_moments``) works tile by tile as the
-compiled one does: numpy sums over axis 0 row by row from 0.0, which is
-the compiled loop's order, and the tiles merge in order by the same
-pairwise update.  So both backends produce bit-identical output.  Each
-kernel fills the outputs that ``rtdeph._kernels`` allocates.  Unlike the
-compiled ``block_moments``, this one holds the block's (n, m) coherences
-at once.
+These mirror the compiled kernels in ``_core.c`` operation for operation.
+One segment lookup (``_last_switch``) gives, per trajectory and grid time,
+the dwell time up to the last switch, that switch's time and the level
+since; the dwell at the switches is accumulated in switch order (np.cumsum
+accumulates sequentially), and the final per-query expression uses the
+compiled kernel's operand order.  The coherences (``coherences``) are
+formed as the compiled kernel forms them: exp(-i*v*acc) on level 0, and on
+level 1 the segment factor exp(-i*v*(acc - prev)) times the grid factor
+exp(-i*v*t), multiplied in real arithmetic.  Each factor is numpy's complex
+exp of -1j times its phase, whose parts are the cos(phase) and sin(-phase)
+the compiled kernel calls.  The moment reduction (``column_moments``) works
+tile by tile as the compiled one does: numpy sums over axis 0 row by row
+from 0.0, which is the compiled loop's order, and the tiles merge in order
+by the same pairwise update.  So both backends produce bit-identical
+output.  Each kernel fills the outputs that ``rtdeph._kernels`` allocates.
+Unlike the compiled ``block_moments``, this one holds the block's (n, m)
+coherences at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _switch_counts(switch_times, t_grid):
+    """The number of switches at or before each grid time, shape (n, m);
+    the +inf padding never counts."""
+    j = np.empty((switch_times.shape[0], t_grid.shape[0]), dtype=np.intp)
+    for gi, t in enumerate(t_grid):
+        j[:, gi] = (switch_times <= t).sum(axis=1)
+    return j
+
+
+def _last_switch(levels, switch_times, t_grid):
+    """Per trajectory and grid time t, each of shape (n, m): the time at the
+    high level up to the last switch at or before t (acc), that switch's
+    time (prev, 0 before the first) and the level since (lvl, float64)."""
+    n, k = switch_times.shape
+    valid = np.isfinite(switch_times)
+    # 0, then the switch times, with a finite stand-in for the +inf padding;
+    # padded segments are masked out.
+    tau = np.concatenate([np.zeros((n, 1)), np.where(valid, switch_times, 0.0)], axis=1)
+    seg_lvl = (levels[:, None] ^ (np.arange(k)[None, :] & 1)).astype(np.float64)
+    contrib = np.where(valid, seg_lvl * (tau[:, 1:] - tau[:, :-1]), 0.0)
+    # acc[:, j] = time at the high level up to and including switch j
+    acc = np.concatenate([np.zeros((n, 1)), np.cumsum(contrib, axis=1)], axis=1)
+    j = _switch_counts(switch_times, t_grid)
+    acc, prev = np.take_along_axis(acc, j, axis=1), np.take_along_axis(tau, j, axis=1)
+    j &= 1
+    j ^= levels[:, None]
+    return acc, prev, j.astype(np.float64)
 
 
 def dwell_times(levels, switch_times, t_grid, out):
@@ -33,41 +67,40 @@ def dwell_times(levels, switch_times, t_grid, out):
     out : float array, shape (n, m)
         Filled with the dwell times.
     """
-    n, k = switch_times.shape
-    lvl0 = levels.astype(np.float64)
-
-    if k == 0:
-        np.multiply(lvl0[:, None], t_grid[None, :], out=out)
-        return
-
-    seg = np.arange(k)
-    valid = np.isfinite(switch_times)
-    # Finite stand-in for the +inf padding; padded segments are masked out.
-    tau_fin = np.where(valid, switch_times, 0.0)
-    prev = np.concatenate([np.zeros((n, 1)), tau_fin[:, :-1]], axis=1)
-    seg_lvl = (levels[:, None] ^ (seg[None, :] & 1)).astype(np.float64)
-    contrib = np.where(valid, seg_lvl * (tau_fin - prev), 0.0)
-    # dwell[:, j] = time at the high level up to and including switch j
-    dwell = np.concatenate([np.zeros((n, 1)), np.cumsum(contrib, axis=1)], axis=1)
-    tau_ext = np.concatenate([np.zeros((n, 1)), switch_times], axis=1)
-
-    for gi, t in enumerate(t_grid):
-        j = (switch_times <= t).sum(axis=1)  # inf padding never counts
-        dj = np.take_along_axis(dwell, j[:, None], axis=1)[:, 0]
-        tj = np.take_along_axis(tau_ext, j[:, None], axis=1)[:, 0]
-        lvl = (levels ^ (j & 1)).astype(np.float64)
-        out[:, gi] = dj + lvl * (t - tj)
+    acc, prev, lvl = _last_switch(levels, switch_times, t_grid)
+    np.add(acc, lvl * (t_grid - prev), out=out)
 
 
 def levels_at_times(levels, switch_times, t_grid, out):
     """Level bit at each grid time per trajectory (parity of prior switches),
     into the uint8 array ``out`` of shape (n, m)."""
-    if switch_times.shape[1] == 0:
-        out[...] = levels[:, None]
-        return
-    for gi, t in enumerate(t_grid):
-        j = (switch_times <= t).sum(axis=1)
-        out[:, gi] = levels ^ (j & 1).astype(np.uint8)
+    out[...] = levels[:, None] ^ (_switch_counts(switch_times, t_grid) & 1)
+
+
+def coherences(levels, switch_times, t_grid, v):
+    """The complex (n, m) coherences exp(-i*v*dwell) of the batch on
+    ``t_grid``: exp(-i*v*acc) on level 0, and on level 1 the segment factor
+    exp(-i*v*(acc - prev)) times the grid factor exp(-i*v*t), with
+    re = sr*er - si*ei and im = sr*ei + si*er in real arithmetic."""
+    # in place and freed early, so that few (n, m) arrays live at once
+    acc, phase, lvl = _last_switch(levels, switch_times, t_grid)
+    high = lvl == 1.0
+    np.subtract(acc, phase, out=phase)
+    np.copyto(phase, acc, where=~high)
+    phase *= v
+    del acc, lvl
+    z = -1j * phase
+    del phase
+    np.exp(z, out=z)
+    grid = np.exp(-1j * (v * t_grid))
+    sr, si, er, ei = z.real, z.imag, grid.real, grid.imag
+    re = sr * er
+    re -= si * ei
+    im = sr * ei
+    im += si * er
+    np.copyto(sr, re, where=high)
+    np.copyto(si, im, where=high)
+    return z
 
 
 def column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max):
@@ -107,9 +140,7 @@ def column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max):
 
 def block_moments(levels, switch_times, t_grid, v, tile,
                   out_mean, out_m2, out_abs2_min, out_abs2_max):
-    """``column_moments`` of the coherences exp(-i*v*dwell) of the batch on
-    ``t_grid``, into the same four outputs."""
-    dwell = np.empty((levels.shape[0], t_grid.shape[0]))
-    dwell_times(levels, switch_times, t_grid, dwell)
-    z = np.exp(-1j * (v * dwell))
-    column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max)
+    """``column_moments`` of the ``coherences`` of the batch on ``t_grid``,
+    into the same four outputs."""
+    column_moments(coherences(levels, switch_times, t_grid, v), tile,
+                   out_mean, out_m2, out_abs2_min, out_abs2_max)

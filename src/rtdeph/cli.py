@@ -210,8 +210,9 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
     )
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _fmt_column(values) -> list[str]:
+    """The repr of each value as a Python float, converting the column once."""
+    return [repr(x) for x in np.asarray(values, dtype=np.float64).tolist()]
 
 
 def _fmt_g(g: float) -> str:
@@ -259,6 +260,7 @@ def cmd_figure1(spec: SweepSpec) -> tuple[str, int]:
     lines.append(CSV_HEADER)
     vt = spec.vt_grid()
     t_grid = vt / spec.v
+    vt_col = _fmt_column(vt)
     for g in spec.g_values:
         params = spec.rt_params(g)
         q_abs = np.abs(analytic.coherence_factor(params, t_grid))
@@ -266,14 +268,12 @@ def cmd_figure1(spec: SweepSpec) -> tuple[str, int]:
         env = analytic.envelope(params, t_grid)
         if with_mc:
             result = _ensemble_for(spec, g)
-            mc_cols = [( _fmt(result.e_f[i]), _fmt(result.e_f_se[i])) for i in range(vt.size)]
+            mc_cols = _fmt_column(result.e_f), _fmt_column(result.e_f_se)
         else:
-            mc_cols = [("", "")] * vt.size
-        for i in range(vt.size):
-            lines.append(
-                f"{_fmt(vt[i])},{_fmt_g(g)},{_fmt(ef[i])},{_fmt(np.asarray(env)[i])},"
-                f"{mc_cols[i][0]},{mc_cols[i][1]}"
-            )
+            mc_cols = [""] * vt.size, [""] * vt.size
+        g_col = [_fmt_g(g)] * vt.size
+        lines.extend(",".join(row) for row in
+                     zip(vt_col, g_col, _fmt_column(ef), _fmt_column(env), *mc_cols))
     return "\n".join(lines) + "\n", 0
 
 

@@ -11,9 +11,10 @@ the Monte Carlo estimate of the analytic coherence factor.
 Ensembles and recovery reports stream through fixed blocks of
 trajectories, and each block is reduced on its own.  For an ensemble one
 backend call (``_kernels.block_moments``) walks the switch times to the
-dwell time, phase and exp(-i*phase) on the grid and reduces them tile by
-tile to column moments over their (Re, Im) pairs: the mean, the sums of
-squared deviations and the |z|^2 extremes.  The compiled backend never
+coherences exp(-i*v*dwell) on the grid, one exponential per switch segment
+times one per grid point, and reduces them tile by tile to column moments
+over their (Re, Im) pairs: the mean, the sums of squared deviations and the
+|z|^2 extremes.  The compiled backend never
 holds the block's (n, m) coherences, and the block moments merge in block
 order.  Recovery needs only two means, of the coherences at the revival
 time without and with the phase correction, so each block gives their two

@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the package's own code paths: the
 coherence factor is evaluated in 50-digit arithmetic, phase integrals by
-Riemann summation, concurrences by the textbook eigensolver prescription
-and by the pure-state determinant form, and entropies via singular values.
+Riemann summation, per-trajectory coherences by a scalar walk with
+``math.cos``/``math.sin`` and in 40-digit arithmetic, concurrences by the
+textbook eigensolver prescription and by the pure-state determinant form,
+and entropies via singular values.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 
 import mpmath as mp
 import numpy as np
@@ -61,6 +64,44 @@ def riemann_phase(initial_level: int, switch_times, horizon: float, t: float,
         flips = bisect.bisect_right(times, m)
         total += (initial_level ^ (flips & 1)) * dt
     return v * total
+
+
+def coherence_walk(level: int, switch_times, t_grid, v: float) -> list[tuple[float, float]]:
+    """(Re, Im) of exp(-i*v*dwell) of one trajectory on an ascending grid,
+    formed as the batch kernels promise: exp(-i*v*acc) on a level-0 segment,
+    and on a level-1 segment the segment factor exp(-i*v*(acc - prev)) times
+    the grid factor exp(-i*v*t), multiplied in real arithmetic.  acc is the
+    time at the high level up to the last switch, at time prev."""
+    acc = prev = 0.0
+    lvl = float(level)
+    j = 0
+    out = []
+    for t in map(float, t_grid):
+        while j < len(switch_times) and switch_times[j] <= t:
+            acc = acc + lvl * (switch_times[j] - prev)
+            prev = switch_times[j]
+            lvl = 1.0 - lvl
+            j += 1
+        if lvl == 0.0:
+            out.append((math.cos(v * acc), math.sin(-(v * acc))))
+            continue
+        sr, si = math.cos(v * (acc - prev)), math.sin(-(v * (acc - prev)))
+        er, ei = math.cos(v * t), math.sin(-(v * t))
+        out.append((sr * er - si * ei, sr * ei + si * er))
+    return out
+
+
+def mp_coherences(level: int, switch_times, t_grid, v: float, dps: int = 40) -> list[complex]:
+    """exp(-i*v*dwell) of one trajectory on a grid, with the dwell time
+    summed from the switch times in high-precision arithmetic."""
+    out = []
+    with mp.workdps(dps):
+        for t in t_grid:
+            t = mp.mpf(float(t))
+            edges = [mp.mpf(0)] + [mp.mpf(float(s)) for s in switch_times if s <= t] + [t]
+            dwell = sum((edges[i + 1] - edges[i]) * ((level + i) % 2) for i in range(len(edges) - 1))
+            out.append(complex(mp.exp(-1j * mp.mpf(v) * dwell)))
+    return out
 
 
 def wootters_eig_route(rho: np.ndarray) -> float:

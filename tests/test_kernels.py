@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import coherence_walk, mp_coherences
 from rtdeph import _kernels, noise
 
 
@@ -94,34 +97,76 @@ def test_block_moments_bit_identical_property(compiled, seed, gamma, v, n, horiz
     assert_backends_agree(compiled, batch.levels, batch.switch_times, grid, v)
 
 
+def assert_row_means(impl, levels, switch_times, grid, v, rows):
+    """Each row's single-row block_moments equals its coherence_walk: the
+    mean of one row is 0.0 + z, the moment sum starting from 0.0.  Returns
+    the complex means."""
+    means = []
+    for i in rows:
+        tau = [float(s) for s in switch_times[i] if np.isfinite(s)]
+        expected = np.array(coherence_walk(int(levels[i]), tau, grid, v))
+        mean, m2, _, _ = _kernels.block_moments(levels[i : i + 1], switch_times[i : i + 1], grid, v,
+                                               impl=impl)
+        assert_same_bits(mean, 0.0 + expected)
+        np.testing.assert_array_equal(m2, 0.0)
+        means.append(mean.view(np.complex128)[:, 0])
+    return means
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    gamma=st.sampled_from([0.0, 0.3, 2.0, 9.0]),
+    switches=st.sampled_from([0.0, 0.5, 4.0, 40.0]),
     v=st.floats(0.05, 20.0).filter(lambda v: v != 1.0),
+    vt=st.floats(0.5, 400 * np.pi),
     n=st.sampled_from([1, 2048]),
-    horizon=st.floats(0.5, 12.0),
     m=st.integers(1, 40),
     stride=st.integers(1, 7),
 )
-def test_coherences_bit_identical_property(compiled, seed, gamma, v, n, horizon, m, stride):
-    # the coherences live only inside block_moments now; the mean over a
-    # single row is that row's coherences, so each of the first rows also
-    # checks them against numpy's exp(-1j * v * dwell) point by point
-    batch = noise.sample_batch(noise.RTParams(v=v, gamma=gamma), horizon, n, master_seed=seed)
+def test_coherences_bit_identical_property(compiled, seed, switches, v, vt, n, m, stride):
+    # phases v*t up to 400*pi with about `switches` switches per row; the
+    # coherences live only inside block_moments, so each of the first rows
+    # is checked through its single-row mean: bit for bit against the scalar
+    # walk of tests/_oracles.py, and within a few ulp of v*t of the exact
+    # exp(-i*v*dwell).  The bound scales with v*t, not with the phase: on a
+    # level-1 segment after a long level-0 stretch the two factor phases are
+    # each about v*t and cancel to a small phase, keeping their rounding.
+    horizon = vt / v
+    batch = noise.sample_batch(noise.RTParams(v=v, gamma=switches / horizon), horizon, n,
+                               master_seed=seed)
     finite = np.sort(batch.switch_times[np.isfinite(batch.switch_times)])
     hits = finite[:: max(stride, finite.size // 60)]
     grid = np.unique(np.concatenate([np.linspace(0.0, horizon, m), hits]))
     assert_backends_agree(compiled, batch.levels, batch.switch_times, grid, v)
-    dwell = _kernels.dwell_times(batch.levels, batch.switch_times, grid, impl=compiled)
-    for i in range(min(n, 3)):
-        row = slice(i, i + 1)
-        mean, m2, _, _ = _kernels.block_moments(batch.levels[row], batch.switch_times[row], grid, v,
-                                               impl=compiled)
-        z = np.exp(-1j * (v * dwell[i]))
-        np.testing.assert_array_equal(mean[:, 0], z.real)
-        np.testing.assert_array_equal(mean[:, 1], z.imag)
-        np.testing.assert_array_equal(m2, 0.0)
+    rows = range(min(n, 3))
+    means = assert_row_means(compiled, batch.levels, batch.switch_times, grid, v, rows)
+    eps = np.finfo(np.float64).eps
+    for i, z in zip(rows, means):
+        tau = batch.switch_times[i][np.isfinite(batch.switch_times[i])]
+        exact = np.array(mp_coherences(int(batch.levels[i]), tau, grid, v))
+        assert np.all(np.abs(z - exact) <= 4 * eps * (1.0 + v * grid))
+
+
+def test_static_rows_are_segment_times_grid_factor(compiled):
+    # without switches a level-1 row is the grid factor exp(-i*v*t) and a
+    # level-0 row is exp(-0i) = (1, -0.0); rows 2 and 3 switch on grid
+    # points, and row 3 passes two switches between grid points 0.25 and 0.5
+    v = 2.5
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+    expected_high = np.array([[math.cos(v * t), math.sin(-(v * t))] for t in grid])
+    expected_low = np.tile([1.0, -0.0], (grid.size, 1))
+    static = np.array([0, 1], dtype=np.uint8), np.empty((2, 0))
+    pure = _kernels.available_backends()["pure"]
+    z = pure.coherences(*static, grid, v)
+    assert_same_bits(np.stack([z.real, z.imag], axis=-1), np.stack([expected_low, expected_high]))
+    levels = np.array([0, 1, 0, 1], dtype=np.uint8)
+    times = np.array([[np.inf] * 3, [np.inf] * 3, [0.5, 1.0, 1.5], [0.3, 0.4, 1.0]])
+    for backend in (pure, compiled):
+        assert_row_means(backend, levels, times, grid, v, range(4))
+        for i, expected in ((0, expected_low), (1, expected_high)):
+            mean, _, _, _ = _kernels.block_moments(levels[i : i + 1], times[i : i + 1], grid, v,
+                                                   impl=backend)
+            assert_same_bits(mean, 0.0 + expected)
 
 
 def test_compiled_moments_reject_mismatched_buffers(compiled):
