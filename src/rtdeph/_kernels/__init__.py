@@ -10,15 +10,15 @@ A batch is the level bit at t = 0 of each trajectory and its switch times,
 one row per trajectory padded with +inf; the padding is the only record of
 a row's length.  There are three kernels, one per pass a run makes:
 ``dwell_times`` (recovery's noise phase) and ``levels_at_times``
-(autocorrelation) return an (n, m) array, and ``block_moments`` (ensembles)
-returns only the column moments of the coherences exp(-i*v*dwell).  Both
-backends form a coherence from at most two complex exponentials, each
-computed once: exp(-i*v*acc) of the segment on level 0, and on level 1 the
-segment factor exp(-i*v*(acc - prev)) times the grid factor exp(-i*v*t),
-multiplied in real arithmetic (acc being the dwell time up to the last
-switch, at time prev).  The compiled ``block_moments`` computes them
-``TILE`` rows at a time into one tile-sized buffer and merges the tile
-moments in order, so it never holds the (n, m) coherences.  The functions
+(autocorrelation) return an (n, m) array, and ``block_sums`` (ensembles)
+returns only the column sums of the coherences z = exp(-i*v*dwell),
+shifted by their t = 0 value 1, and of their squares.  Between two
+switches a row's coherence is the constant exp(-i*v*acc) on level 0, and
+on level 1 the segment factor exp(-i*v*(acc - prev)) times the grid
+factor exp(-i*v*t) (acc being the dwell time up to the last switch, at
+time prev).  So ``block_sums`` adds each stretch of grid points between
+switches once, to difference arrays at its ends, and one prefix sum gives
+every column: neither backend forms the (n, m) coherences.  The functions
 here validate and convert the arguments and allocate the outputs, which
 the selected backend fills.
 """
@@ -46,12 +46,6 @@ def available_backends() -> dict:
     if _core is not None:
         backends["compiled"] = _core
     return backends
-
-
-#: Rows per tile of the moment reduction.  Block moments are the moments
-#: of each tile of ``TILE`` rows (the last may be short), merged in tile
-#: order; the compiled backend keeps one tile of coherences at a time.
-TILE = 64
 
 
 def _prepare(levels, switch_times, t_grid):
@@ -87,19 +81,16 @@ def levels_at_times(levels, switch_times, t_grid, impl=None):
     return _per_point((impl or _impl).levels_at_times, np.uint8, levels, switch_times, t_grid)
 
 
-def block_moments(levels, switch_times, t_grid, v, impl=None):
-    """Column moments of the coherences exp(-i*v*dwell) on the grid, each the
-    segment factor or the segment factor times the grid factor (see the
-    module docstring), without their (n, m) array on the compiled backend.
+def block_sums(levels, switch_times, t_grid, v, impl=None):
+    """Column sums of the coherences z = exp(-i*v*dwell) on the grid, from
+    the stretches between switches (see the module docstring).
 
-    Returns (mean, m2, abs2_min, abs2_max): the (m, 2) mean and sums of
-    squared deviations over the (Re, Im) pairs, and the extremes of
-    |z|^2 = re*re + im*im, reduced ``TILE`` rows at a time.
+    Returns (s, q), each of shape (m, 2): the sums of (Re z - 1, Im z) and
+    of their squares.  The shift by the t = 0 value 1 keeps the sums small
+    where z is near 1, so that q - s**2/n keeps its digits.
     """
     args = _prepare(levels, switch_times, t_grid)
-    if args[0].shape[0] < 1:
-        raise ValueError("moments need at least one row")
     m = args[2].shape[0]
-    out = np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m)
-    (impl or _impl).block_moments(*args, float(v), TILE, *out)
+    out = np.empty((m, 2)), np.empty((m, 2))
+    (impl or _impl).block_sums(*args, float(v), *out)
     return out

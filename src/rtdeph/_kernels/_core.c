@@ -5,23 +5,27 @@
  * kernel walks every row once along the ascending, finite grid t_grid
  * (float64, shape (m,)); the walk stops at the padding because +inf is never
  * <= t.  dwell_times and levels_at_times fill a caller-allocated
- * C-contiguous (n, m) output through the buffer protocol.  block_moments
- * instead walks the rows a tile at a time into one tile-sized buffer and
- * reduces each tile to column moments over the (Re, Im) pairs of the
- * coherences, merged in tile order.  rtdeph._kernels validates and converts
- * the arguments and allocates the outputs.  The loops run with the GIL
- * released.
+ * C-contiguous (n, m) output through the buffer protocol.  block_sums
+ * instead fills two (m, 2) outputs with the column sums of the coherences
+ * z = exp(-i*v*dwell) shifted by their t = 0 value 1, (Re z - 1, Im z), and
+ * of their squares, without forming any coherence.  rtdeph._kernels
+ * validates and converts the arguments and allocates the outputs.  The
+ * loops run with the GIL released.
  *
- * A coherence exp(-i*v*dwell) is not one complex exponential per grid
- * point.  On a level-0 segment the phase v*acc is constant; on a level-1
- * segment it is v*(acc - prev) + v*t, so the coherence is a segment factor
- * times a grid factor, each computed once: cos and sin run once per segment
- * a row visits and once per grid point of the call, not once per point of
- * the row.
+ * Between two switches a row's coherence is a constant c = exp(-i*v*acc)
+ * on level 0, and on level 1 a segment factor s = exp(-i*v*(acc - prev))
+ * times the grid factor e = exp(-i*v*t) that all rows share.  So each
+ * stretch of grid points [g0, g1) between switches adds its terms once, at
+ * g0, and takes them off at g1 of difference arrays; one prefix sum gives
+ * every column, which combines the level-1 terms with its grid factor.  A
+ * block costs one cos/sin pair per stretch and per grid point and a binary
+ * search per switch, not work per trajectory and grid point.
  *
  * The arithmetic is that of the numpy reference (_reference.py), operation
  * for operation, so the two backends agree bit for bit.  setup.py compiles
- * this file with -ffp-contract=off, so no multiply-add is fused.
+ * this file with -ffp-contract=off, so no multiply-add is fused, and passes
+ * the SHA-256 of this file as RTDEPH_SOURCE_SHA256, which the module
+ * exposes as SOURCE_SHA256.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -29,8 +33,12 @@
 
 #include <math.h>
 
-/* The buffers one call holds: at most a batch of three and four outputs. */
-enum { MAX_VIEWS = 7 };
+#ifndef RTDEPH_SOURCE_SHA256
+#error "build with setup.py, which defines RTDEPH_SOURCE_SHA256"
+#endif
+
+/* The buffers one call holds: at most a batch of three and two outputs. */
+enum { MAX_VIEWS = 5 };
 
 typedef struct {
     Py_buffer views[MAX_VIEWS];
@@ -131,16 +139,22 @@ walk_row(const Batch *b, Py_ssize_t i)
     return w;
 }
 
+/* Passes switch j. */
+static inline void
+pass_switch(Walk *w)
+{
+    w->acc = w->acc + w->lvl * (w->tau[w->j] - w->prev);
+    w->prev = w->tau[w->j];
+    w->lvl = 1.0 - w->lvl;
+    w->j++;
+}
+
 /* Passes the switches at or before t. */
 static inline void
 advance(Walk *w, double t)
 {
-    while (w->j < w->k && w->tau[w->j] <= t) {
-        w->acc = w->acc + w->lvl * (w->tau[w->j] - w->prev);
-        w->prev = w->tau[w->j];
-        w->lvl = 1.0 - w->lvl;
-        w->j++;
-    }
+    while (w->j < w->k && w->tau[w->j] <= t)
+        pass_switch(w);
 }
 
 /* Passes the switches at or before t and returns the dwell time in [0, t]. */
@@ -157,34 +171,6 @@ unit(double phase, double *z)
 {
     z[0] = cos(phase);
     z[1] = sin(-phase);
-}
-
-/* Row i's coherences exp(-i*v*dwell) into z as m (Re, Im) pairs.  Entering
-   a segment computes its factor s: exp(-i*v*acc) on level 0, which is the
-   coherence itself, and exp(-i*v*(acc - prev)) on level 1, whose coherence
-   at grid point gi is s times the grid factor exp(-i*v*t) held in
-   e[2*gi], e[2*gi + 1], multiplied in real arithmetic. */
-static void
-coherence_row(const Batch *b, Py_ssize_t i, double v, const double *e, double *z)
-{
-    Walk w = walk_row(b, i);
-    Py_ssize_t seg = -1;
-    double s[2] = {0.0, 0.0};
-    for (Py_ssize_t gi = 0; gi < b->m; gi++) {
-        advance(&w, b->t_grid[gi]);
-        if (w.j != seg) {
-            unit(w.lvl == 0.0 ? v * w.acc : v * (w.acc - w.prev), s);
-            seg = w.j;
-        }
-        if (w.lvl == 0.0) {
-            z[2 * gi] = s[0];
-            z[2 * gi + 1] = s[1];
-        } else {
-            const double er = e[2 * gi], ei = e[2 * gi + 1];
-            z[2 * gi] = s[0] * er - s[1] * ei;
-            z[2 * gi + 1] = s[0] * ei + s[1] * er;
-        }
-    }
 }
 
 static PyObject *
@@ -233,133 +219,122 @@ levels_at_times(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* Column moments over the (Re, Im) pairs of m columns: n rows merged so
-   far, the (m, 2) mean and sums of squared deviations (M2), the extremes of
-   re*re + im*im, and (m, 2) scratch for one tile's mean and M2. */
-typedef struct {
-    Py_ssize_t n, m;
-    double *mean, *m2, *abs2_min, *abs2_max;
-    double *tile_mean, *tile_m2;
-} Moments;
+/* The difference arrays of block_sums, m + 1 entries each.  Level-0
+   stretches add c - 1 = (c_r - 1, c_i) and the squares of its parts;
+   level-1 stretches add 1 (their count), s - 1 = (s_r - 1, s_i), the
+   squares of its parts and their product. */
+enum {
+    LOW_RE, LOW_IM, LOW_RE2, LOW_IM2,
+    HIGH_N, HIGH_RE, HIGH_IM, HIGH_RE2, HIGH_IM2, HIGH_REIM,
+    N_SUMS
+};
 
-/* Views of the four outputs for m columns; n starts at 0. */
-static int
-moment_views(Moments *s, Views *vs, Py_ssize_t m, PyObject *const *o)
+/* The first index in [lo, m) whose grid time is >= t, or m: a switch on a
+   grid point starts the new stretch there, as advance passes it. */
+static inline Py_ssize_t
+stretch_start(const double *t_grid, Py_ssize_t lo, Py_ssize_t m, double t)
 {
-    Py_buffer *mean, *m2, *lo, *hi;
-    if (!(mean = view(vs, o[0], 2, sizeof(double), 1, "out_mean"))
-        || !(m2 = view(vs, o[1], 2, sizeof(double), 1, "out_m2"))
-        || !(lo = view(vs, o[2], 1, sizeof(double), 1, "out_abs2_min"))
-        || !(hi = view(vs, o[3], 1, sizeof(double), 1, "out_abs2_max")))
-        return -1;
-    if (mean->shape[0] != m || mean->shape[1] != 2 || m2->shape[0] != m
-        || m2->shape[1] != 2 || lo->shape[0] != m || hi->shape[0] != m)
-        return shape_error();
-    *s = (Moments){0, m, mean->buf, m2->buf, lo->buf, hi->buf, NULL, NULL};
-    return 0;
-}
-
-static int
-check_sizes(Py_ssize_t n, Py_ssize_t tile)
-{
-    if (tile < 1 || n < 1) {
-        PyErr_SetString(PyExc_ValueError, "tile and the number of rows must be >= 1");
-        return -1;
+    Py_ssize_t hi = m;
+    while (lo < hi) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        if (t_grid[mid] < t)
+            lo = mid + 1;
+        else
+            hi = mid;
     }
-    return 0;
+    return lo;
 }
 
-/* Merges into s the moments of the C-contiguous (rows, m, 2) tile of
-   (Re, Im) pairs at x.  The tile's mean is its row sum, added row by row
-   from 0.0 as numpy sums over axis 0, divided by rows; its M2 is the sum of
-   squared deviations from that mean, added the same way.  The first tile's
-   moments are taken as they are; later ones merge by the pairwise update
-   of Chan, Golub & LeVeque (1983). */
+/* Adds the terms of row i's stretches to the difference arrays d (N_SUMS
+   rows of m + 1), stretch by stretch: a stretch's terms at its first grid
+   index g0, then their negatives at its end g1.  An empty stretch adds
+   nothing, but its switch still moves acc and prev. */
 static void
-merge_tile(Moments *s, const double *restrict x, Py_ssize_t rows)
+add_row(const Batch *b, Py_ssize_t i, double v, double *d)
 {
-    const Py_ssize_t m = s->m, w = 2 * m;
-    const int first = s->n == 0;
-    double *restrict mean = first ? s->mean : s->tile_mean;
-    double *restrict m2 = first ? s->m2 : s->tile_m2;
-    double *restrict lo = s->abs2_min, *restrict hi = s->abs2_max;
-    for (Py_ssize_t j = 0; first && j < m; j++)
-        lo[j] = hi[j] = x[2 * j] * x[2 * j] + x[2 * j + 1] * x[2 * j + 1];
-    for (Py_ssize_t c = 0; c < w; c++)
-        mean[c] = m2[c] = 0.0;
-    for (Py_ssize_t r = 0; r < rows; r++) {
-        const double *restrict row = x + r * w;
-        for (Py_ssize_t c = 0; c < w; c++)
-            mean[c] += row[c];
-        for (Py_ssize_t j = 0; j < m; j++) {
-            double a = row[2 * j] * row[2 * j] + row[2 * j + 1] * row[2 * j + 1];
-            lo[j] = a < lo[j] || isnan(a) ? a : lo[j];
-            hi[j] = a > hi[j] || isnan(a) ? a : hi[j];
+    const Py_ssize_t m = b->m, w = m + 1;
+    Walk walk = walk_row(b, i);
+    Py_ssize_t g0 = 0;
+    for (;;) {
+        Py_ssize_t g1 = walk.j < walk.k ? stretch_start(b->t_grid, g0, m, walk.tau[walk.j]) : m;
+        if (g1 > g0) {
+            const int high = walk.lvl != 0.0;
+            double z[2];
+            unit(v * (high ? walk.acc - walk.prev : walk.acc), z);
+            const double re = z[0] - 1.0, im = z[1];
+            /* level 1 adds all six terms from HIGH_N, level 0 x[1..4] */
+            const double x[6] = {1.0, re, im, re * re, im * im, re * im};
+            const int first = high ? HIGH_N : LOW_RE, count = high ? 6 : 4;
+            for (int q = 0; q < count; q++) {
+                d[(first + q) * w + g0] += x[q + !high];
+                d[(first + q) * w + g1] -= x[q + !high];
+            }
         }
+        if (g1 == m)
+            return;
+        pass_switch(&walk);
+        g0 = g1;
     }
-    for (Py_ssize_t c = 0; c < w; c++)
-        mean[c] = mean[c] / (double)rows;
-    for (Py_ssize_t r = 0; r < rows; r++) {
-        const double *restrict row = x + r * w;
-        for (Py_ssize_t c = 0; c < w; c++) {
-            double d = row[c] - mean[c];
-            m2[c] += d * d;
-        }
-    }
-    if (!first) {
-        const Py_ssize_t n = s->n + rows;
-        const double wb = (double)rows / (double)n;
-        const double wab = (double)(s->n * rows) / (double)n;
-        for (Py_ssize_t c = 0; c < w; c++) {
-            double delta = mean[c] - s->mean[c];
-            s->mean[c] = s->mean[c] + delta * wb;
-            s->m2[c] = s->m2[c] + m2[c] + delta * delta * wab;
-        }
-    }
-    s->n += rows;
 }
 
-/* Takes (levels, switch_times, t_grid, v, tile, out_mean, out_m2,
-   out_abs2_min, out_abs2_max).  The one buffer holds a tile of coherences,
-   the tile's mean and M2, and the grid factors exp(-i*v*t). */
+/* Takes (levels, switch_times, t_grid, v, out_s, out_q): the (m, 2) column
+   sums of (Re z - 1, Im z) into out_s and of their squares into out_q.
+   The difference arrays are prefix-summed in place, and column g then
+   combines them with its grid factor (er, ei) = exp(-i*v*t_g): a level-1
+   row adds dr + (a*er - b*ei) to Re z - 1 and ei + (a*ei + b*er) to Im z,
+   where dr = er - 1 and (a, b) = s - 1. */
 static PyObject *
-block_moments(PyObject *self, PyObject *args)
+block_sums(PyObject *self, PyObject *args)
 {
-    PyObject *o[3], *out[4];
+    PyObject *o[5];
     Views vs = {.held = 0};
     Batch b;
-    Moments s;
-    double v, *buf = NULL, *e;
-    Py_ssize_t tile, rows, w;
-    if (!PyArg_ParseTuple(args, "OOOdnOOOO", &o[0], &o[1], &o[2], &v, &tile,
-                          &out[0], &out[1], &out[2], &out[3])
+    Py_buffer *s_view, *q_view;
+    double v, *d;
+    if (!PyArg_ParseTuple(args, "OOOdOO", &o[0], &o[1], &o[2], &v, &o[3], &o[4])
         || batch_views(&b, &vs, o[0], o[1], o[2]) < 0
-        || moment_views(&s, &vs, b.m, out) < 0 || check_sizes(b.n, tile) < 0) {
+        || !(s_view = view(&vs, o[3], 2, sizeof(double), 1, "out_s"))
+        || !(q_view = view(&vs, o[4], 2, sizeof(double), 1, "out_q"))) {
         release(&vs);
         return NULL;
     }
-    rows = tile < b.n ? tile : b.n;
-    w = 2 * b.m;
-    if (w == 0 || rows + 3 <= PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) / w)
-        buf = PyMem_RawMalloc((size_t)((rows + 3) * w) * sizeof(double));
-    if (!buf) {
+    if (s_view->shape[0] != b.m || s_view->shape[1] != 2 || q_view->shape[0] != b.m
+        || q_view->shape[1] != 2) {
+        shape_error();
+        release(&vs);
+        return NULL;
+    }
+    const Py_ssize_t m = b.m, w = m + 1;
+    d = PyMem_RawCalloc((size_t)(N_SUMS * w), sizeof(double));
+    if (!d) {
         release(&vs);
         return PyErr_NoMemory();
     }
-    s.tile_mean = buf + rows * w;
-    s.tile_m2 = s.tile_mean + w;
-    e = s.tile_m2 + w;
+    double *s = s_view->buf, *q = q_view->buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t gi = 0; gi < b.m; gi++)
-        unit(v * b.t_grid[gi], e + 2 * gi);
-    for (Py_ssize_t start = 0; start < b.n; start += rows) {
-        Py_ssize_t count = b.n - start < rows ? b.n - start : rows;
-        for (Py_ssize_t i = 0; i < count; i++)
-            coherence_row(&b, start + i, v, e, buf + i * w);
-        merge_tile(&s, buf, count);
+    for (Py_ssize_t i = 0; i < b.n; i++)
+        add_row(&b, i, v, d);
+    for (int k = 0; k < N_SUMS; k++)
+        for (Py_ssize_t g = 1; g < m; g++)
+            d[k * w + g] = d[k * w + g - 1] + d[k * w + g];
+    for (Py_ssize_t g = 0; g < m; g++) {
+        double p[N_SUMS], e[2];
+        for (int k = 0; k < N_SUMS; k++)
+            p[k] = d[k * w + g];
+        unit(v * b.t_grid[g], e);
+        const double er = e[0], ei = e[1], dr = er - 1.0;
+        const double rr = er * er, ii = ei * ei, ri = er * ei;
+        const double x = p[HIGH_RE] * er - p[HIGH_IM] * ei;
+        const double y = p[HIGH_RE] * ei + p[HIGH_IM] * er;
+        s[2 * g] = p[LOW_RE] + (p[HIGH_N] * dr + x);
+        s[2 * g + 1] = p[LOW_IM] + (p[HIGH_N] * ei + y);
+        q[2 * g] = p[LOW_RE2] + ((p[HIGH_N] * (dr * dr) + (p[HIGH_RE2] * rr + p[HIGH_IM2] * ii))
+                                 + 2.0 * (dr * x - p[HIGH_REIM] * ri));
+        q[2 * g + 1] = p[LOW_IM2] + ((p[HIGH_N] * ii + (p[HIGH_RE2] * ii + p[HIGH_IM2] * rr))
+                                     + 2.0 * (ei * y + p[HIGH_REIM] * ri));
     }
     Py_END_ALLOW_THREADS
-    PyMem_RawFree(buf);
+    PyMem_RawFree(d);
     release(&vs);
     Py_RETURN_NONE;
 }
@@ -371,10 +346,10 @@ static PyMethodDef methods[] = {
     {"levels_at_times", levels_at_times, METH_VARARGS,
      "levels_at_times(levels, switch_times, t_grid, out): level bit at each "
      "grid time per trajectory, into uint8 out."},
-    {"block_moments", block_moments, METH_VARARGS,
-     "block_moments(levels, switch_times, t_grid, v, tile, out_mean, out_m2, "
-     "out_abs2_min, out_abs2_max): column moments of exp(-i*v*dwell), "
-     "reduced tile by tile without the (n, m) array."},
+    {"block_sums", block_sums, METH_VARARGS,
+     "block_sums(levels, switch_times, t_grid, v, out_s, out_q): column sums "
+     "of (Re z - 1, Im z) and of their squares, z = exp(-i*v*dwell), from "
+     "the switch stretches without the (n, m) array."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -389,5 +364,10 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__core(void)
 {
-    return PyModule_Create(&module);
+    PyObject *mod = PyModule_Create(&module);
+    if (mod && PyModule_AddStringConstant(mod, "SOURCE_SHA256", RTDEPH_SOURCE_SHA256) < 0) {
+        Py_DECREF(mod);
+        return NULL;
+    }
+    return mod;
 }

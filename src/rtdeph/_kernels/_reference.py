@@ -1,22 +1,18 @@
 """Pure-numpy implementations of the trajectory-batch kernels.
 
 These mirror the compiled kernels in ``_core.c`` operation for operation.
-One segment lookup (``_last_switch``) gives, per trajectory and grid time,
-the dwell time up to the last switch, that switch's time and the level
-since; the dwell at the switches is accumulated in switch order (np.cumsum
-accumulates sequentially), and the final per-query expression uses the
-compiled kernel's operand order.  The coherences (``coherences``) are
-formed as the compiled kernel forms them: exp(-i*v*acc) on level 0, and on
-level 1 the segment factor exp(-i*v*(acc - prev)) times the grid factor
-exp(-i*v*t), multiplied in real arithmetic.  Each factor is numpy's complex
-exp of -1j times its phase, whose parts are the cos(phase) and sin(-phase)
-the compiled kernel calls.  The moment reduction (``column_moments``) works
-tile by tile as the compiled one does: numpy sums over axis 0 row by row
-from 0.0, which is the compiled loop's order, and the tiles merge in order
-by the same pairwise update.  So both backends produce bit-identical
-output.  Each kernel fills the outputs that ``rtdeph._kernels`` allocates.
-Unlike the compiled ``block_moments``, this one holds the block's (n, m)
-coherences at once.
+``_stretches`` gives, per trajectory and stretch between switches, the
+dwell time up to its start, its start time and its level; the dwell is
+accumulated in switch order (np.cumsum accumulates sequentially).
+``dwell_times`` looks up the stretch of each grid time and uses the
+compiled kernel's operand order.  ``block_sums`` adds each stretch's terms
+to difference arrays at its first grid point and takes them off at its
+end, in the compiled kernel's row and stretch order, then prefix-sums them
+and combines each column with its grid factor in the same real arithmetic.
+Each factor is numpy's complex exp of -1j times its phase, whose parts are
+the cos(phase) and sin(-phase) the compiled kernel calls.  So both
+backends produce bit-identical output.  Each kernel fills the outputs that
+``rtdeph._kernels`` allocates.
 """
 
 from __future__ import annotations
@@ -33,21 +29,30 @@ def _switch_counts(switch_times, t_grid):
     return j
 
 
-def _last_switch(levels, switch_times, t_grid):
-    """Per trajectory and grid time t, each of shape (n, m): the time at the
-    high level up to the last switch at or before t (acc), that switch's
-    time (prev, 0 before the first) and the level since (lvl, float64)."""
+def _stretches(levels, switch_times):
+    """Per trajectory and stretch j, the time from switch j - 1 (or t = 0)
+    to switch j, each of shape (n, k + 1): the time at the high level up to
+    its start (acc), its start time (prev) and its level bit.  The stretches
+    after the +inf padding cover no grid time; their values are stand-ins."""
     n, k = switch_times.shape
     valid = np.isfinite(switch_times)
     # 0, then the switch times, with a finite stand-in for the +inf padding;
     # padded segments are masked out.
-    tau = np.concatenate([np.zeros((n, 1)), np.where(valid, switch_times, 0.0)], axis=1)
-    seg_lvl = (levels[:, None] ^ (np.arange(k)[None, :] & 1)).astype(np.float64)
-    contrib = np.where(valid, seg_lvl * (tau[:, 1:] - tau[:, :-1]), 0.0)
-    # acc[:, j] = time at the high level up to and including switch j
+    prev = np.concatenate([np.zeros((n, 1)), np.where(valid, switch_times, 0.0)], axis=1)
+    bits = levels[:, None] ^ (np.arange(k + 1)[None, :] & 1)
+    contrib = np.where(valid, bits[:, :-1].astype(np.float64) * (prev[:, 1:] - prev[:, :-1]), 0.0)
+    # acc[:, j] = time at the high level up to and including switch j - 1
     acc = np.concatenate([np.zeros((n, 1)), np.cumsum(contrib, axis=1)], axis=1)
+    return acc, prev, bits
+
+
+def _last_switch(levels, switch_times, t_grid):
+    """Per trajectory and grid time t, each of shape (n, m): the time at the
+    high level up to the last switch at or before t (acc), that switch's
+    time (prev, 0 before the first) and the level since (lvl, float64)."""
+    acc, prev, _ = _stretches(levels, switch_times)
     j = _switch_counts(switch_times, t_grid)
-    acc, prev = np.take_along_axis(acc, j, axis=1), np.take_along_axis(tau, j, axis=1)
+    acc, prev = np.take_along_axis(acc, j, axis=1), np.take_along_axis(prev, j, axis=1)
     j &= 1
     j ^= levels[:, None]
     return acc, prev, j.astype(np.float64)
@@ -77,70 +82,52 @@ def levels_at_times(levels, switch_times, t_grid, out):
     out[...] = levels[:, None] ^ (_switch_counts(switch_times, t_grid) & 1)
 
 
-def coherences(levels, switch_times, t_grid, v):
-    """The complex (n, m) coherences exp(-i*v*dwell) of the batch on
-    ``t_grid``: exp(-i*v*acc) on level 0, and on level 1 the segment factor
-    exp(-i*v*(acc - prev)) times the grid factor exp(-i*v*t), with
-    re = sr*er - si*ei and im = sr*ei + si*er in real arithmetic."""
-    # in place and freed early, so that few (n, m) arrays live at once
-    acc, phase, lvl = _last_switch(levels, switch_times, t_grid)
-    high = lvl == 1.0
-    np.subtract(acc, phase, out=phase)
-    np.copyto(phase, acc, where=~high)
-    phase *= v
-    del acc, lvl
-    z = -1j * phase
-    del phase
-    np.exp(z, out=z)
-    grid = np.exp(-1j * (v * t_grid))
-    sr, si, er, ei = z.real, z.imag, grid.real, grid.imag
-    re = sr * er
-    re -= si * ei
-    im = sr * ei
-    im += si * er
-    np.copyto(sr, re, where=high)
-    np.copyto(si, im, where=high)
-    return z
+def block_sums(levels, switch_times, t_grid, v, out_s, out_q):
+    """Column sums of the coherences z = exp(-i*v*dwell) shifted by 1,
+    (Re z - 1, Im z), into the (m, 2) ``out_s``, and of their squares into
+    the (m, 2) ``out_q``, formed per stretch between switches.
 
-
-def column_moments(z, tile, out_mean, out_m2, out_abs2_min, out_abs2_max):
-    """Column moments of the complex (n, m) array ``z`` over its (Re, Im)
-    pairs, reduced ``tile`` rows at a time: the (m, 2) mean and sums of
-    squared deviations (M2) into ``out_mean`` and ``out_m2``, and the
-    extremes of re*re + im*im into the (m,) ``out_abs2_min`` and
-    ``out_abs2_max``.
-
-    A tile's mean is its row sum over its row count and its M2 the sum of
-    squared deviations from that mean.  The first tile is taken as it is;
-    later ones merge by the pairwise update of Chan, Golub & LeVeque (1983).
+    Stretch j of a row runs from its switch j - 1 (or t = 0) to switch j
+    and covers the grid points [g0, g1) from the first grid time >= its
+    start.  Its coherence is c = exp(-i*v*acc) on level 0, and on level 1
+    the segment factor s = exp(-i*v*(acc - prev)) times the grid factor
+    e = exp(-i*v*t).  Each non-empty stretch adds its terms (c - 1 and its
+    squared parts; or the count 1, s - 1, its squared parts and their
+    product) to difference arrays at g0 and their negatives at g1, in row,
+    stretch, start-then-end order (np.bincount adds its weights in input
+    order); a prefix sum (np.cumsum) then gives every column, combined with
+    e in the compiled kernel's operand order.
     """
-    x = z.view(np.float64).reshape(*z.shape, 2)
-    done = 0
-    for start in range(0, x.shape[0], tile):
-        part = x[start : start + tile]
-        rows = part.shape[0]
-        mean = part.sum(axis=0) / rows
-        dev = part - mean
-        m2 = np.square(dev, out=dev).sum(axis=0)
-        abs2 = part[..., 0] * part[..., 0] + part[..., 1] * part[..., 1]
-        if done == 0:
-            out_mean[...] = mean
-            out_m2[...] = m2
-            out_abs2_min[...] = abs2.min(axis=0)
-            out_abs2_max[...] = abs2.max(axis=0)
-        else:
-            total = done + rows
-            delta = mean - out_mean
-            out_mean[...] = out_mean + delta * (rows / total)
-            out_m2[...] = out_m2 + m2 + np.square(delta) * (done * rows / total)
-            np.minimum(out_abs2_min, abs2.min(axis=0), out=out_abs2_min)
-            np.maximum(out_abs2_max, abs2.max(axis=0), out=out_abs2_max)
-        done += rows
-
-
-def block_moments(levels, switch_times, t_grid, v, tile,
-                  out_mean, out_m2, out_abs2_min, out_abs2_max):
-    """``column_moments`` of the ``coherences`` of the batch on ``t_grid``,
-    into the same four outputs."""
-    column_moments(coherences(levels, switch_times, t_grid, v), tile,
-                   out_mean, out_m2, out_abs2_min, out_abs2_max)
+    n, k = switch_times.shape
+    m = t_grid.shape[0]
+    acc, prev, bits = _stretches(levels, switch_times)
+    g0 = np.zeros((n, k + 1), dtype=np.intp)
+    g0[:, 1:] = np.searchsorted(t_grid, switch_times, side="left")
+    g1 = np.full((n, k + 1), m, dtype=np.intp)
+    g1[:, :-1] = g0[:, 1:]
+    live = g0 < g1
+    high = bits == 1
+    # the factor of each live stretch, in row-major (row, stretch) order
+    phase = np.where(high, acc - prev, acc)[live] * v
+    z = np.exp(-1j * phase)
+    re, im = z.real - 1.0, z.imag
+    terms = [np.ones_like(re), re, im, re * re, im * im, re * im]
+    start, end, on_high = g0[live], g1[live], high[live]
+    sums = []
+    # level 0 adds terms[1:5], level 1 all six, as the compiled kernel does
+    for sel, group in ((~on_high, terms[1:5]), (on_high, terms)):
+        events = np.stack([start[sel], end[sel]], axis=-1).ravel()
+        sums += [np.bincount(events, weights=np.stack([x[sel], -x[sel]], axis=-1).ravel(),
+                             minlength=m + 1) for x in group]
+    p = np.cumsum(np.array(sums), axis=1)[:, :m]
+    low_re, low_im, low_re2, low_im2, count, a, b, aa, bb, ab = p
+    e = np.exp(-1j * (v * t_grid))
+    er, ei = e.real, e.imag
+    dr = er - 1.0
+    rr, ii, ri = er * er, ei * ei, er * ei
+    x = a * er - b * ei
+    y = a * ei + b * er
+    out_s[:, 0] = low_re + (count * dr + x)
+    out_s[:, 1] = low_im + (count * ei + y)
+    out_q[:, 0] = low_re2 + ((count * (dr * dr) + (aa * rr + bb * ii)) + 2.0 * (dr * x - ab * ri))
+    out_q[:, 1] = low_im2 + ((count * ii + (aa * ii + bb * rr)) + 2.0 * (ei * y + ab * ri))

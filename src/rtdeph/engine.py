@@ -10,17 +10,18 @@ the Monte Carlo estimate of the analytic coherence factor.
 
 Ensembles and recovery reports stream through fixed blocks of
 trajectories, and each block is reduced on its own.  For an ensemble one
-backend call (``_kernels.block_moments``) walks the switch times to the
-coherences exp(-i*v*dwell) on the grid, one exponential per switch segment
-times one per grid point, and reduces them tile by tile to column moments
-over their (Re, Im) pairs: the mean, the sums of squared deviations and the
-|z|^2 extremes.  The compiled backend never
-holds the block's (n, m) coherences, and the block moments merge in block
-order.  Recovery needs only two means, of the coherences at the revival
-time without and with the phase correction, so each block gives their two
-sums, added in block order.  Memory does not grow with the number of
-trajectories, and there is no cap on the ensemble size.  The concurrence
-of an averaged ensemble is min(|q|, 1), q its mean coherence.
+backend call (``_kernels.block_sums``) turns a block's switch times into
+the column sums of its coherences z = exp(-i*v*dwell) on the grid, shifted
+by their t = 0 value 1, and of their squares: between two switches a row's
+coherence is a constant or a constant times a grid factor, so each
+stretch between switches is added once and no (n, m) array is formed.
+The block sums are added in block order, and the mean and the sums of
+squared deviations follow from the totals.  Recovery needs only two means,
+of the coherences at the revival time without and with the phase
+correction, so each block gives their two sums, added in block order.
+Memory does not grow with the number of trajectories, and there is no cap
+on the ensemble size.  The concurrence of an averaged ensemble is
+min(|q|, 1), q its mean coherence.
 
 Reproducibility contract: the blocks are the ``noise.BLOCK``-trajectory
 blocks of the random streams, so trajectory i is fixed by (master_seed, i)
@@ -76,7 +77,10 @@ class EnsembleResult:
 
     ``e_h`` is ``e_av - e_f`` by construction.  ``q_mean`` is the mean of
     the per-trajectory coherence factors exp(-i * integral of xi); its
-    standard errors are ddof=1 sample deviations over sqrt(n).
+    standard errors are ddof=1 sample deviations over sqrt(n).  Every
+    realization keeps |z| = 1, so every trajectory state is maximally
+    entangled: ``e_av`` is 1, ``e_av_se`` 0 and ``min_trajectory_entropy``
+    1.0 by construction, and the hidden entanglement is 1 - E_f.
     """
 
     t_grid: np.ndarray
@@ -113,39 +117,36 @@ def evolve_trajectory(system: SystemParams, traj: noise.RTTrajectory, t: float) 
 
 
 @dataclass(frozen=True)
-class _Moments:
-    """Column statistics of per-trajectory coherences z (one row per
-    trajectory), each taken over the (Re z, Im z) pairs: the count, the
-    (m, 2) mean and sums of squared deviations (M2), and the extremes of
-    |z|^2 = re*re + im*im.  A block's moments come from
-    ``_kernels.block_moments``; blocks combine with ``merge``."""
+class _Sums:
+    """Column sums over n per-trajectory coherences z (one row per
+    trajectory), taken over the (Re z - 1, Im z) pairs: s of the pairs and
+    q of their squares, each (m, 2).  A block's sums come from
+    ``_kernels.block_sums``; blocks combine with ``+``."""
 
     n: int
-    mean: np.ndarray
-    m2: np.ndarray
-    abs2_min: np.ndarray
-    abs2_max: np.ndarray
+    s: np.ndarray
+    q: np.ndarray
+
+    def __add__(self, other: _Sums) -> _Sums:
+        return _Sums(self.n + other.n, self.s + other.s, self.q + other.q)
 
     @property
-    def z_mean(self) -> np.ndarray:
-        """The mean coherence per column, a complex view of ``mean``."""
-        return self.mean.view(np.complex128)[:, 0]
+    def mean(self) -> np.ndarray:
+        """The (m, 2) mean of (Re z, Im z): (1 + s_re/n, s_im/n)."""
+        mean = self.s / self.n
+        mean[:, 0] += 1.0
+        return mean
 
-    def merge(self, other: _Moments) -> _Moments:
-        """Pairwise update of Chan, Golub & LeVeque (1983)."""
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        return _Moments(
-            n=n,
-            mean=self.mean + delta * (other.n / n),
-            m2=self.m2 + other.m2 + np.square(delta) * (self.n * other.n / n),
-            abs2_min=np.minimum(self.abs2_min, other.abs2_min),
-            abs2_max=np.maximum(self.abs2_max, other.abs2_max),
-        )
+    def m2(self) -> np.ndarray:
+        """The (m, 2) sums of squared deviations from the mean,
+        max(q - s**2/n, 0), and exactly 0 for a single row."""
+        if self.n == 1:
+            return np.zeros_like(self.s)
+        return np.maximum(self.q - np.square(self.s) / self.n, 0.0)
 
     def standard_errors(self) -> np.ndarray:
         """ddof=1 standard errors of the mean of Re z and Im z, as (m, 2)."""
-        return np.sqrt(self.m2 / max(self.n - 1, 1)) / math.sqrt(self.n)
+        return np.sqrt(self.m2() / max(self.n - 1, 1)) / math.sqrt(self.n)
 
 
 def _correction_phase(theta, n: int):
@@ -174,29 +175,16 @@ def _stream(config: RunConfig, n_threads: int, reduce_block):
         yield from pool.map(one_block, range(0, config.n_trajectories, noise.BLOCK))
 
 
-def _trajectory_entropy(stats: _Moments) -> tuple[np.ndarray, np.ndarray, float]:
-    """E_av, its error and the least trajectory entropy, from |z|^2 extremes.
-
-    The entropy of entanglement of (|00> + z exp(-i*omega*t)|11>)/sqrt(2) is
-    h(1/(1 + |z|^2)): 1 at |z| = 1 and falling on both sides.  So at each
-    grid time every trajectory's entropy lies in [h_min, 1], h_min being the
-    entropy at whichever |z|^2 extreme is worse; E_av is reported as the
-    middle of that interval with half its width as the error.  The closed
-    form evolution keeps |z| = 1, giving exactly 1, 0 and 1.
-    """
-    ends = states.binary_entropy(1.0 / (1.0 + np.stack([stats.abs2_min, stats.abs2_max])))
-    h_min = ends.min(axis=0)
-    return 0.5 * (1.0 + h_min), 0.5 * (1.0 - h_min), float(h_min.min())
-
-
-def _ef_derivative(c: float) -> float:
-    """d E_f / dC, with the continuous limits 0 at C=0 and 1/ln2 at C=1."""
-    if c <= 0.0:
-        return 0.0
-    if c >= 1.0:
-        return 1.0 / math.log(2.0)
-    s = math.sqrt(1.0 - c * c)
-    return (c / (2.0 * s)) * math.log2((1.0 + s) / (1.0 - s))
+def _ef_derivative(c: np.ndarray) -> np.ndarray:
+    """d E_f / dC = (C/2s) log2((1 + s)/(1 - s)), s = sqrt(1 - C^2), at each
+    concurrence C, with the continuous limits 0 at C=0 and 1/ln2 at C=1.
+    (1 + s)/(1 - s) is taken as 1 + 2s(1 + s)/C^2, so that small C, whose
+    1 - s cancels (and is 0 below C ~ 1e-8), keeps its digits."""
+    inside = (c > 0.0) & (c < 1.0)
+    x = np.where(inside, c, 0.5)
+    s = np.sqrt(1.0 - x * x)
+    slope = (x / s) * np.log1p(2.0 * s * (1.0 + s) / (x * x)) / (2.0 * math.log(2.0))
+    return np.where(inside, slope, np.where(c >= 1.0, 1.0 / math.log(2.0), 0.0))
 
 
 def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
@@ -209,23 +197,25 @@ def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
     ``config.master_seed``, independent of ``n_threads``.
     """
     v = config.system.rt.v
-    blocks = _stream(config, n_threads, lambda batch: _Moments(batch.n, *_kernels.block_moments(
+    blocks = _stream(config, n_threads, lambda batch: _Sums(batch.n, *_kernels.block_sums(
         batch.levels, batch.switch_times, config.t_grid, v)))
-    stats = functools.reduce(_Moments.merge, blocks)
-    q_mean = stats.z_mean
+    stats = functools.reduce(_Sums.__add__, blocks)
+    mean = stats.mean
+    q_mean = mean.view(np.complex128)[:, 0]
     q_se = stats.standard_errors()
-    e_av, e_av_se, min_entropy = _trajectory_entropy(stats)
 
     q_abs = np.abs(q_mean)
     concurrence = np.minimum(q_abs, 1.0)
     se_c = np.where(
         q_abs > 0.0,
-        np.sqrt(np.square(stats.mean * q_se).sum(axis=1)) / np.where(q_abs > 0.0, q_abs, 1.0),
+        np.sqrt(np.square(mean * q_se).sum(axis=1)) / np.where(q_abs > 0.0, q_abs, 1.0),
         q_se.max(axis=1),
     )
     e_f = states.entanglement_of_formation(concurrence)
-    e_f_se = np.array([_ef_derivative(c) for c in concurrence]) * se_c
+    e_f_se = _ef_derivative(concurrence) * se_c
     omega_sum = config.system.omega_a + config.system.omega_b
+    m = config.t_grid.shape[0]
+    e_av = np.ones(m)
 
     return EnsembleResult(
         t_grid=config.t_grid,
@@ -234,11 +224,11 @@ def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
         q_se_re=q_se[:, 0],
         q_se_im=q_se[:, 1],
         e_av=e_av,
-        e_av_se=e_av_se,
+        e_av_se=np.zeros(m),
         e_f=e_f,
         e_f_se=e_f_se,
         e_h=e_av - e_f,
-        min_trajectory_entropy=min_entropy,
+        min_trajectory_entropy=1.0,
         n_trajectories=config.n_trajectories,
         master_seed=config.master_seed,
         system=config.system,

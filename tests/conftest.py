@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import pathlib
@@ -11,6 +12,12 @@ import pytest
 from rtdeph import _kernels
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "rtdeph" / "_kernels" / "_core.c"
+
+
+def source_sha256():
+    """The SHA-256 of _core.c, which setup.py compiles into _core."""
+    return hashlib.sha256(SOURCE.read_bytes()).hexdigest()
 
 
 def _c_compiler():
@@ -20,12 +27,13 @@ def _c_compiler():
 
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
-    """The compiled backend: the installed extension, or else one that
-    setup.py builds from _core.c into a temporary directory.  Skips only
-    where there is no C compiler; a failed build fails the test."""
-    backends = _kernels.available_backends()
-    if "compiled" in backends:
-        return backends["compiled"]
+    """The compiled backend: the installed extension if it was built from
+    the current _core.c, or else one that setup.py builds from it into a
+    temporary directory.  Skips only where there is no C compiler; a failed
+    build fails the test."""
+    installed = _kernels.available_backends().get("compiled")
+    if getattr(installed, "SOURCE_SHA256", None) == source_sha256():
+        return installed
     if _c_compiler() is None:
         pytest.skip("no C compiler to build rtdeph._kernels._core")
     out = tmp_path_factory.mktemp("core")

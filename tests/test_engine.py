@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -150,8 +151,9 @@ def test_hidden_entanglement_identity():
 
 
 def test_results_identical_across_thread_counts():
-    _, single = run(5.0, n=3000, seed=11, points=15, threads=1)
-    _, multi = run(5.0, n=3000, seed=11, points=15, threads=4)
+    # three blocks: the block sums are added in order, and two would commute
+    _, single = run(5.0, n=5000, seed=11, points=15, threads=1)
+    _, multi = run(5.0, n=5000, seed=11, points=15, threads=4)
     np.testing.assert_array_equal(single.q_mean, multi.q_mean)
     np.testing.assert_array_equal(single.q_se_re, multi.q_se_re)
     np.testing.assert_array_equal(single.e_f, multi.e_f)
@@ -191,70 +193,61 @@ def test_ensemble_memory_does_not_grow_with_n():
 
 
 def test_block_holds_no_n_by_m_array(compiled, monkeypatch):
-    # one 2048 x 601 block on the compiled backend: the coherences are
-    # reduced a tile at a time, so the peak stays below one (n, m) float
+    # one 2048 x 601 block: the sums are formed per stretch between
+    # switches, so on either backend the peak stays below one (n, m) float
     # array (the complex z alone would be twice that)
-    monkeypatch.setattr(_kernels, "_impl", compiled)
     config = engine.RunConfig(system=system_for(5.0), t_grid=np.linspace(0.0, 6.0 * math.pi, 601),
                               n_trajectories=2048, master_seed=0)
-    engine.run_ensemble(config)
-    tracemalloc.start()
-    try:
+    for backend in (_reference, compiled):
+        monkeypatch.setattr(_kernels, "_impl", backend)
         engine.run_ensemble(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2048 * 601 * 8
+        tracemalloc.start()
+        try:
+            engine.run_ensemble(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 601 * 8
 
 
-def tile_moments(z):
-    """``_Moments`` of the complex (n, m) array z by the tile reduction of
-    ``_kernels.block_moments`` (its numpy form)."""
-    m = z.shape[1]
-    out = np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m)
-    _reference.column_moments(z, _kernels.TILE, *out)
-    return engine._Moments(len(z), *out)
+@pytest.mark.parametrize("g, vt_max", [(5.0, 1e-3), (1e-4, 1e-3), (0.5, 1.0), (5.0, 6.0 * math.pi)])
+def test_block_sums_match_a_two_pass_reduction(compiled, g, vt_max):
+    # the shifted sums give the mean and the sums of squared deviations M2 of
+    # the explicit coherences on grids from v*t = 1e-4, where unshifted power
+    # sums would cancel; g = 1e-4 switches about ten times by v*t = 1e-3.
+    # Below that the explicit Re z - 1 ~ (v*t)**2/2 keeps too few digits
+    # of its own for an M2 comparison at rtol 1e-6.
+    params = noise.RTParams(v=1.0, gamma=1.0 / g)
+    grid = np.concatenate([[0.0], np.geomspace(1e-4, vt_max, 40)])
+    batch = noise.sample_batch(params, vt_max, 2048, master_seed=6)
+    z = np.exp(-1j * _kernels.dwell_times(batch.levels, batch.switch_times, grid))
+    x = np.stack([z.real, z.imag], axis=-1)
+    mean = x.mean(axis=0)
+    m2 = np.square(x - mean).sum(axis=0)
+    for backend in (_reference, compiled):
+        stats = engine._Sums(batch.n, *_kernels.block_sums(batch.levels, batch.switch_times, grid,
+                                                            1.0, impl=backend))
+        np.testing.assert_array_equal(stats.s[0], 0.0)
+        np.testing.assert_array_equal(stats.q[0], 0.0)
+        np.testing.assert_allclose(stats.mean, mean, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(stats.m2(), m2, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(stats.q[:, 0] + 2.0 * stats.s[:, 0] + stats.q[:, 1], 0.0,
+                                   rtol=0, atol=1e-12 * batch.n)
 
 
-def test_moments_reduce_the_block_in_place():
-    # the tiles are reduced where they lie: the block is neither copied nor
-    # overwritten, and no (n, m) |z|^2 array is made
-    rng = np.random.default_rng(4)
-    z = np.exp(1j * rng.uniform(0.0, TWO_PI, size=(2048, 101))) * rng.uniform(0.5, 1.0, size=(2048, 101))
-    ref = z.copy()
-    tracemalloc.start()
-    try:
-        stats = tile_moments(z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * ref.real.nbytes
-    np.testing.assert_array_equal(z, ref)
-    np.testing.assert_allclose(stats.z_mean, ref.mean(axis=0), rtol=0, atol=1e-15)
-    dev = ref - ref.mean(axis=0)
-    np.testing.assert_allclose(stats.m2[:, 0], np.square(dev.real).sum(axis=0), rtol=1e-13)
-    np.testing.assert_allclose(stats.m2[:, 1], np.square(dev.imag).sum(axis=0), rtol=1e-13)
-    abs2 = ref.real * ref.real + ref.imag * ref.imag
-    np.testing.assert_array_equal(stats.abs2_min, abs2.min(axis=0))
-    np.testing.assert_array_equal(stats.abs2_max, abs2.max(axis=0))
+def test_ef_derivative_matches_high_precision():
+    # dE_f/dC with its limits at C = 0 and 1; below C ~ 1e-8, 1 - s is 0 in
+    # floating point, so the textbook form divides by zero there
+    def exact(c):
+        with mpmath.workdps(60):
+            c = mpmath.mpf(c)
+            s = mpmath.sqrt(1 - c * c)
+            return float(c / (2 * s) * mpmath.log((1 + s) / (1 - s)) / mpmath.log(2))
 
-
-def test_trajectory_entropy_from_modulus_extremes():
-    def entropy(z):
-        return engine._trajectory_entropy(tile_moments(z))
-
-    phases = np.random.default_rng(1).uniform(0.0, TWO_PI, size=(300, 4))
-    e_av, e_av_se, min_entropy = entropy(np.exp(1j * phases))
-    np.testing.assert_array_equal(e_av, 1.0)
-    np.testing.assert_array_equal(e_av_se, 0.0)
-    assert min_entropy == 1.0
-    # a state off the unit circle is no longer maximally entangled
-    z = np.exp(1j * phases)
-    z[17, 2] *= 0.9
-    e_av, e_av_se, min_entropy = entropy(z)
-    assert min_entropy < 1.0 - 1e-9
-    assert e_av[2] < 1.0 - 1e-9 and e_av_se[2] > 1e-9
-    np.testing.assert_array_equal(e_av[[0, 1, 3]], 1.0)
+    c = np.concatenate([[1e-17, 1e-9], np.geomspace(1e-8, 0.5, 30), 1.0 - np.geomspace(1e-15, 0.5, 30)])
+    np.testing.assert_allclose(engine._ef_derivative(c), [exact(x) for x in c], rtol=1e-13)
+    np.testing.assert_array_equal(engine._ef_derivative(np.array([0.0, 1.0])),
+                                  [0.0, 1.0 / math.log(2.0)])
 
 
 def test_ensemble_concurrence_matches_wootters_oracle():

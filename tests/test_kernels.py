@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import coherence_walk, mp_coherences
+from conftest import source_sha256
 from rtdeph import _kernels, noise
+
+EPS = np.finfo(np.float64).eps
 
 
 def make_batch(gamma=2.0, horizon=6.0, n=300, seed=17):
@@ -30,9 +33,24 @@ def assert_backends_agree(compiled, levels, switch_times, grid, v):
     args = (levels, switch_times, grid)
     for kernel in (_kernels.dwell_times, _kernels.levels_at_times):
         assert_same_bits(kernel(*args, impl=pure), kernel(*args, impl=compiled))
-    moments = [_kernels.block_moments(*args, v, impl=backend) for backend in (pure, compiled)]
-    for out_pure, out_compiled in zip(*moments):
+    sums = [_kernels.block_sums(*args, v, impl=backend) for backend in (pure, compiled)]
+    for out_pure, out_compiled in zip(*sums):
         assert_same_bits(out_pure, out_compiled)
+    # |z| = 1, so (Re z - 1)**2 + (Im z)**2 = -2*(Re z - 1): sum |z|^2 = n
+    s, q = sums[0]
+    np.testing.assert_allclose(q[:, 0] + 2.0 * s[:, 0] + q[:, 1], 0.0, rtol=0,
+                               atol=1e-12 * len(levels))
+
+
+def test_compiled_backend_matches_its_source(compiled):
+    # setup.py compiles the SHA-256 of _core.c into the extension, so an
+    # extension built from another _core.c is caught, not compared
+    assert compiled.SOURCE_SHA256 == source_sha256()
+    installed = _kernels.available_backends().get("compiled")
+    if installed is not None:
+        assert getattr(installed, "SOURCE_SHA256", None) == source_sha256(), (
+            "rtdeph._kernels._core was built from another _core.c; rebuild it with "
+            "`python setup.py build_ext --inplace --force`")
 
 
 def test_backend_selection_reports_a_known_name():
@@ -80,16 +98,16 @@ def test_padding_ends_each_row(compiled):
     seed=st.integers(0, 2**32 - 1),
     gamma=st.sampled_from([0.0, 0.3, 2.0, 9.0]),
     v=st.floats(0.05, 20.0),
-    n=st.sampled_from([1, _kernels.TILE - 1, _kernels.TILE + 1, 2048]),
+    n=st.sampled_from([1, 2, 2048]),
     horizon=st.floats(0.5, 12.0),
     m=st.integers(1, 40),
     stride=st.integers(1, 7),
 )
-def test_block_moments_bit_identical_property(compiled, seed, gamma, v, n, horizon, m, stride):
+def test_block_sums_bit_identical_property(compiled, seed, gamma, v, n, horizon, m, stride):
     # gamma = 0 gives a batch without switches (k = 0); the grid also holds
-    # up to ~60 switch times exactly, spread over the horizon: there a
-    # level-0 segment starts or ends, so every rule for reusing cos/sin is
-    # exercised
+    # up to ~60 switch times exactly, spread over the horizon: there one
+    # stretch ends and the next starts, and stretches between two grid
+    # points are empty
     batch = noise.sample_batch(noise.RTParams(v=v, gamma=gamma), horizon, n, master_seed=seed)
     finite = np.sort(batch.switch_times[np.isfinite(batch.switch_times)])
     hits = finite[:: max(stride, finite.size // 60)]
@@ -97,20 +115,23 @@ def test_block_moments_bit_identical_property(compiled, seed, gamma, v, n, horiz
     assert_backends_agree(compiled, batch.levels, batch.switch_times, grid, v)
 
 
-def assert_row_means(impl, levels, switch_times, grid, v, rows):
-    """Each row's single-row block_moments equals its coherence_walk: the
-    mean of one row is 0.0 + z, the moment sum starting from 0.0.  Returns
-    the complex means."""
-    means = []
+def assert_row_sums(impl, levels, switch_times, grid, v, rows):
+    """Each row's single-row block_sums against its coherence_walk z: s is
+    (Re z - 1, Im z) within 4 eps (1 + j) and q their squares within
+    16 eps (1 + j), j being the switches the row has passed.  Each switch
+    leaves the rounding of a stretch's terms, which are at most 2 (4 for
+    the squares), in the prefix sums.  Returns s and j per row."""
+    out = []
     for i in rows:
         tau = [float(s) for s in switch_times[i] if np.isfinite(s)]
-        expected = np.array(coherence_walk(int(levels[i]), tau, grid, v))
-        mean, m2, _, _ = _kernels.block_moments(levels[i : i + 1], switch_times[i : i + 1], grid, v,
-                                               impl=impl)
-        assert_same_bits(mean, 0.0 + expected)
-        np.testing.assert_array_equal(m2, 0.0)
-        means.append(mean.view(np.complex128)[:, 0])
-    return means
+        z = np.array(coherence_walk(int(levels[i]), tau, grid, v))
+        s, q = _kernels.block_sums(levels[i : i + 1], switch_times[i : i + 1], grid, v, impl=impl)
+        shifted = np.stack([z[:, 0] - 1.0, z[:, 1]], axis=-1)
+        j = np.searchsorted(tau, grid, side="right")[:, None]
+        assert np.all(np.abs(s - shifted) <= 4 * EPS * (1 + j))
+        assert np.all(np.abs(q - np.square(shifted)) <= 16 * EPS * (1 + j))
+        out.append((s, j[:, 0]))
+    return out
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -123,14 +144,15 @@ def assert_row_means(impl, levels, switch_times, grid, v, rows):
     m=st.integers(1, 40),
     stride=st.integers(1, 7),
 )
-def test_coherences_bit_identical_property(compiled, seed, switches, v, vt, n, m, stride):
-    # phases v*t up to 400*pi with about `switches` switches per row; the
-    # coherences live only inside block_moments, so each of the first rows
-    # is checked through its single-row mean: bit for bit against the scalar
-    # walk of tests/_oracles.py, and within a few ulp of v*t of the exact
-    # exp(-i*v*dwell).  The bound scales with v*t, not with the phase: on a
-    # level-1 segment after a long level-0 stretch the two factor phases are
-    # each about v*t and cancel to a small phase, keeping their rounding.
+def test_single_row_sums_match_coherence_oracles(compiled, seed, switches, v, vt, n, m, stride):
+    # phases v*t up to 400*pi with about `switches` switches per row; no
+    # coherence is formed, so each of the first rows is checked through its
+    # single-row sums: against the scalar walk of tests/_oracles.py within
+    # the rounding the prefix sums add per switch, and against the exact
+    # exp(-i*v*dwell) within 4 eps (1 + v*t + j).  That bound scales with
+    # v*t, not with the phase: on a level-1 stretch after a long level-0
+    # stretch the two factor phases are each about v*t and cancel to a
+    # small phase, keeping their rounding.
     horizon = vt / v
     batch = noise.sample_batch(noise.RTParams(v=v, gamma=switches / horizon), horizon, n,
                                master_seed=seed)
@@ -139,34 +161,44 @@ def test_coherences_bit_identical_property(compiled, seed, switches, v, vt, n, m
     grid = np.unique(np.concatenate([np.linspace(0.0, horizon, m), hits]))
     assert_backends_agree(compiled, batch.levels, batch.switch_times, grid, v)
     rows = range(min(n, 3))
-    means = assert_row_means(compiled, batch.levels, batch.switch_times, grid, v, rows)
-    eps = np.finfo(np.float64).eps
-    for i, z in zip(rows, means):
+    for i, (s, j) in zip(rows, assert_row_sums(compiled, batch.levels, batch.switch_times, grid,
+                                               v, rows)):
         tau = batch.switch_times[i][np.isfinite(batch.switch_times[i])]
         exact = np.array(mp_coherences(int(batch.levels[i]), tau, grid, v))
-        assert np.all(np.abs(z - exact) <= 4 * eps * (1.0 + v * grid))
+        bound = 4 * EPS * (1.0 + v * grid + j)
+        assert np.all(np.abs(s[:, 0] - (exact.real - 1.0)) <= bound)
+        assert np.all(np.abs(s[:, 1] - exact.imag) <= bound)
 
 
 def test_static_rows_are_segment_times_grid_factor(compiled):
-    # without switches a level-1 row is the grid factor exp(-i*v*t) and a
-    # level-0 row is exp(-0i) = (1, -0.0); rows 2 and 3 switch on grid
-    # points, and row 3 passes two switches between grid points 0.25 and 0.5
+    # without switches a level-1 row is the grid factor e = exp(-i*v*t) and
+    # a level-0 row is 1, so their single-row sums are exactly (er - 1, ei)
+    # with squares, and 0; rows 2 and 3 switch on grid points, which start
+    # the new stretch there, and row 3 passes two switches between grid
+    # points 0.25 and 0.5 (an empty stretch)
     v = 2.5
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
-    expected_high = np.array([[math.cos(v * t), math.sin(-(v * t))] for t in grid])
-    expected_low = np.tile([1.0, -0.0], (grid.size, 1))
-    static = np.array([0, 1], dtype=np.uint8), np.empty((2, 0))
-    pure = _kernels.available_backends()["pure"]
-    z = pure.coherences(*static, grid, v)
-    assert_same_bits(np.stack([z.real, z.imag], axis=-1), np.stack([expected_low, expected_high]))
+    high = np.array([[math.cos(v * t) - 1.0, math.sin(-(v * t))] for t in grid])
     levels = np.array([0, 1, 0, 1], dtype=np.uint8)
     times = np.array([[np.inf] * 3, [np.inf] * 3, [0.5, 1.0, 1.5], [0.3, 0.4, 1.0]])
-    for backend in (pure, compiled):
-        assert_row_means(backend, levels, times, grid, v, range(4))
-        for i, expected in ((0, expected_low), (1, expected_high)):
-            mean, _, _, _ = _kernels.block_moments(levels[i : i + 1], times[i : i + 1], grid, v,
-                                                   impl=backend)
-            assert_same_bits(mean, 0.0 + expected)
+    for backend in (_kernels.available_backends()["pure"], compiled):
+        assert_row_sums(backend, levels, times, grid, v, range(4))
+        for i, expected in ((0, np.zeros_like(high)), (1, high)):
+            s, q = _kernels.block_sums(levels[i : i + 1], times[i : i + 1], grid, v, impl=backend)
+            np.testing.assert_array_equal(s, expected)
+            np.testing.assert_array_equal(q, np.square(expected))
+        s, _ = _kernels.block_sums(levels, times, grid, v, impl=backend)
+        np.testing.assert_array_equal(s[0], 0.0)  # every row is 1 at t = 0
+        # row 2's first switch, at grid point 0.5, starts its level-1 stretch
+        # there: the dwell is continuous, so only the rounding tells, and the
+        # column has the level-1 terms, (sr - 1, si) combined with e, not the
+        # exact 0 of its level-0 stretch
+        s, _ = _kernels.block_sums(levels[2:3], times[2:3], grid, v, impl=backend)
+        er, ei = math.cos(v * 0.5), math.sin(-(v * 0.5))
+        a, b = math.cos(v * -0.5) - 1.0, math.sin(-(v * -0.5))
+        switch_column = [(er - 1.0) + (a * er - b * ei), ei + (a * ei + b * er)]
+        assert switch_column != [0.0, 0.0]
+        np.testing.assert_array_equal(s[2], switch_column)
 
 
 def test_compiled_moments_reject_mismatched_buffers(compiled):
@@ -175,26 +207,23 @@ def test_compiled_moments_reject_mismatched_buffers(compiled):
     args = (batch.levels, batch.switch_times, grid, 1.0)
 
     def outs(m=3):
-        return [np.empty((m, 2)), np.empty((m, 2)), np.empty(m), np.empty(m)]
+        return [np.empty((m, 2)), np.empty((m, 2))]
 
-    compiled.block_moments(*args, _kernels.TILE, *outs())
+    compiled.block_sums(*args, *outs())
     mismatched = [
         (0, np.empty((3, 1))),  # not (m, 2)
         (1, np.empty((3, 2), np.float32)),
-        (2, np.empty(2)),
-        (3, np.empty((3, 1))),  # not 1-D
+        (0, np.empty((2, 2))),
+        (1, np.empty(6)),  # not 2-D
         (0, np.empty((2, 3)).T),  # not C-contiguous
     ]
     for index, bad in mismatched:
         buffers = outs()
         buffers[index] = bad
         with pytest.raises(ValueError):
-            compiled.block_moments(*args, _kernels.TILE, *buffers)
+            compiled.block_sums(*args, *buffers)
     with pytest.raises(ValueError):
-        compiled.block_moments(*args, 0, *outs())  # tile < 1
-    with pytest.raises(ValueError):
-        compiled.block_moments(batch.levels[:0], batch.switch_times[:0], *args[2:],
-                               _kernels.TILE, *outs())  # no rows
+        compiled.block_sums(batch.levels[:3], *args[1:], *outs())  # rows differ
 
 
 def test_dwell_matches_single_trajectory_phase(impl):
@@ -268,4 +297,4 @@ def test_grid_validation():
             with pytest.raises(ValueError, match="finite"):
                 kernel(*args, grid)
         with pytest.raises(ValueError, match="finite"):
-            _kernels.block_moments(*args, grid, 1.0)
+            _kernels.block_sums(*args, grid, 1.0)
