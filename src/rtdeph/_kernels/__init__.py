@@ -11,16 +11,24 @@ one row per trajectory padded with +inf; the padding is the only record of
 a row's length.  There are three kernels, one per pass a run makes:
 ``dwell_times`` (recovery's noise phase) and ``levels_at_times``
 (autocorrelation) return an (n, m) array, and ``block_sums`` (ensembles)
-returns only the column sums of the coherences z = exp(-i*v*dwell),
-shifted by their t = 0 value 1, and of their squares.  Between two
-switches a row's coherence is the constant exp(-i*v*acc) on level 0, and
-on level 1 the segment factor exp(-i*v*(acc - prev)) times the grid
-factor exp(-i*v*t) (acc being the dwell time up to the last switch, at
-time prev).  So ``block_sums`` adds each stretch of grid points between
-switches once, to difference arrays at its ends, and one prefix sum gives
-every column: neither backend forms the (n, m) coherences.  The functions
-here validate and convert the arguments and allocate the outputs, which
-the selected backend fills.
+returns only difference arrays of the coherences z = exp(-i*v*dwell),
+shifted by their t = 0 value 1.  Between two switches a row's coherence
+is the constant exp(-i*v*acc) on level 0, and on level 1 the segment
+factor exp(-i*v*(acc - prev)) times the grid factor exp(-i*v*t) (acc
+being the dwell time up to the last switch, at time prev).  So
+``block_sums`` adds the terms of each stretch of grid points between
+switches once, at its first grid point, and takes them off at its end:
+neither backend forms the (n, m) coherences.  Difference arrays add over
+blocks, and ``column_sums`` turns their total into the column sums of
+(Re z - 1, Im z) and of their squares with one prefix sum and one
+combine with the grid factor per run.  The functions here validate and
+convert the arguments and allocate the outputs, which the selected
+backend fills.
+
+The ten difference arrays, m + 1 entries each, are in this row order:
+level-0 stretches add c - 1 = (c_r - 1, c_i) and the squares of its
+parts; level-1 stretches add 1 (their count), s - 1 = (s_r - 1, s_i), the
+squares of its parts and their product.
 """
 
 from __future__ import annotations
@@ -38,14 +46,6 @@ _impl = _core if _core is not None else _reference
 
 #: Name of the backend selected at import: "compiled" or "pure".
 BACKEND = "compiled" if _impl is _core else "pure"
-
-
-def available_backends() -> dict:
-    """Importable backend modules keyed by name (for tests and benchmarks)."""
-    backends = {"pure": _reference}
-    if _core is not None:
-        backends["compiled"] = _core
-    return backends
 
 
 def _prepare(levels, switch_times, t_grid):
@@ -82,15 +82,39 @@ def levels_at_times(levels, switch_times, t_grid, impl=None):
 
 
 def block_sums(levels, switch_times, t_grid, v, impl=None):
-    """Column sums of the coherences z = exp(-i*v*dwell) on the grid, from
-    the stretches between switches (see the module docstring).
+    """The (10, m + 1) difference arrays of the coherences z =
+    exp(-i*v*dwell) on the grid, from the stretches between switches (see
+    the module docstring).  Batches add; ``column_sums`` finishes the total.
+    """
+    args = _prepare(levels, switch_times, t_grid)
+    out = np.zeros((10, args[2].shape[0] + 1))
+    (impl or _impl).block_sums(*args, float(v), out)
+    return out
+
+
+def column_sums(d, t_grid, v):
+    """Column sums of the coherences z = exp(-i*v*dwell) on the grid from
+    their difference arrays ``d`` (``block_sums``, added over batches).
 
     Returns (s, q), each of shape (m, 2): the sums of (Re z - 1, Im z) and
     of their squares.  The shift by the t = 0 value 1 keeps the sums small
-    where z is near 1, so that q - s**2/n keeps its digits.
+    where z is near 1, so that q - s**2/n keeps its digits.  After the
+    prefix sum, column g combines the level-1 terms with its grid factor
+    (er, ei) = exp(-i*v*t_g): a level-1 row with segment factor sf adds
+    dr + (a*er - b*ei) to Re z - 1 and ei + (a*ei + b*er) to Im z, where
+    dr = er - 1 and (a, b) = sf - 1.
     """
-    args = _prepare(levels, switch_times, t_grid)
-    m = args[2].shape[0]
-    out = np.empty((m, 2)), np.empty((m, 2))
-    (impl or _impl).block_sums(*args, float(v), *out)
-    return out
+    p = np.cumsum(d, axis=1)[:, : len(t_grid)]
+    low_re, low_im, low_re2, low_im2, count, a, b, aa, bb, ab = p
+    e = np.exp(-1j * (v * t_grid))
+    er, ei = e.real, e.imag
+    dr = er - 1.0
+    rr, ii, ri = er * er, ei * ei, er * ei
+    x = a * er - b * ei
+    y = a * ei + b * er
+    s = np.stack([low_re + (count * dr + x), low_im + (count * ei + y)], axis=-1)
+    q = np.stack([
+        low_re2 + ((count * (dr * dr) + (aa * rr + bb * ii)) + 2.0 * (dr * x - ab * ri)),
+        low_im2 + ((count * ii + (aa * ii + bb * rr)) + 2.0 * (ei * y + ab * ri)),
+    ], axis=-1)
+    return s, q

@@ -6,20 +6,21 @@
  * (float64, shape (m,)); the walk stops at the padding because +inf is never
  * <= t.  dwell_times and levels_at_times fill a caller-allocated
  * C-contiguous (n, m) output through the buffer protocol.  block_sums
- * instead fills two (m, 2) outputs with the column sums of the coherences
- * z = exp(-i*v*dwell) shifted by their t = 0 value 1, (Re z - 1, Im z), and
- * of their squares, without forming any coherence.  rtdeph._kernels
- * validates and converts the arguments and allocates the outputs.  The
- * loops run with the GIL released.
+ * instead adds, per row, the terms of the coherences z = exp(-i*v*dwell)
+ * shifted by their t = 0 value 1 to a caller-zeroed (N_SUMS, m + 1) float64
+ * array of difference arrays, without forming any coherence.
+ * rtdeph._kernels validates and converts the arguments, allocates the
+ * outputs and finishes the difference arrays into column sums.  The loops
+ * run with the GIL released.
  *
  * Between two switches a row's coherence is a constant c = exp(-i*v*acc)
  * on level 0, and on level 1 a segment factor s = exp(-i*v*(acc - prev))
  * times the grid factor e = exp(-i*v*t) that all rows share.  So each
  * stretch of grid points [g0, g1) between switches adds its terms once, at
- * g0, and takes them off at g1 of difference arrays; one prefix sum gives
- * every column, which combines the level-1 terms with its grid factor.  A
- * block costs one cos/sin pair per stretch and per grid point and a binary
- * search per switch, not work per trajectory and grid point.
+ * g0, and takes them off at g1 of the difference arrays; the grid factor
+ * is left to the finishing step.  A block costs one cos/sin pair per
+ * stretch and a binary search per switch, not work per trajectory and grid
+ * point.
  *
  * The arithmetic is that of the numpy reference (_reference.py), operation
  * for operation, so the two backends agree bit for bit.  setup.py compiles
@@ -37,8 +38,8 @@
 #error "build with setup.py, which defines RTDEPH_SOURCE_SHA256"
 #endif
 
-/* The buffers one call holds: at most a batch of three and two outputs. */
-enum { MAX_VIEWS = 5 };
+/* The buffers one call holds: at most a batch of three and an output. */
+enum { MAX_VIEWS = 4 };
 
 typedef struct {
     Py_buffer views[MAX_VIEWS];
@@ -165,14 +166,6 @@ dwell_at(Walk *w, double t)
     return w->acc + w->lvl * (t - w->prev);
 }
 
-/* The (cos phase, sin(-phase)) pair of exp(-i*phase) into z[0], z[1]. */
-static inline void
-unit(double phase, double *z)
-{
-    z[0] = cos(phase);
-    z[1] = sin(-phase);
-}
-
 static PyObject *
 dwell_times(PyObject *self, PyObject *args)
 {
@@ -259,9 +252,9 @@ add_row(const Batch *b, Py_ssize_t i, double v, double *d)
         Py_ssize_t g1 = walk.j < walk.k ? stretch_start(b->t_grid, g0, m, walk.tau[walk.j]) : m;
         if (g1 > g0) {
             const int high = walk.lvl != 0.0;
-            double z[2];
-            unit(v * (high ? walk.acc - walk.prev : walk.acc), z);
-            const double re = z[0] - 1.0, im = z[1];
+            /* the parts of exp(-i*phase): cos(phase) and sin(-phase) */
+            const double phase = v * (high ? walk.acc - walk.prev : walk.acc);
+            const double re = cos(phase) - 1.0, im = sin(-phase);
             /* level 1 adds all six terms from HIGH_N, level 0 x[1..4] */
             const double x[6] = {1.0, re, im, re * re, im * im, re * im};
             const int first = high ? HIGH_N : LOW_RE, count = high ? 6 : 4;
@@ -277,64 +270,33 @@ add_row(const Batch *b, Py_ssize_t i, double v, double *d)
     }
 }
 
-/* Takes (levels, switch_times, t_grid, v, out_s, out_q): the (m, 2) column
-   sums of (Re z - 1, Im z) into out_s and of their squares into out_q.
-   The difference arrays are prefix-summed in place, and column g then
-   combines them with its grid factor (er, ei) = exp(-i*v*t_g): a level-1
-   row adds dr + (a*er - b*ei) to Re z - 1 and ei + (a*ei + b*er) to Im z,
-   where dr = er - 1 and (a, b) = s - 1. */
+/* Takes (levels, switch_times, t_grid, v, out) and adds every row's
+   stretch terms to the difference arrays in out, float64 (N_SUMS, m + 1),
+   which the caller zeroes. */
 static PyObject *
 block_sums(PyObject *self, PyObject *args)
 {
-    PyObject *o[5];
+    PyObject *o[4];
     Views vs = {.held = 0};
     Batch b;
-    Py_buffer *s_view, *q_view;
-    double v, *d;
-    if (!PyArg_ParseTuple(args, "OOOdOO", &o[0], &o[1], &o[2], &v, &o[3], &o[4])
+    Py_buffer *out;
+    double v;
+    if (!PyArg_ParseTuple(args, "OOOdO", &o[0], &o[1], &o[2], &v, &o[3])
         || batch_views(&b, &vs, o[0], o[1], o[2]) < 0
-        || !(s_view = view(&vs, o[3], 2, sizeof(double), 1, "out_s"))
-        || !(q_view = view(&vs, o[4], 2, sizeof(double), 1, "out_q"))) {
+        || !(out = view(&vs, o[3], 2, sizeof(double), 1, "out"))) {
         release(&vs);
         return NULL;
     }
-    if (s_view->shape[0] != b.m || s_view->shape[1] != 2 || q_view->shape[0] != b.m
-        || q_view->shape[1] != 2) {
+    if (out->shape[0] != N_SUMS || out->shape[1] != b.m + 1) {
         shape_error();
         release(&vs);
         return NULL;
     }
-    const Py_ssize_t m = b.m, w = m + 1;
-    d = PyMem_RawCalloc((size_t)(N_SUMS * w), sizeof(double));
-    if (!d) {
-        release(&vs);
-        return PyErr_NoMemory();
-    }
-    double *s = s_view->buf, *q = q_view->buf;
+    double *d = out->buf;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < b.n; i++)
         add_row(&b, i, v, d);
-    for (int k = 0; k < N_SUMS; k++)
-        for (Py_ssize_t g = 1; g < m; g++)
-            d[k * w + g] = d[k * w + g - 1] + d[k * w + g];
-    for (Py_ssize_t g = 0; g < m; g++) {
-        double p[N_SUMS], e[2];
-        for (int k = 0; k < N_SUMS; k++)
-            p[k] = d[k * w + g];
-        unit(v * b.t_grid[g], e);
-        const double er = e[0], ei = e[1], dr = er - 1.0;
-        const double rr = er * er, ii = ei * ei, ri = er * ei;
-        const double x = p[HIGH_RE] * er - p[HIGH_IM] * ei;
-        const double y = p[HIGH_RE] * ei + p[HIGH_IM] * er;
-        s[2 * g] = p[LOW_RE] + (p[HIGH_N] * dr + x);
-        s[2 * g + 1] = p[LOW_IM] + (p[HIGH_N] * ei + y);
-        q[2 * g] = p[LOW_RE2] + ((p[HIGH_N] * (dr * dr) + (p[HIGH_RE2] * rr + p[HIGH_IM2] * ii))
-                                 + 2.0 * (dr * x - p[HIGH_REIM] * ri));
-        q[2 * g + 1] = p[LOW_IM2] + ((p[HIGH_N] * ii + (p[HIGH_RE2] * ii + p[HIGH_IM2] * rr))
-                                     + 2.0 * (ei * y + p[HIGH_REIM] * ri));
-    }
     Py_END_ALLOW_THREADS
-    PyMem_RawFree(d);
     release(&vs);
     Py_RETURN_NONE;
 }
@@ -347,9 +309,9 @@ static PyMethodDef methods[] = {
      "levels_at_times(levels, switch_times, t_grid, out): level bit at each "
      "grid time per trajectory, into uint8 out."},
     {"block_sums", block_sums, METH_VARARGS,
-     "block_sums(levels, switch_times, t_grid, v, out_s, out_q): column sums "
-     "of (Re z - 1, Im z) and of their squares, z = exp(-i*v*dwell), from "
-     "the switch stretches without the (n, m) array."},
+     "block_sums(levels, switch_times, t_grid, v, out): adds the stretch terms "
+     "of z = exp(-i*v*dwell) shifted by 1 to the (10, m + 1) difference "
+     "arrays in float64 out, without the (n, m) array."},
     {NULL, NULL, 0, NULL},
 };
 

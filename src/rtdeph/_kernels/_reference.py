@@ -7,11 +7,10 @@ accumulated in switch order (np.cumsum accumulates sequentially).
 ``dwell_times`` looks up the stretch of each grid time and uses the
 compiled kernel's operand order.  ``block_sums`` adds each stretch's terms
 to difference arrays at its first grid point and takes them off at its
-end, in the compiled kernel's row and stretch order, then prefix-sums them
-and combines each column with its grid factor in the same real arithmetic.
-Each factor is numpy's complex exp of -1j times its phase, whose parts are
-the cos(phase) and sin(-phase) the compiled kernel calls.  So both
-backends produce bit-identical output.  Each kernel fills the outputs that
+end, in the compiled kernel's row and stretch order.  Each stretch factor
+is numpy's complex exp of -1j times its phase, whose parts are the
+cos(phase) and sin(-phase) the compiled kernel calls.  So both backends
+produce bit-identical output.  Each kernel fills the outputs that
 ``rtdeph._kernels`` allocates.
 """
 
@@ -82,21 +81,20 @@ def levels_at_times(levels, switch_times, t_grid, out):
     out[...] = levels[:, None] ^ (_switch_counts(switch_times, t_grid) & 1)
 
 
-def block_sums(levels, switch_times, t_grid, v, out_s, out_q):
-    """Column sums of the coherences z = exp(-i*v*dwell) shifted by 1,
-    (Re z - 1, Im z), into the (m, 2) ``out_s``, and of their squares into
-    the (m, 2) ``out_q``, formed per stretch between switches.
+def block_sums(levels, switch_times, t_grid, v, out):
+    """Adds the terms of the coherences z = exp(-i*v*dwell) shifted by 1 to
+    the difference arrays in ``out``, float64 of shape (10, m + 1) and
+    zeroed by the caller, formed per stretch between switches.
 
     Stretch j of a row runs from its switch j - 1 (or t = 0) to switch j
     and covers the grid points [g0, g1) from the first grid time >= its
     start.  Its coherence is c = exp(-i*v*acc) on level 0, and on level 1
     the segment factor s = exp(-i*v*(acc - prev)) times the grid factor
-    e = exp(-i*v*t).  Each non-empty stretch adds its terms (c - 1 and its
-    squared parts; or the count 1, s - 1, its squared parts and their
-    product) to difference arrays at g0 and their negatives at g1, in row,
-    stretch, start-then-end order (np.bincount adds its weights in input
-    order); a prefix sum (np.cumsum) then gives every column, combined with
-    e in the compiled kernel's operand order.
+    exp(-i*v*t), which is left to ``rtdeph._kernels.column_sums``.  Each
+    non-empty stretch adds its terms (c - 1 and its squared parts; or the
+    count 1, s - 1, its squared parts and their product) to the rows of
+    ``out`` at g0 and their negatives at g1, in row, stretch, start-then-end
+    order (np.bincount adds its weights in input order).
     """
     n, k = switch_times.shape
     m = t_grid.shape[0]
@@ -119,15 +117,4 @@ def block_sums(levels, switch_times, t_grid, v, out_s, out_q):
         events = np.stack([start[sel], end[sel]], axis=-1).ravel()
         sums += [np.bincount(events, weights=np.stack([x[sel], -x[sel]], axis=-1).ravel(),
                              minlength=m + 1) for x in group]
-    p = np.cumsum(np.array(sums), axis=1)[:, :m]
-    low_re, low_im, low_re2, low_im2, count, a, b, aa, bb, ab = p
-    e = np.exp(-1j * (v * t_grid))
-    er, ei = e.real, e.imag
-    dr = er - 1.0
-    rr, ii, ri = er * er, ei * ei, er * ei
-    x = a * er - b * ei
-    y = a * ei + b * er
-    out_s[:, 0] = low_re + (count * dr + x)
-    out_s[:, 1] = low_im + (count * ei + y)
-    out_q[:, 0] = low_re2 + ((count * (dr * dr) + (aa * rr + bb * ii)) + 2.0 * (dr * x - ab * ri))
-    out_q[:, 1] = low_im2 + ((count * ii + (aa * ii + bb * rr)) + 2.0 * (ei * y + ab * ri))
+    out += sums

@@ -11,16 +11,17 @@ the Monte Carlo estimate of the analytic coherence factor.
 Ensembles and recovery reports stream through fixed blocks of
 trajectories, and each block is reduced on its own.  For an ensemble one
 backend call (``_kernels.block_sums``) turns a block's switch times into
-the column sums of its coherences z = exp(-i*v*dwell) on the grid, shifted
-by their t = 0 value 1, and of their squares: between two switches a row's
-coherence is a constant or a constant times a grid factor, so each
-stretch between switches is added once and no (n, m) array is formed.
-The block sums are added in block order, and the mean and the sums of
-squared deviations follow from the totals.  Recovery needs only two means,
-of the coherences at the revival time without and with the phase
-correction, so each block gives their two sums, added in block order.
-Memory does not grow with the number of trajectories, and there is no cap
-on the ensemble size.  The concurrence of an averaged ensemble is
+difference arrays of its coherences z = exp(-i*v*dwell) on the grid,
+shifted by their t = 0 value 1: between two switches a row's coherence is
+a constant or a constant times a grid factor, so each stretch between
+switches is added once and no (n, m) array is formed.  The blocks'
+difference arrays are added in block order, and one prefix sum over the
+total (``_kernels.column_sums``) gives the column sums of the coherences
+and of their squares, from which follow the mean and the sums of squared
+deviations.  Recovery needs only two means, of the coherences at the
+revival time without and with the phase correction, so each block gives
+their two sums, added in block order.  Memory does not grow with the
+number of trajectories, and there is no cap on the ensemble size.  The concurrence of an averaged ensemble is
 min(|q|, 1), q its mean coherence.
 
 Reproducibility contract: the blocks are the ``noise.BLOCK``-trajectory
@@ -116,39 +117,6 @@ def evolve_trajectory(system: SystemParams, traj: noise.RTTrajectory, t: float) 
     return state / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class _Sums:
-    """Column sums over n per-trajectory coherences z (one row per
-    trajectory), taken over the (Re z - 1, Im z) pairs: s of the pairs and
-    q of their squares, each (m, 2).  A block's sums come from
-    ``_kernels.block_sums``; blocks combine with ``+``."""
-
-    n: int
-    s: np.ndarray
-    q: np.ndarray
-
-    def __add__(self, other: _Sums) -> _Sums:
-        return _Sums(self.n + other.n, self.s + other.s, self.q + other.q)
-
-    @property
-    def mean(self) -> np.ndarray:
-        """The (m, 2) mean of (Re z, Im z): (1 + s_re/n, s_im/n)."""
-        mean = self.s / self.n
-        mean[:, 0] += 1.0
-        return mean
-
-    def m2(self) -> np.ndarray:
-        """The (m, 2) sums of squared deviations from the mean,
-        max(q - s**2/n, 0), and exactly 0 for a single row."""
-        if self.n == 1:
-            return np.zeros_like(self.s)
-        return np.maximum(self.q - np.square(self.s) / self.n, 0.0)
-
-    def standard_errors(self) -> np.ndarray:
-        """ddof=1 standard errors of the mean of Re z and Im z, as (m, 2)."""
-        return np.sqrt(self.m2() / max(self.n - 1, 1)) / math.sqrt(self.n)
-
-
 def _correction_phase(theta, n: int):
     """Leftover noise phase at the revival time t_n, which recovery undoes."""
     return theta - _TWO_PI * n
@@ -187,6 +155,19 @@ def _ef_derivative(c: np.ndarray) -> np.ndarray:
     return np.where(inside, slope, np.where(c >= 1.0, 1.0 / math.log(2.0), 0.0))
 
 
+def _moments(n: int, d: np.ndarray, t_grid, v: float):
+    """The mean of (Re z, Im z) over the n coherences whose difference
+    arrays add up to ``d``, and their sums of squared deviations M2, each
+    (m, 2): (1 + s_re/n, s_im/n) and max(q - s**2/n, 0), exactly 0 for
+    n = 1, from the column sums s and q (``_kernels.column_sums``)."""
+    s, q = _kernels.column_sums(d, t_grid, v)
+    mean = s / n
+    mean[:, 0] += 1.0
+    if n == 1:
+        return mean, np.zeros_like(s)
+    return mean, np.maximum(q - np.square(s) / n, 0.0)
+
+
 def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
     """Average an ensemble of noise realizations over the time grid.
 
@@ -196,13 +177,12 @@ def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
     difference (the hidden entanglement).  Deterministic given
     ``config.master_seed``, independent of ``n_threads``.
     """
-    v = config.system.rt.v
-    blocks = _stream(config, n_threads, lambda batch: _Sums(batch.n, *_kernels.block_sums(
-        batch.levels, batch.switch_times, config.t_grid, v)))
-    stats = functools.reduce(_Sums.__add__, blocks)
-    mean = stats.mean
+    v, n = config.system.rt.v, config.n_trajectories
+    blocks = _stream(config, n_threads, lambda batch: _kernels.block_sums(
+        batch.levels, batch.switch_times, config.t_grid, v))
+    mean, m2 = _moments(n, functools.reduce(np.add, blocks), config.t_grid, v)
     q_mean = mean.view(np.complex128)[:, 0]
-    q_se = stats.standard_errors()
+    q_se = np.sqrt(m2 / max(n - 1, 1)) / math.sqrt(n)
 
     q_abs = np.abs(q_mean)
     concurrence = np.minimum(q_abs, 1.0)

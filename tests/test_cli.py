@@ -116,7 +116,7 @@ def test_artifacts_identical_across_backends(compiled, monkeypatch, command, arg
     spec = cli.build_spec(cli.build_parser().parse_args(
         args + ["--n-traj", "4500", "--seed", "8", "--no-timestamp"]))
     texts = []
-    for backend in (_kernels.available_backends()["pure"], compiled):
+    for backend in (_kernels._reference, compiled):
         monkeypatch.setattr(_kernels, "_impl", backend)
         text, code = command(spec)
         assert code == 0

@@ -210,29 +210,63 @@ def test_block_holds_no_n_by_m_array(compiled, monkeypatch):
         assert peak < 2048 * 601 * 8
 
 
-@pytest.mark.parametrize("g, vt_max", [(5.0, 1e-3), (1e-4, 1e-3), (0.5, 1.0), (5.0, 6.0 * math.pi)])
+TWO_PASS_CASES = [(5.0, 1e-3), (1e-4, 1e-3), (0.5, 1.0), (5.0, 6.0 * math.pi)]
+
+
+def two_pass_grid(vt_max):
+    return np.concatenate([[0.0], np.geomspace(1e-4, vt_max, 40)])
+
+
+def two_pass(g, vt_max, n):
+    """The mean and the sums of squared deviations M2 of (Re z, Im z) over
+    the explicit coherences z = exp(-i*dwell) of the first n trajectories
+    of seed 6 at v = 1, each of shape (m, 2)."""
+    params = noise.RTParams(v=1.0, gamma=1.0 / g)
+    batch = noise.sample_batch(params, vt_max, n, master_seed=6)
+    z = np.exp(-1j * _kernels.dwell_times(batch.levels, batch.switch_times, two_pass_grid(vt_max)))
+    x = np.stack([z.real, z.imag], axis=-1)
+    mean = x.mean(axis=0)
+    return batch, mean, np.square(x - mean).sum(axis=0)
+
+
+@pytest.mark.parametrize("g, vt_max", TWO_PASS_CASES)
 def test_block_sums_match_a_two_pass_reduction(compiled, g, vt_max):
     # the shifted sums give the mean and the sums of squared deviations M2 of
     # the explicit coherences on grids from v*t = 1e-4, where unshifted power
     # sums would cancel; g = 1e-4 switches about ten times by v*t = 1e-3.
     # Below that the explicit Re z - 1 ~ (v*t)**2/2 keeps too few digits
     # of its own for an M2 comparison at rtol 1e-6.
-    params = noise.RTParams(v=1.0, gamma=1.0 / g)
-    grid = np.concatenate([[0.0], np.geomspace(1e-4, vt_max, 40)])
-    batch = noise.sample_batch(params, vt_max, 2048, master_seed=6)
-    z = np.exp(-1j * _kernels.dwell_times(batch.levels, batch.switch_times, grid))
-    x = np.stack([z.real, z.imag], axis=-1)
-    mean = x.mean(axis=0)
-    m2 = np.square(x - mean).sum(axis=0)
+    grid = two_pass_grid(vt_max)
+    batch, mean, m2 = two_pass(g, vt_max, 2048)
     for backend in (_reference, compiled):
-        stats = engine._Sums(batch.n, *_kernels.block_sums(batch.levels, batch.switch_times, grid,
-                                                            1.0, impl=backend))
-        np.testing.assert_array_equal(stats.s[0], 0.0)
-        np.testing.assert_array_equal(stats.q[0], 0.0)
-        np.testing.assert_allclose(stats.mean, mean, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(stats.m2(), m2, rtol=1e-6, atol=0)
-        np.testing.assert_allclose(stats.q[:, 0] + 2.0 * stats.s[:, 0] + stats.q[:, 1], 0.0,
-                                   rtol=0, atol=1e-12 * batch.n)
+        d = _kernels.block_sums(batch.levels, batch.switch_times, grid, 1.0, impl=backend)
+        s, q = _kernels.column_sums(d, grid, 1.0)
+        np.testing.assert_array_equal(s[0], 0.0)
+        np.testing.assert_array_equal(q[0], 0.0)
+        np.testing.assert_allclose(q[:, 0] + 2.0 * s[:, 0] + q[:, 1], 0.0, rtol=0,
+                                   atol=1e-12 * batch.n)
+        got_mean, got_m2 = engine._moments(batch.n, d, grid, 1.0)
+        np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got_m2, m2, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("g, vt_max", TWO_PASS_CASES)
+def test_ensemble_matches_a_two_pass_reduction_across_blocks(compiled, monkeypatch, g, vt_max):
+    # 5000 trajectories are three blocks, the last one partial: their
+    # difference arrays are added before the one prefix sum, and the run's
+    # mean and standard errors still match the explicit two-pass reduction
+    n = 5000
+    _, mean, m2 = two_pass(g, vt_max, n)
+    config = engine.RunConfig(system=system_for(g), t_grid=two_pass_grid(vt_max),
+                              n_trajectories=n, master_seed=6)
+    for backend in (_reference, compiled):
+        monkeypatch.setattr(_kernels, "_impl", backend)
+        result = engine.run_ensemble(config, n_threads=2)
+        np.testing.assert_allclose(result.q_mean.real, mean[:, 0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(result.q_mean.imag, mean[:, 1], rtol=0, atol=1e-13)
+        se = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+        np.testing.assert_allclose(result.q_se_re, se[:, 0], rtol=1e-6, atol=0)
+        np.testing.assert_allclose(result.q_se_im, se[:, 1], rtol=1e-6, atol=0)
 
 
 def test_ef_derivative_matches_high_precision():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from _oracles import coherence_walk, mp_coherences
 from conftest import source_sha256
 from rtdeph import _kernels, noise
+from rtdeph._kernels import _reference
 
 EPS = np.finfo(np.float64).eps
 
@@ -19,7 +20,7 @@ def make_batch(gamma=2.0, horizon=6.0, n=300, seed=17):
 @pytest.fixture(params=["pure", "compiled"])
 def impl(request):
     if request.param == "pure":
-        return _kernels.available_backends()["pure"]
+        return _reference
     return request.getfixturevalue("compiled")
 
 
@@ -28,16 +29,20 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
+def finished_sums(levels, switch_times, grid, v, impl):
+    """The column sums (s, q) of one batch: its difference arrays, finished."""
+    return _kernels.column_sums(_kernels.block_sums(levels, switch_times, grid, v, impl=impl),
+                                grid, v)
+
+
 def assert_backends_agree(compiled, levels, switch_times, grid, v):
-    pure = _kernels.available_backends()["pure"]
     args = (levels, switch_times, grid)
     for kernel in (_kernels.dwell_times, _kernels.levels_at_times):
-        assert_same_bits(kernel(*args, impl=pure), kernel(*args, impl=compiled))
-    sums = [_kernels.block_sums(*args, v, impl=backend) for backend in (pure, compiled)]
-    for out_pure, out_compiled in zip(*sums):
-        assert_same_bits(out_pure, out_compiled)
+        assert_same_bits(kernel(*args, impl=_reference), kernel(*args, impl=compiled))
+    d = _kernels.block_sums(*args, v, impl=_reference)
+    assert_same_bits(d, _kernels.block_sums(*args, v, impl=compiled))
     # |z| = 1, so (Re z - 1)**2 + (Im z)**2 = -2*(Re z - 1): sum |z|^2 = n
-    s, q = sums[0]
+    s, q = _kernels.column_sums(d, grid, v)
     np.testing.assert_allclose(q[:, 0] + 2.0 * s[:, 0] + q[:, 1], 0.0, rtol=0,
                                atol=1e-12 * len(levels))
 
@@ -46,16 +51,14 @@ def test_compiled_backend_matches_its_source(compiled):
     # setup.py compiles the SHA-256 of _core.c into the extension, so an
     # extension built from another _core.c is caught, not compared
     assert compiled.SOURCE_SHA256 == source_sha256()
-    installed = _kernels.available_backends().get("compiled")
-    if installed is not None:
-        assert getattr(installed, "SOURCE_SHA256", None) == source_sha256(), (
+    if _kernels._core is not None:
+        assert getattr(_kernels._core, "SOURCE_SHA256", None) == source_sha256(), (
             "rtdeph._kernels._core was built from another _core.c; rebuild it with "
             "`python setup.py build_ext --inplace --force`")
 
 
 def test_backend_selection_reports_a_known_name():
-    assert _kernels.BACKEND in ("compiled", "pure")
-    assert "pure" in _kernels.available_backends()
+    assert _kernels.BACKEND == ("pure" if _kernels._core is None else "compiled")
 
 
 def test_backends_bit_identical(compiled):
@@ -86,7 +89,7 @@ def test_padding_ends_each_row(compiled):
     # switches, row 1 one
     levels = np.array([0, 1], dtype=np.uint8)
     times = np.array([[0.5, 1.0], [0.3, np.inf]])
-    for backend in (_kernels.available_backends()["pure"], compiled):
+    for backend in (_reference, compiled):
         dwell = _kernels.dwell_times(levels, times, [0.7, 2.0], impl=backend)
         np.testing.assert_array_equal(dwell, [[0.7 - 0.5, 0.5], [0.3, 0.3]])
         bits = _kernels.levels_at_times(levels, times, [0.7, 2.0], impl=backend)
@@ -116,7 +119,7 @@ def test_block_sums_bit_identical_property(compiled, seed, gamma, v, n, horizon,
 
 
 def assert_row_sums(impl, levels, switch_times, grid, v, rows):
-    """Each row's single-row block_sums against its coherence_walk z: s is
+    """Each row's single-row sums against its coherence_walk z: s is
     (Re z - 1, Im z) within 4 eps (1 + j) and q their squares within
     16 eps (1 + j), j being the switches the row has passed.  Each switch
     leaves the rounding of a stretch's terms, which are at most 2 (4 for
@@ -125,7 +128,7 @@ def assert_row_sums(impl, levels, switch_times, grid, v, rows):
     for i in rows:
         tau = [float(s) for s in switch_times[i] if np.isfinite(s)]
         z = np.array(coherence_walk(int(levels[i]), tau, grid, v))
-        s, q = _kernels.block_sums(levels[i : i + 1], switch_times[i : i + 1], grid, v, impl=impl)
+        s, q = finished_sums(levels[i : i + 1], switch_times[i : i + 1], grid, v, impl)
         shifted = np.stack([z[:, 0] - 1.0, z[:, 1]], axis=-1)
         j = np.searchsorted(tau, grid, side="right")[:, None]
         assert np.all(np.abs(s - shifted) <= 4 * EPS * (1 + j))
@@ -181,19 +184,19 @@ def test_static_rows_are_segment_times_grid_factor(compiled):
     high = np.array([[math.cos(v * t) - 1.0, math.sin(-(v * t))] for t in grid])
     levels = np.array([0, 1, 0, 1], dtype=np.uint8)
     times = np.array([[np.inf] * 3, [np.inf] * 3, [0.5, 1.0, 1.5], [0.3, 0.4, 1.0]])
-    for backend in (_kernels.available_backends()["pure"], compiled):
+    for backend in (_reference, compiled):
         assert_row_sums(backend, levels, times, grid, v, range(4))
         for i, expected in ((0, np.zeros_like(high)), (1, high)):
-            s, q = _kernels.block_sums(levels[i : i + 1], times[i : i + 1], grid, v, impl=backend)
+            s, q = finished_sums(levels[i : i + 1], times[i : i + 1], grid, v, backend)
             np.testing.assert_array_equal(s, expected)
             np.testing.assert_array_equal(q, np.square(expected))
-        s, _ = _kernels.block_sums(levels, times, grid, v, impl=backend)
+        s, _ = finished_sums(levels, times, grid, v, backend)
         np.testing.assert_array_equal(s[0], 0.0)  # every row is 1 at t = 0
         # row 2's first switch, at grid point 0.5, starts its level-1 stretch
         # there: the dwell is continuous, so only the rounding tells, and the
         # column has the level-1 terms, (sr - 1, si) combined with e, not the
         # exact 0 of its level-0 stretch
-        s, _ = _kernels.block_sums(levels[2:3], times[2:3], grid, v, impl=backend)
+        s, _ = finished_sums(levels[2:3], times[2:3], grid, v, backend)
         er, ei = math.cos(v * 0.5), math.sin(-(v * 0.5))
         a, b = math.cos(v * -0.5) - 1.0, math.sin(-(v * -0.5))
         switch_column = [(er - 1.0) + (a * er - b * ei), ei + (a * ei + b * er)]
@@ -205,25 +208,18 @@ def test_compiled_moments_reject_mismatched_buffers(compiled):
     batch = make_batch(n=4)
     grid = np.linspace(0.0, 1.0, 3)
     args = (batch.levels, batch.switch_times, grid, 1.0)
-
-    def outs(m=3):
-        return [np.empty((m, 2)), np.empty((m, 2))]
-
-    compiled.block_sums(*args, *outs())
-    mismatched = [
-        (0, np.empty((3, 1))),  # not (m, 2)
-        (1, np.empty((3, 2), np.float32)),
-        (0, np.empty((2, 2))),
-        (1, np.empty(6)),  # not 2-D
-        (0, np.empty((2, 3)).T),  # not C-contiguous
-    ]
-    for index, bad in mismatched:
-        buffers = outs()
-        buffers[index] = bad
+    compiled.block_sums(*args, np.zeros((10, 4)))
+    for bad in (
+        np.zeros((9, 4)),  # not 10 difference arrays
+        np.zeros((10, 3)),  # not m + 1 wide
+        np.zeros((10, 4), np.float32),
+        np.zeros(40),  # not 2-D
+        np.zeros((4, 10)).T,  # not C-contiguous
+    ):
         with pytest.raises(ValueError):
-            compiled.block_sums(*args, *buffers)
+            compiled.block_sums(*args, bad)
     with pytest.raises(ValueError):
-        compiled.block_sums(batch.levels[:3], *args[1:], *outs())  # rows differ
+        compiled.block_sums(batch.levels[:3], *args[1:], np.zeros((10, 4)))  # rows differ
 
 
 def test_dwell_matches_single_trajectory_phase(impl):
@@ -260,7 +256,7 @@ def test_query_at_switch_time_counts_the_switch():
     levels = np.array([0], dtype=np.uint8)
     times = np.array([[1.0, 2.0]])
     grid = np.array([1.0, 1.5, 2.0])
-    for impl in _kernels.available_backends().values():
+    for impl in (_reference, _kernels._impl):
         out = _kernels.levels_at_times(levels, times, grid, impl=impl)
         np.testing.assert_array_equal(out[0], [1, 1, 0])
         dwell = _kernels.dwell_times(levels, times, grid, impl=impl)
