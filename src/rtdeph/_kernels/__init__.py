@@ -8,8 +8,9 @@ for bit.
 
 A batch is the level bit at t = 0 of each trajectory and its switch times,
 one row per trajectory padded with +inf; the padding is the only record of
-a row's length.  There are three kernels, one per pass a run makes:
-``dwell_times`` (recovery's noise phase) and ``levels_at_times``
+a row's length.  There are four kernels, one per pass a run makes:
+``sample`` draws a batch from counter-based Philox streams (see its
+docstring), ``dwell_times`` (recovery's noise phase) and ``levels_at_times``
 (autocorrelation) return an (n, m) array, and ``block_sums`` (ensembles)
 returns only difference arrays of the coherences z = exp(-i*v*dwell),
 shifted by their t = 0 value 1.  Between two switches a row's coherence
@@ -22,8 +23,8 @@ neither backend forms the (n, m) coherences.  Difference arrays add over
 blocks, and ``column_sums`` turns their total into the column sums of
 (Re z - 1, Im z) and of their squares with one prefix sum and one
 combine with the grid factor per run.  The functions here validate and
-convert the arguments and allocate the outputs, which the selected
-backend fills.
+convert the arguments, build the sampler's Poisson table and allocate the
+outputs, which the selected backend fills.
 
 The ten difference arrays, m + 1 entries each, are in this row order:
 level-0 stretches add c - 1 = (c_r - 1, c_i) and the squares of its
@@ -32,6 +33,8 @@ squares of its parts and their product.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,6 +49,72 @@ _impl = _core if _core is not None else _reference
 
 #: Name of the backend selected at import: "compiled" or "pure".
 BACKEND = "compiled" if _impl is _core else "pure"
+
+
+#: Mean number of switches per epoch of the sampler.
+EPOCH_SWITCHES = 4.0
+
+#: Entries of the Poisson table: counts 0 to 31 per epoch.
+_TABLE_SIZE = 32
+
+
+def _poisson_cdf(mu):
+    """The CDF of Poisson(mu) at 0, 1, ..., _TABLE_SIZE - 1, its last entry
+    1.0.  The float64 partial sums stall just below 1 (at 1 - 3.3e-16 for
+    mu = 4), so only the fixed last entry bounds the inversion."""
+    cdf = np.empty(_TABLE_SIZE)
+    term, total = math.exp(-mu), 0.0
+    for k in range(_TABLE_SIZE - 1):
+        total += term
+        cdf[k] = total
+        term *= mu / (k + 1)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def sample(master_seed, start, n, gamma, horizon, impl=None):
+    """Trajectories ``start`` to ``start + n - 1`` of the telegraph process
+    with switching rate ``gamma`` on [0, horizon]: the level bits, the
+    switch times padded with +inf and the switches per row.
+
+    Every draw is a Philox4x32-10 block keyed by the 64-bit ``master_seed``
+    at the counter (trajectory as two words, epoch, draw).  The level bit is
+    the low bit of word 1 of draw 0 of epoch 0.  Epoch e covers
+    [e*L, (e + 1)*L), L = 2*EPOCH_SWITCHES/gamma; its switch count N is the
+    uniform of words 0 and 1 of its draw 0 inverted against the Poisson
+    table, and its switches are (e + u)*L for the N uniforms u that follow,
+    sorted.  Switches after the horizon are cut, so a shorter horizon sees
+    a prefix of the same switches.  A uniform of words a and b is
+    ((a << 20 ^ b >> 12) + 0.5)*2**-52, exact and in (0, 1).
+    """
+    epochs, scale = 0, 0.0
+    if gamma > 0.0:
+        # the epochs that start at or before the horizon
+        scale = 2.0 * EPOCH_SWITCHES / gamma
+        if horizon / scale >= 2**32:
+            raise ValueError("the horizon spans more epochs than the 32-bit epoch counter")
+        epochs = math.floor(horizon / scale)
+        while epochs * scale <= horizon:
+            epochs += 1
+    impl = impl or _impl
+    levels, counts = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.intp)
+    args = (master_seed, start, epochs, scale, horizon, _poisson_cdf(EPOCH_SWITCHES), levels,
+            counts)
+    width = _row_room(gamma, horizon)
+    times = np.empty(n * width)
+    k = impl.sample(*args, times)
+    if k > width:
+        # a row needs more room than the guess: the same draws, with room
+        times = np.empty(n * k)
+        impl.sample(*args, times)
+    return levels, times[: n * k].reshape(n, k), counts
+
+
+def _row_room(gamma, horizon):
+    """Room per row for switch times: the mean count gamma*horizon/2 and
+    about 8 standard deviations more."""
+    mean = 0.5 * gamma * horizon
+    return math.ceil(mean + 8.0 * math.sqrt(mean)) + 8
 
 
 def _prepare(levels, switch_times, t_grid):

@@ -8,10 +8,14 @@
  * C-contiguous (n, m) output through the buffer protocol.  block_sums
  * instead adds, per row, the terms of the coherences z = exp(-i*v*dwell)
  * shifted by their t = 0 value 1 to a caller-zeroed (N_SUMS, m + 1) float64
- * array of difference arrays, without forming any coherence.
- * rtdeph._kernels validates and converts the arguments, allocates the
- * outputs and finishes the difference arrays into column sums.  The loops
- * run with the GIL released.
+ * array of difference arrays, without forming any coherence.  sample
+ * draws such a batch: each row from its own Philox4x32-10 counters (index,
+ * epoch, draw) under the 64-bit seed, a Poisson number of sorted uniform
+ * switches per epoch, into a caller-allocated levels, counts and a flat
+ * times buffer that it lays out as the padded (n, k) rows.
+ * rtdeph._kernels validates and converts the arguments, builds the Poisson
+ * table, allocates the outputs and finishes the difference arrays into
+ * column sums.  The loops run with the GIL released.
  *
  * Between two switches a row's coherence is a constant c = exp(-i*v*acc)
  * on level 0, and on level 1 a segment factor s = exp(-i*v*(acc - prev))
@@ -23,22 +27,26 @@
  * point.
  *
  * The arithmetic is that of the numpy reference (_reference.py), operation
- * for operation, so the two backends agree bit for bit.  setup.py compiles
- * this file with -ffp-contract=off, so no multiply-add is fused, and passes
- * the SHA-256 of this file as RTDEPH_SOURCE_SHA256, which the module
- * exposes as SOURCE_SHA256.
+ * for operation, so the two backends agree bit for bit; the sampler uses
+ * only integer arithmetic, IEEE +, * and comparisons, and a sort.
+ * setup.py compiles this file with -ffp-contract=off, so no multiply-add
+ * is fused, and passes the SHA-256 of this file as RTDEPH_SOURCE_SHA256,
+ * which the module exposes as SOURCE_SHA256.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 #ifndef RTDEPH_SOURCE_SHA256
 #error "build with setup.py, which defines RTDEPH_SOURCE_SHA256"
 #endif
 
-/* The buffers one call holds: at most a batch of three and an output. */
+/* The buffers one call holds: at most a batch of three and an output, or
+   sample's table and three outputs. */
 enum { MAX_VIEWS = 4 };
 
 typedef struct {
@@ -301,6 +309,175 @@ block_sums(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* Philox4x32-10 (Salmon, Moraes, Dror & Shaw, SC'11): the counter c
+   becomes its random block in place, under the key (k0, k1). */
+static inline void
+philox(uint32_t c[4], uint32_t k0, uint32_t k1)
+{
+    for (int r = 0; r < 10; r++) {
+        const uint64_t p0 = (uint64_t)0xD2511F53u * c[0], p1 = (uint64_t)0xCD9E8D57u * c[2];
+        const uint32_t c1 = c[1], c3 = c[3];
+        c[0] = (uint32_t)(p1 >> 32) ^ c1 ^ k0;
+        c[1] = (uint32_t)p1;
+        c[2] = (uint32_t)(p0 >> 32) ^ c3 ^ k1;
+        c[3] = (uint32_t)p0;
+        k0 += 0x9E3779B9u;
+        k1 += 0xBB67AE85u;
+    }
+}
+
+/* ((a << 20 ^ b >> 12) + 0.5) * 2^-52: 52 random bits, exact, in (0, 1). */
+static inline double
+uniform(uint32_t a, uint32_t b)
+{
+    return ((double)(((uint64_t)a << 20) ^ (b >> 12)) + 0.5) * 0x1p-52;
+}
+
+/* An epoch draws fewer switches than the Poisson table has entries. */
+enum { MAX_TABLE = 64 };
+
+/* One sample call: the key, the first index, the epochs and the table. */
+typedef struct {
+    uint32_t k0, k1;
+    uint64_t start;
+    Py_ssize_t epochs;
+    double scale, horizon;
+    const double *cdf;
+} Stream;
+
+/* Samples trajectory start + i: returns its level bit and appends its
+   switch times to times[*used...] while they fit in cap, counting them in
+   *count.  Epoch e's draw 0 gives, from words 0 and 1, the count N by
+   inversion against the table (whose last entry is 1.0 > u, so N <
+   MAX_TABLE), and the first uniform from words 2 and 3; draws 1, 2, ...
+   give two more uniforms each.  Sorted, the N uniforms u give the times
+   (e + u) * scale.  The level is the low bit of word 1 of epoch 0's draw
+   0.  The first time past the horizon ends the row: every later time is
+   larger, and only the last epoch reaches past the horizon. */
+static unsigned char
+sample_row(const Stream *s, Py_ssize_t i, double *times, Py_ssize_t *used, Py_ssize_t cap,
+           Py_ssize_t *count)
+{
+    const uint64_t index = s->start + (uint64_t)i;
+    const uint32_t lo = (uint32_t)index, hi = (uint32_t)(index >> 32);
+    uint32_t c[4] = {lo, hi, 0, 0};
+    philox(c, s->k0, s->k1);
+    const unsigned char level = c[1] & 1u;
+    *count = 0;
+    for (Py_ssize_t e = 0; e < s->epochs; e++) {
+        if (e > 0) {
+            c[0] = lo;
+            c[1] = hi;
+            c[2] = (uint32_t)e;
+            c[3] = 0;
+            philox(c, s->k0, s->k1);
+        }
+        const double un = uniform(c[0], c[1]);
+        int n = 0;
+        while (s->cdf[n] <= un)
+            n++;
+        double u[MAX_TABLE];
+        u[0] = uniform(c[2], c[3]);
+        for (int p = 1; p < n; p += 2) {
+            uint32_t d[4] = {lo, hi, (uint32_t)e, (uint32_t)(p / 2 + 1)};
+            philox(d, s->k0, s->k1);
+            u[p] = uniform(d[0], d[1]);
+            u[p + 1] = uniform(d[2], d[3]);
+        }
+        for (int p = 1; p < n; p++) {
+            const double x = u[p];
+            int q = p;
+            for (; q > 0 && u[q - 1] > x; q--)
+                u[q] = u[q - 1];
+            u[q] = x;
+        }
+        for (int p = 0; p < n; p++) {
+            const double t = ((double)e + u[p]) * s->scale;
+            if (t > s->horizon)
+                return level;
+            if (*used < cap)
+                times[*used] = t;
+            ++*used;
+            ++*count;
+        }
+    }
+    return level;
+}
+
+/* Converts a Python int in [0, 2^64) to *out (unsigned long long);
+   OverflowError outside, never a silent wrap. */
+static int
+to_uint64(PyObject *obj, void *out)
+{
+    const unsigned long long value = PyLong_AsUnsignedLongLong(obj);
+    if (value == (unsigned long long)-1 && PyErr_Occurred())
+        return 0;
+    *(unsigned long long *)out = value;
+    return 1;
+}
+
+/* Takes (seed, start, epochs, scale, horizon, cdf, levels, counts, times):
+   samples the trajectories start to start + n - 1 (n = len(levels)) under
+   the 64-bit seed into levels (uint8) and counts (intp), and returns the
+   widest row's count k.  If n * k <= len(times), it also writes the (n, k)
+   switch times, padded with +inf, row by row into the front of times
+   (float64): the rows go there back to back first, then move to their
+   padded places from the last row down, which never overwrites a row not
+   yet moved. */
+static PyObject *
+sample(PyObject *self, PyObject *args)
+{
+    PyObject *o[4];
+    unsigned long long seed, start;
+    Stream s;
+    Views vs = {.held = 0};
+    Py_buffer *cdf, *lv, *cv, *tv;
+    if (!PyArg_ParseTuple(args, "O&O&nddOOOO", to_uint64, &seed, to_uint64, &start, &s.epochs,
+                          &s.scale, &s.horizon, &o[0], &o[1], &o[2], &o[3])
+        || !(cdf = view(&vs, o[0], 1, sizeof(double), 0, "cdf"))
+        || !(lv = view(&vs, o[1], 1, 1, 1, "levels"))
+        || !(cv = view(&vs, o[2], 1, sizeof(Py_ssize_t), 1, "counts"))
+        || !(tv = view(&vs, o[3], 1, sizeof(double), 1, "times"))) {
+        release(&vs);
+        return NULL;
+    }
+    const Py_ssize_t n = lv->shape[0], cap = tv->shape[0], table = cdf->shape[0];
+    if (cv->shape[0] != n) {
+        shape_error();
+        release(&vs);
+        return NULL;
+    }
+    s.cdf = cdf->buf;
+    if (table < 1 || table > MAX_TABLE || s.cdf[table - 1] != 1.0 || s.epochs < 0
+        || s.epochs > (Py_ssize_t)1 << 32 || (n > 0 && start + (uint64_t)(n - 1) < start)) {
+        PyErr_SetString(PyExc_ValueError, "bad Poisson table, epoch count or index range");
+        release(&vs);
+        return NULL;
+    }
+    s.k0 = (uint32_t)seed;
+    s.k1 = (uint32_t)(seed >> 32);
+    s.start = start;
+    unsigned char *levels = lv->buf;
+    Py_ssize_t *counts = cv->buf, k = 0, used = 0;
+    double *times = tv->buf;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < n; i++) {
+        levels[i] = sample_row(&s, i, times, &used, cap, &counts[i]);
+        k = counts[i] > k ? counts[i] : k;
+    }
+    if (n > 0 && k <= cap / n) {
+        for (Py_ssize_t i = n - 1; i >= 0; i--) {
+            used -= counts[i];
+            memmove(times + i * k, times + used, counts[i] * sizeof(double));
+            for (Py_ssize_t j = counts[i]; j < k; j++)
+                times[i * k + j] = Py_HUGE_VAL;
+        }
+    }
+    Py_END_ALLOW_THREADS
+    release(&vs);
+    return PyLong_FromSsize_t(k);
+}
+
 static PyMethodDef methods[] = {
     {"dwell_times", dwell_times, METH_VARARGS,
      "dwell_times(levels, switch_times, t_grid, out): time at the high level "
@@ -312,6 +489,11 @@ static PyMethodDef methods[] = {
      "block_sums(levels, switch_times, t_grid, v, out): adds the stretch terms "
      "of z = exp(-i*v*dwell) shifted by 1 to the (10, m + 1) difference "
      "arrays in float64 out, without the (n, m) array."},
+    {"sample", sample, METH_VARARGS,
+     "sample(seed, start, epochs, scale, horizon, cdf, levels, counts, times): "
+     "samples the telegraph trajectories into uint8 levels and intp counts and "
+     "returns the widest row's count k; if it fits, writes the +inf-padded "
+     "(n, k) switch times into the front of float64 times."},
     {NULL, NULL, 0, NULL},
 };
 

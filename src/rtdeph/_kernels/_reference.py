@@ -10,8 +10,11 @@ to difference arrays at its first grid point and takes them off at its
 end, in the compiled kernel's row and stretch order.  Each stretch factor
 is numpy's complex exp of -1j times its phase, whose parts are the
 cos(phase) and sin(-phase) the compiled kernel calls.  So both backends
-produce bit-identical output.  Each kernel fills the outputs that
-``rtdeph._kernels`` allocates.
+produce bit-identical output.  ``sample`` computes the Philox blocks of
+all trajectories and epochs at once in uint64 arithmetic, where each
+32x32-bit product is exact, and sorts each row's switch times, which
+orders every epoch as the compiled kernel's sort per epoch does.  Each
+kernel fills the outputs that ``rtdeph._kernels`` allocates.
 """
 
 from __future__ import annotations
@@ -118,3 +121,77 @@ def block_sums(levels, switch_times, t_grid, v, out):
         sums += [np.bincount(events, weights=np.stack([x[sel], -x[sel]], axis=-1).ravel(),
                              minlength=m + 1) for x in group]
     out += sums
+
+
+#: Philox4x32-10's multipliers and key increments.
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_WORD = 0xFFFFFFFF
+
+
+def philox(c0, c1, c2, c3, key):
+    """Philox4x32-10 of the counters (c0, c1, c2, c3), uint64 arrays of
+    32-bit words, under the 64-bit ``key``: the four words of each block,
+    as uint64 arrays.  A 32x32-bit product fits uint64 exactly."""
+    k0, k1 = key & _WORD, key >> 32
+    words = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
+    for _ in range(10):
+        p0 = words[0] * np.uint64(_PHILOX_M[0])
+        p1 = words[2] * np.uint64(_PHILOX_M[1])
+        words = [(p1 >> 32) ^ words[1] ^ np.uint64(k0), p1 & _WORD,
+                 (p0 >> 32) ^ words[3] ^ np.uint64(k1), p0 & _WORD]
+        k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
+    return words
+
+
+def _uniform(a, b):
+    """((a << 20 ^ b >> 12) + 0.5)*2**-52 of two words: 52 bits, exact."""
+    return (((a << 20) ^ (b >> 12)).astype(np.float64) + 0.5) * 2.0**-52
+
+
+def sample(seed, start, epochs, scale, horizon, cdf, levels, counts, times):
+    """Samples trajectories ``start`` to ``start + n - 1`` (n = len(levels))
+    under the 64-bit ``seed`` into ``levels`` (uint8) and ``counts``
+    (intp), and returns the widest row's switch count k.  If n*k <= len(times)
+    it also writes the (n, k) switch times, padded with +inf, row by row
+    into the front of the float64 array ``times``.
+
+    Epochs 0 to ``epochs`` - 1 of length ``scale`` are drawn (see
+    ``rtdeph._kernels.sample``): for each, its count from ``cdf`` and its
+    uniforms, filled in draw order, then the times (e + u)*scale; the times
+    past the horizon are dropped, and the rest sorted per row, which sorts
+    each epoch as the compiled kernel does, since the epochs do not
+    overlap.  Arrays are indexed (row, epoch, draw).
+    """
+    if not (0 <= seed < 2**64 and 0 <= start < 2**64):
+        raise OverflowError("seed and start must be in [0, 2**64)")
+    n = levels.shape[0]
+    index = np.arange(n, dtype=np.uint64) + np.uint64(start)
+    lo, hi = (index & _WORD)[:, None], (index >> 32)[:, None]
+    e = np.arange(max(epochs, 1), dtype=np.uint64)[None, :]
+    w = philox(lo, hi, e, np.zeros_like(e), seed)
+    levels[...] = w[1][:, 0] & 1
+    if epochs == 0:
+        counts[...] = 0
+        return 0
+    draws = np.searchsorted(cdf, _uniform(w[0], w[1]), side="right")
+    width = int(draws.max())
+    # the uniforms of each epoch; +inf stands in past its count
+    u = np.full((n, epochs, width), np.inf)
+    if width:
+        u[..., 0] = np.where(draws > 0, _uniform(w[2], w[3]), np.inf)
+        # draw d >= 1 of an epoch gives its uniforms 2d - 1 and 2d
+        row, epoch, d = np.nonzero(np.arange(1, width // 2 + 1) <= (draws // 2)[..., None])
+        d += 1
+        w = philox(lo[row, 0], hi[row, 0], epoch.astype(np.uint64), d.astype(np.uint64), seed)
+        u[row, epoch, 2 * d - 1] = _uniform(w[0], w[1])
+        second = 2 * d < draws[row, epoch]
+        u[row[second], epoch[second], 2 * d[second]] = _uniform(w[2], w[3])[second]
+    t = ((np.arange(epochs, dtype=np.float64)[:, None] + u) * scale).reshape(n, -1)
+    t[t > horizon] = np.inf
+    t.sort(axis=1)
+    counts[...] = np.isfinite(t).sum(axis=1)
+    k = int(counts.max())
+    if n * k <= times.shape[0]:
+        times[: n * k] = t[:, :k].ravel()
+    return k

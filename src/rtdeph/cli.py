@@ -86,8 +86,8 @@ class SweepSpec:
             raise ValueError("vt range is empty: vt-max must be at least vt-step")
         if self.n_traj < 1:
             raise ValueError(f"n-traj must be >= 1, got {self.n_traj}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.threads < 1:

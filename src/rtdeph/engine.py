@@ -24,11 +24,10 @@ their two sums, added in block order.  Memory does not grow with the
 number of trajectories, and there is no cap on the ensemble size.  The concurrence of an averaged ensemble is
 min(|q|, 1), q its mean coherence.
 
-Reproducibility contract: the blocks are the ``noise.BLOCK``-trajectory
-blocks of the random streams, so trajectory i is fixed by (master_seed, i)
-alone (``noise.sample_batch``); the blocks and their merge order do not
-depend on the thread count, so results are bit-identical for any thread
-count.
+Reproducibility contract: trajectory i is fixed by (master_seed, i) alone,
+its draws being keyed by counters (``noise.sample_batch``); the blocks of
+``noise.BLOCK`` trajectories and their merge order do not depend on the
+thread count, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ class RunConfig:
             raise ValueError("t_grid must extend beyond t = 0")
         if self.n_trajectories < 1:
             raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -127,9 +126,9 @@ def _stream(config: RunConfig, n_threads: int, reduce_block):
     ``config``, yielded in block order for the caller to fold.
 
     Block b holds trajectories [b*BLOCK, (b+1)*BLOCK), BLOCK being
-    ``noise.BLOCK``, and so draws from one random stream.  It is sampled up
-    to the last grid time and reduced on its own, and threads map over
-    whole blocks, so the results do not depend on the thread count.
+    ``noise.BLOCK``.  It is sampled up to the last grid time and reduced on
+    its own, and threads map over whole blocks, so the results do not
+    depend on the thread count.
     """
     params = config.system.rt
     horizon = float(config.t_grid[-1])

@@ -3,15 +3,18 @@
 The process xi(t) switches between 0 and an amplitude ``v`` with rate
 ``gamma/2`` in each direction (total switching rate ``gamma``).  Sampling is
 exact and grid free: the level at t=0 is drawn from the stationary (1/2,
-1/2) distribution and successive waiting times are exponential with mean
-``2/gamma``.  ``gamma = 0`` encodes a frozen process that never switches.
+1/2) distribution and the switches form a Poisson process of rate
+``gamma/2``.  ``gamma = 0`` encodes a frozen process that never switches.
 
-Random streams: trajectories come in blocks of ``BLOCK``.  Block b draws
-from one stream keyed by (master_seed, b), and trajectory i is lane
-i % BLOCK of block i // BLOCK, so its identity is (seed, block, lane).  A
-block samples all of its lanes at once in a few vectorized draws, always
-in the same order, so a trajectory does not depend on which other
-trajectories a batch holds, and a shorter horizon sees a prefix of it.
+Random streams: every draw is a Philox4x32-10 block keyed by the 64-bit
+master seed at a counter (trajectory i, epoch e, draw j), so trajectory i is
+fixed by (seed, i) alone, whatever batch holds it.  Time is cut into epochs
+of a fixed length L = 2*mu/gamma (mu = ``_kernels.EPOCH_SWITCHES``), and
+epoch e holds a Poisson(mu) number of switches placed as sorted uniforms in
+[e*L, (e + 1)*L).  L does not depend on the horizon, so a shorter horizon
+sees a prefix of the same trajectory.  The compiled kernel and the numpy
+fallback draw the same bits (``_kernels.sample``), and nothing draws from
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -23,12 +26,8 @@ import numpy as np
 
 from rtdeph import _kernels
 
-#: Trajectories per random stream, and per block of the engine's pipeline.
+#: Trajectories per block of the engine's pipeline.
 BLOCK = 2048
-
-#: Exponential waits drawn per lane in each sampling round; fixed, so that
-#: the draws do not depend on the horizon.
-_ROUND_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -106,68 +105,29 @@ class TrajectoryBatch:
         )
 
 
-def _sample_block(params: RTParams, horizon: float, master_seed: int,
-                  block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and +inf-padded switch times of all ``BLOCK`` lanes of one block.
-
-    The levels come first from the block stream, then rounds of
-    ``_ROUND_WIDTH`` exponential waits per lane, cumulated along each lane,
-    until every lane has passed the horizon.  Neither the draws nor their
-    order depend on the horizon, so a shorter horizon sees a prefix of the
-    same lanes.
-    """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(block,))))
-    levels = rng.integers(0, 2, size=BLOCK, dtype=np.uint8)
-    if params.gamma == 0.0:
-        return levels, np.empty((BLOCK, 0))
-    scale = 2.0 / params.gamma
-    rounds = []
-    last = np.zeros(BLOCK)
-    while last.min() <= horizon:
-        times = rng.exponential(scale, size=(BLOCK, _ROUND_WIDTH))
-        times[:, 0] += last
-        np.cumsum(times, axis=1, out=times)
-        rounds.append(times)
-        last = times[:, -1]
-    times = np.concatenate(rounds, axis=1)
-    times[times > horizon] = np.inf
-    return levels, times
-
-
 def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
                  start_index: int = 0) -> TrajectoryBatch:
     """Sample trajectories ``start_index`` to ``start_index + n - 1``.
 
-    Trajectory ``i`` is lane ``i % BLOCK`` of block ``i // BLOCK``, and block
-    ``b`` draws from its own stream keyed by ``(master_seed, b)``.  Every
-    block is drawn whole and then sliced, so a trajectory is fixed by
-    ``(master_seed, i)`` alone: batches are reproducible, and two batches
-    sharing (seed, index) share realizations whatever their ``n``,
-    ``start_index`` or block boundaries.  A longer horizon extends the same
-    realizations.
+    Trajectory ``i`` draws only from the counters (i, epoch, draw) of the
+    stream keyed by ``master_seed`` (``rtdeph._kernels.sample``), so it is
+    fixed by ``(master_seed, i)`` alone: batches are reproducible, and two
+    batches sharing (seed, index) share realizations whatever their ``n``
+    or ``start_index``.  A longer horizon extends the same realizations.
     """
     if n < 1:
         raise ValueError(f"need at least one trajectory, got n={n}")
     if start_index < 0:
         raise ValueError(f"start_index must be >= 0, got {start_index}")
+    if start_index + n > 2**64:
+        raise ValueError("trajectory indices must stay below 2**64")
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
-    stop = start_index + n
-    levels, rows = [], []
-    for block in range(start_index // BLOCK, (stop - 1) // BLOCK + 1):
-        block_levels, block_times = _sample_block(params, horizon, master_seed, block)
-        lanes = slice(max(start_index - block * BLOCK, 0), min(stop - block * BLOCK, BLOCK))
-        levels.append(block_levels[lanes])
-        rows.append(block_times[lanes])
-    counts = np.concatenate([np.isfinite(r).sum(axis=1) for r in rows]).astype(np.intp)
-    k = int(counts.max())
-    # each block is as wide as its own lanes need; pad or trim all to k
-    times = np.concatenate([
-        np.pad(r[:, :k], ((0, 0), (0, k - min(k, r.shape[1]))), constant_values=np.inf)
-        for r in rows
-    ])
-    return TrajectoryBatch(levels=np.concatenate(levels), switch_times=times, counts=counts,
-                           horizon=horizon)
+    levels, times, counts = _kernels.sample(master_seed, start_index, n, params.gamma,
+                                            float(horizon))
+    return TrajectoryBatch(levels=levels, switch_times=times, counts=counts, horizon=horizon)
 
 
 def _check_query_time(traj: RTTrajectory, t: float) -> float:
@@ -215,7 +175,8 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed
     the raw second-moment ratio of the {0, v} process would saturate at 1/2
     instead of decaying to zero.  Each sample is an independent stationary
     realization; the per-sample product of centered signs at lag 0 and lag
-    tau averages to the estimate, with ddof=1 standard errors.  The samples
+    tau averages to the estimate r.  The products are +-1, so their ddof=1
+    standard error is sqrt((1 - r**2)/(n - 1)), from r alone.  The samples
     are trajectories ``start_index`` onward of ``sample_batch``.
     """
     if n_samples < 1:
@@ -237,11 +198,14 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed
     order = np.argsort(lag_arr, kind="stable")
     bits = _kernels.levels_at_times(batch.levels, batch.switch_times, lag_arr[order])
     bits = bits[:, np.argsort(order, kind="stable")]
-    s0 = 2.0 * batch.levels.astype(float) - 1.0
-    products = s0[:, None] * (2.0 * bits.astype(float) - 1.0)
-    estimates = products.mean(axis=0)
+    # a product of centered signs is -1 where the level differs from its
+    # value at t = 0 and +1 elsewhere, so the products add up to n - 2*flips
+    flips = np.count_nonzero(bits != batch.levels[:, None], axis=0)
+    estimates = (n_samples - 2.0 * flips) / n_samples
     if n_samples > 1:
-        stderrs = products.std(axis=0, ddof=1) / math.sqrt(n_samples)
+        # products of +-1 have sum of squares n: the ddof=1 variance is
+        # n*(1 - r**2)/(n - 1), so the standard error follows from r alone
+        stderrs = np.sqrt((1.0 - estimates) * (1.0 + estimates) / (n_samples - 1))
     else:
         stderrs = np.zeros_like(estimates)
     return AutocorrelationResult(lag_arr, estimates, stderrs, n_samples)

@@ -1,6 +1,7 @@
 """Independent oracle implementations used to freeze expected test values.
 
 Everything here deliberately avoids the package's own code paths: the
+Philox4x32-10 generator and the telegraph streams in Python integers, the
 coherence factor is evaluated in 50-digit arithmetic, phase integrals by
 Riemann summation, per-trajectory coherences by a scalar walk with
 ``math.cos``/``math.sin`` and in 40-digit arithmetic, concurrences by the
@@ -24,6 +25,61 @@ _SIGMA_YY = np.array(
         [-1.0, 0.0, 0.0, 0.0],
     ]
 )
+
+
+_WORD = 0xFFFFFFFF
+
+
+def philox4x32(counter, key):
+    """Philox4x32-10 of four 32-bit counter words under two key words, in
+    Python integers (Salmon, Moraes, Dror & Shaw, SC'11)."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _WORD, (p0 >> 32) ^ c3 ^ k1, p0 & _WORD
+        k0, k1 = (k0 + 0x9E3779B9) & _WORD, (k1 + 0xBB67AE85) & _WORD
+    return c0, c1, c2, c3
+
+
+def telegraph_stream(seed, index, gamma, horizon, mu=4.0, cdf=None):
+    """(level, switch times) of trajectory ``index`` as the streams define
+    it, one scalar draw at a time: Philox keyed by the 64-bit seed at the
+    counter (index low, index high, epoch, draw); the level is word 1's low
+    bit of epoch 0's draw 0; epoch e of length L = 2*mu/gamma has N switches
+    (the uniform of draw 0's words 0 and 1 against the Poisson CDF ``cdf``,
+    default from ``math.exp``), at (e + u)*L for its next N uniforms
+    sorted, two per draw from draw 0's words 2 and 3 on."""
+    key = (seed & _WORD, seed >> 32)
+
+    def draw(e, j):
+        return philox4x32((index & _WORD, index >> 32, e, j), key)
+
+    def uniform(a, b):
+        return (float((a << 20) ^ (b >> 12)) + 0.5) * 2.0**-52
+
+    level = draw(0, 0)[1] & 1
+    if gamma == 0.0:
+        return level, []
+    if cdf is None:
+        cdf = [sum(math.exp(-mu) * mu**j / math.factorial(j) for j in range(k + 1))
+               for k in range(31)] + [1.0]
+    scale = 2.0 * mu / gamma
+    times = []
+    e = 0
+    while e * scale <= horizon:
+        words = draw(e, 0)
+        u_count = uniform(words[0], words[1])
+        n = sum(1 for c in cdf if c <= u_count)
+        u = [uniform(words[2], words[3])]
+        j = 1
+        while len(u) < n:
+            words = draw(e, j)
+            u += [uniform(words[0], words[1]), uniform(words[2], words[3])]
+            j += 1
+        times += [t for t in ((e + x) * scale for x in sorted(u[:n])) if t <= horizon]
+        e += 1
+    return level, times
 
 
 def mp_coherence_factor(v, gamma, t, dps: int = 50) -> complex:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -341,6 +345,35 @@ def test_invalid_inputs_exit_2():
     assert cli.main(["--mode", "recovery", "--revival-n", "0"]) == 2
     assert cli.main(["--mode", "nonsense"]) == 2  # argparse usage error
     assert cli.main(["--config", "/nonexistent/config.txt"]) == 2
+
+
+def test_seed_beyond_64_bits_exits_2(tmp_path):
+    # the seed keys 64-bit streams: a larger one is refused, not wrapped
+    out = str(tmp_path / "out")
+    for mode in ("analytic", "mc", "autocorr"):
+        assert cli.main(["--mode", mode, "--g", "5", "--seed", str(2**64), "--out", out]) == 2
+    assert cli.main(["--mode", "mc", "--g", "5", "--n-traj", "8", "--vt-max", "1", "--vt-step",
+                     "0.5", "--seed", str(2**64 - 1), "--out", out]) == 0
+
+
+def test_cli_runs_without_numpy_random():
+    # numpy imports numpy.random lazily, at a cost of milliseconds and
+    # megabytes per CLI call; the streams are the package's own
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from rtdeph import cli\n"
+        "for mode in ('mc', 'autocorr'):\n"
+        "    cli.main(['--mode', mode, '--g', '0.5', '--n-traj', '64', '--vt-max', '2',\n"
+        "              '--vt-step', '0.5', '--no-timestamp', '--out', '-'])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_unwritable_output_exits_3(tmp_path):

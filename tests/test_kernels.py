@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import coherence_walk, mp_coherences
+import mpmath as mp
+
+from _oracles import coherence_walk, mp_coherences, philox4x32, telegraph_stream
 from conftest import source_sha256
 from rtdeph import _kernels, noise
 from rtdeph._kernels import _reference
@@ -204,6 +206,33 @@ def test_static_rows_are_segment_times_grid_factor(compiled):
         np.testing.assert_array_equal(s[2], switch_column)
 
 
+def test_compiled_sample_rejects_mismatched_buffers(compiled):
+    cdf = _kernels._poisson_cdf(_kernels.EPOCH_SWITCHES)
+    levels, counts, times = np.empty(4, np.uint8), np.empty(4, np.intp), np.empty(40)
+    args = (3, 0, 2, 8.0, 10.0)
+    assert compiled.sample(*args, cdf, levels, counts, times) >= 0
+    for bad in (
+        (cdf, levels, counts[:3], times),  # rows differ
+        (cdf, levels, counts.astype(np.int32), times),
+        (cdf, levels.astype(np.int16), counts, times),
+        (cdf, levels, counts, times.astype(np.float32)),
+        (cdf, levels, counts, np.empty((4, 10))),  # not 1-D
+        (cdf, levels, counts, np.empty(80)[::2]),  # not contiguous
+        (cdf[:-1], levels, counts, times),  # the table does not end at 1.0
+        (np.ones(65), levels, counts, times),  # longer than an epoch's buffer
+        (cdf.astype(np.float32), levels, counts, times),
+    ):
+        with pytest.raises(ValueError):
+            compiled.sample(*args, *bad)
+    with pytest.raises(ValueError):
+        compiled.sample(3, 0, -1, 8.0, 10.0, cdf, levels, counts, times)  # negative epochs
+    with pytest.raises(ValueError):
+        compiled.sample(3, 2**64 - 2, 2, 8.0, 10.0, cdf, levels, counts, times)  # index wraps
+    for seed in (2**64, -1):  # never wrapped into 64 bits
+        with pytest.raises(OverflowError):
+            compiled.sample(seed, 0, 2, 8.0, 10.0, cdf, levels, counts, times)
+
+
 def test_compiled_moments_reject_mismatched_buffers(compiled):
     batch = make_batch(n=4)
     grid = np.linspace(0.0, 1.0, 3)
@@ -294,3 +323,99 @@ def test_grid_validation():
                 kernel(*args, grid)
         with pytest.raises(ValueError, match="finite"):
             _kernels.block_sums(*args, grid, 1.0)
+
+
+# Random123's known-answer vectors for Philox4x32-10: (counter, key, output)
+PHILOX_KAT = [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+]
+
+
+@pytest.mark.parametrize("counter, key, expected", PHILOX_KAT)
+def test_philox_oracle_known_answers(counter, key, expected):
+    assert philox4x32(counter, key) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(counters=st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 4), min_size=1, max_size=8),
+       seed=st.integers(0, 2**64 - 1))
+def test_numpy_philox_matches_oracle(counters, seed):
+    words = _reference.philox(*(np.array(w, dtype=np.uint64) for w in zip(*counters)), seed)
+    got = list(zip(*(w.tolist() for w in words)))
+    assert got == [philox4x32(c, (seed & 0xFFFFFFFF, seed >> 32)) for c in counters]
+    counter, key, expected = PHILOX_KAT[2]
+    words = _reference.philox(*(np.uint64(w) for w in counter), key[0] | key[1] << 32)
+    assert tuple(int(w) for w in words) == expected
+
+
+def test_poisson_table_matches_mpmath():
+    # a fixed length whose last entry is 1.0: the float64 partial sums stall
+    # below 1, so a table built until it reaches 1 would never end
+    cdf = _kernels._poisson_cdf(4.0)
+    assert cdf.shape == (32,) and cdf[-1] == 1.0
+    assert np.all(np.diff(cdf) >= 0.0) and cdf[-2] < 1.0
+    with mp.workdps(40):
+        exact = [mp.fsum(mp.exp(-4) * mp.mpf(4) ** j / mp.factorial(j) for j in range(k + 1))
+                 for k in range(31)]
+    np.testing.assert_allclose(cdf[:-1], [float(x) for x in exact], rtol=4 * EPS)
+
+
+def sample_both(compiled, seed, start, n, gamma, horizon):
+    pure = _kernels.sample(seed, start, n, gamma, horizon, impl=_reference)
+    fast = _kernels.sample(seed, start, n, gamma, horizon, impl=compiled)
+    for a, b in zip(pure, fast):
+        assert_same_bits(a, b)
+    return pure
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])),
+    start=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 300, 2**32 + 300)),
+    n=st.sampled_from([1, 3, 300]),
+    gamma=st.sampled_from([0.0, 0.05, 0.8, 6.0]),
+    horizon=st.floats(0.01, 60.0),
+)
+def test_sample_bit_identical_property(compiled, seed, start, n, gamma, horizon):
+    # seeds over all 64 bits, indices across the counter's high word, the
+    # static limit and horizons of up to 45 epochs: both backends give the
+    # same bytes, and rows agree with the scalar oracle of tests/_oracles.py
+    levels, times, counts = sample_both(compiled, seed, start, n, gamma, horizon)
+    assert times.shape == (n, counts.max())
+    for i in {0, n - 1}:
+        level, oracle = telegraph_stream(seed, start + i, gamma, horizon)
+        assert levels[i] == level
+        np.testing.assert_array_equal(times[i, : counts[i]], oracle)
+        assert np.all(np.isinf(times[i, counts[i]:]))
+
+
+def test_sample_writes_rows_only_when_they_fit(impl):
+    # a kernel returns the widest row's count k and writes the (n, k) rows
+    # only into room for them; the wrapper then samples again, the same
+    cdf = _kernels._poisson_cdf(_kernels.EPOCH_SWITCHES)
+    levels, times, counts = _kernels.sample(5, 7, 50, 2.0, 12.0)
+    k = times.shape[1]
+    out = (np.empty(50, np.uint8), np.empty(50, np.intp))
+    short = np.full(50 * k - 1, -1.0)
+    assert impl.sample(5, 7, 4, 4.0, 12.0, cdf, *out, short) == k
+    np.testing.assert_array_equal(out[0], levels)
+    np.testing.assert_array_equal(out[1], counts)
+    exact = np.full(50 * k + 3, -1.0)
+    assert impl.sample(5, 7, 4, 4.0, 12.0, cdf, *out, exact) == k
+    np.testing.assert_array_equal(exact[: 50 * k].reshape(50, k), times)
+    np.testing.assert_array_equal(exact[50 * k:], -1.0)
+
+
+def test_sample_makes_room_for_rows_wider_than_its_guess(monkeypatch):
+    expected = _kernels.sample(5, 7, 50, 2.0, 12.0)
+    monkeypatch.setattr(_kernels, "_row_room", lambda gamma, horizon: 1)
+    for a, b in zip(expected, _kernels.sample(5, 7, 50, 2.0, 12.0)):
+        assert_same_bits(a, b)
+
+
+def test_sample_rejects_more_epochs_than_the_counter_holds():
+    with pytest.raises(ValueError, match="epoch"):
+        _kernels.sample(1, 0, 2, 1e10, 1e3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtdeph import noise
+from rtdeph import _kernels, noise
 
 from _oracles import riemann_phase
 
@@ -66,6 +66,23 @@ def test_sample_batch_rejects_bad_arguments():
         noise.sample_batch(params, 1.0, 4, 0, start_index=-1)
 
 
+def test_sample_batch_keys_streams_by_64_bit_seeds_and_indices():
+    # the Philox key is the 64-bit seed and the counter holds a 64-bit index:
+    # a seed or an index beyond them is an error, never a silent wrap
+    params = noise.RTParams(v=1.0, gamma=1.0)
+    top = noise.sample_batch(params, 5.0, 2, 2**64 - 1, start_index=2**64 - 2)
+    assert top.n == 2
+    for seed in (2**64, 2**64 + 5, -1):
+        with pytest.raises(ValueError, match="master_seed"):
+            noise.sample_batch(params, 5.0, 2, seed)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        noise.sample_batch(params, 5.0, 2, 0, start_index=2**64 - 1)
+    # the seed's high word enters the key
+    low = noise.sample_batch(params, 50.0, 4, 7)
+    high = noise.sample_batch(params, 50.0, 4, 7 + 2**32)
+    assert not np.array_equal(low.switch_times[:, :3], high.switch_times[:, :3])
+
+
 def test_initial_level_equiprobable():
     params = noise.RTParams(v=1.0, gamma=0.7)
     n = 4000
@@ -92,6 +109,45 @@ def test_mean_switch_count_matches_rate():
     counts = batch.counts.astype(float)
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - 5.0) <= 3.0 * se
+
+
+def ks_exponential(samples, rate):
+    """Kolmogorov-Smirnov distance D of the samples from Exp(rate), times
+    sqrt(n): below 1.95 with probability 0.999 for exponential samples."""
+    x = np.sort(samples)
+    cdf = -np.expm1(-rate * x)
+    n = x.size
+    d = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    return d * math.sqrt(n)
+
+
+def test_waits_between_switches_are_exponential():
+    # only waits that start before t = 20, 20 mean waits before the horizon,
+    # so that it censors almost none of them (all finite waits below the
+    # horizon would be biased short)
+    gamma = 1.0
+    batch = noise.sample_batch(noise.RTParams(v=1.0, gamma=gamma), 60.0, 2000, master_seed=71)
+    times = batch.switch_times
+    with np.errstate(invalid="ignore"):  # inf - inf past the padding
+        starts, waits = times[:, :-1], np.diff(times, axis=1)
+    early = starts < 20.0
+    assert np.all(np.isfinite(waits[early]))
+    assert waits[early].size > 15000
+    assert ks_exponential(waits[early], gamma / 2.0) < 1.95
+
+
+def test_wait_from_epoch_boundary_is_exponential():
+    # from a fixed time e*L, L being the epoch length, the next switch is an
+    # Exp(gamma/2) wait away (memorylessness across the epochs' seams); one
+    # boundary per row keeps the waits independent
+    gamma = 1.0
+    n = 6000
+    batch = noise.sample_batch(noise.RTParams(v=1.0, gamma=gamma), 60.0, n, master_seed=72)
+    epoch = 2.0 * _kernels.EPOCH_SWITCHES / gamma
+    boundary = (np.arange(n) % 3) * epoch
+    after = np.where(batch.switch_times > boundary[:, None], batch.switch_times, np.inf).min(axis=1)
+    assert np.all(np.isfinite(after))
+    assert ks_exponential(after - boundary, gamma / 2.0) < 1.95
 
 
 def test_level_at_examples():
@@ -180,13 +236,13 @@ def test_sampling_is_reproducible_per_index(seed, start, n, gamma):
         levels=from_zero.levels[start:], switch_times=from_zero.switch_times[start:],
         counts=from_zero.counts[start:], horizon=4.0))
     same_rows(batch, noise.sample_batch(params, 4.0, n, seed, start_index=start))
+    # distinct indices and seeds draw distinct realizations; compared over
+    # ~100 switches, since two realizations may both keep one level up to 4.0
+    far = 200.0 / gamma
+    first = lane(params, far, seed=seed, index=start).switch_times
     if n > 1:
-        # distinct indices are distinct realizations
-        a, b = batch.trajectory(0), batch.trajectory(n - 1)
-        assert a.initial_level != b.initial_level or not np.array_equal(a.switch_times, b.switch_times)
-    other = noise.sample_batch(params, 4.0, n, seed + 1, start_index=start)
-    assert not (np.array_equal(other.levels, batch.levels)
-                and np.array_equal(other.switch_times, batch.switch_times))
+        assert not np.array_equal(first, lane(params, far, seed=seed, index=start + n - 1).switch_times)
+    assert not np.array_equal(first, lane(params, far, seed=seed + 1, index=start).switch_times)
 
 
 @stream_settings
@@ -250,6 +306,25 @@ def test_autocorrelation_start_index_selects_trajectories():
     np.testing.assert_allclose(0.5 * (halves[0].estimates + halves[1].estimates),
                                whole.estimates, rtol=0, atol=1e-12)
     assert not np.array_equal(halves[0].estimates, halves[1].estimates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 250])
+def test_autocorrelation_stderr_matches_sample_deviation(n):
+    # the standard error comes from the estimate r alone; it equals the ddof=1
+    # deviation of the per-sample products of centered signs over sqrt(n)
+    params = noise.RTParams(v=1.0, gamma=1.0)
+    lags = np.array([0.0, 0.1, 0.7, 3.0, 9.0])
+    result = noise.estimate_autocorrelation(params, lags, n, master_seed=21)
+    batch = noise.sample_batch(params, 9.0, n, master_seed=21)
+    levels = np.array([[noise.level_at(batch.trajectory(i), t) for t in lags] for i in range(n)])
+    products = (2.0 * batch.levels[:, None] - 1.0) * (2.0 * levels - 1.0)
+    np.testing.assert_array_equal(result.estimates, products.mean(axis=0))
+    if n == 1:
+        np.testing.assert_array_equal(result.stderrs, 0.0)
+        return
+    expected = products.std(axis=0, ddof=1) / math.sqrt(n)
+    np.testing.assert_allclose(result.stderrs, expected, rtol=1e-14, atol=0)
+    assert np.any(result.stderrs > 0.0)
 
 
 def test_autocorrelation_static_process_is_frozen():
