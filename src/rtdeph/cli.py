@@ -27,6 +27,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ _DEFAULTS = {
     "mode": "analytic",
     "out": "-",
     "no_timestamp": False,
-    "threads": 1,
+    "threads": None,  # the usable CPU count, see _usable_cpus
     "revival_n": 1,
     "lags": None,
 }
@@ -102,6 +103,14 @@ class SweepSpec:
     def vt_grid(self) -> np.ndarray:
         n_steps = int(math.floor(self.vt_max / self.vt_step + 1e-9))
         return self.vt_step * np.arange(n_steps + 1)
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_g_list(text: str) -> tuple[float, ...]:
@@ -177,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-timestamp", action="store_true", default=None,
                         help="omit the timestamp line for byte-reproducible output")
     parser.add_argument("--config", help="plain-text config file of key = value lines")
-    parser.add_argument("--threads", type=int, help="worker threads for the trajectory engine")
+    parser.add_argument("--threads", type=int,
+                        help="worker threads for the sampled passes (default: the number of "
+                        "usable CPUs); results do not depend on it")
     parser.add_argument("--revival-n", type=int, help="revival index for recovery mode")
     parser.add_argument("--lags", help="comma-separated lags for autocorr mode (time units)")
     return parser
@@ -204,7 +215,7 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
         mode=str(merged["mode"]),
         out=str(merged["out"]),
         timestamp=not bool(merged["no_timestamp"]),
-        threads=int(merged["threads"]),
+        threads=_usable_cpus() if merged["threads"] is None else int(merged["threads"]),
         revival_n=int(merged["revival_n"]),
         lags=lags,
     )
@@ -417,7 +428,7 @@ def cmd_autocorr(spec: SweepSpec) -> tuple[str, int]:
             else np.array([0.5, 1.0, 2.0, 3.0]) / params.gamma
         )
         est = estimate_autocorrelation(params, lags, spec.n_traj, spec.seed,
-                                       start_index=j * spec.n_traj)
+                                       start_index=j * spec.n_traj, n_threads=spec.threads)
         rows = []
         for lag, value, se in zip(est.lags, est.estimates, est.stderrs):
             expected = math.exp(-params.gamma * lag)

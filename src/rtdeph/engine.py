@@ -8,21 +8,22 @@ stepping, hence no integration error.  Ensembles average the projectors of
 these states; per-trajectory coherences exp(-i * integral of xi) average to
 the Monte Carlo estimate of the analytic coherence factor.
 
-Ensembles and recovery reports stream through fixed blocks of
-trajectories, and each block is reduced on its own.  For an ensemble one
-backend call (``_kernels.block_sums``) turns a block's switch times into
-difference arrays of its coherences z = exp(-i*v*dwell) on the grid,
-shifted by their t = 0 value 1: between two switches a row's coherence is
-a constant or a constant times a grid factor, so each stretch between
-switches is added once and no (n, m) array is formed.  The blocks'
+Ensembles and recovery reports take their trajectories from the block
+stream ``noise.stream``, which reduces each block on its own, on a thread
+pool.  For an ensemble one backend call (``_kernels.block_sums``) turns a
+block's switch times into difference arrays of its coherences
+z = exp(-i*v*dwell) on the grid, shifted by their t = 0 value 1: between
+two switches a row's coherence is a constant or a constant times a grid
+factor, so each stretch between switches is added once and no (n, m)
+array is formed.  The blocks'
 difference arrays are added in block order, and one prefix sum over the
 total (``_kernels.column_sums``) gives the column sums of the coherences
 and of their squares, from which follow the mean and the sums of squared
 deviations.  Recovery needs only two means, of the coherences at the
 revival time without and with the phase correction, so each block gives
 their two sums, added in block order.  Memory does not grow with the
-number of trajectories, and there is no cap on the ensemble size.  The concurrence of an averaged ensemble is
-min(|q|, 1), q its mean coherence.
+number of trajectories, and there is no cap on the ensemble size.  The
+concurrence of an averaged ensemble is min(|q|, 1), q its mean coherence.
 
 Reproducibility contract: trajectory i is fixed by (master_seed, i) alone,
 its draws being keyed by counters (``noise.sample_batch``); the blocks of
@@ -34,8 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,27 +121,6 @@ def _correction_phase(theta, n: int):
     return theta - _TWO_PI * n
 
 
-def _stream(config: RunConfig, n_threads: int, reduce_block):
-    """``reduce_block(batch)`` of each block of the trajectories of
-    ``config``, yielded in block order for the caller to fold.
-
-    Block b holds trajectories [b*BLOCK, (b+1)*BLOCK), BLOCK being
-    ``noise.BLOCK``.  It is sampled up to the last grid time and reduced on
-    its own, and threads map over whole blocks, so the results do not
-    depend on the thread count.
-    """
-    params = config.system.rt
-    horizon = float(config.t_grid[-1])
-
-    def one_block(start):
-        count = min(noise.BLOCK, config.n_trajectories - start)
-        return reduce_block(
-            noise.sample_batch(params, horizon, count, config.master_seed, start_index=start))
-
-    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
-        yield from pool.map(one_block, range(0, config.n_trajectories, noise.BLOCK))
-
-
 def _ef_derivative(c: np.ndarray) -> np.ndarray:
     """d E_f / dC = (C/2s) log2((1 + s)/(1 - s)), s = sqrt(1 - C^2), at each
     concurrence C, with the continuous limits 0 at C=0 and 1/ln2 at C=1.
@@ -177,8 +156,10 @@ def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
     ``config.master_seed``, independent of ``n_threads``.
     """
     v, n = config.system.rt.v, config.n_trajectories
-    blocks = _stream(config, n_threads, lambda batch: _kernels.block_sums(
-        batch.levels, batch.switch_times, config.t_grid, v))
+    blocks = noise.stream(
+        config.system.rt, float(config.t_grid[-1]), n, config.master_seed,
+        lambda batch: _kernels.block_sums(batch.levels, batch.switch_times, config.t_grid, v),
+        n_threads=n_threads)
     mean, m2 = _moments(n, functools.reduce(np.add, blocks), config.t_grid, v)
     q_mean = mean.view(np.complex128)[:, 0]
     q_se = np.sqrt(m2 / max(n - 1, 1)) / math.sqrt(n)
@@ -268,12 +249,16 @@ def recovery_report(config: RunConfig, n: int, n_threads: int = 1) -> RecoveryRe
     def sums(batch):
         # The states |00> + z|11> are carried without the common 1/sqrt(2);
         # a corrected state's coherence is its |11> over its |00> amplitude.
+        # exp(-i*vartheta/2*sigma_z) on qubit A multiplies |00> by
+        # h = exp(-i*vartheta/2) and |11> by conj(h), so the ratio is
+        # conj(h)*z*conj(h).
         theta = v * _kernels.dwell_times(batch.levels, batch.switch_times, [t_n])[:, 0]
         z = np.exp(-1j * theta)
-        factors = states.local_phase_factors(_correction_phase(theta, n), "A")
-        return np.array([z.sum(), (factors[:, 3] * z * np.conj(factors[:, 0])).sum()])
+        h_conj = np.conj(np.exp(-0.5j * _correction_phase(theta, n)))
+        return np.array([z.sum(), (h_conj * z * h_conj).sum()])
 
-    total = sum(_stream(replace(config, t_grid=np.array([t_n])), n_threads, sums))
+    total = sum(noise.stream(config.system.rt, t_n, config.n_trajectories, config.master_seed,
+                             sums, n_threads=n_threads))
     before, after = np.minimum(np.abs(total / config.n_trajectories), 1.0)
     return RecoveryReport(
         t_n=t_n, revival_index=n, concurrence_before=float(before), concurrence_after=float(after)

@@ -15,18 +15,26 @@ epoch e holds a Poisson(mu) number of switches placed as sorted uniforms in
 sees a prefix of the same trajectory.  The compiled kernel and the numpy
 fallback draw the same bits (``_kernels.sample``), and nothing draws from
 ``numpy.random``.
+
+Every sampled pass goes through one block stream (``stream``): blocks of
+``BLOCK`` consecutive trajectories are sampled and reduced on a thread
+pool, and the reductions come back in block order.  The ensemble, the
+recovery report and the autocorrelation estimate all fold their block
+results in that order, so memory is bounded by one block per thread and
+results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from rtdeph import _kernels
 
-#: Trajectories per block of the engine's pipeline.
+#: Trajectories per block of the block stream (``stream``).
 BLOCK = 2048
 
 
@@ -130,6 +138,24 @@ def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
     return TrajectoryBatch(levels=levels, switch_times=times, counts=counts, horizon=horizon)
 
 
+def stream(params: RTParams, horizon: float, n: int, master_seed: int, reduce_block,
+           start_index: int = 0, n_threads: int = 1):
+    """``reduce_block(batch)`` of each block of trajectories ``start_index``
+    to ``start_index + n - 1``, yielded in block order for the caller to fold.
+
+    Block b holds the next ``BLOCK`` trajectories from ``start_index + b*BLOCK``
+    (the last block may be shorter).  It is sampled up to ``horizon`` and
+    reduced on its own, and ``n_threads`` threads map over whole blocks, so
+    the results do not depend on the thread count.
+    """
+    def one_block(start):
+        count = min(BLOCK, start_index + n - start)
+        return reduce_block(sample_batch(params, horizon, count, master_seed, start_index=start))
+
+    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
+        yield from pool.map(one_block, range(start_index, start_index + n, BLOCK))
+
+
 def _check_query_time(traj: RTTrajectory, t: float) -> float:
     t = float(t)
     if not math.isfinite(t) or t < 0.0 or t > traj.horizon:
@@ -167,7 +193,7 @@ class AutocorrelationResult:
 
 
 def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed: int,
-                             start_index: int = 0) -> AutocorrelationResult:
+                             start_index: int = 0, n_threads: int = 1) -> AutocorrelationResult:
     """Estimate the normalized autocorrelation of the telegraph process.
 
     Uses the mean-centered process (xi - v/2), for which the normalized
@@ -177,7 +203,10 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed
     realization; the per-sample product of centered signs at lag 0 and lag
     tau averages to the estimate r.  The products are +-1, so their ddof=1
     standard error is sqrt((1 - r**2)/(n - 1)), from r alone.  The samples
-    are trajectories ``start_index`` onward of ``sample_batch``.
+    are trajectories ``start_index`` onward, taken block by block from
+    ``stream`` on ``n_threads`` threads; each block gives its integer count
+    of level flips per lag, so memory does not grow with ``n_samples`` and
+    the result does not depend on the thread count.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
@@ -194,14 +223,19 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed
         ones = np.ones_like(lag_arr)
         return AutocorrelationResult(lag_arr, ones, np.zeros_like(lag_arr), n_samples)
 
-    batch = sample_batch(params, horizon, n_samples, master_seed, start_index=start_index)
     order = np.argsort(lag_arr, kind="stable")
-    bits = _kernels.levels_at_times(batch.levels, batch.switch_times, lag_arr[order])
-    bits = bits[:, np.argsort(order, kind="stable")]
+    sorted_lags = lag_arr[order]
+
+    def flips(batch):
+        bits = _kernels.levels_at_times(batch.levels, batch.switch_times, sorted_lags)
+        return np.count_nonzero(bits != batch.levels[:, None], axis=0)
+
+    counts = sum(stream(params, horizon, n_samples, master_seed, flips,
+                        start_index=start_index, n_threads=n_threads))
+    counts = counts[np.argsort(order, kind="stable")]
     # a product of centered signs is -1 where the level differs from its
     # value at t = 0 and +1 elsewhere, so the products add up to n - 2*flips
-    flips = np.count_nonzero(bits != batch.levels[:, None], axis=0)
-    estimates = (n_samples - 2.0 * flips) / n_samples
+    estimates = (n_samples - 2.0 * counts) / n_samples
     if n_samples > 1:
         # products of +-1 have sum of squares n: the ddof=1 variance is
         # n*(1 - r**2)/(n - 1), so the standard error follows from r alone

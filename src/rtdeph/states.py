@@ -79,23 +79,6 @@ def bell_phi_plus() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def local_phase_factors(phase, qubit: str = "A") -> np.ndarray:
-    """Diagonal of exp(-i*phase/2 * sigma_z) on one qubit, per basis index.
-
-    ``qubit`` selects the tensor factor, "A" (first) or "B" (second).  An
-    array of phases gives one diagonal per phase, stacked on a last axis of
-    length 4, so a batch of states can be transformed in one product.
-    """
-    if qubit == "A":
-        bits = np.array([0, 0, 1, 1])
-    elif qubit == "B":
-        bits = np.array([0, 1, 0, 1])
-    else:
-        raise ValueError(f"qubit must be 'A' or 'B', got {qubit!r}")
-    sz = 1.0 - 2.0 * bits  # sigma_z eigenvalue per basis index
-    return np.exp(-0.5j * np.multiply.outer(phase, sz))
-
-
 def apply_local_phase(state, phase: float, qubit: str = "A") -> np.ndarray:
     """Apply exp(-i*phase/2 * sigma_z) to one qubit of a two-qubit state.
 
@@ -103,7 +86,14 @@ def apply_local_phase(state, phase: float, qubit: str = "A") -> np.ndarray:
     operation is a local unitary, so norm and entanglement are preserved.
     """
     vec = check_pure_state(state)
-    return local_phase_factors(phase, qubit) * vec
+    if qubit == "A":
+        bits = np.array([0, 0, 1, 1])
+    elif qubit == "B":
+        bits = np.array([0, 1, 0, 1])
+    else:
+        raise ValueError(f"qubit must be 'A' or 'B', got {qubit!r}")
+    sz = 1.0 - 2.0 * bits  # sigma_z eigenvalue per basis index
+    return np.exp(-0.5j * (phase * sz)) * vec
 
 
 def density_of(state) -> np.ndarray:

@@ -110,6 +110,18 @@ def test_recovery_json_byte_identical_across_threads(tmp_path):
                    "--n-traj", "4500", "--seed", "8", "--no-timestamp"])
 
 
+def test_compare_json_byte_identical_across_threads(tmp_path):
+    _byte_identical_across_threads(
+        tmp_path, ["--mode", "both", "--g", "0.5,5", "--vt-step", "1.3", "--vt-max", "13.0",
+                   "--n-traj", "4500", "--seed", "8", "--no-timestamp"])
+
+
+def test_autocorr_json_byte_identical_across_threads(tmp_path):
+    _byte_identical_across_threads(
+        tmp_path, ["--mode", "autocorr", "--g", "0.5,2", "--n-traj", "4500", "--seed", "8",
+                   "--no-timestamp"])
+
+
 @pytest.mark.parametrize("command, args", [
     (cli.cmd_figure1, ["--mode", "mc", "--g", "5,1", "--vt-step", "1.3", "--vt-max", "13.0"]),
     (cli.cmd_recovery, ["--mode", "recovery", "--g", "0.5,5,inf", "--revival-n", "2"]),
@@ -411,6 +423,37 @@ def test_config_file_with_flag_override(tmp_path):
     rc = cli.main(["--config", str(config), "--vt-max", "2.0", "--out", str(out)])
     assert rc == 0
     assert len(read_rows(out)) == 3
+
+
+def _spec(*argv):
+    return cli.build_spec(cli.build_parser().parse_args(list(argv)))
+
+
+def test_threads_default_to_the_usable_cpus(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert _spec().threads == len(os.sched_getaffinity(0))
+    # the affinity mask, not the machine's CPU count, and read when the
+    # spec is built
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _spec().threads == 3
+    assert _spec("--threads", "1").threads == 1
+
+
+def test_threads_default_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _spec().threads == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _spec().threads == 1
+
+
+def test_threads_from_config_file_and_flag(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    config = tmp_path / "threads.cfg"
+    config.write_text("threads = 1\n")
+    assert _spec("--config", str(config)).threads == 1
+    assert _spec("--config", str(config), "--threads", "3").threads == 3
 
 
 def test_config_rejects_unknown_keys(tmp_path):

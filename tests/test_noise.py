@@ -327,6 +327,38 @@ def test_autocorrelation_stderr_matches_sample_deviation(n):
     assert np.any(result.stderrs > 0.0)
 
 
+@pytest.mark.parametrize("n_threads", [1, 3])
+def test_autocorrelation_streams_blocks(monkeypatch, n_threads):
+    # 2*BLOCK + 5 samples from index 7: two full blocks and a partial one,
+    # none of them larger than BLOCK, and the same result as one batch
+    params = noise.RTParams(v=1.0, gamma=0.7)
+    lags = np.array([2.5, 0.0, 0.4, 1.0, 6.0])
+    n, start = 2 * noise.BLOCK + 5, 7
+    real_sample = noise.sample_batch
+    calls = []
+
+    def recording(params, horizon, count, master_seed, start_index=0):
+        calls.append((start_index, count))
+        return real_sample(params, horizon, count, master_seed, start_index=start_index)
+
+    monkeypatch.setattr(noise, "sample_batch", recording)
+    result = noise.estimate_autocorrelation(params, lags, n, master_seed=19, start_index=start,
+                                            n_threads=n_threads)
+    assert max(count for _, count in calls) <= noise.BLOCK
+    assert sorted(calls) == [(start, noise.BLOCK), (start + noise.BLOCK, noise.BLOCK),
+                             (start + 2 * noise.BLOCK, 5)]
+
+    batch = real_sample(params, float(lags.max()), n, 19, start_index=start)
+    flips = np.count_nonzero(
+        _kernels.levels_at_times(batch.levels, batch.switch_times, np.sort(lags))
+        != batch.levels[:, None], axis=0)[np.argsort(np.argsort(lags))]
+    estimates = (n - 2.0 * flips) / n
+    np.testing.assert_array_equal(result.estimates, estimates)
+    np.testing.assert_array_equal(
+        result.stderrs, np.sqrt((1.0 - estimates) * (1.0 + estimates) / (n - 1)))
+    assert result.estimates[1] == 1.0 and 0.0 < result.estimates[3] < 1.0
+
+
 def test_autocorrelation_static_process_is_frozen():
     params = noise.RTParams(v=1.0, gamma=0.0)
     result = noise.estimate_autocorrelation(params, [0.5, 2.0], 200, master_seed=3)

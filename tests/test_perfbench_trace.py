@@ -33,3 +33,25 @@ def test_traced_invoke_attributes_each_layer(tmp_path, args, layer):
     layers = record["layers"]
     assert layers["noise.trajectories"] > 0
     assert layers[layer] > 0
+
+
+def test_traced_self_times_add_up_under_threads(tmp_path):
+    # 5000 trajectories are three blocks per g, sampled and summed on two
+    # threads, so spans of the pool threads overlap; the self times of all
+    # layers and the unattributed time still partition the root span, the
+    # identity perfbench/run.py checks
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "invoke.py"), "1", "--mode", "both",
+         "--g", "0.5,5", "--vt-step", "1.3", "--vt-max", "13.0", "--n-traj", "5000",
+         "--threads", "2", "--seed", "8", "--no-timestamp", "--out", str(tmp_path / "artifact")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["exit"] == 0
+    layers = record["layers"]
+    assert layers["noise.sample_batch.calls"] == 6
+    assert layers["noise.trajectories"] == 10000
+    own = layers["trace.unattributed_s"] + sum(
+        v for k, v in layers.items() if k.endswith(".self_s"))
+    assert own == pytest.approx(layers["trace.wall_s"], rel=1e-6, abs=0)
