@@ -27,7 +27,6 @@ from rtdeph.engine import (
     RunConfig,
     evolve_trajectory,
     recover_trajectory,
-    recovered_ensemble_concurrence,
     recovery_report,
     run_ensemble,
     static_ensemble,
@@ -90,7 +89,6 @@ __all__ = [
     "level_at",
     "mixture_density",
     "recover_trajectory",
-    "recovered_ensemble_concurrence",
     "recovery_report",
     "revival_times",
     "run_ensemble",

@@ -17,8 +17,10 @@ autocorr
     exp(-gamma*tau).
 
 Exit codes: 0 success/pass, 1 validation failure, 2 invalid input,
-3 I/O error.  Flags override keys read from an optional plain-text config
-file of ``key = value`` lines.
+3 I/O error.  Every option is declared once, in ``_OPTIONS``; the config
+keys of the optional plain-text file of ``key = value`` lines are exactly
+the flag names (``vt_max`` or ``vt-max`` for ``--vt-max``), parsed alike,
+and flags override them.
 """
 
 from __future__ import annotations
@@ -38,29 +40,60 @@ from rtdeph.noise import RTParams, estimate_autocorrelation
 
 MODES = ("analytic", "mc", "both", "recovery", "autocorr")
 
-_DEFAULTS = {
-    "g": "inf,200,50,10,5",
-    "v": 1.0,
-    "vt_max": 6.0 * math.pi,
-    "vt_step": 2.0 * math.pi / 200.0,
-    "n_traj": 2000,
-    "seed": 12345,
-    "mode": "analytic",
-    "out": "-",
-    "no_timestamp": False,
-    "threads": None,  # the usable CPU count, see _usable_cpus
-    "revival_n": 1,
-    "lags": None,
+CSV_HEADER = "vt,g,ef_analytic,envelope,ef_mc,ef_mc_se"
+
+
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    # float() reads 'inf', the static limit of --g, in any case
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_bool(text) -> bool:
+    # str() because the --no-timestamp flag stores True, not a string
+    lowered = str(text).strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+#: Every sweep option, once: key -> (parser, parsed default, help).  The
+#: key is the config key, ``--key`` with dashes is the flag, and both give
+#: their string to the same parser.  None defaults: threads means the
+#: usable CPU count (see _usable_cpus), lags the per-g default lags.
+_OPTIONS = {
+    "g": (_parse_float_list, (math.inf, 200.0, 50.0, 10.0, 5.0),
+          "comma-separated couplings v/gamma; 'inf' for the static limit"),
+    "v": (float, 1.0, "noise amplitude (sets the time unit)"),
+    "vt_max": (float, 6.0 * math.pi, "end of the dimensionless v*t sweep"),
+    "vt_step": (float, 2.0 * math.pi / 200.0, "v*t grid step"),
+    "n_traj": (int, 2000, "Monte Carlo trajectories per g value"),
+    "seed": (int, 12345, "master seed for trajectory streams"),
+    "mode": (str, "analytic", "what to compute (default analytic)"),
+    "out": (str, "-", "output path, '-' for stdout"),
+    "no_timestamp": (_parse_bool, False,
+                     "omit the timestamp line for byte-reproducible output"),
+    "threads": (int, None, "worker threads for the sampled passes (default: the number of "
+                "usable CPUs); results do not depend on it"),
+    "revival_n": (int, 1, "revival index for recovery mode"),
+    "lags": (_parse_float_list, None, "comma-separated lags for autocorr mode (time units)"),
 }
 
-CSV_HEADER = "vt,g,ef_analytic,envelope,ef_mc,ef_mc_se"
+
+def _parse(key: str, text, where: str):
+    """``text`` through ``key``'s parser, with ``where`` named on failure."""
+    try:
+        return _OPTIONS[key][0](text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Effective sweep parameters after merging defaults, config, and flags."""
 
-    g_values: tuple[float, ...]
+    g: tuple[float, ...]
     v: float
     vt_max: float
     vt_step: float
@@ -68,17 +101,19 @@ class SweepSpec:
     seed: int
     mode: str
     out: str
-    timestamp: bool
+    no_timestamp: bool
     threads: int
     revival_n: int
     lags: tuple[float, ...] | None
 
     def __post_init__(self):
-        if not self.g_values:
+        if not self.g:
             raise ValueError("at least one g value is required")
-        for g in self.g_values:
+        for g in self.g:
             if not g > 0.0:
                 raise ValueError(f"g values must be positive or 'inf', got {g!r}")
+        if len(set(self.g)) != len(self.g):
+            raise ValueError(f"g values must be distinct, got {list(self.g)}")
         if not (math.isfinite(self.v) and self.v > 0.0):
             raise ValueError(f"v must be finite and positive, got {self.v!r}")
         if not (math.isfinite(self.vt_step) and self.vt_step > 0.0):
@@ -95,6 +130,8 @@ class SweepSpec:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.revival_n < 1:
             raise ValueError(f"revival-n must be >= 1, got {self.revival_n}")
+        if self.lags == ():
+            raise ValueError("lags must name at least one lag")
 
     def rt_params(self, g: float) -> RTParams:
         gamma = 0.0 if math.isinf(g) else self.v / g
@@ -104,6 +141,14 @@ class SweepSpec:
         n_steps = int(math.floor(self.vt_max / self.vt_step + 1e-9))
         return self.vt_step * np.arange(n_steps + 1)
 
+    def run_config(self, g: float, t_grid: np.ndarray) -> engine.RunConfig:
+        return engine.RunConfig(
+            system=analytic.SystemParams(rt=self.rt_params(g)),
+            t_grid=t_grid,
+            n_trajectories=self.n_traj,
+            master_seed=self.seed,
+        )
+
 
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on: its affinity mask where the
@@ -111,45 +156,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _parse_g_list(text: str) -> tuple[float, ...]:
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        values.append(math.inf if token.lower() == "inf" else float(token))
-    return tuple(values)
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-_CONFIG_PARSERS = {
-    "g": str,
-    "v": float,
-    "vt_max": float,
-    "vt_step": float,
-    "n_traj": int,
-    "seed": int,
-    "mode": str,
-    "out": str,
-    "no_timestamp": _parse_bool,
-    "threads": int,
-    "revival_n": int,
-    "lags": str,
-}
 
 
 def _read_config(path: str) -> dict:
@@ -163,9 +169,9 @@ def _read_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_PARSERS:
+            if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_PARSERS[key](value.strip())
+            values[key] = _parse(key, value.strip(), f"{path}:{lineno}: {key}")
     return values
 
 
@@ -175,50 +181,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-qubit entanglement under random-telegraph dephasing: "
         "analytic curves, Monte Carlo checks, and recovery demos.",
     )
-    parser.add_argument("--g", help="comma-separated couplings v/gamma; 'inf' for the static limit")
-    parser.add_argument("--v", type=float, help="noise amplitude (sets the time unit)")
-    parser.add_argument("--vt-max", type=float, help="end of the dimensionless v*t sweep")
-    parser.add_argument("--vt-step", type=float, help="v*t grid step")
-    parser.add_argument("--n-traj", type=int, help="Monte Carlo trajectories per g value")
-    parser.add_argument("--seed", type=int, help="master seed for trajectory streams")
-    parser.add_argument("--mode", choices=MODES, help="what to compute (default analytic)")
-    parser.add_argument("--out", help="output path, '-' for stdout")
-    parser.add_argument("--no-timestamp", action="store_true", default=None,
-                        help="omit the timestamp line for byte-reproducible output")
+    # default=None everywhere, so that an unset flag leaves the config value
+    for key, (_, _, help_text) in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "no_timestamp":
+            parser.add_argument(flag, action="store_true", default=None, help=help_text)
+        else:
+            parser.add_argument(flag, choices=MODES if key == "mode" else None, help=help_text)
     parser.add_argument("--config", help="plain-text config file of key = value lines")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads for the sampled passes (default: the number of "
-                        "usable CPUs); results do not depend on it")
-    parser.add_argument("--revival-n", type=int, help="revival index for recovery mode")
-    parser.add_argument("--lags", help="comma-separated lags for autocorr mode (time units)")
     return parser
 
 
 def build_spec(args: argparse.Namespace) -> SweepSpec:
-    merged = dict(_DEFAULTS)
+    values = {key: default for key, (_, default, _) in _OPTIONS.items()}
     if args.config:
-        merged.update(_read_config(args.config))
-    for key in _DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    lags = merged["lags"]
-    if isinstance(lags, str):
-        lags = _parse_float_list(lags)
-    return SweepSpec(
-        g_values=_parse_g_list(merged["g"]) if isinstance(merged["g"], str) else tuple(merged["g"]),
-        v=float(merged["v"]),
-        vt_max=float(merged["vt_max"]),
-        vt_step=float(merged["vt_step"]),
-        n_traj=int(merged["n_traj"]),
-        seed=int(merged["seed"]),
-        mode=str(merged["mode"]),
-        out=str(merged["out"]),
-        timestamp=not bool(merged["no_timestamp"]),
-        threads=_usable_cpus() if merged["threads"] is None else int(merged["threads"]),
-        revival_n=int(merged["revival_n"]),
-        lags=lags,
-    )
+        values.update(_read_config(args.config))
+    for key in _OPTIONS:
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = _parse(key, text, "argument --" + key.replace("_", "-"))
+    if values["threads"] is None:
+        values["threads"] = _usable_cpus()
+    return SweepSpec(**values)
 
 
 def _fmt_column(values) -> list[str]:
@@ -233,35 +217,23 @@ def _fmt_g(g: float) -> str:
 def _spec_metadata(spec: SweepSpec) -> dict:
     # deliberately no thread count here: results are thread-count
     # independent and artifacts must stay byte-identical
-    meta = {
-        "g": [_fmt_g(g) for g in spec.g_values],
-        "v": spec.v,
-        "vt_max": spec.vt_max,
-        "vt_step": spec.vt_step,
-        "n_traj": spec.n_traj,
-        "seed": spec.seed,
-        "mode": spec.mode,
-        "backend": _kernels.BACKEND,
-    }
+    echoed = ("v", "vt_max", "vt_step", "n_traj", "seed", "mode")
+    meta = {"g": [_fmt_g(g) for g in spec.g], **{key: getattr(spec, key) for key in echoed},
+            "backend": _kernels.BACKEND}
     if spec.mode == "recovery":
         meta["revival_n"] = spec.revival_n
     if spec.mode == "autocorr" and spec.lags is not None:
         meta["lags"] = list(spec.lags)
-    if spec.timestamp:
+    if not spec.no_timestamp:
         meta["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return meta
 
 
-def _ensemble_for(spec: SweepSpec, g: float) -> engine.EnsembleResult:
-    params = spec.rt_params(g)
-    t_grid = spec.vt_grid() / spec.v
-    config = engine.RunConfig(
-        system=analytic.SystemParams(rt=params),
-        t_grid=t_grid,
-        n_trajectories=spec.n_traj,
-        master_seed=spec.seed,
-    )
-    return engine.run_ensemble(config, n_threads=spec.threads)
+def _verdict(report: dict, entries: list[dict]) -> tuple[str, int]:
+    """The report as JSON text and its exit code.  The report's "pass" key,
+    placed by the caller, is set to whether every entry passes."""
+    report["pass"] = all(entry["pass"] for entry in entries)
+    return json.dumps(report, indent=2) + "\n", 0 if report["pass"] else 1
 
 
 def cmd_figure1(spec: SweepSpec) -> tuple[str, int]:
@@ -272,13 +244,13 @@ def cmd_figure1(spec: SweepSpec) -> tuple[str, int]:
     vt = spec.vt_grid()
     t_grid = vt / spec.v
     vt_col = _fmt_column(vt)
-    for g in spec.g_values:
+    for g in spec.g:
         params = spec.rt_params(g)
         q_abs = np.abs(analytic.coherence_factor(params, t_grid))
         ef = states.entanglement_of_formation(np.minimum(q_abs, 1.0))
         env = analytic.envelope(params, t_grid)
         if with_mc:
-            result = _ensemble_for(spec, g)
+            result = engine.run_ensemble(spec.run_config(g, t_grid), n_threads=spec.threads)
             mc_cols = _fmt_column(result.e_f), _fmt_column(result.e_f_se)
         else:
             mc_cols = [""] * vt.size, [""] * vt.size
@@ -298,57 +270,41 @@ COMPARE_MAX_ABS_DEV = 0.05
 
 
 def build_compare_report(spec: SweepSpec, results: dict[float, engine.EnsembleResult]) -> dict:
-    """Assemble the comparison report from per-coupling ensemble results."""
+    """The comparison report of per-coupling ensemble results; ``_verdict`` sets its "pass"."""
     per_point = []
     per_g = []
-    global_max = 0.0
     for g, result in results.items():
-        params = spec.rt_params(g)
-        q_ref = np.atleast_1d(analytic.coherence_factor(params, result.t_grid))
-        within = 0
-        g_max = 0.0
-        for i, t in enumerate(result.t_grid):
-            dev_re = abs(result.q_mean[i].real - q_ref[i].real)
-            dev_im = abs(result.q_mean[i].imag - q_ref[i].imag)
-            point_ok = (
-                dev_re <= COMPARE_SE_MULTIPLE * result.q_se_re[i]
-                and dev_im <= COMPARE_SE_MULTIPLE * result.q_se_im[i]
-            )
-            within += point_ok
-            g_max = max(g_max, abs(result.q_mean[i] - q_ref[i]))
-            per_point.append(
-                {
-                    "g": _fmt_g(g),
-                    "vt": spec.v * float(t),
-                    "q_re": float(q_ref[i].real),
-                    "q_im": float(q_ref[i].imag),
-                    "qhat_re": float(result.q_mean[i].real),
-                    "qhat_im": float(result.q_mean[i].imag),
-                    "se_re": float(result.q_se_re[i]),
-                    "se_im": float(result.q_se_im[i]),
-                    "within_band": bool(point_ok),
-                }
-            )
-        frac = within / result.t_grid.size
-        per_g.append(
-            {
-                "g": _fmt_g(g),
-                "max_abs_dev": g_max,
-                "fraction_within_band": frac,
-                "pass": bool(frac >= COMPARE_MIN_FRACTION and g_max < COMPARE_MAX_ABS_DEV),
-            }
-        )
-        global_max = max(global_max, g_max)
-    overall = all(entry["pass"] for entry in per_g)
+        q_ref = np.atleast_1d(analytic.coherence_factor(spec.rt_params(g), result.t_grid))
+        dev = result.q_mean - q_ref
+        within = ((np.abs(dev.real) <= COMPARE_SE_MULTIPLE * result.q_se_re)
+                  & (np.abs(dev.imag) <= COMPARE_SE_MULTIPLE * result.q_se_im))
+        # hypot, not np.abs: it rounds |dev| as the scalar complex abs does
+        g_max = float(np.max(np.hypot(dev.real, dev.imag), initial=0.0))
+        frac = int(np.count_nonzero(within)) / result.t_grid.size
+        per_g.append({
+            "g": _fmt_g(g),
+            "max_abs_dev": g_max,
+            "fraction_within_band": frac,
+            "pass": bool(frac >= COMPARE_MIN_FRACTION and g_max < COMPARE_MAX_ABS_DEV),
+        })
+        columns = {
+            "vt": spec.v * result.t_grid,
+            "q_re": q_ref.real, "q_im": q_ref.imag,
+            "qhat_re": result.q_mean.real, "qhat_im": result.q_mean.imag,
+            "se_re": result.q_se_re, "se_im": result.q_se_im,
+            "within_band": within,
+        }
+        rows = zip(*(column.tolist() for column in columns.values()))
+        per_point.extend({"g": _fmt_g(g), **dict(zip(columns, row))} for row in rows)
     return {
         "params": _spec_metadata(spec),
-        "max_abs_dev": global_max,
+        "max_abs_dev": max((entry["max_abs_dev"] for entry in per_g), default=0.0),
         "tolerance": {
             "se_multiple": COMPARE_SE_MULTIPLE,
             "min_fraction_within": COMPARE_MIN_FRACTION,
             "max_abs_dev": COMPARE_MAX_ABS_DEV,
         },
-        "pass": bool(overall),
+        "pass": None,
         "per_g": per_g,
         "per_point": per_point,
     }
@@ -356,9 +312,11 @@ def build_compare_report(spec: SweepSpec, results: dict[float, engine.EnsembleRe
 
 def cmd_compare(spec: SweepSpec) -> tuple[str, int]:
     """JSON report: MC mean coherence versus the closed form on the sweep grid."""
-    results = {g: _ensemble_for(spec, g) for g in spec.g_values}
+    t_grid = spec.vt_grid() / spec.v
+    results = {g: engine.run_ensemble(spec.run_config(g, t_grid), n_threads=spec.threads)
+               for g in spec.g}
     report = build_compare_report(spec, results)
-    return json.dumps(report, indent=2) + "\n", 0 if report["pass"] else 1
+    return _verdict(report, report["per_g"])
 
 
 #: Recovered concurrence must return to 1 within this tolerance.
@@ -375,16 +333,10 @@ def cmd_recovery(spec: SweepSpec) -> tuple[str, int]:
     n = spec.revival_n
     before_tol = RECOVERY_SE_MULTIPLE / math.sqrt(spec.n_traj)
     entries = []
-    for g in spec.g_values:
-        params = spec.rt_params(g)
-        config = engine.RunConfig(
-            system=analytic.SystemParams(rt=params),
-            t_grid=np.array([2.0 * math.pi * n / spec.v]),
-            n_trajectories=spec.n_traj,
-            master_seed=spec.seed,
-        )
+    for g in spec.g:
+        config = spec.run_config(g, np.array([2.0 * math.pi * n / spec.v]))
         report = engine.recovery_report(config, n, n_threads=spec.threads)
-        expected = float(abs(analytic.coherence_factor(params, report.t_n)))
+        expected = float(abs(analytic.coherence_factor(spec.rt_params(g), report.t_n)))
         entries.append({
             "g": _fmt_g(g),
             "t_n": report.t_n,
@@ -394,16 +346,14 @@ def cmd_recovery(spec: SweepSpec) -> tuple[str, int]:
                          and abs(report.concurrence_before - expected) <= before_tol),
             "expected_uncorrected": expected,
         })
-    overall = all(entry["pass"] for entry in entries)
-    report = {
+    return _verdict({
         "params": _spec_metadata(spec),
         "revival_index": n,
         "tolerance": RECOVERY_ATOL,
         "uncorrected_tolerance": before_tol,
-        "pass": bool(overall),
+        "pass": None,
         "results": entries,
-    }
-    return json.dumps(report, indent=2) + "\n", 0 if overall else 1
+    }, entries)
 
 
 #: Autocorrelation estimates must match exp(-gamma*tau) within this many
@@ -418,7 +368,7 @@ def cmd_autocorr(spec: SweepSpec) -> tuple[str, int]:
     every g is estimated from its own realizations.
     """
     sections = []
-    for j, g in enumerate(spec.g_values):
+    for j, g in enumerate(spec.g):
         if math.isinf(g):
             raise ValueError("autocorr mode needs a finite g (gamma > 0)")
         params = spec.rt_params(g)
@@ -432,31 +382,25 @@ def cmd_autocorr(spec: SweepSpec) -> tuple[str, int]:
         rows = []
         for lag, value, se in zip(est.lags, est.estimates, est.stderrs):
             expected = math.exp(-params.gamma * lag)
-            rows.append(
-                {
-                    "lag": float(lag),
-                    "estimate": float(value),
-                    "expected": expected,
-                    "stderr": float(se),
-                    "within_3se": bool(abs(value - expected) <= AUTOCORR_SE_MULTIPLE * se),
-                }
-            )
-        sections.append(
-            {
-                "g": _fmt_g(g),
-                "gamma": params.gamma,
-                "per_lag": rows,
-                "pass": bool(all(row["within_3se"] for row in rows)),
-            }
-        )
-    overall = all(section["pass"] for section in sections)
-    report = {
+            rows.append({
+                "lag": float(lag),
+                "estimate": float(value),
+                "expected": expected,
+                "stderr": float(se),
+                "within_3se": bool(abs(value - expected) <= AUTOCORR_SE_MULTIPLE * se),
+            })
+        sections.append({
+            "g": _fmt_g(g),
+            "gamma": params.gamma,
+            "per_lag": rows,
+            "pass": all(row["within_3se"] for row in rows),
+        })
+    return _verdict({
         "params": _spec_metadata(spec),
         "se_multiple": AUTOCORR_SE_MULTIPLE,
-        "pass": bool(overall),
+        "pass": None,
         "results": sections,
-    }
-    return json.dumps(report, indent=2) + "\n", 0 if overall else 1
+    }, sections)
 
 
 def _write_artifact(out: str, text: str) -> None:
@@ -468,14 +412,9 @@ def _write_artifact(out: str, text: str) -> None:
 
 
 def run(spec: SweepSpec) -> int:
-    if spec.mode in ("analytic", "mc"):
-        text, code = cmd_figure1(spec)
-    elif spec.mode == "both":
-        text, code = cmd_compare(spec)
-    elif spec.mode == "recovery":
-        text, code = cmd_recovery(spec)
-    else:
-        text, code = cmd_autocorr(spec)
+    # built per call, so that it holds whatever the module names hold now
+    commands = {"both": cmd_compare, "recovery": cmd_recovery, "autocorr": cmd_autocorr}
+    text, code = commands.get(spec.mode, cmd_figure1)(spec)
     _write_artifact(spec.out, text)
     return code
 

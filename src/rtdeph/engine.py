@@ -265,11 +265,6 @@ def recovery_report(config: RunConfig, n: int, n_threads: int = 1) -> RecoveryRe
     )
 
 
-def recovered_ensemble_concurrence(config: RunConfig, n: int, n_threads: int = 1) -> float:
-    """Ensemble concurrence at t_n after per-trajectory phase recovery."""
-    return recovery_report(config, n, n_threads=n_threads).concurrence_after
-
-
 def static_ensemble(system: SystemParams, t: float) -> list[tuple[float, np.ndarray]]:
     """The two-member trajectory ensemble of the frozen-noise limit.
 

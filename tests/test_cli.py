@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rtdeph import _kernels, cli, engine, noise
+from rtdeph import _kernels, analytic, cli, engine, noise
 
 from _oracles import Q_ABS_G5_VT_2PI
 
@@ -187,6 +187,38 @@ def test_compare_mode_fail_path(tmp_path, monkeypatch):
     assert report["max_abs_dev"] > 0.05
 
 
+def test_compare_report_matches_a_scalar_loop():
+    # the report is built from numpy columns; a per-point scalar loop with
+    # the same arithmetic is the reference, so every value must be equal
+    spec = _spec("--mode", "both", "--g", "0.5,1,2,5", "--vt-step", "0.3", "--vt-max", "18.0",
+                 "--n-traj", "200", "--seed", "3", "--no-timestamp")
+    t_grid = spec.vt_grid() / spec.v
+    results = {g: engine.run_ensemble(spec.run_config(g, t_grid)) for g in spec.g}
+    report = cli.build_compare_report(spec, results)
+    points = iter(report["per_point"])
+    global_max = 0.0
+    for entry, (g, result) in zip(report["per_g"], results.items()):
+        q_ref = analytic.coherence_factor(spec.rt_params(g), result.t_grid)
+        q, se_re, se_im = result.q_mean, result.q_se_re, result.q_se_im
+        g_max, within = 0.0, 0
+        for i, t in enumerate(result.t_grid):
+            ok = (abs(q[i].real - q_ref[i].real) <= cli.COMPARE_SE_MULTIPLE * se_re[i]
+                  and abs(q[i].imag - q_ref[i].imag) <= cli.COMPARE_SE_MULTIPLE * se_im[i])
+            within += ok
+            g_max = max(g_max, abs(complex(q[i]) - complex(q_ref[i])))
+            assert next(points) == {
+                "g": entry["g"], "vt": spec.v * float(t),
+                "q_re": float(q_ref[i].real), "q_im": float(q_ref[i].imag),
+                "qhat_re": float(q[i].real), "qhat_im": float(q[i].imag),
+                "se_re": float(se_re[i]), "se_im": float(se_im[i]), "within_band": bool(ok),
+            }
+        assert entry["max_abs_dev"] == g_max
+        assert entry["fraction_within_band"] == within / t_grid.size
+        global_max = max(global_max, g_max)
+    assert next(points, None) is None
+    assert report["max_abs_dev"] == global_max
+
+
 def test_recovery_mode(tmp_path):
     out = tmp_path / "rec.json"
     rc = cli.main(
@@ -359,6 +391,46 @@ def test_invalid_inputs_exit_2():
     assert cli.main(["--config", "/nonexistent/config.txt"]) == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--v", "x"], "--v"),
+    (["--n-traj", "1.5"], "--n-traj"),
+    (["--threads", "two"], "--threads"),
+    (["--g", "5,abc"], "--g"),
+    (["--lags", "0.5,x"], "--lags"),
+])
+def test_unparsable_flag_exits_2_naming_it(capsys, argv, named):
+    assert cli.main(argv) == 2
+    assert f"argument {named}:" in capsys.readouterr().err
+
+
+def test_unparsable_config_value_exits_2_naming_it(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("v = 1.0\nno_timestamp = maybe\n")
+    assert cli.main(["--config", str(config)]) == 2
+    assert f"{config}:2: no_timestamp:" in capsys.readouterr().err
+
+
+def test_empty_lag_list_exits_2(tmp_path):
+    # an empty lag list would make a report with no rows that always passes
+    config = tmp_path / "lags.cfg"
+    config.write_text("lags = ,\n")
+    out = tmp_path / "ac.json"
+    for source in (["--lags", ","], ["--config", str(config)]):
+        assert cli.main(["--mode", "autocorr", "--g", "1", "--n-traj", "64", *source,
+                         "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["mc", "both", "recovery", "autocorr"])
+def test_repeated_g_exits_2(tmp_path, mode):
+    # results are keyed by g, so a repeated coupling would be echoed twice
+    # but reported once
+    out = tmp_path / "out"
+    assert cli.main(["--mode", mode, "--g", "5,0.5,5.0", "--n-traj", "64", "--vt-max", "2",
+                     "--vt-step", "0.5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_seed_beyond_64_bits_exits_2(tmp_path):
     # the seed keys 64-bit streams: a larger one is refused, not wrapped
     out = str(tmp_path / "out")
@@ -454,6 +526,26 @@ def test_threads_from_config_file_and_flag(tmp_path, monkeypatch):
     config.write_text("threads = 1\n")
     assert _spec("--config", str(config)).threads == 1
     assert _spec("--config", str(config), "--threads", "3").threads == 3
+
+
+#: A value for every option, each different from its default.
+OPTION_VALUES = {
+    "g": "0.5, inf", "v": "2.5", "vt_max": "9.0", "vt_step": "0.3", "n_traj": "77",
+    "seed": "9", "mode": "recovery", "out": "x.json", "no_timestamp": "true", "threads": "3",
+    "revival_n": "2", "lags": "0.25,1.5",
+}
+
+
+@pytest.mark.parametrize("key", list(cli._OPTIONS))
+def test_flag_and_config_key_build_the_same_spec(tmp_path, monkeypatch, key):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    value = OPTION_VALUES[key]
+    config = tmp_path / "one.cfg"
+    config.write_text(f"{key} = {value}\n")
+    flag = ["--" + key.replace("_", "-")] + ([] if key == "no_timestamp" else [value])
+    from_flag = _spec(*flag)
+    assert from_flag == _spec("--config", str(config))
+    assert from_flag != _spec()
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -364,7 +364,7 @@ def test_recovered_ensemble_concurrence():
     static_config = engine.RunConfig(
         system=system_for(math.inf), t_grid=np.array([TWO_PI]), n_trajectories=64, master_seed=5
     )
-    assert engine.recovered_ensemble_concurrence(static_config, 1) == pytest.approx(1.0, abs=1e-9)
+    assert engine.recovery_report(static_config, 1).concurrence_after == pytest.approx(1.0, abs=1e-9)
 
     config = engine.RunConfig(
         system=system_for(5.0), t_grid=np.array([TWO_PI]), n_trajectories=400, master_seed=5

@@ -33,6 +33,10 @@ def test_traced_invoke_attributes_each_layer(tmp_path, args, layer):
     layers = record["layers"]
     assert layers["noise.trajectories"] > 0
     assert layers[layer] > 0
+    # one formatting command and one write per call: the tracer sees them
+    # only if the CLI calls them by their module names
+    assert layers["cli.format.calls"] == 1
+    assert layers["cli._write_artifact.calls"] == 1
 
 
 def test_traced_self_times_add_up_under_threads(tmp_path):
@@ -50,6 +54,9 @@ def test_traced_self_times_add_up_under_threads(tmp_path):
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["exit"] == 0
     layers = record["layers"]
+    assert layers["cli.format.calls"] == 1
+    assert layers["cli.build_compare_report.calls"] == 1
+    assert layers["cli._write_artifact.calls"] == 1
     assert layers["noise.sample_batch.calls"] == 6
     assert layers["noise.trajectories"] == 10000
     own = layers["trace.unattributed_s"] + sum(
