@@ -19,7 +19,11 @@ factor exp(-i*v*(acc - prev)) times the grid factor exp(-i*v*t) (acc
 being the dwell time up to the last switch, at time prev).  So
 ``block_sums`` adds the terms of each stretch of grid points between
 switches once, at its first grid point, and takes them off at its end:
-neither backend forms the (n, m) coherences.  Difference arrays add over
+neither backend forms the (n, m) coherences.  Each stretch's factor is
+``_reference.exp_minus_i`` (repeated in C), about 55 IEEE + and * without
+libm below its bound, and the compiled kernel finds the stretch's first
+grid point through a per-call table of equal grid cells, so a switch
+costs constant work on a uniform grid.  Difference arrays add over
 blocks, and ``column_sums`` turns their total into the column sums of
 (Re z - 1, Im z) and of their squares with one prefix sum and one
 combine with the grid factor per run.  The functions here validate and

@@ -22,13 +22,17 @@
  * times the grid factor e = exp(-i*v*t) that all rows share.  So each
  * stretch of grid points [g0, g1) between switches adds its terms once, at
  * g0, and takes them off at g1 of the difference arrays; the grid factor
- * is left to the finishing step.  A block costs one cos/sin pair per
- * stretch and a binary search per switch, not work per trajectory and grid
- * point.
+ * is left to the finishing step.  A block costs, per stretch, one
+ * exp_minus_i of about 55 IEEE + and * and, per switch, a look-up in a
+ * table of equal grid cells built once per call and a search inside one
+ * cell: constant work per switch on a uniform grid, not work per
+ * trajectory and grid point.
  *
  * The arithmetic is that of the numpy reference (_reference.py), operation
- * for operation, so the two backends agree bit for bit; the sampler uses
- * only integer arithmetic, IEEE +, * and comparisons, and a sort.
+ * for operation, so the two backends agree bit for bit: exp_minus_i is
+ * repeated there, and the grid index finds the same start as numpy's
+ * searchsorted; the sampler uses only integer arithmetic, IEEE +, * and
+ * comparisons, and a sort.
  * setup.py compiles this file with -ffp-contract=off, so no multiply-add
  * is fused, and passes the SHA-256 of this file as RTDEPH_SOURCE_SHA256,
  * which the module exposes as SOURCE_SHA256.
@@ -230,15 +234,112 @@ enum {
     N_SUMS
 };
 
-/* The first index in [lo, m) whose grid time is >= t, or m: a switch on a
+/* exp(-i*theta) = (cos theta, sin(-theta)) in IEEE + and * alone, which
+   _reference.exp_minus_i repeats operation for operation (a test holds the
+   constants of the two equal).  k = rint(theta*2/pi) comes from the
+   1.5*2^52 shift.  pi/2 = PIO2_1 + PIO2_2 + PIO2_3 + PIO2_3T: for |k| <
+   2^20, k times each of the first three is exact, and the first two end on
+   the 2^-53 grid, so y = theta - k*(PIO2_1 + PIO2_2) is exact too; r + rt
+   = y - k*(PIO2_3 + PIO2_3T) keeps r's rounding error in rt (exact when |y|
+   >= |k*PIO2_3|, and y - k*PIO2_3 is exact otherwise).  So the remainder
+   keeps its digits next to every multiple of pi/2 below the bound, where
+   it falls to 2^-60.5 (theta = 29*pi/2).  The sin and cos of r + rt, |r|
+   <= ~pi/4, are the fdlibm kernel polynomials (Sun, 1993; FreeBSD's
+   branch-free __kernel_cos), and the quadrant k mod 4 picks and signs
+   them without a branch.  Past PHASE_BOUND (and for inf and NaN) it is
+   libm's cos and sin, as numpy's complex exp is in the reference. */
+static const double
+    TWO_OVER_PI = 0x1.45f306dc9c883p-1, ROUND_SHIFT = 0x1.8p+52, PHASE_BOUND = 0x1p+20,
+    PIO2_1 = 0x1.921fb544p+0, PIO2_2 = 0x1.0b462p-34, PIO2_3 = -0x1.cb3b399ep-55,
+    PIO2_3T = 0x1.1701b839a252p-88,
+    S1 = -0x1.5555555555549p-3, S2 = 0x1.111111110f8a6p-7, S3 = -0x1.a01a019c161d5p-13,
+    S4 = 0x1.71de357b1fe7dp-19, S5 = -0x1.ae5e68a2b9cebp-26, S6 = 0x1.5d93a5acfd57cp-33,
+    C1 = 0x1.555555555554cp-5, C2 = -0x1.6c16c16c15177p-10, C3 = 0x1.a01a019cb159p-16,
+    C4 = -0x1.27e4f809c52adp-22, C5 = 0x1.1ee9ebdb4b1c4p-29, C6 = -0x1.8fae9be8838d4p-37;
+
+/* The signs of cos(r) or sin(r) in cos(theta) and in sin(-theta), by k mod 4. */
+static const double SIGN_RE[4] = {1.0, -1.0, -1.0, 1.0}, SIGN_IM[4] = {-1.0, -1.0, 1.0, 1.0};
+
+static inline void
+exp_minus_i(double theta, double *re, double *im)
+{
+    if (!(fabs(theta) <= PHASE_BOUND)) {
+        *re = cos(theta);
+        *im = sin(-theta);
+        return;
+    }
+    const double k = (theta * TWO_OVER_PI + ROUND_SHIFT) - ROUND_SHIFT;
+    const double y = (theta - k * PIO2_1) - k * PIO2_2, c = k * PIO2_3;
+    const double r = y - c, rt = ((y - r) - c) - k * PIO2_3T;
+    const double z = r * r, w = z * z, v = z * r;
+    const double ps = (S2 + z * (S3 + z * S4)) + (z * w) * (S5 + z * S6);
+    const double sn = r - ((z * (0.5 * rt - v * ps) - rt) - v * S1);
+    const double pc = z * (C1 + z * (C2 + z * C3)) + (w * w) * (C4 + z * (C5 + z * C6));
+    const double hz = 0.5 * z, h = 1.0 - hz;
+    const double cs = h + (((1.0 - h) - hz) + (z * pc - r * rt));
+    /* indexed, not a conditional, which the compiler may make a branch */
+    const double parts[2] = {cs, sn};
+    const int q = (int)k & 3;
+    *re = parts[q & 1] * SIGN_RE[q];
+    *im = parts[!(q & 1)] * SIGN_IM[q];
+}
+
+/* The first grid index of each of m equal cells over [t_grid[0],
+   t_grid[m - 1]], built once per call, so that a switch looks up its cell
+   and searches only inside it.  cell is monotone in t (it is 0 for NaN),
+   so a grid time in an earlier cell is < t and one in a later cell is > t:
+   the index a search of the whole grid finds lies in [first[c], first[c +
+   1]]. */
+typedef struct {
+    const double *t;
+    Py_ssize_t m;
+    double lo, scale;
+    Py_ssize_t *first;
+} GridIndex;
+
+static inline Py_ssize_t
+cell(const GridIndex *gx, double t)
+{
+    const double u = (t - gx->lo) * gx->scale;
+    if (!(u > 0.0))
+        return 0;
+    return u < (double)gx->m ? (Py_ssize_t)u : gx->m - 1;
+}
+
+/* Fills gx for the grid t (m >= 1 points); -1 with MemoryError set. */
+static int
+grid_index(GridIndex *gx, const double *t, Py_ssize_t m)
+{
+    const double span = t[m - 1] - t[0];
+    gx->t = t;
+    gx->m = m;
+    gx->lo = t[0];
+    gx->scale = span > 0.0 ? (double)m / span : 0.0;
+    gx->first = PyMem_RawMalloc((m + 1) * sizeof(Py_ssize_t));
+    if (!gx->first) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    Py_ssize_t g = 0;
+    for (Py_ssize_t c = 0; c < m; c++) {
+        while (g < m && cell(gx, t[g]) < c)
+            g++;
+        gx->first[c] = g;
+    }
+    gx->first[m] = m;
+    return 0;
+}
+
+/* The first index in [g0, m) whose grid time is >= t, or m: a switch on a
    grid point starts the new stretch there, as advance passes it. */
 static inline Py_ssize_t
-stretch_start(const double *t_grid, Py_ssize_t lo, Py_ssize_t m, double t)
+stretch_start(const GridIndex *gx, Py_ssize_t g0, double t)
 {
-    Py_ssize_t hi = m;
+    const Py_ssize_t c = cell(gx, t);
+    Py_ssize_t lo = gx->first[c] > g0 ? gx->first[c] : g0, hi = gx->first[c + 1];
     while (lo < hi) {
         Py_ssize_t mid = lo + (hi - lo) / 2;
-        if (t_grid[mid] < t)
+        if (gx->t[mid] < t)
             lo = mid + 1;
         else
             hi = mid;
@@ -251,24 +352,29 @@ stretch_start(const double *t_grid, Py_ssize_t lo, Py_ssize_t m, double t)
    index g0, then their negatives at its end g1.  An empty stretch adds
    nothing, but its switch still moves acc and prev. */
 static void
-add_row(const Batch *b, Py_ssize_t i, double v, double *d)
+add_row(const Batch *b, const GridIndex *gx, Py_ssize_t i, double v, double *d)
 {
     const Py_ssize_t m = b->m, w = m + 1;
     Walk walk = walk_row(b, i);
     Py_ssize_t g0 = 0;
     for (;;) {
-        Py_ssize_t g1 = walk.j < walk.k ? stretch_start(b->t_grid, g0, m, walk.tau[walk.j]) : m;
+        Py_ssize_t g1 = walk.j < walk.k ? stretch_start(gx, g0, walk.tau[walk.j]) : m;
         if (g1 > g0) {
             const int high = walk.lvl != 0.0;
-            /* the parts of exp(-i*phase): cos(phase) and sin(-phase) */
-            const double phase = v * (high ? walk.acc - walk.prev : walk.acc);
-            const double re = cos(phase) - 1.0, im = sin(-phase);
-            /* level 1 adds all six terms from HIGH_N, level 0 x[1..4] */
-            const double x[6] = {1.0, re, im, re * re, im * im, re * im};
-            const int first = high ? HIGH_N : LOW_RE, count = high ? 6 : 4;
-            for (int q = 0; q < count; q++) {
-                d[(first + q) * w + g0] += x[q + !high];
-                d[(first + q) * w + g1] -= x[q + !high];
+            double re, im;
+            exp_minus_i(v * (high ? walk.acc - walk.prev : walk.acc), &re, &im);
+            re -= 1.0;
+            /* level 1 adds six terms from HIGH_N, level 0 four from LOW_RE
+               and two zeros, so the level picks them without a branch.
+               The zeros change no bit: d starts at +0.0, and a sum with
+               one operand other than -0.0 is never -0.0. */
+            const double x[2][6] = {{re, im, re * re, im * im, 0.0, 0.0},
+                                    {1.0, re, im, re * re, im * im, re * im}};
+            const double *terms = x[high];
+            double *rows = d + (high ? HIGH_N : LOW_RE) * w;
+            for (int q = 0; q < 6; q++) {
+                rows[q * w + g0] += terms[q];
+                rows[q * w + g1] -= terms[q];
             }
         }
         if (g1 == m)
@@ -300,11 +406,22 @@ block_sums(PyObject *self, PyObject *args)
         release(&vs);
         return NULL;
     }
+    if (b.m == 0) {
+        /* every stretch is empty */
+        release(&vs);
+        Py_RETURN_NONE;
+    }
+    GridIndex gx;
+    if (grid_index(&gx, b.t_grid, b.m) < 0) {
+        release(&vs);
+        return NULL;
+    }
     double *d = out->buf;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < b.n; i++)
-        add_row(&b, i, v, d);
+        add_row(&b, &gx, i, v, d);
     Py_END_ALLOW_THREADS
+    PyMem_RawFree(gx.first);
     release(&vs);
     Py_RETURN_NONE;
 }

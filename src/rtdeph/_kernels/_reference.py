@@ -7,14 +7,17 @@ accumulated in switch order (np.cumsum accumulates sequentially).
 ``dwell_times`` looks up the stretch of each grid time and uses the
 compiled kernel's operand order.  ``block_sums`` adds each stretch's terms
 to difference arrays at its first grid point and takes them off at its
-end, in the compiled kernel's row and stretch order.  Each stretch factor
-is numpy's complex exp of -1j times its phase, whose parts are the
-cos(phase) and sin(-phase) the compiled kernel calls.  So both backends
-produce bit-identical output.  ``sample`` computes the Philox blocks of
-all trajectories and epochs at once in uint64 arithmetic, where each
-32x32-bit product is exact, and sorts each row's switch times, which
-orders every epoch as the compiled kernel's sort per epoch does.  Each
-kernel fills the outputs that ``rtdeph._kernels`` allocates.
+end, in the compiled kernel's row and stretch order; np.searchsorted finds
+the first grid point of each stretch that the compiled kernel's grid index
+finds.  Each stretch factor comes from ``exp_minus_i``, which repeats the
+compiled kernel's exp(-i*phase) in IEEE + and * (and falls back to numpy's
+complex exp, whose parts are libm's cos and sin, where the compiled kernel
+calls them).  So both backends produce bit-identical output.  ``sample``
+computes the Philox blocks of all trajectories and epochs at once in
+uint64 arithmetic, where each 32x32-bit product is exact, and sorts each
+row's switch times, which orders every epoch as the compiled kernel's sort
+per epoch does.  Each kernel fills the outputs that ``rtdeph._kernels``
+allocates.
 """
 
 from __future__ import annotations
@@ -84,6 +87,79 @@ def levels_at_times(levels, switch_times, t_grid, out):
     out[...] = levels[:, None] ^ (_switch_counts(switch_times, t_grid) & 1)
 
 
+#: The constants of exp_minus_i, the same as _core.c's (a test holds the
+#: two equal): 2/pi, the rounding shift 1.5*2**52, the bound of the
+#: polynomial path, pi/2 in four parts and fdlibm's sin and cos kernel
+#: coefficients.
+TWO_OVER_PI = float.fromhex("0x1.45f306dc9c883p-1")
+ROUND_SHIFT = float.fromhex("0x1.8p+52")
+PHASE_BOUND = float.fromhex("0x1p+20")
+PIO2_1 = float.fromhex("0x1.921fb544p+0")
+PIO2_2 = float.fromhex("0x1.0b462p-34")
+PIO2_3 = float.fromhex("-0x1.cb3b399ep-55")
+PIO2_3T = float.fromhex("0x1.1701b839a252p-88")
+S1, S2, S3, S4, S5, S6 = map(float.fromhex, (
+    "-0x1.5555555555549p-3", "0x1.111111110f8a6p-7", "-0x1.a01a019c161d5p-13",
+    "0x1.71de357b1fe7dp-19", "-0x1.ae5e68a2b9cebp-26", "0x1.5d93a5acfd57cp-33"))
+C1, C2, C3, C4, C5, C6 = map(float.fromhex, (
+    "0x1.555555555554cp-5", "-0x1.6c16c16c15177p-10", "0x1.a01a019cb159p-16",
+    "-0x1.27e4f809c52adp-22", "0x1.1ee9ebdb4b1c4p-29", "-0x1.8fae9be8838d4p-37"))
+#: The signs of cos(r) or sin(r) in cos(theta) and in sin(-theta), by k mod 4.
+_SIGN_RE = np.array([1.0, -1.0, -1.0, 1.0])
+_SIGN_IM = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+#: Elements per slice of exp_minus_i: its temporaries then stay in cache,
+#: which halves its time on a block's ~40 000 stretches.
+_SLICE = 4096
+
+
+def exp_minus_i(theta):
+    """The parts (cos theta, sin(-theta)) of exp(-i*theta) for a 1-D
+    float64 array, in the IEEE + and * of _core.c's exp_minus_i, operation
+    for operation (see its comment): for |theta| <= PHASE_BOUND a remainder
+    r + rt of theta modulo pi/2 that keeps its digits next to every
+    multiple of pi/2, the fdlibm kernel polynomials and the quadrant's
+    sign.  Past the bound, and for inf and NaN, it is numpy's complex exp,
+    whose parts are libm's cos and sin."""
+    theta = np.asarray(theta, dtype=np.float64)
+    re, im = np.empty_like(theta), np.empty_like(theta)
+    for s in range(0, theta.size, _SLICE):
+        re[s : s + _SLICE], im[s : s + _SLICE] = _exp_minus_i(theta[s : s + _SLICE])
+    return re, im
+
+
+def _exp_minus_i(theta):
+    """exp_minus_i of one slice."""
+    inside = np.abs(theta) <= PHASE_BOUND
+    x = np.where(inside, theta, 0.0)
+    k = (x * TWO_OVER_PI + ROUND_SHIFT) - ROUND_SHIFT
+    y = (x - k * PIO2_1) - k * PIO2_2
+    c = k * PIO2_3
+    r = y - c
+    rt = ((y - r) - c) - k * PIO2_3T
+    z = r * r
+    w = z * z
+    v = z * r
+    ps = (S2 + z * (S3 + z * S4)) + (z * w) * (S5 + z * S6)
+    sn = r - ((z * (0.5 * rt - v * ps) - rt) - v * S1)
+    pc = z * (C1 + z * (C2 + z * C3)) + (w * w) * (C4 + z * (C5 + z * C6))
+    hz = 0.5 * z
+    h = 1.0 - hz
+    cs = h + (((1.0 - h) - hz) + (z * pc - r * rt))
+    q = k.astype(np.int64) & 3
+    # swap the parts where q is odd, bit for bit (np.where branches per
+    # element, which is slow on a random quadrant)
+    cb, sb = cs.view(np.uint64), sn.view(np.uint64)
+    swap = (cb ^ sb) & -(q & 1).view(np.uint64)
+    re = (cb ^ swap).view(np.float64) * _SIGN_RE[q]
+    im = (sb ^ swap).view(np.float64) * _SIGN_IM[q]
+    if not inside.all():
+        e = np.exp(-1j * theta[~inside])
+        re[~inside], im[~inside] = e.real, e.imag
+    return re, im
+
+
 def block_sums(levels, switch_times, t_grid, v, out):
     """Adds the terms of the coherences z = exp(-i*v*dwell) shifted by 1 to
     the difference arrays in ``out``, float64 of shape (10, m + 1) and
@@ -109,17 +185,18 @@ def block_sums(levels, switch_times, t_grid, v, out):
     live = g0 < g1
     high = bits == 1
     # the factor of each live stretch, in row-major (row, stretch) order
-    phase = np.where(high, acc - prev, acc)[live] * v
-    z = np.exp(-1j * phase)
-    re, im = z.real - 1.0, z.imag
+    re, im = exp_minus_i(np.where(high, acc - prev, acc)[live] * v)
+    re -= 1.0
     terms = [np.ones_like(re), re, im, re * re, im * im, re * im]
     start, end, on_high = g0[live], g1[live], high[live]
     sums = []
     # level 0 adds terms[1:5], level 1 all six, as the compiled kernel does
     for sel, group in ((~on_high, terms[1:5]), (on_high, terms)):
         events = np.stack([start[sel], end[sel]], axis=-1).ravel()
-        sums += [np.bincount(events, weights=np.stack([x[sel], -x[sel]], axis=-1).ravel(),
-                             minlength=m + 1) for x in group]
+        for x in group:
+            x = x[sel]
+            sums.append(np.bincount(events, weights=np.stack([x, -x], axis=-1).ravel(),
+                                    minlength=m + 1))
     out += sums
 
 

@@ -130,8 +130,11 @@ class SweepSpec:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.revival_n < 1:
             raise ValueError(f"revival-n must be >= 1, got {self.revival_n}")
-        if self.lags == ():
-            raise ValueError("lags must name at least one lag")
+        if self.lags is not None and not any(lag > 0.0 for lag in self.lags):
+            # at lag 0 every estimate is exactly 1 with a zero standard
+            # error, so a report of no lags or of zero lags only would pass
+            # by construction
+            raise ValueError("lags must name at least one positive lag")
 
     def rt_params(self, g: float) -> RTParams:
         gamma = 0.0 if math.isinf(g) else self.v / g

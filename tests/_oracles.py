@@ -147,6 +147,43 @@ def coherence_walk(level: int, switch_times, t_grid, v: float) -> list[tuple[flo
     return out
 
 
+def stretch_sums(levels, switch_times, t_grid, v: float, factor) -> np.ndarray:
+    """The (10, m + 1) difference arrays of block_sums in scalar arithmetic,
+    row by row and stretch by stretch.  A switch's stretch starts at the
+    first index in [g0, m) whose grid time is >= it, g0 being the previous
+    start: a binary search of that range (bisect_left, whose comparison is
+    false for NaN, as the compiled kernel's is).  ``factor(theta)`` gives
+    the parts of exp(-i*theta) for a 1-D array theta."""
+    t_grid = [float(t) for t in t_grid]
+    m = len(t_grid)
+    d = np.zeros((10, m + 1))
+    for level, row in zip(levels, switch_times):
+        row = [float(s) for s in row]
+        acc = prev = 0.0
+        lvl = float(level)
+        g0 = j = 0
+        while True:
+            g1 = bisect.bisect_left(t_grid, row[j], g0) if j < len(row) else m
+            if g1 > g0:
+                high = lvl != 0.0
+                theta = np.array([v * (acc - prev if high else acc)])
+                re, im = (float(x[0]) for x in factor(theta))
+                re = re - 1.0
+                terms = [1.0, re, im, re * re, im * im, re * im] if high else [re, im, re * re,
+                                                                               im * im]
+                for q, x in enumerate(terms, start=4 if high else 0):
+                    d[q, g0] += x
+                    d[q, g1] -= x
+            if g1 == m:
+                break
+            acc = acc + lvl * (row[j] - prev)
+            prev = row[j]
+            lvl = 1.0 - lvl
+            j += 1
+            g0 = g1
+    return d
+
+
 def mp_coherences(level: int, switch_times, t_grid, v: float, dps: int = 40) -> list[complex]:
     """exp(-i*v*dwell) of one trajectory on a grid, with the dwell time
     summed from the switch times in high-precision arithmetic."""

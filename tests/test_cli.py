@@ -411,14 +411,20 @@ def test_unparsable_config_value_exits_2_naming_it(tmp_path, capsys):
 
 
 def test_empty_lag_list_exits_2(tmp_path):
-    # an empty lag list would make a report with no rows that always passes
-    config = tmp_path / "lags.cfg"
-    config.write_text("lags = ,\n")
+    # an empty lag list would make a report with no rows that always
+    # passes, and so would one of zero lags only: at lag 0 the estimate is
+    # exactly 1 with a zero standard error
+    empty, zeros = tmp_path / "empty.cfg", tmp_path / "zeros.cfg"
+    empty.write_text("lags = ,\n")
+    zeros.write_text("lags = 0, 0.0\n")
     out = tmp_path / "ac.json"
-    for source in (["--lags", ","], ["--config", str(config)]):
+    for source in (["--lags", ","], ["--config", str(empty)], ["--lags", "0"],
+                   ["--lags", "0,0"], ["--config", str(zeros)]):
         assert cli.main(["--mode", "autocorr", "--g", "1", "--n-traj", "64", *source,
                          "--out", str(out)]) == 2
     assert not out.exists()
+    assert cli.main(["--mode", "autocorr", "--g", "1", "--n-traj", "64", "--lags", "0,0.5",
+                     "--out", str(out), "--no-timestamp"]) == 0
 
 
 @pytest.mark.parametrize("mode", ["mc", "both", "recovery", "autocorr"])

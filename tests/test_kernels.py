@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import mpmath as mp
 
-from _oracles import coherence_walk, mp_coherences, philox4x32, telegraph_stream
-from conftest import source_sha256
+from _oracles import (coherence_walk, mp_coherences, philox4x32, stretch_sums,
+                      telegraph_stream)
+from conftest import SOURCE, source_sha256
 from rtdeph import _kernels, noise
 from rtdeph._kernels import _reference
 
@@ -118,6 +120,144 @@ def test_block_sums_bit_identical_property(compiled, seed, gamma, v, n, horizon,
     hits = finite[:: max(stride, finite.size // 60)]
     grid = np.unique(np.concatenate([np.linspace(0.0, horizon, m), hits]))
     assert_backends_agree(compiled, batch.levels, batch.switch_times, grid, v)
+
+
+def cell_edges(grid):
+    """Times at and one ulp beside the edges of the m equal cells over
+    [grid[0], grid[-1]] that the compiled kernel's grid index uses."""
+    m = len(grid)
+    edges = grid[0] + (grid[-1] - grid[0]) * np.arange(m + 1) / m
+    return np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+
+
+@st.composite
+def index_grids(draw):
+    """Ascending grids of 1 to 61 points: uniform, geometric, every point
+    but the first in the last cell, all points equal, or repeated points."""
+    m = draw(st.sampled_from([1, 2, 3, 5, 17, 61]))
+    lo = draw(st.sampled_from([0.0, 0.25, 3.0]))
+    hi = lo + draw(st.sampled_from([1e-9, 0.5, 7.0, 300.0]))
+    kind = draw(st.sampled_from(["uniform", "geometric", "clustered", "equal", "repeated"]))
+    if kind == "uniform":
+        return np.linspace(lo, hi, m)
+    if kind == "geometric":
+        return np.geomspace(max(lo, 1e-3), hi, m)
+    if kind == "clustered":
+        return np.sort(np.concatenate([[lo], hi - np.geomspace(1e-12, (hi - lo) / (2 * m), m - 1)]))
+    if kind == "equal":
+        return np.full(m, hi)
+    return np.repeat(np.linspace(lo, hi, m), draw(st.integers(2, 3)))[:m]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(grid=index_grids(), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 12),
+       v=st.floats(0.05, 20.0))
+def test_block_sums_bit_identical_on_any_grid(compiled, grid, seed, k, v):
+    # the compiled kernel finds each stretch's first grid point through a
+    # table of equal cells and a search inside one cell; the numpy backend
+    # searches the whole grid.  Switch times are drawn from the grid
+    # points, the cell edges and the times one ulp beside them, and
+    # uniform times before, on and past the grid
+    rng = np.random.default_rng(seed)
+    span = grid[-1] - grid[0]
+    pool = np.concatenate([grid, cell_edges(grid),
+                           rng.uniform(max(grid[0] - span, 0.0), grid[-1] + span, 20)])
+    n = 40
+    levels = rng.integers(0, 2, n).astype(np.uint8)
+    switch_times = np.full((n, k), np.inf)
+    for i in range(n):
+        count = rng.integers(0, k + 1)
+        switch_times[i, :count] = np.sort(rng.choice(pool, count))
+    assert_backends_agree(compiled, levels, switch_times, grid, v)
+
+
+def test_stretch_starts_match_a_binary_search(compiled):
+    # each stretch starts where a binary search of [g0, m) puts it, also
+    # for switch times before and past the grid, on repeated points, at
+    # -inf and at NaN (where the search stops at g0); NaN phases compare
+    # equal to NaN
+    levels = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
+    switch_times = np.array([
+        [-np.inf, 0.5, 1.0, np.inf],
+        [0.1, np.nan, 2.0, np.inf],
+        [1.0, 1.0, 1.0, 9.0],
+        [0.0, 0.5, 12.0, 13.0],
+        [np.nan, np.nan, np.inf, np.inf],
+    ])
+    # the last two grids make the cell scale overflow to inf and nearly 0
+    grids = [np.array([0.0, 0.5, 1.0, 1.0, 1.0, 3.0]), np.array([2.0]), np.array([1.0, 1.0]),
+             np.geomspace(1e-3, 10.0, 9), np.array([0.0, 5e-324, 1e-320]),
+             np.array([0.0, 1e300, 1e308])]
+    for grid in grids:
+        for i in range(len(levels)):
+            rows = (levels[i : i + 1], switch_times[i : i + 1])
+            expected = stretch_sums(*rows, grid, 1.5, _reference.exp_minus_i)
+            np.testing.assert_array_equal(_kernels.block_sums(*rows, grid, 1.5, impl=compiled),
+                                          expected)
+
+
+def phase_arguments():
+    """Arguments of exp(-i*theta) where it is hardest to get right: the
+    doubles nearest k*pi/2 and their neighbours for k up to the largest
+    below the bound (29*pi/2*2**j are the nearest of all, within 2**-60.5
+    for j = 0), tiny and zero arguments, both sides of the bound, and
+    uniform ones; each with both signs."""
+    bound = _reference.PHASE_BOUND
+    ks = [1, 2, 3, 4, 5, 6, 7, 8, 100, 1001, 2**16, 2**19 + 1, round(bound * 2 / math.pi)]
+    ks += [29 * 2**j for j in range(15)]
+    with mp.workdps(60):
+        near = [float(k * mp.pi / 2) for k in ks]
+    near += [np.nextafter(x, d) for x in near for d in (0.0, np.inf)]
+    tiny = [0.0, 5e-324, 1e-300, 2.0**-30, 1e-8, 0.3]
+    edge = [np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf), 2.0 * bound, 1e7]
+    uniform = list(np.random.default_rng(4).uniform(-1e4, 1e4, 300))
+    theta = np.array(near + tiny + edge + uniform)
+    return np.concatenate([theta, -theta])
+
+
+def ulps(x, exact):
+    """|x - exact| in units in the last place of exact rounded to float64."""
+    return float(abs(mp.mpf(float(x)) - exact) / math.ulp(float(exact)))
+
+
+def test_phase_factor_within_one_ulp():
+    theta = phase_arguments()
+    re, im = _reference.exp_minus_i(theta)
+    with mp.workdps(80):
+        for t, c, s in zip(theta, re, im):
+            t = mp.mpf(float(t))
+            assert ulps(c, mp.cos(t)) <= 1.0, float(t)
+            assert ulps(s, -mp.sin(t)) <= 1.0, float(t)
+
+
+def test_phase_factor_bit_identical_through_one_stretch_rows(compiled):
+    # a level-1 row with one switch at tau has phase v*tau on its second
+    # stretch, a level-0 row -v*tau; that stretch alone adds its terms at
+    # grid index 1, so the difference arrays carry its factor
+    v = 1.0
+    for theta in phase_arguments():
+        tau = abs(theta)
+        levels = np.array([1 if theta >= 0.0 else 0], dtype=np.uint8)
+        rows = (levels, np.array([[tau]]), np.array([0.0, tau]))
+        d = _kernels.block_sums(*rows, v, impl=compiled)
+        assert_same_bits(d, _kernels.block_sums(*rows, v, impl=_reference))
+        re, im = _reference.exp_minus_i(np.array([v * theta]))
+        row = 0 if theta >= 0.0 else 5  # LOW_RE, or HIGH_RE
+        np.testing.assert_array_equal(d[row : row + 2, 1], [re[0] - 1.0, im[0]])
+
+
+def test_phase_constants_match_the_c_source():
+    # the numpy and C copies of exp_minus_i share their constants
+    text = SOURCE.read_text()
+    literals = dict(re.findall(r"\b([A-Z][A-Z0-9_]*) = (-?0x[0-9a-f.]+p[-+]\d+)", text))
+    assert sorted(literals) == sorted(
+        ["TWO_OVER_PI", "ROUND_SHIFT", "PHASE_BOUND", "PIO2_1", "PIO2_2", "PIO2_3", "PIO2_3T"]
+        + [f"{p}{i}" for p in "SC" for i in range(1, 7)])
+    for name, literal in literals.items():
+        assert getattr(_reference, name) == float.fromhex(literal), name
+    for name in ("SIGN_RE", "SIGN_IM"):
+        table = re.search(name + r"\[4\] = \{([^}]*)\}", text).group(1)
+        assert [float(x) for x in table.split(",")] == list(getattr(_reference, "_" + name))
 
 
 def assert_row_sums(impl, levels, switch_times, grid, v, rows):
