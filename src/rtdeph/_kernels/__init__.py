@@ -8,12 +8,14 @@ for bit.
 
 A batch is the level bit at t = 0 of each trajectory and its switch times,
 one row per trajectory padded with +inf; the padding is the only record of
-a row's length.  There are four kernels, one per pass a run makes:
-``sample`` draws a batch from counter-based Philox streams (see its
-docstring), ``dwell_times`` (recovery's noise phase) and ``levels_at_times``
-(autocorrelation) return an (n, m) array, and ``block_sums`` (ensembles)
-returns only difference arrays of the coherences z = exp(-i*v*dwell),
-shifted by their t = 0 value 1.  Between two switches a row's coherence
+a row's length.  There are five kernels.  ``sample`` draws a batch from
+counter-based Philox streams (see its docstring); ``sample_epochs`` asks
+it for the same draws in epoch units, which serve every switching rate,
+and ``scale_epochs`` turns those into one rate's batch.  ``dwell_times``
+(recovery's noise phase) and ``levels_at_times`` (autocorrelation) return
+an (n, m) array, and ``block_sums`` (ensembles) returns only difference
+arrays of the coherences z = exp(-i*v*dwell), shifted by their t = 0
+value 1.  Between two switches a row's coherence
 is the constant exp(-i*v*acc) on level 0, and on level 1 the segment
 factor exp(-i*v*(acc - prev)) times the grid factor exp(-i*v*t) (acc
 being the dwell time up to the last switch, at time prev).  So
@@ -76,6 +78,21 @@ def _poisson_cdf(mu):
     return cdf
 
 
+def epoch_grid(gamma, horizon):
+    """The number of epochs that start at or before the horizon and their
+    length L = 2*EPOCH_SWITCHES/gamma: (0, 0.0) for gamma = 0, which never
+    switches."""
+    if gamma == 0.0:
+        return 0, 0.0
+    scale = 2.0 * EPOCH_SWITCHES / gamma
+    if horizon / scale >= 2**32:
+        raise ValueError("the horizon spans more epochs than the 32-bit epoch counter")
+    count = math.floor(horizon / scale)
+    while count * scale <= horizon:
+        count += 1
+    return count, scale
+
+
 def sample(master_seed, start, n, gamma, horizon, impl=None):
     """Trajectories ``start`` to ``start + n - 1`` of the telegraph process
     with switching rate ``gamma`` on [0, horizon]: the level bits, the
@@ -91,20 +108,57 @@ def sample(master_seed, start, n, gamma, horizon, impl=None):
     a prefix of the same switches.  A uniform of words a and b is
     ((a << 20 ^ b >> 12) + 0.5)*2**-52, exact and in (0, 1).
     """
-    epochs, scale = 0, 0.0
-    if gamma > 0.0:
-        # the epochs that start at or before the horizon
-        scale = 2.0 * EPOCH_SWITCHES / gamma
-        if horizon / scale >= 2**32:
-            raise ValueError("the horizon spans more epochs than the 32-bit epoch counter")
-        epochs = math.floor(horizon / scale)
-        while epochs * scale <= horizon:
-            epochs += 1
+    count, scale = epoch_grid(gamma, horizon)
+    return _draw(impl, master_seed, start, n, count, scale, horizon, _row_room(gamma, horizon))
+
+
+def sample_epochs(master_seed, start, n, epochs, impl=None):
+    """The draws of ``sample`` in epoch units, for any switching rate: the
+    level bits, the times x = e + u of epochs 0 to ``epochs`` - 1, sorted
+    per row, padded with +inf and not cut, and the switches per row.
+    ``scale_epochs`` turns them into one rate's switch times."""
+    # in epoch units the rate is 2*EPOCH_SWITCHES and the span ``epochs``
+    return _draw(impl, master_seed, start, n, epochs, 1.0, math.inf,
+                 _row_room(2.0 * EPOCH_SWITCHES, float(epochs)))
+
+
+def scale_epochs(epoch_times, gamma, horizon, overwrite=False, impl=None):
+    """The switch times of ``sample`` at rate ``gamma`` on [0, horizon],
+    padded with +inf, and the switches per row, from the epoch times of
+    ``sample_epochs``, which must hold every epoch that starts at or before
+    the horizon (``epoch_grid``).
+
+    Each row's times are its x*L up to the last at or before the horizon,
+    L = 2*EPOCH_SWITCHES/gamma.  ``sample`` computes each time as
+    ((double)e + u)*L, the same product, and rounding x*L is monotone in x,
+    so the two agree bit for bit.  A row costs the times it keeps, not the
+    width of ``epoch_times``.  With ``overwrite``
+    the times go into the memory of ``epoch_times`` (C-contiguous float64),
+    which then holds no epoch times any more.
+    """
+    x = np.ascontiguousarray(epoch_times, dtype=np.float64)
+    n = x.shape[0]
+    counts = np.zeros(n, dtype=np.intp)
+    if gamma == 0.0:
+        return np.empty((n, 0)), counts
+    _, scale = epoch_grid(gamma, horizon)
+    impl = impl or _impl
+    width = min(_row_room(gamma, horizon), x.shape[1])
+    times = x.reshape(-1) if overwrite else np.empty(n * width)
+    k = impl.scale_epochs(x, scale, float(horizon), counts, times)
+    if n * k > times.shape[0]:
+        times = np.empty(n * k)
+        impl.scale_epochs(x, scale, float(horizon), counts, times)
+    return times[: n * k].reshape(n, k), counts
+
+
+def _draw(impl, master_seed, start, n, epochs, scale, horizon, width):
+    """The selected backend's sampler, with ``width`` switch times of room
+    per row at first."""
     impl = impl or _impl
     levels, counts = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.intp)
     args = (master_seed, start, epochs, scale, horizon, _poisson_cdf(EPOCH_SWITCHES), levels,
             counts)
-    width = _row_room(gamma, horizon)
     times = np.empty(n * width)
     k = impl.sample(*args, times)
     if k > width:
@@ -123,12 +177,17 @@ def _row_room(gamma, horizon):
 
 def _prepare(levels, switch_times, t_grid):
     """Contiguous arguments of the dtypes the backends expect.  The grid
-    must be finite, so that the +inf padding never counts as a switch."""
+    must be finite, so that the +inf padding never counts as a switch, and
+    no switch time may be NaN."""
     levels = np.ascontiguousarray(levels, dtype=np.uint8)
     switch_times = np.ascontiguousarray(switch_times, dtype=np.float64)
     t_grid = np.ascontiguousarray(t_grid, dtype=np.float64)
     if levels.ndim != 1 or switch_times.ndim != 2 or switch_times.shape[0] != levels.shape[0]:
         raise ValueError("switch_times must be 2-D with one row per trajectory")
+    if switch_times.size and np.isnan(switch_times.min()):
+        # one reduction, no (n, k) mask: the minimum of an array with a NaN
+        # is NaN, and the backends would order a NaN switch differently
+        raise ValueError("switch_times must not be NaN")
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
         raise ValueError("t_grid must be 1-D and finite")
     if t_grid.size and (t_grid[0] < 0.0 or np.any(np.diff(t_grid) < 0.0)):

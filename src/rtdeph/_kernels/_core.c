@@ -12,7 +12,9 @@
  * draws such a batch: each row from its own Philox4x32-10 counters (index,
  * epoch, draw) under the 64-bit seed, a Poisson number of sorted uniform
  * switches per epoch, into a caller-allocated levels, counts and a flat
- * times buffer that it lays out as the padded (n, k) rows.
+ * times buffer that it lays out as the padded (n, k) rows; asked for
+ * epoch times (scale 1, no cut), its draws serve every switching rate,
+ * and scale_epochs turns them into one rate's padded rows.
  * rtdeph._kernels validates and converts the arguments, builds the Poisson
  * table, allocates the outputs and finishes the difference arrays into
  * column sums.  The loops run with the GIL released.
@@ -533,14 +535,27 @@ to_uint64(PyObject *obj, void *out)
     return 1;
 }
 
+/* Moves the n rows of counts[i] switch times that lie back to back at the
+   front of times, used in all, to their places in the (n, k) rows and pads
+   each with +inf: from the last row down, which never overwrites a row
+   not yet moved. */
+static void
+pad_rows(double *times, const Py_ssize_t *counts, Py_ssize_t n, Py_ssize_t k, Py_ssize_t used)
+{
+    for (Py_ssize_t i = n - 1; i >= 0; i--) {
+        used -= counts[i];
+        memmove(times + i * k, times + used, counts[i] * sizeof(double));
+        for (Py_ssize_t j = counts[i]; j < k; j++)
+            times[i * k + j] = Py_HUGE_VAL;
+    }
+}
+
 /* Takes (seed, start, epochs, scale, horizon, cdf, levels, counts, times):
    samples the trajectories start to start + n - 1 (n = len(levels)) under
    the 64-bit seed into levels (uint8) and counts (intp), and returns the
    widest row's count k.  If n * k <= len(times), it also writes the (n, k)
    switch times, padded with +inf, row by row into the front of times
-   (float64): the rows go there back to back first, then move to their
-   padded places from the last row down, which never overwrites a row not
-   yet moved. */
+   (float64): the rows go there back to back first (pad_rows). */
 static PyObject *
 sample(PyObject *self, PyObject *args)
 {
@@ -582,14 +597,73 @@ sample(PyObject *self, PyObject *args)
         levels[i] = sample_row(&s, i, times, &used, cap, &counts[i]);
         k = counts[i] > k ? counts[i] : k;
     }
-    if (n > 0 && k <= cap / n) {
-        for (Py_ssize_t i = n - 1; i >= 0; i--) {
-            used -= counts[i];
-            memmove(times + i * k, times + used, counts[i] * sizeof(double));
-            for (Py_ssize_t j = counts[i]; j < k; j++)
-                times[i * k + j] = Py_HUGE_VAL;
-        }
+    if (n > 0 && k <= cap / n)
+        pad_rows(times, counts, n, k, used);
+    Py_END_ALLOW_THREADS
+    release(&vs);
+    return PyLong_FromSsize_t(k);
+}
+
+/* Takes (x, scale, horizon, counts, times): x is (n, w) float64, each row
+   the epoch times x = e + u of one trajectory, sorted and padded with
+   +inf, as sample draws them at scale 1 without a cut.  Row i's switch
+   times at epoch length scale are x * scale up to the last at or before
+   the horizon: writes their number to counts (intp) and returns the
+   widest row's count k.  If n * k <= len(times), it also writes the (n, k)
+   switch times, padded with +inf, row by row into the front of times
+   (float64), as sample lays out its rows.  Each time is one product of
+   x = (double)e + u and scale, the rounding of sample's ((double)e + u) *
+   scale, and rounding is monotone in x: where x holds every epoch that
+   starts at or before the horizon, the rows are sample's at that scale,
+   bit for bit.  A row costs the times it keeps.  times may be x's own
+   memory: a time is written back to back at or before the place it was
+   read from, since row i starts at i * w. */
+static PyObject *
+scale_epochs(PyObject *self, PyObject *args)
+{
+    PyObject *o[3];
+    double scale, horizon;
+    Views vs = {.held = 0};
+    Py_buffer *xv, *cv, *tv;
+    if (!PyArg_ParseTuple(args, "OddOO", &o[0], &scale, &horizon, &o[1], &o[2])
+        || !(xv = view(&vs, o[0], 2, sizeof(double), 0, "x"))
+        || !(cv = view(&vs, o[1], 1, sizeof(Py_ssize_t), 1, "counts"))
+        || !(tv = view(&vs, o[2], 1, sizeof(double), 1, "times"))) {
+        release(&vs);
+        return NULL;
     }
+    const Py_ssize_t n = xv->shape[0], width = xv->shape[1], cap = tv->shape[0];
+    if (cv->shape[0] != n) {
+        shape_error();
+        release(&vs);
+        return NULL;
+    }
+    if (!(scale > 0.0 && scale < Py_HUGE_VAL)) {
+        PyErr_SetString(PyExc_ValueError, "scale must be finite and positive");
+        release(&vs);
+        return NULL;
+    }
+    const double *x = xv->buf;
+    Py_ssize_t *counts = cv->buf, k = 0, used = 0;
+    double *times = tv->buf;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < n; i++) {
+        /* the times ascend, so the first past the horizon ends the row */
+        const double *row = x + i * width;
+        Py_ssize_t c = 0;
+        for (; c < width; c++) {
+            const double t = row[c] * scale;
+            if (t > horizon)
+                break;
+            if (used + c < cap)
+                times[used + c] = t;
+        }
+        used += c;
+        counts[i] = c;
+        k = c > k ? c : k;
+    }
+    if (n > 0 && k <= cap / n)
+        pad_rows(times, counts, n, k, used);
     Py_END_ALLOW_THREADS
     release(&vs);
     return PyLong_FromSsize_t(k);
@@ -609,6 +683,11 @@ static PyMethodDef methods[] = {
     {"sample", sample, METH_VARARGS,
      "sample(seed, start, epochs, scale, horizon, cdf, levels, counts, times): "
      "samples the telegraph trajectories into uint8 levels and intp counts and "
+     "returns the widest row's count k; if it fits, writes the +inf-padded "
+     "(n, k) switch times into the front of float64 times."},
+    {"scale_epochs", scale_epochs, METH_VARARGS,
+     "scale_epochs(x, scale, horizon, counts, times): the switch times x * scale "
+     "of sample's epoch times x up to the horizon; writes intp counts and "
      "returns the widest row's count k; if it fits, writes the +inf-padded "
      "(n, k) switch times into the front of float64 times."},
     {NULL, NULL, 0, NULL},

@@ -272,3 +272,21 @@ def sample(seed, start, epochs, scale, horizon, cdf, levels, counts, times):
     if n * k <= times.shape[0]:
         times[: n * k] = t[:, :k].ravel()
     return k
+
+
+def scale_epochs(x, scale, horizon, counts, times):
+    """Scales the epoch times ``x`` (n, w), sorted per row and padded with
+    +inf, by ``scale`` and cuts them at the horizon into ``counts`` (intp)
+    and, if n*k <= len(times), the (n, k) switch times padded with +inf,
+    row by row into the front of ``times``; returns the widest row's count
+    k (see ``rtdeph._kernels.scale_epochs``); ``times`` may be the memory
+    of ``x``."""
+    if not 0.0 < scale < np.inf:
+        raise ValueError("scale must be finite and positive")
+    t = x * scale
+    t[t > horizon] = np.inf
+    counts[...] = np.isfinite(t).sum(axis=1)
+    n, k = x.shape[0], int(counts.max(initial=0))
+    if n * k <= times.shape[0]:
+        times[: n * k] = t[:, :k].ravel()
+    return k

@@ -247,13 +247,15 @@ def cmd_figure1(spec: SweepSpec) -> tuple[str, int]:
     vt = spec.vt_grid()
     t_grid = vt / spec.v
     vt_col = _fmt_column(vt)
-    for g in spec.g:
+    results = (engine.run_ensemble([spec.run_config(g, t_grid) for g in spec.g],
+                                   n_threads=spec.threads)
+               if with_mc else [None] * len(spec.g))
+    for g, result in zip(spec.g, results):
         params = spec.rt_params(g)
         q_abs = np.abs(analytic.coherence_factor(params, t_grid))
         ef = states.entanglement_of_formation(np.minimum(q_abs, 1.0))
         env = analytic.envelope(params, t_grid)
         if with_mc:
-            result = engine.run_ensemble(spec.run_config(g, t_grid), n_threads=spec.threads)
             mc_cols = _fmt_column(result.e_f), _fmt_column(result.e_f_se)
         else:
             mc_cols = [""] * vt.size, [""] * vt.size
@@ -316,8 +318,8 @@ def build_compare_report(spec: SweepSpec, results: dict[float, engine.EnsembleRe
 def cmd_compare(spec: SweepSpec) -> tuple[str, int]:
     """JSON report: MC mean coherence versus the closed form on the sweep grid."""
     t_grid = spec.vt_grid() / spec.v
-    results = {g: engine.run_ensemble(spec.run_config(g, t_grid), n_threads=spec.threads)
-               for g in spec.g}
+    results = dict(zip(spec.g, engine.run_ensemble([spec.run_config(g, t_grid) for g in spec.g],
+                                                   n_threads=spec.threads)))
     report = build_compare_report(spec, results)
     return _verdict(report, report["per_g"])
 
@@ -335,10 +337,11 @@ def cmd_recovery(spec: SweepSpec) -> tuple[str, int]:
     """JSON report of concurrence at t_n before and after phase recovery."""
     n = spec.revival_n
     before_tol = RECOVERY_SE_MULTIPLE / math.sqrt(spec.n_traj)
+    t_grid = np.array([2.0 * math.pi * n / spec.v])
+    reports = engine.recovery_report([spec.run_config(g, t_grid) for g in spec.g], n,
+                                     n_threads=spec.threads)
     entries = []
-    for g in spec.g:
-        config = spec.run_config(g, np.array([2.0 * math.pi * n / spec.v]))
-        report = engine.recovery_report(config, n, n_threads=spec.threads)
+    for g, report in zip(spec.g, reports):
         expected = float(abs(analytic.coherence_factor(spec.rt_params(g), report.t_n)))
         entries.append({
             "g": _fmt_g(g),

@@ -10,7 +10,15 @@ the Monte Carlo estimate of the analytic coherence factor.
 
 Ensembles and recovery reports take their trajectories from the block
 stream ``noise.stream``, which reduces each block on its own, on a thread
-pool.  For an ensemble one backend call (``_kernels.block_sums``) turns a
+pool.  ``run_ensemble`` and ``recovery_report`` take a sequence of
+configs sharing their seed and trajectory count, and one pass serves them
+all: each block is drawn once and each config gets the batch it would
+sample alone, so each result equals its one-config call bit for bit.  The
+configs of a pass share their realizations (common random numbers): their
+Monte Carlo errors are correlated, and per-config checks on them are not
+independent tests.
+
+For an ensemble one backend call (``_kernels.block_sums``) turns a
 block's switch times into difference arrays of its coherences
 z = exp(-i*v*dwell) on the grid, shifted by their t = 0 value 1: between
 two switches a row's coherence is a constant or a constant times a grid
@@ -146,21 +154,61 @@ def _moments(n: int, d: np.ndarray, t_grid, v: float):
     return mean, np.maximum(q - np.square(s) / n, 0.0)
 
 
-def run_ensemble(config: RunConfig, n_threads: int = 1) -> EnsembleResult:
-    """Average an ensemble of noise realizations over the time grid.
+def _one_pass(configs) -> tuple:
+    """The configs of one sampled pass, which must share the trajectories:
+    the same ``master_seed`` and ``n_trajectories``."""
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("need at least one RunConfig")
+    first = configs[0]
+    for config in configs[1:]:
+        if (config.master_seed, config.n_trajectories) != (first.master_seed,
+                                                          first.n_trajectories):
+            raise ValueError("the configs of one call must share master_seed and n_trajectories")
+    return configs
+
+
+def _fold(configs, couplings, n_threads: int) -> list:
+    """Per coupling (params, horizon, reduce), its block results summed in
+    block order, from one pass of ``noise.stream`` over the trajectories
+    that ``configs`` share."""
+    first = configs[0]
+    totals = None
+    for results in noise.stream(couplings, first.n_trajectories, first.master_seed,
+                                n_threads=n_threads):
+        totals = results if totals is None else [a + b for a, b in zip(totals, results)]
+    return totals
+
+
+def _block_sums(config: RunConfig, batch: noise.TrajectoryBatch) -> np.ndarray:
+    return _kernels.block_sums(batch.levels, batch.switch_times, config.t_grid,
+                               config.system.rt.v)
+
+
+def run_ensemble(configs, n_threads: int = 1) -> list[EnsembleResult]:
+    """Average an ensemble of noise realizations over the time grid, for
+    each config of the sequence ``configs``.
 
     For each grid time this produces the averaged density matrix, the mean
     coherence with standard errors, the entanglement of formation of the
     average, the average entanglement over trajectories, and their
-    difference (the hidden entanglement).  Deterministic given
-    ``config.master_seed``, independent of ``n_threads``.
+    difference (the hidden entanglement).  The configs share their seed and
+    trajectory count, and one pass over the blocks serves them all: each
+    result equals that of a call with its config alone, bit for bit, and
+    the results share their realizations.  Deterministic given the seed,
+    independent of ``n_threads``.
     """
+    configs = _one_pass(configs)
+    couplings = [(c.system.rt, float(c.t_grid[-1]), functools.partial(_block_sums, c))
+                 for c in configs]
+    return [_ensemble(c, d) for c, d in zip(configs, _fold(configs, couplings, n_threads))]
+
+
+def _ensemble(config: RunConfig, d: np.ndarray) -> EnsembleResult:
+    """The ensemble result of ``config`` from its difference arrays ``d``
+    (``_kernels.block_sums``, added over all blocks)."""
     v, n = config.system.rt.v, config.n_trajectories
-    blocks = noise.stream(
-        config.system.rt, float(config.t_grid[-1]), n, config.master_seed,
-        lambda batch: _kernels.block_sums(batch.levels, batch.switch_times, config.t_grid, v),
-        n_threads=n_threads)
-    mean, m2 = _moments(n, functools.reduce(np.add, blocks), config.t_grid, v)
+    mean, m2 = _moments(n, d, config.t_grid, v)
     q_mean = mean.view(np.complex128)[:, 0]
     q_se = np.sqrt(m2 / max(n - 1, 1)) / math.sqrt(n)
 
@@ -230,12 +278,28 @@ class RecoveryReport:
     concurrence_after: float
 
 
-def recovery_report(config: RunConfig, n: int, n_threads: int = 1) -> RecoveryReport:
+def _revival_sums(v: float, n: int, batch: noise.TrajectoryBatch) -> np.ndarray:
+    """The sums of the batch's coherences at t_n = 2*pi*n/v, uncorrected
+    and corrected.  The states |00> + z|11> are carried without the common
+    1/sqrt(2); a corrected state's coherence is its |11> over its |00>
+    amplitude.  exp(-i*vartheta/2*sigma_z) on qubit A multiplies |00> by
+    h = exp(-i*vartheta/2) and |11> by conj(h), so the ratio is
+    conj(h)*z*conj(h)."""
+    t_n = _TWO_PI * n / v
+    theta = v * _kernels.dwell_times(batch.levels, batch.switch_times, [t_n])[:, 0]
+    z = np.exp(-1j * theta)
+    h_conj = np.conj(np.exp(-0.5j * _correction_phase(theta, n)))
+    return np.array([z.sum(), (h_conj * z * h_conj).sum()])
+
+
+def recovery_report(configs, n: int, n_threads: int = 1) -> list[RecoveryReport]:
     """Concurrence of the averaged ensemble at t_n = 2*pi*n/v, with and
-    without the per-trajectory phase correction.
+    without the per-trajectory phase correction, for each config of the
+    sequence ``configs``.
 
     Uses the same trajectory streams and blocks as ``run_ensemble`` for the
-    same seed.  Each block computes the noise phase theta(t_n) once
+    same seed, and like it serves every config from one pass over the
+    blocks.  Each block computes the noise phase theta(t_n) once
     (``_kernels.dwell_times``) and sums its uncorrected coherences
     exp(-i*theta) and its corrected ones, which apply the local unitary of
     ``recover_trajectory`` to every trajectory state.  The block sums are
@@ -243,26 +307,16 @@ def recovery_report(config: RunConfig, n: int, n_threads: int = 1) -> RecoveryRe
     """
     if n < 1:
         raise ValueError(f"revival index must be >= 1, got {n}")
-    v = config.system.rt.v
-    t_n = _TWO_PI * n / v
-
-    def sums(batch):
-        # The states |00> + z|11> are carried without the common 1/sqrt(2);
-        # a corrected state's coherence is its |11> over its |00> amplitude.
-        # exp(-i*vartheta/2*sigma_z) on qubit A multiplies |00> by
-        # h = exp(-i*vartheta/2) and |11> by conj(h), so the ratio is
-        # conj(h)*z*conj(h).
-        theta = v * _kernels.dwell_times(batch.levels, batch.switch_times, [t_n])[:, 0]
-        z = np.exp(-1j * theta)
-        h_conj = np.conj(np.exp(-0.5j * _correction_phase(theta, n)))
-        return np.array([z.sum(), (h_conj * z * h_conj).sum()])
-
-    total = sum(noise.stream(config.system.rt, t_n, config.n_trajectories, config.master_seed,
-                             sums, n_threads=n_threads))
-    before, after = np.minimum(np.abs(total / config.n_trajectories), 1.0)
-    return RecoveryReport(
-        t_n=t_n, revival_index=n, concurrence_before=float(before), concurrence_after=float(after)
-    )
+    configs = _one_pass(configs)
+    couplings = [(c.system.rt, _TWO_PI * n / c.system.rt.v,
+                  functools.partial(_revival_sums, c.system.rt.v, n)) for c in configs]
+    reports = []
+    for (_, t_n, _), total in zip(couplings, _fold(configs, couplings, n_threads)):
+        before, after = np.minimum(np.abs(total / configs[0].n_trajectories), 1.0)
+        reports.append(RecoveryReport(t_n=t_n, revival_index=n,
+                                      concurrence_before=float(before),
+                                      concurrence_after=float(after)))
+    return reports
 
 
 def static_ensemble(system: SystemParams, t: float) -> list[tuple[float, np.ndarray]]:

@@ -12,16 +12,24 @@ fixed by (seed, i) alone, whatever batch holds it.  Time is cut into epochs
 of a fixed length L = 2*mu/gamma (mu = ``_kernels.EPOCH_SWITCHES``), and
 epoch e holds a Poisson(mu) number of switches placed as sorted uniforms in
 [e*L, (e + 1)*L).  L does not depend on the horizon, so a shorter horizon
-sees a prefix of the same trajectory.  The compiled kernel and the numpy
-fallback draw the same bits (``_kernels.sample``), and nothing draws from
-``numpy.random``.
+sees a prefix of the same trajectory.  Nor do the draws depend on gamma:
+in epoch units a switch is at x = e + u, and at rate gamma at x*L.  The
+compiled kernel and the numpy fallback draw the same bits
+(``_kernels.sample``), and nothing draws from ``numpy.random``.
 
 Every sampled pass goes through one block stream (``stream``): blocks of
 ``BLOCK`` consecutive trajectories are sampled and reduced on a thread
-pool, and the reductions come back in block order.  The ensemble, the
-recovery report and the autocorrelation estimate all fold their block
-results in that order, so memory is bounded by one block per thread and
-results do not depend on the thread count.
+pool, and the reductions come back in block order.  One pass serves every
+coupling of a call: each block is drawn once in epoch units
+(``draw_epochs``) and each coupling scales and cuts those draws to its own
+batch (``sample_batch``), which is the batch it would draw alone (a lone
+coupling is drawn directly).  So the couplings of one pass share their
+trajectories, common random numbers: their Monte Carlo errors are
+correlated, and checks made per coupling are not independent tests.  The
+ensemble, the recovery report and the autocorrelation estimate all fold
+their block results in block order, so memory is bounded by one block's
+draws and one batch per thread, and results do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -80,9 +88,10 @@ class RTTrajectory:
         if times.ndim != 1:
             raise ValueError("switch_times must be 1-D")
         if times.size:
-            if times[0] <= 0.0 or times[-1] > self.horizon:
+            # written so that a NaN fails each check
+            if not (times[0] > 0.0 and times[-1] <= self.horizon):
                 raise ValueError("switch times must lie in (0, horizon]")
-            if np.any(np.diff(times) <= 0.0):
+            if not np.all(np.diff(times) > 0.0):
                 raise ValueError("switch times must be strictly increasing")
 
 
@@ -113,16 +122,28 @@ class TrajectoryBatch:
         )
 
 
-def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
-                 start_index: int = 0) -> TrajectoryBatch:
-    """Sample trajectories ``start_index`` to ``start_index + n - 1``.
+@dataclass(frozen=True)
+class EpochDraws:
+    """The draws of trajectories ``start_index`` to ``start_index + n - 1``
+    in epoch units, which serve every switching rate (``sample_batch``).
 
-    Trajectory ``i`` draws only from the counters (i, epoch, draw) of the
-    stream keyed by ``master_seed`` (``rtdeph._kernels.sample``), so it is
-    fixed by ``(master_seed, i)`` alone: batches are reproducible, and two
-    batches sharing (seed, index) share realizations whatever their ``n``
-    or ``start_index``.  A longer horizon extends the same realizations.
+    ``levels`` are the level bits at t = 0.  Row i of ``epoch_times`` holds
+    the times x = e + u of epochs 0 to ``epochs`` - 1, sorted and padded
+    with +inf.
     """
+
+    master_seed: int
+    start_index: int
+    epochs: int
+    levels: np.ndarray
+    epoch_times: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.levels.shape[0]
+
+
+def _check_indices(master_seed: int, start_index: int, n: int) -> None:
     if n < 1:
         raise ValueError(f"need at least one trajectory, got n={n}")
     if start_index < 0:
@@ -131,26 +152,86 @@ def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
         raise ValueError("trajectory indices must stay below 2**64")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
+
+
+def draw_epochs(master_seed: int, start_index: int, n: int, epochs: int) -> EpochDraws:
+    """The draws of trajectories ``start_index`` to ``start_index + n - 1``
+    for their epochs 0 to ``epochs`` - 1 (``rtdeph._kernels.sample_epochs``)."""
+    _check_indices(master_seed, start_index, n)
+    levels, x, _ = _kernels.sample_epochs(master_seed, start_index, n, epochs)
+    return EpochDraws(master_seed=master_seed, start_index=start_index, epochs=epochs,
+                      levels=levels, epoch_times=x)
+
+
+def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
+                 start_index: int = 0, draws: EpochDraws | None = None,
+                 reuse_draws: bool = False) -> TrajectoryBatch:
+    """Sample trajectories ``start_index`` to ``start_index + n - 1``.
+
+    Trajectory ``i`` draws only from the counters (i, epoch, draw) of the
+    stream keyed by ``master_seed`` (``rtdeph._kernels.sample``), so it is
+    fixed by ``(master_seed, i)`` alone: batches are reproducible, and two
+    batches sharing (seed, index) share realizations whatever their ``n``
+    or ``start_index``.  A longer horizon extends the same realizations.
+
+    The draws do not depend on ``params``.  ``draws`` passes draws of
+    these trajectories made once for several rates (``draw_epochs``); the
+    switch times are then their epoch times x times the epoch length L, cut
+    at the horizon (``rtdeph._kernels.scale_epochs``), and with
+    ``reuse_draws`` the batch takes over the memory of ``draws``, which
+    must not be used again.  Without ``draws`` the batch is drawn for this
+    rate alone.  Either way it is the same batch, bit for bit.
+    """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
-    levels, times, counts = _kernels.sample(master_seed, start_index, n, params.gamma,
-                                            float(horizon))
-    return TrajectoryBatch(levels=levels, switch_times=times, counts=counts, horizon=horizon)
+    if draws is None:
+        _check_indices(master_seed, start_index, n)
+        levels, times, counts = _kernels.sample(master_seed, start_index, n, params.gamma,
+                                                float(horizon))
+        return TrajectoryBatch(levels=levels, switch_times=times, counts=counts,
+                               horizon=horizon)
+    if ((draws.master_seed, draws.start_index, draws.n) != (master_seed, start_index, n)
+            or draws.epochs < _kernels.epoch_grid(params.gamma, horizon)[0]):
+        raise ValueError("the draws do not hold these trajectories up to the horizon")
+    times, counts = _kernels.scale_epochs(draws.epoch_times, params.gamma, horizon,
+                                          overwrite=reuse_draws)
+    return TrajectoryBatch(levels=draws.levels, switch_times=times, counts=counts,
+                           horizon=horizon)
 
 
-def stream(params: RTParams, horizon: float, n: int, master_seed: int, reduce_block,
-           start_index: int = 0, n_threads: int = 1):
-    """``reduce_block(batch)`` of each block of trajectories ``start_index``
-    to ``start_index + n - 1``, yielded in block order for the caller to fold.
+def stream(couplings, n: int, master_seed: int, start_index: int = 0, n_threads: int = 1):
+    """For each block of trajectories ``start_index`` to ``start_index + n
+    - 1``, the list of ``reduce(batch)`` over ``couplings``, a sequence of
+    (params, horizon, reduce); yielded in block order for the caller to fold.
 
     Block b holds the next ``BLOCK`` trajectories from ``start_index + b*BLOCK``
-    (the last block may be shorter).  It is sampled up to ``horizon`` and
-    reduced on its own, and ``n_threads`` threads map over whole blocks, so
-    the results do not depend on the thread count.
+    (the last block may be shorter).  With several couplings its draws are
+    made once (``draw_epochs``), for the most epochs any coupling needs,
+    and each coupling in turn samples its batch from them up to its
+    horizon (``sample_batch``) and reduces it, in the order of the epochs
+    they need; the last takes over the draws' memory, so a thread holds one
+    block's draws and one other batch.  Every coupling thus sees the same
+    realizations: their results share their Monte Carlo errors and are not
+    independent.  A lone coupling has nothing to share and samples its
+    batch directly, the same batch.  ``n_threads`` threads map over whole
+    blocks, so the results do not depend on the thread count.
     """
+    couplings = tuple(couplings)
+    spans = [_kernels.epoch_grid(params.gamma, horizon)[0] for params, horizon, _ in couplings]
+    order = sorted(range(len(couplings)), key=spans.__getitem__)
+    last = order[-1]
+
     def one_block(start):
         count = min(BLOCK, start_index + n - start)
-        return reduce_block(sample_batch(params, horizon, count, master_seed, start_index=start))
+        draws = (draw_epochs(master_seed, start, count, spans[last]) if len(couplings) > 1
+                 else None)
+        results = [None] * len(couplings)
+        for j in order:
+            params, horizon, reduce = couplings[j]
+            results[j] = reduce(sample_batch(params, horizon, count, master_seed,
+                                             start_index=start, draws=draws,
+                                             reuse_draws=j == last))
+        return results
 
     with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
         yield from pool.map(one_block, range(start_index, start_index + n, BLOCK))
@@ -230,8 +311,9 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed
         bits = _kernels.levels_at_times(batch.levels, batch.switch_times, sorted_lags)
         return np.count_nonzero(bits != batch.levels[:, None], axis=0)
 
-    counts = sum(stream(params, horizon, n_samples, master_seed, flips,
-                        start_index=start_index, n_threads=n_threads))
+    blocks = stream([(params, horizon, flips)], n_samples, master_seed,
+                    start_index=start_index, n_threads=n_threads)
+    counts = sum(block for (block,) in blocks)
     counts = counts[np.argsort(order, kind="stable")]
     # a product of centered signs is -1 where the level differs from its
     # value at t = 0 and +1 elsewhere, so the products add up to n - 2*flips

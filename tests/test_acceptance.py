@@ -135,16 +135,18 @@ def test_criterion_03_envelope_bounds_peaks():
 def mc_results():
     """Criterion 4 configuration, shared with criterion 5."""
     grid = np.linspace(0.0, SIX_PI, 40)
-    results = {}
+    g_values = (0.5, 1.0, 5.0, 10.0)
     start = time.perf_counter()
-    for g in (0.5, 1.0, 5.0, 10.0):
-        config = engine.RunConfig(
+    configs = [
+        engine.RunConfig(
             system=system_for(g),
             t_grid=grid,
             n_trajectories=10_000,
             master_seed=MASTER_SEED,
         )
-        results[g] = engine.run_ensemble(config, n_threads=2)
+        for g in g_values
+    ]
+    results = dict(zip(g_values, engine.run_ensemble(configs, n_threads=2)))
     return results, time.perf_counter() - start
 
 
@@ -224,7 +226,7 @@ def test_criterion_07_phase_recovery():
                 n_trajectories=32_768,
                 master_seed=MASTER_SEED,
             )
-            report = engine.recovery_report(config, n)
+            [report] = engine.recovery_report([config], n)
             if abs(report.concurrence_after - 1.0) > 1e-9:
                 failures.append(f"g={g}, n={n}: recovered C = {report.concurrence_after!r}")
             if not math.isinf(g):

@@ -169,11 +169,9 @@ def test_compare_mode_fail_path(tmp_path, monkeypatch):
     # negative control: corrupt the MC coherences and expect a failing report
     real_run = engine.run_ensemble
 
-    def corrupted(config, n_threads=1):
-        result = real_run(config, n_threads=n_threads)
-        return engine.EnsembleResult(
-            **{**result.__dict__, "q_mean": result.q_mean + 0.5}
-        )
+    def corrupted(configs, n_threads=1):
+        return [engine.EnsembleResult(**{**result.__dict__, "q_mean": result.q_mean + 0.5})
+                for result in real_run(configs, n_threads=n_threads)]
 
     monkeypatch.setattr(engine, "run_ensemble", corrupted)
     out = tmp_path / "cmp.json"
@@ -193,7 +191,8 @@ def test_compare_report_matches_a_scalar_loop():
     spec = _spec("--mode", "both", "--g", "0.5,1,2,5", "--vt-step", "0.3", "--vt-max", "18.0",
                  "--n-traj", "200", "--seed", "3", "--no-timestamp")
     t_grid = spec.vt_grid() / spec.v
-    results = {g: engine.run_ensemble(spec.run_config(g, t_grid)) for g in spec.g}
+    configs = [spec.run_config(g, t_grid) for g in spec.g]
+    results = dict(zip(spec.g, engine.run_ensemble(configs)))
     report = cli.build_compare_report(spec, results)
     points = iter(report["per_point"])
     global_max = 0.0
@@ -280,11 +279,10 @@ def test_recovery_mode_fails_on_wrong_uncorrected_concurrence(tmp_path, monkeypa
     # 0.2 away from |q(t_n)| must fail the report even though recovery works
     real_report = engine.recovery_report
 
-    def shifted(config, n, n_threads=1):
-        report = real_report(config, n, n_threads=n_threads)
-        return engine.RecoveryReport(
-            **{**report.__dict__, "concurrence_before": report.concurrence_before + 0.2}
-        )
+    def shifted(configs, n, n_threads=1):
+        return [engine.RecoveryReport(
+            **{**report.__dict__, "concurrence_before": report.concurrence_before + 0.2})
+            for report in real_report(configs, n, n_threads=n_threads)]
 
     monkeypatch.setattr(engine, "recovery_report", shifted)
     out = tmp_path / "rec.json"
@@ -354,6 +352,35 @@ def test_autocorr_mode_samples_each_g_on_its_own(tmp_path):
         for section in json.loads(out.read_text())["results"]
     )
     assert first != second
+
+
+def _artifact(tmp_path, name, *args):
+    out = tmp_path / name
+    assert cli.main([*args, "--n-traj", "300", "--seed", "6", "--vt-step", "0.5",
+                     "--out", str(out), "--no-timestamp"]) in (0, 1)
+    return out.read_text()
+
+
+@pytest.mark.parametrize("mode", ["mc", "both", "recovery"])
+def test_couplings_of_one_call_share_their_trajectories(tmp_path, mode):
+    # common random numbers: every g of an mc, both or recovery call sees
+    # the trajectories of the seed's indices 0..n-1, so its part of the
+    # artifact is that of a call with that g alone; the curves share their
+    # Monte Carlo errors, and giving each g its own indices fails this
+    g_values = ("5", "10", "50")
+    together = _artifact(tmp_path, "all", "--mode", mode, "--g", ",".join(g_values))
+    alone = [_artifact(tmp_path, g, "--mode", mode, "--g", g) for g in g_values]
+    if mode == "mc":
+        rows = [line for line in together.splitlines() if line[:1].isdigit()]
+        for g, text in zip(g_values, alone):
+            own = [line for line in text.splitlines() if line[:1].isdigit()]
+            assert own and own == [row for row in rows if row.split(",")[1] == repr(float(g))]
+        return
+    key = "per_point" if mode == "both" else "results"
+    entries = json.loads(together)[key]
+    for g, text in zip(g_values, alone):
+        own = json.loads(text)[key]
+        assert own and own == [entry for entry in entries if entry["g"] == repr(float(g))]
 
 
 def test_autocorr_mode_fail_path(tmp_path, monkeypatch):

@@ -110,7 +110,7 @@ def run(g, n=2000, seed=0, points=25, threads=1, vt_end=6.0 * math.pi):
         n_trajectories=n,
         master_seed=seed,
     )
-    return config, engine.run_ensemble(config, n_threads=threads)
+    return config, engine.run_ensemble([config], n_threads=threads)[0]
 
 
 def test_static_ensemble_average_matches_cosine():
@@ -193,12 +193,106 @@ def test_ensemble_memory_does_not_grow_with_n():
                                   n_trajectories=n, master_seed=0)
         tracemalloc.start()
         try:
-            engine.run_ensemble(config, n_threads=1)
+            engine.run_ensemble([config], n_threads=1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     assert traced_peak(8 * 2048) <= 1.25 * traced_peak(2 * 2048)
+
+
+def shared_pass_configs(n, seed):
+    """Configs of one pass: the static limit, couplings that need 1 to 5
+    epochs of L = 8*g/v (v*t up to 6*pi), a grid ending on an epoch
+    boundary (v = 1, g = 0.5, t = 8 is 2 epochs of 4) and a second v."""
+    grids = {0.5: np.linspace(0.0, 8.0, 17), 0.3: np.linspace(0.0, 5.0, 11)}
+    systems = [system_for(g) for g in (math.inf, 50.0, 5.0, 1.0, 0.5)] + [system_for(0.3, v=2.0)]
+    return [engine.RunConfig(system=system,
+                             t_grid=grids.get(system.rt.g, np.linspace(0.0, 6.0 * math.pi, 13)),
+                             n_trajectories=n, master_seed=seed)
+            for system in systems]
+
+
+def assert_same_result(a, b):
+    for name, value in a.__dict__.items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(np.ascontiguousarray(value).view(np.uint8),
+                                          np.ascontiguousarray(getattr(b, name)).view(np.uint8))
+        else:
+            assert value == getattr(b, name), name
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_one_pass_serves_every_config_bit_for_bit(threads):
+    # one pass draws each block once, for the most epochs any config needs,
+    # and gives each config the batch it samples alone: every result of the
+    # pass is the one-config call's, byte for byte; 2*BLOCK + 5 trajectories
+    # are three blocks, the last one partial
+    configs = shared_pass_configs(2 * noise.BLOCK + 5, seed=21)
+    results = engine.run_ensemble(configs, n_threads=threads)
+    assert len(results) == len(configs)
+    for config, result in zip(configs, results):
+        [alone] = engine.run_ensemble([config], n_threads=1)
+        assert_same_result(result, alone)
+    reports = engine.recovery_report(configs, 2, n_threads=threads)
+    for config, report in zip(configs, reports):
+        [alone] = engine.recovery_report([config], 2, n_threads=1)
+        assert report == alone
+    # and the order of the configs in the pass does not matter
+    for result, again in zip(results, engine.run_ensemble(configs[::-1])[::-1]):
+        assert_same_result(result, again)
+
+
+def test_one_pass_shares_its_realizations():
+    # common random numbers: the configs of a pass see the same
+    # trajectories, so their errors are correlated.  Two static configs on
+    # different grids see the same level bits, hence the same coherence at
+    # the time they share; their own streams would give two estimates.
+    configs = [engine.RunConfig(system=system_for(math.inf), t_grid=grid, n_trajectories=500,
+                                master_seed=4)
+               for grid in (np.array([math.pi / 2.0]), np.array([0.3, math.pi / 2.0]))]
+    a, b = engine.run_ensemble(configs)
+    assert a.q_mean[0] == b.q_mean[1]
+    assert 0.2 < abs(a.q_mean[0].imag) < 0.8
+
+
+def test_one_pass_holds_one_batch_besides_the_draws():
+    # a thread holds one block's draws and one other coupling's batch at a
+    # time (the widest coupling takes over the draws' memory), so four
+    # couplings need no more memory than two, whether their widths spread
+    # or are equal
+    def peak(configs):
+        engine.run_ensemble(configs, n_threads=1)
+        tracemalloc.start()
+        try:
+            engine.run_ensemble(configs, n_threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def config(g, points=61):
+        return engine.RunConfig(system=system_for(g), t_grid=np.linspace(0.0, 6.0 * math.pi, points),
+                                n_trajectories=2 * noise.BLOCK, master_seed=0)
+
+    spread = [config(g) for g in (0.5, 1.0, 2.0, 5.0)]
+    assert peak(spread) <= 1.25 * peak(spread[:2])
+    equal = [config(0.5, points) for points in (61, 31, 17, 5)]
+    assert peak(equal) <= 1.25 * peak(equal[:2])
+
+
+def test_one_pass_rejects_configs_that_share_no_trajectories():
+    base = dict(system=system_for(5.0), t_grid=np.array([0.0, TWO_PI]))
+    first = engine.RunConfig(**base, n_trajectories=10, master_seed=0)
+    for other in (engine.RunConfig(**base, n_trajectories=10, master_seed=1),
+                  engine.RunConfig(**base, n_trajectories=11, master_seed=0)):
+        with pytest.raises(ValueError, match="master_seed and n_trajectories"):
+            engine.run_ensemble([first, other])
+        with pytest.raises(ValueError, match="master_seed and n_trajectories"):
+            engine.recovery_report([first, other], 1)
+    with pytest.raises(ValueError):
+        engine.run_ensemble([])
+    with pytest.raises(ValueError):
+        engine.recovery_report([], 1)
 
 
 def test_block_holds_no_n_by_m_array(compiled, monkeypatch):
@@ -209,10 +303,10 @@ def test_block_holds_no_n_by_m_array(compiled, monkeypatch):
                               n_trajectories=2048, master_seed=0)
     for backend in (_reference, compiled):
         monkeypatch.setattr(_kernels, "_impl", backend)
-        engine.run_ensemble(config)
+        engine.run_ensemble([config])
         tracemalloc.start()
         try:
-            engine.run_ensemble(config)
+            engine.run_ensemble([config])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -270,7 +364,7 @@ def test_ensemble_matches_a_two_pass_reduction_across_blocks(compiled, monkeypat
                               n_trajectories=n, master_seed=6)
     for backend in (_reference, compiled):
         monkeypatch.setattr(_kernels, "_impl", backend)
-        result = engine.run_ensemble(config, n_threads=2)
+        [result] = engine.run_ensemble([config], n_threads=2)
         np.testing.assert_allclose(result.q_mean.real, mean[:, 0], rtol=0, atol=1e-13)
         np.testing.assert_allclose(result.q_mean.imag, mean[:, 1], rtol=0, atol=1e-13)
         se = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
@@ -364,12 +458,12 @@ def test_recovered_ensemble_concurrence():
     static_config = engine.RunConfig(
         system=system_for(math.inf), t_grid=np.array([TWO_PI]), n_trajectories=64, master_seed=5
     )
-    assert engine.recovery_report(static_config, 1).concurrence_after == pytest.approx(1.0, abs=1e-9)
+    assert engine.recovery_report([static_config], 1)[0].concurrence_after == pytest.approx(1.0, abs=1e-9)
 
     config = engine.RunConfig(
         system=system_for(5.0), t_grid=np.array([TWO_PI]), n_trajectories=400, master_seed=5
     )
-    report = engine.recovery_report(config, 1)
+    [report] = engine.recovery_report([config], 1)
     assert report.concurrence_after == pytest.approx(1.0, abs=1e-9)
     assert report.concurrence_before == pytest.approx(math.exp(-0.1 * TWO_PI), abs=0.1)
     assert report.concurrence_before < 0.7
@@ -381,8 +475,8 @@ def test_recovery_report_consistent_with_run_ensemble():
     config = engine.RunConfig(
         system=system_for(5.0), t_grid=np.array([0.5 * TWO_PI, TWO_PI]), n_trajectories=300, master_seed=9
     )
-    result = engine.run_ensemble(config)
-    report = engine.recovery_report(config, 1)
+    [result] = engine.run_ensemble([config])
+    [report] = engine.recovery_report([config], 1)
     assert report.concurrence_before == pytest.approx(
         states.concurrence(result.rho[-1]), abs=1e-12
     )
@@ -393,4 +487,4 @@ def test_recovery_report_rejects_bad_index():
         system=system_for(5.0), t_grid=np.array([TWO_PI]), n_trajectories=10, master_seed=0
     )
     with pytest.raises(ValueError):
-        engine.recovery_report(config, 0)
+        engine.recovery_report([config], 0)

@@ -173,16 +173,14 @@ def test_block_sums_bit_identical_on_any_grid(compiled, grid, seed, k, v):
 
 def test_stretch_starts_match_a_binary_search(compiled):
     # each stretch starts where a binary search of [g0, m) puts it, also
-    # for switch times before and past the grid, on repeated points, at
-    # -inf and at NaN (where the search stops at g0); NaN phases compare
-    # equal to NaN
-    levels = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
+    # for switch times before and past the grid, on repeated points and at
+    # -inf
+    levels = np.array([0, 1, 1, 0], dtype=np.uint8)
     switch_times = np.array([
         [-np.inf, 0.5, 1.0, np.inf],
-        [0.1, np.nan, 2.0, np.inf],
+        [0.1, 0.2, 2.0, np.inf],
         [1.0, 1.0, 1.0, 9.0],
         [0.0, 0.5, 12.0, 13.0],
-        [np.nan, np.nan, np.inf, np.inf],
     ])
     # the last two grids make the cell scale overflow to inf and nearly 0
     grids = [np.array([0.0, 0.5, 1.0, 1.0, 1.0, 3.0]), np.array([2.0]), np.array([1.0, 1.0]),
@@ -194,6 +192,23 @@ def test_stretch_starts_match_a_binary_search(compiled):
             expected = stretch_sums(*rows, grid, 1.5, _reference.exp_minus_i)
             np.testing.assert_array_equal(_kernels.block_sums(*rows, grid, 1.5, impl=compiled),
                                           expected)
+
+
+@pytest.mark.parametrize("times", [[[0.5, np.nan, 2.0]], [[np.nan, np.nan, np.inf]],
+                                   [[0.5, 1.0], [np.nan, np.inf]]])
+def test_batch_kernels_reject_nan_switch_times(compiled, times):
+    # the backends order a NaN switch differently (numpy's searchsorted puts
+    # it past the grid, the compiled comparisons are false), so that all
+    # three batch kernels disagreed on it; each rejects it on either backend
+    switch_times = np.array(times)
+    levels = np.ones(len(times), dtype=np.uint8)
+    grid = np.array([0.0, 1.0, 3.0])
+    for impl in (_reference, compiled):
+        for call in (lambda: _kernels.dwell_times(levels, switch_times, grid, impl=impl),
+                     lambda: _kernels.levels_at_times(levels, switch_times, grid, impl=impl),
+                     lambda: _kernels.block_sums(levels, switch_times, grid, 1.5, impl=impl)):
+            with pytest.raises(ValueError, match="NaN"):
+                call()
 
 
 def phase_arguments():
@@ -559,3 +574,102 @@ def test_sample_makes_room_for_rows_wider_than_its_guess(monkeypatch):
 def test_sample_rejects_more_epochs_than_the_counter_holds():
     with pytest.raises(ValueError, match="epoch"):
         _kernels.sample(1, 0, 2, 1e10, 1e3)
+
+
+def epoch_edges(gamma, horizons):
+    """Horizons that fall on an epoch boundary j*L and one ulp to either
+    side of it, for j = 1, 2, 3, with the given ones."""
+    scale = 2.0 * _kernels.EPOCH_SWITCHES / gamma
+    edges = [j * scale for j in (1, 2, 3)]
+    return list(horizons) + edges + [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**40),
+    n=st.sampled_from([1, 7, 300]),
+    gammas=st.lists(st.sampled_from([0.0, 0.02, 0.3, 1.0, 2.5, 20.0]), min_size=1, max_size=4),
+    horizon=st.floats(0.01, 30.0),
+)
+def test_scaled_epochs_are_each_rate_sampled_alone(compiled, seed, start, n, gammas, horizon):
+    # one draw in epoch units, for the most epochs any rate needs, scaled
+    # and cut per rate: the same bytes as that rate's own sampler, on both
+    # backends, also where the horizon is an epoch boundary or one ulp off
+    cases = [(g, h) for g in gammas
+             for h in (epoch_edges(g, [horizon]) if g > 0.0 else [horizon])]
+    # and horizons on a switch time itself, which a cut keeps
+    for g in {g for g in gammas if g > 0.0}:
+        times = _kernels.sample(seed, start, n, g, horizon)[1]
+        cases += [(g, float(t)) for t in times[:, :2].ravel() if np.isfinite(t)][:3]
+    epochs = max(_kernels.epoch_grid(g, h)[0] for g, h in cases)
+    for impl in (_reference, compiled):
+        levels, x, _ = _kernels.sample_epochs(seed, start, n, epochs, impl=impl)
+        for gamma, h in cases:
+            alone = _kernels.sample(seed, start, n, gamma, h, impl=impl)
+            assert_same_bits(levels, alone[0])
+            for overwrite in (False, True):
+                # overwriting takes the draws' memory, so it gets a copy
+                times, counts = _kernels.scale_epochs(x.copy() if overwrite else x, gamma, h,
+                                                      overwrite=overwrite, impl=impl)
+                assert_same_bits(times, alone[1])
+                np.testing.assert_array_equal(counts, alone[2])
+
+
+def test_sample_epochs_are_the_sampler_at_unit_scale_uncut(impl):
+    # epoch units: rate 2*EPOCH_SWITCHES, so L = 1, and no cut
+    levels, x, counts = _kernels.sample_epochs(9, 4, 50, 6, impl=impl)
+    cdf = _kernels._poisson_cdf(_kernels.EPOCH_SWITCHES)
+    out = (np.empty(50, np.uint8), np.empty(50, np.intp), np.empty(50 * 200))
+    k = impl.sample(9, 4, 6, 1.0, math.inf, cdf, *out)
+    assert x.shape == (50, k) and k > 0
+    assert_same_bits(levels, out[0])
+    np.testing.assert_array_equal(counts, out[1])
+    np.testing.assert_array_equal(x, out[2][: 50 * k].reshape(50, k))
+    for row, count in zip(x, counts):
+        assert np.all(np.diff(row[:count]) >= 0.0) and np.all(row[:count] < 6.0)
+        assert np.all(np.isinf(row[count:]))
+
+
+def test_scale_epochs_writes_rows_only_when_they_fit(impl):
+    # as for sample: the widest row's count k always, the (n, k) rows only
+    # where they fit, and into the memory of x itself when asked to
+    _, x, _ = _kernels.sample_epochs(5, 7, 50, 4)
+    times, counts = _kernels.scale_epochs(x, 2.0, 12.0)
+    k = times.shape[1]
+    assert 0 < k < x.shape[1]
+    out = np.empty(50, np.intp)
+    short = np.full(50 * k - 1, -1.0)
+    assert impl.scale_epochs(x, 4.0, 12.0, out, short) == k
+    np.testing.assert_array_equal(out, counts)
+    exact = np.full(50 * k + 3, -1.0)
+    assert impl.scale_epochs(x, 4.0, 12.0, out, exact) == k
+    np.testing.assert_array_equal(exact[: 50 * k].reshape(50, k), times)
+    np.testing.assert_array_equal(exact[50 * k:], -1.0)
+    same = x.copy()
+    assert impl.scale_epochs(same, 4.0, 12.0, out, same.reshape(-1)) == k
+    np.testing.assert_array_equal(same.reshape(-1)[: 50 * k].reshape(50, k), times)
+
+
+def test_scale_epochs_makes_room_for_rows_wider_than_its_guess(monkeypatch):
+    _, x, _ = _kernels.sample_epochs(5, 7, 50, 4)
+    expected = _kernels.scale_epochs(x, 2.0, 12.0)
+    monkeypatch.setattr(_kernels, "_row_room", lambda gamma, horizon: 1)
+    for a, b in zip(expected, _kernels.scale_epochs(x, 2.0, 12.0)):
+        assert_same_bits(a, b)
+
+
+def test_scale_epochs_rejects_bad_arguments(impl):
+    x = np.array([[0.5, 1.5, np.inf], [0.2, np.inf, np.inf]])
+    counts, times = np.empty(2, np.intp), np.empty(6)
+    assert impl.scale_epochs(x, 2.0, 2.0, counts, times) == 1
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale"):
+            impl.scale_epochs(x, scale, 2.0, counts, times)
+    if impl is _reference:
+        return
+    for bad in ((x, counts[:1], times), (x, counts.astype(np.int32), times),
+                (x.astype(np.float32), counts, times), (x[:, ::2], counts, times),
+                (x.ravel(), counts, times), (x, counts, times.astype(np.float32))):
+        with pytest.raises(ValueError):
+            impl.scale_epochs(bad[0], 2.0, 2.0, *bad[1:])

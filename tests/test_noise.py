@@ -66,6 +66,22 @@ def test_sample_batch_rejects_bad_arguments():
         noise.sample_batch(params, 1.0, 4, 0, start_index=-1)
 
 
+def test_sample_batch_takes_only_draws_of_its_trajectories():
+    # shared draws serve a batch only for the same seed, indices and count,
+    # and only if they hold every epoch up to its horizon (L = 8 at gamma 1)
+    params = noise.RTParams(v=1.0, gamma=1.0)
+    draws = noise.draw_epochs(3, 10, 40, epochs=2)
+    alone = noise.sample_batch(params, 15.9, 40, 3, start_index=10)
+    shared = noise.sample_batch(params, 15.9, 40, 3, start_index=10, draws=draws)
+    np.testing.assert_array_equal(shared.levels, alone.levels)
+    np.testing.assert_array_equal(shared.switch_times, alone.switch_times)
+    np.testing.assert_array_equal(shared.counts, alone.counts)
+    for seed, start, n, horizon in ((4, 10, 40, 15.9), (3, 11, 40, 15.9), (3, 10, 39, 15.9),
+                                    (3, 10, 40, 16.0)):
+        with pytest.raises(ValueError, match="draws"):
+            noise.sample_batch(params, horizon, n, seed, start_index=start, draws=draws)
+
+
 def test_sample_batch_keys_streams_by_64_bit_seeds_and_indices():
     # the Philox key is the 64-bit seed and the counter holds a 64-bit index:
     # a seed or an index beyond them is an error, never a silent wrap
@@ -223,6 +239,15 @@ def test_trajectory_validation():
         noise.RTTrajectory(2, np.empty(0), horizon=1.0)
 
 
+@pytest.mark.parametrize("times", [[0.5, math.nan, 2.0], [math.nan], [0.5, 2.0, math.nan]])
+def test_trajectory_rejects_nan_switch_times(times):
+    # every comparison with NaN is false, so checks for a bad time pass it
+    # unless they are written as checks for a good one; accepted, such a
+    # path gives accumulated_phase(traj, 3.0) = nan
+    with pytest.raises(ValueError):
+        noise.RTTrajectory(0, np.array(times), horizon=3.0)
+
+
 @stream_settings
 @given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 3 * noise.BLOCK),
        n=st.integers(1, 2 * noise.BLOCK + 1), gamma=st.floats(0.05, 20.0))
@@ -337,9 +362,10 @@ def test_autocorrelation_streams_blocks(monkeypatch, n_threads):
     real_sample = noise.sample_batch
     calls = []
 
-    def recording(params, horizon, count, master_seed, start_index=0):
+    def recording(params, horizon, count, master_seed, start_index=0, **shared_draws):
         calls.append((start_index, count))
-        return real_sample(params, horizon, count, master_seed, start_index=start_index)
+        return real_sample(params, horizon, count, master_seed, start_index=start_index,
+                           **shared_draws)
 
     monkeypatch.setattr(noise, "sample_batch", recording)
     result = noise.estimate_autocorrelation(params, lags, n, master_seed=19, start_index=start,
