@@ -8,7 +8,7 @@ for bit.
 
 A batch is the level bit at t = 0 of each trajectory and its switch times,
 one row per trajectory padded with +inf; the padding is the only record of
-a row's length.  There are five kernels.  ``sample`` draws a batch from
+a row's length.  Five kernels work on batches.  ``sample`` draws a batch from
 counter-based Philox streams (see its docstring); ``sample_epochs`` asks
 it for the same draws in epoch units, which serve every switching rate,
 and ``scale_epochs`` turns those into one rate's batch.  ``dwell_times``
@@ -36,6 +36,14 @@ The ten difference arrays, m + 1 entries each, are in this row order:
 level-0 stretches add c - 1 = (c_r - 1, c_i) and the squares of its
 parts; level-1 stretches add 1 (their count), s - 1 = (s_r - 1, s_i), the
 squares of its parts and their product.
+
+A sixth kernel writes the artifacts' numbers: ``float_reprs`` gives the
+text of each float64, byte for byte ``repr(float(x))``, the shortest
+digits that read back to the same double.  ``_reference.float_reprs`` is
+``repr`` itself; the compiled one finds the shortest digits with exact
+128-bit integer arithmetic for 2**-49 <= |x| < 2**55 and hands every
+other value (zeros, subnormals, inf, nan and the magnitudes outside) to
+the C function that ``float.__repr__`` calls.
 """
 
 from __future__ import annotations
@@ -250,3 +258,12 @@ def column_sums(d, t_grid, v):
         low_im2 + ((count * ii + (aa * ii + bb * rr)) + 2.0 * (ei * y + ab * ri)),
     ], axis=-1)
     return s, q
+
+
+def float_reprs(values, impl=None):
+    """The text of each value of a 1-D array as a float64, byte for byte
+    ``repr(float(x))``: the shortest round-trip digits, in Python's layout."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("values must be 1-D")
+    return (impl or _impl).float_reprs(values)

@@ -14,10 +14,12 @@
  * switches per epoch, into a caller-allocated levels, counts and a flat
  * times buffer that it lays out as the padded (n, k) rows; asked for
  * epoch times (scale 1, no cut), its draws serve every switching rate,
- * and scale_epochs turns them into one rate's padded rows.
+ * and scale_epochs turns them into one rate's padded rows.  Apart from the
+ * batches, float_reprs writes the shortest round-trip text of float64
+ * values, byte for byte Python's repr (see repr_fast).
  * rtdeph._kernels validates and converts the arguments, builds the Poisson
  * table, allocates the outputs and finishes the difference arrays into
- * column sums.  The loops run with the GIL released.
+ * column sums.  The batch loops run with the GIL released.
  *
  * Between two switches a row's coherence is a constant c = exp(-i*v*acc)
  * on level 0, and on level 1 a segment factor s = exp(-i*v*(acc - prev))
@@ -669,6 +671,179 @@ scale_epochs(PyObject *self, PyObject *args)
     return PyLong_FromSsize_t(k);
 }
 
+/* Shortest round-trip text of a double, byte for byte repr(float(x)).
+ *
+ * The exact fast path covers the normal doubles x = m * 2**e (m the 53-bit
+ * significand) with binary exponent E = e + 52 in [REPR_MIN_EXP,
+ * REPR_MAX_EXP], 2**-49 <= |x| < 2**55 (about 1.8e-15 to 3.6e16).  Scaled
+ * by 10**j, j = 16 - floor(E*log10(2)), x is 4m * 5**j / 2**s with
+ * s = 54 - E - j >= 0, and so are the bounds of the interval of reals that
+ * round to x, with 4m + 2 and 4m - 2 in place of 4m; at a power of two the
+ * lower bound is 4m - 1, since the double below is half as far.  The
+ * numerators stay below 2**128 and the interval is at least 1.6 wide, so
+ * it holds an integer.  It is closed iff m is even, since a tie rounds to
+ * the even significand.  The shortest digits are those of the multiple of
+ * the largest power of ten 10**t in the interval, the one nearest x if
+ * there are two, ties to an even digit: the digits of dtoa's mode 0, which
+ * float.__repr__ prints (Steele & White, PLDI 1990).  Every other value
+ * goes through the very call float.__repr__ makes. */
+
+enum { REPR_MIN_EXP = -49, REPR_MAX_EXP = 54 };
+
+typedef unsigned __int128 u128;
+
+/* 5**j for the j whose power fits 64 bits; j up to 31 is a product of two. */
+static const uint64_t POW5[28] = {
+    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125,
+    244140625, 1220703125, 6103515625, 30517578125, 152587890625, 762939453125,
+    3814697265625, 19073486328125, 95367431640625, 476837158203125,
+    2384185791015625, 11920928955078125, 59604644775390625, 298023223876953125,
+    1490116119384765625, 7450580596923828125,
+};
+
+/* Lays out nd digits (no trailing zero) whose value is 0.digits * 10**decpt
+   as float.__repr__ does: exponent form iff decpt <= -4 or decpt > 16, the
+   exponent with a sign and at least two digits; else positional with at
+   least one digit after the point.  Returns the length. */
+static int
+repr_layout(char *out, int negative, const char *digits, int nd, int decpt)
+{
+    char *p = out;
+    if (negative)
+        *p++ = '-';
+    if (decpt <= -4 || decpt > 16) {
+        *p++ = digits[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, (size_t)(nd - 1));
+            p += nd - 1;
+        }
+        /* |decpt - 1| < 100 on the fast path */
+        int x = decpt - 1;
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        x = x < 0 ? -x : x;
+        *p++ = (char)('0' + x / 10);
+        *p++ = (char)('0' + x % 10);
+    }
+    else if (decpt <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', (size_t)-decpt);
+        p += -decpt;
+        memcpy(p, digits, (size_t)nd);
+        p += nd;
+    }
+    else if (decpt < nd) {
+        memcpy(p, digits, (size_t)decpt);
+        p += decpt;
+        *p++ = '.';
+        memcpy(p, digits + decpt, (size_t)(nd - decpt));
+        p += nd - decpt;
+    }
+    else {
+        memcpy(p, digits, (size_t)nd);
+        p += nd;
+        memset(p, '0', (size_t)(decpt - nd));
+        p += decpt - nd;
+        *p++ = '.';
+        *p++ = '0';
+    }
+    return (int)(p - out);
+}
+
+/* Writes repr(x) of the double with these bits into out (room for 32) and
+   returns its length, or returns 0 where x is outside the fast path. */
+static int
+repr_fast(uint64_t bits, char *out)
+{
+    const int E = (int)(bits >> 52 & 0x7ff) - 1023;
+    if (E < REPR_MIN_EXP || E > REPR_MAX_EXP)
+        return 0;
+    const uint64_t frac = bits & (((uint64_t)1 << 52) - 1), m4 = (frac | (uint64_t)1 << 52) << 2;
+    /* floor(E*log10(2)) <= log10|x|, with Ryu's product (exact for |E| <= 1650) */
+    const int k = E >= 0 ? E * 78913 >> 18 : -((-E * 78913 + (1 << 18) - 1) >> 18);
+    const int j = 16 - k, s = 54 - E - j;
+    const u128 p5 = j < 28 ? (u128)POW5[j] : (u128)POW5[27] * POW5[j - 27];
+    const u128 mask = ((u128)1 << s) - 1;
+    const u128 nx = m4 * p5, nlo = (m4 - (frac ? 2 : 1)) * p5, nhi = (m4 + 2) * p5;
+    const int open = (m4 >> 2) & 1;
+    /* l and h: the least and the greatest integer in the interval, below
+       2**58, and then the least and greatest multiple of 10**t over 10**t,
+       for the largest t with one; q = floor(x / 10**t), last the digit
+       dropped last and rest whether anything below it is not 0 */
+    uint64_t l = (uint64_t)(nlo >> s) + (open || (nlo & mask) != 0);
+    uint64_t h = (uint64_t)(nhi >> s) - (open && (nhi & mask) == 0);
+    uint64_t q = (uint64_t)(nx >> s);
+    int t = 0, last = 0, rest = (nx & mask) != 0;
+    while ((l + 9) / 10 <= h / 10) {
+        rest |= last != 0;
+        last = (int)(q % 10);
+        q /= 10;
+        l = (l + 9) / 10;
+        h /= 10;
+        t++;
+    }
+    /* the sign of (x - q * 10**t) - 10**t / 2 */
+    int half;
+    if (t == 0) {
+        const u128 f2 = (nx & mask) << 1;
+        half = f2 >> s ? (f2 & mask) != 0 : -1;
+    }
+    else
+        half = last != 5 ? (last > 5 ? 1 : -1) : rest;
+    /* of the multiples q and q + 1 around x, the one in [l, h], or the
+       nearer if both are, ties to the even one */
+    const uint64_t d = q < l || (q < h && (half > 0 || (half == 0 && (q & 1)))) ? q + 1 : q;
+    char digits[20];
+    int nd = 0;
+    for (uint64_t r = d; r; r /= 10)
+        digits[19 - nd++] = (char)('0' + r % 10);
+    return repr_layout(out, (int)(bits >> 63), digits + 20 - nd, nd, nd + t - j);
+}
+
+/* Takes a 1-D float64 buffer, strided or not, and returns the list of
+   repr(float(x)) of its values. */
+static PyObject *
+float_reprs(PyObject *self, PyObject *arg)
+{
+    Py_buffer v;
+    if (PyObject_GetBuffer(arg, &v, PyBUF_STRIDES | PyBUF_FORMAT) < 0)
+        return NULL;
+    if (v.ndim != 1 || v.itemsize != sizeof(double) || strcmp(v.format, "d") != 0) {
+        PyErr_SetString(PyExc_ValueError, "values must be a 1-D float64 buffer");
+        PyBuffer_Release(&v);
+        return NULL;
+    }
+    const Py_ssize_t n = v.shape[0], stride = v.strides[0];
+    PyObject *list = PyList_New(n);
+    for (Py_ssize_t i = 0; list && i < n; i++) {
+        double x;
+        uint64_t bits;
+        memcpy(&x, (const char *)v.buf + i * stride, sizeof x);
+        memcpy(&bits, &x, sizeof bits);
+        char text[32];
+        const int len = repr_fast(bits, text);
+        PyObject *item;
+        if (len) {
+            item = PyUnicode_New(len, 127);
+            if (item)
+                memcpy(PyUnicode_1BYTE_DATA(item), text, (size_t)len);
+        }
+        else {
+            char *slow = PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+            item = slow ? PyUnicode_FromString(slow) : NULL;
+            PyMem_Free(slow);
+        }
+        if (!item)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, item);
+    }
+    PyBuffer_Release(&v);
+    return list;
+}
+
 static PyMethodDef methods[] = {
     {"dwell_times", dwell_times, METH_VARARGS,
      "dwell_times(levels, switch_times, t_grid, out): time at the high level "
@@ -690,13 +865,16 @@ static PyMethodDef methods[] = {
      "of sample's epoch times x up to the horizon; writes intp counts and "
      "returns the widest row's count k; if it fits, writes the +inf-padded "
      "(n, k) switch times into the front of float64 times."},
+    {"float_reprs", float_reprs, METH_O,
+     "float_reprs(values): the list of repr(float(x)) of the values of a 1-D "
+     "float64 buffer, strided or not."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_core",
-    .m_doc = "Compiled trajectory-batch kernels.",
+    .m_doc = "Compiled trajectory-batch kernels and float formatter.",
     .m_size = -1,
     .m_methods = methods,
 };

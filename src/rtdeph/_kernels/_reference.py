@@ -17,7 +17,8 @@ computes the Philox blocks of all trajectories and epochs at once in
 uint64 arithmetic, where each 32x32-bit product is exact, and sorts each
 row's switch times, which orders every epoch as the compiled kernel's sort
 per epoch does.  Each kernel fills the outputs that ``rtdeph._kernels``
-allocates.
+allocates, except ``float_reprs``: Python's own ``repr`` of each value,
+which defines the compiled formatter's output.
 """
 
 from __future__ import annotations
@@ -290,3 +291,8 @@ def scale_epochs(x, scale, horizon, counts, times):
     if n * k <= times.shape[0]:
         times[: n * k] = t[:, :k].ravel()
     return k
+
+
+def float_reprs(values):
+    """The repr of each value of a 1-D float64 array, as a Python float."""
+    return [repr(x) for x in values.tolist()]

@@ -120,6 +120,9 @@ class SweepSpec:
             raise ValueError(f"vt-step must be finite and positive, got {self.vt_step!r}")
         if not (math.isfinite(self.vt_max) and self.vt_max >= self.vt_step):
             raise ValueError("vt range is empty: vt-max must be at least vt-step")
+        if not math.isfinite(self.vt_max / self.vt_step):
+            raise ValueError(f"vt grid has too many points to count: vt-max / vt-step "
+                             f"overflows ({self.vt_max!r} / {self.vt_step!r})")
         if self.n_traj < 1:
             raise ValueError(f"n-traj must be >= 1, got {self.n_traj}")
         if not 0 <= self.seed < 2**64:
@@ -208,11 +211,6 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
     return SweepSpec(**values)
 
 
-def _fmt_column(values) -> list[str]:
-    """The repr of each value as a Python float, converting the column once."""
-    return [repr(x) for x in np.asarray(values, dtype=np.float64).tolist()]
-
-
 def _fmt_g(g: float) -> str:
     return "inf" if math.isinf(g) else repr(float(g))
 
@@ -232,11 +230,54 @@ def _spec_metadata(spec: SweepSpec) -> dict:
     return meta
 
 
+#: json's text of the non-finite floats, which repr writes as nan, inf, -inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: Stands in for the per_point records while json writes the rest of a report.
+_RECORDS_SLOT = "\0per_point\0"
+
+
+def _json_texts(values: list) -> list[str]:
+    """The ``json.dumps`` text of each value of one record field: a field of
+    floats from one ``float_reprs`` call, of booleans as true and false,
+    and any other value by value through ``json.dumps``."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return [_JSON_NONFINITE.get(text, text) for text in _kernels.float_reprs(values)]
+    if kinds == {bool}:
+        return ["true" if value else "false" for value in values]
+    return [json.dumps(value) for value in values]
+
+
+def _json_records(records: list[dict], indent: str) -> str:
+    """``json.dumps(records, indent=2)`` for a list that starts ``indent``
+    deep, of records with the same keys in the same order: each field's
+    texts come from one ``_json_texts`` call and fill one row template."""
+    if not records:
+        return "[]"
+    keys = list(records[0])
+    if not keys or sum(map(len, records)) != len(keys) * len(records):
+        raise ValueError("records must be non-empty and have the same keys")
+    pad = indent + "  "
+    fields = (f'{pad}  {json.dumps(key).replace("%", "%%")}: %s' for key in keys)
+    template = f"{pad}{{\n" + ",\n".join(fields) + f"\n{pad}}}"
+    columns = [_json_texts([record[key] for record in records]) for key in keys]
+    rows = ",\n".join(template % row for row in zip(*columns))
+    return f"[\n{rows}\n{indent}]"
+
+
 def _verdict(report: dict, entries: list[dict]) -> tuple[str, int]:
-    """The report as JSON text and its exit code.  The report's "pass" key,
-    placed by the caller, is set to whether every entry passes."""
+    """The report as JSON text, equal to ``json.dumps(report, indent=2)``,
+    and its exit code.  The report's "pass" key, placed by the caller, is
+    set to whether every entry passes.  A "per_point" list of records is
+    written by ``_json_records``, the rest by ``json``."""
     report["pass"] = all(entry["pass"] for entry in entries)
-    return json.dumps(report, indent=2) + "\n", 0 if report["pass"] else 1
+    code = 0 if report["pass"] else 1
+    if "per_point" not in report:
+        return json.dumps(report, indent=2) + "\n", code
+    text = json.dumps({**report, "per_point": _RECORDS_SLOT}, indent=2)
+    head, _, tail = text.partition(json.dumps(_RECORDS_SLOT))
+    return head + _json_records(report["per_point"], "  ") + tail + "\n", code
 
 
 def cmd_figure1(spec: SweepSpec) -> tuple[str, int]:
@@ -246,7 +287,7 @@ def cmd_figure1(spec: SweepSpec) -> tuple[str, int]:
     lines.append(CSV_HEADER)
     vt = spec.vt_grid()
     t_grid = vt / spec.v
-    vt_col = _fmt_column(vt)
+    vt_col = _kernels.float_reprs(vt)
     results = (engine.run_ensemble([spec.run_config(g, t_grid) for g in spec.g],
                                    n_threads=spec.threads)
                if with_mc else [None] * len(spec.g))
@@ -256,12 +297,13 @@ def cmd_figure1(spec: SweepSpec) -> tuple[str, int]:
         ef = states.entanglement_of_formation(np.minimum(q_abs, 1.0))
         env = analytic.envelope(params, t_grid)
         if with_mc:
-            mc_cols = _fmt_column(result.e_f), _fmt_column(result.e_f_se)
+            mc_cols = _kernels.float_reprs(result.e_f), _kernels.float_reprs(result.e_f_se)
         else:
             mc_cols = [""] * vt.size, [""] * vt.size
         g_col = [_fmt_g(g)] * vt.size
         lines.extend(",".join(row) for row in
-                     zip(vt_col, g_col, _fmt_column(ef), _fmt_column(env), *mc_cols))
+                     zip(vt_col, g_col, _kernels.float_reprs(ef),
+                         _kernels.float_reprs(env), *mc_cols))
     return "\n".join(lines) + "\n", 0
 
 

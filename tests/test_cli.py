@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtdeph import _kernels, analytic, cli, engine, noise
 
@@ -125,10 +126,15 @@ def test_autocorr_json_byte_identical_across_threads(tmp_path):
 @pytest.mark.parametrize("command, args", [
     (cli.cmd_figure1, ["--mode", "mc", "--g", "5,1", "--vt-step", "1.3", "--vt-max", "13.0"]),
     (cli.cmd_recovery, ["--mode", "recovery", "--g", "0.5,5,inf", "--revival-n", "2"]),
+    (cli.cmd_figure1, ["--mode", "analytic", "--g", "inf,50,0.3", "--vt-step", "0.05",
+                       "--vt-max", "13.0"]),
+    (cli.cmd_compare, ["--mode", "both", "--g", "0.5,5,inf", "--vt-step", "0.7",
+                       "--vt-max", "13.0"]),
+    (cli.cmd_autocorr, ["--mode", "autocorr", "--g", "0.5,2"]),
 ])
 def test_artifacts_identical_across_backends(compiled, monkeypatch, command, args):
-    # 4500 trajectories: three blocks, the last one partial and ending in a
-    # partial tile
+    # every writer, the CSV and the JSON reports, float formatter included;
+    # 4500 trajectories: three blocks, the last one partial
     spec = cli.build_spec(cli.build_parser().parse_args(
         args + ["--n-traj", "4500", "--seed", "8", "--no-timestamp"]))
     texts = []
@@ -183,6 +189,50 @@ def test_compare_mode_fail_path(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["pass"] is False
     assert report["max_abs_dev"] > 0.05
+
+
+def _compare_report(*argv):
+    spec = _spec("--mode", "both", "--n-traj", "300", "--seed", "4", "--no-timestamp", *argv)
+    t_grid = spec.vt_grid() / spec.v
+    results = engine.run_ensemble([spec.run_config(g, t_grid) for g in spec.g])
+    return cli.build_compare_report(spec, dict(zip(spec.g, results)))
+
+
+def _assert_written_as_json_writes(report):
+    text, code = cli._verdict(report, [{"pass": True}])
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--g", "0.5,1,2,5", "--vt-step", "0.3141592653589793"),
+    ("--g", "inf,0.05", "--vt-step", "0.7", "--vt-max", "30"),
+    ("--g", "3", "--v", "2.5", "--vt-step", "1e-3", "--vt-max", "0.5"),
+])
+def test_compare_report_written_as_json_writes_it(argv):
+    # per_point is written field by field from the float formatter, the
+    # rest by json; the text must be json's, byte for byte
+    report = _compare_report(*argv)
+    _assert_written_as_json_writes(report)
+    report["per_point"] = []
+    _assert_written_as_json_writes(report)
+
+
+_FIELD_VALUES = {"float": st.floats(), "str": st.text(max_size=6), "bool": st.booleans()}
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(keys=st.lists(st.text(max_size=5), min_size=1, max_size=5, unique=True),
+       kinds=st.lists(st.sampled_from(sorted(_FIELD_VALUES)), min_size=5, max_size=5),
+       rows=st.integers(0, 6), data=st.data())
+def test_records_written_as_json_writes_them(keys, kinds, rows, data):
+    # each field holds one kind of value: floats with nan, +-inf, +-0.0
+    # and subnormals among them, any text (quotes, '%', non-ASCII) or
+    # booleans; the keys are any text too
+    records = [{key: data.draw(_FIELD_VALUES[kind]) for key, kind in zip(keys, kinds)}
+               for _ in range(rows)]
+    _assert_written_as_json_writes({"params": {"g": ["5.0"]}, "pass": None,
+                                    "per_point": records, "after": [1.5, math.nan]})
 
 
 def test_compare_report_matches_a_scalar_loop():
@@ -407,6 +457,19 @@ def test_autocorr_mode_fail_path(tmp_path, monkeypatch):
 
 def test_autocorr_rejects_static_limit():
     assert cli.main(["--mode", "autocorr", "--g", "inf", "--out", "-"]) == 2
+
+
+def test_uncountable_vt_grid_exits_2(tmp_path, capsys):
+    # vt-max / vt-step overflows to inf: the grid's point count cannot be
+    # formed, which is invalid input, not a validation failure
+    config = tmp_path / "grid.cfg"
+    config.write_text("vt_max = 1e300\nvt_step = 1e-300\n")
+    out = tmp_path / "out.csv"
+    for source in (["--vt-max", "1e300", "--vt-step", "1e-300"], ["--config", str(config)]):
+        assert cli.main(["--mode", "analytic", "--g", "5", *source, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input: vt grid" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_invalid_inputs_exit_2():
