@@ -6,22 +6,24 @@ imports; otherwise the numpy fallback ``_reference`` takes over.  The two
 follow the same floating-point operations in the same order and agree bit
 for bit.
 
-A batch is the level bit at t = 0 of each trajectory and its switch times,
-one row per trajectory padded with +inf; the padding is the only record of
-a row's length.  Five kernels work on batches.  ``sample`` draws a batch from
-counter-based Philox streams (see its docstring); ``sample_epochs`` asks
-it for the same draws in epoch units, which serve every switching rate,
-and ``scale_epochs`` turns those into one rate's batch.  ``dwell_times``
-(recovery's noise phase) and ``levels_at_times`` (autocorrelation) return
-an (n, m) array, and ``block_sums`` (ensembles) returns only difference
-arrays of the coherences z = exp(-i*v*dwell), shifted by their t = 0
-value 1.  Between two switches a row's coherence
-is the constant exp(-i*v*acc) on level 0, and on level 1 the segment
-factor exp(-i*v*(acc - prev)) times the grid factor exp(-i*v*t) (acc
-being the dwell time up to the last switch, at time prev).  So
-``block_sums`` adds the terms of each stretch of grid points between
-switches once, at its first grid point, and takes them off at its end:
-neither backend forms the (n, m) coherences.  Each stretch's factor is
+A batch is the level bit at t = 0 of each trajectory and its switch times
+in epoch units x, one row per trajectory padded with +inf (the padding is
+the only record of a row's length), with the epoch length ``scale``:
+switch j of row i is at x[i, j]*scale.  Four kernels work on batches.
+``sample`` draws the epoch times from counter-based Philox streams (see its
+docstring); they do not depend on the switching rate, and one draw serves
+every rate, each with its own scale.  The three consumers form each switch
+time x*scale as they reach it and read no switch past the last grid time,
+so the times past it need no cut.  ``dwell_times`` (recovery's noise
+phase) and ``levels_at_times`` (autocorrelation) return an (n, m) array,
+and ``block_sums`` (ensembles) returns only difference arrays of the
+coherences z = exp(-i*v*dwell), shifted by their t = 0 value 1.  Between
+two switches a row's coherence is the constant exp(-i*v*acc) on level 0,
+and on level 1 the segment factor exp(-i*v*(acc - prev)) times the grid
+factor exp(-i*v*t) (acc being the dwell time up to the last switch, at
+time prev).  So ``block_sums`` adds the terms of each stretch of grid
+points between switches once, at its first grid point, and takes them off
+at its end: neither backend forms the (n, m) coherences.  Each stretch's factor is
 ``_reference.exp_minus_i`` (repeated in C), about 55 IEEE + and * without
 libm below its bound, and the compiled kernel finds the stretch's first
 grid point through a per-call table of equal grid cells, so a switch
@@ -37,7 +39,7 @@ level-0 stretches add c - 1 = (c_r - 1, c_i) and the squares of its
 parts; level-1 stretches add 1 (their count), s - 1 = (s_r - 1, s_i), the
 squares of its parts and their product.
 
-A sixth kernel writes the artifacts' numbers: ``float_reprs`` gives the
+A fifth kernel writes the artifacts' numbers: ``float_reprs`` gives the
 text of each float64, byte for byte ``repr(float(x))``, the shortest
 digits that read back to the same double.  ``_reference.float_reprs`` is
 ``repr`` itself; the compiled one finds the shortest digits with exact
@@ -101,92 +103,50 @@ def epoch_grid(gamma, horizon):
     return count, scale
 
 
-def sample(master_seed, start, n, gamma, horizon, impl=None):
-    """Trajectories ``start`` to ``start + n - 1`` of the telegraph process
-    with switching rate ``gamma`` on [0, horizon]: the level bits, the
-    switch times padded with +inf and the switches per row.
+def sample(master_seed, start, n, epochs, impl=None):
+    """The level bits of trajectories ``start`` to ``start + n - 1`` and
+    their switch times in epoch units: the x = e + u of epochs 0 to
+    ``epochs`` - 1, sorted per row and padded with +inf, uncut.
 
     Every draw is a Philox4x32-10 block keyed by the 64-bit ``master_seed``
     at the counter (trajectory as two words, epoch, draw).  The level bit is
-    the low bit of word 1 of draw 0 of epoch 0.  Epoch e covers
-    [e*L, (e + 1)*L), L = 2*EPOCH_SWITCHES/gamma; its switch count N is the
-    uniform of words 0 and 1 of its draw 0 inverted against the Poisson
-    table, and its switches are (e + u)*L for the N uniforms u that follow,
-    sorted.  Switches after the horizon are cut, so a shorter horizon sees
-    a prefix of the same switches.  A uniform of words a and b is
-    ((a << 20 ^ b >> 12) + 0.5)*2**-52, exact and in (0, 1).
+    the low bit of word 1 of draw 0 of epoch 0.  Epoch e's switch count N is
+    the uniform of words 0 and 1 of its draw 0 inverted against the Poisson
+    table, and its switches are at e + u for the N uniforms u that follow,
+    sorted.  A uniform of words a and b is ((a << 20 ^ b >> 12) + 0.5)*2**-52,
+    exact and in (0, 1).  At switching rate gamma the epoch length is
+    L = 2*EPOCH_SWITCHES/gamma (``epoch_grid``) and a switch is at x*L; a
+    shorter horizon sees a prefix of the same switches.
     """
-    count, scale = epoch_grid(gamma, horizon)
-    return _draw(impl, master_seed, start, n, count, scale, horizon, _row_room(gamma, horizon))
-
-
-def sample_epochs(master_seed, start, n, epochs, impl=None):
-    """The draws of ``sample`` in epoch units, for any switching rate: the
-    level bits, the times x = e + u of epochs 0 to ``epochs`` - 1, sorted
-    per row, padded with +inf and not cut, and the switches per row.
-    ``scale_epochs`` turns them into one rate's switch times."""
-    # in epoch units the rate is 2*EPOCH_SWITCHES and the span ``epochs``
-    return _draw(impl, master_seed, start, n, epochs, 1.0, math.inf,
-                 _row_room(2.0 * EPOCH_SWITCHES, float(epochs)))
-
-
-def scale_epochs(epoch_times, gamma, horizon, overwrite=False, impl=None):
-    """The switch times of ``sample`` at rate ``gamma`` on [0, horizon],
-    padded with +inf, and the switches per row, from the epoch times of
-    ``sample_epochs``, which must hold every epoch that starts at or before
-    the horizon (``epoch_grid``).
-
-    Each row's times are its x*L up to the last at or before the horizon,
-    L = 2*EPOCH_SWITCHES/gamma.  ``sample`` computes each time as
-    ((double)e + u)*L, the same product, and rounding x*L is monotone in x,
-    so the two agree bit for bit.  A row costs the times it keeps, not the
-    width of ``epoch_times``.  With ``overwrite``
-    the times go into the memory of ``epoch_times`` (C-contiguous float64),
-    which then holds no epoch times any more.
-    """
-    x = np.ascontiguousarray(epoch_times, dtype=np.float64)
-    n = x.shape[0]
-    counts = np.zeros(n, dtype=np.intp)
-    if gamma == 0.0:
-        return np.empty((n, 0)), counts
-    _, scale = epoch_grid(gamma, horizon)
-    impl = impl or _impl
-    width = min(_row_room(gamma, horizon), x.shape[1])
-    times = x.reshape(-1) if overwrite else np.empty(n * width)
-    k = impl.scale_epochs(x, scale, float(horizon), counts, times)
-    if n * k > times.shape[0]:
-        times = np.empty(n * k)
-        impl.scale_epochs(x, scale, float(horizon), counts, times)
-    return times[: n * k].reshape(n, k), counts
-
-
-def _draw(impl, master_seed, start, n, epochs, scale, horizon, width):
-    """The selected backend's sampler, with ``width`` switch times of room
-    per row at first."""
     impl = impl or _impl
     levels, counts = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.intp)
-    args = (master_seed, start, epochs, scale, horizon, _poisson_cdf(EPOCH_SWITCHES), levels,
-            counts)
+    args = (master_seed, start, epochs, _poisson_cdf(EPOCH_SWITCHES), levels, counts)
+    width = _row_room(epochs)
     times = np.empty(n * width)
     k = impl.sample(*args, times)
     if k > width:
         # a row needs more room than the guess: the same draws, with room
         times = np.empty(n * k)
         impl.sample(*args, times)
-    return levels, times[: n * k].reshape(n, k), counts
+    return levels, times[: n * k].reshape(n, k)
 
 
-def _row_room(gamma, horizon):
-    """Room per row for switch times: the mean count gamma*horizon/2 and
-    about 8 standard deviations more."""
-    mean = 0.5 * gamma * horizon
+def _row_room(epochs):
+    """Room per row for the epoch times: the mean count
+    EPOCH_SWITCHES*epochs and about 8 standard deviations more."""
+    mean = EPOCH_SWITCHES * epochs
     return math.ceil(mean + 8.0 * math.sqrt(mean)) + 8
 
 
-def _prepare(levels, switch_times, t_grid):
+def _prepare(levels, switch_times, t_grid, scale):
     """Contiguous arguments of the dtypes the backends expect.  The grid
-    must be finite, so that the +inf padding never counts as a switch, and
-    no switch time may be NaN."""
+    must be finite, so that the +inf padding never counts as a switch, no
+    switch time may be NaN and the scale must be finite and positive: the
+    backends would order a NaN switch time, or the NaN products of a NaN
+    scale, differently."""
+    scale = float(scale)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     levels = np.ascontiguousarray(levels, dtype=np.uint8)
     switch_times = np.ascontiguousarray(switch_times, dtype=np.float64)
     t_grid = np.ascontiguousarray(t_grid, dtype=np.float64)
@@ -200,33 +160,38 @@ def _prepare(levels, switch_times, t_grid):
         raise ValueError("t_grid must be 1-D and finite")
     if t_grid.size and (t_grid[0] < 0.0 or np.any(np.diff(t_grid) < 0.0)):
         raise ValueError("t_grid must be ascending and non-negative")
-    return levels, switch_times, t_grid
+    return levels, switch_times, t_grid, scale
 
 
-def _per_point(kernel, dtype, levels, switch_times, t_grid):
+def _per_point(kernel, dtype, levels, switch_times, t_grid, scale):
     """The (n, m) array of ``dtype`` that ``kernel`` fills for the batch."""
-    args = _prepare(levels, switch_times, t_grid)
+    args = _prepare(levels, switch_times, t_grid, scale)
     out = np.empty((args[0].shape[0], args[2].shape[0]), dtype=dtype)
     kernel(*args, out)
     return out
 
 
-def dwell_times(levels, switch_times, t_grid, impl=None):
-    """Time at the high level in [0, t] per trajectory and grid time."""
-    return _per_point((impl or _impl).dwell_times, np.float64, levels, switch_times, t_grid)
+def dwell_times(levels, switch_times, t_grid, scale=1.0, impl=None):
+    """Time at the high level in [0, t] per trajectory and grid time, switch
+    j of row i being at ``switch_times[i, j] * scale``."""
+    return _per_point((impl or _impl).dwell_times, np.float64, levels, switch_times, t_grid,
+                      scale)
 
 
-def levels_at_times(levels, switch_times, t_grid, impl=None):
-    """Level bit at each grid time per trajectory."""
-    return _per_point((impl or _impl).levels_at_times, np.uint8, levels, switch_times, t_grid)
+def levels_at_times(levels, switch_times, t_grid, scale=1.0, impl=None):
+    """Level bit at each grid time per trajectory, switch j of row i being
+    at ``switch_times[i, j] * scale``."""
+    return _per_point((impl or _impl).levels_at_times, np.uint8, levels, switch_times, t_grid,
+                      scale)
 
 
-def block_sums(levels, switch_times, t_grid, v, impl=None):
+def block_sums(levels, switch_times, t_grid, v, scale=1.0, impl=None):
     """The (10, m + 1) difference arrays of the coherences z =
-    exp(-i*v*dwell) on the grid, from the stretches between switches (see
-    the module docstring).  Batches add; ``column_sums`` finishes the total.
+    exp(-i*v*dwell) on the grid, from the stretches between the switches
+    ``switch_times * scale`` (see the module docstring).  Batches add;
+    ``column_sums`` finishes the total.
     """
-    args = _prepare(levels, switch_times, t_grid)
+    args = _prepare(levels, switch_times, t_grid, scale)
     out = np.zeros((10, args[2].shape[0] + 1))
     (impl or _impl).block_sums(*args, float(v), out)
     return out

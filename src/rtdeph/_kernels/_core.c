@@ -1,22 +1,24 @@
 /* Compiled trajectory-batch kernels.
  *
- * A batch holds n trajectories: the level bit at t = 0 (uint8, shape (n,))
- * and the switch times (float64, shape (n, k), padded with +inf).  Each
- * kernel walks every row once along the ascending, finite grid t_grid
- * (float64, shape (m,)); the walk stops at the padding because +inf is never
- * <= t.  dwell_times and levels_at_times fill a caller-allocated
- * C-contiguous (n, m) output through the buffer protocol.  block_sums
- * instead adds, per row, the terms of the coherences z = exp(-i*v*dwell)
- * shifted by their t = 0 value 1 to a caller-zeroed (N_SUMS, m + 1) float64
- * array of difference arrays, without forming any coherence.  sample
- * draws such a batch: each row from its own Philox4x32-10 counters (index,
- * epoch, draw) under the 64-bit seed, a Poisson number of sorted uniform
- * switches per epoch, into a caller-allocated levels, counts and a flat
- * times buffer that it lays out as the padded (n, k) rows; asked for
- * epoch times (scale 1, no cut), its draws serve every switching rate,
- * and scale_epochs turns them into one rate's padded rows.  Apart from the
- * batches, float_reprs writes the shortest round-trip text of float64
- * values, byte for byte Python's repr (see repr_fast).
+ * A batch holds n trajectories: the level bit at t = 0 (uint8, shape (n,)),
+ * the switch times in epoch units x (float64, shape (n, k), sorted per row
+ * and padded with +inf) and the epoch length scale: switch j of row i is at
+ * x[i, j] * scale.  Each kernel walks every row once along the ascending,
+ * finite grid t_grid (float64, shape (m,)), forming each switch time as it
+ * reaches it; the walk stops at the first switch past the last grid time,
+ * and so at the padding, because +inf is never <= t.  dwell_times and
+ * levels_at_times fill a caller-allocated C-contiguous (n, m) output
+ * through the buffer protocol.  block_sums instead adds, per row, the
+ * terms of the coherences z = exp(-i*v*dwell) shifted by their t = 0 value
+ * 1 to a caller-zeroed (N_SUMS, m + 1) float64 array of difference arrays,
+ * without forming any coherence.  sample draws the epoch times: each row
+ * from its own Philox4x32-10 counters (index, epoch, draw) under the
+ * 64-bit seed, a Poisson number of sorted uniforms u per epoch e at
+ * x = e + u, into a caller-allocated levels, counts and a flat times
+ * buffer that it lays out as the padded (n, k) rows.  They serve every
+ * switching rate, each with its own scale.  Apart from the batches,
+ * float_reprs writes the shortest round-trip text of float64 values, byte
+ * for byte Python's repr (see repr_fast).
  * rtdeph._kernels validates and converts the arguments, builds the Poisson
  * table, allocates the outputs and finishes the difference arrays into
  * column sums.  The batch loops run with the GIL released.
@@ -33,10 +35,10 @@
  * trajectory and grid point.
  *
  * The arithmetic is that of the numpy reference (_reference.py), operation
- * for operation, so the two backends agree bit for bit: exp_minus_i is
- * repeated there, and the grid index finds the same start as numpy's
- * searchsorted; the sampler uses only integer arithmetic, IEEE +, * and
- * comparisons, and a sort.
+ * for operation, so the two backends agree bit for bit: a switch time is
+ * the one product x * scale in both, exp_minus_i is repeated there, and the
+ * grid index finds the same start as numpy's searchsorted; the sampler
+ * uses only integer arithmetic, IEEE +, * and comparisons, and a sort.
  * setup.py compiles this file with -ffp-contract=off, so no multiply-add
  * is fused, and passes the SHA-256 of this file as RTDEPH_SOURCE_SHA256,
  * which the module exposes as SOURCE_SHA256.
@@ -99,12 +101,19 @@ typedef struct {
     const unsigned char *levels;
     const double *switch_times;
     const double *t_grid;
+    double scale;
 } Batch;
 
+/* Views of (levels, switch_times, t_grid) and the scale, which must be
+   finite and positive. */
 static int
 batch_views(Batch *b, Views *vs, PyObject *levels, PyObject *switch_times,
-            PyObject *t_grid)
+            PyObject *t_grid, double scale)
 {
+    if (!(scale > 0.0 && scale < Py_HUGE_VAL)) {
+        PyErr_SetString(PyExc_ValueError, "scale must be finite and positive");
+        return -1;
+    }
     Py_buffer *lv, *st, *tg;
     if (!(lv = view(vs, levels, 1, 1, 0, "levels"))
         || !(st = view(vs, switch_times, 2, sizeof(double), 0, "switch_times"))
@@ -118,19 +127,21 @@ batch_views(Batch *b, Views *vs, PyObject *levels, PyObject *switch_times,
     b->levels = lv->buf;
     b->switch_times = st->buf;
     b->t_grid = tg->buf;
+    b->scale = scale;
     return 0;
 }
 
-/* Parses (levels, switch_times, t_grid, out) for a per-point kernel and
-   returns the view of out, (n, m) with itemsize-byte items, or NULL with an
-   exception set.  The caller releases the views either way. */
+/* Parses (levels, switch_times, t_grid, scale, out) for a per-point kernel
+   and returns the view of out, (n, m) with itemsize-byte items, or NULL
+   with an exception set.  The caller releases the views either way. */
 static Py_buffer *
 per_point_args(PyObject *args, Batch *b, Views *vs, Py_ssize_t itemsize)
 {
     PyObject *o[4];
+    double scale;
     Py_buffer *out;
-    if (!PyArg_ParseTuple(args, "OOOO", &o[0], &o[1], &o[2], &o[3])
-        || batch_views(b, vs, o[0], o[1], o[2]) < 0
+    if (!PyArg_ParseTuple(args, "OOOdO", &o[0], &o[1], &o[2], &scale, &o[3])
+        || batch_views(b, vs, o[0], o[1], o[2], scale) < 0
         || !(out = view(vs, o[3], 2, itemsize, 1, "out")))
         return NULL;
     if (out->shape[0] != b->n || out->shape[1] != b->m) {
@@ -142,26 +153,33 @@ per_point_args(PyObject *args, Batch *b, Views *vs, Py_ssize_t itemsize)
 
 /* One row's walk along the grid: j switches passed, the time acc spent at
    the high level up to the last of them, at time prev, and the level lvl
-   since then. */
+   since then.  Switch j is at tau[j] * scale. */
 typedef struct {
     const double *tau;
     Py_ssize_t k, j;
-    double acc, prev, lvl;
+    double scale, acc, prev, lvl;
 } Walk;
 
 static Walk
 walk_row(const Batch *b, Py_ssize_t i)
 {
-    Walk w = {b->switch_times + i * b->k, b->k, 0, 0.0, 0.0, (double)b->levels[i]};
+    Walk w = {b->switch_times + i * b->k, b->k, 0, b->scale, 0.0, 0.0, (double)b->levels[i]};
     return w;
 }
 
-/* Passes switch j. */
-static inline void
-pass_switch(Walk *w)
+/* The time of switch j, which must exist. */
+static inline double
+next_switch(const Walk *w)
 {
-    w->acc = w->acc + w->lvl * (w->tau[w->j] - w->prev);
-    w->prev = w->tau[w->j];
+    return w->tau[w->j] * w->scale;
+}
+
+/* Passes switch j, which is at time t. */
+static inline void
+pass_switch(Walk *w, double t)
+{
+    w->acc = w->acc + w->lvl * (t - w->prev);
+    w->prev = t;
     w->lvl = 1.0 - w->lvl;
     w->j++;
 }
@@ -170,8 +188,9 @@ pass_switch(Walk *w)
 static inline void
 advance(Walk *w, double t)
 {
-    while (w->j < w->k && w->tau[w->j] <= t)
-        pass_switch(w);
+    double s;
+    while (w->j < w->k && (s = next_switch(w)) <= t)
+        pass_switch(w, s);
 }
 
 /* Passes the switches at or before t and returns the dwell time in [0, t]. */
@@ -362,7 +381,10 @@ add_row(const Batch *b, const GridIndex *gx, Py_ssize_t i, double v, double *d)
     Walk walk = walk_row(b, i);
     Py_ssize_t g0 = 0;
     for (;;) {
-        Py_ssize_t g1 = walk.j < walk.k ? stretch_start(gx, g0, walk.tau[walk.j]) : m;
+        /* the stretch ends at the next switch, at time s, or at the grid's end */
+        const int more = walk.j < walk.k;
+        const double s = more ? next_switch(&walk) : 0.0;
+        const Py_ssize_t g1 = more ? stretch_start(gx, g0, s) : m;
         if (g1 > g0) {
             const int high = walk.lvl != 0.0;
             double re, im;
@@ -383,12 +405,12 @@ add_row(const Batch *b, const GridIndex *gx, Py_ssize_t i, double v, double *d)
         }
         if (g1 == m)
             return;
-        pass_switch(&walk);
+        pass_switch(&walk, s);
         g0 = g1;
     }
 }
 
-/* Takes (levels, switch_times, t_grid, v, out) and adds every row's
+/* Takes (levels, switch_times, t_grid, scale, v, out) and adds every row's
    stretch terms to the difference arrays in out, float64 (N_SUMS, m + 1),
    which the caller zeroes. */
 static PyObject *
@@ -398,9 +420,9 @@ block_sums(PyObject *self, PyObject *args)
     Views vs = {.held = 0};
     Batch b;
     Py_buffer *out;
-    double v;
-    if (!PyArg_ParseTuple(args, "OOOdO", &o[0], &o[1], &o[2], &v, &o[3])
-        || batch_views(&b, &vs, o[0], o[1], o[2]) < 0
+    double scale, v;
+    if (!PyArg_ParseTuple(args, "OOOddO", &o[0], &o[1], &o[2], &scale, &v, &o[3])
+        || batch_views(&b, &vs, o[0], o[1], o[2], scale) < 0
         || !(out = view(&vs, o[3], 2, sizeof(double), 1, "out"))) {
         release(&vs);
         return NULL;
@@ -462,19 +484,16 @@ typedef struct {
     uint32_t k0, k1;
     uint64_t start;
     Py_ssize_t epochs;
-    double scale, horizon;
     const double *cdf;
 } Stream;
 
 /* Samples trajectory start + i: returns its level bit and appends its
-   switch times to times[*used...] while they fit in cap, counting them in
+   epoch times to times[*used...] while they fit in cap, counting them in
    *count.  Epoch e's draw 0 gives, from words 0 and 1, the count N by
    inversion against the table (whose last entry is 1.0 > u, so N <
    MAX_TABLE), and the first uniform from words 2 and 3; draws 1, 2, ...
    give two more uniforms each.  Sorted, the N uniforms u give the times
-   (e + u) * scale.  The level is the low bit of word 1 of epoch 0's draw
-   0.  The first time past the horizon ends the row: every later time is
-   larger, and only the last epoch reaches past the horizon. */
+   (double)e + u.  The level is the low bit of word 1 of epoch 0's draw 0. */
 static unsigned char
 sample_row(const Stream *s, Py_ssize_t i, double *times, Py_ssize_t *used, Py_ssize_t cap,
            Py_ssize_t *count)
@@ -513,11 +532,8 @@ sample_row(const Stream *s, Py_ssize_t i, double *times, Py_ssize_t *used, Py_ss
             u[q] = x;
         }
         for (int p = 0; p < n; p++) {
-            const double t = ((double)e + u[p]) * s->scale;
-            if (t > s->horizon)
-                return level;
             if (*used < cap)
-                times[*used] = t;
+                times[*used] = (double)e + u[p];
             ++*used;
             ++*count;
         }
@@ -537,7 +553,7 @@ to_uint64(PyObject *obj, void *out)
     return 1;
 }
 
-/* Moves the n rows of counts[i] switch times that lie back to back at the
+/* Moves the n rows of counts[i] times that lie back to back at the
    front of times, used in all, to their places in the (n, k) rows and pads
    each with +inf: from the last row down, which never overwrites a row
    not yet moved. */
@@ -552,12 +568,12 @@ pad_rows(double *times, const Py_ssize_t *counts, Py_ssize_t n, Py_ssize_t k, Py
     }
 }
 
-/* Takes (seed, start, epochs, scale, horizon, cdf, levels, counts, times):
-   samples the trajectories start to start + n - 1 (n = len(levels)) under
-   the 64-bit seed into levels (uint8) and counts (intp), and returns the
-   widest row's count k.  If n * k <= len(times), it also writes the (n, k)
-   switch times, padded with +inf, row by row into the front of times
-   (float64): the rows go there back to back first (pad_rows). */
+/* Takes (seed, start, epochs, cdf, levels, counts, times): samples the
+   trajectories start to start + n - 1 (n = len(levels)) under the 64-bit
+   seed into levels (uint8) and counts (intp), and returns the widest row's
+   count k.  If n * k <= len(times), it also writes the (n, k) epoch times,
+   padded with +inf, row by row into the front of times (float64): the rows
+   go there back to back first (pad_rows). */
 static PyObject *
 sample(PyObject *self, PyObject *args)
 {
@@ -566,8 +582,8 @@ sample(PyObject *self, PyObject *args)
     Stream s;
     Views vs = {.held = 0};
     Py_buffer *cdf, *lv, *cv, *tv;
-    if (!PyArg_ParseTuple(args, "O&O&nddOOOO", to_uint64, &seed, to_uint64, &start, &s.epochs,
-                          &s.scale, &s.horizon, &o[0], &o[1], &o[2], &o[3])
+    if (!PyArg_ParseTuple(args, "O&O&nOOOO", to_uint64, &seed, to_uint64, &start, &s.epochs,
+                          &o[0], &o[1], &o[2], &o[3])
         || !(cdf = view(&vs, o[0], 1, sizeof(double), 0, "cdf"))
         || !(lv = view(&vs, o[1], 1, 1, 1, "levels"))
         || !(cv = view(&vs, o[2], 1, sizeof(Py_ssize_t), 1, "counts"))
@@ -598,71 +614,6 @@ sample(PyObject *self, PyObject *args)
     for (Py_ssize_t i = 0; i < n; i++) {
         levels[i] = sample_row(&s, i, times, &used, cap, &counts[i]);
         k = counts[i] > k ? counts[i] : k;
-    }
-    if (n > 0 && k <= cap / n)
-        pad_rows(times, counts, n, k, used);
-    Py_END_ALLOW_THREADS
-    release(&vs);
-    return PyLong_FromSsize_t(k);
-}
-
-/* Takes (x, scale, horizon, counts, times): x is (n, w) float64, each row
-   the epoch times x = e + u of one trajectory, sorted and padded with
-   +inf, as sample draws them at scale 1 without a cut.  Row i's switch
-   times at epoch length scale are x * scale up to the last at or before
-   the horizon: writes their number to counts (intp) and returns the
-   widest row's count k.  If n * k <= len(times), it also writes the (n, k)
-   switch times, padded with +inf, row by row into the front of times
-   (float64), as sample lays out its rows.  Each time is one product of
-   x = (double)e + u and scale, the rounding of sample's ((double)e + u) *
-   scale, and rounding is monotone in x: where x holds every epoch that
-   starts at or before the horizon, the rows are sample's at that scale,
-   bit for bit.  A row costs the times it keeps.  times may be x's own
-   memory: a time is written back to back at or before the place it was
-   read from, since row i starts at i * w. */
-static PyObject *
-scale_epochs(PyObject *self, PyObject *args)
-{
-    PyObject *o[3];
-    double scale, horizon;
-    Views vs = {.held = 0};
-    Py_buffer *xv, *cv, *tv;
-    if (!PyArg_ParseTuple(args, "OddOO", &o[0], &scale, &horizon, &o[1], &o[2])
-        || !(xv = view(&vs, o[0], 2, sizeof(double), 0, "x"))
-        || !(cv = view(&vs, o[1], 1, sizeof(Py_ssize_t), 1, "counts"))
-        || !(tv = view(&vs, o[2], 1, sizeof(double), 1, "times"))) {
-        release(&vs);
-        return NULL;
-    }
-    const Py_ssize_t n = xv->shape[0], width = xv->shape[1], cap = tv->shape[0];
-    if (cv->shape[0] != n) {
-        shape_error();
-        release(&vs);
-        return NULL;
-    }
-    if (!(scale > 0.0 && scale < Py_HUGE_VAL)) {
-        PyErr_SetString(PyExc_ValueError, "scale must be finite and positive");
-        release(&vs);
-        return NULL;
-    }
-    const double *x = xv->buf;
-    Py_ssize_t *counts = cv->buf, k = 0, used = 0;
-    double *times = tv->buf;
-    Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < n; i++) {
-        /* the times ascend, so the first past the horizon ends the row */
-        const double *row = x + i * width;
-        Py_ssize_t c = 0;
-        for (; c < width; c++) {
-            const double t = row[c] * scale;
-            if (t > horizon)
-                break;
-            if (used + c < cap)
-                times[used + c] = t;
-        }
-        used += c;
-        counts[i] = c;
-        k = c > k ? c : k;
     }
     if (n > 0 && k <= cap / n)
         pad_rows(times, counts, n, k, used);
@@ -846,25 +797,20 @@ float_reprs(PyObject *self, PyObject *arg)
 
 static PyMethodDef methods[] = {
     {"dwell_times", dwell_times, METH_VARARGS,
-     "dwell_times(levels, switch_times, t_grid, out): time at the high level "
-     "in [0, t] per trajectory and grid time, into float64 out."},
+     "dwell_times(levels, switch_times, t_grid, scale, out): time at the high "
+     "level in [0, t] per trajectory and grid time, into float64 out."},
     {"levels_at_times", levels_at_times, METH_VARARGS,
-     "levels_at_times(levels, switch_times, t_grid, out): level bit at each "
-     "grid time per trajectory, into uint8 out."},
+     "levels_at_times(levels, switch_times, t_grid, scale, out): level bit at "
+     "each grid time per trajectory, into uint8 out."},
     {"block_sums", block_sums, METH_VARARGS,
-     "block_sums(levels, switch_times, t_grid, v, out): adds the stretch terms "
-     "of z = exp(-i*v*dwell) shifted by 1 to the (10, m + 1) difference "
+     "block_sums(levels, switch_times, t_grid, scale, v, out): adds the stretch "
+     "terms of z = exp(-i*v*dwell) shifted by 1 to the (10, m + 1) difference "
      "arrays in float64 out, without the (n, m) array."},
     {"sample", sample, METH_VARARGS,
-     "sample(seed, start, epochs, scale, horizon, cdf, levels, counts, times): "
-     "samples the telegraph trajectories into uint8 levels and intp counts and "
+     "sample(seed, start, epochs, cdf, levels, counts, times): draws the epoch "
+     "times of the telegraph trajectories into uint8 levels and intp counts and "
      "returns the widest row's count k; if it fits, writes the +inf-padded "
-     "(n, k) switch times into the front of float64 times."},
-    {"scale_epochs", scale_epochs, METH_VARARGS,
-     "scale_epochs(x, scale, horizon, counts, times): the switch times x * scale "
-     "of sample's epoch times x up to the horizon; writes intp counts and "
-     "returns the widest row's count k; if it fits, writes the +inf-padded "
-     "(n, k) switch times into the front of float64 times."},
+     "(n, k) epoch times into the front of float64 times."},
     {"float_reprs", float_reprs, METH_O,
      "float_reprs(values): the list of repr(float(x)) of the values of a 1-D "
      "float64 buffer, strided or not."},

@@ -1,9 +1,13 @@
 """Pure-numpy implementations of the trajectory-batch kernels.
 
 These mirror the compiled kernels in ``_core.c`` operation for operation.
-``_stretches`` gives, per trajectory and stretch between switches, the
-dwell time up to its start, its start time and its level; the dwell is
-accumulated in switch order (np.cumsum accumulates sequentially).
+The batch kernels take the epoch times x and the epoch length ``scale``;
+``_scaled`` forms the switch times x*scale, cuts them past the last grid
+time, which no output depends on, and trims the padding, so the work
+below is at the width of the switches the grid sees.  ``_stretches``
+gives, per trajectory and stretch between switches, the dwell time up to
+its start, its start time and its level; the dwell is accumulated in
+switch order (np.cumsum accumulates sequentially).
 ``dwell_times`` looks up the stretch of each grid time and uses the
 compiled kernel's operand order.  ``block_sums`` adds each stretch's terms
 to difference arrays at its first grid point and takes them off at its
@@ -15,7 +19,7 @@ complex exp, whose parts are libm's cos and sin, where the compiled kernel
 calls them).  So both backends produce bit-identical output.  ``sample``
 computes the Philox blocks of all trajectories and epochs at once in
 uint64 arithmetic, where each 32x32-bit product is exact, and sorts each
-row's switch times, which orders every epoch as the compiled kernel's sort
+row's epoch times, which orders every epoch as the compiled kernel's sort
 per epoch does.  Each kernel fills the outputs that ``rtdeph._kernels``
 allocates, except ``float_reprs``: Python's own ``repr`` of each value,
 which defines the compiled formatter's output.
@@ -24,6 +28,20 @@ which defines the compiled formatter's output.
 from __future__ import annotations
 
 import numpy as np
+
+
+def _scaled(switch_times, scale, t_grid):
+    """The switch times ``switch_times * scale`` up to the last grid time,
+    padded with +inf to the widest row's count: the compiled walks form the
+    same products and stop at the first switch past the grid."""
+    t = switch_times * scale
+    if not t_grid.size:
+        return t[:, :0]
+    past = t > t_grid[-1]
+    k = int(np.count_nonzero(~past, axis=1).max(initial=0))
+    t = t[:, :k]
+    t[past[:, :k]] = np.inf
+    return t
 
 
 def _switch_counts(switch_times, t_grid):
@@ -64,7 +82,7 @@ def _last_switch(levels, switch_times, t_grid):
     return acc, prev, j.astype(np.float64)
 
 
-def dwell_times(levels, switch_times, t_grid, out):
+def dwell_times(levels, switch_times, t_grid, scale, out):
     """Time spent at the high level in [0, t] per trajectory and grid time.
 
     Parameters
@@ -72,20 +90,24 @@ def dwell_times(levels, switch_times, t_grid, out):
     levels : uint8 array, shape (n,)
         Level bit at t=0 for each trajectory.
     switch_times : float array, shape (n, k)
-        Row i holds its increasing switch times, padded with +inf.
+        Row i holds its increasing switch times over ``scale``, padded
+        with +inf.
     t_grid : float array, shape (m,)
         Ascending query times.
+    scale : float
+        The factor of the switch times, finite and positive.
     out : float array, shape (n, m)
         Filled with the dwell times.
     """
-    acc, prev, lvl = _last_switch(levels, switch_times, t_grid)
+    acc, prev, lvl = _last_switch(levels, _scaled(switch_times, scale, t_grid), t_grid)
     np.add(acc, lvl * (t_grid - prev), out=out)
 
 
-def levels_at_times(levels, switch_times, t_grid, out):
+def levels_at_times(levels, switch_times, t_grid, scale, out):
     """Level bit at each grid time per trajectory (parity of prior switches),
     into the uint8 array ``out`` of shape (n, m)."""
-    out[...] = levels[:, None] ^ (_switch_counts(switch_times, t_grid) & 1)
+    counts = _switch_counts(_scaled(switch_times, scale, t_grid), t_grid)
+    out[...] = levels[:, None] ^ (counts & 1)
 
 
 #: The constants of exp_minus_i, the same as _core.c's (a test holds the
@@ -161,10 +183,11 @@ def _exp_minus_i(theta):
     return re, im
 
 
-def block_sums(levels, switch_times, t_grid, v, out):
+def block_sums(levels, switch_times, t_grid, scale, v, out):
     """Adds the terms of the coherences z = exp(-i*v*dwell) shifted by 1 to
     the difference arrays in ``out``, float64 of shape (10, m + 1) and
-    zeroed by the caller, formed per stretch between switches.
+    zeroed by the caller, formed per stretch between the switches
+    ``switch_times * scale``.
 
     Stretch j of a row runs from its switch j - 1 (or t = 0) to switch j
     and covers the grid points [g0, g1) from the first grid time >= its
@@ -176,6 +199,7 @@ def block_sums(levels, switch_times, t_grid, v, out):
     ``out`` at g0 and their negatives at g1, in row, stretch, start-then-end
     order (np.bincount adds its weights in input order).
     """
+    switch_times = _scaled(switch_times, scale, t_grid)
     n, k = switch_times.shape
     m = t_grid.shape[0]
     acc, prev, bits = _stretches(levels, switch_times)
@@ -227,19 +251,18 @@ def _uniform(a, b):
     return (((a << 20) ^ (b >> 12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def sample(seed, start, epochs, scale, horizon, cdf, levels, counts, times):
+def sample(seed, start, epochs, cdf, levels, counts, times):
     """Samples trajectories ``start`` to ``start + n - 1`` (n = len(levels))
     under the 64-bit ``seed`` into ``levels`` (uint8) and ``counts``
     (intp), and returns the widest row's switch count k.  If n*k <= len(times)
-    it also writes the (n, k) switch times, padded with +inf, row by row
+    it also writes the (n, k) epoch times, padded with +inf, row by row
     into the front of the float64 array ``times``.
 
-    Epochs 0 to ``epochs`` - 1 of length ``scale`` are drawn (see
-    ``rtdeph._kernels.sample``): for each, its count from ``cdf`` and its
-    uniforms, filled in draw order, then the times (e + u)*scale; the times
-    past the horizon are dropped, and the rest sorted per row, which sorts
-    each epoch as the compiled kernel does, since the epochs do not
-    overlap.  Arrays are indexed (row, epoch, draw).
+    Epochs 0 to ``epochs`` - 1 are drawn (see ``rtdeph._kernels.sample``):
+    for each, its count from ``cdf`` and its uniforms, filled in draw order,
+    then the times e + u, sorted per row, which sorts each epoch as the
+    compiled kernel does, since the epochs do not overlap.  Arrays are
+    indexed (row, epoch, draw).
     """
     if not (0 <= seed < 2**64 and 0 <= start < 2**64):
         raise OverflowError("seed and start must be in [0, 2**64)")
@@ -265,29 +288,10 @@ def sample(seed, start, epochs, scale, horizon, cdf, levels, counts, times):
         u[row, epoch, 2 * d - 1] = _uniform(w[0], w[1])
         second = 2 * d < draws[row, epoch]
         u[row[second], epoch[second], 2 * d[second]] = _uniform(w[2], w[3])[second]
-    t = ((np.arange(epochs, dtype=np.float64)[:, None] + u) * scale).reshape(n, -1)
-    t[t > horizon] = np.inf
+    t = (np.arange(epochs, dtype=np.float64)[:, None] + u).reshape(n, -1)
     t.sort(axis=1)
     counts[...] = np.isfinite(t).sum(axis=1)
     k = int(counts.max())
-    if n * k <= times.shape[0]:
-        times[: n * k] = t[:, :k].ravel()
-    return k
-
-
-def scale_epochs(x, scale, horizon, counts, times):
-    """Scales the epoch times ``x`` (n, w), sorted per row and padded with
-    +inf, by ``scale`` and cuts them at the horizon into ``counts`` (intp)
-    and, if n*k <= len(times), the (n, k) switch times padded with +inf,
-    row by row into the front of ``times``; returns the widest row's count
-    k (see ``rtdeph._kernels.scale_epochs``); ``times`` may be the memory
-    of ``x``."""
-    if not 0.0 < scale < np.inf:
-        raise ValueError("scale must be finite and positive")
-    t = x * scale
-    t[t > horizon] = np.inf
-    counts[...] = np.isfinite(t).sum(axis=1)
-    n, k = x.shape[0], int(counts.max(initial=0))
     if n * k <= times.shape[0]:
         times[: n * k] = t[:, :k].ravel()
     return k

@@ -123,6 +123,12 @@ class SweepSpec:
         if not math.isfinite(self.vt_max / self.vt_step):
             raise ValueError(f"vt grid has too many points to count: vt-max / vt-step "
                              f"overflows ({self.vt_max!r} / {self.vt_step!r})")
+        points = self._vt_steps() + 1
+        if points > np.iinfo(np.intp).max // np.dtype(np.float64).itemsize:
+            # numpy indexes an array's bytes with intp: a bound on what one
+            # array can hold, not on memory
+            raise ValueError(f"vt grid has {points:.4g} points, more than one numpy array can "
+                             f"hold: vt-max / vt-step = {self.vt_max!r} / {self.vt_step!r}")
         if self.n_traj < 1:
             raise ValueError(f"n-traj must be >= 1, got {self.n_traj}")
         if not 0 <= self.seed < 2**64:
@@ -143,9 +149,11 @@ class SweepSpec:
         gamma = 0.0 if math.isinf(g) else self.v / g
         return RTParams(v=self.v, gamma=gamma)
 
+    def _vt_steps(self) -> int:
+        return math.floor(self.vt_max / self.vt_step + 1e-9)
+
     def vt_grid(self) -> np.ndarray:
-        n_steps = int(math.floor(self.vt_max / self.vt_step + 1e-9))
-        return self.vt_step * np.arange(n_steps + 1)
+        return self.vt_step * np.arange(self._vt_steps() + 1)
 
     def run_config(self, g: float, t_grid: np.ndarray) -> engine.RunConfig:
         return engine.RunConfig(

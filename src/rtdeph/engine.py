@@ -12,11 +12,11 @@ Ensembles and recovery reports take their trajectories from the block
 stream ``noise.stream``, which reduces each block on its own, on a thread
 pool.  ``run_ensemble`` and ``recovery_report`` take a sequence of
 configs sharing their seed and trajectory count, and one pass serves them
-all: each block is drawn once and each config gets the batch it would
-sample alone, so each result equals its one-config call bit for bit.  The
-configs of a pass share their realizations (common random numbers): their
-Monte Carlo errors are correlated, and per-config checks on them are not
-independent tests.
+all: each block is drawn once and each config reduces its view of the
+draws, with its own epoch length, up to its own last grid time, so each
+result equals its one-config call bit for bit.  The configs of a pass
+share their realizations (common random numbers): their Monte Carlo errors
+are correlated, and per-config checks on them are not independent tests.
 
 For an ensemble one backend call (``_kernels.block_sums``) turns a
 block's switch times into difference arrays of its coherences
@@ -181,8 +181,8 @@ def _fold(configs, couplings, n_threads: int) -> list:
 
 
 def _block_sums(config: RunConfig, batch: noise.TrajectoryBatch) -> np.ndarray:
-    return _kernels.block_sums(batch.levels, batch.switch_times, config.t_grid,
-                               config.system.rt.v)
+    return _kernels.block_sums(batch.levels, batch.times, config.t_grid, config.system.rt.v,
+                               scale=batch.scale)
 
 
 def run_ensemble(configs, n_threads: int = 1) -> list[EnsembleResult]:
@@ -286,7 +286,7 @@ def _revival_sums(v: float, n: int, batch: noise.TrajectoryBatch) -> np.ndarray:
     h = exp(-i*vartheta/2) and |11> by conj(h), so the ratio is
     conj(h)*z*conj(h)."""
     t_n = _TWO_PI * n / v
-    theta = v * _kernels.dwell_times(batch.levels, batch.switch_times, [t_n])[:, 0]
+    theta = v * _kernels.dwell_times(batch.levels, batch.times, [t_n], scale=batch.scale)[:, 0]
     z = np.exp(-1j * theta)
     h_conj = np.conj(np.exp(-0.5j * _correction_phase(theta, n)))
     return np.array([z.sum(), (h_conj * z * h_conj).sum()])

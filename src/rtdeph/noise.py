@@ -18,22 +18,23 @@ compiled kernel and the numpy fallback draw the same bits
 (``_kernels.sample``), and nothing draws from ``numpy.random``.
 
 Every sampled pass goes through one block stream (``stream``): blocks of
-``BLOCK`` consecutive trajectories are sampled and reduced on a thread
-pool, and the reductions come back in block order.  One pass serves every
-coupling of a call: each block is drawn once in epoch units
-(``draw_epochs``) and each coupling scales and cuts those draws to its own
-batch (``sample_batch``), which is the batch it would draw alone (a lone
-coupling is drawn directly).  So the couplings of one pass share their
-trajectories, common random numbers: their Monte Carlo errors are
-correlated, and checks made per coupling are not independent tests.  The
-ensemble, the recovery report and the autocorrelation estimate all fold
-their block results in block order, so memory is bounded by one block's
-draws and one batch per thread, and results do not depend on the thread
-count.
+``BLOCK`` consecutive trajectories are drawn and reduced on a thread pool,
+and the reductions come back in block order.  Each block is drawn once in
+epoch units (``draw_epochs``), for the most epochs any coupling of the
+pass needs, and each coupling's batch is a view of those draws with its
+own epoch length (``sample_batch``): the batch kernels form a switch time
+x*L where they read it and read none past the coupling's horizon.  So the
+couplings of one pass share their trajectories, common random numbers:
+their Monte Carlo errors are correlated, and checks made per coupling are
+not independent tests.  The ensemble, the recovery report and the
+autocorrelation estimate all fold their block results in block order, so
+memory is bounded by one block's draws per thread, and results do not
+depend on the thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -97,27 +98,51 @@ class RTTrajectory:
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    """Batch of trajectories in padded-array form for the kernels.
+    """Batch of trajectories on [0, horizon] in the form the kernels take.
 
-    ``switch_times`` has one row per trajectory, padded with +inf beyond
-    ``counts[i]`` entries.
+    ``levels`` are the level bits at t = 0.  ``times`` has one row per
+    trajectory: its switch times in epoch units, sorted and padded with
+    +inf, possibly past the horizon; switch j of row i is at ``times[i, j]
+    * scale``.  A batch of a pass is a view of the pass's draws
+    (``sample_batch``).  ``switch_times`` and ``counts`` are derived, on
+    first use: the switch times up to the horizon, padded with +inf to the
+    widest row's count, and the count per row.
     """
 
     levels: np.ndarray
-    switch_times: np.ndarray
-    counts: np.ndarray
+    times: np.ndarray
+    scale: float
     horizon: float
 
     @property
     def n(self) -> int:
         return self.levels.shape[0]
 
+    @functools.cached_property
+    def _cut(self):
+        t = self.times * self.scale
+        counts = np.count_nonzero(t <= self.horizon, axis=1)
+        t = t[:, : counts.max(initial=0)].copy()
+        t[t > self.horizon] = np.inf
+        return t, counts
+
+    @property
+    def switch_times(self) -> np.ndarray:
+        """The switch times up to the horizon, one row per trajectory,
+        padded with +inf to the widest row's count."""
+        return self._cut[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The number of switches up to the horizon per row."""
+        return self._cut[1]
+
     def trajectory(self, i: int) -> RTTrajectory:
         """Row ``i`` as a single realization."""
-        c = int(self.counts[i])
+        t = self.times[i] * self.scale
         return RTTrajectory(
             initial_level=int(self.levels[i]),
-            switch_times=self.switch_times[i, :c].copy(),
+            switch_times=t[t <= self.horizon],
             horizon=self.horizon,
         )
 
@@ -156,16 +181,15 @@ def _check_indices(master_seed: int, start_index: int, n: int) -> None:
 
 def draw_epochs(master_seed: int, start_index: int, n: int, epochs: int) -> EpochDraws:
     """The draws of trajectories ``start_index`` to ``start_index + n - 1``
-    for their epochs 0 to ``epochs`` - 1 (``rtdeph._kernels.sample_epochs``)."""
+    for their epochs 0 to ``epochs`` - 1 (``rtdeph._kernels.sample``)."""
     _check_indices(master_seed, start_index, n)
-    levels, x, _ = _kernels.sample_epochs(master_seed, start_index, n, epochs)
+    levels, x = _kernels.sample(master_seed, start_index, n, epochs)
     return EpochDraws(master_seed=master_seed, start_index=start_index, epochs=epochs,
                       levels=levels, epoch_times=x)
 
 
 def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
-                 start_index: int = 0, draws: EpochDraws | None = None,
-                 reuse_draws: bool = False) -> TrajectoryBatch:
+                 start_index: int = 0, draws: EpochDraws | None = None) -> TrajectoryBatch:
     """Sample trajectories ``start_index`` to ``start_index + n - 1``.
 
     Trajectory ``i`` draws only from the counters (i, epoch, draw) of the
@@ -174,29 +198,24 @@ def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
     batches sharing (seed, index) share realizations whatever their ``n``
     or ``start_index``.  A longer horizon extends the same realizations.
 
-    The draws do not depend on ``params``.  ``draws`` passes draws of
-    these trajectories made once for several rates (``draw_epochs``); the
-    switch times are then their epoch times x times the epoch length L, cut
-    at the horizon (``rtdeph._kernels.scale_epochs``), and with
-    ``reuse_draws`` the batch takes over the memory of ``draws``, which
-    must not be used again.  Without ``draws`` the batch is drawn for this
-    rate alone.  Either way it is the same batch, bit for bit.
+    The draws do not depend on ``params``: the batch is a view of ``draws``,
+    made once for several rates (``draw_epochs``), with the epoch length L
+    of this rate, or of draws made here when none are passed.  A static
+    process (gamma = 0) sees no switch time.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+    epochs, scale = _kernels.epoch_grid(params.gamma, horizon)
     if draws is None:
-        _check_indices(master_seed, start_index, n)
-        levels, times, counts = _kernels.sample(master_seed, start_index, n, params.gamma,
-                                                float(horizon))
-        return TrajectoryBatch(levels=levels, switch_times=times, counts=counts,
-                               horizon=horizon)
-    if ((draws.master_seed, draws.start_index, draws.n) != (master_seed, start_index, n)
-            or draws.epochs < _kernels.epoch_grid(params.gamma, horizon)[0]):
+        draws = draw_epochs(master_seed, start_index, n, epochs)
+    elif ((draws.master_seed, draws.start_index, draws.n) != (master_seed, start_index, n)
+            or draws.epochs < epochs):
         raise ValueError("the draws do not hold these trajectories up to the horizon")
-    times, counts = _kernels.scale_epochs(draws.epoch_times, params.gamma, horizon,
-                                          overwrite=reuse_draws)
-    return TrajectoryBatch(levels=draws.levels, switch_times=times, counts=counts,
-                           horizon=horizon)
+    times = draws.epoch_times
+    if params.gamma == 0.0:
+        # no switch at all, and 1.0 stands in for the infinite epoch length
+        times, scale = times[:, :0], 1.0
+    return TrajectoryBatch(levels=draws.levels, times=times, scale=scale, horizon=horizon)
 
 
 def stream(couplings, n: int, master_seed: int, start_index: int = 0, n_threads: int = 1):
@@ -205,33 +224,24 @@ def stream(couplings, n: int, master_seed: int, start_index: int = 0, n_threads:
     (params, horizon, reduce); yielded in block order for the caller to fold.
 
     Block b holds the next ``BLOCK`` trajectories from ``start_index + b*BLOCK``
-    (the last block may be shorter).  With several couplings its draws are
-    made once (``draw_epochs``), for the most epochs any coupling needs,
-    and each coupling in turn samples its batch from them up to its
-    horizon (``sample_batch``) and reduces it, in the order of the epochs
-    they need; the last takes over the draws' memory, so a thread holds one
-    block's draws and one other batch.  Every coupling thus sees the same
-    realizations: their results share their Monte Carlo errors and are not
-    independent.  A lone coupling has nothing to share and samples its
-    batch directly, the same batch.  ``n_threads`` threads map over whole
-    blocks, so the results do not depend on the thread count.
+    (the last block may be shorter).  Its draws are made once
+    (``draw_epochs``), for the most epochs any coupling needs, and each
+    coupling reduces its view of them up to its horizon (``sample_batch``).
+    Every coupling thus sees the same realizations: their results share
+    their Monte Carlo errors and are not independent.  ``n_threads``
+    threads map over whole blocks, so the results do not depend on the
+    thread count.
     """
     couplings = tuple(couplings)
-    spans = [_kernels.epoch_grid(params.gamma, horizon)[0] for params, horizon, _ in couplings]
-    order = sorted(range(len(couplings)), key=spans.__getitem__)
-    last = order[-1]
+    epochs = max((_kernels.epoch_grid(params.gamma, horizon)[0]
+                  for params, horizon, _ in couplings), default=0)
 
     def one_block(start):
         count = min(BLOCK, start_index + n - start)
-        draws = (draw_epochs(master_seed, start, count, spans[last]) if len(couplings) > 1
-                 else None)
-        results = [None] * len(couplings)
-        for j in order:
-            params, horizon, reduce = couplings[j]
-            results[j] = reduce(sample_batch(params, horizon, count, master_seed,
-                                             start_index=start, draws=draws,
-                                             reuse_draws=j == last))
-        return results
+        draws = draw_epochs(master_seed, start, count, epochs)
+        return [reduce(sample_batch(params, horizon, count, master_seed, start_index=start,
+                                    draws=draws))
+                for params, horizon, reduce in couplings]
 
     with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
         yield from pool.map(one_block, range(start_index, start_index + n, BLOCK))
@@ -308,7 +318,8 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed
     sorted_lags = lag_arr[order]
 
     def flips(batch):
-        bits = _kernels.levels_at_times(batch.levels, batch.switch_times, sorted_lags)
+        bits = _kernels.levels_at_times(batch.levels, batch.times, sorted_lags,
+                                        scale=batch.scale)
         return np.count_nonzero(bits != batch.levels[:, None], axis=0)
 
     blocks = stream([(params, horizon, flips)], n_samples, master_seed,

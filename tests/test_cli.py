@@ -472,6 +472,22 @@ def test_uncountable_vt_grid_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("vt_max, vt_step", [("1e300", "1e-5"), ("2.4e18", "2")])
+def test_unindexable_vt_grid_exits_2(tmp_path, capsys, vt_max, vt_step):
+    # a finite point count beyond what one numpy array can hold (2**60
+    # float64 values) is refused before any array is made, with a message
+    # that names the grid and its options, by flag and by config file
+    config = tmp_path / "grid.cfg"
+    config.write_text(f"vt_max = {vt_max}\nvt_step = {vt_step}\n")
+    out = tmp_path / "out.csv"
+    for source in (["--vt-max", vt_max, "--vt-step", vt_step], ["--config", str(config)]):
+        assert cli.main(["--mode", "analytic", "--g", "5", *source, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input: vt grid has" in err and "vt-max / vt-step" in err, err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_invalid_inputs_exit_2():
     assert cli.main(["--mode", "analytic", "--vt-step", "-1"]) == 2
     assert cli.main(["--mode", "analytic", "--g", "0"]) == 2

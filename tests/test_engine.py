@@ -257,10 +257,9 @@ def test_one_pass_shares_its_realizations():
 
 
 def test_one_pass_holds_one_batch_besides_the_draws():
-    # a thread holds one block's draws and one other coupling's batch at a
-    # time (the widest coupling takes over the draws' memory), so four
-    # couplings need no more memory than two, whether their widths spread
-    # or are equal
+    # a thread holds one block's draws, and every coupling's batch is a
+    # view of them, so four couplings need no more memory than the widest
+    # of them alone, whether their widths spread or are equal
     def peak(configs):
         engine.run_ensemble(configs, n_threads=1)
         tracemalloc.start()
@@ -274,10 +273,10 @@ def test_one_pass_holds_one_batch_besides_the_draws():
         return engine.RunConfig(system=system_for(g), t_grid=np.linspace(0.0, 6.0 * math.pi, points),
                                 n_trajectories=2 * noise.BLOCK, master_seed=0)
 
-    spread = [config(g) for g in (0.5, 1.0, 2.0, 5.0)]
-    assert peak(spread) <= 1.25 * peak(spread[:2])
+    spread = [config(g) for g in (0.5, 1.0, 2.0, 5.0)]  # g = 0.5 needs the most epochs
+    assert peak(spread) <= 1.1 * peak(spread[:1])
     equal = [config(0.5, points) for points in (61, 31, 17, 5)]
-    assert peak(equal) <= 1.25 * peak(equal[:2])
+    assert peak(equal) <= 1.1 * peak(equal[:1])
 
 
 def test_one_pass_rejects_configs_that_share_no_trajectories():

@@ -77,7 +77,8 @@ def test_backends_bit_identical(compiled):
 def test_compiled_kernels_reject_mismatched_buffers(compiled):
     batch = make_batch(n=4)
     grid = np.linspace(0.0, 1.0, 3)
-    args = (batch.levels, batch.switch_times, grid)
+    args = (batch.levels, batch.switch_times, grid, 1.0)
+    compiled.dwell_times(*args, np.empty((4, 3)))
     with pytest.raises(ValueError):
         compiled.dwell_times(*args, np.empty((4, 2)))
     with pytest.raises(ValueError):
@@ -86,6 +87,9 @@ def test_compiled_kernels_reject_mismatched_buffers(compiled):
         compiled.dwell_times(batch.levels[:3], *args[1:], np.empty((3, 3)))  # rows differ
     with pytest.raises(ValueError):
         compiled.dwell_times(*args, np.empty((3, 4)).T)  # not C-contiguous
+    for scale in (0.0, -1.0, math.inf, math.nan):  # the wrappers reject these first
+        with pytest.raises(ValueError, match="scale"):
+            compiled.dwell_times(*args[:3], scale, np.empty((4, 3)))
 
 
 def test_padding_ends_each_row(compiled):
@@ -192,6 +196,24 @@ def test_stretch_starts_match_a_binary_search(compiled):
             expected = stretch_sums(*rows, grid, 1.5, _reference.exp_minus_i)
             np.testing.assert_array_equal(_kernels.block_sums(*rows, grid, 1.5, impl=compiled),
                                           expected)
+
+
+def test_batch_kernels_reject_a_bad_scale(impl):
+    # switch j of row i is at switch_times[i, j]*scale: a NaN scale makes
+    # every switch time NaN, which the backends order differently, and a
+    # scale that is not finite and positive describes no batch
+    levels = np.array([0, 1], dtype=np.uint8)
+    switch_times = np.array([[0.5, 1.0], [0.25, np.inf]])
+    grid = np.array([0.0, 1.0, 3.0])
+    for call in (lambda s: _kernels.dwell_times(levels, switch_times, grid, scale=s, impl=impl),
+                 lambda s: _kernels.levels_at_times(levels, switch_times, grid, scale=s,
+                                                    impl=impl),
+                 lambda s: _kernels.block_sums(levels, switch_times, grid, 1.5, scale=s,
+                                               impl=impl)):
+        call(2.0)
+        for scale in (0.0, -0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="scale"):
+                call(scale)
 
 
 @pytest.mark.parametrize("times", [[[0.5, np.nan, 2.0]], [[np.nan, np.nan, np.inf]],
@@ -364,7 +386,7 @@ def test_static_rows_are_segment_times_grid_factor(compiled):
 def test_compiled_sample_rejects_mismatched_buffers(compiled):
     cdf = _kernels._poisson_cdf(_kernels.EPOCH_SWITCHES)
     levels, counts, times = np.empty(4, np.uint8), np.empty(4, np.intp), np.empty(40)
-    args = (3, 0, 2, 8.0, 10.0)
+    args = (3, 0, 2)
     assert compiled.sample(*args, cdf, levels, counts, times) >= 0
     for bad in (
         (cdf, levels, counts[:3], times),  # rows differ
@@ -380,18 +402,20 @@ def test_compiled_sample_rejects_mismatched_buffers(compiled):
         with pytest.raises(ValueError):
             compiled.sample(*args, *bad)
     with pytest.raises(ValueError):
-        compiled.sample(3, 0, -1, 8.0, 10.0, cdf, levels, counts, times)  # negative epochs
+        compiled.sample(3, 0, -1, cdf, levels, counts, times)  # negative epochs
     with pytest.raises(ValueError):
-        compiled.sample(3, 2**64 - 2, 2, 8.0, 10.0, cdf, levels, counts, times)  # index wraps
+        compiled.sample(3, 0, 2**32 + 1, cdf, levels, counts, times)  # past the epoch counter
+    with pytest.raises(ValueError):
+        compiled.sample(3, 2**64 - 2, 2, cdf, levels, counts, times)  # index wraps
     for seed in (2**64, -1):  # never wrapped into 64 bits
         with pytest.raises(OverflowError):
-            compiled.sample(seed, 0, 2, 8.0, 10.0, cdf, levels, counts, times)
+            compiled.sample(seed, 0, 2, cdf, levels, counts, times)
 
 
 def test_compiled_moments_reject_mismatched_buffers(compiled):
     batch = make_batch(n=4)
     grid = np.linspace(0.0, 1.0, 3)
-    args = (batch.levels, batch.switch_times, grid, 1.0)
+    args = (batch.levels, batch.switch_times, grid, 1.0, 1.0)  # scale, v
     compiled.block_sums(*args, np.zeros((10, 4)))
     for bad in (
         np.zeros((9, 4)),  # not 10 difference arrays
@@ -404,6 +428,8 @@ def test_compiled_moments_reject_mismatched_buffers(compiled):
             compiled.block_sums(*args, bad)
     with pytest.raises(ValueError):
         compiled.block_sums(batch.levels[:3], *args[1:], np.zeros((10, 4)))  # rows differ
+    with pytest.raises(ValueError, match="scale"):
+        compiled.block_sums(*args[:3], math.nan, 1.0, np.zeros((10, 4)))
 
 
 def test_dwell_matches_single_trajectory_phase(impl):
@@ -518,12 +544,21 @@ def test_poisson_table_matches_mpmath():
     np.testing.assert_allclose(cdf[:-1], [float(x) for x in exact], rtol=4 * EPS)
 
 
-def sample_both(compiled, seed, start, n, gamma, horizon):
-    pure = _kernels.sample(seed, start, n, gamma, horizon, impl=_reference)
-    fast = _kernels.sample(seed, start, n, gamma, horizon, impl=compiled)
+def sample_both(compiled, seed, start, n, epochs):
+    pure = _kernels.sample(seed, start, n, epochs, impl=_reference)
+    fast = _kernels.sample(seed, start, n, epochs, impl=compiled)
     for a, b in zip(pure, fast):
         assert_same_bits(a, b)
     return pure
+
+
+def cut_rows(x, scale, horizon):
+    """The switch times x*scale up to the horizon, padded with +inf to the
+    widest row's count, and the count per row."""
+    t = x * scale
+    counts = (t <= horizon).sum(axis=1)
+    t = np.where(np.arange(t.shape[1]) < counts[:, None], t, np.inf)
+    return t[:, : counts.max(initial=0)], counts
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -537,9 +572,11 @@ def sample_both(compiled, seed, start, n, gamma, horizon):
 def test_sample_bit_identical_property(compiled, seed, start, n, gamma, horizon):
     # seeds over all 64 bits, indices across the counter's high word, the
     # static limit and horizons of up to 45 epochs: both backends give the
-    # same bytes, and rows agree with the scalar oracle of tests/_oracles.py
-    levels, times, counts = sample_both(compiled, seed, start, n, gamma, horizon)
-    assert times.shape == (n, counts.max())
+    # same bytes, and rows scaled by L and cut at the horizon agree with the
+    # scalar oracle of tests/_oracles.py
+    epochs, scale = _kernels.epoch_grid(gamma, horizon)
+    levels, x = sample_both(compiled, seed, start, n, epochs)
+    times, counts = cut_rows(x, scale, horizon)
     for i in {0, n - 1}:
         level, oracle = telegraph_stream(seed, start + i, gamma, horizon)
         assert levels[i] == level
@@ -547,33 +584,51 @@ def test_sample_bit_identical_property(compiled, seed, start, n, gamma, horizon)
         assert np.all(np.isinf(times[i, counts[i]:]))
 
 
+def test_sample_gives_uncut_sorted_epoch_times(impl):
+    # the times x = e + u of every epoch asked for, sorted per row and
+    # padded with +inf to the widest row, with no cut inside the last epoch
+    levels, x = _kernels.sample(9, 4, 50, 6, impl=impl)
+    counts = np.isfinite(x).sum(axis=1)
+    assert x.shape == (50, counts.max()) and levels.shape == (50,)
+    assert set(levels.tolist()) == {0, 1}
+    for row, count in zip(x, counts):
+        assert np.all(np.diff(row[:count]) > 0.0) and np.all(row[:count] < 6.0)
+        assert np.all(np.isinf(row[count:]))
+    assert (x[np.isfinite(x)] > 5.0).sum() > 100  # the last epoch holds ~4 per row
+    # the epochs are a prefix: more epochs append times to each row
+    _, more = _kernels.sample(9, 4, 50, 7, impl=impl)
+    np.testing.assert_array_equal(np.where(more < 6.0, more, np.inf)[:, : x.shape[1]], x)
+
+
 def test_sample_writes_rows_only_when_they_fit(impl):
     # a kernel returns the widest row's count k and writes the (n, k) rows
     # only into room for them; the wrapper then samples again, the same
     cdf = _kernels._poisson_cdf(_kernels.EPOCH_SWITCHES)
-    levels, times, counts = _kernels.sample(5, 7, 50, 2.0, 12.0)
+    levels, times = _kernels.sample(5, 7, 50, 3)
     k = times.shape[1]
     out = (np.empty(50, np.uint8), np.empty(50, np.intp))
     short = np.full(50 * k - 1, -1.0)
-    assert impl.sample(5, 7, 4, 4.0, 12.0, cdf, *out, short) == k
+    assert impl.sample(5, 7, 3, cdf, *out, short) == k
     np.testing.assert_array_equal(out[0], levels)
-    np.testing.assert_array_equal(out[1], counts)
+    np.testing.assert_array_equal(out[1], np.isfinite(times).sum(axis=1))
     exact = np.full(50 * k + 3, -1.0)
-    assert impl.sample(5, 7, 4, 4.0, 12.0, cdf, *out, exact) == k
+    assert impl.sample(5, 7, 3, cdf, *out, exact) == k
     np.testing.assert_array_equal(exact[: 50 * k].reshape(50, k), times)
     np.testing.assert_array_equal(exact[50 * k:], -1.0)
 
 
 def test_sample_makes_room_for_rows_wider_than_its_guess(monkeypatch):
-    expected = _kernels.sample(5, 7, 50, 2.0, 12.0)
-    monkeypatch.setattr(_kernels, "_row_room", lambda gamma, horizon: 1)
-    for a, b in zip(expected, _kernels.sample(5, 7, 50, 2.0, 12.0)):
+    expected = _kernels.sample(5, 7, 50, 3)
+    monkeypatch.setattr(_kernels, "_row_room", lambda epochs: 1)
+    for a, b in zip(expected, _kernels.sample(5, 7, 50, 3)):
         assert_same_bits(a, b)
 
 
 def test_sample_rejects_more_epochs_than_the_counter_holds():
     with pytest.raises(ValueError, match="epoch"):
-        _kernels.sample(1, 0, 2, 1e10, 1e3)
+        _kernels.epoch_grid(1e10, 1e3)
+    with pytest.raises(ValueError, match="epoch"):
+        noise.sample_batch(noise.RTParams(v=1.0, gamma=1e10), 1e3, 2, 1)
 
 
 def epoch_edges(gamma, horizons):
@@ -589,87 +644,38 @@ def epoch_edges(gamma, horizons):
     seed=st.integers(0, 2**64 - 1),
     start=st.integers(0, 2**40),
     n=st.sampled_from([1, 7, 300]),
-    gammas=st.lists(st.sampled_from([0.0, 0.02, 0.3, 1.0, 2.5, 20.0]), min_size=1, max_size=4),
+    gamma=st.sampled_from([0.0, 0.02, 0.3, 1.0, 2.5, 20.0]),
     horizon=st.floats(0.01, 30.0),
+    m=st.integers(1, 9),
+    v=st.floats(0.05, 20.0),
+    end=st.sampled_from([1.0, 0.999, 0.5]),
 )
-def test_scaled_epochs_are_each_rate_sampled_alone(compiled, seed, start, n, gammas, horizon):
-    # one draw in epoch units, for the most epochs any rate needs, scaled
-    # and cut per rate: the same bytes as that rate's own sampler, on both
-    # backends, also where the horizon is an epoch boundary or one ulp off
-    cases = [(g, h) for g in gammas
-             for h in (epoch_edges(g, [horizon]) if g > 0.0 else [horizon])]
-    # and horizons on a switch time itself, which a cut keeps
-    for g in {g for g in gammas if g > 0.0}:
-        times = _kernels.sample(seed, start, n, g, horizon)[1]
-        cases += [(g, float(t)) for t in times[:, :2].ravel() if np.isfinite(t)][:3]
-    epochs = max(_kernels.epoch_grid(g, h)[0] for g, h in cases)
-    for impl in (_reference, compiled):
-        levels, x, _ = _kernels.sample_epochs(seed, start, n, epochs, impl=impl)
-        for gamma, h in cases:
-            alone = _kernels.sample(seed, start, n, gamma, h, impl=impl)
-            assert_same_bits(levels, alone[0])
-            for overwrite in (False, True):
-                # overwriting takes the draws' memory, so it gets a copy
-                times, counts = _kernels.scale_epochs(x.copy() if overwrite else x, gamma, h,
-                                                      overwrite=overwrite, impl=impl)
-                assert_same_bits(times, alone[1])
-                np.testing.assert_array_equal(counts, alone[2])
-
-
-def test_sample_epochs_are_the_sampler_at_unit_scale_uncut(impl):
-    # epoch units: rate 2*EPOCH_SWITCHES, so L = 1, and no cut
-    levels, x, counts = _kernels.sample_epochs(9, 4, 50, 6, impl=impl)
-    cdf = _kernels._poisson_cdf(_kernels.EPOCH_SWITCHES)
-    out = (np.empty(50, np.uint8), np.empty(50, np.intp), np.empty(50 * 200))
-    k = impl.sample(9, 4, 6, 1.0, math.inf, cdf, *out)
-    assert x.shape == (50, k) and k > 0
-    assert_same_bits(levels, out[0])
-    np.testing.assert_array_equal(counts, out[1])
-    np.testing.assert_array_equal(x, out[2][: 50 * k].reshape(50, k))
-    for row, count in zip(x, counts):
-        assert np.all(np.diff(row[:count]) >= 0.0) and np.all(row[:count] < 6.0)
-        assert np.all(np.isinf(row[count:]))
-
-
-def test_scale_epochs_writes_rows_only_when_they_fit(impl):
-    # as for sample: the widest row's count k always, the (n, k) rows only
-    # where they fit, and into the memory of x itself when asked to
-    _, x, _ = _kernels.sample_epochs(5, 7, 50, 4)
-    times, counts = _kernels.scale_epochs(x, 2.0, 12.0)
-    k = times.shape[1]
-    assert 0 < k < x.shape[1]
-    out = np.empty(50, np.intp)
-    short = np.full(50 * k - 1, -1.0)
-    assert impl.scale_epochs(x, 4.0, 12.0, out, short) == k
-    np.testing.assert_array_equal(out, counts)
-    exact = np.full(50 * k + 3, -1.0)
-    assert impl.scale_epochs(x, 4.0, 12.0, out, exact) == k
-    np.testing.assert_array_equal(exact[: 50 * k].reshape(50, k), times)
-    np.testing.assert_array_equal(exact[50 * k:], -1.0)
-    same = x.copy()
-    assert impl.scale_epochs(same, 4.0, 12.0, out, same.reshape(-1)) == k
-    np.testing.assert_array_equal(same.reshape(-1)[: 50 * k].reshape(50, k), times)
-
-
-def test_scale_epochs_makes_room_for_rows_wider_than_its_guess(monkeypatch):
-    _, x, _ = _kernels.sample_epochs(5, 7, 50, 4)
-    expected = _kernels.scale_epochs(x, 2.0, 12.0)
-    monkeypatch.setattr(_kernels, "_row_room", lambda gamma, horizon: 1)
-    for a, b in zip(expected, _kernels.scale_epochs(x, 2.0, 12.0)):
-        assert_same_bits(a, b)
-
-
-def test_scale_epochs_rejects_bad_arguments(impl):
-    x = np.array([[0.5, 1.5, np.inf], [0.2, np.inf, np.inf]])
-    counts, times = np.empty(2, np.intp), np.empty(6)
-    assert impl.scale_epochs(x, 2.0, 2.0, counts, times) == 1
-    for scale in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="scale"):
-            impl.scale_epochs(x, scale, 2.0, counts, times)
-    if impl is _reference:
-        return
-    for bad in ((x, counts[:1], times), (x, counts.astype(np.int32), times),
-                (x.astype(np.float32), counts, times), (x[:, ::2], counts, times),
-                (x.ravel(), counts, times), (x, counts, times.astype(np.float32))):
-        with pytest.raises(ValueError):
-            impl.scale_epochs(bad[0], 2.0, 2.0, *bad[1:])
+def test_consumers_scale_epoch_times_as_the_cut_rows(compiled, seed, start, n, gamma, horizon,
+                                                     m, v, end):
+    # each batch kernel given the epoch times x of more epochs than the
+    # horizon needs and the epoch length L gives the bytes that the compiled
+    # kernel gives the rows x*L cut at the horizon at scale 1, on both
+    # backends (the numpy kernels cut at the last grid time themselves, so
+    # they are held to the compiled bytes, not to their own): horizons on
+    # an epoch boundary j*L, one ulp to either side and on a sampled switch
+    # time; grids ending at the horizon or before it, with switch times on
+    # grid points; and gamma = 0, which has no switch
+    epochs, scale = _kernels.epoch_grid(gamma, horizon)
+    horizons = [horizon]
+    if gamma > 0.0:
+        horizons = epoch_edges(gamma, horizons)
+        epochs = max(_kernels.epoch_grid(gamma, h)[0] for h in horizons) + 1
+    levels, x = _kernels.sample(seed, start, n, epochs)
+    switches = (x * (scale or 1.0))[np.isfinite(x)]
+    horizons += sorted(switches[switches <= horizon])[:2]
+    for h in horizons:
+        rows, _ = cut_rows(x, scale, h) if gamma > 0.0 else (x, None)
+        on_grid = switches[switches <= end * h][:: max(1, switches.size // 20)]
+        grid = np.unique(np.concatenate([np.linspace(0.0, end * h, m), on_grid]))
+        for kernel, args in ((_kernels.dwell_times, ()), (_kernels.levels_at_times, ()),
+                             (_kernels.block_sums, (v,))):
+            expected = kernel(levels, rows, grid, *args, impl=compiled)
+            assert_same_bits(kernel(levels, rows, grid, *args, impl=_reference), expected)
+            for impl in (_reference, compiled):
+                scaled = kernel(levels, x, grid, *args, scale=scale or 1.0, impl=impl)
+                assert_same_bits(scaled, expected)

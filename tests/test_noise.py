@@ -82,6 +82,40 @@ def test_sample_batch_takes_only_draws_of_its_trajectories():
             noise.sample_batch(params, horizon, n, seed, start_index=start, draws=draws)
 
 
+@pytest.mark.parametrize("gamma, horizon", [(1.0, 15.9), (1.0, 16.0), (2.5, 0.7), (0.3, 40.0),
+                                            (0.0, 5.0)])
+def test_batch_of_a_pass_is_a_view_of_its_draws(gamma, horizon):
+    # a batch holds the draws and its epoch length, not a copy: its switch
+    # times, counts and single trajectories are derived, x*L up to the
+    # horizon padded with +inf to the widest row, as the tracer and the
+    # kernels' callers read them; 16.0 is the end of epoch 1 at gamma 1
+    params = noise.RTParams(v=1.0, gamma=gamma)
+    draws = noise.draw_epochs(3, 10, 40, epochs=6)
+    batch = noise.sample_batch(params, horizon, 40, 3, start_index=10, draws=draws)
+    assert batch.levels is draws.levels and batch.horizon == horizon
+    if gamma == 0.0:
+        assert batch.times.shape == batch.switch_times.shape == (40, 0)
+        np.testing.assert_array_equal(batch.counts, 0)
+        assert batch.trajectory(3).switch_times.size == 0
+        return
+    assert np.shares_memory(batch.times, draws.epoch_times)
+    assert batch.scale == 2.0 * _kernels.EPOCH_SWITCHES / gamma
+    t = draws.epoch_times * batch.scale
+    counts = (t <= horizon).sum(axis=1)
+    k = counts.max()
+    padded = np.full((40, k), np.inf)
+    for i, c in enumerate(counts):
+        padded[i, :c] = t[i, :c]
+    np.testing.assert_array_equal(batch.switch_times, padded)
+    np.testing.assert_array_equal(batch.counts, counts)
+    assert batch.switch_times is batch.switch_times  # computed once
+    for i in (0, 17, 39):
+        np.testing.assert_array_equal(batch.trajectory(i).switch_times, t[i, : counts[i]])
+    # the batch a coupling draws alone, from its own epochs
+    alone = noise.sample_batch(params, horizon, 40, 3, start_index=10)
+    np.testing.assert_array_equal(alone.switch_times, batch.switch_times)
+
+
 def test_sample_batch_keys_streams_by_64_bit_seeds_and_indices():
     # the Philox key is the 64-bit seed and the counter holds a 64-bit index:
     # a seed or an index beyond them is an error, never a silent wrap
@@ -258,8 +292,8 @@ def test_sampling_is_reproducible_per_index(seed, start, n, gamma):
     batch = noise.sample_batch(params, 4.0, n, seed, start_index=start)
     from_zero = noise.sample_batch(params, 4.0, start + n, seed)
     same_rows(batch, noise.TrajectoryBatch(
-        levels=from_zero.levels[start:], switch_times=from_zero.switch_times[start:],
-        counts=from_zero.counts[start:], horizon=4.0))
+        levels=from_zero.levels[start:], times=from_zero.times[start:], scale=from_zero.scale,
+        horizon=4.0))
     same_rows(batch, noise.sample_batch(params, 4.0, n, seed, start_index=start))
     # distinct indices and seeds draw distinct realizations; compared over
     # ~100 switches, since two realizations may both keep one level up to 4.0
