@@ -31,8 +31,8 @@ costs constant work on a uniform grid.  Difference arrays add over
 blocks, and ``column_sums`` turns their total into the column sums of
 (Re z - 1, Im z) and of their squares with one prefix sum and one
 combine with the grid factor per run.  The functions here validate and
-convert the arguments, build the sampler's Poisson table and allocate the
-outputs, which the selected backend fills.
+convert the arguments and allocate the outputs, which the selected backend
+fills; the sampler's Poisson table is built once, at import.
 
 The ten difference arrays, m + 1 entries each, are in this row order:
 level-0 stretches add c - 1 = (c_r - 1, c_i) and the squares of its
@@ -88,6 +88,11 @@ def _poisson_cdf(mu):
     return cdf
 
 
+#: The Poisson(EPOCH_SWITCHES) table of every ``sample`` call, read-only.
+_POISSON_CDF = _poisson_cdf(EPOCH_SWITCHES)
+_POISSON_CDF.flags.writeable = False
+
+
 def epoch_grid(gamma, horizon):
     """The number of epochs that start at or before the horizon and their
     length L = 2*EPOCH_SWITCHES/gamma: (0, 0.0) for gamma = 0, which never
@@ -119,8 +124,8 @@ def sample(master_seed, start, n, epochs, impl=None):
     shorter horizon sees a prefix of the same switches.
     """
     impl = impl or _impl
-    levels, counts = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.intp)
-    args = (master_seed, start, epochs, _poisson_cdf(EPOCH_SWITCHES), levels, counts)
+    levels = np.empty(n, dtype=np.uint8)
+    args = (master_seed, start, epochs, _POISSON_CDF, levels)
     width = _row_room(epochs)
     times = np.empty(n * width)
     k = impl.sample(*args, times)

@@ -14,11 +14,11 @@
  * without forming any coherence.  sample draws the epoch times: each row
  * from its own Philox4x32-10 counters (index, epoch, draw) under the
  * 64-bit seed, a Poisson number of sorted uniforms u per epoch e at
- * x = e + u, into a caller-allocated levels, counts and a flat times
- * buffer that it lays out as the padded (n, k) rows.  They serve every
- * switching rate, each with its own scale.  Apart from the batches,
- * float_reprs writes the shortest round-trip text of float64 values, byte
- * for byte Python's repr (see repr_fast).
+ * x = e + u, into a caller-allocated levels and a flat times buffer that
+ * it lays out as the padded (n, k) rows, keeping the row counts in scratch
+ * of its own.  They serve every switching rate, each with its own scale.
+ * Apart from the batches, float_reprs writes the shortest round-trip text
+ * of float64 values, byte for byte Python's repr (see repr_fast).
  * rtdeph._kernels validates and converts the arguments, builds the Poisson
  * table, allocates the outputs and finishes the difference arrays into
  * column sums.  The batch loops run with the GIL released.
@@ -56,7 +56,7 @@
 #endif
 
 /* The buffers one call holds: at most a batch of three and an output, or
-   sample's table and three outputs. */
+   sample's table and two outputs. */
 enum { MAX_VIEWS = 4 };
 
 typedef struct {
@@ -568,35 +568,30 @@ pad_rows(double *times, const Py_ssize_t *counts, Py_ssize_t n, Py_ssize_t k, Py
     }
 }
 
-/* Takes (seed, start, epochs, cdf, levels, counts, times): samples the
+/* Takes (seed, start, epochs, cdf, levels, times): samples the
    trajectories start to start + n - 1 (n = len(levels)) under the 64-bit
-   seed into levels (uint8) and counts (intp), and returns the widest row's
-   count k.  If n * k <= len(times), it also writes the (n, k) epoch times,
-   padded with +inf, row by row into the front of times (float64): the rows
-   go there back to back first (pad_rows). */
+   seed into levels (uint8), and returns the widest row's count k.  If
+   n * k <= len(times), it also writes the (n, k) epoch times, padded with
+   +inf, row by row into the front of times (float64): the rows go there
+   back to back first, and their counts, kept in scratch of its own, place
+   them (pad_rows). */
 static PyObject *
 sample(PyObject *self, PyObject *args)
 {
-    PyObject *o[4];
+    PyObject *o[3];
     unsigned long long seed, start;
     Stream s;
     Views vs = {.held = 0};
-    Py_buffer *cdf, *lv, *cv, *tv;
-    if (!PyArg_ParseTuple(args, "O&O&nOOOO", to_uint64, &seed, to_uint64, &start, &s.epochs,
-                          &o[0], &o[1], &o[2], &o[3])
+    Py_buffer *cdf, *lv, *tv;
+    if (!PyArg_ParseTuple(args, "O&O&nOOO", to_uint64, &seed, to_uint64, &start, &s.epochs,
+                          &o[0], &o[1], &o[2])
         || !(cdf = view(&vs, o[0], 1, sizeof(double), 0, "cdf"))
         || !(lv = view(&vs, o[1], 1, 1, 1, "levels"))
-        || !(cv = view(&vs, o[2], 1, sizeof(Py_ssize_t), 1, "counts"))
-        || !(tv = view(&vs, o[3], 1, sizeof(double), 1, "times"))) {
+        || !(tv = view(&vs, o[2], 1, sizeof(double), 1, "times"))) {
         release(&vs);
         return NULL;
     }
     const Py_ssize_t n = lv->shape[0], cap = tv->shape[0], table = cdf->shape[0];
-    if (cv->shape[0] != n) {
-        shape_error();
-        release(&vs);
-        return NULL;
-    }
     s.cdf = cdf->buf;
     if (table < 1 || table > MAX_TABLE || s.cdf[table - 1] != 1.0 || s.epochs < 0
         || s.epochs > (Py_ssize_t)1 << 32 || (n > 0 && start + (uint64_t)(n - 1) < start)) {
@@ -608,8 +603,12 @@ sample(PyObject *self, PyObject *args)
     s.k1 = (uint32_t)(seed >> 32);
     s.start = start;
     unsigned char *levels = lv->buf;
-    Py_ssize_t *counts = cv->buf, k = 0, used = 0;
+    Py_ssize_t *counts = PyMem_RawMalloc(n * sizeof(Py_ssize_t)), k = 0, used = 0;
     double *times = tv->buf;
+    if (!counts) {
+        release(&vs);
+        return PyErr_NoMemory();
+    }
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < n; i++) {
         levels[i] = sample_row(&s, i, times, &used, cap, &counts[i]);
@@ -618,6 +617,7 @@ sample(PyObject *self, PyObject *args)
     if (n > 0 && k <= cap / n)
         pad_rows(times, counts, n, k, used);
     Py_END_ALLOW_THREADS
+    PyMem_RawFree(counts);
     release(&vs);
     return PyLong_FromSsize_t(k);
 }
@@ -807,9 +807,9 @@ static PyMethodDef methods[] = {
      "terms of z = exp(-i*v*dwell) shifted by 1 to the (10, m + 1) difference "
      "arrays in float64 out, without the (n, m) array."},
     {"sample", sample, METH_VARARGS,
-     "sample(seed, start, epochs, cdf, levels, counts, times): draws the epoch "
-     "times of the telegraph trajectories into uint8 levels and intp counts and "
-     "returns the widest row's count k; if it fits, writes the +inf-padded "
+     "sample(seed, start, epochs, cdf, levels, times): draws the epoch times "
+     "of the telegraph trajectories, with their level bits into uint8 levels, "
+     "and returns the widest row's count k; if it fits, writes the +inf-padded "
      "(n, k) epoch times into the front of float64 times."},
     {"float_reprs", float_reprs, METH_O,
      "float_reprs(values): the list of repr(float(x)) of the values of a 1-D "

@@ -2,27 +2,30 @@
 
 These mirror the compiled kernels in ``_core.c`` operation for operation.
 The batch kernels take the epoch times x and the epoch length ``scale``;
-``_scaled`` forms the switch times x*scale, cuts them past the last grid
+``cut`` forms the switch times x*scale, cuts them past the last grid
 time, which no output depends on, and trims the padding, so the work
-below is at the width of the switches the grid sees.  ``_stretches``
-gives, per trajectory and stretch between switches, the dwell time up to
-its start, its start time and its level; the dwell is accumulated in
-switch order (np.cumsum accumulates sequentially).
-``dwell_times`` looks up the stretch of each grid time and uses the
-compiled kernel's operand order.  ``block_sums`` adds each stretch's terms
-to difference arrays at its first grid point and takes them off at its
-end, in the compiled kernel's row and stretch order; np.searchsorted finds
-the first grid point of each stretch that the compiled kernel's grid index
-finds.  Each stretch factor comes from ``exp_minus_i``, which repeats the
-compiled kernel's exp(-i*phase) in IEEE + and * (and falls back to numpy's
-complex exp, whose parts are libm's cos and sin, where the compiled kernel
-calls them).  So both backends produce bit-identical output.  ``sample``
+below is at the width of the switches the grid sees.  The same ``cut``,
+at the horizon, gives ``noise.TrajectoryBatch`` its switch times, counts
+and single trajectories.  ``_stretches`` gives, per trajectory and
+stretch between switches, the dwell time up to its start, its start time
+and its level; the dwell is accumulated in switch order (np.cumsum
+accumulates sequentially).  ``dwell_times`` looks up the stretch of each
+grid time and uses the compiled kernel's operand order.  ``block_sums``
+adds each stretch's terms to difference arrays at its first grid point
+and takes them off at its end, in the compiled kernel's row and stretch
+order; np.searchsorted finds the first grid point of each stretch that
+the compiled kernel's grid index finds.  Each stretch factor comes from
+``exp_minus_i``, which repeats the compiled kernel's exp(-i*phase) in
+IEEE + and * (and falls back to numpy's complex exp, whose parts are
+libm's cos and sin, where the compiled kernel calls them).  So both
+backends produce bit-identical output.  ``sample``
 computes the Philox blocks of all trajectories and epochs at once in
 uint64 arithmetic, where each 32x32-bit product is exact, and sorts each
 row's epoch times, which orders every epoch as the compiled kernel's sort
-per epoch does.  Each kernel fills the outputs that ``rtdeph._kernels``
-allocates, except ``float_reprs``: Python's own ``repr`` of each value,
-which defines the compiled formatter's output.
+per epoch does; its row counts stay local.  Each kernel fills the
+outputs that ``rtdeph._kernels`` allocates, except ``float_reprs``:
+Python's own ``repr`` of each value, which defines the compiled
+formatter's output.
 """
 
 from __future__ import annotations
@@ -30,18 +33,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def _scaled(switch_times, scale, t_grid):
-    """The switch times ``switch_times * scale`` up to the last grid time,
-    padded with +inf to the widest row's count: the compiled walks form the
-    same products and stop at the first switch past the grid."""
+def cut(switch_times, scale, end):
+    """The switch times ``switch_times * scale`` up to ``end``, padded with
+    +inf to the widest row's count, and the count per row.  The compiled
+    walks form the same products and stop at the first switch past their
+    last grid time."""
     t = switch_times * scale
-    if not t_grid.size:
-        return t[:, :0]
-    past = t > t_grid[-1]
-    k = int(np.count_nonzero(~past, axis=1).max(initial=0))
-    t = t[:, :k]
-    t[past[:, :k]] = np.inf
-    return t
+    past = t > end
+    counts = np.count_nonzero(~past, axis=1)
+    k = int(counts.max(initial=0))
+    return np.where(past[:, :k], np.inf, t[:, :k]), counts
 
 
 def _switch_counts(switch_times, t_grid):
@@ -99,14 +100,16 @@ def dwell_times(levels, switch_times, t_grid, scale, out):
     out : float array, shape (n, m)
         Filled with the dwell times.
     """
-    acc, prev, lvl = _last_switch(levels, _scaled(switch_times, scale, t_grid), t_grid)
+    switch_times, _ = cut(switch_times, scale, t_grid.max(initial=-np.inf))
+    acc, prev, lvl = _last_switch(levels, switch_times, t_grid)
     np.add(acc, lvl * (t_grid - prev), out=out)
 
 
 def levels_at_times(levels, switch_times, t_grid, scale, out):
     """Level bit at each grid time per trajectory (parity of prior switches),
     into the uint8 array ``out`` of shape (n, m)."""
-    counts = _switch_counts(_scaled(switch_times, scale, t_grid), t_grid)
+    switch_times, _ = cut(switch_times, scale, t_grid.max(initial=-np.inf))
+    counts = _switch_counts(switch_times, t_grid)
     out[...] = levels[:, None] ^ (counts & 1)
 
 
@@ -199,7 +202,7 @@ def block_sums(levels, switch_times, t_grid, scale, v, out):
     ``out`` at g0 and their negatives at g1, in row, stretch, start-then-end
     order (np.bincount adds its weights in input order).
     """
-    switch_times = _scaled(switch_times, scale, t_grid)
+    switch_times, _ = cut(switch_times, scale, t_grid.max(initial=-np.inf))
     n, k = switch_times.shape
     m = t_grid.shape[0]
     acc, prev, bits = _stretches(levels, switch_times)
@@ -251,12 +254,12 @@ def _uniform(a, b):
     return (((a << 20) ^ (b >> 12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def sample(seed, start, epochs, cdf, levels, counts, times):
+def sample(seed, start, epochs, cdf, levels, times):
     """Samples trajectories ``start`` to ``start + n - 1`` (n = len(levels))
-    under the 64-bit ``seed`` into ``levels`` (uint8) and ``counts``
-    (intp), and returns the widest row's switch count k.  If n*k <= len(times)
-    it also writes the (n, k) epoch times, padded with +inf, row by row
-    into the front of the float64 array ``times``.
+    under the 64-bit ``seed`` into ``levels`` (uint8), and returns the
+    widest row's switch count k.  If n*k <= len(times) it also writes the
+    (n, k) epoch times, padded with +inf, row by row into the front of the
+    float64 array ``times``.
 
     Epochs 0 to ``epochs`` - 1 are drawn (see ``rtdeph._kernels.sample``):
     for each, its count from ``cdf`` and its uniforms, filled in draw order,
@@ -273,7 +276,6 @@ def sample(seed, start, epochs, cdf, levels, counts, times):
     w = philox(lo, hi, e, np.zeros_like(e), seed)
     levels[...] = w[1][:, 0] & 1
     if epochs == 0:
-        counts[...] = 0
         return 0
     draws = np.searchsorted(cdf, _uniform(w[0], w[1]), side="right")
     width = int(draws.max())
@@ -290,8 +292,7 @@ def sample(seed, start, epochs, cdf, levels, counts, times):
         u[row[second], epoch[second], 2 * d[second]] = _uniform(w[2], w[3])[second]
     t = (np.arange(epochs, dtype=np.float64)[:, None] + u).reshape(n, -1)
     t.sort(axis=1)
-    counts[...] = np.isfinite(t).sum(axis=1)
-    k = int(counts.max())
+    k = int(np.isfinite(t).sum(axis=1).max())
     if n * k <= times.shape[0]:
         times[: n * k] = t[:, :k].ravel()
     return k

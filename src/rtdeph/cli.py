@@ -16,11 +16,11 @@ autocorr
     JSON report checking the sampled telegraph autocorrelation against
     exp(-gamma*tau).
 
-Exit codes: 0 success/pass, 1 validation failure, 2 invalid input,
-3 I/O error.  Every option is declared once, in ``_OPTIONS``; the config
-keys of the optional plain-text file of ``key = value`` lines are exactly
-the flag names (``vt_max`` or ``vt-max`` for ``--vt-max``), parsed alike,
-and flags override them.
+Exit codes: 0 success/pass, 1 validation failure, 2 invalid input or a
+run whose memory cannot be allocated, 3 I/O error.  Every option is
+declared once, in ``_OPTIONS``; the config keys of the optional plain-text
+file of ``key = value`` lines are exactly the flag names (``vt_max`` or
+``vt-max`` for ``--vt-max``), parsed alike, and flags override them.
 """
 
 from __future__ import annotations
@@ -329,6 +329,7 @@ def build_compare_report(spec: SweepSpec, results: dict[float, engine.EnsembleRe
     per_point = []
     per_g = []
     for g, result in results.items():
+        g_text = _fmt_g(g)
         q_ref = np.atleast_1d(analytic.coherence_factor(spec.rt_params(g), result.t_grid))
         dev = result.q_mean - q_ref
         within = ((np.abs(dev.real) <= COMPARE_SE_MULTIPLE * result.q_se_re)
@@ -337,7 +338,7 @@ def build_compare_report(spec: SweepSpec, results: dict[float, engine.EnsembleRe
         g_max = float(np.max(np.hypot(dev.real, dev.imag), initial=0.0))
         frac = int(np.count_nonzero(within)) / result.t_grid.size
         per_g.append({
-            "g": _fmt_g(g),
+            "g": g_text,
             "max_abs_dev": g_max,
             "fraction_within_band": frac,
             "pass": bool(frac >= COMPARE_MIN_FRACTION and g_max < COMPARE_MAX_ABS_DEV),
@@ -350,7 +351,7 @@ def build_compare_report(spec: SweepSpec, results: dict[float, engine.EnsembleRe
             "within_band": within,
         }
         rows = zip(*(column.tolist() for column in columns.values()))
-        per_point.extend({"g": _fmt_g(g), **dict(zip(columns, row))} for row in rows)
+        per_point.extend({"g": g_text, **dict(zip(columns, row))} for row in rows)
     return {
         "params": _spec_metadata(spec),
         "max_abs_dev": max((entry["max_abs_dev"] for entry in per_g), default=0.0),
@@ -490,6 +491,9 @@ def main(argv=None) -> int:
         return run(spec)
     except ValueError as exc:
         print(f"rtdeph: invalid input: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"rtdeph: cannot allocate memory for this run: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         target = getattr(exc, "filename", None) or spec.out

@@ -10,13 +10,14 @@ the Monte Carlo estimate of the analytic coherence factor.
 
 Ensembles and recovery reports take their trajectories from the block
 stream ``noise.stream``, which reduces each block on its own, on a thread
-pool.  ``run_ensemble`` and ``recovery_report`` take a sequence of
-configs sharing their seed and trajectory count, and one pass serves them
-all: each block is drawn once and each config reduces its view of the
-draws, with its own epoch length, up to its own last grid time, so each
-result equals its one-config call bit for bit.  The configs of a pass
-share their realizations (common random numbers): their Monte Carlo errors
-are correlated, and per-config checks on them are not independent tests.
+pool, and adds the block results in block order.  ``run_ensemble`` and
+``recovery_report`` take a sequence of configs sharing their seed and
+trajectory count, and one pass serves them all: each block is drawn once
+and each config reduces its view of the draws, with its own epoch length,
+up to its own last grid time, so each result equals its one-config call
+bit for bit.  The configs of a pass share their realizations (common
+random numbers): their Monte Carlo errors are correlated, and per-config
+checks on them are not independent tests.
 
 For an ensemble one backend call (``_kernels.block_sums``) turns a
 block's switch times into difference arrays of its coherences
@@ -168,18 +169,6 @@ def _one_pass(configs) -> tuple:
     return configs
 
 
-def _fold(configs, couplings, n_threads: int) -> list:
-    """Per coupling (params, horizon, reduce), its block results summed in
-    block order, from one pass of ``noise.stream`` over the trajectories
-    that ``configs`` share."""
-    first = configs[0]
-    totals = None
-    for results in noise.stream(couplings, first.n_trajectories, first.master_seed,
-                                n_threads=n_threads):
-        totals = results if totals is None else [a + b for a, b in zip(totals, results)]
-    return totals
-
-
 def _block_sums(config: RunConfig, batch: noise.TrajectoryBatch) -> np.ndarray:
     return _kernels.block_sums(batch.levels, batch.times, config.t_grid, config.system.rt.v,
                                scale=batch.scale)
@@ -201,7 +190,9 @@ def run_ensemble(configs, n_threads: int = 1) -> list[EnsembleResult]:
     configs = _one_pass(configs)
     couplings = [(c.system.rt, float(c.t_grid[-1]), functools.partial(_block_sums, c))
                  for c in configs]
-    return [_ensemble(c, d) for c, d in zip(configs, _fold(configs, couplings, n_threads))]
+    totals = noise.stream(couplings, configs[0].n_trajectories, configs[0].master_seed,
+                          n_threads=n_threads)
+    return [_ensemble(c, d) for c, d in zip(configs, totals)]
 
 
 def _ensemble(config: RunConfig, d: np.ndarray) -> EnsembleResult:
@@ -279,14 +270,15 @@ class RecoveryReport:
 
 
 def _revival_sums(v: float, n: int, batch: noise.TrajectoryBatch) -> np.ndarray:
-    """The sums of the batch's coherences at t_n = 2*pi*n/v, uncorrected
-    and corrected.  The states |00> + z|11> are carried without the common
-    1/sqrt(2); a corrected state's coherence is its |11> over its |00>
-    amplitude.  exp(-i*vartheta/2*sigma_z) on qubit A multiplies |00> by
-    h = exp(-i*vartheta/2) and |11> by conj(h), so the ratio is
+    """The sums of the batch's coherences at its horizon, the revival time
+    t_n = 2*pi*n/v of its coupling, uncorrected and corrected.  The states
+    |00> + z|11> are carried without the common 1/sqrt(2); a corrected
+    state's coherence is its |11> over its |00> amplitude.
+    exp(-i*vartheta/2*sigma_z) on qubit A multiplies |00> by h =
+    exp(-i*vartheta/2) and |11> by conj(h), so the ratio is
     conj(h)*z*conj(h)."""
-    t_n = _TWO_PI * n / v
-    theta = v * _kernels.dwell_times(batch.levels, batch.times, [t_n], scale=batch.scale)[:, 0]
+    theta = v * _kernels.dwell_times(batch.levels, batch.times, [batch.horizon],
+                                     scale=batch.scale)[:, 0]
     z = np.exp(-1j * theta)
     h_conj = np.conj(np.exp(-0.5j * _correction_phase(theta, n)))
     return np.array([z.sum(), (h_conj * z * h_conj).sum()])
@@ -310,8 +302,10 @@ def recovery_report(configs, n: int, n_threads: int = 1) -> list[RecoveryReport]
     configs = _one_pass(configs)
     couplings = [(c.system.rt, _TWO_PI * n / c.system.rt.v,
                   functools.partial(_revival_sums, c.system.rt.v, n)) for c in configs]
+    totals = noise.stream(couplings, configs[0].n_trajectories, configs[0].master_seed,
+                          n_threads=n_threads)
     reports = []
-    for (_, t_n, _), total in zip(couplings, _fold(configs, couplings, n_threads)):
+    for (_, t_n, _), total in zip(couplings, totals):
         before, after = np.minimum(np.abs(total / configs[0].n_trajectories), 1.0)
         reports.append(RecoveryReport(t_n=t_n, revival_index=n,
                                       concurrence_before=float(before),

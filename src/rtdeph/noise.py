@@ -19,17 +19,17 @@ compiled kernel and the numpy fallback draw the same bits
 
 Every sampled pass goes through one block stream (``stream``): blocks of
 ``BLOCK`` consecutive trajectories are drawn and reduced on a thread pool,
-and the reductions come back in block order.  Each block is drawn once in
-epoch units (``draw_epochs``), for the most epochs any coupling of the
-pass needs, and each coupling's batch is a view of those draws with its
-own epoch length (``sample_batch``): the batch kernels form a switch time
-x*L where they read it and read none past the coupling's horizon.  So the
-couplings of one pass share their trajectories, common random numbers:
-their Monte Carlo errors are correlated, and checks made per coupling are
-not independent tests.  The ensemble, the recovery report and the
-autocorrelation estimate all fold their block results in block order, so
-memory is bounded by one block's draws per thread, and results do not
-depend on the thread count.
+and each coupling's reductions are added in block order.  Each block is
+drawn once in epoch units (``draw_epochs``), for the most epochs any
+coupling of the pass needs, and each coupling's batch is a view of those
+draws with its own epoch length (``sample_batch``): the batch kernels form
+a switch time x*L where they read it and read none past the coupling's
+horizon.  So the couplings of one pass share their trajectories, common
+random numbers: their Monte Carlo errors are correlated, and checks made
+per coupling are not independent tests.  The ensemble, the recovery report and the
+autocorrelation estimate all take these block-order totals, so memory is
+bounded by one block's draws per thread, and results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -105,8 +105,9 @@ class TrajectoryBatch:
     +inf, possibly past the horizon; switch j of row i is at ``times[i, j]
     * scale``.  A batch of a pass is a view of the pass's draws
     (``sample_batch``).  ``switch_times`` and ``counts`` are derived, on
-    first use: the switch times up to the horizon, padded with +inf to the
-    widest row's count, and the count per row.
+    first use, by the numpy kernels' own cut (``_kernels._reference.cut``):
+    the switch times up to the horizon, padded with +inf to the widest
+    row's count, and the count per row.
     """
 
     levels: np.ndarray
@@ -120,11 +121,7 @@ class TrajectoryBatch:
 
     @functools.cached_property
     def _cut(self):
-        t = self.times * self.scale
-        counts = np.count_nonzero(t <= self.horizon, axis=1)
-        t = t[:, : counts.max(initial=0)].copy()
-        t[t > self.horizon] = np.inf
-        return t, counts
+        return _kernels._reference.cut(self.times, self.scale, self.horizon)
 
     @property
     def switch_times(self) -> np.ndarray:
@@ -139,12 +136,9 @@ class TrajectoryBatch:
 
     def trajectory(self, i: int) -> RTTrajectory:
         """Row ``i`` as a single realization."""
-        t = self.times[i] * self.scale
-        return RTTrajectory(
-            initial_level=int(self.levels[i]),
-            switch_times=t[t <= self.horizon],
-            horizon=self.horizon,
-        )
+        return RTTrajectory(initial_level=int(self.levels[i]),
+                            switch_times=self.switch_times[i, : self.counts[i]],
+                            horizon=self.horizon)
 
 
 @dataclass(frozen=True)
@@ -218,10 +212,11 @@ def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
     return TrajectoryBatch(levels=draws.levels, times=times, scale=scale, horizon=horizon)
 
 
-def stream(couplings, n: int, master_seed: int, start_index: int = 0, n_threads: int = 1):
-    """For each block of trajectories ``start_index`` to ``start_index + n
-    - 1``, the list of ``reduce(batch)`` over ``couplings``, a sequence of
-    (params, horizon, reduce); yielded in block order for the caller to fold.
+def stream(couplings, n: int, master_seed: int, start_index: int = 0,
+           n_threads: int = 1) -> list:
+    """Per coupling of ``couplings``, a sequence of (params, horizon,
+    reduce), its ``reduce(batch)`` summed over the blocks of trajectories
+    ``start_index`` to ``start_index + n - 1``.
 
     Block b holds the next ``BLOCK`` trajectories from ``start_index + b*BLOCK``
     (the last block may be shorter).  Its draws are made once
@@ -229,9 +224,12 @@ def stream(couplings, n: int, master_seed: int, start_index: int = 0, n_threads:
     coupling reduces its view of them up to its horizon (``sample_batch``).
     Every coupling thus sees the same realizations: their results share
     their Monte Carlo errors and are not independent.  ``n_threads``
-    threads map over whole blocks, so the results do not depend on the
-    thread count.
+    threads map over whole blocks, and each coupling's block results are
+    added in block order, the left fold (b0 + b1) + b2 + ..., so the
+    totals do not depend on the thread count.  The fold adds in place into
+    the first block's result, so a reduce returns a fresh array.
     """
+    _check_indices(master_seed, start_index, n)
     couplings = tuple(couplings)
     epochs = max((_kernels.epoch_grid(params.gamma, horizon)[0]
                   for params, horizon, _ in couplings), default=0)
@@ -244,7 +242,12 @@ def stream(couplings, n: int, master_seed: int, start_index: int = 0, n_threads:
                 for params, horizon, reduce in couplings]
 
     with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
-        yield from pool.map(one_block, range(start_index, start_index + n, BLOCK))
+        blocks = pool.map(one_block, range(start_index, start_index + n, BLOCK))
+        totals = next(blocks)
+        for results in blocks:
+            for total, result in zip(totals, results):
+                total += result
+    return totals
 
 
 def _check_query_time(traj: RTTrajectory, t: float) -> float:
@@ -322,9 +325,8 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed
                                         scale=batch.scale)
         return np.count_nonzero(bits != batch.levels[:, None], axis=0)
 
-    blocks = stream([(params, horizon, flips)], n_samples, master_seed,
-                    start_index=start_index, n_threads=n_threads)
-    counts = sum(block for (block,) in blocks)
+    (counts,) = stream([(params, horizon, flips)], n_samples, master_seed,
+                       start_index=start_index, n_threads=n_threads)
     counts = counts[np.argsort(order, kind="stable")]
     # a product of centered signs is -1 where the level differs from its
     # value at t = 0 and +1 elsewhere, so the products add up to n - 2*flips

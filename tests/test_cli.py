@@ -580,6 +580,26 @@ def test_unwritable_output_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("mode", ["mc", "both", "recovery", "autocorr"])
+def test_unallocatable_run_exits_2(tmp_path, capsys, monkeypatch, mode):
+    # a run whose block draws cannot be allocated (--g 1e-9 at 2048
+    # trajectories up to v*t = 18.85 asks numpy for about 140 TiB) exits 2
+    # with a message, not 1 ("validation failed") with a traceback.  A
+    # stand-in sampler raises as numpy does: an overcommitting kernel could
+    # grant a real request, and the sampler would then write to it
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 140. TiB for an array")
+
+    monkeypatch.setattr(_kernels, "sample", refuse)
+    out = tmp_path / "x"
+    rc = cli.main(["--mode", mode, "--g", "0.5", "--n-traj", "2048", "--threads", "2",
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "rtdeph: cannot allocate memory for this run: Unable to allocate 140. TiB for an array\n")
+    assert not out.exists()
+
+
 def test_stdout_output(capsys):
     rc = cli.main(["--mode", "analytic", "--g", "inf", "--vt-step", "1.0",
                    "--vt-max", "2.0", "--no-timestamp"])

@@ -384,32 +384,30 @@ def test_static_rows_are_segment_times_grid_factor(compiled):
 
 
 def test_compiled_sample_rejects_mismatched_buffers(compiled):
-    cdf = _kernels._poisson_cdf(_kernels.EPOCH_SWITCHES)
-    levels, counts, times = np.empty(4, np.uint8), np.empty(4, np.intp), np.empty(40)
+    cdf = _kernels._POISSON_CDF
+    levels, times = np.empty(4, np.uint8), np.empty(40)
     args = (3, 0, 2)
-    assert compiled.sample(*args, cdf, levels, counts, times) >= 0
+    assert compiled.sample(*args, cdf, levels, times) >= 0
     for bad in (
-        (cdf, levels, counts[:3], times),  # rows differ
-        (cdf, levels, counts.astype(np.int32), times),
-        (cdf, levels.astype(np.int16), counts, times),
-        (cdf, levels, counts, times.astype(np.float32)),
-        (cdf, levels, counts, np.empty((4, 10))),  # not 1-D
-        (cdf, levels, counts, np.empty(80)[::2]),  # not contiguous
-        (cdf[:-1], levels, counts, times),  # the table does not end at 1.0
-        (np.ones(65), levels, counts, times),  # longer than an epoch's buffer
-        (cdf.astype(np.float32), levels, counts, times),
+        (cdf, levels.astype(np.int16), times),
+        (cdf, levels, times.astype(np.float32)),
+        (cdf, levels, np.empty((4, 10))),  # not 1-D
+        (cdf, levels, np.empty(80)[::2]),  # not contiguous
+        (cdf[:-1], levels, times),  # the table does not end at 1.0
+        (np.ones(65), levels, times),  # longer than an epoch's buffer
+        (cdf.astype(np.float32), levels, times),
     ):
         with pytest.raises(ValueError):
             compiled.sample(*args, *bad)
     with pytest.raises(ValueError):
-        compiled.sample(3, 0, -1, cdf, levels, counts, times)  # negative epochs
+        compiled.sample(3, 0, -1, cdf, levels, times)  # negative epochs
     with pytest.raises(ValueError):
-        compiled.sample(3, 0, 2**32 + 1, cdf, levels, counts, times)  # past the epoch counter
+        compiled.sample(3, 0, 2**32 + 1, cdf, levels, times)  # past the epoch counter
     with pytest.raises(ValueError):
-        compiled.sample(3, 2**64 - 2, 2, cdf, levels, counts, times)  # index wraps
+        compiled.sample(3, 2**64 - 2, 2, cdf, levels, times)  # index wraps
     for seed in (2**64, -1):  # never wrapped into 64 bits
         with pytest.raises(OverflowError):
-            compiled.sample(seed, 0, 2, cdf, levels, counts, times)
+            compiled.sample(seed, 0, 2, cdf, levels, times)
 
 
 def test_compiled_moments_reject_mismatched_buffers(compiled):
@@ -542,6 +540,9 @@ def test_poisson_table_matches_mpmath():
         exact = [mp.fsum(mp.exp(-4) * mp.mpf(4) ** j / mp.factorial(j) for j in range(k + 1))
                  for k in range(31)]
     np.testing.assert_allclose(cdf[:-1], [float(x) for x in exact], rtol=4 * EPS)
+    # every sample call shares one table, built at import and read-only
+    np.testing.assert_array_equal(_kernels._POISSON_CDF, cdf)
+    assert not _kernels._POISSON_CDF.flags.writeable
 
 
 def sample_both(compiled, seed, start, n, epochs):
@@ -603,16 +604,15 @@ def test_sample_gives_uncut_sorted_epoch_times(impl):
 def test_sample_writes_rows_only_when_they_fit(impl):
     # a kernel returns the widest row's count k and writes the (n, k) rows
     # only into room for them; the wrapper then samples again, the same
-    cdf = _kernels._poisson_cdf(_kernels.EPOCH_SWITCHES)
+    cdf = _kernels._POISSON_CDF
     levels, times = _kernels.sample(5, 7, 50, 3)
     k = times.shape[1]
-    out = (np.empty(50, np.uint8), np.empty(50, np.intp))
+    out = np.empty(50, np.uint8)
     short = np.full(50 * k - 1, -1.0)
-    assert impl.sample(5, 7, 3, cdf, *out, short) == k
-    np.testing.assert_array_equal(out[0], levels)
-    np.testing.assert_array_equal(out[1], np.isfinite(times).sum(axis=1))
+    assert impl.sample(5, 7, 3, cdf, out, short) == k
+    np.testing.assert_array_equal(out, levels)
     exact = np.full(50 * k + 3, -1.0)
-    assert impl.sample(5, 7, 3, cdf, *out, exact) == k
+    assert impl.sample(5, 7, 3, cdf, out, exact) == k
     np.testing.assert_array_equal(exact[: 50 * k].reshape(50, k), times)
     np.testing.assert_array_equal(exact[50 * k:], -1.0)
 

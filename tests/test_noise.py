@@ -419,6 +419,35 @@ def test_autocorrelation_streams_blocks(monkeypatch, n_threads):
     assert result.estimates[1] == 1.0 and 0.0 < result.estimates[3] < 1.0
 
 
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+def test_stream_adds_block_results_in_block_order(n_threads):
+    # per coupling, the block results of 2*BLOCK + 5 trajectories from index
+    # 9, two full blocks and a partial one, added left to right, (b0 + b1) +
+    # b2, bit for bit at any thread count.  The dwell sums of a full and of
+    # a 5-row block differ in magnitude, so their float total depends on the
+    # order of addition: a fold in reverse order gives other bits
+    grid = np.linspace(0.1, 6.0, 16)
+
+    def dwell_sums(batch):
+        return _kernels.dwell_times(batch.levels, batch.times, grid, scale=batch.scale).sum(axis=0)
+
+    couplings = [(noise.RTParams(v=1.0, gamma=gamma), 6.0, dwell_sums) for gamma in (0.5, 3.0)]
+    n, start, seed = 2 * noise.BLOCK + 5, 9, 41
+    blocks = [[dwell_sums(noise.sample_batch(params, horizon, count, seed, start_index=first))
+               for params, horizon, _ in couplings]
+              for first, count in ((start, noise.BLOCK), (start + noise.BLOCK, noise.BLOCK),
+                                   (start + 2 * noise.BLOCK, 5))]
+    left = [(b0 + b1) + b2 for b0, b1, b2 in zip(*blocks)]
+    reverse = [(b2 + b1) + b0 for b0, b1, b2 in zip(*blocks)]
+    assert all(np.any(a != b) for a, b in zip(left, reverse))
+    totals = noise.stream(couplings, n, seed, start_index=start, n_threads=n_threads)
+    assert len(totals) == len(couplings)
+    for total, expected in zip(totals, left):
+        assert total.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        noise.stream(couplings, 0, seed)
+
+
 def test_autocorrelation_static_process_is_frozen():
     params = noise.RTParams(v=1.0, gamma=0.0)
     result = noise.estimate_autocorrelation(params, [0.5, 2.0], 200, master_seed=3)
