@@ -5,11 +5,11 @@ The batch kernels take the epoch times x and the epoch length ``scale``;
 ``cut`` forms the switch times x*scale, cuts them past the last grid
 time, which no output depends on, and trims the padding, so the work
 below is at the width of the switches the grid sees.  The same ``cut``,
-at the horizon, gives ``noise.TrajectoryBatch`` its switch times, counts
-and single trajectories.  ``_stretches`` gives, per trajectory and
-stretch between switches, the dwell time up to its start, its start time
-and its level; the dwell is accumulated in switch order (np.cumsum
-accumulates sequentially).  ``dwell_times`` looks up the stretch of each
+at the horizon, gives ``noise.TrajectoryBatch`` its switch times and
+counts.  ``_stretches`` gives, per trajectory and stretch between
+switches, the dwell time up to its start, its start time and its level;
+the dwell is accumulated in switch order (np.cumsum accumulates
+sequentially).  ``dwell_times`` looks up the stretch of each
 grid time and uses the compiled kernel's operand order.  ``block_sums``
 adds each stretch's terms to difference arrays at its first grid point
 and takes them off at its end, in the compiled kernel's row and stretch

@@ -135,6 +135,9 @@ class SweepSpec:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "autocorr" and math.inf in self.g:
+            # the static limit has no autocorrelation to estimate
+            raise ValueError("autocorr mode needs a finite g (gamma > 0)")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.revival_n < 1:
@@ -426,8 +429,6 @@ def cmd_autocorr(spec: SweepSpec) -> tuple[str, int]:
     """
     sections = []
     for j, g in enumerate(spec.g):
-        if math.isinf(g):
-            raise ValueError("autocorr mode needs a finite g (gamma > 0)")
         params = spec.rt_params(g)
         lags = (
             np.asarray(spec.lags, dtype=float)

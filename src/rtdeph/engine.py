@@ -1,12 +1,14 @@
-"""Monte Carlo trajectory engine for the dephasing qubit pair.
+"""Monte Carlo ensembles of the dephasing qubit pair and their recovery.
 
-Each telegraph realization evolves the initial Bell state in closed form:
-the Hamiltonian is diagonal per realization, so the state at time t is
-(|00> + exp(-i*theta_tot)|11>)/sqrt(2) with theta_tot the sum of the
-deterministic frequency phase and the noise phase integral.  No time
-stepping, hence no integration error.  Ensembles average the projectors of
-these states; per-trajectory coherences exp(-i * integral of xi) average to
-the Monte Carlo estimate of the analytic coherence factor.
+The Hamiltonian is diagonal in each telegraph realization, so the initial
+Bell state evolves in closed form to (|00> + exp(-i*theta_tot)|11>)/sqrt(2),
+theta_tot being the deterministic frequency phase plus the noise phase
+integral v*dwell.  No time stepping, hence no integration error.  Every
+such state is maximally entangled, so the average entanglement E_av is 1
+and the hidden entanglement is 1 - E_f.  The engine never forms these
+states: the per-trajectory coherences exp(-i*v*dwell) average to the Monte
+Carlo estimate of the analytic coherence factor, from which follow the
+averaged density matrix and its E_f.
 
 Ensembles and recovery reports take their trajectories from the block
 stream ``noise.stream``, which reduces each block on its own, on a thread
@@ -84,12 +86,12 @@ class RunConfig:
 class EnsembleResult:
     """Per-grid-time Monte Carlo estimates and the run metadata.
 
-    ``e_h`` is ``e_av - e_f`` by construction.  ``q_mean`` is the mean of
-    the per-trajectory coherence factors exp(-i * integral of xi); its
-    standard errors are ddof=1 sample deviations over sqrt(n).  Every
-    realization keeps |z| = 1, so every trajectory state is maximally
-    entangled: ``e_av`` is 1, ``e_av_se`` 0 and ``min_trajectory_entropy``
-    1.0 by construction, and the hidden entanglement is 1 - E_f.
+    ``q_mean`` is the mean of the per-trajectory coherence factors
+    exp(-i * integral of xi); its standard errors are ddof=1 sample
+    deviations over sqrt(n).  ``rho`` is the averaged density matrix and
+    ``e_f`` its entanglement of formation.  Every realization keeps
+    |z| = 1, so every trajectory state is maximally entangled, the average
+    entanglement is 1, and the hidden entanglement ``e_h`` is 1 - E_f.
     """
 
     t_grid: np.ndarray
@@ -97,32 +99,12 @@ class EnsembleResult:
     q_mean: np.ndarray
     q_se_re: np.ndarray
     q_se_im: np.ndarray
-    e_av: np.ndarray
-    e_av_se: np.ndarray
     e_f: np.ndarray
     e_f_se: np.ndarray
     e_h: np.ndarray
-    min_trajectory_entropy: float
     n_trajectories: int
     master_seed: int
     system: SystemParams = field(repr=False)
-
-
-def evolve_trajectory(system: SystemParams, traj: noise.RTTrajectory, t: float) -> np.ndarray:
-    """Bell state evolved along one noise realization, in the gauge where the
-    |00> amplitude stays real positive.
-
-    Returns (|00> + exp(-i*theta_tot)|11>)/sqrt(2) with theta_tot =
-    (omega_a + omega_b)*t plus the accumulated noise phase.  Exact: the
-    phase integral comes from the switch times.
-    """
-    theta = (system.omega_a + system.omega_b) * float(t) + noise.accumulated_phase(
-        traj, t, v=system.rt.v
-    )
-    state = np.zeros(4, dtype=complex)
-    state[0] = 1.0
-    state[3] = np.exp(-1j * theta)
-    return state / np.sqrt(2.0)
 
 
 def _correction_phase(theta, n: int):
@@ -180,12 +162,11 @@ def run_ensemble(configs, n_threads: int = 1) -> list[EnsembleResult]:
 
     For each grid time this produces the averaged density matrix, the mean
     coherence with standard errors, the entanglement of formation of the
-    average, the average entanglement over trajectories, and their
-    difference (the hidden entanglement).  The configs share their seed and
-    trajectory count, and one pass over the blocks serves them all: each
-    result equals that of a call with its config alone, bit for bit, and
-    the results share their realizations.  Deterministic given the seed,
-    independent of ``n_threads``.
+    average, and the hidden entanglement 1 - E_f.  The configs share their
+    seed and trajectory count, and one pass over the blocks serves them
+    all: each result equals that of a call with its config alone, bit for
+    bit, and the results share their realizations.  Deterministic given the
+    seed, independent of ``n_threads``.
     """
     configs = _one_pass(configs)
     couplings = [(c.system.rt, float(c.t_grid[-1]), functools.partial(_block_sums, c))
@@ -213,8 +194,6 @@ def _ensemble(config: RunConfig, d: np.ndarray) -> EnsembleResult:
     e_f = states.entanglement_of_formation(concurrence)
     e_f_se = _ef_derivative(concurrence) * se_c
     omega_sum = config.system.omega_a + config.system.omega_b
-    m = config.t_grid.shape[0]
-    e_av = np.ones(m)
 
     return EnsembleResult(
         t_grid=config.t_grid,
@@ -222,41 +201,13 @@ def _ensemble(config: RunConfig, d: np.ndarray) -> EnsembleResult:
         q_mean=q_mean,
         q_se_re=q_se[:, 0],
         q_se_im=q_se[:, 1],
-        e_av=e_av,
-        e_av_se=np.zeros(m),
         e_f=e_f,
         e_f_se=e_f_se,
-        e_h=e_av - e_f,
-        min_trajectory_entropy=1.0,
+        e_h=1.0 - e_f,
         n_trajectories=config.n_trajectories,
         master_seed=config.master_seed,
         system=config.system,
     )
-
-
-def _revival_index(v: float, t_n: float) -> int:
-    """Validate that t_n is a revival time 2*pi*n/v and return n."""
-    ratio = v * float(t_n) / _TWO_PI
-    n = int(round(ratio))
-    if n < 1 or abs(v * float(t_n) - _TWO_PI * n) > 1e-9 * max(1.0, abs(v * float(t_n))):
-        raise ValueError(f"t = {t_n!r} is not a revival time 2*pi*n/v for any n >= 1")
-    return n
-
-
-def recover_trajectory(system: SystemParams, traj: noise.RTTrajectory, t_n: float) -> np.ndarray:
-    """Undo the random phase of one realization at a revival time.
-
-    The leftover noise phase is theta(t_n) = integral of xi - 2*pi*n; the
-    local unitary exp(-i*theta/2*sigma_z) on the noisy qubit cancels it, so
-    the corrected state is maximally entangled again.  Knowing theta
-    requires the realization, which is exactly the classical side
-    information that turns hidden entanglement back into usable
-    entanglement.
-    """
-    n = _revival_index(system.rt.v, t_n)
-    vartheta = _correction_phase(noise.accumulated_phase(traj, t_n, v=system.rt.v), n)
-    state = evolve_trajectory(system, traj, t_n)
-    return states.apply_local_phase(state, vartheta, qubit="A")
 
 
 @dataclass(frozen=True)
@@ -289,13 +240,19 @@ def recovery_report(configs, n: int, n_threads: int = 1) -> list[RecoveryReport]
     without the per-trajectory phase correction, for each config of the
     sequence ``configs``.
 
+    Each config gives its ``system``, ``n_trajectories`` and
+    ``master_seed``; its ``t_grid`` is ignored, the one time being t_n.
     Uses the same trajectory streams and blocks as ``run_ensemble`` for the
     same seed, and like it serves every config from one pass over the
     blocks.  Each block computes the noise phase theta(t_n) once
     (``_kernels.dwell_times``) and sums its uncorrected coherences
-    exp(-i*theta) and its corrected ones, which apply the local unitary of
-    ``recover_trajectory`` to every trajectory state.  The block sums are
-    added in block order, and the ensemble coherences are their means.
+    exp(-i*theta) and its corrected ones.  The correction is the local
+    unitary exp(-i*vartheta/2*sigma_z) on the noisy qubit, with vartheta =
+    theta(t_n) - 2*pi*n the leftover phase of the trajectory, so every
+    corrected state is maximally entangled again.  Knowing vartheta takes
+    the realization: that classical record is what turns hidden
+    entanglement back into usable entanglement.  The block sums are added
+    in block order, and the ensemble coherences are their means.
     """
     if n < 1:
         raise ValueError(f"revival index must be >= 1, got {n}")
@@ -311,20 +268,3 @@ def recovery_report(configs, n: int, n_threads: int = 1) -> list[RecoveryReport]
                                       concurrence_before=float(before),
                                       concurrence_after=float(after)))
     return reports
-
-
-def static_ensemble(system: SystemParams, t: float) -> list[tuple[float, np.ndarray]]:
-    """The two-member trajectory ensemble of the frozen-noise limit.
-
-    With gamma = 0 the noise never switches, so the only realizations are
-    the constant levels 0 and v, each with probability 1/2.
-    """
-    if system.rt.gamma != 0.0:
-        raise ValueError(f"static ensemble requires gamma = 0, got gamma = {system.rt.gamma!r}")
-    t = float(t)
-    horizon = max(t, 0.0)
-    members = []
-    for level in (0, 1):
-        traj = noise.RTTrajectory(initial_level=level, switch_times=np.empty(0), horizon=horizon)
-        members.append((0.5, evolve_trajectory(system, traj, t)))
-    return members

@@ -28,13 +28,15 @@ horizon.  So the couplings of one pass share their trajectories, common
 random numbers: their Monte Carlo errors are correlated, and checks made
 per coupling are not independent tests.  The ensemble, the recovery report and the
 autocorrelation estimate all take these block-order totals, so memory is
-bounded by one block's draws per thread, and results do not depend on the
-thread count.
+bounded by one block's draws and two blocks' results per thread, and
+results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -67,36 +69,6 @@ class RTParams:
 
 
 @dataclass(frozen=True)
-class RTTrajectory:
-    """One realization of the telegraph path on [0, horizon].
-
-    ``initial_level`` is the level bit at t=0 (1 means xi = v) and
-    ``switch_times`` are the strictly increasing times in (0, horizon] at
-    which the level flips.
-    """
-
-    initial_level: int
-    switch_times: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        if self.initial_level not in (0, 1):
-            raise ValueError(f"initial_level must be 0 or 1, got {self.initial_level!r}")
-        if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
-            raise ValueError(f"horizon must be finite and >= 0, got {self.horizon!r}")
-        times = np.asarray(self.switch_times, dtype=float)
-        object.__setattr__(self, "switch_times", times)
-        if times.ndim != 1:
-            raise ValueError("switch_times must be 1-D")
-        if times.size:
-            # written so that a NaN fails each check
-            if not (times[0] > 0.0 and times[-1] <= self.horizon):
-                raise ValueError("switch times must lie in (0, horizon]")
-            if not np.all(np.diff(times) > 0.0):
-                raise ValueError("switch times must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class TrajectoryBatch:
     """Batch of trajectories on [0, horizon] in the form the kernels take.
 
@@ -107,7 +79,8 @@ class TrajectoryBatch:
     (``sample_batch``).  ``switch_times`` and ``counts`` are derived, on
     first use, by the numpy kernels' own cut (``_kernels._reference.cut``):
     the switch times up to the horizon, padded with +inf to the widest
-    row's count, and the count per row.
+    row's count, and the count per row.  No pass reads them, since the
+    kernels take ``times`` and ``scale``; they serve inspection of a batch.
     """
 
     levels: np.ndarray
@@ -133,12 +106,6 @@ class TrajectoryBatch:
     def counts(self) -> np.ndarray:
         """The number of switches up to the horizon per row."""
         return self._cut[1]
-
-    def trajectory(self, i: int) -> RTTrajectory:
-        """Row ``i`` as a single realization."""
-        return RTTrajectory(initial_level=int(self.levels[i]),
-                            switch_times=self.switch_times[i, : self.counts[i]],
-                            horizon=self.horizon)
 
 
 @dataclass(frozen=True)
@@ -224,10 +191,12 @@ def stream(couplings, n: int, master_seed: int, start_index: int = 0,
     coupling reduces its view of them up to its horizon (``sample_batch``).
     Every coupling thus sees the same realizations: their results share
     their Monte Carlo errors and are not independent.  ``n_threads``
-    threads map over whole blocks, and each coupling's block results are
-    added in block order, the left fold (b0 + b1) + b2 + ..., so the
-    totals do not depend on the thread count.  The fold adds in place into
-    the first block's result, so a reduce returns a fresh array.
+    threads map over whole blocks, at most two blocks per thread in
+    flight, so memory does not grow with ``n``.  Each coupling's block
+    results are added in block order as they are collected, the left fold
+    (b0 + b1) + b2 + ..., so the totals do not depend on the thread count.
+    The fold adds in place into the first block's result, so a reduce
+    returns a fresh array.
     """
     _check_indices(master_seed, start_index, n)
     couplings = tuple(couplings)
@@ -241,39 +210,21 @@ def stream(couplings, n: int, master_seed: int, start_index: int = 0,
                                     draws=draws))
                 for params, horizon, reduce in couplings]
 
-    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
-        blocks = pool.map(one_block, range(start_index, start_index + n, BLOCK))
-        totals = next(blocks)
-        for results in blocks:
-            for total, result in zip(totals, results):
-                total += result
+    workers = max(1, n_threads)
+    starts = iter(range(start_index, start_index + n, BLOCK))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = collections.deque(pool.submit(one_block, start)
+                                    for start in itertools.islice(starts, 2 * workers))
+        totals = None
+        while pending:
+            results = pending.popleft().result()
+            pending.extend(pool.submit(one_block, start) for start in itertools.islice(starts, 1))
+            if totals is None:
+                totals = results
+            else:
+                for total, result in zip(totals, results):
+                    total += result
     return totals
-
-
-def _check_query_time(traj: RTTrajectory, t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0 or t > traj.horizon:
-        raise ValueError(f"query time {t!r} outside [0, {traj.horizon!r}]")
-    return t
-
-
-def level_at(traj: RTTrajectory, t: float, v: float = 1.0) -> float:
-    """Noise value at time t: v times the level bit (parity of prior switches)."""
-    t = _check_query_time(traj, t)
-    flips = int(np.searchsorted(traj.switch_times, t, side="right"))
-    return v * (traj.initial_level ^ (flips & 1))
-
-
-def accumulated_phase(traj: RTTrajectory, t: float, v: float = 1.0) -> float:
-    """Integral of the noise over [0, t]: v times the dwell time at the high level.
-
-    Computed exactly from the switch times, with no time-grid error.
-    """
-    t = _check_query_time(traj, t)
-    cuts = np.minimum(np.concatenate([[0.0], traj.switch_times, [np.inf]]), t)
-    seg = np.diff(cuts)
-    lvl = (traj.initial_level ^ (np.arange(seg.size) & 1)).astype(float)
-    return v * float(lvl @ seg)
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,20 @@
-"""Two-qubit states and entanglement measures.
+"""Two-qubit entanglement measures.
 
-States are plain numpy arrays rather than wrapper classes: a pure state is a
-normalized complex 4-vector in the computational basis (|00>, |01>, |10>,
-|11>), a density matrix is a 4x4 Hermitian, unit-trace, positive
-semidefinite complex array, and a weighted ensemble is a sequence of
-``(probability, state)`` pairs.  The ``check_*`` helpers enforce these
-conventions at the API boundary.
+A density matrix is a 4x4 Hermitian, unit-trace, positive semidefinite
+complex array in the computational basis (|00>, |01>, |10>, |11>);
+``check_density_matrix`` enforces this at the API boundary.  The Wootters
+concurrence of such a matrix and the entanglement of formation of a
+concurrence are the package's two measures.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-# Validation tolerances for the state conventions above.
-NORM_ATOL = 1e-12
+# Validation tolerances for the density-matrix convention above.
 HERM_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
-
-#: Tiny negative values of derived entanglement quantities are rounding
-#: artifacts and get clamped to zero.
-CLAMP_ATOL = 1e-9
-
-WeightedEnsemble = Sequence[tuple[float, np.ndarray]]
 
 # sigma_y (x) sigma_y, used in the spin-flip operation of Wootters' formula.
 _SIGMA_YY = np.array(
@@ -35,19 +25,6 @@ _SIGMA_YY = np.array(
         [-1.0, 0.0, 0.0, 0.0],
     ]
 )
-
-
-def check_pure_state(state) -> np.ndarray:
-    """Coerce ``state`` to a complex 4-vector and verify normalization."""
-    vec = np.asarray(state, dtype=complex)
-    if vec.shape != (4,):
-        raise ValueError(f"pure state must be a length-4 vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec.view(float))):
-        raise ValueError("pure state contains non-finite amplitudes")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise ValueError(f"pure state is not normalized: ||state|| = {norm!r}")
-    return vec
 
 
 def check_density_matrix(rho) -> np.ndarray:
@@ -72,34 +49,6 @@ def check_density_matrix(rho) -> np.ndarray:
     if eigmin < -PSD_ATOL:
         raise ValueError(f"density matrix has negative eigenvalue {eigmin!r}")
     return herm
-
-
-def bell_phi_plus() -> np.ndarray:
-    """Maximally entangled state (|00> + |11>)/sqrt(2)."""
-    return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-
-
-def apply_local_phase(state, phase: float, qubit: str = "A") -> np.ndarray:
-    """Apply exp(-i*phase/2 * sigma_z) to one qubit of a two-qubit state.
-
-    ``qubit`` selects the tensor factor, "A" (first) or "B" (second).  The
-    operation is a local unitary, so norm and entanglement are preserved.
-    """
-    vec = check_pure_state(state)
-    if qubit == "A":
-        bits = np.array([0, 0, 1, 1])
-    elif qubit == "B":
-        bits = np.array([0, 1, 0, 1])
-    else:
-        raise ValueError(f"qubit must be 'A' or 'B', got {qubit!r}")
-    sz = 1.0 - 2.0 * bits  # sigma_z eigenvalue per basis index
-    return np.exp(-0.5j * (phase * sz)) * vec
-
-
-def density_of(state) -> np.ndarray:
-    """Rank-1 projector |state><state|."""
-    vec = check_pure_state(state)
-    return np.outer(vec, vec.conj())
 
 
 def binary_entropy(x):
@@ -152,56 +101,3 @@ def entanglement_of_formation(c):
     arr = np.clip(arr, 0.0, 1.0)
     x = 0.5 * (1.0 + np.sqrt(1.0 - arr * arr))
     return binary_entropy(x)
-
-
-def entropy_of_entanglement(state) -> float:
-    """Von Neumann entropy (base 2) of qubit A's reduced state."""
-    vec = check_pure_state(state)
-    psi = vec.reshape(2, 2)
-    rho_a = psi @ psi.conj().T
-    p = float(np.clip(np.linalg.eigvalsh(rho_a)[0], 0.0, 1.0))
-    return binary_entropy(p)
-
-
-def _check_ensemble(ensemble: WeightedEnsemble) -> list[tuple[float, np.ndarray]]:
-    members = [(float(p), check_pure_state(s)) for p, s in ensemble]
-    if not members:
-        raise ValueError("ensemble must have at least one member")
-    probs = np.array([p for p, _ in members])
-    if np.any(probs < -1e-12):
-        raise ValueError("ensemble probabilities must be non-negative")
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"ensemble probabilities sum to {total!r}, expected 1")
-    return members
-
-
-def mixture_density(ensemble: WeightedEnsemble) -> np.ndarray:
-    """Density matrix of the ensemble mixture, sum_i p_i |s_i><s_i|."""
-    members = _check_ensemble(ensemble)
-    rho = np.zeros((4, 4), dtype=complex)
-    for p, s in members:
-        rho += p * np.outer(s, s.conj())
-    return rho
-
-
-def average_entanglement(ensemble: WeightedEnsemble) -> float:
-    """Probability-weighted entropy of entanglement over ensemble members."""
-    members = _check_ensemble(ensemble)
-    return float(sum(p * entropy_of_entanglement(s) for p, s in members))
-
-
-def hidden_entanglement(ensemble: WeightedEnsemble) -> float:
-    """Average entanglement minus the mixture's entanglement of formation.
-
-    This is the entanglement recoverable by local operations given classical
-    knowledge of which ensemble member one holds.  Convexity of the
-    entanglement of formation makes it non-negative; rounding-level
-    negatives are clamped to zero.
-    """
-    e_av = average_entanglement(ensemble)
-    e_f = entanglement_of_formation(concurrence(mixture_density(ensemble)))
-    e_h = e_av - e_f
-    if -CLAMP_ATOL < e_h < 0.0:
-        e_h = 0.0
-    return float(e_h)

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the package's own code paths: the
 Philox4x32-10 generator and the telegraph streams in Python integers, the
-coherence factor is evaluated in 50-digit arithmetic, phase integrals by
-Riemann summation, per-trajectory coherences by a scalar walk with
-``math.cos``/``math.sin`` and in 40-digit arithmetic, concurrences by the
-textbook eigensolver prescription and by the pure-state determinant form,
-and entropies via singular values.
+coherence factor is evaluated in 50-digit arithmetic, the dwell time and
+level of one path from its switch times in scalar arithmetic,
+per-trajectory coherences by a scalar walk with ``math.cos``/``math.sin``
+and in 40-digit arithmetic, concurrences by the textbook eigensolver
+prescription and by the pure-state determinant form, and entropies via
+singular values.
 """
 
 from __future__ import annotations
@@ -108,18 +109,30 @@ def mp_entanglement_of_formation(c, dps: int = 50) -> float:
         return float(-(x * mp.log(x) + (1 - x) * mp.log(1 - x)) / mp.log(2))
 
 
-def riemann_phase(initial_level: int, switch_times, horizon: float, t: float,
-                  v: float, n_steps: int = 400001) -> float:
-    """Midpoint Riemann sum of the telegraph path over [0, t]."""
-    times = list(switch_times)
-    ts = np.linspace(0.0, t, n_steps)
-    mids = 0.5 * (ts[1:] + ts[:-1])
-    total = 0.0
-    dt = ts[1] - ts[0] if n_steps > 1 else 0.0
-    for m in mids:
-        flips = bisect.bisect_right(times, m)
-        total += (initial_level ^ (flips & 1)) * dt
-    return v * total
+def dwell(level: int, switch_times, t: float) -> float:
+    """Time at the high level over [0, t] of the path that starts at level
+    bit ``level`` and flips at each of the ascending ``switch_times``,
+    summed stretch by stretch in a scalar loop."""
+    total, start, high = 0.0, 0.0, level
+    for s in switch_times:
+        if s > t:
+            break
+        if high:
+            total += s - start
+        start, high = s, 1 - high
+    return total + (t - start if high else 0.0)
+
+
+def level_bit(level: int, switch_times, t: float) -> int:
+    """The level bit at time t: ``level`` flipped once per switch at or
+    before t."""
+    return (level + bisect.bisect_right(list(switch_times), t)) % 2
+
+
+def phased_bell(theta: float) -> np.ndarray:
+    """(|00> + exp(-i*theta)|11>)/sqrt(2), the state of one realization
+    whose total phase is theta."""
+    return np.array([1.0, 0.0, 0.0, np.exp(-1j * theta)]) / math.sqrt(2.0)
 
 
 def coherence_walk(level: int, switch_times, t_grid, v: float) -> list[tuple[float, float]]:

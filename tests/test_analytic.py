@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rtdeph import analytic, engine, states
+from rtdeph import analytic, states
 from rtdeph.noise import RTParams
 
 from _oracles import (
@@ -16,6 +16,8 @@ from _oracles import (
     VT_FIRST_PEAK_G5,
     mp_coherence_factor,
     mp_entanglement_of_formation,
+    phased_bell,
+    x_state,
 )
 
 
@@ -154,7 +156,7 @@ def test_approximation_quality_scales_as_inverse_g_squared():
 def test_density_matrix_initial_state():
     system = analytic.SystemParams(rt=params_for(5.0))
     rho = analytic.density_matrix(system, 0.0)
-    np.testing.assert_allclose(rho, states.density_of(states.bell_phi_plus()), atol=1e-15)
+    np.testing.assert_allclose(rho, x_state(1.0), atol=1e-15)
 
 
 def test_density_matrix_static_zero_coherence_point():
@@ -180,7 +182,10 @@ def test_density_matrix_is_the_static_ensemble_mixture(omega_a, omega_b):
     # convention: rho_03 = conj(q) exp(i omega t) / 2
     system = analytic.SystemParams(rt=params_for(math.inf), omega_a=omega_a, omega_b=omega_b)
     for t in (0.0, 1.3, 4.0):
-        mixture = states.mixture_density(engine.static_ensemble(system, t))
+        # frozen noise: the levels 0 and v, each with probability 1/2
+        members = [phased_bell((omega_a + omega_b) * t + level * system.rt.v * t)
+                   for level in (0, 1)]
+        mixture = sum(0.5 * np.outer(state, state.conj()) for state in members)
         np.testing.assert_allclose(analytic.density_matrix(system, t), mixture, rtol=0, atol=1e-12)
 
 

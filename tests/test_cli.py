@@ -455,8 +455,17 @@ def test_autocorr_mode_fail_path(tmp_path, monkeypatch):
     assert not any(row["within_3se"] for row in report["results"][0]["per_lag"])
 
 
-def test_autocorr_rejects_static_limit():
-    assert cli.main(["--mode", "autocorr", "--g", "inf", "--out", "-"]) == 2
+def test_autocorr_rejects_static_limit(tmp_path, monkeypatch, capsys):
+    # a static g among finite ones is refused before any g is sampled
+    calls = []
+    monkeypatch.setattr(cli, "estimate_autocorrelation", lambda *a, **k: calls.append(a))
+    out = tmp_path / "ac.json"
+    for g in ("inf", "0.5,1,inf"):
+        assert cli.main(["--mode", "autocorr", "--g", g, "--n-traj", "200000",
+                         "--out", str(out)]) == 2
+        assert "autocorr mode needs a finite g (gamma > 0)" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_uncountable_vt_grid_exits_2(tmp_path, capsys):

@@ -8,16 +8,14 @@ import pytest
 from rtdeph import _kernels, analytic, engine, noise, states
 from rtdeph._kernels import _reference
 
+from _oracles import dwell
+
 TWO_PI = 2.0 * math.pi
 
 
 def system_for(g, v=1.0, **kw):
     gamma = 0.0 if math.isinf(g) else v / g
     return analytic.SystemParams(rt=noise.RTParams(v=v, gamma=gamma), **kw)
-
-
-def static_traj(level, horizon):
-    return noise.RTTrajectory(initial_level=level, switch_times=np.empty(0), horizon=horizon)
 
 
 def test_run_config_validation():
@@ -40,68 +38,6 @@ def test_run_config_validation():
                          master_seed=2**64)
 
 
-def test_evolve_trajectory_examples():
-    system = system_for(math.inf)
-    traj0 = static_traj(0, 10.0)
-    np.testing.assert_allclose(
-        engine.evolve_trajectory(system, traj0, 0.0), states.bell_phi_plus(), atol=1e-15
-    )
-    for t in (0.5, 3.0, 10.0):
-        np.testing.assert_allclose(
-            engine.evolve_trajectory(system, traj0, t), states.bell_phi_plus(), atol=1e-15
-        )
-    # constant high level flips the corner sign at v*t = pi
-    trajv = static_traj(1, 10.0)
-    out = engine.evolve_trajectory(system, trajv, math.pi)
-    np.testing.assert_allclose(out, np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0), atol=1e-15)
-
-
-def test_evolve_trajectory_with_frequencies():
-    system = system_for(math.inf, omega_a=0.4, omega_b=0.2)
-    out = engine.evolve_trajectory(system, static_traj(0, 5.0), 2.0)
-    assert out[3] == pytest.approx(np.exp(-1.2j) / math.sqrt(2.0), abs=1e-15)
-
-
-def test_evolve_trajectory_rejects_beyond_horizon():
-    with pytest.raises(ValueError):
-        engine.evolve_trajectory(system_for(5.0), static_traj(0, 1.0), 2.0)
-
-
-def test_trajectory_states_stay_maximally_entangled():
-    params = noise.RTParams(v=1.0, gamma=0.5)
-    system = analytic.SystemParams(rt=params)
-    batch = noise.sample_batch(params, 8.0, 20, master_seed=3)
-    for i in range(20):
-        traj = batch.trajectory(i)
-        for t in (1.0, 4.5, 8.0):
-            state = engine.evolve_trajectory(system, traj, t)
-            assert states.entropy_of_entanglement(state) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_static_ensemble_members_and_endpoints():
-    system = system_for(math.inf)
-    at_zero = engine.static_ensemble(system, 0.0)
-    for _, member in at_zero:
-        np.testing.assert_allclose(member, states.bell_phi_plus(), atol=1e-15)
-
-    # full dephasing point: mixture carries no entanglement, all of it hidden
-    at_pi = engine.static_ensemble(system, math.pi)
-    ef = states.entanglement_of_formation(states.concurrence(states.mixture_density(at_pi)))
-    assert ef == pytest.approx(0.0, abs=1e-9)
-    assert states.hidden_entanglement(at_pi) == pytest.approx(1.0, abs=1e-9)
-
-    # revival point: mixture is again maximally entangled, nothing hidden
-    at_2pi = engine.static_ensemble(system, TWO_PI)
-    ef = states.entanglement_of_formation(states.concurrence(states.mixture_density(at_2pi)))
-    assert ef == pytest.approx(1.0, abs=1e-9)
-    assert states.hidden_entanglement(at_2pi) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_static_ensemble_rejects_finite_gamma():
-    with pytest.raises(ValueError):
-        engine.static_ensemble(system_for(5.0), 1.0)
-
-
 def run(g, n=2000, seed=0, points=25, threads=1, vt_end=6.0 * math.pi):
     system = system_for(g)
     config = engine.RunConfig(
@@ -119,14 +55,6 @@ def test_static_ensemble_average_matches_cosine():
     dev = np.abs(np.abs(result.q_mean) - expected)
     bound = 3.0 * np.hypot(result.q_se_re, result.q_se_im) + 1e-12
     assert np.all(dev <= bound)
-
-
-def test_average_entanglement_is_identically_one():
-    for g in (0.5, 5.0, math.inf):
-        _, result = run(g, n=500, points=9)
-        np.testing.assert_allclose(result.e_av, 1.0, atol=1e-9)
-        assert result.min_trajectory_entropy >= 1.0 - 1e-9
-        np.testing.assert_allclose(result.e_av_se, 0.0, atol=1e-9)
 
 
 def test_mc_matches_coherence_factor_within_errors():
@@ -153,10 +81,10 @@ def test_ensemble_density_matrices_are_valid():
 
 
 def test_hidden_entanglement_identity():
+    # every trajectory state is maximally entangled, E_av = 1, so the
+    # hidden part complements E_f
     _, result = run(5.0, n=400, points=10)
-    np.testing.assert_array_equal(result.e_h, result.e_av - result.e_f)
-    # E_av is 1, so the hidden part complements E_f
-    np.testing.assert_allclose(result.e_h, 1.0 - result.e_f, atol=1e-9)
+    np.testing.assert_array_equal(result.e_h, 1.0 - result.e_f)
 
 
 def test_results_identical_across_thread_counts():
@@ -166,7 +94,6 @@ def test_results_identical_across_thread_counts():
     np.testing.assert_array_equal(single.q_mean, multi.q_mean)
     np.testing.assert_array_equal(single.q_se_re, multi.q_se_re)
     np.testing.assert_array_equal(single.e_f, multi.e_f)
-    np.testing.assert_array_equal(single.e_av, multi.e_av)
     np.testing.assert_array_equal(single.rho, multi.rho)
 
 
@@ -179,9 +106,8 @@ def test_coherence_statistics_definition(n):
     batch = noise.sample_batch(params, float(config.t_grid[-1]), n, config.master_seed)
     z = np.empty((n, 6), dtype=complex)
     for i in range(n):
-        traj = batch.trajectory(i)
         for gi, t in enumerate(config.t_grid):
-            z[i, gi] = np.exp(-1j * noise.accumulated_phase(traj, t, v=params.v))
+            z[i, gi] = np.exp(-1j * params.v * dwell(int(batch.levels[i]), batch.switch_times[i], t))
     np.testing.assert_allclose(result.q_mean, z.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(result.q_se_re, z.real.std(axis=0, ddof=1) / math.sqrt(n), atol=1e-12)
     np.testing.assert_allclose(result.q_se_im, z.imag.std(axis=0, ddof=1) / math.sqrt(n), atol=1e-12)
@@ -390,67 +316,6 @@ def test_ensemble_concurrence_matches_wootters_oracle():
     config, result = run(5.0, n=500, points=30)
     oracle = [states.entanglement_of_formation(states.concurrence(rho)) for rho in result.rho]
     np.testing.assert_allclose(result.e_f, oracle, rtol=0, atol=1e-12)
-
-
-def test_recover_trajectory_static_cases():
-    system = system_for(math.inf)
-    t_1 = TWO_PI  # first revival of v=1
-
-    # level 0: leftover phase is a multiple of 2*pi, state unchanged up to
-    # a global phase
-    out = engine.recover_trajectory(system, static_traj(0, t_1), t_1)
-    overlap = abs(np.vdot(out, engine.evolve_trajectory(system, static_traj(0, t_1), t_1)))
-    assert overlap == pytest.approx(1.0, abs=1e-12)
-
-    # level v at t_1: phase integral is exactly 2*pi, correction is zero
-    out = engine.recover_trajectory(system, static_traj(1, t_1), t_1)
-    np.testing.assert_allclose(out, engine.evolve_trajectory(system, static_traj(1, t_1), t_1), atol=1e-12)
-
-
-def test_recover_trajectory_one_switch_oracle():
-    # v=2 so t_1 = pi; one switch up at t_1/2 accumulates phase
-    # 2*(pi/2) = pi, hence a correction phase of pi - 2*pi = -pi
-    system = system_for(1.0, v=2.0)  # any finite g; trajectory is explicit
-    traj = noise.RTTrajectory(0, np.array([math.pi / 2.0]), horizon=math.pi)
-    t_1 = math.pi
-
-    evolved = engine.evolve_trajectory(system, traj, t_1)
-    with_phase = np.array([1.0, 0.0, 0.0, np.exp(-1j * math.pi)]) / math.sqrt(2.0)
-    np.testing.assert_allclose(evolved, with_phase, atol=1e-12)
-
-    corrected = engine.recover_trajectory(system, traj, t_1)
-    # hand computation: exp(-i*(-pi)/2*sigma_zA) on the evolved 4-vector
-    vartheta = -math.pi
-    factors = np.exp(-0.5j * vartheta * np.array([1.0, 1.0, -1.0, -1.0]))
-    np.testing.assert_allclose(corrected, factors * with_phase, atol=1e-12)
-    assert states.concurrence(states.density_of(corrected)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_recover_trajectory_rejects_non_revival_times():
-    system = system_for(5.0)
-    traj = static_traj(0, 10.0)
-    with pytest.raises(ValueError):
-        engine.recover_trajectory(system, traj, math.pi)  # odd half revival
-    with pytest.raises(ValueError):
-        engine.recover_trajectory(system, traj, 0.0)
-
-
-def test_recovery_is_idempotent():
-    # after correction the leftover phase is zero, so a second correction
-    # with the recomputed residual is the identity
-    system = system_for(1.0, v=2.0)
-    traj = noise.RTTrajectory(0, np.array([math.pi / 2.0]), horizon=math.pi)
-    t_1 = math.pi
-    corrected = engine.recover_trajectory(system, traj, t_1)
-    residual = (
-        noise.accumulated_phase(traj, t_1, v=2.0)
-        - (noise.accumulated_phase(traj, t_1, v=2.0) - TWO_PI)
-        - TWO_PI
-    )
-    assert residual == 0.0
-    np.testing.assert_allclose(
-        states.apply_local_phase(corrected, residual, "A"), corrected, atol=1e-12
-    )
 
 
 def test_recovered_ensemble_concurrence():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import mpmath as mp
 
-from _oracles import (coherence_walk, mp_coherences, philox4x32, stretch_sums,
-                      telegraph_stream)
+from _oracles import (coherence_walk, dwell, level_bit, mp_coherences, philox4x32,
+                      stretch_sums, telegraph_stream)
 from conftest import SOURCE, source_sha256
 from rtdeph import _kernels, noise
 from rtdeph._kernels import _reference
@@ -431,15 +431,15 @@ def test_compiled_moments_reject_mismatched_buffers(compiled):
 
 
 def test_dwell_matches_single_trajectory_phase(impl):
-    # independent check: the per-trajectory integrator uses a different
-    # (clipped-segment) formulation than the batched kernels
+    # independent check: the oracle sums one path's stretches in a scalar
+    # loop, not the batched kernels' stretch look-up
     batch = make_batch(n=60)
     grid = np.array([0.0, 0.7, 2.3, 4.9, 6.0])
-    dwell = _kernels.dwell_times(batch.levels, batch.switch_times, grid, impl=impl)
+    dwells = _kernels.dwell_times(batch.levels, batch.switch_times, grid, impl=impl)
     for i in range(batch.n):
-        traj = batch.trajectory(i)
         for gi, t in enumerate(grid):
-            assert dwell[i, gi] == pytest.approx(noise.accumulated_phase(traj, t), abs=1e-12)
+            expected = dwell(int(batch.levels[i]), batch.switch_times[i], t)
+            assert dwells[i, gi] == pytest.approx(expected, abs=1e-12)
 
 
 def test_levels_match_single_trajectory_queries(impl):
@@ -447,9 +447,8 @@ def test_levels_match_single_trajectory_queries(impl):
     grid = np.array([0.0, 0.4, 1.9, 5.5, 6.0])
     levels = _kernels.levels_at_times(batch.levels, batch.switch_times, grid, impl=impl)
     for i in range(batch.n):
-        traj = batch.trajectory(i)
         for gi, t in enumerate(grid):
-            assert levels[i, gi] == noise.level_at(traj, t)
+            assert levels[i, gi] == level_bit(int(batch.levels[i]), batch.switch_times[i], t)
 
 
 def test_static_batch_dwell_is_level_times_t(impl):

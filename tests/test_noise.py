@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rtdeph import _kernels, noise
 
-from _oracles import riemann_phase
+from _oracles import dwell, level_bit
 
 #: Property tests draw their examples from a fixed sequence, so the suite
 #: stays deterministic.
@@ -14,8 +15,10 @@ stream_settings = settings(derandomize=True, database=None, max_examples=25, dea
 
 
 def lane(params, horizon, seed=0, index=0):
-    """Trajectory ``index`` of the batch streams of ``seed``."""
-    return noise.sample_batch(params, horizon, 1, seed, start_index=index).trajectory(0)
+    """(level bit, switch times up to the horizon) of trajectory ``index``
+    of the batch streams of ``seed``, sampled alone."""
+    batch = noise.sample_batch(params, horizon, 1, seed, start_index=index)
+    return int(batch.levels[0]), batch.switch_times[0]
 
 
 def same_rows(a, b):
@@ -86,9 +89,9 @@ def test_sample_batch_takes_only_draws_of_its_trajectories():
                                             (0.0, 5.0)])
 def test_batch_of_a_pass_is_a_view_of_its_draws(gamma, horizon):
     # a batch holds the draws and its epoch length, not a copy: its switch
-    # times, counts and single trajectories are derived, x*L up to the
-    # horizon padded with +inf to the widest row, as the tracer and the
-    # kernels' callers read them; 16.0 is the end of epoch 1 at gamma 1
+    # times and counts are derived, x*L up to the horizon padded with +inf
+    # to the widest row, as the tracer reads them; 16.0 is the end of
+    # epoch 1 at gamma 1
     params = noise.RTParams(v=1.0, gamma=gamma)
     draws = noise.draw_epochs(3, 10, 40, epochs=6)
     batch = noise.sample_batch(params, horizon, 40, 3, start_index=10, draws=draws)
@@ -96,7 +99,6 @@ def test_batch_of_a_pass_is_a_view_of_its_draws(gamma, horizon):
     if gamma == 0.0:
         assert batch.times.shape == batch.switch_times.shape == (40, 0)
         np.testing.assert_array_equal(batch.counts, 0)
-        assert batch.trajectory(3).switch_times.size == 0
         return
     assert np.shares_memory(batch.times, draws.epoch_times)
     assert batch.scale == 2.0 * _kernels.EPOCH_SWITCHES / gamma
@@ -109,8 +111,6 @@ def test_batch_of_a_pass_is_a_view_of_its_draws(gamma, horizon):
     np.testing.assert_array_equal(batch.switch_times, padded)
     np.testing.assert_array_equal(batch.counts, counts)
     assert batch.switch_times is batch.switch_times  # computed once
-    for i in (0, 17, 39):
-        np.testing.assert_array_equal(batch.trajectory(i).switch_times, t[i, : counts[i]])
     # the batch a coupling draws alone, from its own epochs
     alone = noise.sample_batch(params, horizon, 40, 3, start_index=10)
     np.testing.assert_array_equal(alone.switch_times, batch.switch_times)
@@ -146,8 +146,8 @@ def test_occupation_fraction_converges_to_half():
     params = noise.RTParams(v=1.0, gamma=1.0)
     horizon, n = 50.0, 400
     batch = noise.sample_batch(params, horizon, n, master_seed=77)
-    fractions = [noise.accumulated_phase(batch.trajectory(i), horizon) / horizon for i in range(n)]
-    fractions = np.array(fractions)
+    fractions = np.array([dwell(level, row, horizon) / horizon
+                          for level, row in zip(batch.levels, batch.switch_times)])
     se = fractions.std(ddof=1) / math.sqrt(n)
     assert abs(fractions.mean() - 0.5) <= 3.0 * se
 
@@ -200,88 +200,6 @@ def test_wait_from_epoch_boundary_is_exponential():
     assert ks_exponential(after - boundary, gamma / 2.0) < 1.95
 
 
-def test_level_at_examples():
-    no_switch = noise.RTTrajectory(0, np.empty(0), horizon=2.0)
-    assert noise.level_at(no_switch, 1.0) == 0.0
-    one_switch = noise.RTTrajectory(0, np.array([0.5]), horizon=2.0)
-    assert noise.level_at(one_switch, 1.0, v=2.5) == 2.5
-    two_switches = noise.RTTrajectory(1, np.array([0.3, 0.7]), horizon=2.0)
-    assert noise.level_at(two_switches, 1.0, v=2.5) == 2.5
-
-
-def test_level_at_is_piecewise_constant_with_one_flip_per_switch():
-    traj = lane(noise.RTParams(v=1.0, gamma=4.0), 5.0, seed=5, index=3)
-    probes = np.concatenate([[0.0], traj.switch_times, [traj.horizon]])
-    mids = 0.5 * (probes[1:] + probes[:-1])
-    levels = [noise.level_at(traj, t) for t in mids]
-    flips = sum(a != b for a, b in zip(levels, levels[1:]))
-    assert flips == traj.switch_times.size
-
-
-def test_level_at_rejects_outside_horizon():
-    traj = noise.RTTrajectory(0, np.empty(0), horizon=1.0)
-    with pytest.raises(ValueError):
-        noise.level_at(traj, -0.1)
-    with pytest.raises(ValueError):
-        noise.level_at(traj, 1.1)
-
-
-def test_accumulated_phase_examples():
-    horizon = 3.0
-    assert noise.accumulated_phase(noise.RTTrajectory(0, np.empty(0), horizon), 3.0, v=2.0) == 0.0
-    assert noise.accumulated_phase(noise.RTTrajectory(1, np.empty(0), horizon), 3.0, v=2.0) == pytest.approx(6.0)
-    # one switch up at t=1: integral = v*(3-1) = 4 (piecewise integration by hand)
-    traj = noise.RTTrajectory(0, np.array([1.0]), horizon)
-    assert noise.accumulated_phase(traj, 3.0, v=2.0) == pytest.approx(4.0, abs=1e-14)
-
-
-def test_accumulated_phase_matches_riemann_oracle():
-    params = noise.RTParams(v=1.7, gamma=2.0)
-    batch = noise.sample_batch(params, 4.0, 4, master_seed=93)
-    for i in range(4):
-        traj = batch.trajectory(i)
-        for t in (0.9, 2.5, 4.0):
-            exact = noise.accumulated_phase(traj, t, v=params.v)
-            approx = riemann_phase(traj.initial_level, traj.switch_times, traj.horizon, t, params.v)
-            assert exact == pytest.approx(approx, abs=5e-5)
-
-
-def test_accumulated_phase_monotone_and_lipschitz():
-    params = noise.RTParams(v=2.0, gamma=3.0)
-    traj = lane(params, 6.0, seed=15)
-    ts = np.sort(np.random.default_rng(3).uniform(0.0, 6.0, size=200))
-    phases = np.array([noise.accumulated_phase(traj, t, v=params.v) for t in ts])
-    diffs = np.diff(phases)
-    assert np.all(diffs >= -1e-12)
-    assert np.all(diffs <= params.v * np.diff(ts) + 1e-12)
-
-
-def test_accumulated_phase_rejects_outside_horizon():
-    traj = noise.RTTrajectory(0, np.empty(0), horizon=1.0)
-    with pytest.raises(ValueError):
-        noise.accumulated_phase(traj, 2.0)
-
-
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        noise.RTTrajectory(0, np.array([0.5, 0.4]), horizon=1.0)  # not increasing
-    with pytest.raises(ValueError):
-        noise.RTTrajectory(0, np.array([0.0, 0.4]), horizon=1.0)  # not strictly positive
-    with pytest.raises(ValueError):
-        noise.RTTrajectory(0, np.array([1.5]), horizon=1.0)  # beyond horizon
-    with pytest.raises(ValueError):
-        noise.RTTrajectory(2, np.empty(0), horizon=1.0)
-
-
-@pytest.mark.parametrize("times", [[0.5, math.nan, 2.0], [math.nan], [0.5, 2.0, math.nan]])
-def test_trajectory_rejects_nan_switch_times(times):
-    # every comparison with NaN is false, so checks for a bad time pass it
-    # unless they are written as checks for a good one; accepted, such a
-    # path gives accumulated_phase(traj, 3.0) = nan
-    with pytest.raises(ValueError):
-        noise.RTTrajectory(0, np.array(times), horizon=3.0)
-
-
 @stream_settings
 @given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 3 * noise.BLOCK),
        n=st.integers(1, 2 * noise.BLOCK + 1), gamma=st.floats(0.05, 20.0))
@@ -298,10 +216,10 @@ def test_sampling_is_reproducible_per_index(seed, start, n, gamma):
     # distinct indices and seeds draw distinct realizations; compared over
     # ~100 switches, since two realizations may both keep one level up to 4.0
     far = 200.0 / gamma
-    first = lane(params, far, seed=seed, index=start).switch_times
+    first = lane(params, far, seed=seed, index=start)[1]
     if n > 1:
-        assert not np.array_equal(first, lane(params, far, seed=seed, index=start + n - 1).switch_times)
-    assert not np.array_equal(first, lane(params, far, seed=seed + 1, index=start).switch_times)
+        assert not np.array_equal(first, lane(params, far, seed=seed, index=start + n - 1)[1])
+    assert not np.array_equal(first, lane(params, far, seed=seed + 1, index=start)[1])
 
 
 @stream_settings
@@ -316,23 +234,19 @@ def test_longer_horizon_extends_same_realization(seed, start, gamma, short, fact
     np.testing.assert_array_equal(a.levels, b.levels)
     np.testing.assert_array_equal(a.counts, (b.switch_times <= short).sum(axis=1))
     for i in range(300):
-        np.testing.assert_array_equal(a.trajectory(i).switch_times,
+        np.testing.assert_array_equal(a.switch_times[i, : a.counts[i]],
                                       b.switch_times[i, : a.counts[i]])
 
 
 def test_sample_batch_matches_single_trajectories():
-    # batch.trajectory(i) is the single-trajectory view of row i, and the
-    # rows are padded with +inf beyond counts[i]
+    # row i is trajectory 10 + i sampled alone, and the rows are padded
+    # with +inf beyond counts[i]
     params = noise.RTParams(v=1.0, gamma=1.5)
     batch = noise.sample_batch(params, 5.0, 32, master_seed=4, start_index=10)
     for i in (0, 7, 31):
-        single = batch.trajectory(i)
-        assert single.initial_level == batch.levels[i]
-        assert single.horizon == 5.0
-        np.testing.assert_array_equal(single.switch_times, batch.switch_times[i, : batch.counts[i]])
-        again = lane(params, 5.0, seed=4, index=10 + i)
-        assert again.initial_level == single.initial_level
-        np.testing.assert_array_equal(again.switch_times, single.switch_times)
+        level, times = lane(params, 5.0, seed=4, index=10 + i)
+        assert level == batch.levels[i]
+        np.testing.assert_array_equal(times, batch.switch_times[i, : batch.counts[i]])
     assert batch.switch_times.shape[1] == batch.counts.max()
     assert np.all(np.isinf(batch.switch_times[batch.counts[:, None] <= np.arange(batch.switch_times.shape[1])]))
     assert np.all(batch.switch_times[batch.counts[:, None] > np.arange(batch.switch_times.shape[1])] <= 5.0)
@@ -375,7 +289,8 @@ def test_autocorrelation_stderr_matches_sample_deviation(n):
     lags = np.array([0.0, 0.1, 0.7, 3.0, 9.0])
     result = noise.estimate_autocorrelation(params, lags, n, master_seed=21)
     batch = noise.sample_batch(params, 9.0, n, master_seed=21)
-    levels = np.array([[noise.level_at(batch.trajectory(i), t) for t in lags] for i in range(n)])
+    levels = np.array([[level_bit(level, row, t) for t in lags]
+                       for level, row in zip(batch.levels, batch.switch_times)])
     products = (2.0 * batch.levels[:, None] - 1.0) * (2.0 * levels - 1.0)
     np.testing.assert_array_equal(result.estimates, products.mean(axis=0))
     if n == 1:
@@ -446,6 +361,28 @@ def test_stream_adds_block_results_in_block_order(n_threads):
         assert total.tobytes() == expected.tobytes()
     with pytest.raises(ValueError, match="at least one trajectory"):
         noise.stream(couplings, 0, seed)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_stream_memory_does_not_grow_with_the_blocks(n_threads):
+    # at most two blocks per thread are in flight, so 400 blocks peak where
+    # 20 do: nothing is held per block of the pass
+    params = noise.RTParams(v=1.0, gamma=0.0)
+
+    def high_levels(batch):
+        return np.array([float(np.count_nonzero(batch.levels))])
+
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            noise.stream([(params, 1.0, high_levels)], blocks * noise.BLOCK, 3,
+                         n_threads=n_threads)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)
+    assert peak(400) <= peak(20) + 100_000
 
 
 def test_autocorrelation_static_process_is_frozen():
