@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own code paths: the
 Philox4x32-10 generator and the telegraph streams in Python integers, the
 coherence factor is evaluated in 50-digit arithmetic, the dwell time and
-level of one path from its switch times in scalar arithmetic,
+level of one path from its switch times in scalar arithmetic, its noise
+phase by a midpoint Riemann sum,
 per-trajectory coherences by a scalar walk with ``math.cos``/``math.sin``
 and in 40-digit arithmetic, concurrences by the textbook eigensolver
 prescription and by the pure-state determinant form, and entropies via
@@ -121,6 +122,16 @@ def dwell(level: int, switch_times, t: float) -> float:
             total += s - start
         start, high = s, 1 - high
     return total + (t - start if high else 0.0)
+
+
+def riemann_phase(level: int, switch_times, t: float, v: float,
+                  n_steps: int = 400001) -> float:
+    """v times the time at the high level over [0, t], a midpoint Riemann
+    sum of the path's level on n_steps - 1 equal cells."""
+    ts = np.linspace(0.0, t, n_steps)
+    mids = 0.5 * (ts[1:] + ts[:-1])
+    flips = np.searchsorted(np.asarray(switch_times, dtype=float), mids, side="right")
+    return v * float(((level + flips) % 2).sum()) * (ts[1] - ts[0])
 
 
 def level_bit(level: int, switch_times, t: float) -> int:

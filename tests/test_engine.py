@@ -8,7 +8,7 @@ import pytest
 from rtdeph import _kernels, analytic, engine, noise, states
 from rtdeph._kernels import _reference
 
-from _oracles import dwell
+from _oracles import dwell, mp_entanglement_of_formation, phased_bell, x_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,6 +55,37 @@ def test_static_ensemble_average_matches_cosine():
     dev = np.abs(np.abs(result.q_mean) - expected)
     bound = 3.0 * np.hypot(result.q_se_re, result.q_se_im) + 1e-12
     assert np.all(dev <= bound)
+
+
+def test_trajectory_states_stay_maximally_entangled():
+    # every trajectory state (|00> + exp(-i*theta)|11>)/sqrt(2), theta its
+    # noise phase v*dwell, has concurrence 1 and so E_f = 1: the average
+    # entanglement is 1, on which e_h = 1 - e_f rests
+    params = noise.RTParams(v=1.0, gamma=0.5)
+    batch = noise.sample_batch(params, 8.0, 20, master_seed=3)
+    grid = np.array([1.0, 4.5, 8.0])
+    phases = params.v * _kernels.dwell_times(batch.levels, batch.times, grid, scale=batch.scale)
+    for theta in phases.ravel():
+        state = phased_bell(theta)
+        c = states.concurrence(np.outer(state, state.conj()))
+        assert states.entanglement_of_formation(c) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_static_ensemble_members_and_endpoints():
+    # frozen noise: each trajectory keeps its level bit b, so at v*t = pi
+    # its state is (|00> + (-1)**b |11>)/sqrt(2) and the mean coherence is
+    # (n0 - n1)/n, while at v*t = 2*pi every state is the Bell state again
+    n = 500
+    config, result = run(math.inf, n=n, points=3, vt_end=TWO_PI)
+    np.testing.assert_allclose(result.rho[0], x_state(1.0), atol=1e-15)
+    n1 = int(noise.sample_batch(config.system.rt, TWO_PI, n, config.master_seed).levels.sum())
+    q = (n - 2 * n1) / n
+    assert result.q_mean[1] == pytest.approx(q, abs=1e-12)
+    assert result.e_f[1] == pytest.approx(mp_entanglement_of_formation(abs(q)), abs=1e-9)
+    assert result.e_h[1] == pytest.approx(1.0 - mp_entanglement_of_formation(abs(q)), abs=1e-9)
+    # revival point: the mixture is again maximally entangled, nothing hidden
+    assert result.e_f[2] == pytest.approx(1.0, abs=1e-9)
+    assert result.e_h[2] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mc_matches_coherence_factor_within_errors():

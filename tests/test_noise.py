@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rtdeph import _kernels, noise
 
-from _oracles import dwell, level_bit
+from _oracles import dwell, level_bit, riemann_phase
 
 #: Property tests draw their examples from a fixed sequence, so the suite
 #: stays deterministic.
@@ -19,6 +19,27 @@ def lane(params, horizon, seed=0, index=0):
     of the batch streams of ``seed``, sampled alone."""
     batch = noise.sample_batch(params, horizon, 1, seed, start_index=index)
     return int(batch.levels[0]), batch.switch_times[0]
+
+
+def one_path(level, switch_times, horizon, scale=1.0):
+    """A batch of one path: level bit ``level`` at t = 0 and a switch at
+    each of ``switch_times`` times ``scale``."""
+    return noise.TrajectoryBatch(levels=np.array([level], dtype=np.uint8),
+                                 times=np.array(switch_times, dtype=float).reshape(1, -1),
+                                 scale=scale, horizon=horizon)
+
+
+def level_of(batch, t, v=1.0):
+    """The level v*bit of the batch's first row at time t, as the
+    autocorrelation estimate reads it."""
+    bits = _kernels.levels_at_times(batch.levels, batch.times, [t], scale=batch.scale)
+    return v * float(bits[0, 0])
+
+
+def phase_of(batch, t_grid, v=1.0):
+    """The noise phase v*dwell of each row of the batch on the grid, as
+    the recovery report forms it."""
+    return v * _kernels.dwell_times(batch.levels, batch.times, t_grid, scale=batch.scale)
 
 
 def same_rows(a, b):
@@ -198,6 +219,84 @@ def test_wait_from_epoch_boundary_is_exponential():
     after = np.where(batch.switch_times > boundary[:, None], batch.switch_times, np.inf).min(axis=1)
     assert np.all(np.isfinite(after))
     assert ks_exponential(after - boundary, gamma / 2.0) < 1.95
+
+
+def test_level_at_examples():
+    assert level_of(one_path(0, [], 2.0), 1.0) == 0.0
+    assert level_of(one_path(0, [0.5], 2.0), 1.0, v=2.5) == 2.5
+    assert level_of(one_path(1, [0.3, 0.7], 2.0), 1.0, v=2.5) == 2.5
+    # switch j of a row is at times[j]*scale: here at 1.0 and 1.6
+    assert level_of(one_path(0, [0.5, 0.8], 2.0, scale=2.0), 0.9) == 0.0
+    assert level_of(one_path(0, [0.5, 0.8], 2.0, scale=2.0), 1.2) == 1.0
+    assert level_of(one_path(0, [0.5, 0.8], 2.0, scale=2.0), 1.7) == 0.0
+
+
+def test_level_at_is_piecewise_constant_with_one_flip_per_switch():
+    batch = noise.sample_batch(noise.RTParams(v=1.0, gamma=4.0), 5.0, 1, 5, start_index=3)
+    switches = batch.switch_times[0]
+    assert switches.size > 1
+    probes = np.concatenate([[0.0], switches, [batch.horizon]])
+    mids = 0.5 * (probes[1:] + probes[:-1])
+    levels = _kernels.levels_at_times(batch.levels, batch.times, mids, scale=batch.scale)[0]
+    flips = np.count_nonzero(levels[1:] != levels[:-1])
+    assert flips == switches.size == batch.counts[0]
+
+
+def test_level_at_rejects_outside_horizon():
+    # the kernels know no horizon: a batch's times past it are its own later
+    # switches, since a longer horizon extends the same path; a time before
+    # t = 0, or an infinite one, lies outside every horizon and is refused
+    batch = one_path(0, [], 1.0)
+    for t in (-0.1, math.inf):
+        with pytest.raises(ValueError):
+            level_of(batch, t)
+        with pytest.raises(ValueError):
+            noise.estimate_autocorrelation(noise.RTParams(v=1.0, gamma=1.0), [t], 10, 1)
+
+
+def test_accumulated_phase_examples():
+    assert phase_of(one_path(0, [], 3.0), [3.0], v=2.0)[0, 0] == 0.0
+    assert phase_of(one_path(1, [], 3.0), [3.0], v=2.0)[0, 0] == pytest.approx(6.0)
+    # one switch up at t=1: integral = v*(3-1) = 4 (piecewise integration by hand)
+    assert phase_of(one_path(0, [1.0], 3.0), [3.0], v=2.0)[0, 0] == pytest.approx(4.0, abs=1e-14)
+    # the same switch in epoch units of length 4
+    assert phase_of(one_path(0, [0.25], 3.0, scale=4.0), [3.0], v=2.0)[0, 0] == pytest.approx(
+        4.0, abs=1e-14)
+
+
+def test_accumulated_phase_matches_riemann_oracle():
+    params = noise.RTParams(v=1.7, gamma=2.0)
+    batch = noise.sample_batch(params, 4.0, 4, master_seed=93)
+    grid = np.array([0.9, 2.5, 4.0])
+    phases = phase_of(batch, grid, v=params.v)
+    for i in range(4):
+        for t, exact in zip(grid, phases[i]):
+            approx = riemann_phase(int(batch.levels[i]), batch.switch_times[i], t, params.v)
+            assert exact == pytest.approx(approx, abs=5e-5)
+
+
+def test_accumulated_phase_monotone_and_lipschitz():
+    params = noise.RTParams(v=2.0, gamma=3.0)
+    batch = noise.sample_batch(params, 6.0, 1, 15)
+    ts = np.sort(np.random.default_rng(3).uniform(0.0, 6.0, size=200))
+    phases = phase_of(batch, ts, v=params.v)[0]
+    diffs = np.diff(phases)
+    assert np.all(diffs >= -1e-12)
+    assert np.all(diffs <= params.v * np.diff(ts) + 1e-12)
+
+
+@pytest.mark.parametrize("times", [[0.5, math.nan, 2.0], [math.nan], [0.5, 2.0, math.nan]])
+def test_trajectory_rejects_nan_switch_times(times):
+    # every comparison with NaN is false, so checks for a bad time pass it
+    # unless they are written as checks for a good one; accepted, such a
+    # path would give a NaN phase at t = 3.0
+    batch = one_path(0, times, 3.0)
+    args = (batch.levels, batch.times, [3.0])
+    for call in (lambda: _kernels.dwell_times(*args, scale=batch.scale),
+                 lambda: _kernels.levels_at_times(*args, scale=batch.scale),
+                 lambda: _kernels.block_sums(*args, 1.0, scale=batch.scale)):
+        with pytest.raises(ValueError, match="NaN"):
+            call()
 
 
 @stream_settings
