@@ -13,7 +13,6 @@ from rtdeph._kernels import BACKEND
 from rtdeph.analytic import (
     CoherenceParams,
     RevivalTimes,
-    SystemParams,
     coherence_factor,
     coherence_factor_approx,
     coherence_factor_g1,
@@ -25,7 +24,6 @@ from rtdeph.analytic import (
 from rtdeph.engine import (
     EnsembleResult,
     RecoveryReport,
-    RunConfig,
     recovery_report,
     run_ensemble,
 )
@@ -42,7 +40,7 @@ from rtdeph.states import (
     entanglement_of_formation,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BACKEND",
@@ -52,8 +50,6 @@ __all__ = [
     "RecoveryReport",
     "RevivalTimes",
     "RTParams",
-    "RunConfig",
-    "SystemParams",
     "TrajectoryBatch",
     "binary_entropy",
     "coherence_factor",

@@ -5,7 +5,10 @@ exposed to the noise: the evolved two-qubit density matrix, the
 entanglement-of-formation curve, the static and strong-coupling limits, the
 revival-time families, and the decay envelope traced by the revival peaks.
 Times are plain floats in the same units as 1/v and 1/gamma; the natural
-dimensionless variables are v*t and gamma*t.
+dimensionless variables are v*t and gamma*t.  The qubits are taken in their
+rotating frame: their frequencies would only add the local phase
+exp(i*(omega_a + omega_b)*t) to the corner element, which a local frame
+change removes and no entanglement quantity sees.
 """
 
 from __future__ import annotations
@@ -21,23 +24,6 @@ from rtdeph.states import entanglement_of_formation
 #: Couplings this close to g=1 are routed to the g=1 limit formula, where
 #: the generic expression suffers catastrophic cancellation in A = (1+1/alpha)/2.
 G1_ATOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Noise parameters plus the two qubit angular frequencies.
-
-    The defaults omega_a = omega_b = 0 put the qubits in the rotating
-    frame; entanglement quantities depend only on |q(t)| and are unaffected.
-    """
-
-    rt: RTParams
-    omega_a: float = 0.0
-    omega_b: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.omega_a) and math.isfinite(self.omega_b)):
-            raise ValueError("qubit frequencies must be finite")
 
 
 @dataclass(frozen=True)
@@ -147,16 +133,15 @@ def coherence_factor_approx(params: RTParams, t):
     return _match_scalar(out, t)
 
 
-def bell_corner_density(q, omega_t) -> np.ndarray:
-    """Average of the projectors of (|00> + z exp(-i*omega*t)|11>)/sqrt(2)
-    over trajectory coherences z with mean ``q``.
+def bell_corner_density(q) -> np.ndarray:
+    """Average of the projectors of (|00> + z|11>)/sqrt(2) over trajectory
+    coherences z with mean ``q``, in the qubits' rotating frame.
 
     Only the Bell corners are populated: diag(1/2, 0, 0, 1/2) plus
-    <00|rho|11> = conj(q) exp(i*omega*t) / 2, where ``omega_t`` is the
-    frequency phase (omega_a + omega_b) * t.  Broadcasts over ``q`` and
-    ``omega_t``, returning (..., 4, 4).
+    <00|rho|11> = conj(q) / 2, so the concurrence equals min(|q|, 1).
+    Broadcasts over ``q``, returning (..., 4, 4).
     """
-    corner = 0.5 * np.conj(q) * np.exp(1j * omega_t)
+    corner = 0.5 * np.conj(q)
     rho = np.zeros(np.shape(corner) + (4, 4), dtype=complex)
     rho[..., 0, 0] = rho[..., 3, 3] = 0.5
     rho[..., 0, 3] = corner
@@ -164,15 +149,15 @@ def bell_corner_density(q, omega_t) -> np.ndarray:
     return rho
 
 
-def density_matrix(system: SystemParams, t: float) -> np.ndarray:
-    """Evolved two-qubit density matrix for the initial (|00>+|11>)/sqrt(2).
+def density_matrix(params: RTParams, t: float) -> np.ndarray:
+    """Evolved two-qubit density matrix for the initial (|00>+|11>)/sqrt(2),
+    in the qubits' rotating frame.
 
     Populations stay at 1/2 on |00> and |11>; the only coherence is the
-    corner element conj(q(t)) exp(i (omega_a + omega_b) t) / 2 of
-    ``bell_corner_density``, so the concurrence equals |q(t)|.
+    corner element conj(q(t)) / 2 of ``bell_corner_density``, so the
+    concurrence equals |q(t)|.
     """
-    t = float(t)
-    return bell_corner_density(coherence_factor(system.rt, t), (system.omega_a + system.omega_b) * t)
+    return bell_corner_density(coherence_factor(params, float(t)))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rtdeph import _kernels, analytic, engine, states
+from rtdeph import _kernels, analytic, engine, noise, states
 from rtdeph.noise import RTParams, estimate_autocorrelation
 
 MODES = ("analytic", "mc", "both", "recovery", "autocorr")
@@ -157,14 +157,6 @@ class SweepSpec:
 
     def vt_grid(self) -> np.ndarray:
         return self.vt_step * np.arange(self._vt_steps() + 1)
-
-    def run_config(self, g: float, t_grid: np.ndarray) -> engine.RunConfig:
-        return engine.RunConfig(
-            system=analytic.SystemParams(rt=self.rt_params(g)),
-            t_grid=t_grid,
-            n_trajectories=self.n_traj,
-            master_seed=self.seed,
-        )
 
 
 def _usable_cpus() -> int:
@@ -299,11 +291,11 @@ def cmd_figure1(spec: SweepSpec) -> tuple[str, int]:
     vt = spec.vt_grid()
     t_grid = vt / spec.v
     vt_col = _kernels.float_reprs(vt)
-    results = (engine.run_ensemble([spec.run_config(g, t_grid) for g in spec.g],
+    params_list = [spec.rt_params(g) for g in spec.g]
+    results = (engine.run_ensemble(params_list, t_grid, spec.n_traj, spec.seed,
                                    n_threads=spec.threads)
                if with_mc else [None] * len(spec.g))
-    for g, result in zip(spec.g, results):
-        params = spec.rt_params(g)
+    for g, params, result in zip(spec.g, params_list, results):
         q_abs = np.abs(analytic.coherence_factor(params, t_grid))
         ef = states.entanglement_of_formation(np.minimum(q_abs, 1.0))
         env = analytic.envelope(params, t_grid)
@@ -372,7 +364,8 @@ def build_compare_report(spec: SweepSpec, results: dict[float, engine.EnsembleRe
 def cmd_compare(spec: SweepSpec) -> tuple[str, int]:
     """JSON report: MC mean coherence versus the closed form on the sweep grid."""
     t_grid = spec.vt_grid() / spec.v
-    results = dict(zip(spec.g, engine.run_ensemble([spec.run_config(g, t_grid) for g in spec.g],
+    results = dict(zip(spec.g, engine.run_ensemble([spec.rt_params(g) for g in spec.g], t_grid,
+                                                   spec.n_traj, spec.seed,
                                                    n_threads=spec.threads)))
     report = build_compare_report(spec, results)
     return _verdict(report, report["per_g"])
@@ -391,9 +384,8 @@ def cmd_recovery(spec: SweepSpec) -> tuple[str, int]:
     """JSON report of concurrence at t_n before and after phase recovery."""
     n = spec.revival_n
     before_tol = RECOVERY_SE_MULTIPLE / math.sqrt(spec.n_traj)
-    t_grid = np.array([2.0 * math.pi * n / spec.v])
-    reports = engine.recovery_report([spec.run_config(g, t_grid) for g in spec.g], n,
-                                     n_threads=spec.threads)
+    reports = engine.recovery_report([spec.rt_params(g) for g in spec.g], n, spec.n_traj,
+                                     spec.seed, n_threads=spec.threads)
     entries = []
     for g, report in zip(spec.g, reports):
         expected = float(abs(analytic.coherence_factor(spec.rt_params(g), report.t_n)))
@@ -425,16 +417,18 @@ def cmd_autocorr(spec: SweepSpec) -> tuple[str, int]:
     """JSON table of sampled versus exact telegraph autocorrelation.
 
     Coupling number j samples trajectories [j*n_traj, (j+1)*n_traj), so
-    every g is estimated from its own realizations.
+    every g is estimated from its own realizations.  Every g's parameters,
+    lags and epoch count are checked before the first g is sampled.
     """
-    sections = []
-    for j, g in enumerate(spec.g):
+    plans = []
+    for g in spec.g:
         params = spec.rt_params(g)
-        lags = (
-            np.asarray(spec.lags, dtype=float)
-            if spec.lags is not None
-            else np.array([0.5, 1.0, 2.0, 3.0]) / params.gamma
-        )
+        lags = noise._check_lags(spec.lags if spec.lags is not None
+                                 else np.array([0.5, 1.0, 2.0, 3.0]) / params.gamma)
+        _kernels.epoch_grid(params.gamma, float(lags.max()))
+        plans.append((g, params, lags))
+    sections = []
+    for j, (g, params, lags) in enumerate(plans):
         est = estimate_autocorrelation(params, lags, spec.n_traj, spec.seed,
                                        start_index=j * spec.n_traj, n_threads=spec.threads)
         rows = []

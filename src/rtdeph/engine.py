@@ -1,25 +1,26 @@
 """Monte Carlo ensembles of the dephasing qubit pair and their recovery.
 
-The Hamiltonian is diagonal in each telegraph realization, so the initial
-Bell state evolves in closed form to (|00> + exp(-i*theta_tot)|11>)/sqrt(2),
-theta_tot being the deterministic frequency phase plus the noise phase
-integral v*dwell.  No time stepping, hence no integration error.  Every
-such state is maximally entangled, so the average entanglement E_av is 1
-and the hidden entanglement is 1 - E_f.  The engine never forms these
-states: the per-trajectory coherences exp(-i*v*dwell) average to the Monte
-Carlo estimate of the analytic coherence factor, from which follow the
-averaged density matrix and its E_f.
+The qubits are taken in their rotating frame, where the Hamiltonian is
+the noise term alone; it is diagonal in each telegraph realization, so the
+initial Bell state evolves in closed form to (|00> + exp(-i*theta)|11>)/sqrt(2),
+theta being the noise phase integral v*dwell.  No time stepping, hence no
+integration error.  Every such state is maximally entangled, so the
+average entanglement E_av is 1 and the hidden entanglement is 1 - E_f.
+The engine never forms these states: the per-trajectory coherences
+exp(-i*v*dwell) average to the Monte Carlo estimate of the analytic
+coherence factor q, the corner of the averaged density matrix
+(``analytic.bell_corner_density``), whose E_f follows from |q|.
 
 Ensembles and recovery reports take their trajectories from the block
 stream ``noise.stream``, which reduces each block on its own, on a thread
 pool, and adds the block results in block order.  ``run_ensemble`` and
-``recovery_report`` take a sequence of configs sharing their seed and
-trajectory count, and one pass serves them all: each block is drawn once
-and each config reduces its view of the draws, with its own epoch length,
-up to its own last grid time, so each result equals its one-config call
-bit for bit.  The configs of a pass share their realizations (common
-random numbers): their Monte Carlo errors are correlated, and per-config
-checks on them are not independent tests.
+``recovery_report`` take a sequence of noise parameters, one per coupling,
+and the seed and trajectory count once, and one pass serves every
+coupling: each block is drawn once and each coupling reduces its view of
+the draws, with its own epoch length, up to its own last time, so each
+result equals its one-coupling call bit for bit.  The couplings of a pass
+share their realizations (common random numbers): their Monte Carlo errors
+are correlated, and per-coupling checks on them are not independent tests.
 
 For an ensemble one backend call (``_kernels.block_sums``) turns a
 block's switch times into difference arrays of its coherences
@@ -46,65 +47,51 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from rtdeph import _kernels, noise, states
-from rtdeph.analytic import SystemParams, bell_corner_density
 
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Ensemble run description: system, sample times, size, and seed."""
-
-    system: SystemParams
-    t_grid: np.ndarray
-    n_trajectories: int
-    master_seed: int
-
-    def __post_init__(self):
-        grid = np.asarray(self.t_grid, dtype=float)
-        object.__setattr__(self, "t_grid", grid)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("t_grid must be a non-empty 1-D array")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError("t_grid must be finite")
-        if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("t_grid must be strictly increasing and start at >= 0")
-        if grid[-1] <= 0.0:
-            raise ValueError("t_grid must extend beyond t = 0")
-        if self.n_trajectories < 1:
-            raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+def _check_grid(t_grid) -> np.ndarray:
+    """``t_grid`` as a float array, which must be a non-empty, finite,
+    strictly increasing 1-D grid from t >= 0 to some t > 0."""
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("t_grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("t_grid must be finite")
+    if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("t_grid must be strictly increasing and start at >= 0")
+    if grid[-1] <= 0.0:
+        raise ValueError("t_grid must extend beyond t = 0")
+    return grid
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Per-grid-time Monte Carlo estimates and the run metadata.
+    """Per-grid-time Monte Carlo estimates of one coupling.
 
     ``q_mean`` is the mean of the per-trajectory coherence factors
-    exp(-i * integral of xi); its standard errors are ddof=1 sample
-    deviations over sqrt(n).  ``rho`` is the averaged density matrix and
-    ``e_f`` its entanglement of formation.  Every realization keeps
-    |z| = 1, so every trajectory state is maximally entangled, the average
-    entanglement is 1, and the hidden entanglement ``e_h`` is 1 - E_f.
+    exp(-i * integral of xi), the corner of the averaged density matrix
+    (``analytic.bell_corner_density``); its standard errors are ddof=1
+    sample deviations over sqrt(n).  ``e_f`` is the entanglement of
+    formation of the averaged state, with its delta-method standard error
+    ``e_f_se``.  Every realization keeps |z| = 1, so every trajectory state
+    is maximally entangled, the average entanglement is 1, and the hidden
+    entanglement ``e_h`` is 1 - E_f.
     """
 
     t_grid: np.ndarray
-    rho: np.ndarray
     q_mean: np.ndarray
     q_se_re: np.ndarray
     q_se_im: np.ndarray
     e_f: np.ndarray
     e_f_se: np.ndarray
     e_h: np.ndarray
-    n_trajectories: int
-    master_seed: int
-    system: SystemParams = field(repr=False)
 
 
 def _correction_phase(theta, n: int):
@@ -137,50 +124,35 @@ def _moments(n: int, d: np.ndarray, t_grid, v: float):
     return mean, np.maximum(q - np.square(s) / n, 0.0)
 
 
-def _one_pass(configs) -> tuple:
-    """The configs of one sampled pass, which must share the trajectories:
-    the same ``master_seed`` and ``n_trajectories``."""
-    configs = tuple(configs)
-    if not configs:
-        raise ValueError("need at least one RunConfig")
-    first = configs[0]
-    for config in configs[1:]:
-        if (config.master_seed, config.n_trajectories) != (first.master_seed,
-                                                          first.n_trajectories):
-            raise ValueError("the configs of one call must share master_seed and n_trajectories")
-    return configs
+def _block_sums(t_grid: np.ndarray, v: float, batch: noise.TrajectoryBatch) -> np.ndarray:
+    return _kernels.block_sums(batch.levels, batch.times, t_grid, v, scale=batch.scale)
 
 
-def _block_sums(config: RunConfig, batch: noise.TrajectoryBatch) -> np.ndarray:
-    return _kernels.block_sums(batch.levels, batch.times, config.t_grid, config.system.rt.v,
-                               scale=batch.scale)
+def run_ensemble(params, t_grid, n_trajectories: int, master_seed: int,
+                 n_threads: int = 1) -> list[EnsembleResult]:
+    """Average an ensemble of noise realizations over ``t_grid``, for each
+    ``RTParams`` of the sequence ``params``.
 
-
-def run_ensemble(configs, n_threads: int = 1) -> list[EnsembleResult]:
-    """Average an ensemble of noise realizations over the time grid, for
-    each config of the sequence ``configs``.
-
-    For each grid time this produces the averaged density matrix, the mean
-    coherence with standard errors, the entanglement of formation of the
-    average, and the hidden entanglement 1 - E_f.  The configs share their
-    seed and trajectory count, and one pass over the blocks serves them
-    all: each result equals that of a call with its config alone, bit for
-    bit, and the results share their realizations.  Deterministic given the
+    For each grid time this produces the mean coherence with standard
+    errors, the entanglement of formation of the averaged state, and the
+    hidden entanglement 1 - E_f.  Trajectories 0 to ``n_trajectories`` - 1
+    of the streams keyed by ``master_seed`` serve every coupling in one
+    pass over the blocks: each result equals that of a call with its
+    coupling alone, bit for bit, and the results share their realizations.
+    The grid is checked before anything is drawn.  Deterministic given the
     seed, independent of ``n_threads``.
     """
-    configs = _one_pass(configs)
-    couplings = [(c.system.rt, float(c.t_grid[-1]), functools.partial(_block_sums, c))
-                 for c in configs]
-    totals = noise.stream(couplings, configs[0].n_trajectories, configs[0].master_seed,
-                          n_threads=n_threads)
-    return [_ensemble(c, d) for c, d in zip(configs, totals)]
+    grid = _check_grid(t_grid)
+    couplings = [(p, float(grid[-1]), functools.partial(_block_sums, grid, p.v)) for p in params]
+    totals = noise.stream(couplings, n_trajectories, master_seed, n_threads=n_threads)
+    return [_ensemble(n_trajectories, grid, p.v, d) for (p, _, _), d in zip(couplings, totals)]
 
 
-def _ensemble(config: RunConfig, d: np.ndarray) -> EnsembleResult:
-    """The ensemble result of ``config`` from its difference arrays ``d``
-    (``_kernels.block_sums``, added over all blocks)."""
-    v, n = config.system.rt.v, config.n_trajectories
-    mean, m2 = _moments(n, d, config.t_grid, v)
+def _ensemble(n: int, t_grid: np.ndarray, v: float, d: np.ndarray) -> EnsembleResult:
+    """The ensemble result of n trajectories at amplitude ``v`` from their
+    difference arrays ``d`` (``_kernels.block_sums``, added over all
+    blocks)."""
+    mean, m2 = _moments(n, d, t_grid, v)
     q_mean = mean.view(np.complex128)[:, 0]
     q_se = np.sqrt(m2 / max(n - 1, 1)) / math.sqrt(n)
 
@@ -193,20 +165,15 @@ def _ensemble(config: RunConfig, d: np.ndarray) -> EnsembleResult:
     )
     e_f = states.entanglement_of_formation(concurrence)
     e_f_se = _ef_derivative(concurrence) * se_c
-    omega_sum = config.system.omega_a + config.system.omega_b
 
     return EnsembleResult(
-        t_grid=config.t_grid,
-        rho=bell_corner_density(q_mean, omega_sum * config.t_grid),
+        t_grid=t_grid,
         q_mean=q_mean,
         q_se_re=q_se[:, 0],
         q_se_im=q_se[:, 1],
         e_f=e_f,
         e_f_se=e_f_se,
         e_h=1.0 - e_f,
-        n_trajectories=config.n_trajectories,
-        master_seed=config.master_seed,
-        system=config.system,
     )
 
 
@@ -235,16 +202,15 @@ def _revival_sums(v: float, n: int, batch: noise.TrajectoryBatch) -> np.ndarray:
     return np.array([z.sum(), (h_conj * z * h_conj).sum()])
 
 
-def recovery_report(configs, n: int, n_threads: int = 1) -> list[RecoveryReport]:
+def recovery_report(params, n: int, n_trajectories: int, master_seed: int,
+                    n_threads: int = 1) -> list[RecoveryReport]:
     """Concurrence of the averaged ensemble at t_n = 2*pi*n/v, with and
-    without the per-trajectory phase correction, for each config of the
-    sequence ``configs``.
+    without the per-trajectory phase correction, for each ``RTParams`` of
+    the sequence ``params``.
 
-    Each config gives its ``system``, ``n_trajectories`` and
-    ``master_seed``; its ``t_grid`` is ignored, the one time being t_n.
     Uses the same trajectory streams and blocks as ``run_ensemble`` for the
-    same seed, and like it serves every config from one pass over the
-    blocks.  Each block computes the noise phase theta(t_n) once
+    same seed and count, and like it serves every coupling from one pass
+    over the blocks.  Each block computes the noise phase theta(t_n) once
     (``_kernels.dwell_times``) and sums its uncorrected coherences
     exp(-i*theta) and its corrected ones.  The correction is the local
     unitary exp(-i*vartheta/2*sigma_z) on the noisy qubit, with vartheta =
@@ -256,14 +222,11 @@ def recovery_report(configs, n: int, n_threads: int = 1) -> list[RecoveryReport]
     """
     if n < 1:
         raise ValueError(f"revival index must be >= 1, got {n}")
-    configs = _one_pass(configs)
-    couplings = [(c.system.rt, _TWO_PI * n / c.system.rt.v,
-                  functools.partial(_revival_sums, c.system.rt.v, n)) for c in configs]
-    totals = noise.stream(couplings, configs[0].n_trajectories, configs[0].master_seed,
-                          n_threads=n_threads)
+    couplings = [(p, _TWO_PI * n / p.v, functools.partial(_revival_sums, p.v, n)) for p in params]
+    totals = noise.stream(couplings, n_trajectories, master_seed, n_threads=n_threads)
     reports = []
     for (_, t_n, _), total in zip(couplings, totals):
-        before, after = np.minimum(np.abs(total / configs[0].n_trajectories), 1.0)
+        before, after = np.minimum(np.abs(total / n_trajectories), 1.0)
         reports.append(RecoveryReport(t_n=t_n, revival_index=n,
                                       concurrence_before=float(before),
                                       concurrence_after=float(after)))

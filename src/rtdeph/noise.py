@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,9 +181,9 @@ def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
 
 def stream(couplings, n: int, master_seed: int, start_index: int = 0,
            n_threads: int = 1) -> list:
-    """Per coupling of ``couplings``, a sequence of (params, horizon,
-    reduce), its ``reduce(batch)`` summed over the blocks of trajectories
-    ``start_index`` to ``start_index + n - 1``.
+    """Per coupling of ``couplings``, a non-empty sequence of (params,
+    horizon, reduce), its ``reduce(batch)`` summed over the blocks of
+    trajectories ``start_index`` to ``start_index + n - 1``.
 
     Block b holds the next ``BLOCK`` trajectories from ``start_index + b*BLOCK``
     (the last block may be shorter).  Its draws are made once
@@ -196,12 +196,15 @@ def stream(couplings, n: int, master_seed: int, start_index: int = 0,
     results are added in block order as they are collected, the left fold
     (b0 + b1) + b2 + ..., so the totals do not depend on the thread count.
     The fold adds in place into the first block's result, so a reduce
-    returns a fresh array.
+    returns a fresh array.  The indices, the couplings and their epoch
+    counts are checked before anything is drawn.
     """
     _check_indices(master_seed, start_index, n)
     couplings = tuple(couplings)
-    epochs = max((_kernels.epoch_grid(params.gamma, horizon)[0]
-                  for params, horizon, _ in couplings), default=0)
+    if not couplings:
+        raise ValueError("need at least one coupling")
+    epochs = max(_kernels.epoch_grid(params.gamma, horizon)[0]
+                 for params, horizon, _ in couplings)
 
     def one_block(start):
         count = min(BLOCK, start_index + n - start)
@@ -234,7 +237,17 @@ class AutocorrelationResult:
     lags: np.ndarray
     estimates: np.ndarray
     stderrs: np.ndarray
-    n_samples: int = field(default=0)
+    n_samples: int
+
+
+def _check_lags(lags) -> np.ndarray:
+    """``lags`` as a float array, which must be 1-D, finite and non-negative."""
+    lag_arr = np.asarray(lags, dtype=float)
+    if lag_arr.ndim != 1:
+        raise ValueError("lags must be 1-D")
+    if not np.all(np.isfinite(lag_arr)) or np.any(lag_arr < 0.0):
+        raise ValueError("lags must be finite and non-negative")
+    return lag_arr
 
 
 def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed: int,
@@ -255,13 +268,9 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
-    lag_arr = np.asarray(lags, dtype=float)
-    if lag_arr.ndim != 1:
-        raise ValueError("lags must be 1-D")
+    lag_arr = _check_lags(lags)
     if lag_arr.size == 0:
         return AutocorrelationResult(lag_arr, np.empty(0), np.empty(0), n_samples)
-    if not np.all(np.isfinite(lag_arr)) or np.any(lag_arr < 0.0):
-        raise ValueError("lags must be finite and non-negative")
 
     horizon = float(lag_arr.max())
     if horizon == 0.0:

@@ -29,9 +29,8 @@ def _line(num: int, name: str, ok: bool, elapsed: float, budget: float) -> None:
     print(f"[criterion {num:02d}] {name}: {status} ({elapsed:.2f}s, budget {budget:g}s)")
 
 
-def system_for(g: float, v: float = 1.0) -> analytic.SystemParams:
-    gamma = 0.0 if math.isinf(g) else v / g
-    return analytic.SystemParams(rt=noise.RTParams(v=v, gamma=gamma))
+def params_for(g: float, v: float = 1.0) -> noise.RTParams:
+    return noise.RTParams(v=v, gamma=0.0 if math.isinf(g) else v / g)
 
 
 def analytic_ef(params: noise.RTParams, times: np.ndarray) -> np.ndarray:
@@ -41,11 +40,11 @@ def analytic_ef(params: noise.RTParams, times: np.ndarray) -> np.ndarray:
 
 def test_criterion_01_static_limit_curve():
     start = time.perf_counter()
-    system = system_for(math.inf)
+    params = params_for(math.inf)
     vt = np.linspace(0.0, SIX_PI, 1000)
     ef = np.array(
         [
-            states.entanglement_of_formation(states.concurrence(analytic.density_matrix(system, t)))
+            states.entanglement_of_formation(states.concurrence(analytic.density_matrix(params, t)))
             for t in vt
         ]
     )
@@ -57,13 +56,13 @@ def test_criterion_01_static_limit_curve():
     for n in (0, 1, 2):
         zero_t = (2 * n + 1) * math.pi
         val = states.entanglement_of_formation(
-            states.concurrence(analytic.density_matrix(system, zero_t))
+            states.concurrence(analytic.density_matrix(params, zero_t))
         )
         if val > 1e-12:
             failures.append(f"E_f({zero_t:.3f}) = {val:.3e}, expected 0")
         peak_t = 2 * (n + 1) * math.pi
         val = states.entanglement_of_formation(
-            states.concurrence(analytic.density_matrix(system, peak_t))
+            states.concurrence(analytic.density_matrix(params, peak_t))
         )
         if val < 1.0 - 1e-12:
             failures.append(f"E_f({peak_t:.3f}) = {val!r}, expected 1")
@@ -80,7 +79,7 @@ def test_criterion_02_first_revival_peaks():
     failures = []
     peak_values = {}
     for g in (5.0, 10.0, 50.0, 200.0):
-        params = system_for(g).rt
+        params = params_for(g)
         ef = analytic_ef(params, vt)
         window = (vt > math.pi) & (vt < 3.0 * math.pi)
         idx = np.flatnonzero(window)[np.argmax(ef[window])]
@@ -96,7 +95,7 @@ def test_criterion_02_first_revival_peaks():
             failures.append(f"g={g}: peak E_f {ef_peak:.6f} vs f(|q(t_1)|) {ef_at_t1:.6f}")
 
     # oracle anchor for the g=5 coherence modulus at t_1
-    q5 = abs(analytic.coherence_factor(system_for(5.0).rt, TWO_PI))
+    q5 = abs(analytic.coherence_factor(params_for(5.0), TWO_PI))
     if abs(q5 - Q_ABS_G5_VT_2PI) > 1e-12:
         failures.append(f"|q(t_1)| at g=5 drifted from frozen oracle: {q5!r}")
 
@@ -115,7 +114,7 @@ def test_criterion_03_envelope_bounds_peaks():
     vt = np.arange(0.0, SIX_PI + step, step)
     failures = []
     for g in (5.0, 10.0, 50.0, 200.0):
-        params = system_for(g).rt
+        params = params_for(g)
         ef = analytic_ef(params, vt)
         env = np.atleast_1d(analytic.envelope(params, vt))
         interior = np.flatnonzero(
@@ -138,16 +137,8 @@ def mc_results():
     grid = np.linspace(0.0, SIX_PI, 40)
     g_values = (0.5, 1.0, 5.0, 10.0)
     start = time.perf_counter()
-    configs = [
-        engine.RunConfig(
-            system=system_for(g),
-            t_grid=grid,
-            n_trajectories=10_000,
-            master_seed=MASTER_SEED,
-        )
-        for g in g_values
-    ]
-    results = dict(zip(g_values, engine.run_ensemble(configs, n_threads=2)))
+    results = dict(zip(g_values, engine.run_ensemble([params_for(g) for g in g_values], grid,
+                                                     10_000, MASTER_SEED, n_threads=2)))
     return results, time.perf_counter() - start
 
 
@@ -155,7 +146,7 @@ def test_criterion_04_mc_matches_closed_form(mc_results):
     results, elapsed = mc_results
     failures = []
     for g, result in results.items():
-        q_ref = np.atleast_1d(analytic.coherence_factor(system_for(g).rt, result.t_grid))
+        q_ref = np.atleast_1d(analytic.coherence_factor(params_for(g), result.t_grid))
         ok_re = np.abs(result.q_mean.real - q_ref.real) <= 4.0 * result.q_se_re
         ok_im = np.abs(result.q_mean.imag - q_ref.imag) <= 4.0 * result.q_se_im
         fraction = (ok_re & ok_im).mean()
@@ -175,7 +166,7 @@ def test_criterion_05_average_entanglement_identity():
     # the engine takes E_av = 1 by construction (e_h = 1 - e_f), so check
     # the identity independently: the entropy of every trajectory state,
     # formed from its noise phase v*dwell at several grid times
-    params = system_for(5.0).rt
+    params = params_for(5.0)
     grid = np.linspace(0.0, SIX_PI, 7)
     batch = noise.sample_batch(params, SIX_PI, 50, MASTER_SEED)
     phases = params.v * _kernels.dwell_times(batch.levels, batch.times, grid, scale=batch.scale)
@@ -191,13 +182,13 @@ def test_criterion_05_average_entanglement_identity():
 
 def test_criterion_06_hidden_entanglement_endpoints():
     start = time.perf_counter()
-    system = system_for(math.inf)
+    params = params_for(math.inf)
 
     def hidden(vt):
         # frozen noise at v = 1: the levels 0 and 1, each with probability
         # 1/2, whose trajectory states have the phases 0 and vt
         e_av = 0.5 * (schmidt_entropy(phased_bell(0.0)) + schmidt_entropy(phased_bell(vt)))
-        rho = analytic.density_matrix(system, vt)
+        rho = analytic.density_matrix(params, vt)
         return e_av - states.entanglement_of_formation(states.concurrence(rho))
 
     failures = []
@@ -219,21 +210,15 @@ def test_criterion_07_phase_recovery():
     start = time.perf_counter()
     failures = []
     for g in (5.0, math.inf):
-        system = system_for(g)
+        params = params_for(g)
         for n in (1, 3):
             t_n = TWO_PI * n
-            config = engine.RunConfig(
-                system=system,
-                t_grid=np.array([t_n]),
-                n_trajectories=32_768,
-                master_seed=MASTER_SEED,
-            )
-            [report] = engine.recovery_report([config], n)
+            [report] = engine.recovery_report([params], n, 32_768, MASTER_SEED)
             if abs(report.concurrence_after - 1.0) > 1e-9:
                 failures.append(f"g={g}, n={n}: recovered C = {report.concurrence_after!r}")
             if not math.isinf(g):
                 # the uncorrected ensemble concurrence is |q(t_n)|
-                expected = float(abs(analytic.coherence_factor(system.rt, t_n)))
+                expected = float(abs(analytic.coherence_factor(params, t_n)))
                 gap = abs(report.concurrence_before - expected)
                 if gap > 0.02:
                     failures.append(

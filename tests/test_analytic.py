@@ -154,49 +154,34 @@ def test_approximation_quality_scales_as_inverse_g_squared():
 
 
 def test_density_matrix_initial_state():
-    system = analytic.SystemParams(rt=params_for(5.0))
-    rho = analytic.density_matrix(system, 0.0)
+    rho = analytic.density_matrix(params_for(5.0), 0.0)
     np.testing.assert_allclose(rho, x_state(1.0), atol=1e-15)
 
 
 def test_density_matrix_static_zero_coherence_point():
-    system = analytic.SystemParams(rt=params_for(math.inf))
-    rho = analytic.density_matrix(system, math.pi)
+    rho = analytic.density_matrix(params_for(math.inf), math.pi)
     np.testing.assert_allclose(rho, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-15)
 
 
 def test_density_matrix_corner_and_concurrence():
     params = RTParams(v=1.0, gamma=0.2)
-    system = analytic.SystemParams(rt=params)
     for t in (0.7, 2.0 * math.pi, 11.0):
-        rho = analytic.density_matrix(system, t)
+        rho = analytic.density_matrix(params, t)
         q = analytic.coherence_factor(params, t)
         assert rho[0, 3] == pytest.approx(0.5 * np.conj(q), abs=1e-15)
         states.check_density_matrix(rho)
         assert states.concurrence(rho) == pytest.approx(abs(q), abs=1e-10)
 
 
-@pytest.mark.parametrize("omega_a, omega_b", [(0.0, 0.0), (0.4, 0.2)])
-def test_density_matrix_is_the_static_ensemble_mixture(omega_a, omega_b):
+def test_density_matrix_is_the_static_ensemble_mixture():
     # the closed form and the trajectory states share one Bell-corner
-    # convention: rho_03 = conj(q) exp(i omega t) / 2
-    system = analytic.SystemParams(rt=params_for(math.inf), omega_a=omega_a, omega_b=omega_b)
+    # convention: rho_03 = conj(q) / 2
+    params = params_for(math.inf)
     for t in (0.0, 1.3, 4.0):
         # frozen noise: the levels 0 and v, each with probability 1/2
-        members = [phased_bell((omega_a + omega_b) * t + level * system.rt.v * t)
-                   for level in (0, 1)]
+        members = [phased_bell(level * params.v * t) for level in (0, 1)]
         mixture = sum(0.5 * np.outer(state, state.conj()) for state in members)
-        np.testing.assert_allclose(analytic.density_matrix(system, t), mixture, rtol=0, atol=1e-12)
-
-
-def test_entanglement_independent_of_qubit_frequencies():
-    params = RTParams(v=1.0, gamma=0.2)
-    plain = analytic.SystemParams(rt=params)
-    rotating = analytic.SystemParams(rt=params, omega_a=3.1, omega_b=-0.7)
-    for t in (0.9, 5.0):
-        c0 = states.concurrence(analytic.density_matrix(plain, t))
-        c1 = states.concurrence(analytic.density_matrix(rotating, t))
-        assert c1 == pytest.approx(c0, abs=1e-10)
+        np.testing.assert_allclose(analytic.density_matrix(params, t), mixture, rtol=0, atol=1e-12)
 
 
 def test_revival_times_families():
@@ -250,8 +235,3 @@ def test_negative_times_rejected():
         analytic.coherence_factor_approx(params, np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
         analytic.envelope(params, -1.0)
-
-
-def test_system_params_validation():
-    with pytest.raises(ValueError):
-        analytic.SystemParams(rt=params_for(5.0), omega_a=math.inf)

@@ -175,9 +175,9 @@ def test_compare_mode_fail_path(tmp_path, monkeypatch):
     # negative control: corrupt the MC coherences and expect a failing report
     real_run = engine.run_ensemble
 
-    def corrupted(configs, n_threads=1):
+    def corrupted(*args, **kwargs):
         return [engine.EnsembleResult(**{**result.__dict__, "q_mean": result.q_mean + 0.5})
-                for result in real_run(configs, n_threads=n_threads)]
+                for result in real_run(*args, **kwargs)]
 
     monkeypatch.setattr(engine, "run_ensemble", corrupted)
     out = tmp_path / "cmp.json"
@@ -193,8 +193,8 @@ def test_compare_mode_fail_path(tmp_path, monkeypatch):
 
 def _compare_report(*argv):
     spec = _spec("--mode", "both", "--n-traj", "300", "--seed", "4", "--no-timestamp", *argv)
-    t_grid = spec.vt_grid() / spec.v
-    results = engine.run_ensemble([spec.run_config(g, t_grid) for g in spec.g])
+    results = engine.run_ensemble([spec.rt_params(g) for g in spec.g], spec.vt_grid() / spec.v,
+                                  spec.n_traj, spec.seed)
     return cli.build_compare_report(spec, dict(zip(spec.g, results)))
 
 
@@ -240,9 +240,9 @@ def test_compare_report_matches_a_scalar_loop():
     # the same arithmetic is the reference, so every value must be equal
     spec = _spec("--mode", "both", "--g", "0.5,1,2,5", "--vt-step", "0.3", "--vt-max", "18.0",
                  "--n-traj", "200", "--seed", "3", "--no-timestamp")
-    t_grid = spec.vt_grid() / spec.v
-    configs = [spec.run_config(g, t_grid) for g in spec.g]
-    results = dict(zip(spec.g, engine.run_ensemble(configs)))
+    results = dict(zip(spec.g, engine.run_ensemble([spec.rt_params(g) for g in spec.g],
+                                                   spec.vt_grid() / spec.v, spec.n_traj,
+                                                   spec.seed)))
     report = cli.build_compare_report(spec, results)
     points = iter(report["per_point"])
     global_max = 0.0
@@ -262,7 +262,7 @@ def test_compare_report_matches_a_scalar_loop():
                 "se_re": float(se_re[i]), "se_im": float(se_im[i]), "within_band": bool(ok),
             }
         assert entry["max_abs_dev"] == g_max
-        assert entry["fraction_within_band"] == within / t_grid.size
+        assert entry["fraction_within_band"] == within / result.t_grid.size
         global_max = max(global_max, g_max)
     assert next(points, None) is None
     assert report["max_abs_dev"] == global_max
@@ -329,10 +329,10 @@ def test_recovery_mode_fails_on_wrong_uncorrected_concurrence(tmp_path, monkeypa
     # 0.2 away from |q(t_n)| must fail the report even though recovery works
     real_report = engine.recovery_report
 
-    def shifted(configs, n, n_threads=1):
+    def shifted(*args, **kwargs):
         return [engine.RecoveryReport(
             **{**report.__dict__, "concurrence_before": report.concurrence_before + 0.2})
-            for report in real_report(configs, n, n_threads=n_threads)]
+            for report in real_report(*args, **kwargs)]
 
     monkeypatch.setattr(engine, "recovery_report", shifted)
     out = tmp_path / "rec.json"
@@ -464,6 +464,24 @@ def test_autocorr_rejects_static_limit(tmp_path, monkeypatch, capsys):
         assert cli.main(["--mode", "autocorr", "--g", g, "--n-traj", "200000",
                          "--out", str(out)]) == 2
         assert "autocorr mode needs a finite g (gamma > 0)" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--g", "0.5,1,1e-320"], "gamma must be finite"),
+    (["--g", "0.5,1,1e-12", "--lags", "1"], "more epochs than the 32-bit epoch counter"),
+])
+def test_autocorr_refuses_a_bad_g_before_any_pass(tmp_path, monkeypatch, capsys, argv, message):
+    # g = 1e-320 makes gamma = v/g overflow, and g = 1e-12 at lag 1 spans
+    # 1.25e11 epochs: either is refused before the first g is sampled
+    calls = []
+    real_estimate = cli.estimate_autocorrelation
+    monkeypatch.setattr(cli, "estimate_autocorrelation",
+                        lambda *a, **k: calls.append(a) or real_estimate(*a, **k))
+    out = tmp_path / "ac.json"
+    assert cli.main(["--mode", "autocorr", *argv, "--n-traj", "64", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 

@@ -13,45 +13,51 @@ from _oracles import dwell, mp_entanglement_of_formation, phased_bell, x_state
 TWO_PI = 2.0 * math.pi
 
 
-def system_for(g, v=1.0, **kw):
-    gamma = 0.0 if math.isinf(g) else v / g
-    return analytic.SystemParams(rt=noise.RTParams(v=v, gamma=gamma), **kw)
+def params_for(g, v=1.0):
+    return noise.RTParams(v=v, gamma=0.0 if math.isinf(g) else v / g)
 
 
-def test_run_config_validation():
-    system = system_for(5.0)
-    with pytest.raises(ValueError):
-        engine.RunConfig(system=system, t_grid=np.array([1.0, 0.5]), n_trajectories=10, master_seed=0)
-    with pytest.raises(ValueError):
-        engine.RunConfig(system=system, t_grid=np.array([]), n_trajectories=10, master_seed=0)
-    with pytest.raises(ValueError):
-        engine.RunConfig(system=system, t_grid=np.array([0.0]), n_trajectories=10, master_seed=0)
-    with pytest.raises(ValueError):
-        engine.RunConfig(system=system, t_grid=np.array([0.0, 1.0]), n_trajectories=0, master_seed=0)
-    with pytest.raises(ValueError):
-        engine.RunConfig(system=system, t_grid=np.array([0.0, 1.0]), n_trajectories=10, master_seed=-1)
-    # the seed keys 64-bit streams: 2**64 and above are refused, not wrapped
-    engine.RunConfig(system=system, t_grid=np.array([0.0, 1.0]), n_trajectories=10,
-                     master_seed=2**64 - 1)
-    with pytest.raises(ValueError, match="master_seed"):
-        engine.RunConfig(system=system, t_grid=np.array([0.0, 1.0]), n_trajectories=10,
-                         master_seed=2**64)
+#: Decreasing, repeated, empty, 2-D, no t > 0, a negative start, nan, inf.
+BAD_GRIDS = ([1.0, 0.5], [0.0, 1.0, 1.0], [], [[0.0, 1.0]], [0.0], [-1.0, 1.0],
+             [0.0, math.nan], [0.0, math.inf])
+
+
+def test_engine_refuses_bad_input_before_it_draws(monkeypatch):
+    # every refusal comes before the first block is drawn
+    draws = []
+    real_draw = noise.draw_epochs
+    monkeypatch.setattr(noise, "draw_epochs", lambda *a, **k: draws.append(a) or real_draw(*a, **k))
+    params, grid = [params_for(5.0)], [0.0, 1.0]
+    for bad in BAD_GRIDS:
+        with pytest.raises(ValueError, match="t_grid"):
+            engine.run_ensemble(params, bad, 10, 0)
+    calls = (lambda p, n, seed: engine.run_ensemble(p, grid, n, seed),
+             lambda p, n, seed: engine.recovery_report(p, 1, n, seed))
+    for call in calls:
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            call(params, 0, 0)
+        # the seed keys 64-bit streams: 2**64 and above are refused, not wrapped
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="master_seed"):
+                call(params, 10, seed)
+        with pytest.raises(ValueError, match="at least one coupling"):
+            call([], 10, 0)
+    assert draws == []
+    for call in calls:
+        call(params, 10, 2**64 - 1)
+    assert len(draws) == 2
 
 
 def run(g, n=2000, seed=0, points=25, threads=1, vt_end=6.0 * math.pi):
-    system = system_for(g)
-    config = engine.RunConfig(
-        system=system,
-        t_grid=np.linspace(0.0, vt_end, points),
-        n_trajectories=n,
-        master_seed=seed,
-    )
-    return config, engine.run_ensemble([config], n_threads=threads)[0]
+    params = params_for(g)
+    [result] = engine.run_ensemble([params], np.linspace(0.0, vt_end, points), n, seed,
+                                   n_threads=threads)
+    return params, result
 
 
 def test_static_ensemble_average_matches_cosine():
-    config, result = run(math.inf, n=4000)
-    expected = np.abs(np.cos(config.t_grid / 2.0))
+    _, result = run(math.inf, n=4000)
+    expected = np.abs(np.cos(result.t_grid / 2.0))
     dev = np.abs(np.abs(result.q_mean) - expected)
     bound = 3.0 * np.hypot(result.q_se_re, result.q_se_im) + 1e-12
     assert np.all(dev <= bound)
@@ -76,9 +82,10 @@ def test_static_ensemble_members_and_endpoints():
     # its state is (|00> + (-1)**b |11>)/sqrt(2) and the mean coherence is
     # (n0 - n1)/n, while at v*t = 2*pi every state is the Bell state again
     n = 500
-    config, result = run(math.inf, n=n, points=3, vt_end=TWO_PI)
-    np.testing.assert_allclose(result.rho[0], x_state(1.0), atol=1e-15)
-    n1 = int(noise.sample_batch(config.system.rt, TWO_PI, n, config.master_seed).levels.sum())
+    params, result = run(math.inf, n=n, points=3, vt_end=TWO_PI)
+    np.testing.assert_allclose(analytic.bell_corner_density(result.q_mean[0]), x_state(1.0),
+                               atol=1e-15)
+    n1 = int(noise.sample_batch(params, TWO_PI, n, 0).levels.sum())
     q = (n - 2 * n1) / n
     assert result.q_mean[1] == pytest.approx(q, abs=1e-12)
     assert result.e_f[1] == pytest.approx(mp_entanglement_of_formation(abs(q)), abs=1e-9)
@@ -93,8 +100,8 @@ def test_mc_matches_coherence_factor_within_errors():
     # errors of the complex mean; at 2000 it was 2.3, which correct streams
     # exceed for about one seed in ten
     for g in (0.5, 1.0, 5.0):
-        config, result = run(g, n=8000, points=20)
-        q_ref = np.atleast_1d(analytic.coherence_factor(config.system.rt, config.t_grid))
+        params, result = run(g, n=8000, points=20)
+        q_ref = np.atleast_1d(analytic.coherence_factor(params, result.t_grid))
         ok_re = np.abs(result.q_mean.real - q_ref.real) <= 4.0 * result.q_se_re
         ok_im = np.abs(result.q_mean.imag - q_ref.imag) <= 4.0 * result.q_se_im
         assert (ok_re & ok_im).mean() >= 0.95
@@ -105,7 +112,7 @@ def test_ensemble_density_matrices_are_valid():
     _, result = run(5.0, n=300, points=8)
     pattern = np.zeros((4, 4), dtype=bool)
     pattern[0, 0] = pattern[3, 3] = pattern[0, 3] = pattern[3, 0] = True
-    for rho in result.rho:
+    for rho in analytic.bell_corner_density(result.q_mean):
         states.check_density_matrix(rho)
         assert np.all(rho[~pattern] == 0.0)
         np.testing.assert_array_equal(np.diag(rho).real, [0.5, 0.0, 0.0, 0.5])
@@ -122,22 +129,18 @@ def test_results_identical_across_thread_counts():
     # three blocks: the block sums are added in order, and two would commute
     _, single = run(5.0, n=5000, seed=11, points=15, threads=1)
     _, multi = run(5.0, n=5000, seed=11, points=15, threads=4)
-    np.testing.assert_array_equal(single.q_mean, multi.q_mean)
-    np.testing.assert_array_equal(single.q_se_re, multi.q_se_re)
-    np.testing.assert_array_equal(single.e_f, multi.e_f)
-    np.testing.assert_array_equal(single.rho, multi.rho)
+    assert_same_result(single, multi)
 
 
 @pytest.mark.parametrize("n", [150, 4097])  # 4097: three blocks, the last of one trajectory
 def test_coherence_statistics_definition(n):
     # rebuild the estimator from raw trajectories in one pass: mean and
     # ddof=1 errors, against the block-by-block merge
-    config, result = run(5.0, n=n, points=6)
-    params = config.system.rt
-    batch = noise.sample_batch(params, float(config.t_grid[-1]), n, config.master_seed)
+    params, result = run(5.0, n=n, points=6)
+    batch = noise.sample_batch(params, float(result.t_grid[-1]), n, 0)
     z = np.empty((n, 6), dtype=complex)
     for i in range(n):
-        for gi, t in enumerate(config.t_grid):
+        for gi, t in enumerate(result.t_grid):
             z[i, gi] = np.exp(-1j * params.v * dwell(int(batch.levels[i]), batch.switch_times[i], t))
     np.testing.assert_allclose(result.q_mean, z.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(result.q_se_re, z.real.std(axis=0, ddof=1) / math.sqrt(n), atol=1e-12)
@@ -146,11 +149,9 @@ def test_coherence_statistics_definition(n):
 
 def test_ensemble_memory_does_not_grow_with_n():
     def traced_peak(n):
-        config = engine.RunConfig(system=system_for(5.0), t_grid=np.linspace(0.0, 6.0 * math.pi, 201),
-                                  n_trajectories=n, master_seed=0)
         tracemalloc.start()
         try:
-            engine.run_ensemble([config], n_threads=1)
+            engine.run_ensemble([params_for(5.0)], np.linspace(0.0, 6.0 * math.pi, 201), n, 0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -158,58 +159,51 @@ def test_ensemble_memory_does_not_grow_with_n():
     assert traced_peak(8 * 2048) <= 1.25 * traced_peak(2 * 2048)
 
 
-def shared_pass_configs(n, seed):
-    """Configs of one pass: the static limit, couplings that need 1 to 5
-    epochs of L = 8*g/v (v*t up to 6*pi), a grid ending on an epoch
-    boundary (v = 1, g = 0.5, t = 8 is 2 epochs of 4) and a second v."""
-    grids = {0.5: np.linspace(0.0, 8.0, 17), 0.3: np.linspace(0.0, 5.0, 11)}
-    systems = [system_for(g) for g in (math.inf, 50.0, 5.0, 1.0, 0.5)] + [system_for(0.3, v=2.0)]
-    return [engine.RunConfig(system=system,
-                             t_grid=grids.get(system.rt.g, np.linspace(0.0, 6.0 * math.pi, 13)),
-                             n_trajectories=n, master_seed=seed)
-            for system in systems]
-
-
 def assert_same_result(a, b):
     for name, value in a.__dict__.items():
-        if isinstance(value, np.ndarray):
-            np.testing.assert_array_equal(np.ascontiguousarray(value).view(np.uint8),
-                                          np.ascontiguousarray(getattr(b, name)).view(np.uint8))
-        else:
-            assert value == getattr(b, name), name
+        np.testing.assert_array_equal(np.ascontiguousarray(value).view(np.uint8),
+                                      np.ascontiguousarray(getattr(b, name)).view(np.uint8))
+
+
+def assert_one_pass_is_each_alone(params, grid, n, seed, threads):
+    """The results of one pass over ``params`` are those of the calls with
+    each coupling alone, byte for byte, in either order of the couplings."""
+    results = engine.run_ensemble(params, grid, n, seed, n_threads=threads)
+    assert len(results) == len(params)
+    for p, result in zip(params, results):
+        [alone] = engine.run_ensemble([p], grid, n, seed)
+        assert_same_result(result, alone)
+    for result, again in zip(results, engine.run_ensemble(params[::-1], grid, n, seed)[::-1]):
+        assert_same_result(result, again)
+    reports = engine.recovery_report(params, 2, n, seed, n_threads=threads)
+    for p, report in zip(params, reports):
+        assert report == engine.recovery_report([p], 2, n, seed)[0]
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_one_pass_serves_every_config_bit_for_bit(threads):
-    # one pass draws each block once, for the most epochs any config needs,
-    # and gives each config the batch it samples alone: every result of the
-    # pass is the one-config call's, byte for byte; 2*BLOCK + 5 trajectories
-    # are three blocks, the last one partial
-    configs = shared_pass_configs(2 * noise.BLOCK + 5, seed=21)
-    results = engine.run_ensemble(configs, n_threads=threads)
-    assert len(results) == len(configs)
-    for config, result in zip(configs, results):
-        [alone] = engine.run_ensemble([config], n_threads=1)
-        assert_same_result(result, alone)
-    reports = engine.recovery_report(configs, 2, n_threads=threads)
-    for config, report in zip(configs, reports):
-        [alone] = engine.recovery_report([config], 2, n_threads=1)
-        assert report == alone
-    # and the order of the configs in the pass does not matter
-    for result, again in zip(results, engine.run_ensemble(configs[::-1])[::-1]):
-        assert_same_result(result, again)
+    # one pass draws each block once, for the most epochs any coupling
+    # needs, and gives each coupling the batch it samples alone; 2*BLOCK + 5
+    # trajectories are three blocks, the last one partial.  The couplings:
+    # the static limit, ones that need 1 to 5 epochs of L = 8*g/v by
+    # v*t = 6*pi, and a second v, whose 16 epochs the pass draws
+    n = 2 * noise.BLOCK + 5
+    params = [params_for(g) for g in (math.inf, 50.0, 5.0, 1.0, 0.5)] + [params_for(0.3, v=2.0)]
+    assert_one_pass_is_each_alone(params, np.linspace(0.0, 6.0 * math.pi, 13), n, 21, threads)
+    # a grid ending on an epoch boundary: v = 1, g = 0.5, t = 8 is 2 epochs of 4
+    params = [params_for(g) for g in (0.5, 1.0, math.inf)]
+    assert_one_pass_is_each_alone(params, np.linspace(0.0, 8.0, 17), n, 21, threads)
 
 
 def test_one_pass_shares_its_realizations():
-    # common random numbers: the configs of a pass see the same
-    # trajectories, so their errors are correlated.  Two static configs on
-    # different grids see the same level bits, hence the same coherence at
-    # the time they share; their own streams would give two estimates.
-    configs = [engine.RunConfig(system=system_for(math.inf), t_grid=grid, n_trajectories=500,
-                                master_seed=4)
-               for grid in (np.array([math.pi / 2.0]), np.array([0.3, math.pi / 2.0]))]
-    a, b = engine.run_ensemble(configs)
-    assert a.q_mean[0] == b.q_mean[1]
+    # common random numbers: the couplings of a pass see the same
+    # trajectories, so their errors are correlated.  Two static couplings
+    # see the same level bits, a fraction p of them 1: at t = pi/2 the
+    # means are q1 = 1 - p - i*p at v = 1 and q2 = 1 - 2*p at v = 2, so
+    # Re q2 = 2*Re q1 - 1, where their own streams would differ by ~1/sqrt(n)
+    a, b = engine.run_ensemble([params_for(math.inf), params_for(math.inf, v=2.0)],
+                               [math.pi / 2.0], 500, 4)
+    assert b.q_mean[0].real == pytest.approx(2.0 * a.q_mean[0].real - 1.0, abs=1e-12)
     assert 0.2 < abs(a.q_mean[0].imag) < 0.8
 
 
@@ -217,52 +211,34 @@ def test_one_pass_holds_one_batch_besides_the_draws():
     # a thread holds one block's draws, and every coupling's batch is a
     # view of them, so four couplings need no more memory than the widest
     # of them alone, whether their widths spread or are equal
-    def peak(configs):
-        engine.run_ensemble(configs, n_threads=1)
+    grid = np.linspace(0.0, 6.0 * math.pi, 61)
+
+    def peak(params):
+        engine.run_ensemble(params, grid, 2 * noise.BLOCK, 0, n_threads=1)
         tracemalloc.start()
         try:
-            engine.run_ensemble(configs, n_threads=1)
+            engine.run_ensemble(params, grid, 2 * noise.BLOCK, 0, n_threads=1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def config(g, points=61):
-        return engine.RunConfig(system=system_for(g), t_grid=np.linspace(0.0, 6.0 * math.pi, points),
-                                n_trajectories=2 * noise.BLOCK, master_seed=0)
-
-    spread = [config(g) for g in (0.5, 1.0, 2.0, 5.0)]  # g = 0.5 needs the most epochs
+    spread = [params_for(g) for g in (0.5, 1.0, 2.0, 5.0)]  # g = 0.5 needs the most epochs
     assert peak(spread) <= 1.1 * peak(spread[:1])
-    equal = [config(0.5, points) for points in (61, 31, 17, 5)]
+    equal = [params_for(0.5)] * 4
     assert peak(equal) <= 1.1 * peak(equal[:1])
-
-
-def test_one_pass_rejects_configs_that_share_no_trajectories():
-    base = dict(system=system_for(5.0), t_grid=np.array([0.0, TWO_PI]))
-    first = engine.RunConfig(**base, n_trajectories=10, master_seed=0)
-    for other in (engine.RunConfig(**base, n_trajectories=10, master_seed=1),
-                  engine.RunConfig(**base, n_trajectories=11, master_seed=0)):
-        with pytest.raises(ValueError, match="master_seed and n_trajectories"):
-            engine.run_ensemble([first, other])
-        with pytest.raises(ValueError, match="master_seed and n_trajectories"):
-            engine.recovery_report([first, other], 1)
-    with pytest.raises(ValueError):
-        engine.run_ensemble([])
-    with pytest.raises(ValueError):
-        engine.recovery_report([], 1)
 
 
 def test_block_holds_no_n_by_m_array(compiled, monkeypatch):
     # one 2048 x 601 block: the sums are formed per stretch between
     # switches, so on either backend the peak stays below one (n, m) float
     # array (the complex z alone would be twice that)
-    config = engine.RunConfig(system=system_for(5.0), t_grid=np.linspace(0.0, 6.0 * math.pi, 601),
-                              n_trajectories=2048, master_seed=0)
+    args = [params_for(5.0)], np.linspace(0.0, 6.0 * math.pi, 601), 2048, 0
     for backend in (_reference, compiled):
         monkeypatch.setattr(_kernels, "_impl", backend)
-        engine.run_ensemble([config])
+        engine.run_ensemble(*args)
         tracemalloc.start()
         try:
-            engine.run_ensemble([config])
+            engine.run_ensemble(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -316,11 +292,9 @@ def test_ensemble_matches_a_two_pass_reduction_across_blocks(compiled, monkeypat
     # mean and standard errors still match the explicit two-pass reduction
     n = 5000
     _, mean, m2 = two_pass(g, vt_max, n)
-    config = engine.RunConfig(system=system_for(g), t_grid=two_pass_grid(vt_max),
-                              n_trajectories=n, master_seed=6)
     for backend in (_reference, compiled):
         monkeypatch.setattr(_kernels, "_impl", backend)
-        [result] = engine.run_ensemble([config], n_threads=2)
+        [result] = engine.run_ensemble([params_for(g)], two_pass_grid(vt_max), n, 6, n_threads=2)
         np.testing.assert_allclose(result.q_mean.real, mean[:, 0], rtol=0, atol=1e-13)
         np.testing.assert_allclose(result.q_mean.imag, mean[:, 1], rtol=0, atol=1e-13)
         se = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
@@ -344,21 +318,17 @@ def test_ef_derivative_matches_high_precision():
 
 
 def test_ensemble_concurrence_matches_wootters_oracle():
-    config, result = run(5.0, n=500, points=30)
-    oracle = [states.entanglement_of_formation(states.concurrence(rho)) for rho in result.rho]
+    _, result = run(5.0, n=500, points=30)
+    oracle = [states.entanglement_of_formation(states.concurrence(rho))
+              for rho in analytic.bell_corner_density(result.q_mean)]
     np.testing.assert_allclose(result.e_f, oracle, rtol=0, atol=1e-12)
 
 
 def test_recovered_ensemble_concurrence():
-    static_config = engine.RunConfig(
-        system=system_for(math.inf), t_grid=np.array([TWO_PI]), n_trajectories=64, master_seed=5
-    )
-    assert engine.recovery_report([static_config], 1)[0].concurrence_after == pytest.approx(1.0, abs=1e-9)
+    [static] = engine.recovery_report([params_for(math.inf)], 1, 64, 5)
+    assert static.concurrence_after == pytest.approx(1.0, abs=1e-9)
 
-    config = engine.RunConfig(
-        system=system_for(5.0), t_grid=np.array([TWO_PI]), n_trajectories=400, master_seed=5
-    )
-    [report] = engine.recovery_report([config], 1)
+    [report] = engine.recovery_report([params_for(5.0)], 1, 400, 5)
     assert report.concurrence_after == pytest.approx(1.0, abs=1e-9)
     assert report.concurrence_before == pytest.approx(math.exp(-0.1 * TWO_PI), abs=0.1)
     assert report.concurrence_before < 0.7
@@ -367,19 +337,13 @@ def test_recovered_ensemble_concurrence():
 def test_recovery_report_consistent_with_run_ensemble():
     # same seed, same horizon: the uncorrected concurrence is the ensemble
     # concurrence at the revival time
-    config = engine.RunConfig(
-        system=system_for(5.0), t_grid=np.array([0.5 * TWO_PI, TWO_PI]), n_trajectories=300, master_seed=9
-    )
-    [result] = engine.run_ensemble([config])
-    [report] = engine.recovery_report([config], 1)
+    [result] = engine.run_ensemble([params_for(5.0)], [0.5 * TWO_PI, TWO_PI], 300, 9)
+    [report] = engine.recovery_report([params_for(5.0)], 1, 300, 9)
     assert report.concurrence_before == pytest.approx(
-        states.concurrence(result.rho[-1]), abs=1e-12
+        states.concurrence(analytic.bell_corner_density(result.q_mean[-1])), abs=1e-12
     )
 
 
 def test_recovery_report_rejects_bad_index():
-    config = engine.RunConfig(
-        system=system_for(5.0), t_grid=np.array([TWO_PI]), n_trajectories=10, master_seed=0
-    )
     with pytest.raises(ValueError):
-        engine.recovery_report([config], 0)
+        engine.recovery_report([params_for(5.0)], 0, 10, 0)

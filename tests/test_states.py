@@ -20,13 +20,12 @@ from _oracles import (
 
 def test_bell_density_corners():
     # the t = 0 state is the Bell state: only the four corners are populated
-    system = analytic.SystemParams(rt=noise.RTParams(v=1.0, gamma=0.2), omega_a=0.4, omega_b=0.2)
-    np.testing.assert_allclose(analytic.density_matrix(system, 0.0), x_state(1.0), atol=1e-15)
-    np.testing.assert_array_equal(analytic.bell_corner_density(1.0, 0.0), x_state(1.0))
-    # at mean coherence q and frequency phase w the corner is conj(q)*exp(i*w)/2
-    q, w = 0.3 - 0.4j, 1.1
-    np.testing.assert_allclose(analytic.bell_corner_density(q, w),
-                               x_state(np.conj(q) * np.exp(1j * w)), atol=1e-15)
+    params = noise.RTParams(v=1.0, gamma=0.2)
+    np.testing.assert_allclose(analytic.density_matrix(params, 0.0), x_state(1.0), atol=1e-15)
+    np.testing.assert_array_equal(analytic.bell_corner_density(1.0), x_state(1.0))
+    # at mean coherence q the corner is conj(q)/2
+    q = 0.3 - 0.4j
+    np.testing.assert_array_equal(analytic.bell_corner_density(q), x_state(np.conj(q)))
 
 
 def test_mixture_density_is_valid():
@@ -35,17 +34,16 @@ def test_mixture_density_is_valid():
     states.check_density_matrix(0.3 * np.outer(a, a.conj()) + 0.7 * np.outer(b, b.conj()))
     # the Bell-corner mixtures of the ensembles, at any |q| <= 1
     q = rng.uniform(size=20) * np.exp(2j * np.pi * rng.uniform(size=20))
-    for rho in analytic.bell_corner_density(q, rng.uniform(0.0, 10.0, size=20)):
+    for rho in analytic.bell_corner_density(q):
         states.check_density_matrix(rho)
 
 
 def test_hidden_entanglement_pure_ensemble_is_zero():
     # at t = 0 every trajectory is in the Bell state: the ensemble is pure
     # and hides no entanglement
-    config = engine.RunConfig(system=analytic.SystemParams(rt=noise.RTParams(v=1.0, gamma=0.2)),
-                              t_grid=np.array([0.0, 1.0]), n_trajectories=64, master_seed=7)
-    (result,) = engine.run_ensemble([config])
-    assert states.concurrence(result.rho[0]) == pytest.approx(1.0, abs=1e-12)
+    (result,) = engine.run_ensemble([noise.RTParams(v=1.0, gamma=0.2)], [0.0, 1.0], 64, 7)
+    assert states.concurrence(analytic.bell_corner_density(result.q_mean[0])) == pytest.approx(
+        1.0, abs=1e-12)
     assert result.e_h[0] == pytest.approx(0.0, abs=1e-12)
 
 
