@@ -22,30 +22,46 @@ BAD_GRIDS = ([1.0, 0.5], [0.0, 1.0, 1.0], [], [[0.0, 1.0]], [0.0], [-1.0, 1.0],
              [0.0, math.nan], [0.0, math.inf])
 
 
-def test_engine_refuses_bad_input_before_it_draws(monkeypatch):
-    # every refusal comes before the first block is drawn
-    draws = []
+@pytest.fixture
+def draws(monkeypatch):
+    # records every block drawn, so a test can check a refusal comes first
+    made = []
     real_draw = noise.draw_epochs
-    monkeypatch.setattr(noise, "draw_epochs", lambda *a, **k: draws.append(a) or real_draw(*a, **k))
-    params, grid = [params_for(5.0)], [0.0, 1.0]
+    monkeypatch.setattr(noise, "draw_epochs", lambda *a, **k: made.append(a) or real_draw(*a, **k))
+    return made
+
+
+GRID = [0.0, 1.0]
+CALLS = (lambda p, n, seed: engine.run_ensemble(p, GRID, n, seed),
+         lambda p, n, seed: engine.recovery_report(p, 1, n, seed))
+
+
+def test_run_config_validation(draws):
+    # the grid, count and seed of a run are refused before the first block is drawn
+    params = [params_for(5.0)]
     for bad in BAD_GRIDS:
         with pytest.raises(ValueError, match="t_grid"):
             engine.run_ensemble(params, bad, 10, 0)
-    calls = (lambda p, n, seed: engine.run_ensemble(p, grid, n, seed),
-             lambda p, n, seed: engine.recovery_report(p, 1, n, seed))
-    for call in calls:
+    for call in CALLS:
         with pytest.raises(ValueError, match="at least one trajectory"):
             call(params, 0, 0)
         # the seed keys 64-bit streams: 2**64 and above are refused, not wrapped
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="master_seed"):
                 call(params, 10, seed)
+    assert draws == []
+    for call in CALLS:
+        call(params, 10, 2**64 - 1)
+    assert len(draws) == 2
+
+
+def test_one_pass_rejects_configs_that_share_no_trajectories(draws):
+    # a pass serves every coupling from one seed and count; with no coupling
+    # there is nothing to share the trajectories, and no block is drawn
+    for call in CALLS:
         with pytest.raises(ValueError, match="at least one coupling"):
             call([], 10, 0)
     assert draws == []
-    for call in calls:
-        call(params, 10, 2**64 - 1)
-    assert len(draws) == 2
 
 
 def run(g, n=2000, seed=0, points=25, threads=1, vt_end=6.0 * math.pi):
