@@ -11,12 +11,9 @@ artifacts.
 
 from rtdeph._kernels import BACKEND
 from rtdeph.analytic import (
-    CoherenceParams,
     RevivalTimes,
     coherence_factor,
     coherence_factor_approx,
-    coherence_factor_g1,
-    coherence_factor_static,
     density_matrix,
     envelope,
     revival_times,
@@ -40,12 +37,11 @@ from rtdeph.states import (
     entanglement_of_formation,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BACKEND",
     "AutocorrelationResult",
-    "CoherenceParams",
     "EnsembleResult",
     "RecoveryReport",
     "RevivalTimes",
@@ -54,8 +50,6 @@ __all__ = [
     "binary_entropy",
     "coherence_factor",
     "coherence_factor_approx",
-    "coherence_factor_g1",
-    "coherence_factor_static",
     "concurrence",
     "density_matrix",
     "entanglement_of_formation",

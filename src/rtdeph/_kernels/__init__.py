@@ -96,10 +96,13 @@ _POISSON_CDF.flags.writeable = False
 def epoch_grid(gamma, horizon):
     """The number of epochs that start at or before the horizon and their
     length L = 2*EPOCH_SWITCHES/gamma: (0, 0.0) for gamma = 0, which never
-    switches."""
+    switches.  A gamma so small that L overflows is refused."""
     if gamma == 0.0:
         return 0, 0.0
     scale = 2.0 * EPOCH_SWITCHES / gamma
+    if math.isinf(scale):
+        raise ValueError(f"the epoch length {2.0 * EPOCH_SWITCHES:g}/gamma overflows at "
+                         f"gamma = {gamma!r}")
     if horizon / scale >= 2**32:
         raise ValueError("the horizon spans more epochs than the 32-bit epoch counter")
     count = math.floor(horizon / scale)

@@ -2,17 +2,20 @@
 
 Everything here derives from the coherence decay factor q(t) of the qubit
 exposed to the noise: the evolved two-qubit density matrix, the
-entanglement-of-formation curve, the static and strong-coupling limits, the
+entanglement-of-formation curve, the strong-coupling approximation, the
 revival-time families, and the decay envelope traced by the revival peaks.
-Times are plain floats in the same units as 1/v and 1/gamma; the natural
-dimensionless variables are v*t and gamma*t.  The qubits are taken in their
-rotating frame: their frequencies would only add the local phase
-exp(i*(omega_a + omega_b)*t) to the corner element, which a local frame
-change removes and no entanglement quantity sees.
+q(t) is one closed form for every coupling (``coherence_factor``): the
+frozen noise gamma = 0 and the degenerate g = 1 are points of it, not
+routes of their own.  Times are plain floats in the same units as 1/v and
+1/gamma; the natural dimensionless variables are v*t and gamma*t.  The
+qubits are taken in their rotating frame: their frequencies would only add
+the local phase exp(i*(omega_a + omega_b)*t) to the corner element, which
+a local frame change removes and no entanglement quantity sees.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,37 +23,6 @@ import numpy as np
 
 from rtdeph.noise import RTParams
 from rtdeph.states import entanglement_of_formation
-
-#: Couplings this close to g=1 are routed to the g=1 limit formula, where
-#: the generic expression suffers catastrophic cancellation in A = (1+1/alpha)/2.
-G1_ATOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CoherenceParams:
-    """Derived constants of the coherence factor: alpha = sqrt(1-g^2) and
-    A = (1 + 1/alpha)/2.
-
-    For g > 1 the principal square root puts alpha on the positive
-    imaginary axis.  The opposite branch swaps the two exponential terms
-    together with A <-> 1-A and leaves q(t) unchanged.
-    """
-
-    g: float
-    alpha: complex
-    a_coef: complex
-
-    def __post_init__(self):
-        residual = abs(self.alpha * self.alpha + self.g * self.g - 1.0)
-        if residual > 1e-12 * max(1.0, self.g * self.g):
-            raise ValueError(f"alpha^2 + g^2 = 1 violated by {residual!r}")
-
-    @classmethod
-    def from_g(cls, g: float) -> "CoherenceParams":
-        if not (math.isfinite(g) and g > 0.0):
-            raise ValueError(f"coupling g must be finite and positive, got {g!r}")
-        alpha = complex(np.sqrt(complex(1.0 - g * g)))
-        return cls(g=g, alpha=alpha, a_coef=0.5 * (1.0 + 1.0 / alpha))
 
 
 def _check_times(t) -> np.ndarray:
@@ -66,56 +38,40 @@ def _match_scalar(out: np.ndarray, t):
     return out[()] if np.ndim(t) == 0 else out
 
 
-def coherence_factor_static(v: float, t):
-    """Coherence factor in the frozen-noise limit: (1 + exp(-i*v*t))/2.
-
-    Its modulus is |cos(v*t/2)|, so the concurrence never decays; it just
-    oscillates between 0 and 1.
-    """
-    arr = np.asarray(t, dtype=float)
-    out = 0.5 * (1.0 + np.exp(-1j * v * arr))
-    return _match_scalar(out, t)
-
-
-def coherence_factor_g1(params: RTParams, t):
-    """Coherence factor at the degenerate coupling g = 1 (v = gamma).
-
-    This is the alpha -> 0 limit of the generic expression:
-    exp(-i*v*t/2) * exp(-gamma*t/2) * (1 + gamma*t/2).
-    """
-    if abs(params.g - 1.0) > G1_ATOL:
-        raise ValueError(f"g=1 limit formula called with g = {params.g!r}")
-    arr = _check_times(t)
-    gt = params.gamma * arr
-    out = np.exp(-0.5j * params.v * arr) * np.exp(-0.5 * gt) * (1.0 + 0.5 * gt)
-    return _match_scalar(out, t)
-
-
 def coherence_factor(params: RTParams, t):
-    """Coherence decay factor q(t) of the dephasing qubit.
+    """Coherence decay factor q(t) of the dephasing qubit, for every v > 0
+    and gamma >= 0.
 
-    q(t) = exp(-i*v*t/2) * [A exp(-gamma(1-alpha)t/2) + (1-A) exp(-gamma(1+alpha)t/2)]
+    The paper writes it q(t) = exp(-i*v*t/2) * [A exp(-gamma(1-alpha)t/2)
+    + (1-A) exp(-gamma(1+alpha)t/2)], with alpha = sqrt(1 - g^2) and
+    A = (1 + 1/alpha)/2: weak coupling (g < 1) gives a pure decay, strong
+    coupling (g > 1) damped oscillations.  With kappa = gamma*alpha =
+    sqrt(gamma^2 - v^2), the principal root, and gamma - kappa written as
+    v^2/(gamma + kappa), the same algebra reads
 
-    with alpha = sqrt(1 - g^2) and A = (1 + 1/alpha)/2.  Weak coupling
-    (g < 1) gives a pure decay, strong coupling (g > 1) damped oscillations.
-    The singular points are routed to their limits: gamma = 0 to the static
-    formula and |g - 1| < 1e-8 to the g = 1 formula.  Equals the average of
-    exp(-i * integral of xi) over telegraph realizations, which is what the
-    Monte Carlo engine estimates.
+        q(t) = exp(-(i*v + v^2/(gamma + kappa))*t/2)
+               * [1 + (1 - gamma/kappa)/2 * expm1(-kappa*t)].
+
+    This form has no seam.  No difference of close numbers is taken, so
+    weak coupling and g near 1 keep their digits; the frozen noise
+    gamma = 0 gives kappa = i*v exactly and q = (1 + exp(-i*v*t))/2; and
+    kappa is formed from gamma/s and v/s, s = max(v, gamma), so huge or
+    tiny g cannot overflow it.  Only kappa = 0 (g = 1) takes its limit,
+    the bracket 1 + gamma*t/2.  No exponent overflows either: the decay
+    rate Re(v^2/(gamma + kappa)) is >= 0 and |expm1(-kappa*t)| <= 2.
+    q(t) equals the average of exp(-i * integral of xi) over telegraph
+    realizations, which is what the Monte Carlo engine estimates.
     """
     arr = _check_times(t)
-    if params.gamma == 0.0:
-        out = coherence_factor_static(params.v, arr)
-    elif abs(params.g - 1.0) < G1_ATOL:
-        out = coherence_factor_g1(params, arr)
+    v, gamma = params.v, params.gamma
+    s = max(v, gamma)
+    kappa = s * cmath.sqrt((gamma / s - v / s) * (gamma / s + v / s))
+    rate = 0.5 * (1j * v + v * (v / (gamma + kappa)))
+    if kappa == 0.0:
+        bracket = 1.0 + 0.5 * gamma * arr
     else:
-        cp = CoherenceParams.from_g(params.g)
-        half_gt = 0.5 * params.gamma * arr
-        mix = cp.a_coef * np.exp(-(1.0 - cp.alpha) * half_gt) + (
-            1.0 - cp.a_coef
-        ) * np.exp(-(1.0 + cp.alpha) * half_gt)
-        out = np.exp(-0.5j * params.v * arr) * mix
-    return _match_scalar(out, t)
+        bracket = 1.0 + 0.5 * (1.0 - gamma / kappa) * np.expm1(-kappa * arr)
+    return _match_scalar(np.exp(-rate * arr) * bracket, t)
 
 
 def coherence_factor_approx(params: RTParams, t):
@@ -177,20 +133,17 @@ class RevivalTimes:
 def revival_times(params: RTParams, n_max: int) -> RevivalTimes:
     """Revival, peak, and zero times for n = 1..n_max.
 
-    Peak locations require strong coupling; finite g <= 1 is rejected.  In
-    the static limit (gamma = 0) the peaks sit exactly at t_n.
+    Peak locations require strong coupling; g <= 1 is rejected.  In the
+    static limit (gamma = 0, g = inf) the peaks sit exactly at t_n.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not params.g > 1.0:
+        raise ValueError(f"peak times require g > 1, got g = {params.g!r}")
     n = np.arange(1, n_max + 1, dtype=float)
     t_n = 2.0 * np.pi * n / params.v
     t_tilde = (2.0 * n + 1.0) * np.pi / params.v
-    if params.gamma == 0.0:
-        t_star = t_n.copy()
-    elif params.g > 1.0:
-        t_star = t_n / math.sqrt(1.0 - 1.0 / (params.g * params.g))
-    else:
-        raise ValueError(f"peak times require g > 1, got g = {params.g!r}")
+    t_star = t_n / math.sqrt(1.0 - 1.0 / (params.g * params.g))
     return RevivalTimes(t_n=t_n, t_n_star=t_star, t_tilde_n=t_tilde)
 
 

@@ -109,9 +109,6 @@ class SweepSpec:
     def __post_init__(self):
         if not self.g:
             raise ValueError("at least one g value is required")
-        for g in self.g:
-            if not g > 0.0:
-                raise ValueError(f"g values must be positive or 'inf', got {g!r}")
         if len(set(self.g)) != len(self.g):
             raise ValueError(f"g values must be distinct, got {list(self.g)}")
         if not (math.isfinite(self.v) and self.v > 0.0):
@@ -135,9 +132,20 @@ class SweepSpec:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "autocorr" and math.inf in self.g:
-            # the static limit has no autocorrelation to estimate
-            raise ValueError("autocorr mode needs a finite g (gamma > 0)")
+        for g in self.g:
+            try:
+                if not g > 0.0:
+                    raise ValueError("g values must be positive or 'inf'")
+                gamma = self.rt_params(g).gamma
+                if self.mode != "analytic":
+                    # a sampled coupling needs a finite epoch length; each
+                    # pass checks its horizon's epoch count itself
+                    _kernels.epoch_grid(gamma, 0.0)
+                if self.mode == "autocorr" and gamma == 0.0:
+                    # the static limit has no autocorrelation to estimate
+                    raise ValueError("autocorr mode needs a finite g (gamma > 0)")
+            except ValueError as exc:
+                raise ValueError(f"--g {g!r}: {exc}") from None
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.revival_n < 1:
@@ -149,8 +157,8 @@ class SweepSpec:
             raise ValueError("lags must name at least one positive lag")
 
     def rt_params(self, g: float) -> RTParams:
-        gamma = 0.0 if math.isinf(g) else self.v / g
-        return RTParams(v=self.v, gamma=gamma)
+        # v / inf is 0.0: the static limit
+        return RTParams(v=self.v, gamma=self.v / g)
 
     def _vt_steps(self) -> int:
         return math.floor(self.vt_max / self.vt_step + 1e-9)

@@ -25,31 +25,24 @@ def params_for(g, v=1.0):
     return RTParams(v=v, gamma=0.0 if math.isinf(g) else v / g)
 
 
-def test_coherence_params_branch_and_identity():
-    strong = analytic.CoherenceParams.from_g(5.0)
-    assert strong.alpha.real == 0.0
-    assert strong.alpha.imag > 0.0
-    weak = analytic.CoherenceParams.from_g(0.5)
-    assert weak.alpha.imag == 0.0
-    assert weak.alpha.real > 0.0
-    for g in (0.2, 0.9, 1.5, 20.0, 200.0):
-        cp = analytic.CoherenceParams.from_g(g)
-        assert abs(cp.alpha**2 + g * g - 1.0) <= 1e-12 * max(1.0, g * g)
-
-
 def test_coherence_factor_is_one_at_t_zero():
     for g in (0.5, 1.0, 5.0, math.inf):
         assert analytic.coherence_factor(params_for(g), 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_coherence_factor_oracle_values():
-    # 50-digit evaluations, frozen
+    # frozen high-precision evaluations, and the oracle still gives them
     q = analytic.coherence_factor(RTParams(v=1.0, gamma=0.2), 2.0 * math.pi)
     assert abs(q) == pytest.approx(Q_ABS_G5_VT_2PI, abs=1e-12)
     assert q == pytest.approx(mp_coherence_factor(1.0, 0.2, 2.0 * math.pi), abs=1e-12)
 
     assert analytic.coherence_factor(RTParams(v=1.0, gamma=2.0), 3.0) == pytest.approx(Q_G05_T3, abs=1e-12)
     assert analytic.coherence_factor(RTParams(v=1.0, gamma=0.1), 2.5) == pytest.approx(Q_G10_T25, abs=1e-12)
+
+    assert abs(mp_coherence_factor(1.0, 0.2, 2.0 * math.pi)) == pytest.approx(Q_ABS_G5_VT_2PI, abs=1e-16)
+    assert mp_coherence_factor(1.0, 2.0, 3.0) == pytest.approx(Q_G05_T3, abs=1e-16)
+    assert mp_coherence_factor(1.0, 0.1, 2.5) == pytest.approx(Q_G10_T25, abs=1e-16)
+    assert abs(mp_coherence_factor(1.0, 1.0, 2.0)) == pytest.approx(G1_MODULUS_GT2, abs=1e-16)
 
 
 def test_coherence_factor_modulus_bounded():
@@ -60,10 +53,12 @@ def test_coherence_factor_modulus_bounded():
 
 
 def test_static_route_used_at_gamma_zero():
-    params = params_for(math.inf, v=2.0)
+    # gamma = 0 is a point of the one closed form: kappa = i*v exactly
+    v = 2.0
     ts = np.linspace(0.0, 10.0, 50)
-    np.testing.assert_array_equal(
-        analytic.coherence_factor(params, ts), analytic.coherence_factor_static(2.0, ts)
+    np.testing.assert_allclose(
+        analytic.coherence_factor(params_for(math.inf, v=v), ts),
+        0.5 * (1.0 + np.exp(-1j * v * ts)), rtol=0, atol=1e-15,
     )
 
 
@@ -77,38 +72,67 @@ def test_static_limit_consistency():
 
 
 def test_coherence_factor_static_examples():
-    assert abs(analytic.coherence_factor_static(1.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
-    assert abs(analytic.coherence_factor_static(1.0, math.pi)) == pytest.approx(0.0, abs=1e-15)
-    assert abs(analytic.coherence_factor_static(1.0, 2.0 * math.pi)) == pytest.approx(1.0, abs=1e-15)
+    static = params_for(math.inf)
+    assert abs(analytic.coherence_factor(static, 0.0)) == pytest.approx(1.0, abs=1e-15)
+    assert abs(analytic.coherence_factor(static, math.pi)) == pytest.approx(0.0, abs=1e-15)
+    assert abs(analytic.coherence_factor(static, 2.0 * math.pi)) == pytest.approx(1.0, abs=1e-15)
     vt = 1.3
-    assert analytic.coherence_factor_static(1.0, vt) == pytest.approx(
+    assert analytic.coherence_factor(static, vt) == pytest.approx(
         0.5 * (1.0 + np.exp(-1j * vt)), abs=1e-15
     )
 
 
 def test_g1_limit_formula():
+    # at g = 1 exactly kappa = 0, and q is the limit
+    # exp(-i*v*t/2) * exp(-gamma*t/2) * (1 + gamma*t/2)
     params = RTParams(v=1.0, gamma=1.0)
-    assert analytic.coherence_factor_g1(params, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert abs(analytic.coherence_factor_g1(params, 2.0)) == pytest.approx(G1_MODULUS_GT2, abs=1e-14)
-    assert abs(analytic.coherence_factor_g1(params, 200.0)) < 1e-40
-    with pytest.raises(ValueError):
-        analytic.coherence_factor_g1(RTParams(v=2.0, gamma=1.0), 1.0)
+    assert analytic.coherence_factor(params, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert abs(analytic.coherence_factor(params, 2.0)) == pytest.approx(G1_MODULUS_GT2, abs=1e-14)
+    assert abs(analytic.coherence_factor(params, 200.0)) < 1e-40
+    ts = np.linspace(0.0, 30.0, 61)
+    np.testing.assert_allclose(
+        analytic.coherence_factor(params, ts),
+        np.exp(-0.5j * ts) * np.exp(-0.5 * ts) * (1.0 + 0.5 * ts), rtol=0, atol=1e-15,
+    )
 
 
 def test_g1_seam_continuity():
-    ts = np.linspace(0.0, 10.0, 101)
-    exact = analytic.coherence_factor_g1(RTParams(v=1.0, gamma=1.0), ts)
-    for g in (1.0 - 1e-6, 1.0 + 1e-6):
-        near = analytic.coherence_factor(params_for(g), ts)
-        assert np.abs(near - exact).max() < 1e-4
+    # on both sides of g = 1 the closed form keeps its digits: no route,
+    # no seam, and no cancellation in (1 - gamma/kappa)
+    ts = np.linspace(0.0, 10.0, 11)
+    for dg in (1e-6, 1e-9, 1e-12):
+        for g in (1.0 - dg, 1.0 + dg):
+            near = analytic.coherence_factor(params_for(g), ts)
+            exact = [mp_coherence_factor(1.0, 1.0 / g, t) for t in ts]
+            assert np.abs(near - exact).max() <= 1e-15
 
 
-def test_coherence_factor_routes_to_g1_near_seam():
-    params = RTParams(v=1.0, gamma=1.0 + 1e-10)
-    ts = np.linspace(0.0, 5.0, 7)
-    np.testing.assert_array_equal(
-        analytic.coherence_factor(params, ts), analytic.coherence_factor_g1(params, ts)
-    )
+#: Couplings by regime for the oracle check: weak, at and around g = 1,
+#: moderate, huge (1 - g*g overflows from 1.3e154 on) and the frozen noise.
+ORACLE_COUPLINGS = {
+    "weak": (1e-9, 1e-6, 1e-3),
+    "near_one": (1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6),
+    "moderate": (0.5, 2.0, 5.0, 50.0),
+    "huge": (1e8, 1e154, 1e155, 1e300),
+    "static": (math.inf,),
+}
+
+
+@pytest.mark.parametrize("regime", list(ORACLE_COUPLINGS))
+def test_coherence_factor_matches_the_feynman_kac_oracle(regime):
+    # |q - q_oracle| <= 1e-15 * (1 + v*t) for v from 1e-200 to 1e200, over
+    # v*t up to 300 and, where gamma >> v, also gamma*t up to 300
+    scaled = (0.0, 0.7, 3.1, 17.0, 120.0, 300.0)
+    for v in (1e-200, 1.0, 1e200):
+        for g in ORACLE_COUPLINGS[regime]:
+            params = params_for(g, v=v)
+            ts = [x / v for x in scaled]
+            if params.gamma > v:
+                ts += [x / params.gamma for x in scaled[1:]]
+            q = analytic.coherence_factor(params, np.array(ts))
+            for t, value in zip(ts, q):
+                err = abs(value - mp_coherence_factor(v, params.gamma, t)) / (1.0 + v * t)
+                assert err <= 1e-15, (v, g, t, value)
 
 
 def test_branch_swap_invariance():

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -484,6 +485,39 @@ def test_autocorr_refuses_a_bad_g_before_any_pass(tmp_path, monkeypatch, capsys,
     assert message in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, bad_g", [
+    # the epoch length 8g/v overflows: every sampled mode
+    *((mode, "1e308") for mode in ("mc", "both", "recovery", "autocorr")),
+    # gamma = v/g overflows: every mode
+    *((mode, "1e-320") for mode in cli.MODES),
+])
+def test_unsampleable_g_exits_2_naming_it(tmp_path, monkeypatch, capsys, mode, bad_g):
+    # refused before any block is drawn, with no warning and no artifact
+    calls = []
+    real_draw = noise.draw_epochs
+    monkeypatch.setattr(noise, "draw_epochs", lambda *a: calls.append(a) or real_draw(*a))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--mode", mode, "--g", "0.5," + bad_g, "--n-traj", "64",
+                         "--out", str(out)]) == 2
+    assert caught == []
+    assert f"invalid input: --g {float(bad_g)!r}: " in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_analytic_mode_at_a_huge_coupling(tmp_path):
+    # at g = 1e300 the closed form is the static one to every digit:
+    # E_f(|cos(vt/2)|) at vt = 1
+    out = tmp_path / "fig.csv"
+    assert cli.main(["--mode", "analytic", "--g", "1e300", "--vt-max", "1", "--vt-step", "0.5",
+                     "--no-timestamp", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [row["vt"] for row in rows] == [0.0, 0.5, 1.0]
+    assert rows[-1]["ef"] == pytest.approx(0.8271794982944158, abs=1e-15)
 
 
 def test_uncountable_vt_grid_exits_2(tmp_path, capsys):
