@@ -2,9 +2,9 @@
 
 The compiled extension ``_core`` (hand-written C in ``_core.c``, which
 setup.py builds whenever a C compiler is available) is used when it
-imports; otherwise the numpy fallback ``_reference`` takes over.  The two
-follow the same floating-point operations in the same order and agree bit
-for bit.
+imports; otherwise the numpy fallback ``_reference`` takes over, and only
+then is it imported.  The two follow the same floating-point operations in
+the same order and agree bit for bit.
 
 A batch is the level bit at t = 0 of each trajectory and its switch times
 in epoch units x, one row per trajectory padded with +inf (the padding is
@@ -12,9 +12,12 @@ the only record of a row's length), with the epoch length ``scale``:
 switch j of row i is at x[i, j]*scale.  Four kernels work on batches.
 ``sample`` draws the epoch times from counter-based Philox streams (see its
 docstring); they do not depend on the switching rate, and one draw serves
-every rate, each with its own scale.  The three consumers form each switch
-time x*scale as they reach it and read no switch past the last grid time,
-so the times past it need no cut.  ``dwell_times`` (recovery's noise
+every rate, each with its own scale.  It keeps only the times at or below
+a cut in epoch units, ``epoch_cut`` of the widest horizon they serve, so
+the last epoch's later switches are neither sorted nor stored.  The three
+consumers form each switch time x*scale as they reach it and read no
+switch past the last grid time, so the times between it and the cut need
+no further cut.  ``dwell_times`` (recovery's noise
 phase) and ``levels_at_times`` (autocorrelation) return an (n, m) array,
 and ``block_sums`` (ensembles) returns only difference arrays of the
 coherences z = exp(-i*v*dwell), shifted by their t = 0 value 1.  Between
@@ -25,7 +28,8 @@ time prev).  So ``block_sums`` adds the terms of each stretch of grid
 points between switches once, at its first grid point, and takes them off
 at its end: neither backend forms the (n, m) coherences.  Each stretch's factor is
 ``_reference.exp_minus_i`` (repeated in C), about 55 IEEE + and * without
-libm below its bound, and the compiled kernel finds the stretch's first
+libm below its bound, which ``exp_minus_i`` applies to an array (recovery's
+phases at the revival time), and the compiled kernel finds the stretch's first
 grid point through a per-call table of equal grid cells, so a switch
 costs constant work on a uniform grid.  Difference arrays add over
 blocks, and ``column_sums`` turns their total into the column sums of
@@ -54,12 +58,13 @@ import math
 
 import numpy as np
 
-from rtdeph._kernels import _reference
-
 try:
     from rtdeph._kernels import _core
 except ImportError:
     _core = None
+    # the numpy fallback is imported only where it runs; tests import it
+    # by name to compare the backends
+    from rtdeph._kernels import _reference
 
 _impl = _core if _core is not None else _reference
 
@@ -111,10 +116,32 @@ def epoch_grid(gamma, horizon):
     return count, scale
 
 
-def sample(master_seed, start, n, epochs, impl=None):
+def epoch_cut(horizon, scale):
+    """The largest x whose switch time x*scale is at or before the horizon,
+    for an epoch length ``scale`` from ``epoch_grid``; -inf for scale 0
+    (gamma = 0), which never switches.  The consumers form x*scale and read
+    no switch past their last grid time, so draws cut at this x (``sample``)
+    give them the bits of uncut ones up to the horizon, and no smaller cut
+    does: x*scale is monotone in x, and x is found by stepping from
+    horizon/scale one double at a time."""
+    if scale == 0.0:
+        return -math.inf
+    cut = horizon / scale
+    while cut * scale > horizon:
+        cut = math.nextafter(cut, -math.inf)
+    while math.nextafter(cut, math.inf) * scale <= horizon:
+        cut = math.nextafter(cut, math.inf)
+    return cut
+
+
+def sample(master_seed, start, n, epochs, cut=math.inf, impl=None):
     """The level bits of trajectories ``start`` to ``start + n - 1`` and
     their switch times in epoch units: the x = e + u of epochs 0 to
-    ``epochs`` - 1, sorted per row and padded with +inf, uncut.
+    ``epochs`` - 1 that are at or below ``cut`` (``epoch_cut`` of the
+    widest horizon), sorted per row and padded with +inf.  A cut of +inf
+    keeps every time of the epochs; a lower one drops the later times of
+    each row, which are dropped before they are sorted and written, and
+    leaves the others' bits as they are.
 
     Every draw is a Philox4x32-10 block keyed by the 64-bit ``master_seed``
     at the counter (trajectory as two words, epoch, draw).  The level bit is
@@ -128,8 +155,8 @@ def sample(master_seed, start, n, epochs, impl=None):
     """
     impl = impl or _impl
     levels = np.empty(n, dtype=np.uint8)
-    args = (master_seed, start, epochs, _POISSON_CDF, levels)
-    width = _row_room(epochs)
+    args = (master_seed, start, epochs, cut, _POISSON_CDF, levels)
+    width = _row_room(min(float(epochs), max(cut, 0.0)))
     times = np.empty(n * width)
     k = impl.sample(*args, times)
     if k > width:
@@ -140,10 +167,13 @@ def sample(master_seed, start, n, epochs, impl=None):
 
 
 def _row_room(epochs):
-    """Room per row for the epoch times: the mean count
-    EPOCH_SWITCHES*epochs and about 8 standard deviations more."""
+    """Room per row for the epoch times of ``epochs`` epochs (a fraction
+    where the cut ends inside one): the mean count EPOCH_SWITCHES*epochs,
+    6 standard deviations and 8 more.  The widest of 2048 Poisson rows
+    exceeds it with a probability below 1e-6 for every mean up to 400, and
+    then the rows are drawn again."""
     mean = EPOCH_SWITCHES * epochs
-    return math.ceil(mean + 8.0 * math.sqrt(mean)) + 8
+    return math.ceil(mean + 6.0 * math.sqrt(mean)) + 8
 
 
 def _prepare(levels, switch_times, t_grid, scale):
@@ -231,6 +261,19 @@ def column_sums(d, t_grid, v):
         low_im2 + ((count * ii + (aa * ii + bb * rr)) + 2.0 * (ei * y + ab * ri)),
     ], axis=-1)
     return s, q
+
+
+def exp_minus_i(theta, impl=None):
+    """exp(-i*theta) as complex128 for each value of a 1-D array taken as
+    float64: the phase factor of ``block_sums`` (``_reference.exp_minus_i``),
+    its parts within 1 ulp of cos(theta) and sin(-theta) and the same bits
+    on either backend."""
+    theta = np.ascontiguousarray(theta, dtype=np.float64)
+    if theta.ndim != 1:
+        raise ValueError("theta must be 1-D")
+    out = np.empty(theta.shape[0], dtype=np.complex128)
+    (impl or _impl).exp_minus_i(theta, out.view(np.float64).reshape(-1, 2))
+    return out
 
 
 def float_reprs(values, impl=None):

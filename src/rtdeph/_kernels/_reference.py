@@ -20,12 +20,12 @@ IEEE + and * (and falls back to numpy's complex exp, whose parts are
 libm's cos and sin, where the compiled kernel calls them).  So both
 backends produce bit-identical output.  ``sample``
 computes the Philox blocks of all trajectories and epochs at once in
-uint64 arithmetic, where each 32x32-bit product is exact, and sorts each
-row's epoch times, which orders every epoch as the compiled kernel's sort
-per epoch does; its row counts stay local.  Each kernel fills the
-outputs that ``rtdeph._kernels`` allocates, except ``float_reprs``:
-Python's own ``repr`` of each value, which defines the compiled
-formatter's output.
+uint64 arithmetic, where each 32x32-bit product is exact, drops the epoch
+times past the cut and sorts each row's others, which orders every epoch
+as the compiled kernel's sort per epoch does; its row counts stay local.
+Each kernel fills the outputs that ``rtdeph._kernels`` allocates, the
+factors of ``exp_minus_i`` included, except ``float_reprs``: Python's own
+``repr`` of each value, which defines the compiled formatter's output.
 """
 
 from __future__ import annotations
@@ -140,19 +140,17 @@ _SIGN_IM = np.array([-1.0, -1.0, 1.0, 1.0])
 _SLICE = 4096
 
 
-def exp_minus_i(theta):
-    """The parts (cos theta, sin(-theta)) of exp(-i*theta) for a 1-D
-    float64 array, in the IEEE + and * of _core.c's exp_minus_i, operation
-    for operation (see its comment): for |theta| <= PHASE_BOUND a remainder
-    r + rt of theta modulo pi/2 that keeps its digits next to every
-    multiple of pi/2, the fdlibm kernel polynomials and the quadrant's
-    sign.  Past the bound, and for inf and NaN, it is numpy's complex exp,
-    whose parts are libm's cos and sin."""
-    theta = np.asarray(theta, dtype=np.float64)
-    re, im = np.empty_like(theta), np.empty_like(theta)
+def exp_minus_i(theta, out):
+    """Fills row i of the float64 array ``out``, shape (n, 2), with the
+    parts (cos theta, sin(-theta)) of exp(-i*theta) for the 1-D float64
+    array ``theta``, in the IEEE + and * of _core.c's exp_minus_i,
+    operation for operation (see its comment): for |theta| <= PHASE_BOUND a
+    remainder r + rt of theta modulo pi/2 that keeps its digits next to
+    every multiple of pi/2, the fdlibm kernel polynomials and the
+    quadrant's sign.  Past the bound, and for inf and NaN, it is numpy's
+    complex exp, whose parts are libm's cos and sin."""
     for s in range(0, theta.size, _SLICE):
-        re[s : s + _SLICE], im[s : s + _SLICE] = _exp_minus_i(theta[s : s + _SLICE])
-    return re, im
+        out[s : s + _SLICE, 0], out[s : s + _SLICE, 1] = _exp_minus_i(theta[s : s + _SLICE])
 
 
 def _exp_minus_i(theta):
@@ -213,8 +211,10 @@ def block_sums(levels, switch_times, t_grid, scale, v, out):
     live = g0 < g1
     high = bits == 1
     # the factor of each live stretch, in row-major (row, stretch) order
-    re, im = exp_minus_i(np.where(high, acc - prev, acc)[live] * v)
-    re -= 1.0
+    phase = np.where(high, acc - prev, acc)[live] * v
+    factor = np.empty((phase.size, 2))
+    exp_minus_i(phase, factor)
+    re, im = factor[:, 0] - 1.0, factor[:, 1]
     terms = [np.ones_like(re), re, im, re * re, im * im, re * im]
     start, end, on_high = g0[live], g1[live], high[live]
     sums = []
@@ -254,21 +254,23 @@ def _uniform(a, b):
     return (((a << 20) ^ (b >> 12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def sample(seed, start, epochs, cdf, levels, times):
+def sample(seed, start, epochs, cut, cdf, levels, times):
     """Samples trajectories ``start`` to ``start + n - 1`` (n = len(levels))
     under the 64-bit ``seed`` into ``levels`` (uint8), and returns the
-    widest row's switch count k.  If n*k <= len(times) it also writes the
-    (n, k) epoch times, padded with +inf, row by row into the front of the
-    float64 array ``times``.
+    widest row's count k of epoch times at or below ``cut``.  If n*k <=
+    len(times) it also writes the (n, k) epoch times, padded with +inf,
+    row by row into the front of the float64 array ``times``.
 
     Epochs 0 to ``epochs`` - 1 are drawn (see ``rtdeph._kernels.sample``):
     for each, its count from ``cdf`` and its uniforms, filled in draw order,
-    then the times e + u, sorted per row, which sorts each epoch as the
-    compiled kernel does, since the epochs do not overlap.  Arrays are
-    indexed (row, epoch, draw).
+    then the times e + u, those above the cut set to +inf and sorted per
+    row, which sorts each epoch as the compiled kernel does, since the
+    epochs do not overlap.  Arrays are indexed (row, epoch, draw).
     """
     if not (0 <= seed < 2**64 and 0 <= start < 2**64):
         raise OverflowError("seed and start must be in [0, 2**64)")
+    if np.isnan(cut):
+        raise ValueError("the cut must not be NaN")
     n = levels.shape[0]
     index = np.arange(n, dtype=np.uint64) + np.uint64(start)
     lo, hi = (index & _WORD)[:, None], (index >> 32)[:, None]
@@ -291,6 +293,7 @@ def sample(seed, start, epochs, cdf, levels, times):
         second = 2 * d < draws[row, epoch]
         u[row[second], epoch[second], 2 * d[second]] = _uniform(w[2], w[3])[second]
     t = (np.arange(epochs, dtype=np.float64)[:, None] + u).reshape(n, -1)
+    t[t > cut] = np.inf
     t.sort(axis=1)
     k = int(np.isfinite(t).sum(axis=1).max())
     if n * k <= times.shape[0]:

@@ -138,8 +138,9 @@ class SweepSpec:
                     raise ValueError("g values must be positive or 'inf'")
                 gamma = self.rt_params(g).gamma
                 if self.mode != "analytic":
-                    # a sampled coupling needs a finite epoch length; each
-                    # pass checks its horizon's epoch count itself
+                    # a sampled coupling needs a finite epoch length; the
+                    # epoch count of its horizon is checked below, with the
+                    # option that sets the horizon
                     _kernels.epoch_grid(gamma, 0.0)
                 if self.mode == "autocorr" and gamma == 0.0:
                     # the static limit has no autocorrelation to estimate
@@ -155,10 +156,33 @@ class SweepSpec:
             # error, so a report of no lags or of zero lags only would pass
             # by construction
             raise ValueError("lags must name at least one positive lag")
+        if self.mode != "analytic":
+            for g in self.g:
+                horizon, option = self._horizon(g)
+                try:
+                    _kernels.epoch_grid(self.rt_params(g).gamma, horizon)
+                except ValueError as exc:
+                    raise ValueError(f"--g {g!r} with {option}: {exc}") from None
+
+    def _horizon(self, g: float) -> tuple[float, str]:
+        """The last time the sampled pass of this mode reads at ``g``, as
+        the pass forms it, and the option that sets it, with its value."""
+        if self.mode == "recovery":
+            return 2.0 * math.pi * self.revival_n / self.v, f"--revival-n {self.revival_n}"
+        if self.mode == "autocorr":
+            lags = self.autocorr_lags(g)
+            return float(lags.max()), "--lags " + ",".join(map(repr, lags.tolist()))
+        return self.vt_step * self._vt_steps() / self.v, f"--vt-max {self.vt_max!r}"
 
     def rt_params(self, g: float) -> RTParams:
         # v / inf is 0.0: the static limit
         return RTParams(v=self.v, gamma=self.v / g)
+
+    def autocorr_lags(self, g: float) -> np.ndarray:
+        """The lags of the autocorrelation at ``g``: ``lags``, or else
+        (0.5, 1, 2, 3)/gamma."""
+        return noise._check_lags(self.lags if self.lags is not None
+                                 else np.array([0.5, 1.0, 2.0, 3.0]) / self.rt_params(g).gamma)
 
     def _vt_steps(self) -> int:
         return math.floor(self.vt_max / self.vt_step + 1e-9)
@@ -425,20 +449,14 @@ def cmd_autocorr(spec: SweepSpec) -> tuple[str, int]:
     """JSON table of sampled versus exact telegraph autocorrelation.
 
     Coupling number j samples trajectories [j*n_traj, (j+1)*n_traj), so
-    every g is estimated from its own realizations.  Every g's parameters,
-    lags and epoch count are checked before the first g is sampled.
+    every g is estimated from its own realizations, and one pass samples
+    them all.
     """
-    plans = []
-    for g in spec.g:
-        params = spec.rt_params(g)
-        lags = noise._check_lags(spec.lags if spec.lags is not None
-                                 else np.array([0.5, 1.0, 2.0, 3.0]) / params.gamma)
-        _kernels.epoch_grid(params.gamma, float(lags.max()))
-        plans.append((g, params, lags))
+    params_list = [spec.rt_params(g) for g in spec.g]
+    estimates = estimate_autocorrelation(params_list, [spec.autocorr_lags(g) for g in spec.g],
+                                         spec.n_traj, spec.seed, n_threads=spec.threads)
     sections = []
-    for j, (g, params, lags) in enumerate(plans):
-        est = estimate_autocorrelation(params, lags, spec.n_traj, spec.seed,
-                                       start_index=j * spec.n_traj, n_threads=spec.threads)
+    for g, params, est in zip(spec.g, params_list, estimates):
         rows = []
         for lag, value, se in zip(est.lags, est.estimates, est.stderrs):
             expected = math.exp(-params.gamma * lag)

@@ -194,11 +194,12 @@ def _revival_sums(v: float, n: int, batch: noise.TrajectoryBatch) -> np.ndarray:
     state's coherence is its |11> over its |00> amplitude.
     exp(-i*vartheta/2*sigma_z) on qubit A multiplies |00> by h =
     exp(-i*vartheta/2) and |11> by conj(h), so the ratio is
-    conj(h)*z*conj(h)."""
+    conj(h)*z*conj(h).  z and h are ``block_sums``' phase factor
+    (``_kernels.exp_minus_i``)."""
     theta = v * _kernels.dwell_times(batch.levels, batch.times, [batch.horizon],
                                      scale=batch.scale)[:, 0]
-    z = np.exp(-1j * theta)
-    h_conj = np.conj(np.exp(-0.5j * _correction_phase(theta, n)))
+    z = _kernels.exp_minus_i(theta)
+    h_conj = np.conj(_kernels.exp_minus_i(0.5 * _correction_phase(theta, n)))
     return np.array([z.sum(), (h_conj * z * h_conj).sum()])
 
 

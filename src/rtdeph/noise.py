@@ -21,12 +21,15 @@ Every sampled pass goes through one block stream (``stream``): blocks of
 ``BLOCK`` consecutive trajectories are drawn and reduced on a thread pool,
 and each coupling's reductions are added in block order.  Each block is
 drawn once in epoch units (``draw_epochs``), for the most epochs any
-coupling of the pass needs, and each coupling's batch is a view of those
+coupling of the pass needs and cut at the widest horizon
+(``_kernels.epoch_cut``), and each coupling's batch is a view of those
 draws with its own epoch length (``sample_batch``): the batch kernels form
 a switch time x*L where they read it and read none past the coupling's
-horizon.  So the couplings of one pass share their trajectories, common
-random numbers: their Monte Carlo errors are correlated, and checks made
-per coupling are not independent tests.  The ensemble, the recovery report and the
+horizon.  So the couplings of one pass that start at the same trajectory
+share their trajectories, common random numbers: their Monte Carlo errors
+are correlated, and checks made per coupling are not independent tests.
+The autocorrelation estimate gives each coupling its own trajectories in
+the same pass.  The ensemble, the recovery report and the
 autocorrelation estimate all take these block-order totals, so memory is
 bounded by one block's draws and two blocks' results per thread, and
 results do not depend on the thread count.
@@ -38,6 +41,7 @@ import collections
 import functools
 import itertools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -77,10 +81,11 @@ class TrajectoryBatch:
     +inf, possibly past the horizon; switch j of row i is at ``times[i, j]
     * scale``.  A batch of a pass is a view of the pass's draws
     (``sample_batch``).  ``switch_times`` and ``counts`` are derived, on
-    first use, by the numpy kernels' own cut (``_kernels._reference.cut``):
-    the switch times up to the horizon, padded with +inf to the widest
-    row's count, and the count per row.  No pass reads them, since the
-    kernels take ``times`` and ``scale``; they serve inspection of a batch.
+    first use, by the numpy kernels' own cut (``_kernels._reference.cut``,
+    imported then): the switch times up to the horizon, padded with +inf to
+    the widest row's count, and the count per row.  No pass reads them,
+    since the kernels take ``times`` and ``scale``; they serve inspection
+    of a batch.
     """
 
     levels: np.ndarray
@@ -94,7 +99,9 @@ class TrajectoryBatch:
 
     @functools.cached_property
     def _cut(self):
-        return _kernels._reference.cut(self.times, self.scale, self.horizon)
+        from rtdeph._kernels import _reference
+
+        return _reference.cut(self.times, self.scale, self.horizon)
 
     @property
     def switch_times(self) -> np.ndarray:
@@ -114,13 +121,15 @@ class EpochDraws:
     in epoch units, which serve every switching rate (``sample_batch``).
 
     ``levels`` are the level bits at t = 0.  Row i of ``epoch_times`` holds
-    the times x = e + u of epochs 0 to ``epochs`` - 1, sorted and padded
-    with +inf.
+    the times x = e + u of epochs 0 to ``epochs`` - 1 at or below ``cut``,
+    sorted and padded with +inf: they serve every horizon whose
+    ``_kernels.epoch_cut`` is at most ``cut``.
     """
 
     master_seed: int
     start_index: int
     epochs: int
+    cut: float
     levels: np.ndarray
     epoch_times: np.ndarray
 
@@ -140,13 +149,15 @@ def _check_indices(master_seed: int, start_index: int, n: int) -> None:
         raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
 
 
-def draw_epochs(master_seed: int, start_index: int, n: int, epochs: int) -> EpochDraws:
+def draw_epochs(master_seed: int, start_index: int, n: int, epochs: int,
+                cut: float = math.inf) -> EpochDraws:
     """The draws of trajectories ``start_index`` to ``start_index + n - 1``
-    for their epochs 0 to ``epochs`` - 1 (``rtdeph._kernels.sample``)."""
+    for their epochs 0 to ``epochs`` - 1, up to ``cut`` in epoch units
+    (``rtdeph._kernels.sample``)."""
     _check_indices(master_seed, start_index, n)
-    levels, x = _kernels.sample(master_seed, start_index, n, epochs)
+    levels, x = _kernels.sample(master_seed, start_index, n, epochs, cut)
     return EpochDraws(master_seed=master_seed, start_index=start_index, epochs=epochs,
-                      levels=levels, epoch_times=x)
+                      cut=cut, levels=levels, epoch_times=x)
 
 
 def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
@@ -161,16 +172,18 @@ def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
 
     The draws do not depend on ``params``: the batch is a view of ``draws``,
     made once for several rates (``draw_epochs``), with the epoch length L
-    of this rate, or of draws made here when none are passed.  A static
-    process (gamma = 0) sees no switch time.
+    of this rate, or of draws made here, cut at the horizon, when none are
+    passed.  Draws with fewer epochs or a lower cut than the horizon needs
+    are refused.  A static process (gamma = 0) sees no switch time.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     epochs, scale = _kernels.epoch_grid(params.gamma, horizon)
+    cut = _kernels.epoch_cut(horizon, scale)
     if draws is None:
-        draws = draw_epochs(master_seed, start_index, n, epochs)
+        draws = draw_epochs(master_seed, start_index, n, epochs, cut)
     elif ((draws.master_seed, draws.start_index, draws.n) != (master_seed, start_index, n)
-            or draws.epochs < epochs):
+            or draws.epochs < epochs or draws.cut < cut):
         raise ValueError("the draws do not hold these trajectories up to the horizon")
     times = draws.epoch_times
     if params.gamma == 0.0:
@@ -179,19 +192,22 @@ def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
     return TrajectoryBatch(levels=draws.levels, times=times, scale=scale, horizon=horizon)
 
 
-def stream(couplings, n: int, master_seed: int, start_index: int = 0,
-           n_threads: int = 1) -> list:
+def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 1) -> list:
     """Per coupling of ``couplings``, a non-empty sequence of (params,
-    horizon, reduce), its ``reduce(batch)`` summed over the blocks of
-    trajectories ``start_index`` to ``start_index + n - 1``.
+    horizon, reduce), its ``reduce(batch)`` summed over the blocks of its
+    trajectories, ``first`` to ``first + n - 1``: ``start_index`` is the
+    first index of every coupling, or a sequence of one per coupling.
 
-    Block b holds the next ``BLOCK`` trajectories from ``start_index + b*BLOCK``
-    (the last block may be shorter).  Its draws are made once
-    (``draw_epochs``), for the most epochs any coupling needs, and each
-    coupling reduces its view of them up to its horizon (``sample_batch``).
-    Every coupling thus sees the same realizations: their results share
-    their Monte Carlo errors and are not independent.  ``n_threads``
-    threads map over whole blocks, at most two blocks per thread in
+    A coupling's block b holds the next ``BLOCK`` trajectories from
+    ``first + b*BLOCK`` (the last block may be shorter), whatever the other
+    couplings are, so its total is that of a pass with it alone, bit for
+    bit.  Couplings with the same first index share their blocks: each is
+    drawn once (``draw_epochs``), for the most epochs any of them needs and
+    up to the widest of their cuts (``_kernels.epoch_cut``), and each
+    reduces its view of the draws up to its horizon (``sample_batch``).
+    They see the same realizations: their results share their Monte Carlo
+    errors and are not independent.  ``n_threads`` threads map over the
+    blocks, first index by first index, at most two blocks per thread in
     flight, so memory does not grow with ``n``.  Each coupling's block
     results are added in block order as they are collected, the left fold
     (b0 + b1) + b2 + ..., so the totals do not depend on the thread count.
@@ -199,34 +215,51 @@ def stream(couplings, n: int, master_seed: int, start_index: int = 0,
     returns a fresh array.  The indices, the couplings and their epoch
     counts are checked before anything is drawn.
     """
-    _check_indices(master_seed, start_index, n)
     couplings = tuple(couplings)
+    firsts = ((start_index,) * len(couplings) if isinstance(start_index, numbers.Integral)
+              else tuple(start_index))
     if not couplings:
         raise ValueError("need at least one coupling")
-    epochs = max(_kernels.epoch_grid(params.gamma, horizon)[0]
-                 for params, horizon, _ in couplings)
+    if len(firsts) != len(couplings):
+        raise ValueError(f"need one start index per coupling, got {len(firsts)} for "
+                         f"{len(couplings)}")
+    groups = {}
+    for j, first in enumerate(firsts):
+        groups.setdefault(first, []).append(j)
+    for first in groups:
+        _check_indices(master_seed, first, n)
+    grids = [_kernels.epoch_grid(params.gamma, horizon) for params, horizon, _ in couplings]
+    cuts = [_kernels.epoch_cut(horizon, scale)
+            for (_, horizon, _), (_, scale) in zip(couplings, grids)]
 
-    def one_block(start):
-        count = min(BLOCK, start_index + n - start)
-        draws = draw_epochs(master_seed, start, count, epochs)
-        return [reduce(sample_batch(params, horizon, count, master_seed, start_index=start,
-                                    draws=draws))
-                for params, horizon, reduce in couplings]
+    def blocks():
+        for first, group in groups.items():
+            epochs = max(grids[j][0] for j in group)
+            cut = max(cuts[j] for j in group)
+            for start in range(first, first + n, BLOCK):
+                yield start, min(BLOCK, first + n - start), epochs, cut, group
+
+    def one_block(start, count, epochs, cut, group):
+        draws = draw_epochs(master_seed, start, count, epochs, cut)
+        return [(j, couplings[j][2](sample_batch(couplings[j][0], couplings[j][1], count,
+                                                 master_seed, start_index=start, draws=draws)))
+                for j in group]
 
     workers = max(1, n_threads)
-    starts = iter(range(start_index, start_index + n, BLOCK))
+    pending_blocks = blocks()
+    totals = [None] * len(couplings)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = collections.deque(pool.submit(one_block, start)
-                                    for start in itertools.islice(starts, 2 * workers))
-        totals = None
+        pending = collections.deque(pool.submit(one_block, *block)
+                                    for block in itertools.islice(pending_blocks, 2 * workers))
         while pending:
             results = pending.popleft().result()
-            pending.extend(pool.submit(one_block, start) for start in itertools.islice(starts, 1))
-            if totals is None:
-                totals = results
-            else:
-                for total, result in zip(totals, results):
-                    total += result
+            pending.extend(pool.submit(one_block, *block)
+                           for block in itertools.islice(pending_blocks, 1))
+            for j, result in results:
+                if totals[j] is None:
+                    totals[j] = result
+                else:
+                    totals[j] += result
     return totals
 
 
@@ -250,9 +283,19 @@ def _check_lags(lags) -> np.ndarray:
     return lag_arr
 
 
-def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed: int,
-                             start_index: int = 0, n_threads: int = 1) -> AutocorrelationResult:
-    """Estimate the normalized autocorrelation of the telegraph process.
+def _flips(sorted_lags: np.ndarray, batch: TrajectoryBatch) -> np.ndarray:
+    """Per lag of ``sorted_lags``, the number of the batch's rows whose
+    level there differs from their level at t = 0."""
+    bits = _kernels.levels_at_times(batch.levels, batch.times, sorted_lags, scale=batch.scale)
+    return np.count_nonzero(bits != batch.levels[:, None], axis=0)
+
+
+def estimate_autocorrelation(params, lags, n_samples: int, master_seed: int,
+                             start_index: int = 0,
+                             n_threads: int = 1) -> list[AutocorrelationResult]:
+    """Estimate the normalized autocorrelation of the telegraph process, for
+    each ``RTParams`` of the sequence ``params`` at its own lags: ``lags``
+    holds one 1-D sequence of lags per coupling.
 
     Uses the mean-centered process (xi - v/2), for which the normalized
     autocorrelation of the symmetric telegraph process is exp(-gamma*tau);
@@ -260,41 +303,50 @@ def estimate_autocorrelation(params: RTParams, lags, n_samples: int, master_seed
     instead of decaying to zero.  Each sample is an independent stationary
     realization; the per-sample product of centered signs at lag 0 and lag
     tau averages to the estimate r.  The products are +-1, so their ddof=1
-    standard error is sqrt((1 - r**2)/(n - 1)), from r alone.  The samples
-    are trajectories ``start_index`` onward, taken block by block from
-    ``stream`` on ``n_threads`` threads; each block gives its integer count
-    of level flips per lag, so memory does not grow with ``n_samples`` and
-    the result does not depend on the thread count.
+    standard error is sqrt((1 - r**2)/(n - 1)), from r alone.  Coupling j
+    takes its own samples, trajectories ``start_index + j*n_samples``
+    onward, so its result equals that of a call with it alone at that start
+    index, bit for bit.  Every coupling is sampled block by block in one
+    ``stream`` pass on ``n_threads`` threads, and each block gives its
+    integer count of level flips per lag, so memory does not grow with
+    ``n_samples`` and the results do not depend on the thread count.  A
+    coupling whose lags are all 0, or that has none, draws nothing.  Every
+    coupling's lags and indices are checked before anything is drawn.
     """
+    params = tuple(params)
+    lag_sets = [_check_lags(lag_list) for lag_list in lags]
+    if not params:
+        raise ValueError("need at least one coupling")
+    if len(lag_sets) != len(params):
+        raise ValueError(f"need one lag sequence per coupling, got {len(lag_sets)} for "
+                         f"{len(params)}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
-    lag_arr = _check_lags(lags)
-    if lag_arr.size == 0:
-        return AutocorrelationResult(lag_arr, np.empty(0), np.empty(0), n_samples)
+    _check_indices(master_seed, start_index, n_samples * len(params))
 
-    horizon = float(lag_arr.max())
-    if horizon == 0.0:
-        ones = np.ones_like(lag_arr)
-        return AutocorrelationResult(lag_arr, ones, np.zeros_like(lag_arr), n_samples)
+    orders = [np.argsort(lag_arr, kind="stable") for lag_arr in lag_sets]
+    sampled = [j for j, lag_arr in enumerate(lag_sets) if lag_arr.size and lag_arr.max() > 0.0]
+    flips = [np.zeros(lag_arr.size, dtype=np.intp) for lag_arr in lag_sets]
+    if sampled:
+        couplings = [(params[j], float(lag_sets[j].max()),
+                      functools.partial(_flips, lag_sets[j][orders[j]])) for j in sampled]
+        counts = stream(couplings, n_samples, master_seed,
+                        start_index=[start_index + j * n_samples for j in sampled],
+                        n_threads=n_threads)
+        for j, count in zip(sampled, counts):
+            flips[j] = count[np.argsort(orders[j], kind="stable")]
+    return [_autocorrelation(lag_arr, count, n_samples) for lag_arr, count in zip(lag_sets, flips)]
 
-    order = np.argsort(lag_arr, kind="stable")
-    sorted_lags = lag_arr[order]
 
-    def flips(batch):
-        bits = _kernels.levels_at_times(batch.levels, batch.times, sorted_lags,
-                                        scale=batch.scale)
-        return np.count_nonzero(bits != batch.levels[:, None], axis=0)
-
-    (counts,) = stream([(params, horizon, flips)], n_samples, master_seed,
-                       start_index=start_index, n_threads=n_threads)
-    counts = counts[np.argsort(order, kind="stable")]
+def _autocorrelation(lag_arr: np.ndarray, flips: np.ndarray, n: int) -> AutocorrelationResult:
+    """The estimates at the lags of n samples from their level flips per lag."""
     # a product of centered signs is -1 where the level differs from its
     # value at t = 0 and +1 elsewhere, so the products add up to n - 2*flips
-    estimates = (n_samples - 2.0 * counts) / n_samples
-    if n_samples > 1:
+    estimates = (n - 2.0 * flips) / n
+    if n > 1:
         # products of +-1 have sum of squares n: the ddof=1 variance is
         # n*(1 - r**2)/(n - 1), so the standard error follows from r alone
-        stderrs = np.sqrt((1.0 - estimates) * (1.0 + estimates) / (n_samples - 1))
+        stderrs = np.sqrt((1.0 - estimates) * (1.0 + estimates) / (n - 1))
     else:
         stderrs = np.zeros_like(estimates)
-    return AutocorrelationResult(lag_arr, estimates, stderrs, n_samples)
+    return AutocorrelationResult(lag_arr, estimates, stderrs, n)

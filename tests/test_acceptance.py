@@ -259,7 +259,7 @@ def test_criterion_09_telegraph_statistics():
     params = noise.RTParams(v=1.0, gamma=1.0)
     failures = []
     lags = np.array([0.5, 1.0, 2.0, 3.0])
-    result = noise.estimate_autocorrelation(params, lags, 100_000, MASTER_SEED)
+    [result] = noise.estimate_autocorrelation([params], [lags], 100_000, MASTER_SEED)
     for lag, est, se in zip(result.lags, result.estimates, result.stderrs):
         expected = math.exp(-params.gamma * lag)
         if abs(est - expected) > 3.0 * se:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtdeph import _kernels, analytic, cli, engine, noise
+from rtdeph._kernels import _reference
 
 from _oracles import Q_ABS_G5_VT_2PI
 
@@ -132,14 +133,20 @@ def test_autocorr_json_byte_identical_across_threads(tmp_path):
     (cli.cmd_compare, ["--mode", "both", "--g", "0.5,5,inf", "--vt-step", "0.7",
                        "--vt-max", "13.0"]),
     (cli.cmd_autocorr, ["--mode", "autocorr", "--g", "0.5,2"]),
+    # cut draws: lags ending early in an epoch, and revivals deep in one;
+    # at seed 8 the g = 0.5 estimate at lag 0.7 lies 3.07 standard errors
+    # from exp(-gamma*tau), one lag in nine, and the report fails
+    (cli.cmd_autocorr, ["--mode", "autocorr", "--g", "0.5,1,2", "--lags", "0.05,0.7,2.9",
+                        "--seed", "9"]),
+    (cli.cmd_recovery, ["--mode", "recovery", "--g", "0.3,0.5,5,inf", "--revival-n", "3"]),
 ])
 def test_artifacts_identical_across_backends(compiled, monkeypatch, command, args):
     # every writer, the CSV and the JSON reports, float formatter included;
     # 4500 trajectories: three blocks, the last one partial
     spec = cli.build_spec(cli.build_parser().parse_args(
-        args + ["--n-traj", "4500", "--seed", "8", "--no-timestamp"]))
+        ["--n-traj", "4500", "--seed", "8", "--no-timestamp"] + args))
     texts = []
-    for backend in (_kernels._reference, compiled):
+    for backend in (_reference, compiled):
         monkeypatch.setattr(_kernels, "_impl", backend)
         text, code = command(spec)
         assert code == 0
@@ -439,10 +446,9 @@ def test_autocorr_mode_fail_path(tmp_path, monkeypatch):
     real_estimate = cli.estimate_autocorrelation
 
     def corrupted(*args, **kwargs):
-        result = real_estimate(*args, **kwargs)
-        return noise.AutocorrelationResult(
-            **{**result.__dict__, "estimates": result.estimates + 0.5}
-        )
+        return [noise.AutocorrelationResult(**{**result.__dict__,
+                                               "estimates": result.estimates + 0.5})
+                for result in real_estimate(*args, **kwargs)]
 
     monkeypatch.setattr(cli, "estimate_autocorrelation", corrupted)
     out = tmp_path / "ac.json"
@@ -483,6 +489,28 @@ def test_autocorr_refuses_a_bad_g_before_any_pass(tmp_path, monkeypatch, capsys,
     out = tmp_path / "ac.json"
     assert cli.main(["--mode", "autocorr", *argv, "--n-traj", "64", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--mode", "mc"], "--vt-max 18.84955592153876"),
+    (["--mode", "recovery"], "--revival-n 1"),
+    (["--mode", "both", "--vt-max", "3"], "--vt-max 3.0"),
+])
+def test_horizon_past_the_epoch_counter_exits_2_naming_the_options(tmp_path, monkeypatch,
+                                                                   capsys, argv, option):
+    # g = 1e-12 at the default grid (v*t up to 6*pi) or the first revival
+    # spans about 1e12 epochs of 8e-12: refused before any block is drawn,
+    # with the options that set the horizon named
+    calls = []
+    real_draw = noise.draw_epochs
+    monkeypatch.setattr(noise, "draw_epochs", lambda *a: calls.append(a) or real_draw(*a))
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--g", "1e-12", "--n-traj", "64", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"rtdeph: invalid input: --g 1e-12 with {option}: "
+        "the horizon spans more epochs than the 32-bit epoch counter\n")
     assert calls == []
     assert not out.exists()
 

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import mpmath as mp
 
 from _oracles import (coherence_walk, dwell, level_bit, mp_coherences, philox4x32,
                       stretch_sums, telegraph_stream)
-from conftest import SOURCE, source_sha256
+from conftest import ROOT, SOURCE, source_sha256
 from rtdeph import _kernels, noise
 from rtdeph._kernels import _reference
 
@@ -26,6 +29,12 @@ def impl(request):
     if request.param == "pure":
         return _reference
     return request.getfixturevalue("compiled")
+
+
+def phase_parts(theta):
+    """The parts (cos theta, sin(-theta)) of the numpy exp_minus_i."""
+    z = _kernels.exp_minus_i(theta, impl=_reference)
+    return z.real, z.imag
 
 
 def assert_same_bits(a, b):
@@ -193,7 +202,7 @@ def test_stretch_starts_match_a_binary_search(compiled):
     for grid in grids:
         for i in range(len(levels)):
             rows = (levels[i : i + 1], switch_times[i : i + 1])
-            expected = stretch_sums(*rows, grid, 1.5, _reference.exp_minus_i)
+            expected = stretch_sums(*rows, grid, 1.5, phase_parts)
             np.testing.assert_array_equal(_kernels.block_sums(*rows, grid, 1.5, impl=compiled),
                                           expected)
 
@@ -259,7 +268,7 @@ def ulps(x, exact):
 
 def test_phase_factor_within_one_ulp():
     theta = phase_arguments()
-    re, im = _reference.exp_minus_i(theta)
+    re, im = phase_parts(theta)
     with mp.workdps(80):
         for t, c, s in zip(theta, re, im):
             t = mp.mpf(float(t))
@@ -278,7 +287,7 @@ def test_phase_factor_bit_identical_through_one_stretch_rows(compiled):
         rows = (levels, np.array([[tau]]), np.array([0.0, tau]))
         d = _kernels.block_sums(*rows, v, impl=compiled)
         assert_same_bits(d, _kernels.block_sums(*rows, v, impl=_reference))
-        re, im = _reference.exp_minus_i(np.array([v * theta]))
+        re, im = phase_parts(np.array([v * theta]))
         row = 0 if theta >= 0.0 else 5  # LOW_RE, or HIGH_RE
         np.testing.assert_array_equal(d[row : row + 2, 1], [re[0] - 1.0, im[0]])
 
@@ -386,7 +395,7 @@ def test_static_rows_are_segment_times_grid_factor(compiled):
 def test_compiled_sample_rejects_mismatched_buffers(compiled):
     cdf = _kernels._POISSON_CDF
     levels, times = np.empty(4, np.uint8), np.empty(40)
-    args = (3, 0, 2)
+    args = (3, 0, 2, math.inf)
     assert compiled.sample(*args, cdf, levels, times) >= 0
     for bad in (
         (cdf, levels.astype(np.int16), times),
@@ -400,14 +409,17 @@ def test_compiled_sample_rejects_mismatched_buffers(compiled):
         with pytest.raises(ValueError):
             compiled.sample(*args, *bad)
     with pytest.raises(ValueError):
-        compiled.sample(3, 0, -1, cdf, levels, times)  # negative epochs
+        compiled.sample(3, 0, -1, math.inf, cdf, levels, times)  # negative epochs
     with pytest.raises(ValueError):
-        compiled.sample(3, 0, 2**32 + 1, cdf, levels, times)  # past the epoch counter
+        compiled.sample(3, 0, 2**32 + 1, math.inf, cdf, levels, times)  # past the epoch counter
     with pytest.raises(ValueError):
-        compiled.sample(3, 2**64 - 2, 2, cdf, levels, times)  # index wraps
+        compiled.sample(3, 2**64 - 2, 2, math.inf, cdf, levels, times)  # index wraps
+    for impl in (_reference, compiled):
+        with pytest.raises(ValueError):
+            impl.sample(3, 0, 2, math.nan, cdf, levels, times)  # a NaN cut
     for seed in (2**64, -1):  # never wrapped into 64 bits
         with pytest.raises(OverflowError):
-            compiled.sample(seed, 0, 2, cdf, levels, times)
+            compiled.sample(seed, 0, 2, math.inf, cdf, levels, times)
 
 
 def test_compiled_moments_reject_mismatched_buffers(compiled):
@@ -608,10 +620,10 @@ def test_sample_writes_rows_only_when_they_fit(impl):
     k = times.shape[1]
     out = np.empty(50, np.uint8)
     short = np.full(50 * k - 1, -1.0)
-    assert impl.sample(5, 7, 3, cdf, out, short) == k
+    assert impl.sample(5, 7, 3, math.inf, cdf, out, short) == k
     np.testing.assert_array_equal(out, levels)
     exact = np.full(50 * k + 3, -1.0)
-    assert impl.sample(5, 7, 3, cdf, out, exact) == k
+    assert impl.sample(5, 7, 3, math.inf, cdf, out, exact) == k
     np.testing.assert_array_equal(exact[: 50 * k].reshape(50, k), times)
     np.testing.assert_array_equal(exact[50 * k:], -1.0)
 
@@ -678,3 +690,157 @@ def test_consumers_scale_epoch_times_as_the_cut_rows(compiled, seed, start, n, g
             for impl in (_reference, compiled):
                 scaled = kernel(levels, x, grid, *args, scale=scale or 1.0, impl=impl)
                 assert_same_bits(scaled, expected)
+
+
+def past_cut_dropped(x, cut):
+    """Uncut epoch times with those past ``cut`` set to +inf, which ends
+    each sorted row with them, and the padding trimmed to the widest row."""
+    t = np.where(x <= cut, x, np.inf)
+    return t[:, : int(np.isfinite(t).sum(axis=1).max(initial=0))]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1])),
+    start=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 300, 2**32 + 300)),
+    n=st.sampled_from([1, 5, 300]),
+    epochs=st.integers(0, 7),
+    cut=st.one_of(st.floats(-1.0, 8.0),
+                  st.sampled_from([0.0, 1.0, 3.0, math.inf, -math.inf]),
+                  st.integers(1, 7).map(lambda e: math.nextafter(e, 0.0))),
+)
+def test_sample_cut_drops_only_the_times_past_it(compiled, seed, start, n, epochs, cut):
+    # the draws cut at x are the uncut draws with every time past x
+    # dropped, bit for bit on both backends: at any cut, at an epoch
+    # boundary, one ulp below it and at a sampled time
+    levels, uncut = _kernels.sample(seed, start, n, epochs, impl=compiled)
+    finite = uncut[np.isfinite(uncut)]
+    for c in [cut] + ([float(finite[finite.size // 2])] if finite.size else []):
+        expected = past_cut_dropped(uncut, c)
+        for impl in (_reference, compiled):
+            cut_levels, x = _kernels.sample(seed, start, n, epochs, c, impl=impl)
+            assert_same_bits(cut_levels, levels)
+            assert_same_bits(x, expected)
+
+
+def rounding_edges(scale, count=2):
+    """Horizons h whose cut is not h/scale rounded: where (h/scale)*scale
+    rounds past h, and where the double after h/scale still gives a switch
+    time at or before h; ``count`` of each."""
+    down, up = [], []
+    for h in np.random.default_rng(7).uniform(0.01, 5.0 * scale, 2000).tolist():
+        guess = h / scale
+        if guess * scale > h:
+            down.append(h)
+        elif math.nextafter(guess, math.inf) * scale <= h:
+            up.append(h)
+    assert len(down) >= count and len(up) >= count
+    return down[:count] + up[:count]
+
+
+#: Rates whose epoch length 8/gamma is no power of two, so that h/L rounds.
+EDGE_GAMMAS = [0.02, 0.3, 0.7, 2.5, 3.0, 20.0]
+
+
+def test_epoch_cut_is_the_last_epoch_time_at_or_before_the_horizon():
+    # x*L is monotone in x, so the draws a consumer up to h reads are those
+    # at or below the cut and no draw past it: at epoch boundaries, one ulp
+    # to either side and where h/L rounds either way
+    for gamma in EDGE_GAMMAS:
+        scale = _kernels.epoch_grid(gamma, 1.0)[1]
+        for h in epoch_edges(gamma, rounding_edges(scale)):
+            cut = _kernels.epoch_cut(h, scale)
+            assert cut * scale <= h < math.nextafter(cut, math.inf) * scale
+    assert _kernels.epoch_cut(5.0, 0.0) == -math.inf  # gamma = 0 never switches
+
+
+def test_a_cut_one_ulp_tighter_drops_a_switch_the_consumers_read():
+    # a switch at x = epoch_cut(h, L) is one the consumers read up to the
+    # horizon h, so draws cut one ulp below it lose a switch: the level at
+    # h, the dwell and the sums all change; a switch one ulp past the cut is
+    # one they do not read
+    levels = np.array([0], dtype=np.uint8)
+    for gamma in EDGE_GAMMAS:
+        scale = _kernels.epoch_grid(gamma, 1.0)[1]
+        for h in epoch_edges(gamma, rounding_edges(scale)):
+            cut = _kernels.epoch_cut(h, scale)
+            grid = np.array([0.0, h])
+            read, past = np.array([[cut]]), np.array([[math.nextafter(cut, math.inf)]])
+            tight = past_cut_dropped(read, math.nextafter(cut, -math.inf))
+            assert tight.shape == (1, 0)
+            assert _kernels.levels_at_times(levels, read, grid, scale)[0, 1] == 1
+            assert _kernels.levels_at_times(levels, past, grid, scale)[0, 1] == 0
+            assert _kernels.levels_at_times(levels, tight, grid, scale)[0, 1] == 0
+            for kernel, args in ((_kernels.dwell_times, ()), (_kernels.block_sums, (1.5,))):
+                assert_same_bits(kernel(levels, past, grid, *args, scale=scale),
+                                 kernel(levels, tight, grid, *args, scale=scale))
+            # a switch at the cut moves no dwell when it falls on h itself
+            if cut * scale < h:
+                assert np.any(_kernels.block_sums(levels, read, grid, 1.5, scale=scale)
+                              != _kernels.block_sums(levels, tight, grid, 1.5, scale=scale))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**40),
+    n=st.sampled_from([1, 7, 300]),
+    gamma=st.sampled_from(EDGE_GAMMAS),
+    m=st.integers(1, 9),
+    v=st.floats(0.05, 20.0),
+)
+def test_consumers_read_the_same_bits_from_cut_draws(compiled, seed, start, n, gamma, m, v):
+    # each batch kernel gives the same bytes on draws cut at the horizon's
+    # epoch_cut as on the uncut draws of more epochs, on both backends: at
+    # epoch boundaries, one ulp to either side and at h/L rounding edges,
+    # on grids that end at the horizon and hold switch times
+    scale = _kernels.epoch_grid(gamma, 1.0)[1]
+    horizons = epoch_edges(gamma, rounding_edges(scale))
+    epochs = max(_kernels.epoch_grid(gamma, h)[0] for h in horizons) + 1
+    levels, uncut = _kernels.sample(seed, start, n, epochs, impl=compiled)
+    switches = (uncut * scale)[np.isfinite(uncut)]
+    for h in horizons:
+        cut = _kernels.epoch_cut(h, scale)
+        _, x = _kernels.sample(seed, start, n, _kernels.epoch_grid(gamma, h)[0], cut,
+                               impl=compiled)
+        on_grid = switches[switches <= h][:: max(1, switches.size // 20)]
+        grid = np.unique(np.concatenate([np.linspace(0.0, h, m), [h], on_grid]))
+        for kernel, args in ((_kernels.dwell_times, ()), (_kernels.levels_at_times, ()),
+                             (_kernels.block_sums, (v,))):
+            for impl in (_reference, compiled):
+                assert_same_bits(kernel(levels, x, grid, *args, scale=scale, impl=impl),
+                                 kernel(levels, uncut, grid, *args, scale=scale, impl=impl))
+
+
+def test_exp_minus_i_bit_identical_across_backends(compiled):
+    # the array form of block_sums' phase factor: the same bits on both
+    # backends at the hardest arguments, at +-0, past the 2**20 bound where
+    # both fall back to libm, and over more than one slice of the numpy
+    # loop; within 1 ulp of cos and -sin is test_phase_factor_within_one_ulp
+    theta = np.concatenate([phase_arguments(), [0.0, -0.0, 2.0**20 + 1.0, -2.0**40, 1e15, 1e300],
+                            np.random.default_rng(5).uniform(-3e6, 3e6, 9000)])
+    z = _kernels.exp_minus_i(theta, impl=compiled)
+    assert z.dtype == np.complex128 and z.shape == theta.shape
+    assert_same_bits(z, _kernels.exp_minus_i(theta, impl=_reference))
+    with pytest.raises(ValueError, match="1-D"):
+        _kernels.exp_minus_i(np.zeros((2, 2)))
+
+
+def test_compiled_backend_leaves_the_numpy_kernels_unimported(compiled):
+    # the numpy fallback is imported only where the compiled backend is
+    # missing: importing the CLI over the compiled extension leaves it out
+    code = "\n".join([
+        "import importlib.util, sys",
+        "spec = importlib.util.spec_from_file_location('rtdeph._kernels._core', sys.argv[1])",
+        "core = importlib.util.module_from_spec(spec)",
+        "sys.modules[spec.name] = core",
+        "spec.loader.exec_module(core)",
+        "import rtdeph.cli",
+        "from rtdeph import _kernels",
+        "print(_kernels.BACKEND, 'rtdeph._kernels._reference' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code, compiled.__file__],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["compiled", "False"]

@@ -106,6 +106,48 @@ def test_sample_batch_takes_only_draws_of_its_trajectories():
             noise.sample_batch(params, horizon, n, seed, start_index=start, draws=draws)
 
 
+def test_sample_batch_refuses_draws_cut_below_its_horizon():
+    # draws cut at the horizon's epoch_cut serve the batch as uncut ones
+    # do; one ulp lower they lose a switch the batch may read, and are
+    # refused: at an epoch boundary j*L (L = 80/3), one ulp to either side
+    # and inside epochs
+    params = noise.RTParams(v=1.0, gamma=0.3)
+    scale = 2.0 * _kernels.EPOCH_SWITCHES / params.gamma
+    for horizon in (15.9, scale, math.nextafter(scale, 0.0), math.nextafter(scale, math.inf),
+                    2.5 * scale):
+        epochs, _ = _kernels.epoch_grid(params.gamma, horizon)
+        cut = _kernels.epoch_cut(horizon, scale)
+        uncut = noise.sample_batch(params, horizon, 40, 3, start_index=10,
+                                   draws=noise.draw_epochs(3, 10, 40, epochs))
+        draws = noise.draw_epochs(3, 10, 40, epochs, cut)
+        assert draws.cut == cut
+        same_rows(noise.sample_batch(params, horizon, 40, 3, start_index=10, draws=draws), uncut)
+        # drawn alone, a batch is cut at its horizon
+        alone = noise.sample_batch(params, horizon, 40, 3, start_index=10)
+        same_rows(alone, uncut)
+        assert np.all(alone.times[np.isfinite(alone.times)] <= cut)
+        tight = noise.draw_epochs(3, 10, 40, epochs, math.nextafter(cut, -math.inf))
+        with pytest.raises(ValueError, match="draws"):
+            noise.sample_batch(params, horizon, 40, 3, start_index=10, draws=tight)
+
+
+def test_stream_draws_up_to_the_widest_cut(monkeypatch):
+    # a block is drawn once for the most epochs and the widest cut of its
+    # couplings: lag 1.5 at L = 4 is 0.375 epochs, 3.0 at L = 16 is 0.1875,
+    # and the static coupling needs none
+    drawn = []
+    real_draw = noise.draw_epochs
+    monkeypatch.setattr(noise, "draw_epochs", lambda *a: drawn.append(a) or real_draw(*a))
+
+    def count(batch):
+        return np.array([batch.n])
+
+    couplings = [(noise.RTParams(v=1.0, gamma=gamma), horizon, count)
+                 for gamma, horizon in ((2.0, 1.5), (0.5, 3.0), (0.0, 9.0))]
+    assert noise.stream(couplings, 10, 5) == [10, 10, 10]
+    assert drawn == [(5, 0, 10, 1, 0.375)]
+
+
 @pytest.mark.parametrize("gamma, horizon", [(1.0, 15.9), (1.0, 16.0), (2.5, 0.7), (0.3, 40.0),
                                             (0.0, 5.0)])
 def test_batch_of_a_pass_is_a_view_of_its_draws(gamma, horizon):
@@ -251,7 +293,7 @@ def test_level_at_rejects_outside_horizon():
         with pytest.raises(ValueError):
             level_of(batch, t)
         with pytest.raises(ValueError):
-            noise.estimate_autocorrelation(noise.RTParams(v=1.0, gamma=1.0), [t], 10, 1)
+            noise.estimate_autocorrelation([noise.RTParams(v=1.0, gamma=1.0)], [[t]], 10, 1)
 
 
 def test_accumulated_phase_examples():
@@ -353,18 +395,18 @@ def test_sample_batch_matches_single_trajectories():
 
 def test_autocorrelation_lag_zero_is_exactly_one():
     params = noise.RTParams(v=1.0, gamma=1.0)
-    result = noise.estimate_autocorrelation(params, [0.0, 1.0], 500, master_seed=6)
+    [result] = noise.estimate_autocorrelation([params], [[0.0, 1.0]], 500, master_seed=6)
     assert result.estimates[0] == 1.0
     assert result.stderrs[0] == 0.0
 
 
 def test_autocorrelation_matches_exponential_decay():
     params = noise.RTParams(v=1.0, gamma=1.0)
-    result = noise.estimate_autocorrelation(params, [1.0], 20000, master_seed=8)
+    [result] = noise.estimate_autocorrelation([params], [[1.0]], 20000, master_seed=8)
     assert abs(result.estimates[0] - math.exp(-1.0)) <= 3.0 * result.stderrs[0]
 
     fast = noise.RTParams(v=1.0, gamma=2.0)
-    result = noise.estimate_autocorrelation(fast, [3.0], 20000, master_seed=9)
+    [result] = noise.estimate_autocorrelation([fast], [[3.0]], 20000, master_seed=9)
     assert abs(result.estimates[0] - math.exp(-6.0)) <= 3.0 * result.stderrs[0]
 
 
@@ -372,8 +414,9 @@ def test_autocorrelation_start_index_selects_trajectories():
     # two halves sampled from start indices 0 and n average to the whole
     params = noise.RTParams(v=1.0, gamma=1.0)
     lags = [0.5, 1.0, 2.0]
-    whole = noise.estimate_autocorrelation(params, lags, 3000, master_seed=5)
-    halves = [noise.estimate_autocorrelation(params, lags, 1500, master_seed=5, start_index=s)
+    [whole] = noise.estimate_autocorrelation([params], [lags], 3000, master_seed=5)
+    halves = [noise.estimate_autocorrelation([params], [lags], 1500, master_seed=5,
+                                             start_index=s)[0]
               for s in (0, 1500)]
     np.testing.assert_allclose(0.5 * (halves[0].estimates + halves[1].estimates),
                                whole.estimates, rtol=0, atol=1e-12)
@@ -386,7 +429,7 @@ def test_autocorrelation_stderr_matches_sample_deviation(n):
     # deviation of the per-sample products of centered signs over sqrt(n)
     params = noise.RTParams(v=1.0, gamma=1.0)
     lags = np.array([0.0, 0.1, 0.7, 3.0, 9.0])
-    result = noise.estimate_autocorrelation(params, lags, n, master_seed=21)
+    [result] = noise.estimate_autocorrelation([params], [lags], n, master_seed=21)
     batch = noise.sample_batch(params, 9.0, n, master_seed=21)
     levels = np.array([[level_bit(level, row, t) for t in lags]
                        for level, row in zip(batch.levels, batch.switch_times)])
@@ -416,8 +459,8 @@ def test_autocorrelation_streams_blocks(monkeypatch, n_threads):
                            **shared_draws)
 
     monkeypatch.setattr(noise, "sample_batch", recording)
-    result = noise.estimate_autocorrelation(params, lags, n, master_seed=19, start_index=start,
-                                            n_threads=n_threads)
+    [result] = noise.estimate_autocorrelation([params], [lags], n, master_seed=19,
+                                              start_index=start, n_threads=n_threads)
     assert max(count for _, count in calls) <= noise.BLOCK
     assert sorted(calls) == [(start, noise.BLOCK), (start + noise.BLOCK, noise.BLOCK),
                              (start + 2 * noise.BLOCK, 5)]
@@ -462,6 +505,32 @@ def test_stream_adds_block_results_in_block_order(n_threads):
         noise.stream(couplings, 0, seed)
 
 
+@pytest.mark.parametrize("n_threads", [1, 3])
+def test_stream_gives_each_first_index_its_own_blocks(n_threads):
+    # couplings of one pass with their own first indices: each adds the
+    # blocks of its own trajectories, BLOCK from its first index on, in
+    # block order, so its float total is that of a pass with it alone, bit
+    # for bit, though its blocks do not line up with the others'; couplings
+    # with the same first index share their draws
+    grid = np.linspace(0.1, 6.0, 16)
+
+    def dwell_sums(batch):
+        return _kernels.dwell_times(batch.levels, batch.times, grid, scale=batch.scale).sum(axis=0)
+
+    couplings = [(noise.RTParams(v=1.0, gamma=gamma), horizon, dwell_sums)
+                 for gamma, horizon in ((0.5, 6.0), (3.0, 6.0), (3.0, 6.0), (0.0, 6.0))]
+    n, seed, firsts = 2 * noise.BLOCK + 5, 41, [9, 9, 9 + 100, 9 + 3 * noise.BLOCK]
+    totals = noise.stream(couplings, n, seed, start_index=firsts, n_threads=n_threads)
+    for coupling, first, total in zip(couplings, firsts, totals):
+        [alone] = noise.stream([coupling], n, seed, start_index=first)
+        assert total.tobytes() == alone.tobytes()
+    assert totals[1].tobytes() != totals[2].tobytes()
+    with pytest.raises(ValueError, match="one start index per coupling"):
+        noise.stream(couplings, n, seed, start_index=firsts[:3])
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        noise.stream(couplings, n, seed, start_index=[0, 0, 0, 2**64 - n + 1])
+
+
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_stream_memory_does_not_grow_with_the_blocks(n_threads):
     # at most two blocks per thread are in flight, so 400 blocks peak where
@@ -484,22 +553,67 @@ def test_stream_memory_does_not_grow_with_the_blocks(n_threads):
     assert peak(400) <= peak(20) + 100_000
 
 
+@pytest.mark.parametrize("n_threads", [1, 3])
+def test_autocorrelation_of_several_couplings_equals_each_alone(n_threads):
+    # one pass for every coupling, each at its own lags: coupling j takes
+    # the 2*BLOCK + 5 samples from index 7 + j*n, so its flip counts, and
+    # its result, are those of its own call there, bit for bit, at any
+    # thread count.  A coupling with zero lags only, or none, draws
+    # nothing, and two equal couplings see different samples
+    couplings = [(noise.RTParams(v=1.0, gamma=2.0), [0.05, 0.7, 2.9]),
+                 (noise.RTParams(v=1.0, gamma=0.5), [3.0, 0.0, 1.5]),
+                 (noise.RTParams(v=1.0, gamma=1.0), [0.0]),
+                 (noise.RTParams(v=2.0, gamma=0.0), [1.0]),
+                 (noise.RTParams(v=1.0, gamma=1.0), []),
+                 (noise.RTParams(v=1.0, gamma=2.0), [0.05, 0.7, 2.9])]
+    n, start, seed = 2 * noise.BLOCK + 5, 7, 29
+    together = noise.estimate_autocorrelation([p for p, _ in couplings],
+                                              [lags for _, lags in couplings], n, seed,
+                                              start_index=start, n_threads=n_threads)
+    assert len(together) == len(couplings)
+    for j, ((params, lags), result) in enumerate(zip(couplings, together)):
+        [alone] = noise.estimate_autocorrelation([params], [lags], n, seed,
+                                                 start_index=start + j * n)
+        for field in ("lags", "estimates", "stderrs"):
+            assert getattr(result, field).tobytes() == getattr(alone, field).tobytes()
+        assert result.n_samples == n
+    np.testing.assert_array_equal(together[2].estimates, [1.0])
+    np.testing.assert_array_equal(together[3].estimates, [1.0])
+    assert together[4].estimates.size == 0
+    assert not np.array_equal(together[0].estimates, together[5].estimates)
+
+
+def test_autocorrelation_takes_one_lag_sequence_per_coupling():
+    params = noise.RTParams(v=1.0, gamma=1.0)
+    with pytest.raises(ValueError, match="one lag sequence per coupling"):
+        noise.estimate_autocorrelation([params, params], [[1.0]], 10, 1)
+    with pytest.raises(ValueError, match="lags must be 1-D"):
+        noise.estimate_autocorrelation([params, params], [1.0, 2.0], 10, 1)
+    with pytest.raises(ValueError, match="at least one coupling"):
+        noise.estimate_autocorrelation([], [], 10, 1)
+    # every coupling's indices are checked, also those past the first's
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        noise.estimate_autocorrelation([params, params], [[1.0], [1.0]], 10, 1,
+                                       start_index=2**64 - 15)
+
+
 def test_autocorrelation_static_process_is_frozen():
     params = noise.RTParams(v=1.0, gamma=0.0)
-    result = noise.estimate_autocorrelation(params, [0.5, 2.0], 200, master_seed=3)
+    [result] = noise.estimate_autocorrelation([params], [[0.5, 2.0]], 200, master_seed=3)
     np.testing.assert_array_equal(result.estimates, [1.0, 1.0])
 
 
 def test_autocorrelation_preserves_lag_order():
     params = noise.RTParams(v=1.0, gamma=1.0)
-    shuffled = noise.estimate_autocorrelation(params, [2.0, 0.5, 1.0], 5000, master_seed=13)
-    sorted_res = noise.estimate_autocorrelation(params, [0.5, 1.0, 2.0], 5000, master_seed=13)
+    [shuffled] = noise.estimate_autocorrelation([params], [[2.0, 0.5, 1.0]], 5000, master_seed=13)
+    [sorted_res] = noise.estimate_autocorrelation([params], [[0.5, 1.0, 2.0]], 5000,
+                                                  master_seed=13)
     np.testing.assert_array_equal(shuffled.estimates, sorted_res.estimates[[2, 0, 1]])
 
 
 def test_autocorrelation_empty_lags():
     params = noise.RTParams(v=1.0, gamma=1.0)
-    result = noise.estimate_autocorrelation(params, [], 100, master_seed=1)
+    [result] = noise.estimate_autocorrelation([params], [[]], 100, master_seed=1)
     assert result.estimates.size == 0
     assert result.stderrs.size == 0
 
@@ -507,6 +621,6 @@ def test_autocorrelation_empty_lags():
 def test_autocorrelation_validation():
     params = noise.RTParams(v=1.0, gamma=1.0)
     with pytest.raises(ValueError):
-        noise.estimate_autocorrelation(params, [1.0], 0, master_seed=1)
+        noise.estimate_autocorrelation([params], [[1.0]], 0, master_seed=1)
     with pytest.raises(ValueError):
-        noise.estimate_autocorrelation(params, [-1.0], 10, master_seed=1)
+        noise.estimate_autocorrelation([params], [[-1.0]], 10, master_seed=1)
