@@ -12,10 +12,11 @@ the only record of a row's length), with the epoch length ``scale``:
 switch j of row i is at x[i, j]*scale.  Four kernels work on batches.
 ``sample`` draws the epoch times from counter-based Philox streams (see its
 docstring); they do not depend on the switching rate, and one draw serves
-every rate, each with its own scale.  It keeps only the times at or below
-a cut in epoch units, ``epoch_cut`` of the widest horizon they serve, so
-the last epoch's later switches are neither sorted nor stored.  The three
-consumers form each switch time x*scale as they reach it and read no
+every rate, each with its own scale.  A cut in epoch units alone says what
+it draws, that of the widest horizon the draws serve (``epoch_grid``): the
+epochs that start at or before it, and of those only the times at or below
+it, so the last epoch's later switches are neither sorted nor stored.  The
+three consumers form each switch time x*scale as they reach it and read no
 switch past the last grid time, so the times between it and the cut need
 no further cut.  ``dwell_times`` (recovery's noise
 phase) and ``levels_at_times`` (autocorrelation) return an (n, m) array,
@@ -99,49 +100,45 @@ _POISSON_CDF.flags.writeable = False
 
 
 def epoch_grid(gamma, horizon):
-    """The number of epochs that start at or before the horizon and their
-    length L = 2*EPOCH_SWITCHES/gamma: (0, 0.0) for gamma = 0, which never
-    switches.  A gamma so small that L overflows is refused."""
+    """The epoch length L = 2*EPOCH_SWITCHES/gamma and the cut: the largest
+    x whose switch time x*L is at or before the horizon, found by stepping
+    from about horizon/L one double at a time; (0.0, -inf) for gamma = 0,
+    which never switches.  x*L is monotone in x, so epoch e starts at or
+    before the horizon exactly when e <= cut: floor(cut) + 1 epochs do.
+    The consumers form x*L and read no switch past their last grid time,
+    so draws cut here (``sample``) give them every switch up to the
+    horizon, and no smaller cut does.  A gamma so small that L overflows,
+    and a horizon past the 32-bit epoch counter, are refused."""
     if gamma == 0.0:
-        return 0, 0.0
+        return 0.0, -math.inf
     scale = 2.0 * EPOCH_SWITCHES / gamma
     if math.isinf(scale):
         raise ValueError(f"the epoch length {2.0 * EPOCH_SWITCHES:g}/gamma overflows at "
                          f"gamma = {gamma!r}")
-    if horizon / scale >= 2**32:
-        raise ValueError("the horizon spans more epochs than the 32-bit epoch counter")
-    count = math.floor(horizon / scale)
-    while count * scale <= horizon:
-        count += 1
-    return count, scale
-
-
-def epoch_cut(horizon, scale):
-    """The largest x whose switch time x*scale is at or before the horizon,
-    for an epoch length ``scale`` from ``epoch_grid``; -inf for scale 0
-    (gamma = 0), which never switches.  The consumers form x*scale and read
-    no switch past their last grid time, so draws cut at this x (``sample``)
-    give them the bits of uncut ones up to the horizon, and no smaller cut
-    does: x*scale is monotone in x, and x is found by stepping from
-    horizon/scale one double at a time."""
-    if scale == 0.0:
-        return -math.inf
     cut = horizon / scale
+    if cut >= 2**32:
+        raise ValueError("the horizon spans more epochs than the 32-bit epoch counter")
+    # the steps start half an ulp of the horizon higher: where x*L falls
+    # below the normal doubles it rounds on a fixed spacing, and from
+    # horizon/L alone a zero horizon would take about 1/L steps
+    cut += math.ulp(horizon) / scale / 2.0
     while cut * scale > horizon:
         cut = math.nextafter(cut, -math.inf)
     while math.nextafter(cut, math.inf) * scale <= horizon:
         cut = math.nextafter(cut, math.inf)
-    return cut
+    return scale, cut
 
 
-def sample(master_seed, start, n, epochs, cut=math.inf, impl=None):
+def sample(master_seed, start, n, cut, impl=None):
     """The level bits of trajectories ``start`` to ``start + n - 1`` and
-    their switch times in epoch units: the x = e + u of epochs 0 to
-    ``epochs`` - 1 that are at or below ``cut`` (``epoch_cut`` of the
-    widest horizon), sorted per row and padded with +inf.  A cut of +inf
-    keeps every time of the epochs; a lower one drops the later times of
-    each row, which are dropped before they are sorted and written, and
-    leaves the others' bits as they are.
+    their switch times in epoch units: the x = e + u at or below ``cut``
+    (``epoch_grid`` of the widest horizon they serve), sorted per row and
+    padded with +inf.  The cut alone says what is drawn: epochs 0 to
+    floor(cut), none for a negative cut, the later times of the last of
+    them dropped before they are sorted and written.  A cut of +inf, NaN or
+    2**32 and above is refused: it names no epoch count the 32-bit counter
+    holds.  A lower cut draws a prefix of the same epochs and leaves the
+    bits of the times it keeps as they are.
 
     Every draw is a Philox4x32-10 block keyed by the 64-bit ``master_seed``
     at the counter (trajectory as two words, epoch, draw).  The level bit is
@@ -155,8 +152,9 @@ def sample(master_seed, start, n, epochs, cut=math.inf, impl=None):
     """
     impl = impl or _impl
     levels = np.empty(n, dtype=np.uint8)
-    args = (master_seed, start, epochs, cut, _POISSON_CDF, levels)
-    width = _row_room(min(float(epochs), max(cut, 0.0)))
+    args = (master_seed, start, cut, _POISSON_CDF, levels)
+    # a cut the backends refuse gets no room
+    width = _row_room(cut) if cut < 2**32 else 0
     times = np.empty(n * width)
     k = impl.sample(*args, times)
     if k > width:
@@ -166,13 +164,12 @@ def sample(master_seed, start, n, epochs, cut=math.inf, impl=None):
     return levels, times[: n * k].reshape(n, k)
 
 
-def _row_room(epochs):
-    """Room per row for the epoch times of ``epochs`` epochs (a fraction
-    where the cut ends inside one): the mean count EPOCH_SWITCHES*epochs,
-    6 standard deviations and 8 more.  The widest of 2048 Poisson rows
-    exceeds it with a probability below 1e-6 for every mean up to 400, and
-    then the rows are drawn again."""
-    mean = EPOCH_SWITCHES * epochs
+def _row_room(cut):
+    """Room per row for the epoch times at or below ``cut``: the mean count
+    EPOCH_SWITCHES*cut, 6 standard deviations and 8 more.  The widest of
+    2048 Poisson rows exceeds it with a probability below 1e-6 for every
+    mean up to 400, and then the rows are drawn again."""
+    mean = EPOCH_SWITCHES * max(cut, 0.0)
     return math.ceil(mean + 6.0 * math.sqrt(mean)) + 8
 
 

@@ -14,13 +14,13 @@
  * without forming any coherence.  sample draws the epoch times: each row
  * from its own Philox4x32-10 counters (index, epoch, draw) under the
  * 64-bit seed, a Poisson number of sorted uniforms u per epoch e at
- * x = e + u, keeping those at or below a cut, into a caller-allocated
- * levels and a flat times buffer that it lays out as the padded (n, k)
- * rows, keeping the row counts in scratch of its own.  They serve every
- * switching rate, each with its own scale, up to the cut.  exp_minus_i
- * fills an array with block_sums' phase factor.  Apart from the batches,
- * float_reprs writes the shortest round-trip text of float64 values, byte
- * for byte Python's repr (see repr_fast).
+ * x = e + u, the epochs and times at or below a cut, which alone says what
+ * is drawn, into a caller-allocated levels and a flat times buffer that it
+ * lays out as the padded (n, k) rows, keeping the row counts in scratch of
+ * its own.  They serve every switching rate, each with its own scale, up
+ * to the cut.  exp_minus_i fills an array with block_sums' phase factor.
+ * Apart from the batches, float_reprs writes the shortest round-trip text
+ * of float64 values, byte for byte Python's repr (see repr_fast).
  * rtdeph._kernels validates and converts the arguments, builds the Poisson
  * table, allocates the outputs and finishes the difference arrays into
  * column sums.  The batch loops run with the GIL released.
@@ -511,25 +511,24 @@ uniform(uint32_t a, uint32_t b)
 /* An epoch draws fewer switches than the Poisson table has entries. */
 enum { MAX_TABLE = 64 };
 
-/* One sample call: the key, the first index, the epochs, the cut and the
-   table. */
+/* One sample call: the key, the first index, the cut and the table. */
 typedef struct {
     uint32_t k0, k1;
     uint64_t start;
-    Py_ssize_t epochs;
     double cut;
     const double *cdf;
 } Stream;
 
 /* Samples trajectory start + i: returns its level bit and appends its
    epoch times at or below the cut to times[*used...] while they fit in
-   cap, counting them in *count.  Epoch e's draw 0 gives, from words 0 and
-   1, the count N by inversion against the table (whose last entry is 1.0 >
-   u, so N < MAX_TABLE), and the first uniform from words 2 and 3; draws 1,
-   2, ... give two more uniforms each.  The N times x = (double)e + u, those
-   above the cut dropped, are sorted: x is monotone in u, so they are in the
-   order of their uniforms.  The level is the low bit of word 1 of epoch 0's
-   draw 0. */
+   cap, counting them in *count.  The epochs e <= cut are drawn: floor(cut)
+   + 1, or none for a negative cut.  Epoch e's draw 0 gives, from words 0
+   and 1, the count N by inversion against the table (whose last entry is
+   1.0 > u, so N < MAX_TABLE), and the first uniform from words 2 and 3;
+   draws 1, 2, ... give two more uniforms each.  The N times x = (double)e +
+   u, those above the cut dropped, are sorted: x is monotone in u, so they
+   are in the order of their uniforms.  The level is the low bit of word 1
+   of epoch 0's draw 0. */
 static unsigned char
 sample_row(const Stream *s, Py_ssize_t i, double *times, Py_ssize_t *used, Py_ssize_t cap,
            Py_ssize_t *count)
@@ -540,7 +539,7 @@ sample_row(const Stream *s, Py_ssize_t i, double *times, Py_ssize_t *used, Py_ss
     philox(c, s->k0, s->k1);
     const unsigned char level = c[1] & 1u;
     *count = 0;
-    for (Py_ssize_t e = 0; e < s->epochs; e++) {
+    for (Py_ssize_t e = 0; (double)e <= s->cut; e++) {
         if (e > 0) {
             c[0] = lo;
             c[1] = hi;
@@ -610,10 +609,11 @@ pad_rows(double *times, const Py_ssize_t *counts, Py_ssize_t n, Py_ssize_t k, Py
     }
 }
 
-/* Takes (seed, start, epochs, cut, cdf, levels, times): samples the
-   trajectories start to start + n - 1 (n = len(levels)) under the 64-bit
-   seed into levels (uint8), and returns the widest row's count k of epoch
-   times at or below the cut (not NaN).  If n * k <= len(times), it also
+/* Takes (seed, start, cut, cdf, levels, times): samples the trajectories
+   start to start + n - 1 (n = len(levels)) under the 64-bit seed into
+   levels (uint8), and returns the widest row's count k of epoch times at
+   or below the cut, which must be below 2^32 (not +inf or NaN): the epochs
+   it spans fit the 32-bit counter.  If n * k <= len(times), it also
    writes the (n, k) epoch times, padded with +inf, row by row into the
    front of times (float64): the rows go there back to back first, and
    their counts, kept in scratch of its own, place them (pad_rows). */
@@ -625,8 +625,8 @@ sample(PyObject *self, PyObject *args)
     Stream s;
     Views vs = {.held = 0};
     Py_buffer *cdf, *lv, *tv;
-    if (!PyArg_ParseTuple(args, "O&O&ndOOO", to_uint64, &seed, to_uint64, &start, &s.epochs,
-                          &s.cut, &o[0], &o[1], &o[2])
+    if (!PyArg_ParseTuple(args, "O&O&dOOO", to_uint64, &seed, to_uint64, &start, &s.cut,
+                          &o[0], &o[1], &o[2])
         || !(cdf = view(&vs, o[0], 1, sizeof(double), 0, "cdf"))
         || !(lv = view(&vs, o[1], 1, 1, 1, "levels"))
         || !(tv = view(&vs, o[2], 1, sizeof(double), 1, "times"))) {
@@ -635,10 +635,9 @@ sample(PyObject *self, PyObject *args)
     }
     const Py_ssize_t n = lv->shape[0], cap = tv->shape[0], table = cdf->shape[0];
     s.cdf = cdf->buf;
-    if (table < 1 || table > MAX_TABLE || s.cdf[table - 1] != 1.0 || s.epochs < 0
-        || s.epochs > (Py_ssize_t)1 << 32 || isnan(s.cut)
+    if (table < 1 || table > MAX_TABLE || s.cdf[table - 1] != 1.0 || !(s.cut < 0x1p32)
         || (n > 0 && start + (uint64_t)(n - 1) < start)) {
-        PyErr_SetString(PyExc_ValueError, "bad Poisson table, epoch count, cut or index range");
+        PyErr_SetString(PyExc_ValueError, "bad Poisson table, cut or index range");
         release(&vs);
         return NULL;
     }
@@ -850,11 +849,11 @@ static PyMethodDef methods[] = {
      "terms of z = exp(-i*v*dwell) shifted by 1 to the (10, m + 1) difference "
      "arrays in float64 out, without the (n, m) array."},
     {"sample", sample, METH_VARARGS,
-     "sample(seed, start, epochs, cut, cdf, levels, times): draws the epoch "
-     "times of the telegraph trajectories, with their level bits into uint8 "
-     "levels, and returns the widest row's count k of times at or below the "
-     "cut; if it fits, writes the +inf-padded (n, k) epoch times into the "
-     "front of float64 times."},
+     "sample(seed, start, cut, cdf, levels, times): draws the epoch times at "
+     "or below the cut (below 2**32) of the telegraph trajectories, with their "
+     "level bits into uint8 levels, and returns the widest row's count k; if "
+     "it fits, writes the +inf-padded (n, k) epoch times into the front of "
+     "float64 times."},
     {"exp_minus_i", exp_minus_i_vector, METH_VARARGS,
      "exp_minus_i(theta, out): (cos theta, sin(-theta)) of each value of 1-D "
      "float64 theta into the rows of float64 out, shape (n, 2)."},

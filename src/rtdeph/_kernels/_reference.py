@@ -254,23 +254,26 @@ def _uniform(a, b):
     return (((a << 20) ^ (b >> 12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def sample(seed, start, epochs, cut, cdf, levels, times):
+def sample(seed, start, cut, cdf, levels, times):
     """Samples trajectories ``start`` to ``start + n - 1`` (n = len(levels))
     under the 64-bit ``seed`` into ``levels`` (uint8), and returns the
-    widest row's count k of epoch times at or below ``cut``.  If n*k <=
-    len(times) it also writes the (n, k) epoch times, padded with +inf,
-    row by row into the front of the float64 array ``times``.
+    widest row's count k of epoch times at or below ``cut``, which must be
+    below 2**32 (not +inf or NaN).  If n*k <= len(times) it also writes the
+    (n, k) epoch times, padded with +inf, row by row into the front of the
+    float64 array ``times``.
 
-    Epochs 0 to ``epochs`` - 1 are drawn (see ``rtdeph._kernels.sample``):
-    for each, its count from ``cdf`` and its uniforms, filled in draw order,
-    then the times e + u, those above the cut set to +inf and sorted per
-    row, which sorts each epoch as the compiled kernel does, since the
-    epochs do not overlap.  Arrays are indexed (row, epoch, draw).
+    The epochs e <= cut are drawn (see ``rtdeph._kernels.sample``),
+    floor(cut) + 1 or none for a negative cut: for each, its count from
+    ``cdf`` and its uniforms, filled in draw order, then the times e + u,
+    those above the cut set to +inf and sorted per row, which sorts each
+    epoch as the compiled kernel does, since the epochs do not overlap.
+    Arrays are indexed (row, epoch, draw).
     """
     if not (0 <= seed < 2**64 and 0 <= start < 2**64):
         raise OverflowError("seed and start must be in [0, 2**64)")
-    if np.isnan(cut):
-        raise ValueError("the cut must not be NaN")
+    if not cut < 2**32:
+        raise ValueError(f"the cut must be below 2**32, got {cut!r}")
+    epochs = int(cut) + 1 if cut >= 0.0 else 0
     n = levels.shape[0]
     index = np.arange(n, dtype=np.uint64) + np.uint64(start)
     lo, hi = (index & _WORD)[:, None], (index >> 32)[:, None]

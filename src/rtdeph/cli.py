@@ -126,6 +126,14 @@ class SweepSpec:
             # array can hold, not on memory
             raise ValueError(f"vt grid has {points:.4g} points, more than one numpy array can "
                              f"hold: vt-max / vt-step = {self.vt_max!r} / {self.vt_step!r}")
+        if self.mode != "autocorr":
+            # analytic, mc and both turn v*t into t = vt/v and recovery reads
+            # t = 2*pi*revival-n/v: a v that overflows the last time is
+            # refused here, before any of them divides by it
+            horizon, option = self._horizon(self.g[0])
+            if not math.isfinite(horizon):
+                raise ValueError(f"--v {self.v!r} with {option}: the last time of the run "
+                                 f"overflows")
         if self.n_traj < 1:
             raise ValueError(f"n-traj must be >= 1, got {self.n_traj}")
         if not 0 <= self.seed < 2**64:

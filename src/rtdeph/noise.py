@@ -20,10 +20,10 @@ compiled kernel and the numpy fallback draw the same bits
 Every sampled pass goes through one block stream (``stream``): blocks of
 ``BLOCK`` consecutive trajectories are drawn and reduced on a thread pool,
 and each coupling's reductions are added in block order.  Each block is
-drawn once in epoch units (``draw_epochs``), for the most epochs any
-coupling of the pass needs and cut at the widest horizon
-(``_kernels.epoch_cut``), and each coupling's batch is a view of those
-draws with its own epoch length (``sample_batch``): the batch kernels form
+drawn once in epoch units (``draw_epochs``) up to the widest cut of the
+couplings of the pass (``_kernels.epoch_grid``), which alone sets the
+epochs drawn, and each coupling's batch is a view of those draws with
+its own epoch length (``sample_batch``): the batch kernels form
 a switch time x*L where they read it and read none past the coupling's
 horizon.  So the couplings of one pass that start at the same trajectory
 share their trajectories, common random numbers: their Monte Carlo errors
@@ -121,14 +121,13 @@ class EpochDraws:
     in epoch units, which serve every switching rate (``sample_batch``).
 
     ``levels`` are the level bits at t = 0.  Row i of ``epoch_times`` holds
-    the times x = e + u of epochs 0 to ``epochs`` - 1 at or below ``cut``,
-    sorted and padded with +inf: they serve every horizon whose
-    ``_kernels.epoch_cut`` is at most ``cut``.
+    the times x = e + u at or below ``cut``, of epochs 0 to floor(cut),
+    sorted and padded with +inf: they serve every horizon whose cut
+    (``_kernels.epoch_grid``) is at most ``cut``.
     """
 
     master_seed: int
     start_index: int
-    epochs: int
     cut: float
     levels: np.ndarray
     epoch_times: np.ndarray
@@ -149,15 +148,14 @@ def _check_indices(master_seed: int, start_index: int, n: int) -> None:
         raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
 
 
-def draw_epochs(master_seed: int, start_index: int, n: int, epochs: int,
-                cut: float = math.inf) -> EpochDraws:
+def draw_epochs(master_seed: int, start_index: int, n: int, cut: float) -> EpochDraws:
     """The draws of trajectories ``start_index`` to ``start_index + n - 1``
-    for their epochs 0 to ``epochs`` - 1, up to ``cut`` in epoch units
-    (``rtdeph._kernels.sample``)."""
+    up to ``cut`` in epoch units, which must be below 2**32: the times of
+    their epochs 0 to floor(cut) at or below it (``rtdeph._kernels.sample``)."""
     _check_indices(master_seed, start_index, n)
-    levels, x = _kernels.sample(master_seed, start_index, n, epochs, cut)
-    return EpochDraws(master_seed=master_seed, start_index=start_index, epochs=epochs,
-                      cut=cut, levels=levels, epoch_times=x)
+    levels, x = _kernels.sample(master_seed, start_index, n, cut)
+    return EpochDraws(master_seed=master_seed, start_index=start_index, cut=cut,
+                      levels=levels, epoch_times=x)
 
 
 def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
@@ -173,17 +171,16 @@ def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
     The draws do not depend on ``params``: the batch is a view of ``draws``,
     made once for several rates (``draw_epochs``), with the epoch length L
     of this rate, or of draws made here, cut at the horizon, when none are
-    passed.  Draws with fewer epochs or a lower cut than the horizon needs
+    passed.  Draws cut below the horizon's cut (``_kernels.epoch_grid``)
     are refused.  A static process (gamma = 0) sees no switch time.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
-    epochs, scale = _kernels.epoch_grid(params.gamma, horizon)
-    cut = _kernels.epoch_cut(horizon, scale)
+    scale, cut = _kernels.epoch_grid(params.gamma, horizon)
     if draws is None:
-        draws = draw_epochs(master_seed, start_index, n, epochs, cut)
+        draws = draw_epochs(master_seed, start_index, n, cut)
     elif ((draws.master_seed, draws.start_index, draws.n) != (master_seed, start_index, n)
-            or draws.epochs < epochs or draws.cut < cut):
+            or draws.cut < cut):
         raise ValueError("the draws do not hold these trajectories up to the horizon")
     times = draws.epoch_times
     if params.gamma == 0.0:
@@ -202,9 +199,10 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
     ``first + b*BLOCK`` (the last block may be shorter), whatever the other
     couplings are, so its total is that of a pass with it alone, bit for
     bit.  Couplings with the same first index share their blocks: each is
-    drawn once (``draw_epochs``), for the most epochs any of them needs and
-    up to the widest of their cuts (``_kernels.epoch_cut``), and each
-    reduces its view of the draws up to its horizon (``sample_batch``).
+    drawn once (``draw_epochs``) up to the widest of their cuts
+    (``_kernels.epoch_grid``), which draws the most epochs any of them
+    needs, and each reduces its view of the draws up to its horizon
+    (``sample_batch``).
     They see the same realizations: their results share their Monte Carlo
     errors and are not independent.  ``n_threads`` threads map over the
     blocks, first index by first index, at most two blocks per thread in
@@ -212,8 +210,8 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
     results are added in block order as they are collected, the left fold
     (b0 + b1) + b2 + ..., so the totals do not depend on the thread count.
     The fold adds in place into the first block's result, so a reduce
-    returns a fresh array.  The indices, the couplings and their epoch
-    counts are checked before anything is drawn.
+    returns a fresh array.  The indices, the couplings and their cuts are
+    checked before anything is drawn.
     """
     couplings = tuple(couplings)
     firsts = ((start_index,) * len(couplings) if isinstance(start_index, numbers.Integral)
@@ -228,19 +226,16 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
         groups.setdefault(first, []).append(j)
     for first in groups:
         _check_indices(master_seed, first, n)
-    grids = [_kernels.epoch_grid(params.gamma, horizon) for params, horizon, _ in couplings]
-    cuts = [_kernels.epoch_cut(horizon, scale)
-            for (_, horizon, _), (_, scale) in zip(couplings, grids)]
+    cuts = [_kernels.epoch_grid(params.gamma, horizon)[1] for params, horizon, _ in couplings]
 
     def blocks():
         for first, group in groups.items():
-            epochs = max(grids[j][0] for j in group)
             cut = max(cuts[j] for j in group)
             for start in range(first, first + n, BLOCK):
-                yield start, min(BLOCK, first + n - start), epochs, cut, group
+                yield start, min(BLOCK, first + n - start), cut, group
 
-    def one_block(start, count, epochs, cut, group):
-        draws = draw_epochs(master_seed, start, count, epochs, cut)
+    def one_block(start, count, cut, group):
+        draws = draw_epochs(master_seed, start, count, cut)
         return [(j, couplings[j][2](sample_batch(couplings[j][0], couplings[j][1], count,
                                                  master_seed, start_index=start, draws=draws)))
                 for j in group]
@@ -324,17 +319,18 @@ def estimate_autocorrelation(params, lags, n_samples: int, master_seed: int,
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
     _check_indices(master_seed, start_index, n_samples * len(params))
 
-    orders = [np.argsort(lag_arr, kind="stable") for lag_arr in lag_sets]
+    # each coupling's distinct lags, ascending, and the map back to its own
+    grids = [np.unique(lag_arr, return_inverse=True) for lag_arr in lag_sets]
     sampled = [j for j, lag_arr in enumerate(lag_sets) if lag_arr.size and lag_arr.max() > 0.0]
     flips = [np.zeros(lag_arr.size, dtype=np.intp) for lag_arr in lag_sets]
     if sampled:
-        couplings = [(params[j], float(lag_sets[j].max()),
-                      functools.partial(_flips, lag_sets[j][orders[j]])) for j in sampled]
+        couplings = [(params[j], float(grids[j][0][-1]), functools.partial(_flips, grids[j][0]))
+                     for j in sampled]
         counts = stream(couplings, n_samples, master_seed,
                         start_index=[start_index + j * n_samples for j in sampled],
                         n_threads=n_threads)
         for j, count in zip(sampled, counts):
-            flips[j] = count[np.argsort(orders[j], kind="stable")]
+            flips[j] = count[grids[j][1]]
     return [_autocorrelation(lag_arr, count, n_samples) for lag_arr, count in zip(lag_sets, flips)]
 
 

@@ -537,6 +537,32 @@ def test_unsampleable_g_exits_2_naming_it(tmp_path, monkeypatch, capsys, mode, b
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, argv, option", [
+    *((mode, ["--v", "1e-310", "--vt-max", "1"], "--vt-max 1.0")
+      for mode in ("analytic", "mc", "both")),
+    ("recovery", ["--v", "1e-309"], "--revival-n 1"),
+])
+def test_tiny_v_exits_2_naming_it(tmp_path, monkeypatch, capsys, mode, argv, option):
+    # vt-max/v, or 2*pi*revival-n/v, overflows: refused before any division
+    # (so with no overflow warning) and before any block is drawn, naming
+    # --v and the option that sets the last time; at g = inf the epoch
+    # length is no fault
+    calls = []
+    real_draw = noise.draw_epochs
+    monkeypatch.setattr(noise, "draw_epochs", lambda *a: calls.append(a) or real_draw(*a))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--mode", mode, "--g", "inf", *argv, "--n-traj", "64",
+                         "--out", str(out)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == (
+        f"rtdeph: invalid input: --v {float(argv[1])!r} with {option}: "
+        "the last time of the run overflows\n")
+    assert calls == []
+    assert not out.exists()
+
+
 def test_analytic_mode_at_a_huge_coupling(tmp_path):
     # at g = 1e300 the closed form is the static one to every digit:
     # E_f(|cos(vt/2)|) at vt = 1

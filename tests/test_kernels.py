@@ -395,7 +395,7 @@ def test_static_rows_are_segment_times_grid_factor(compiled):
 def test_compiled_sample_rejects_mismatched_buffers(compiled):
     cdf = _kernels._POISSON_CDF
     levels, times = np.empty(4, np.uint8), np.empty(40)
-    args = (3, 0, 2, math.inf)
+    args = (3, 0, 1.5)
     assert compiled.sample(*args, cdf, levels, times) >= 0
     for bad in (
         (cdf, levels.astype(np.int16), times),
@@ -409,17 +409,25 @@ def test_compiled_sample_rejects_mismatched_buffers(compiled):
         with pytest.raises(ValueError):
             compiled.sample(*args, *bad)
     with pytest.raises(ValueError):
-        compiled.sample(3, 0, -1, math.inf, cdf, levels, times)  # negative epochs
-    with pytest.raises(ValueError):
-        compiled.sample(3, 0, 2**32 + 1, math.inf, cdf, levels, times)  # past the epoch counter
-    with pytest.raises(ValueError):
-        compiled.sample(3, 2**64 - 2, 2, math.inf, cdf, levels, times)  # index wraps
-    for impl in (_reference, compiled):
-        with pytest.raises(ValueError):
-            impl.sample(3, 0, 2, math.nan, cdf, levels, times)  # a NaN cut
+        compiled.sample(3, 2**64 - 2, 1.5, cdf, levels, times)  # index wraps
     for seed in (2**64, -1):  # never wrapped into 64 bits
         with pytest.raises(OverflowError):
-            compiled.sample(seed, 0, 2, math.inf, cdf, levels, times)
+            compiled.sample(seed, 0, 1.5, cdf, levels, times)
+
+
+def test_sample_refuses_a_cut_past_the_epoch_counter(compiled):
+    # +inf, NaN and 2**32 name no epoch count that the 32-bit counter
+    # holds: both backends and the wrapper refuse them before drawing (a
+    # cut just below 2**32 would draw about 4e9 epochs per row, so only
+    # the refusals are tested)
+    cdf = _kernels._POISSON_CDF
+    levels, times = np.empty(4, np.uint8), np.empty(40)
+    for cut in (math.inf, math.nan, 2.0**32):
+        for impl in (_reference, compiled):
+            with pytest.raises(ValueError, match="cut"):
+                impl.sample(3, 0, cut, cdf, levels, times)
+            with pytest.raises(ValueError, match="cut"):
+                _kernels.sample(3, 0, 4, cut, impl=impl)
 
 
 def test_compiled_moments_reject_mismatched_buffers(compiled):
@@ -556,9 +564,9 @@ def test_poisson_table_matches_mpmath():
     assert not _kernels._POISSON_CDF.flags.writeable
 
 
-def sample_both(compiled, seed, start, n, epochs):
-    pure = _kernels.sample(seed, start, n, epochs, impl=_reference)
-    fast = _kernels.sample(seed, start, n, epochs, impl=compiled)
+def sample_both(compiled, seed, start, n, cut):
+    pure = _kernels.sample(seed, start, n, cut, impl=_reference)
+    fast = _kernels.sample(seed, start, n, cut, impl=compiled)
     for a, b in zip(pure, fast):
         assert_same_bits(a, b)
     return pure
@@ -586,8 +594,9 @@ def test_sample_bit_identical_property(compiled, seed, start, n, gamma, horizon)
     # static limit and horizons of up to 45 epochs: both backends give the
     # same bytes, and rows scaled by L and cut at the horizon agree with the
     # scalar oracle of tests/_oracles.py
-    epochs, scale = _kernels.epoch_grid(gamma, horizon)
-    levels, x = sample_both(compiled, seed, start, n, epochs)
+    # draws an epoch wider than the horizon's cut, which the rows cut again
+    scale, cut = _kernels.epoch_grid(gamma, horizon)
+    levels, x = sample_both(compiled, seed, start, n, cut + 1.0)
     times, counts = cut_rows(x, scale, horizon)
     for i in {0, n - 1}:
         level, oracle = telegraph_stream(seed, start + i, gamma, horizon)
@@ -597,9 +606,10 @@ def test_sample_bit_identical_property(compiled, seed, start, n, gamma, horizon)
 
 
 def test_sample_gives_uncut_sorted_epoch_times(impl):
-    # the times x = e + u of every epoch asked for, sorted per row and
-    # padded with +inf to the widest row, with no cut inside the last epoch
-    levels, x = _kernels.sample(9, 4, 50, 6, impl=impl)
+    # the times x = e + u of every epoch up to a cut one ulp below 6,
+    # sorted per row and padded with +inf to the widest row, with no time
+    # of epochs 0 to 5 cut
+    levels, x = _kernels.sample(9, 4, 50, math.nextafter(6.0, 0.0), impl=impl)
     counts = np.isfinite(x).sum(axis=1)
     assert x.shape == (50, counts.max()) and levels.shape == (50,)
     assert set(levels.tolist()) == {0, 1}
@@ -607,8 +617,8 @@ def test_sample_gives_uncut_sorted_epoch_times(impl):
         assert np.all(np.diff(row[:count]) > 0.0) and np.all(row[:count] < 6.0)
         assert np.all(np.isinf(row[count:]))
     assert (x[np.isfinite(x)] > 5.0).sum() > 100  # the last epoch holds ~4 per row
-    # the epochs are a prefix: more epochs append times to each row
-    _, more = _kernels.sample(9, 4, 50, 7, impl=impl)
+    # the epochs are a prefix: a wider cut appends times to each row
+    _, more = _kernels.sample(9, 4, 50, math.nextafter(7.0, 0.0), impl=impl)
     np.testing.assert_array_equal(np.where(more < 6.0, more, np.inf)[:, : x.shape[1]], x)
 
 
@@ -616,22 +626,22 @@ def test_sample_writes_rows_only_when_they_fit(impl):
     # a kernel returns the widest row's count k and writes the (n, k) rows
     # only into room for them; the wrapper then samples again, the same
     cdf = _kernels._POISSON_CDF
-    levels, times = _kernels.sample(5, 7, 50, 3)
+    levels, times = _kernels.sample(5, 7, 50, 2.5)
     k = times.shape[1]
     out = np.empty(50, np.uint8)
     short = np.full(50 * k - 1, -1.0)
-    assert impl.sample(5, 7, 3, math.inf, cdf, out, short) == k
+    assert impl.sample(5, 7, 2.5, cdf, out, short) == k
     np.testing.assert_array_equal(out, levels)
     exact = np.full(50 * k + 3, -1.0)
-    assert impl.sample(5, 7, 3, math.inf, cdf, out, exact) == k
+    assert impl.sample(5, 7, 2.5, cdf, out, exact) == k
     np.testing.assert_array_equal(exact[: 50 * k].reshape(50, k), times)
     np.testing.assert_array_equal(exact[50 * k:], -1.0)
 
 
 def test_sample_makes_room_for_rows_wider_than_its_guess(monkeypatch):
-    expected = _kernels.sample(5, 7, 50, 3)
-    monkeypatch.setattr(_kernels, "_row_room", lambda epochs: 1)
-    for a, b in zip(expected, _kernels.sample(5, 7, 50, 3)):
+    expected = _kernels.sample(5, 7, 50, 2.5)
+    monkeypatch.setattr(_kernels, "_row_room", lambda cut: 1)
+    for a, b in zip(expected, _kernels.sample(5, 7, 50, 2.5)):
         assert_same_bits(a, b)
 
 
@@ -663,20 +673,20 @@ def epoch_edges(gamma, horizons):
 )
 def test_consumers_scale_epoch_times_as_the_cut_rows(compiled, seed, start, n, gamma, horizon,
                                                      m, v, end):
-    # each batch kernel given the epoch times x of more epochs than the
-    # horizon needs and the epoch length L gives the bytes that the compiled
+    # each batch kernel given the epoch times x cut an epoch past the
+    # horizon's cut and the epoch length L gives the bytes that the compiled
     # kernel gives the rows x*L cut at the horizon at scale 1, on both
     # backends (the numpy kernels cut at the last grid time themselves, so
     # they are held to the compiled bytes, not to their own): horizons on
     # an epoch boundary j*L, one ulp to either side and on a sampled switch
     # time; grids ending at the horizon or before it, with switch times on
     # grid points; and gamma = 0, which has no switch
-    epochs, scale = _kernels.epoch_grid(gamma, horizon)
+    scale, cut = _kernels.epoch_grid(gamma, horizon)
     horizons = [horizon]
     if gamma > 0.0:
         horizons = epoch_edges(gamma, horizons)
-        epochs = max(_kernels.epoch_grid(gamma, h)[0] for h in horizons) + 1
-    levels, x = _kernels.sample(seed, start, n, epochs)
+        cut = max(_kernels.epoch_grid(gamma, h)[1] for h in horizons) + 1.0
+    levels, x = _kernels.sample(seed, start, n, cut)
     switches = (x * (scale or 1.0))[np.isfinite(x)]
     horizons += sorted(switches[switches <= horizon])[:2]
     for h in horizons:
@@ -693,8 +703,8 @@ def test_consumers_scale_epoch_times_as_the_cut_rows(compiled, seed, start, n, g
 
 
 def past_cut_dropped(x, cut):
-    """Uncut epoch times with those past ``cut`` set to +inf, which ends
-    each sorted row with them, and the padding trimmed to the widest row."""
+    """Epoch times with those past ``cut`` set to +inf, which ends each
+    sorted row with them, and the padding trimmed to the widest row."""
     t = np.where(x <= cut, x, np.inf)
     return t[:, : int(np.isfinite(t).sum(axis=1).max(initial=0))]
 
@@ -704,21 +714,21 @@ def past_cut_dropped(x, cut):
     seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1])),
     start=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 300, 2**32 + 300)),
     n=st.sampled_from([1, 5, 300]),
-    epochs=st.integers(0, 7),
     cut=st.one_of(st.floats(-1.0, 8.0),
-                  st.sampled_from([0.0, 1.0, 3.0, math.inf, -math.inf]),
+                  st.sampled_from([0.0, 1.0, 3.0, -math.inf]),
                   st.integers(1, 7).map(lambda e: math.nextafter(e, 0.0))),
+    wider_by=st.one_of(st.floats(0.0, 4.0), st.sampled_from([1.0, 3.0])),
 )
-def test_sample_cut_drops_only_the_times_past_it(compiled, seed, start, n, epochs, cut):
-    # the draws cut at x are the uncut draws with every time past x
-    # dropped, bit for bit on both backends: at any cut, at an epoch
-    # boundary, one ulp below it and at a sampled time
-    levels, uncut = _kernels.sample(seed, start, n, epochs, impl=compiled)
-    finite = uncut[np.isfinite(uncut)]
+def test_sample_cut_drops_only_the_times_past_it(compiled, seed, start, n, cut, wider_by):
+    # the draws cut at c are the draws at a wider cut with every time past
+    # c dropped, bit for bit on both backends: at any cut, at an integer,
+    # one ulp below one, at -inf and at a sampled time
+    levels, wide = sample_both(compiled, seed, start, n, max(cut, 0.0) + wider_by)
+    finite = wide[np.isfinite(wide)]
     for c in [cut] + ([float(finite[finite.size // 2])] if finite.size else []):
-        expected = past_cut_dropped(uncut, c)
+        expected = past_cut_dropped(wide, c)
         for impl in (_reference, compiled):
-            cut_levels, x = _kernels.sample(seed, start, n, epochs, c, impl=impl)
+            cut_levels, x = _kernels.sample(seed, start, n, c, impl=impl)
             assert_same_bits(cut_levels, levels)
             assert_same_bits(x, expected)
 
@@ -747,23 +757,51 @@ def test_epoch_cut_is_the_last_epoch_time_at_or_before_the_horizon():
     # at or below the cut and no draw past it: at epoch boundaries, one ulp
     # to either side and where h/L rounds either way
     for gamma in EDGE_GAMMAS:
-        scale = _kernels.epoch_grid(gamma, 1.0)[1]
-        for h in epoch_edges(gamma, rounding_edges(scale)):
-            cut = _kernels.epoch_cut(h, scale)
+        for h in epoch_edges(gamma, rounding_edges(_kernels.epoch_grid(gamma, 1.0)[0])):
+            scale, cut = _kernels.epoch_grid(gamma, h)
             assert cut * scale <= h < math.nextafter(cut, math.inf) * scale
-    assert _kernels.epoch_cut(5.0, 0.0) == -math.inf  # gamma = 0 never switches
+    # at a zero or subnormal horizon and a tiny L, x*L rounds on the
+    # subnormals' fixed spacing, far from h/L in steps of x
+    for gamma in (1e12, 1e300):
+        for h in (0.0, 5e-324, 1e-310):
+            scale, cut = _kernels.epoch_grid(gamma, h)
+            assert cut * scale <= h < math.nextafter(cut, math.inf) * scale
+    assert _kernels.epoch_grid(0.0, 5.0) == (0.0, -math.inf)  # gamma = 0 never switches
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(gamma=st.one_of(st.sampled_from(EDGE_GAMMAS), st.floats(0.01, 50.0)),
+       horizon=st.floats(0.0, 200.0))
+def test_epochs_a_cut_draws_are_those_that_start_by_the_horizon(gamma, horizon):
+    # e*L <= h exactly when e <= cut, so the floor(cut) + 1 epochs that the
+    # cut draws are those that start at or before h, counted one by one: at
+    # any horizon, at boundaries j*L, 1 and 2 ulps to either side of them
+    # and where h/L rounds either way
+    scale = _kernels.epoch_grid(gamma, 1.0)[0]
+    horizons = [horizon]
+    for j in (1, 2, 3, 7):
+        below = above = j * scale
+        horizons.append(below)
+        for _ in range(2):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            horizons += [below, above]
+    if gamma in EDGE_GAMMAS:
+        horizons += rounding_edges(scale)
+    for h in horizons:
+        _, cut = _kernels.epoch_grid(gamma, h)
+        starts = sum(e * scale <= h for e in range(int(h / scale) + 3))
+        assert math.floor(cut) + 1 == starts
 
 
 def test_a_cut_one_ulp_tighter_drops_a_switch_the_consumers_read():
-    # a switch at x = epoch_cut(h, L) is one the consumers read up to the
-    # horizon h, so draws cut one ulp below it lose a switch: the level at
-    # h, the dwell and the sums all change; a switch one ulp past the cut is
-    # one they do not read
+    # a switch at x = the cut of h (epoch_grid) is one the consumers read
+    # up to the horizon h, so draws cut one ulp below it lose a switch: the
+    # level at h, the dwell and the sums all change; a switch one ulp past
+    # the cut is one they do not read
     levels = np.array([0], dtype=np.uint8)
     for gamma in EDGE_GAMMAS:
-        scale = _kernels.epoch_grid(gamma, 1.0)[1]
-        for h in epoch_edges(gamma, rounding_edges(scale)):
-            cut = _kernels.epoch_cut(h, scale)
+        for h in epoch_edges(gamma, rounding_edges(_kernels.epoch_grid(gamma, 1.0)[0])):
+            scale, cut = _kernels.epoch_grid(gamma, h)
             grid = np.array([0.0, h])
             read, past = np.array([[cut]]), np.array([[math.nextafter(cut, math.inf)]])
             tight = past_cut_dropped(read, math.nextafter(cut, -math.inf))
@@ -791,25 +829,23 @@ def test_a_cut_one_ulp_tighter_drops_a_switch_the_consumers_read():
 )
 def test_consumers_read_the_same_bits_from_cut_draws(compiled, seed, start, n, gamma, m, v):
     # each batch kernel gives the same bytes on draws cut at the horizon's
-    # epoch_cut as on the uncut draws of more epochs, on both backends: at
-    # epoch boundaries, one ulp to either side and at h/L rounding edges,
-    # on grids that end at the horizon and hold switch times
-    scale = _kernels.epoch_grid(gamma, 1.0)[1]
+    # cut as on draws cut an epoch past the widest horizon, on both
+    # backends: at epoch boundaries, one ulp to either side and at h/L
+    # rounding edges, on grids that end at the horizon and hold switch times
+    scale = _kernels.epoch_grid(gamma, 1.0)[0]
     horizons = epoch_edges(gamma, rounding_edges(scale))
-    epochs = max(_kernels.epoch_grid(gamma, h)[0] for h in horizons) + 1
-    levels, uncut = _kernels.sample(seed, start, n, epochs, impl=compiled)
-    switches = (uncut * scale)[np.isfinite(uncut)]
+    wide_cut = max(_kernels.epoch_grid(gamma, h)[1] for h in horizons) + 1.0
+    levels, wide = _kernels.sample(seed, start, n, wide_cut, impl=compiled)
+    switches = (wide * scale)[np.isfinite(wide)]
     for h in horizons:
-        cut = _kernels.epoch_cut(h, scale)
-        _, x = _kernels.sample(seed, start, n, _kernels.epoch_grid(gamma, h)[0], cut,
-                               impl=compiled)
+        _, x = _kernels.sample(seed, start, n, _kernels.epoch_grid(gamma, h)[1], impl=compiled)
         on_grid = switches[switches <= h][:: max(1, switches.size // 20)]
         grid = np.unique(np.concatenate([np.linspace(0.0, h, m), [h], on_grid]))
         for kernel, args in ((_kernels.dwell_times, ()), (_kernels.levels_at_times, ()),
                              (_kernels.block_sums, (v,))):
             for impl in (_reference, compiled):
                 assert_same_bits(kernel(levels, x, grid, *args, scale=scale, impl=impl),
-                                 kernel(levels, uncut, grid, *args, scale=scale, impl=impl))
+                                 kernel(levels, wide, grid, *args, scale=scale, impl=impl))
 
 
 def test_exp_minus_i_bit_identical_across_backends(compiled):

@@ -92,9 +92,10 @@ def test_sample_batch_rejects_bad_arguments():
 
 def test_sample_batch_takes_only_draws_of_its_trajectories():
     # shared draws serve a batch only for the same seed, indices and count,
-    # and only if they hold every epoch up to its horizon (L = 8 at gamma 1)
+    # and only if they hold every epoch up to its horizon (L = 8 at gamma 1):
+    # cut one ulp below 2, they hold epochs 0 and 1 whole, short of 16.0
     params = noise.RTParams(v=1.0, gamma=1.0)
-    draws = noise.draw_epochs(3, 10, 40, epochs=2)
+    draws = noise.draw_epochs(3, 10, 40, math.nextafter(2.0, 0.0))
     alone = noise.sample_batch(params, 15.9, 40, 3, start_index=10)
     shared = noise.sample_batch(params, 15.9, 40, 3, start_index=10, draws=draws)
     np.testing.assert_array_equal(shared.levels, alone.levels)
@@ -107,34 +108,33 @@ def test_sample_batch_takes_only_draws_of_its_trajectories():
 
 
 def test_sample_batch_refuses_draws_cut_below_its_horizon():
-    # draws cut at the horizon's epoch_cut serve the batch as uncut ones
-    # do; one ulp lower they lose a switch the batch may read, and are
-    # refused: at an epoch boundary j*L (L = 80/3), one ulp to either side
-    # and inside epochs
+    # draws cut at the horizon's cut serve the batch as draws cut an epoch
+    # wider do; one ulp lower they lose a switch the batch may read, and
+    # are refused: at an epoch boundary j*L (L = 80/3), one ulp to either
+    # side and inside epochs
     params = noise.RTParams(v=1.0, gamma=0.3)
     scale = 2.0 * _kernels.EPOCH_SWITCHES / params.gamma
     for horizon in (15.9, scale, math.nextafter(scale, 0.0), math.nextafter(scale, math.inf),
                     2.5 * scale):
-        epochs, _ = _kernels.epoch_grid(params.gamma, horizon)
-        cut = _kernels.epoch_cut(horizon, scale)
-        uncut = noise.sample_batch(params, horizon, 40, 3, start_index=10,
-                                   draws=noise.draw_epochs(3, 10, 40, epochs))
-        draws = noise.draw_epochs(3, 10, 40, epochs, cut)
+        cut = _kernels.epoch_grid(params.gamma, horizon)[1]
+        wide = noise.sample_batch(params, horizon, 40, 3, start_index=10,
+                                  draws=noise.draw_epochs(3, 10, 40, cut + 1.0))
+        draws = noise.draw_epochs(3, 10, 40, cut)
         assert draws.cut == cut
-        same_rows(noise.sample_batch(params, horizon, 40, 3, start_index=10, draws=draws), uncut)
+        same_rows(noise.sample_batch(params, horizon, 40, 3, start_index=10, draws=draws), wide)
         # drawn alone, a batch is cut at its horizon
         alone = noise.sample_batch(params, horizon, 40, 3, start_index=10)
-        same_rows(alone, uncut)
+        same_rows(alone, wide)
         assert np.all(alone.times[np.isfinite(alone.times)] <= cut)
-        tight = noise.draw_epochs(3, 10, 40, epochs, math.nextafter(cut, -math.inf))
+        tight = noise.draw_epochs(3, 10, 40, math.nextafter(cut, -math.inf))
         with pytest.raises(ValueError, match="draws"):
             noise.sample_batch(params, horizon, 40, 3, start_index=10, draws=tight)
 
 
 def test_stream_draws_up_to_the_widest_cut(monkeypatch):
-    # a block is drawn once for the most epochs and the widest cut of its
-    # couplings: lag 1.5 at L = 4 is 0.375 epochs, 3.0 at L = 16 is 0.1875,
-    # and the static coupling needs none
+    # a block is drawn once up to the widest cut of its couplings, which
+    # draws the most epochs any of them needs: lag 1.5 at L = 4 is 0.375
+    # epochs, 3.0 at L = 16 is 0.1875, and the static coupling needs none
     drawn = []
     real_draw = noise.draw_epochs
     monkeypatch.setattr(noise, "draw_epochs", lambda *a: drawn.append(a) or real_draw(*a))
@@ -145,7 +145,7 @@ def test_stream_draws_up_to_the_widest_cut(monkeypatch):
     couplings = [(noise.RTParams(v=1.0, gamma=gamma), horizon, count)
                  for gamma, horizon in ((2.0, 1.5), (0.5, 3.0), (0.0, 9.0))]
     assert noise.stream(couplings, 10, 5) == [10, 10, 10]
-    assert drawn == [(5, 0, 10, 1, 0.375)]
+    assert drawn == [(5, 0, 10, 0.375)]
 
 
 @pytest.mark.parametrize("gamma, horizon", [(1.0, 15.9), (1.0, 16.0), (2.5, 0.7), (0.3, 40.0),
@@ -156,7 +156,7 @@ def test_batch_of_a_pass_is_a_view_of_its_draws(gamma, horizon):
     # to the widest row, as the tracer reads them; 16.0 is the end of
     # epoch 1 at gamma 1
     params = noise.RTParams(v=1.0, gamma=gamma)
-    draws = noise.draw_epochs(3, 10, 40, epochs=6)
+    draws = noise.draw_epochs(3, 10, 40, math.nextafter(6.0, 0.0))  # epochs 0 to 5
     batch = noise.sample_batch(params, horizon, 40, 3, start_index=10, draws=draws)
     assert batch.levels is draws.levels and batch.horizon == horizon
     if gamma == 0.0:
@@ -559,13 +559,15 @@ def test_autocorrelation_of_several_couplings_equals_each_alone(n_threads):
     # the 2*BLOCK + 5 samples from index 7 + j*n, so its flip counts, and
     # its result, are those of its own call there, bit for bit, at any
     # thread count.  A coupling with zero lags only, or none, draws
-    # nothing, and two equal couplings see different samples
+    # nothing, two equal couplings see different samples, and repeated,
+    # unsorted lags give each repeat the count of the lag alone
     couplings = [(noise.RTParams(v=1.0, gamma=2.0), [0.05, 0.7, 2.9]),
                  (noise.RTParams(v=1.0, gamma=0.5), [3.0, 0.0, 1.5]),
                  (noise.RTParams(v=1.0, gamma=1.0), [0.0]),
                  (noise.RTParams(v=2.0, gamma=0.0), [1.0]),
                  (noise.RTParams(v=1.0, gamma=1.0), []),
-                 (noise.RTParams(v=1.0, gamma=2.0), [0.05, 0.7, 2.9])]
+                 (noise.RTParams(v=1.0, gamma=2.0), [0.05, 0.7, 2.9]),
+                 (noise.RTParams(v=1.0, gamma=0.5), [1.5, 0.2, 3.0, 1.5, 0.0, 0.2])]
     n, start, seed = 2 * noise.BLOCK + 5, 7, 29
     together = noise.estimate_autocorrelation([p for p, _ in couplings],
                                               [lags for _, lags in couplings], n, seed,
@@ -581,6 +583,9 @@ def test_autocorrelation_of_several_couplings_equals_each_alone(n_threads):
     np.testing.assert_array_equal(together[3].estimates, [1.0])
     assert together[4].estimates.size == 0
     assert not np.array_equal(together[0].estimates, together[5].estimates)
+    [distinct] = noise.estimate_autocorrelation([couplings[6][0]], [[0.0, 0.2, 1.5, 3.0]], n,
+                                                seed, start_index=start + 6 * n)
+    assert together[6].estimates.tobytes() == distinct.estimates[[2, 1, 3, 2, 0, 1]].tobytes()
 
 
 def test_autocorrelation_takes_one_lag_sequence_per_coupling():
