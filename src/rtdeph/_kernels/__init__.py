@@ -153,8 +153,9 @@ def sample(master_seed, start, n, cut, impl=None):
     impl = impl or _impl
     levels = np.empty(n, dtype=np.uint8)
     args = (master_seed, start, cut, _POISSON_CDF, levels)
-    # a cut the backends refuse gets no room
-    width = _row_room(cut) if cut < 2**32 else 0
+    # a negative cut draws no epoch, and one the backends refuse nothing:
+    # neither gets room, which the (n, 0) result would keep alive
+    width = _row_room(cut) if 0.0 <= cut < 2**32 else 0
     times = np.empty(n * width)
     k = impl.sample(*args, times)
     if k > width:
@@ -165,11 +166,11 @@ def sample(master_seed, start, n, cut, impl=None):
 
 
 def _row_room(cut):
-    """Room per row for the epoch times at or below ``cut``: the mean count
+    """Room per row for the epoch times at or below ``cut`` >= 0: the mean count
     EPOCH_SWITCHES*cut, 6 standard deviations and 8 more.  The widest of
     2048 Poisson rows exceeds it with a probability below 1e-6 for every
     mean up to 400, and then the rows are drawn again."""
-    mean = EPOCH_SWITCHES * max(cut, 0.0)
+    mean = EPOCH_SWITCHES * cut
     return math.ceil(mean + 6.0 * math.sqrt(mean)) + 8
 
 

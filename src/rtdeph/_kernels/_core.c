@@ -32,15 +32,17 @@
  * g0, and takes them off at g1 of the difference arrays; the grid factor
  * is left to the finishing step.  A block costs, per stretch, one
  * exp_minus_i of about 55 IEEE + and * and, per switch, a look-up in a
- * table of equal grid cells built once per call and a search inside one
- * cell: constant work per switch on a uniform grid, not work per
- * trajectory and grid point.
+ * table of equal grid cells built once per call and a branch-free search
+ * inside one cell: constant work per switch on a uniform grid, not work
+ * per trajectory and grid point.
  *
  * The arithmetic is that of the numpy reference (_reference.py), operation
  * for operation, so the two backends agree bit for bit: a switch time is
  * the one product x * scale in both, exp_minus_i is repeated there, and the
  * grid index finds the same start as numpy's searchsorted; the sampler
- * uses only integer arithmetic, IEEE +, * and comparisons, and a sort.
+ * uses only integer arithmetic, IEEE +, * and comparisons, and a sort per
+ * epoch: a min/max network for at most 8 times and an insertion sort
+ * above, which order the kept times as numpy's row sort does.
  * setup.py compiles this file with -ffp-contract=off, so no multiply-add
  * is fused, and passes the SHA-256 of this file as RTDEPH_SOURCE_SHA256,
  * which the module exposes as SOURCE_SHA256.
@@ -386,18 +388,21 @@ grid_index(GridIndex *gx, const double *t, Py_ssize_t m)
 }
 
 /* The first index in [g0, m) whose grid time is >= t, or m: a switch on a
-   grid point starts the new stretch there, as advance passes it. */
+   grid point starts the new stretch there, as advance passes it.  A lower
+   bound over t's cell without a data-dependent branch: the answer lies in
+   [lo, lo + n], and each step tests the last of the first ceil(n/2)
+   untested points, moves lo past them if it is < t (a conditional move,
+   not a jump) and keeps floor(n/2) untested.  The step count depends only
+   on the cell's size, at most log2 of it plus 1. */
 static inline Py_ssize_t
 stretch_start(const GridIndex *gx, Py_ssize_t g0, double t)
 {
     const Py_ssize_t c = cell(gx, t);
-    Py_ssize_t lo = gx->first[c] > g0 ? gx->first[c] : g0, hi = gx->first[c + 1];
-    while (lo < hi) {
-        Py_ssize_t mid = lo + (hi - lo) / 2;
-        if (gx->t[mid] < t)
-            lo = mid + 1;
-        else
-            hi = mid;
+    Py_ssize_t lo = gx->first[c] > g0 ? gx->first[c] : g0, n = gx->first[c + 1] - lo;
+    while (n > 0) {
+        const Py_ssize_t half = n - n / 2;
+        lo = gx->t[lo + half - 1] < t ? lo + half : lo;
+        n /= 2;
     }
     return lo;
 }
@@ -508,8 +513,37 @@ uniform(uint32_t a, uint32_t b)
     return ((double)(((uint64_t)a << 20) ^ (b >> 12)) + 0.5) * 0x1p-52;
 }
 
-/* An epoch draws fewer switches than the Poisson table has entries. */
-enum { MAX_TABLE = 64 };
+/* An epoch draws fewer switches than the Poisson table has entries; one
+   of at most NETWORK_WIDTH is sorted by sort_network. */
+enum { MAX_TABLE = 64, NETWORK_WIDTH = 8 };
+
+/* Puts the lesser of *a and *b in *a and the greater in *b: two plain
+   conditionals, which the compiler makes a min and a max, not a branch. */
+static inline void
+compare_exchange(double *a, double *b)
+{
+    const double x = *a, y = *b;
+    *a = y < x ? y : x;
+    *b = x < y ? y : x;
+}
+
+/* Sorts 8 doubles, none NaN, with an optimal network of 19
+   compare-exchanges in 6 layers (Knuth, TAOCP vol. 3, 5.3.4): the same
+   work, and no branch, whatever their order. */
+static inline void
+sort_network(double x[NETWORK_WIDTH])
+{
+    compare_exchange(&x[0], &x[2]); compare_exchange(&x[1], &x[3]);
+    compare_exchange(&x[4], &x[6]); compare_exchange(&x[5], &x[7]);
+    compare_exchange(&x[0], &x[4]); compare_exchange(&x[1], &x[5]);
+    compare_exchange(&x[2], &x[6]); compare_exchange(&x[3], &x[7]);
+    compare_exchange(&x[0], &x[1]); compare_exchange(&x[2], &x[3]);
+    compare_exchange(&x[4], &x[5]); compare_exchange(&x[6], &x[7]);
+    compare_exchange(&x[2], &x[4]); compare_exchange(&x[3], &x[5]);
+    compare_exchange(&x[1], &x[4]); compare_exchange(&x[3], &x[6]);
+    compare_exchange(&x[1], &x[2]); compare_exchange(&x[3], &x[4]);
+    compare_exchange(&x[5], &x[6]);
+}
 
 /* One sample call: the key, the first index, the cut and the table. */
 typedef struct {
@@ -526,9 +560,13 @@ typedef struct {
    and 1, the count N by inversion against the table (whose last entry is
    1.0 > u, so N < MAX_TABLE), and the first uniform from words 2 and 3;
    draws 1, 2, ... give two more uniforms each.  The N times x = (double)e +
-   u, those above the cut dropped, are sorted: x is monotone in u, so they
-   are in the order of their uniforms.  The level is the low bit of word 1
-   of epoch 0's draw 0. */
+   u at or below the cut are kept in ascending order: x is monotone in u,
+   so they are in the order of their uniforms.  Up to NETWORK_WIDTH times,
+   padded with +inf, go through sort_network, and the sorted prefix at or
+   below the cut is kept (+inf never is); the rarer wider epochs (about 2%
+   at mean 4) drop the times above the cut and insertion-sort the rest.  A
+   sorted multiset of doubles has one order, so both give the same bits.
+   The level is the low bit of word 1 of epoch 0's draw 0. */
 static unsigned char
 sample_row(const Stream *s, Py_ssize_t i, double *times, Py_ssize_t *used, Py_ssize_t cap,
            Py_ssize_t *count)
@@ -559,22 +597,34 @@ sample_row(const Stream *s, Py_ssize_t i, double *times, Py_ssize_t *used, Py_ss
             u[p] = uniform(d[0], d[1]);
             u[p + 1] = uniform(d[2], d[3]);
         }
+        double net[NETWORK_WIDTH];
+        const double *sorted = net;
         int kept = 0;
-        for (int p = 0; p < n; p++) {
-            const double x = (double)e + u[p];
-            if (x <= s->cut)
-                u[kept++] = x;
+        if (n <= NETWORK_WIDTH) {
+            for (int p = 0; p < NETWORK_WIDTH; p++)
+                net[p] = p < n ? (double)e + u[p] : Py_HUGE_VAL;
+            sort_network(net);
+            for (int p = 0; p < NETWORK_WIDTH; p++)
+                kept += net[p] <= s->cut;
         }
-        for (int p = 1; p < kept; p++) {
-            const double x = u[p];
-            int q = p;
-            for (; q > 0 && u[q - 1] > x; q--)
-                u[q] = u[q - 1];
-            u[q] = x;
+        else {
+            for (int p = 0; p < n; p++) {
+                const double x = (double)e + u[p];
+                if (x <= s->cut)
+                    u[kept++] = x;
+            }
+            for (int p = 1; p < kept; p++) {
+                const double x = u[p];
+                int q = p;
+                for (; q > 0 && u[q - 1] > x; q--)
+                    u[q] = u[q - 1];
+                u[q] = x;
+            }
+            sorted = u;
         }
         for (int p = 0; p < kept; p++) {
             if (*used < cap)
-                times[*used] = u[p];
+                times[*used] = sorted[p];
             ++*used;
             ++*count;
         }

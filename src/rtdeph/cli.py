@@ -126,6 +126,13 @@ class SweepSpec:
             # array can hold, not on memory
             raise ValueError(f"vt grid has {points:.4g} points, more than one numpy array can "
                              f"hold: vt-max / vt-step = {self.vt_max!r} / {self.vt_step!r}")
+        if self.revival_n < 1:
+            raise ValueError(f"revival-n must be >= 1, got {self.revival_n}")
+        if self.mode == "recovery" and self.revival_n > sys.float_info.max:
+            # no float holds it, so 2*pi*revival-n/v cannot be formed; a
+            # smaller one whose revival time overflows is refused below
+            raise ValueError(f"--revival-n {self.revival_n}: past the largest float, so the "
+                             f"revival time 2*pi*revival-n/v overflows")
         if self.mode != "autocorr":
             # analytic, mc and both turn v*t into t = vt/v and recovery reads
             # t = 2*pi*revival-n/v: a v that overflows the last time is
@@ -157,8 +164,6 @@ class SweepSpec:
                 raise ValueError(f"--g {g!r}: {exc}") from None
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.revival_n < 1:
-            raise ValueError(f"revival-n must be >= 1, got {self.revival_n}")
         if self.lags is not None and not any(lag > 0.0 for lag in self.lags):
             # at lag 0 every estimate is exactly 1 with a zero standard
             # error, so a report of no lags or of zero lags only would pass

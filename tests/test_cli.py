@@ -563,6 +563,26 @@ def test_tiny_v_exits_2_naming_it(tmp_path, monkeypatch, capsys, mode, argv, opt
     assert not out.exists()
 
 
+@pytest.mark.parametrize("revival_n", ["1" + "0" * 400, str(2**1024), "1" + "0" * 308],
+                         ids=["1e400", "2**1024", "1e308"])
+def test_revival_n_past_the_floats_exits_2_naming_it(tmp_path, monkeypatch, capsys, revival_n):
+    # no float holds the first two, and 2*pi*revival-n/v overflows for the
+    # third: each is refused before any block is drawn, with exit 2 (not
+    # an uncaught OverflowError's exit 1, the code of a failed verdict),
+    # no traceback and no artifact, naming --revival-n
+    calls = []
+    real_draw = noise.draw_epochs
+    monkeypatch.setattr(noise, "draw_epochs", lambda *a: calls.append(a) or real_draw(*a))
+    out = tmp_path / "out"
+    assert cli.main(["--mode", "recovery", "--g", "5", "--revival-n", revival_n,
+                     "--n-traj", "64", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rtdeph: invalid input: ") and f"--revival-n {revival_n}" in err
+    assert "overflows" in err and "Traceback" not in err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_analytic_mode_at_a_huge_coupling(tmp_path):
     # at g = 1e300 the closed form is the static one to every digit:
     # E_f(|cos(vt/2)|) at vt = 1

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,41 @@ def test_stretch_starts_match_a_binary_search(compiled):
             expected = stretch_sums(*rows, grid, 1.5, phase_parts)
             np.testing.assert_array_equal(_kernels.block_sums(*rows, grid, 1.5, impl=compiled),
                                           expected)
+
+
+def widest_cell(grid):
+    """The most grid points in one of the m equal cells over [grid[0],
+    grid[-1]] of the compiled kernel's grid index, which searches inside
+    one cell."""
+    m, span = len(grid), grid[-1] - grid[0]
+    if span == 0.0:
+        return m
+    return int(np.bincount(np.minimum(((grid - grid[0]) * (m / span)).astype(int), m - 1)).max())
+
+
+def test_stretch_search_inside_wide_cells_matches_numpy(compiled):
+    # the compiled search inside a cell is branch-free and takes log2 of
+    # the cell's size steps; it must find the first grid point >= each
+    # switch that numpy's searchsorted finds: on uneven grids whose widest
+    # cell holds 6 and 18 points, on a grid with one far outlier, whose
+    # first cell holds every other point, and on a one-point grid, with
+    # switches on grid points, one ulp to either side and between them
+    rng = np.random.default_rng(5)
+    grids = [np.concatenate([np.linspace(0.0, 1.0, 5), [1.01, 1.02, 1.03, 1.04, 1.05],
+                             np.linspace(2.0, 6.0, 9)]),
+             np.geomspace(1e-3, 6.0, 30),
+             np.append(np.linspace(0.0, 6.0, 40), 1e4),
+             np.array([2.5])]
+    assert [widest_cell(grid) for grid in grids] == [6, 18, 40, 1]
+    n, k = 200, 10
+    for grid in grids:
+        pool = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                               rng.uniform(0.0, 1.1 * min(grid[-1], 10.0), 30)])
+        levels = rng.integers(0, 2, n).astype(np.uint8)
+        switch_times = np.sort(rng.choice(pool, (n, k)), axis=1)
+        switch_times[np.arange(k) >= rng.integers(0, k + 1, n)[:, None]] = np.inf
+        assert np.isin(switch_times, grid).sum() >= 10
+        assert_backends_agree(compiled, levels, switch_times, grid, 1.3)
 
 
 def test_batch_kernels_reject_a_bad_scale(impl):
@@ -638,11 +674,44 @@ def test_sample_writes_rows_only_when_they_fit(impl):
     np.testing.assert_array_equal(exact[50 * k:], -1.0)
 
 
+def test_every_epoch_size_sorts_alike_on_both_backends(compiled):
+    # the compiled sampler sorts an epoch of at most 8 times with a min/max
+    # network, padded with +inf, and a wider one by insertion; numpy sorts
+    # whole rows.  Epochs of 0 to 8 times and of 9 and more are present,
+    # and the draws agree bit for bit, also cut inside an epoch that holds
+    # 9 or more, on an integer and one ulp below one
+    n, seed, start = 600, 41, 3
+    _, wide = sample_both(compiled, seed, start, n, math.nextafter(6.0, 0.0))
+    row, col = np.nonzero(np.isfinite(wide))
+    counts = np.bincount(row * 6 + np.floor(wide[row, col]).astype(int),
+                         minlength=n * 6).reshape(n, 6)
+    assert set(range(10)) <= set(counts.ravel().tolist())
+    assert counts[:, 3].max() >= 9
+    for cut in (3.37, 4.0, math.nextafter(5.0, 0.0)):
+        _, x = sample_both(compiled, seed, start, n, cut)
+        assert_same_bits(x, past_cut_dropped(wide, cut))
+
+
 def test_sample_makes_room_for_rows_wider_than_its_guess(monkeypatch):
     expected = _kernels.sample(5, 7, 50, 2.5)
     monkeypatch.setattr(_kernels, "_row_room", lambda cut: 1)
     for a, b in zip(expected, _kernels.sample(5, 7, 50, 2.5)):
         assert_same_bits(a, b)
+
+
+def test_a_negative_cut_gets_no_room(impl):
+    # gamma = 0 never switches: its cut is -inf, no epoch is drawn, and the
+    # (n, 0) draws of a block hold its level bits and no buffer of times
+    _, cut = _kernels.epoch_grid(0.0, 6.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        levels, x = _kernels.sample(3, 0, noise.BLOCK, cut, impl=impl)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert levels.shape == (2048,) and x.shape == (2048, 0)
+    assert held < 4096
 
 
 def test_sample_rejects_more_epochs_than_the_counter_holds():
