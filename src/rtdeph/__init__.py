@@ -37,7 +37,7 @@ from rtdeph.states import (
     entanglement_of_formation,
 )
 
-__version__ = "0.6.1"
+__version__ = "0.6.2"
 
 __all__ = [
     "BACKEND",

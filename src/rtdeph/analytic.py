@@ -58,7 +58,9 @@ def coherence_factor(params: RTParams, t):
     kappa is formed from gamma/s and v/s, s = max(v, gamma), so huge or
     tiny g cannot overflow it.  Only kappa = 0 (g = 1) takes its limit,
     the bracket 1 + gamma*t/2.  No exponent overflows either: the decay
-    rate Re(v^2/(gamma + kappa)) is >= 0 and |expm1(-kappa*t)| <= 2.
+    rate Re(v^2/(gamma + kappa)) is >= 0 and |expm1(-kappa*t)| <= 2, and
+    a kappa*t that overflows, gamma*t past the largest float at g < 1,
+    gives expm1 its limit -1.
     q(t) equals the average of exp(-i * integral of xi) over telegraph
     realizations, which is what the Monte Carlo engine estimates.
     """
@@ -70,7 +72,10 @@ def coherence_factor(params: RTParams, t):
     if kappa == 0.0:
         bracket = 1.0 + 0.5 * gamma * arr
     else:
-        bracket = 1.0 + 0.5 * (1.0 - gamma / kappa) * np.expm1(-kappa * arr)
+        # kappa*t past the largest float is -inf, where expm1 takes its
+        # limit -1 exactly: that overflow is no fault
+        with np.errstate(over="ignore"):
+            bracket = 1.0 + 0.5 * (1.0 - gamma / kappa) * np.expm1(-kappa * arr)
     return _match_scalar(np.exp(-rate * arr) * bracket, t)
 
 

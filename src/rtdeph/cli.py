@@ -17,8 +17,10 @@ autocorr
     exp(-gamma*tau).
 
 Exit codes: 0 success/pass, 1 validation failure, 2 invalid input or a
-run whose memory cannot be allocated, 3 I/O error.  Every option is
-declared once, in ``_OPTIONS``; the config keys of the optional plain-text
+run whose memory cannot be allocated, 3 I/O error, 4 an unexpected error
+in the program (its type and message, no traceback).  Every option is
+declared once, as a ``SweepSpec`` field (``_option``), and ``_OPTIONS``
+is read from those fields; the config keys of the optional plain-text
 file of ``key = value`` lines are exactly the flag names (``vt_max`` or
 ``vt-max`` for ``--vt-max``), parsed alike, and flags override them.
 """
@@ -31,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,53 +60,39 @@ def _parse_bool(text) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-#: Every sweep option, once: key -> (parser, parsed default, help).  The
-#: key is the config key, ``--key`` with dashes is the flag, and both give
-#: their string to the same parser.  None defaults: threads means the
-#: usable CPU count (see _usable_cpus), lags the per-g default lags.
-_OPTIONS = {
-    "g": (_parse_float_list, (math.inf, 200.0, 50.0, 10.0, 5.0),
-          "comma-separated couplings v/gamma; 'inf' for the static limit"),
-    "v": (float, 1.0, "noise amplitude (sets the time unit)"),
-    "vt_max": (float, 6.0 * math.pi, "end of the dimensionless v*t sweep"),
-    "vt_step": (float, 2.0 * math.pi / 200.0, "v*t grid step"),
-    "n_traj": (int, 2000, "Monte Carlo trajectories per g value"),
-    "seed": (int, 12345, "master seed for trajectory streams"),
-    "mode": (str, "analytic", "what to compute (default analytic)"),
-    "out": (str, "-", "output path, '-' for stdout"),
-    "no_timestamp": (_parse_bool, False,
-                     "omit the timestamp line for byte-reproducible output"),
-    "threads": (int, None, "worker threads for the sampled passes (default: the number of "
-                "usable CPUs); results do not depend on it"),
-    "revival_n": (int, 1, "revival index for recovery mode"),
-    "lags": (_parse_float_list, None, "comma-separated lags for autocorr mode (time units)"),
-}
-
-
-def _parse(key: str, text, where: str):
-    """``text`` through ``key``'s parser, with ``where`` named on failure."""
-    try:
-        return _OPTIONS[key][0](text)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+def _option(parse, default, help_text):
+    """A ``SweepSpec`` field that is also an option: ``parse`` reads its
+    flag's and its config key's text, ``default`` is already parsed, and
+    the field itself has no default, so a spec states every value."""
+    return field(metadata={"option": (parse, default, help_text)})
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Effective sweep parameters after merging defaults, config, and flags."""
+    """Effective sweep parameters after merging defaults, config, and flags.
 
-    g: tuple[float, ...]
-    v: float
-    vt_max: float
-    vt_step: float
-    n_traj: int
-    seed: int
-    mode: str
-    out: str
-    no_timestamp: bool
-    threads: int
-    revival_n: int
-    lags: tuple[float, ...] | None
+    Each field is an option (``_option``): the field name is the config
+    key, and ``--name`` with dashes is the flag.  None defaults: threads
+    means the usable CPU count (see _usable_cpus), lags the per-g default
+    lags."""
+
+    g: tuple[float, ...] = _option(
+        _parse_float_list, (math.inf, 200.0, 50.0, 10.0, 5.0),
+        "comma-separated couplings v/gamma; 'inf' for the static limit")
+    v: float = _option(float, 1.0, "noise amplitude (sets the time unit)")
+    vt_max: float = _option(float, 6.0 * math.pi, "end of the dimensionless v*t sweep")
+    vt_step: float = _option(float, 2.0 * math.pi / 200.0, "v*t grid step")
+    n_traj: int = _option(int, 2000, "Monte Carlo trajectories per g value")
+    seed: int = _option(int, 12345, "master seed for trajectory streams")
+    mode: str = _option(str, "analytic", "what to compute (default analytic)")
+    out: str = _option(str, "-", "output path, '-' for stdout")
+    no_timestamp: bool = _option(_parse_bool, False,
+                                 "omit the timestamp line for byte-reproducible output")
+    threads: int = _option(int, None, "worker threads for the sampled passes (default: the "
+                           "number of usable CPUs); results do not depend on it")
+    revival_n: int = _option(int, 1, "revival index for recovery mode")
+    lags: tuple[float, ...] | None = _option(
+        _parse_float_list, None, "comma-separated lags for autocorr mode (time units)")
 
     def __post_init__(self):
         if not self.g:
@@ -128,64 +116,70 @@ class SweepSpec:
                              f"hold: vt-max / vt-step = {self.vt_max!r} / {self.vt_step!r}")
         if self.revival_n < 1:
             raise ValueError(f"revival-n must be >= 1, got {self.revival_n}")
-        if self.mode == "recovery" and self.revival_n > sys.float_info.max:
-            # no float holds it, so 2*pi*revival-n/v cannot be formed; a
-            # smaller one whose revival time overflows is refused below
-            raise ValueError(f"--revival-n {self.revival_n}: past the largest float, so the "
-                             f"revival time 2*pi*revival-n/v overflows")
-        if self.mode != "autocorr":
-            # analytic, mc and both turn v*t into t = vt/v and recovery reads
-            # t = 2*pi*revival-n/v: a v that overflows the last time is
-            # refused here, before any of them divides by it
-            horizon, option = self._horizon(self.g[0])
-            if not math.isfinite(horizon):
-                raise ValueError(f"--v {self.v!r} with {option}: the last time of the run "
-                                 f"overflows")
         if self.n_traj < 1:
             raise ValueError(f"n-traj must be >= 1, got {self.n_traj}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for g in self.g:
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.lags is not None:
             try:
-                if not g > 0.0:
-                    raise ValueError("g values must be positive or 'inf'")
+                if not np.any(noise._check_lags(self.lags) > 0.0):
+                    # at lag 0 every estimate is exactly 1 with a zero
+                    # standard error, so a report of no lags or of zero
+                    # lags only would pass by construction
+                    raise ValueError("lags must name at least one positive lag")
+            except ValueError as exc:
+                raise ValueError(f"--lags {list(self.lags)}: {exc}") from None
+        for g in self.g:
+            if not g > 0.0:
+                raise ValueError(f"--g {g!r}: g values must be positive or 'inf'")
+            try:
                 gamma = self.rt_params(g).gamma
                 if self.mode != "analytic":
-                    # a sampled coupling needs a finite epoch length; the
-                    # epoch count of its horizon is checked below, with the
-                    # option that sets the horizon
+                    # a sampled coupling needs a finite epoch length
                     _kernels.epoch_grid(gamma, 0.0)
                 if self.mode == "autocorr" and gamma == 0.0:
                     # the static limit has no autocorrelation to estimate
                     raise ValueError("autocorr mode needs a finite g (gamma > 0)")
             except ValueError as exc:
-                raise ValueError(f"--g {g!r}: {exc}") from None
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.lags is not None and not any(lag > 0.0 for lag in self.lags):
-            # at lag 0 every estimate is exactly 1 with a zero standard
-            # error, so a report of no lags or of zero lags only would pass
-            # by construction
-            raise ValueError("lags must name at least one positive lag")
-        if self.mode != "analytic":
-            for g in self.g:
-                horizon, option = self._horizon(g)
+                # gamma = v/g: a tiny or huge v is as much at fault as g
+                raise ValueError(f"--g {g!r}: {exc}, where gamma = v/g at --v "
+                                 f"{self.v!r}") from None
+            horizon, option = self._horizon(g)
+            if self.mode != "analytic":
+                # the epoch count of the horizon, with the option that sets it
                 try:
-                    _kernels.epoch_grid(self.rt_params(g).gamma, horizon)
+                    _kernels.epoch_grid(gamma, horizon)
                 except ValueError as exc:
                     raise ValueError(f"--g {g!r} with {option}: {exc}") from None
 
     def _horizon(self, g: float) -> tuple[float, str]:
-        """The last time the sampled pass of this mode reads at ``g``, as
-        the pass forms it, and the option that sets it, with its value."""
-        if self.mode == "recovery":
-            return 2.0 * math.pi * self.revival_n / self.v, f"--revival-n {self.revival_n}"
+        """The last time the pass of this mode reads at ``g``, as the pass
+        forms it, and the option that sets it, with its value.  Analytic,
+        mc and both turn v*t into t = vt/v and recovery reads t =
+        2*pi*revival-n/v: a last time that overflows is refused here,
+        before any of them divides, naming --v only where the division
+        overflows."""
         if self.mode == "autocorr":
             lags = self.autocorr_lags(g)
             return float(lags.max()), "--lags " + ",".join(map(repr, lags.tolist()))
-        return self.vt_step * self._vt_steps() / self.v, f"--vt-max {self.vt_max!r}"
+        if self.mode == "recovery":
+            option = f"--revival-n {self.revival_n}"
+            # no float holds a larger one, so 2*pi*revival-n overflows
+            span = (2.0 * math.pi * self.revival_n if self.revival_n <= sys.float_info.max
+                    else math.inf)
+        else:
+            option = f"--vt-max {self.vt_max!r}"
+            span = self.vt_step * self._vt_steps()
+        if not math.isfinite(span):
+            raise ValueError(f"{option}: the last time of the run overflows")
+        horizon = span / self.v
+        if not math.isfinite(horizon):
+            raise ValueError(f"--v {self.v!r} with {option}: the last time of the run overflows")
+        return horizon, option
 
     def rt_params(self, g: float) -> RTParams:
         # v / inf is 0.0: the static limit
@@ -202,6 +196,18 @@ class SweepSpec:
 
     def vt_grid(self) -> np.ndarray:
         return self.vt_step * np.arange(self._vt_steps() + 1)
+
+
+#: Every sweep option, in field order: key -> (parser, parsed default, help).
+_OPTIONS = {f.name: f.metadata["option"] for f in fields(SweepSpec)}
+
+
+def _parse(key: str, text, where: str):
+    """``text`` through ``key``'s parser, with ``where`` named on failure."""
+    try:
+        return _OPTIONS[key][0](text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _usable_cpus() -> int:
@@ -516,12 +522,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    spec = None
     try:
         spec = build_spec(args)
-    except (ValueError, OSError) as exc:
-        print(f"rtdeph: invalid input: {exc}", file=sys.stderr)
-        return 2
-    try:
         return run(spec)
     except ValueError as exc:
         print(f"rtdeph: invalid input: {exc}", file=sys.stderr)
@@ -530,10 +533,18 @@ def main(argv=None) -> int:
         print(f"rtdeph: cannot allocate memory for this run: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
+        if spec is None:
+            # the config file could not be read: the input is at fault
+            print(f"rtdeph: invalid input: {exc}", file=sys.stderr)
+            return 2
         target = getattr(exc, "filename", None) or spec.out
         print(f"rtdeph: cannot write {target}: {exc}", file=sys.stderr)
         return 3
-
+    except Exception as exc:
+        # a fault of the program, neither of the input nor of the numbers:
+        # exit 1 stays the failed verdict's alone
+        print(f"rtdeph: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -204,11 +204,12 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
     needs, and each reduces its view of the draws up to its horizon
     (``sample_batch``).
     They see the same realizations: their results share their Monte Carlo
-    errors and are not independent.  ``n_threads`` threads map over the
-    blocks, first index by first index, at most two blocks per thread in
-    flight, so memory does not grow with ``n``.  Each coupling's block
-    results are added in block order as they are collected, the left fold
-    (b0 + b1) + b2 + ..., so the totals do not depend on the thread count.
+    errors and are not independent.  ``n_threads`` threads, and no more
+    than the pass has blocks, map over the blocks, first index by first
+    index, at most two blocks per thread in flight, so memory does not grow
+    with ``n``.  Each coupling's block results are added in block order as
+    they are collected, the left fold (b0 + b1) + b2 + ..., so the totals
+    do not depend on the thread count.
     The fold adds in place into the first block's result, so a reduce
     returns a fresh array.  The indices, the couplings and their cuts are
     checked before anything is drawn.
@@ -240,7 +241,9 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
                                                  master_seed, start_index=start, draws=draws)))
                 for j in group]
 
-    workers = max(1, n_threads)
+    # no more threads than the pass has blocks: a thread with no block to
+    # run would only be started and joined
+    workers = max(1, min(n_threads, len(groups) * -(-n // BLOCK)))
     pending_blocks = blocks()
     totals = [None] * len(couplings)
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -135,6 +135,18 @@ def test_coherence_factor_matches_the_feynman_kac_oracle(regime):
                 assert err <= 1e-15, (v, g, t, value)
 
 
+def test_coherence_factor_where_kappa_t_overflows():
+    # gamma*t past the largest float (g = 1e-308 up to v*t = 3, say): the
+    # bracket takes expm1's limit -1 with no overflow warning, which fails
+    # a test here, and q still matches the oracle
+    for v, gamma in ((1.0, 1e308), (1e-8, 1e300)):
+        ts = np.array([0.0, 1.0, 3.0, 1e10])
+        assert math.isinf(gamma * float(ts[-1]))
+        q = analytic.coherence_factor(RTParams(v=v, gamma=gamma), ts)
+        for t, value in zip(ts, q):
+            assert abs(value - mp_coherence_factor(v, gamma, t)) <= 1e-15 * (1.0 + v * t)
+
+
 def test_branch_swap_invariance():
     # flipping the sign of alpha swaps the two exponentials together with
     # A <-> 1-A and must not change q(t)

@@ -2,13 +2,14 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rtdeph import _kernels, analytic, cli, engine, noise
 from rtdeph._kernels import _reference
@@ -139,19 +140,31 @@ def test_autocorr_json_byte_identical_across_threads(tmp_path):
     (cli.cmd_autocorr, ["--mode", "autocorr", "--g", "0.5,1,2", "--lags", "0.05,0.7,2.9",
                         "--seed", "9"]),
     (cli.cmd_recovery, ["--mode", "recovery", "--g", "0.3,0.5,5,inf", "--revival-n", "3"]),
+    (cli.cmd_figure1, ["--mode", "analytic", "--g", "0.5,5,inf", "--vt-step", "0.7",
+                       "--vt-max", "13"]),
+    (cli.cmd_figure1, ["--mode", "mc", "--g", "0.5,5,inf", "--vt-step", "0.7", "--vt-max", "13"]),
+    # draws up to a horizon on an epoch boundary, 8 = 2L at L = 4: the
+    # epoch count the cut gives must hold the epoch that starts there
+    (cli.cmd_figure1, ["--mode", "mc", "--g", "0.5", "--vt-max", "8", "--vt-step", "0.5"]),
 ])
-def test_artifacts_identical_across_backends(compiled, monkeypatch, command, args):
-    # every writer, the CSV and the JSON reports, float formatter included;
-    # 4500 trajectories: three blocks, the last one partial
-    spec = cli.build_spec(cli.build_parser().parse_args(
-        ["--n-traj", "4500", "--seed", "8", "--no-timestamp"] + args))
-    texts = []
+def test_artifacts_identical_across_backends(compiled, monkeypatch, tmp_path, command, args):
+    # every writer, the CSV and the JSON reports, float formatter included,
+    # end to end through main; 4500 trajectories: three blocks, the last one
+    # partial.  All cases but the first and the third are the eight
+    # cross-backend calls of CI's workflow, with its arguments
+    calls = []
+    monkeypatch.setattr(cli, command.__name__, lambda spec: calls.append(spec) or command(spec))
+    runs = []
     for backend in (_reference, compiled):
         monkeypatch.setattr(_kernels, "_impl", backend)
-        text, code = command(spec)
-        assert code == 0
-        texts.append([line for line in text.splitlines() if "backend" not in line])
-    assert texts[0] == texts[1]
+        out = tmp_path / backend.__name__
+        code = cli.main(["--n-traj", "4500", "--seed", "8", "--no-timestamp", *args,
+                         "--out", str(out)])
+        runs.append((code, [line for line in out.read_text().splitlines()
+                            if "backend" not in line]))
+    assert len(calls) == 2
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 def test_timestamp_toggle(tmp_path):
@@ -579,7 +592,68 @@ def test_revival_n_past_the_floats_exits_2_naming_it(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("rtdeph: invalid input: ") and f"--revival-n {revival_n}" in err
     assert "overflows" in err and "Traceback" not in err
+    # 2*pi*revival-n overflows before v divides it: v is not at fault
+    assert "--v" not in err
     assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["analytic", "mc"])
+def test_vt_grid_end_past_the_floats_exits_2_naming_vt_max(tmp_path, capsys, mode):
+    # vt-max / vt-step is 3 to within 1e-9, so the grid's last point is
+    # 3 * vt-step, past the largest float before v divides it: v is not at
+    # fault
+    out = tmp_path / "out"
+    assert cli.main(["--mode", mode, "--g", "5", "--vt-max", "1.7976931348623157e308",
+                     "--vt-step", "5.992310449541054e307", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("rtdeph: invalid input: --vt-max 1.7976931348623157e+308: "
+                                       "the last time of the run overflows\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["autocorr", "mc"])
+@pytest.mark.parametrize("lags", ["nan,1", "inf", "-1,2"])
+def test_nonfinite_or_negative_lags_exit_2_naming_them(tmp_path, monkeypatch, capsys, mode,
+                                                       lags):
+    # refused in every mode, before any block is drawn, naming --lags
+    calls = []
+    real_draw = noise.draw_epochs
+    monkeypatch.setattr(noise, "draw_epochs", lambda *a: calls.append(a) or real_draw(*a))
+    out = tmp_path / "out"
+    assert cli.main(["--mode", mode, "--g", "0.5", f"--lags={lags}", "--n-traj", "64",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"rtdeph: invalid input: --lags {list(cli._parse_float_list(lags))}: "
+        "lags must be finite and non-negative\n")
+    assert calls == []
+    assert not out.exists()
+
+
+def test_a_huge_thread_count_runs_one_thread_per_block(tmp_path, monkeypatch):
+    # 64 trajectories are one block: the pool gets one thread, whatever
+    # --threads asks for, and the artifact is that of one thread
+    real_pool = noise.ThreadPoolExecutor
+    sizes = []
+    monkeypatch.setattr(noise, "ThreadPoolExecutor",
+                        lambda max_workers: sizes.append(max_workers) or real_pool(max_workers))
+    args = ["--mode", "mc", "--g", "5", "--n-traj", "64", "--vt-max", "4", "--no-timestamp"]
+    huge, one = tmp_path / "huge", tmp_path / "one"
+    assert cli.main([*args, "--threads", "1" + "0" * 23, "--out", str(huge)]) == 0
+    assert sizes == [1]
+    assert cli.main([*args, "--threads", "1", "--out", str(one)]) == 0
+    assert huge.read_bytes() == one.read_bytes()
+
+
+def test_unexpected_error_exits_4_with_no_artifact(tmp_path, monkeypatch, capsys):
+    # exit 1 is a failed verdict's alone: a fault of the program exits 4
+    # with its type and message, and no traceback
+    def broken(*args, **kwargs):
+        raise RuntimeError("stand-in fault")
+
+    monkeypatch.setattr(engine, "run_ensemble", broken)
+    out = tmp_path / "out"
+    assert cli.main(["--mode", "both", "--g", "5", "--n-traj", "64", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "rtdeph: internal error: RuntimeError: stand-in fault\n"
     assert not out.exists()
 
 
@@ -642,6 +716,96 @@ def test_invalid_inputs_exit_2():
 def test_unparsable_flag_exits_2_naming_it(capsys, argv, named):
     assert cli.main(argv) == 2
     assert f"argument {named}:" in capsys.readouterr().err
+
+
+#: A valid text for every option but mode, out and no_timestamp, small
+#: enough to run: each property below replaces some of them.
+_VALID_TEXTS = {"g": "0.5,5", "v": "1", "vt_max": "3", "vt_step": "0.5", "n_traj": "64",
+                "seed": "7", "threads": "1", "revival_n": "1", "lags": "0.5,1"}
+
+#: Hostile numbers: zero, negatives, nan, +-inf, the float extremes and
+#: huge integer literals, with a few valid ones to combine with them.
+_HOSTILE_NUMBERS = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308",
+                    "5e-324", "1" + "0" * 400, str(2**64), "-" + "9" * 30, "0.5", "2", "64"]
+
+#: An option's text: a hostile number, or an empty or repeated list of them.
+_HOSTILE_TEXTS = st.one_of(
+    st.sampled_from(_HOSTILE_NUMBERS),
+    st.lists(st.sampled_from(_HOSTILE_NUMBERS), max_size=3).map(",".join),
+    st.sampled_from(_HOSTILE_NUMBERS).map(lambda text: f"{text},{text}"),
+    st.just(","))
+
+#: Edge texts of each kind of option, many of which a spec accepts: the
+#: float extremes, inf, zero and lists of them, and large integers.
+_EDGE_NUMBERS = st.sampled_from(["5e-324", "1e-308", "1e308", "inf", "0", "0.5", "2", "64"])
+_EDGE_TEXTS = {
+    **dict.fromkeys(("g", "lags"),
+                    st.lists(_EDGE_NUMBERS, min_size=1, max_size=3, unique=True).map(",".join)),
+    **dict.fromkeys(("v", "vt_max", "vt_step"), _EDGE_NUMBERS),
+    **dict.fromkeys(("n_traj", "seed", "threads", "revival_n"),
+                    st.sampled_from(["0", "1", "2", "64", str(2**63)])),
+}
+
+
+def _hostile_argv(mode, hostile):
+    texts = {**_VALID_TEXTS, **hostile}
+    # --key=text, so that argparse reads a negative number as the value
+    return ["--mode", mode, *(f"--{key.replace('_', '-')}={text}" for key, text in texts.items())]
+
+
+def _names_option(message, key):
+    """Whether ``message`` names the option ``key``, as --flag or bare."""
+    name = re.escape(key.replace("_", "-"))
+    return re.search(rf"(?<![\w-])(--)?{name}(?![\w-])", message) is not None
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(mode=st.sampled_from(cli.MODES),
+       hostile=st.dictionaries(st.sampled_from(sorted(_VALID_TEXTS)), _HOSTILE_TEXTS,
+                               min_size=1, max_size=3))
+def test_hostile_options_give_a_spec_or_name_one(mode, hostile):
+    # through the parser and the spec only: no pass runs, nothing large is
+    # allocated and no thread starts.  A refusal names one of the options
+    # given a hostile text; the others are valid
+    argv = _hostile_argv(mode, hostile)
+    try:
+        spec = cli.build_spec(cli.build_parser().parse_args(argv))
+    except ValueError as exc:
+        assert any(_names_option(str(exc), key) for key in hostile), (argv, str(exc))
+    else:
+        assert isinstance(spec, cli.SweepSpec)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mode=st.sampled_from(cli.MODES),
+       # a list, not a set: a set of strings iterates in an order that
+       # changes from process to process, and so would the examples
+       hostile=st.lists(st.sampled_from(sorted(_EDGE_TEXTS)), min_size=1, max_size=3,
+                        unique=True).flatmap(
+           lambda keys: st.fixed_dictionaries({key: _EDGE_TEXTS[key] for key in keys})))
+def test_accepted_hostile_options_run_to_a_verdict(tmp_path, mode, hostile):
+    # every accepted spec of at most 64 trajectories, 2 threads, 200 grid
+    # points and 1000 epochs per coupling runs: it exits 0, 1 or 2, and
+    # 1 only with a written report that fails
+    argv = _hostile_argv(mode, hostile)
+    try:
+        spec = cli.build_spec(cli.build_parser().parse_args(argv))
+    except ValueError:
+        return
+    widest_cut = max(_kernels.epoch_grid(spec.rt_params(g).gamma, spec._horizon(g)[0])[1]
+                     for g in spec.g) if mode != "analytic" else 0.0
+    # the grid's size from its step count: an accepted grid may hold
+    # billions of points, which must not be made here either
+    if (spec.n_traj > 64 or spec.threads > 2 or spec._vt_steps() + 1 > 200
+            or widest_cut > 1000):
+        return
+    out = tmp_path / "out"
+    out.unlink(missing_ok=True)
+    code = cli.main([*argv, "--no-timestamp", "--out", str(out)])
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert json.loads(out.read_text())["pass"] is False
 
 
 def test_unparsable_config_value_exits_2_naming_it(tmp_path, capsys):

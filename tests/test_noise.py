@@ -531,6 +531,31 @@ def test_stream_gives_each_first_index_its_own_blocks(n_threads):
         noise.stream(couplings, n, seed, start_index=[0, 0, 0, 2**64 - n + 1])
 
 
+@pytest.mark.parametrize("n, firsts, n_threads, workers", [
+    (64, 0, 10**23, 1),
+    (64, [0, noise.BLOCK // 2], 5, 2),
+    (2 * noise.BLOCK + 5, 0, 8, 3),
+    (2 * noise.BLOCK + 5, 0, 2, 2),
+])
+def test_stream_starts_no_more_threads_than_blocks(monkeypatch, n, firsts, n_threads, workers):
+    # the pool holds min(n_threads, blocks of the pass) threads, and the
+    # totals are those of one thread; a huge thread count is tried only
+    # with one block
+    real_pool = noise.ThreadPoolExecutor
+    sizes = []
+    monkeypatch.setattr(noise, "ThreadPoolExecutor",
+                        lambda max_workers: sizes.append(max_workers) or real_pool(max_workers))
+
+    def high_levels(batch):
+        return np.array([float(np.count_nonzero(batch.levels))])
+
+    couplings = [(noise.RTParams(v=1.0, gamma=gamma), 2.0, high_levels) for gamma in (0.5, 3.0)]
+    totals = noise.stream(couplings, n, 5, start_index=firsts, n_threads=n_threads)
+    assert sizes == [workers]
+    alone = noise.stream(couplings, n, 5, start_index=firsts, n_threads=1)
+    assert [total.tobytes() for total in totals] == [total.tobytes() for total in alone]
+
+
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_stream_memory_does_not_grow_with_the_blocks(n_threads):
     # at most two blocks per thread are in flight, so 400 blocks peak where
