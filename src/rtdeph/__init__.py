@@ -14,7 +14,6 @@ from rtdeph.analytic import (
     RevivalTimes,
     coherence_factor,
     coherence_factor_approx,
-    density_matrix,
     envelope,
     revival_times,
 )
@@ -37,7 +36,7 @@ from rtdeph.states import (
     entanglement_of_formation,
 )
 
-__version__ = "0.6.2"
+__version__ = "0.7.0"
 
 __all__ = [
     "BACKEND",
@@ -51,7 +50,6 @@ __all__ = [
     "coherence_factor",
     "coherence_factor_approx",
     "concurrence",
-    "density_matrix",
     "entanglement_of_formation",
     "envelope",
     "estimate_autocorrelation",

@@ -1,9 +1,9 @@
 """Closed-form dephasing dynamics for the telegraph-noise qubit pair.
 
 Everything here derives from the coherence decay factor q(t) of the qubit
-exposed to the noise: the evolved two-qubit density matrix, the
-entanglement-of-formation curve, the strong-coupling approximation, the
-revival-time families, and the decay envelope traced by the revival peaks.
+exposed to the noise: the entanglement-of-formation curve, the
+strong-coupling approximation, the revival-time families, and the decay
+envelope traced by the revival peaks.
 q(t) is one closed form for every coupling (``coherence_factor``): the
 frozen noise gamma = 0 and the degenerate g = 1 are points of it, not
 routes of their own.  Times are plain floats in the same units as 1/v and
@@ -92,33 +92,6 @@ def coherence_factor_approx(params: RTParams, t):
     half_vt = 0.5 * params.v * arr
     out = np.exp(-0.5 * params.gamma * arr) * (np.cos(half_vt) + np.sin(half_vt) / g)
     return _match_scalar(out, t)
-
-
-def bell_corner_density(q) -> np.ndarray:
-    """Average of the projectors of (|00> + z|11>)/sqrt(2) over trajectory
-    coherences z with mean ``q``, in the qubits' rotating frame.
-
-    Only the Bell corners are populated: diag(1/2, 0, 0, 1/2) plus
-    <00|rho|11> = conj(q) / 2, so the concurrence equals min(|q|, 1).
-    Broadcasts over ``q``, returning (..., 4, 4).
-    """
-    corner = 0.5 * np.conj(q)
-    rho = np.zeros(np.shape(corner) + (4, 4), dtype=complex)
-    rho[..., 0, 0] = rho[..., 3, 3] = 0.5
-    rho[..., 0, 3] = corner
-    rho[..., 3, 0] = np.conj(corner)
-    return rho
-
-
-def density_matrix(params: RTParams, t: float) -> np.ndarray:
-    """Evolved two-qubit density matrix for the initial (|00>+|11>)/sqrt(2),
-    in the qubits' rotating frame.
-
-    Populations stay at 1/2 on |00> and |11>; the only coherence is the
-    corner element conj(q(t)) / 2 of ``bell_corner_density``, so the
-    concurrence equals |q(t)|.
-    """
-    return bell_corner_density(coherence_factor(params, float(t)))
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,15 @@ class SweepSpec:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode != "analytic":
+            # a pass reads trajectories 0 to n - 1; autocorr gives each g its own
+            option, n = f"--n-traj {self.n_traj}", self.n_traj
+            if self.mode == "autocorr":
+                option, n = f"{option} with {len(self.g)} values of --g", n * len(self.g)
+            try:
+                noise._check_indices(self.seed, 0, n)
+            except ValueError as exc:
+                raise ValueError(f"{option}: {exc}") from None
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.lags is not None:
@@ -376,7 +385,7 @@ def build_compare_report(spec: SweepSpec, results: dict[float, engine.EnsembleRe
     per_g = []
     for g, result in results.items():
         g_text = _fmt_g(g)
-        q_ref = np.atleast_1d(analytic.coherence_factor(spec.rt_params(g), result.t_grid))
+        q_ref = analytic.coherence_factor(spec.rt_params(g), result.t_grid)
         dev = result.q_mean - q_ref
         within = ((np.abs(dev.real) <= COMPARE_SE_MULTIPLE * result.q_se_re)
                   & (np.abs(dev.imag) <= COMPARE_SE_MULTIPLE * result.q_se_im))

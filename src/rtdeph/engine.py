@@ -8,8 +8,8 @@ integration error.  Every such state is maximally entangled, so the
 average entanglement E_av is 1 and the hidden entanglement is 1 - E_f.
 The engine never forms these states: the per-trajectory coherences
 exp(-i*v*dwell) average to the Monte Carlo estimate of the analytic
-coherence factor q, the corner of the averaged density matrix
-(``analytic.bell_corner_density``), whose E_f follows from |q|.
+coherence factor q, which fixes the averaged state: the |00><11| corner of
+that state is conj(q)/2, its concurrence is |q| and its E_f follows.
 
 Ensembles and recovery reports take their trajectories from the block
 stream ``noise.stream``, which reduces each block on its own, on a thread
@@ -76,9 +76,9 @@ class EnsembleResult:
     """Per-grid-time Monte Carlo estimates of one coupling.
 
     ``q_mean`` is the mean of the per-trajectory coherence factors
-    exp(-i * integral of xi), the corner of the averaged density matrix
-    (``analytic.bell_corner_density``); its standard errors are ddof=1
-    sample deviations over sqrt(n).  ``e_f`` is the entanglement of
+    exp(-i * integral of xi); the |00><11| corner of the averaged state is
+    conj(q_mean)/2.  Its standard errors are ddof=1 sample deviations over
+    sqrt(n).  ``e_f`` is the entanglement of
     formation of the averaged state, with its delta-method standard error
     ``e_f_se``.  Every realization keeps |z| = 1, so every trajectory state
     is maximally entangled, the average entanglement is 1, and the hidden

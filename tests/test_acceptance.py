@@ -38,15 +38,18 @@ def analytic_ef(params: noise.RTParams, times: np.ndarray) -> np.ndarray:
     return np.atleast_1d(states.entanglement_of_formation(np.minimum(q_abs, 1.0)))
 
 
+def averaged_state(params: noise.RTParams, t: float) -> np.ndarray:
+    """The closed form's two-qubit state: the X state with rho_03 = conj(q(t))/2."""
+    return x_state(np.conj(analytic.coherence_factor(params, t)))
+
+
 def test_criterion_01_static_limit_curve():
     start = time.perf_counter()
     params = params_for(math.inf)
     vt = np.linspace(0.0, SIX_PI, 1000)
     ef = np.array(
-        [
-            states.entanglement_of_formation(states.concurrence(analytic.density_matrix(params, t)))
-            for t in vt
-        ]
+        [states.entanglement_of_formation(states.concurrence(averaged_state(params, t)))
+         for t in vt]
     )
     expected = states.entanglement_of_formation(np.abs(np.cos(vt / 2.0)))
     failures = []
@@ -55,15 +58,11 @@ def test_criterion_01_static_limit_curve():
         failures.append(f"pointwise deviation {max_dev:.3e} > 1e-10")
     for n in (0, 1, 2):
         zero_t = (2 * n + 1) * math.pi
-        val = states.entanglement_of_formation(
-            states.concurrence(analytic.density_matrix(params, zero_t))
-        )
+        val = states.entanglement_of_formation(states.concurrence(averaged_state(params, zero_t)))
         if val > 1e-12:
             failures.append(f"E_f({zero_t:.3f}) = {val:.3e}, expected 0")
         peak_t = 2 * (n + 1) * math.pi
-        val = states.entanglement_of_formation(
-            states.concurrence(analytic.density_matrix(params, peak_t))
-        )
+        val = states.entanglement_of_formation(states.concurrence(averaged_state(params, peak_t)))
         if val < 1.0 - 1e-12:
             failures.append(f"E_f({peak_t:.3f}) = {val!r}, expected 1")
     elapsed = time.perf_counter() - start
@@ -183,15 +182,20 @@ def test_criterion_05_average_entanglement_identity():
 def test_criterion_06_hidden_entanglement_endpoints():
     start = time.perf_counter()
     params = params_for(math.inf)
+    failures = []
 
     def hidden(vt):
         # frozen noise at v = 1: the levels 0 and 1, each with probability
-        # 1/2, whose trajectory states have the phases 0 and vt
-        e_av = 0.5 * (schmidt_entropy(phased_bell(0.0)) + schmidt_entropy(phased_bell(vt)))
-        rho = analytic.density_matrix(params, vt)
+        # 1/2, whose trajectory states have the phases 0 and vt; the closed
+        # form's state must be their mixture
+        members = [phased_bell(0.0), phased_bell(vt)]
+        rho = averaged_state(params, vt)
+        mixture = sum(0.5 * np.outer(state, state.conj()) for state in members)
+        if not np.allclose(rho, mixture, rtol=0.0, atol=1e-12):
+            failures.append(f"vt={vt:.3f}: the closed-form state is not the trajectories' mixture")
+        e_av = 0.5 * sum(schmidt_entropy(state) for state in members)
         return e_av - states.entanglement_of_formation(states.concurrence(rho))
 
-    failures = []
     for vt in (math.pi, 3.0 * math.pi):
         e_h = hidden(vt)
         if not abs(e_h - 1.0) <= 1e-9:
@@ -200,6 +204,12 @@ def test_criterion_06_hidden_entanglement_endpoints():
         e_h = hidden(vt)
         if not abs(e_h) <= 1e-9:
             failures.append(f"E_h(vt={vt:.3f}) = {e_h!r}, expected 0")
+    # between the endpoints q is complex, so the mixture tells conj(q) from q
+    for vt in (0.5 * math.pi, 1.3, 5.0):
+        expected = 1.0 - states.entanglement_of_formation(abs(math.cos(vt / 2.0)))
+        e_h = hidden(vt)
+        if not abs(e_h - expected) <= 1e-9:
+            failures.append(f"E_h(vt={vt:.3f}) = {e_h!r}, expected {expected!r}")
     elapsed = time.perf_counter() - start
     _line(6, "hidden entanglement endpoints", not failures, elapsed, 1.0)
     assert not failures, "; ".join(failures)

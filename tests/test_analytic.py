@@ -189,35 +189,16 @@ def test_approximation_quality_scales_as_inverse_g_squared():
         assert np.abs(exact - approx).max() <= 5.0 / (g * g)
 
 
-def test_density_matrix_initial_state():
-    rho = analytic.density_matrix(params_for(5.0), 0.0)
-    np.testing.assert_allclose(rho, x_state(1.0), atol=1e-15)
-
-
-def test_density_matrix_static_zero_coherence_point():
-    rho = analytic.density_matrix(params_for(math.inf), math.pi)
-    np.testing.assert_allclose(rho, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-15)
-
-
-def test_density_matrix_corner_and_concurrence():
-    params = RTParams(v=1.0, gamma=0.2)
-    for t in (0.7, 2.0 * math.pi, 11.0):
-        rho = analytic.density_matrix(params, t)
-        q = analytic.coherence_factor(params, t)
-        assert rho[0, 3] == pytest.approx(0.5 * np.conj(q), abs=1e-15)
-        states.check_density_matrix(rho)
-        assert states.concurrence(rho) == pytest.approx(abs(q), abs=1e-10)
-
-
 def test_density_matrix_is_the_static_ensemble_mixture():
     # the closed form and the trajectory states share one Bell-corner
-    # convention: rho_03 = conj(q) / 2
+    # convention: the averaged state is the X state with rho_03 = conj(q) / 2
     params = params_for(math.inf)
     for t in (0.0, 1.3, 4.0):
         # frozen noise: the levels 0 and v, each with probability 1/2
         members = [phased_bell(level * params.v * t) for level in (0, 1)]
         mixture = sum(0.5 * np.outer(state, state.conj()) for state in members)
-        np.testing.assert_allclose(analytic.density_matrix(params, t), mixture, rtol=0, atol=1e-12)
+        rho = x_state(np.conj(analytic.coherence_factor(params, t)))
+        np.testing.assert_allclose(rho, mixture, rtol=0, atol=1e-12)
 
 
 def test_revival_times_families():

@@ -629,6 +629,31 @@ def test_nonfinite_or_negative_lags_exit_2_naming_them(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--mode", "mc", "--g", "5", "--n-traj", "100000000000000000000000"],
+     "--n-traj 100000000000000000000000"),
+    (["--mode", "recovery", "--g", "5", "--n-traj", "18446744073709551617"],
+     "--n-traj 18446744073709551617"),
+    # autocorr gives each g its own n-traj trajectories: 2 * 1e19 > 2**64
+    (["--mode", "autocorr", "--g", "0.5,1", "--n-traj", "10000000000000000000"],
+     "--n-traj 10000000000000000000 with 2 values of --g"),
+])
+def test_n_traj_past_the_index_space_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv,
+                                                       option):
+    # refused with the spec, before any block is drawn
+    calls = []
+    monkeypatch.setattr(noise, "draw_epochs", lambda *a: calls.append(a))
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"rtdeph: invalid input: {option}: trajectory indices must stay below 2**64\n")
+    assert calls == []
+    assert not out.exists()
+    # the analytic mode draws no trajectory, so the count is no fault there
+    assert cli.main(["--mode", "analytic", *argv[2:], "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_a_huge_thread_count_runs_one_thread_per_block(tmp_path, monkeypatch):
     # 64 trajectories are one block: the pool gets one thread, whatever
     # --threads asks for, and the artifact is that of one thread

@@ -99,8 +99,7 @@ def test_static_ensemble_members_and_endpoints():
     # (n0 - n1)/n, while at v*t = 2*pi every state is the Bell state again
     n = 500
     params, result = run(math.inf, n=n, points=3, vt_end=TWO_PI)
-    np.testing.assert_allclose(analytic.bell_corner_density(result.q_mean[0]), x_state(1.0),
-                               atol=1e-15)
+    np.testing.assert_allclose(x_state(np.conj(result.q_mean[0])), x_state(1.0), atol=1e-15)
     n1 = int(noise.sample_batch(params, TWO_PI, n, 0).levels.sum())
     q = (n - 2 * n1) / n
     assert result.q_mean[1] == pytest.approx(q, abs=1e-12)
@@ -125,13 +124,10 @@ def test_mc_matches_coherence_factor_within_errors():
 
 
 def test_ensemble_density_matrices_are_valid():
+    # the averaged state at every grid point is a density matrix: |q_mean| <= 1
     _, result = run(5.0, n=300, points=8)
-    pattern = np.zeros((4, 4), dtype=bool)
-    pattern[0, 0] = pattern[3, 3] = pattern[0, 3] = pattern[3, 0] = True
-    for rho in analytic.bell_corner_density(result.q_mean):
-        states.check_density_matrix(rho)
-        assert np.all(rho[~pattern] == 0.0)
-        np.testing.assert_array_equal(np.diag(rho).real, [0.5, 0.0, 0.0, 0.5])
+    for q in result.q_mean:
+        states.check_density_matrix(x_state(np.conj(q)))
 
 
 def test_hidden_entanglement_identity():
@@ -335,8 +331,8 @@ def test_ef_derivative_matches_high_precision():
 
 def test_ensemble_concurrence_matches_wootters_oracle():
     _, result = run(5.0, n=500, points=30)
-    oracle = [states.entanglement_of_formation(states.concurrence(rho))
-              for rho in analytic.bell_corner_density(result.q_mean)]
+    oracle = [states.entanglement_of_formation(states.concurrence(x_state(np.conj(q))))
+              for q in result.q_mean]
     np.testing.assert_allclose(result.e_f, oracle, rtol=0, atol=1e-12)
 
 
@@ -356,7 +352,7 @@ def test_recovery_report_consistent_with_run_ensemble():
     [result] = engine.run_ensemble([params_for(5.0)], [0.5 * TWO_PI, TWO_PI], 300, 9)
     [report] = engine.recovery_report([params_for(5.0)], 1, 300, 9)
     assert report.concurrence_before == pytest.approx(
-        states.concurrence(analytic.bell_corner_density(result.q_mean[-1])), abs=1e-12
+        states.concurrence(x_state(np.conj(result.q_mean[-1]))), abs=1e-12
     )
 
 

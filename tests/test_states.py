@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtdeph import analytic, engine, noise, states
+from rtdeph import engine, noise, states
 
 from _oracles import (
     EF_AT_06,
@@ -18,32 +18,21 @@ from _oracles import (
 )
 
 
-def test_bell_density_corners():
-    # the t = 0 state is the Bell state: only the four corners are populated
-    params = noise.RTParams(v=1.0, gamma=0.2)
-    np.testing.assert_allclose(analytic.density_matrix(params, 0.0), x_state(1.0), atol=1e-15)
-    np.testing.assert_array_equal(analytic.bell_corner_density(1.0), x_state(1.0))
-    # at mean coherence q the corner is conj(q)/2
-    q = 0.3 - 0.4j
-    np.testing.assert_array_equal(analytic.bell_corner_density(q), x_state(np.conj(q)))
-
-
 def test_mixture_density_is_valid():
     rng = np.random.default_rng(11)
     a, b = random_pure(rng), random_pure(rng)
     states.check_density_matrix(0.3 * np.outer(a, a.conj()) + 0.7 * np.outer(b, b.conj()))
     # the Bell-corner mixtures of the ensembles, at any |q| <= 1
     q = rng.uniform(size=20) * np.exp(2j * np.pi * rng.uniform(size=20))
-    for rho in analytic.bell_corner_density(q):
-        states.check_density_matrix(rho)
+    for z in q:
+        states.check_density_matrix(x_state(np.conj(z)))
 
 
 def test_hidden_entanglement_pure_ensemble_is_zero():
     # at t = 0 every trajectory is in the Bell state: the ensemble is pure
     # and hides no entanglement
     (result,) = engine.run_ensemble([noise.RTParams(v=1.0, gamma=0.2)], [0.0, 1.0], 64, 7)
-    assert states.concurrence(analytic.bell_corner_density(result.q_mean[0])) == pytest.approx(
-        1.0, abs=1e-12)
+    assert states.concurrence(x_state(np.conj(result.q_mean[0]))) == pytest.approx(1.0, abs=1e-12)
     assert result.e_h[0] == pytest.approx(0.0, abs=1e-12)
 
 
