@@ -655,17 +655,26 @@ def test_n_traj_past_the_index_space_exits_2_naming_it(tmp_path, monkeypatch, ca
 
 
 def test_a_huge_thread_count_runs_one_thread_per_block(tmp_path, monkeypatch):
-    # 64 trajectories are one block: the pool gets one thread, whatever
-    # --threads asks for, and the artifact is that of one thread
-    real_pool = noise.ThreadPoolExecutor
-    sizes = []
-    monkeypatch.setattr(noise, "ThreadPoolExecutor",
-                        lambda max_workers: sizes.append(max_workers) or real_pool(max_workers))
-    args = ["--mode", "mc", "--g", "5", "--n-traj", "64", "--vt-max", "4", "--no-timestamp"]
+    # 64 trajectories are one block: it runs on the calling thread, which
+    # starts none, whatever --threads asks for, and the artifact is that of
+    # one thread
+    real_thread = noise.Thread
+    started = []
+    monkeypatch.setattr(noise, "Thread",
+                        lambda target: started.append(target) or real_thread(target=target))
+    def run(n_traj, threads, out):
+        return cli.main(["--mode", "mc", "--g", "5", "--n-traj", str(n_traj), "--vt-max", "4",
+                         "--no-timestamp", "--threads", threads, "--out", str(out)])
+
     huge, one = tmp_path / "huge", tmp_path / "one"
-    assert cli.main([*args, "--threads", "1" + "0" * 23, "--out", str(huge)]) == 0
-    assert sizes == [1]
-    assert cli.main([*args, "--threads", "1", "--out", str(one)]) == 0
+    assert run(64, "1" + "0" * 23, huge) == 0
+    assert started == []
+    assert run(64, "1", one) == 0
+    assert huge.read_bytes() == one.read_bytes()
+    # two blocks at a huge --threads start two workers, with the same bytes
+    assert run(noise.BLOCK + 1, "1" + "0" * 23, huge) == 0
+    assert len(started) == 2
+    assert run(noise.BLOCK + 1, "1", one) == 0
     assert huge.read_bytes() == one.read_bytes()
 
 
@@ -894,6 +903,21 @@ def test_cli_runs_without_numpy_random():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_cli_import_loads_no_executor_or_logging():
+    # the block stream runs on threading alone: concurrent.futures, which
+    # imports logging, would cost milliseconds at every CLI start
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "import rtdeph.cli\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_unwritable_output_exits_3(tmp_path):

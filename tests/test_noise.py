@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -538,22 +540,109 @@ def test_stream_gives_each_first_index_its_own_blocks(n_threads):
     (2 * noise.BLOCK + 5, 0, 2, 2),
 ])
 def test_stream_starts_no_more_threads_than_blocks(monkeypatch, n, firsts, n_threads, workers):
-    # the pool holds min(n_threads, blocks of the pass) threads, and the
-    # totals are those of one thread; a huge thread count is tried only
-    # with one block
-    real_pool = noise.ThreadPoolExecutor
-    sizes = []
-    monkeypatch.setattr(noise, "ThreadPoolExecutor",
-                        lambda max_workers: sizes.append(max_workers) or real_pool(max_workers))
+    # min(n_threads, blocks of the pass) workers, and the totals are those
+    # of one thread; one worker is the calling thread, which starts none.
+    # A huge thread count is tried only with one block
+    real_thread = noise.Thread
+    started = []
+    monkeypatch.setattr(noise, "Thread",
+                        lambda target: started.append(target) or real_thread(target=target))
+    reducers = set()
 
     def high_levels(batch):
+        reducers.add(threading.current_thread())
         return np.array([float(np.count_nonzero(batch.levels))])
 
     couplings = [(noise.RTParams(v=1.0, gamma=gamma), 2.0, high_levels) for gamma in (0.5, 3.0)]
     totals = noise.stream(couplings, n, 5, start_index=firsts, n_threads=n_threads)
-    assert sizes == [workers]
+    assert max(1, len(started)) == workers
+    if workers == 1:
+        assert started == [] and reducers == {threading.current_thread()}
+    else:
+        assert threading.current_thread() not in reducers
     alone = noise.stream(couplings, n, 5, start_index=firsts, n_threads=1)
     assert [total.tobytes() for total in totals] == [total.tobytes() for total in alone]
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+def test_stream_raises_a_failed_block_and_leaves_no_thread(n_threads):
+    # a reduce that fails on a middle block: its exception reaches the
+    # caller, every worker is joined, and the workers take no block far
+    # past it, since at most two blocks per worker are taken and not yet
+    # folded
+    params = noise.RTParams(v=1.0, gamma=1.0)
+    blocks, fault, calls = 6 * n_threads, 2 * n_threads, []
+
+    def failing(batch):
+        calls.append(batch.n)
+        if len(calls) == fault:
+            raise ZeroDivisionError("block fault")
+        return np.array([float(np.count_nonzero(batch.levels))])
+
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="block fault"):
+        noise.stream([(params, 1.0, failing)], blocks * noise.BLOCK, 3, n_threads=n_threads)
+    assert threading.active_count() == before
+    assert fault <= len(calls) < fault + 2 * n_threads
+
+
+@pytest.mark.parametrize("n_threads", [2, 3])
+def test_stream_runs_at_most_two_blocks_per_worker_ahead(monkeypatch, n_threads):
+    # the first block's draws stall: while it is not added, the workers
+    # take fewer than two blocks per worker after it, however long it takes,
+    # and the totals are still those of one thread
+    real_draws = noise.draw_epochs
+    later, ahead, ran_ahead = [], [], threading.Event()
+
+    def draws(master_seed, start_index, n, cut):
+        if start_index == 0:
+            ran_ahead.wait(timeout=0.5)
+            ahead.append(len(later))
+        else:
+            later.append(start_index)
+            if len(later) >= 2 * n_threads:
+                ran_ahead.set()
+        return real_draws(master_seed, start_index, n, cut)
+
+    def high_levels(batch):
+        return np.array([float(np.count_nonzero(batch.levels))])
+
+    monkeypatch.setattr(noise, "draw_epochs", draws)
+    coupling = (noise.RTParams(v=1.0, gamma=0.0), 1.0, high_levels)
+    [total] = noise.stream([coupling], 5 * n_threads * noise.BLOCK, 3, n_threads=n_threads)
+    assert ahead[0] <= 2 * n_threads - 1
+    monkeypatch.setattr(noise, "draw_epochs", real_draws)
+    [alone] = noise.stream([coupling], 5 * n_threads * noise.BLOCK, 3)
+    assert total.tobytes() == alone.tobytes()
+
+
+def test_stream_keeps_every_block_under_frequent_thread_switches():
+    # more workers than cores and a thread switch every microsecond: each
+    # coupling still adds every trajectory once, and the float totals keep
+    # one thread's bits.  The pass runs on a thread of its own, so a
+    # deadlock fails the test instead of hanging it
+    params = noise.RTParams(v=1.0, gamma=0.0)
+
+    def count_and_third(batch):
+        return np.array([float(batch.n), np.count_nonzero(batch.levels) / 3.0])
+
+    couplings = [(params, 1.0, count_and_third)] * 2
+    n, firsts = 40 * noise.BLOCK + 7, [0, 5]
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: out.append(noise.stream(couplings, n, 13, start_index=firsts,
+                                                   n_threads=6)))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and len(out) == 1
+    alone = noise.stream(couplings, n, 13, start_index=firsts)
+    assert [total[0] for total in out[0]] == [n, n]
+    assert [total.tobytes() for total in out[0]] == [total.tobytes() for total in alone]
 
 
 @pytest.mark.parametrize("n_threads", [1, 2])
