@@ -54,11 +54,11 @@ def check_density_matrix(rho) -> np.ndarray:
 def binary_entropy(x):
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0.
 
-    Accepts scalars or arrays; values outside [0, 1] beyond 1e-12 are
-    rejected, values inside the tolerance band are clamped.
+    Accepts scalars or arrays; NaN and values outside [0, 1] beyond 1e-12
+    are rejected, values inside the tolerance band are clamped.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+    if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):  # rejects NaN too
         raise ValueError("binary_entropy argument must lie in [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     flat = np.atleast_1d(arr)
@@ -93,10 +93,10 @@ def entanglement_of_formation(c):
     """Entanglement of formation from a concurrence value.
 
     E_f = h((1 + sqrt(1 - C^2))/2) with h the binary entropy.  Accepts
-    scalars or arrays in [0, 1] (1e-12 slack).
+    scalars or arrays in [0, 1] (1e-12 slack); NaN is rejected.
     """
     arr = np.asarray(c, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+    if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):  # rejects NaN too
         raise ValueError("concurrence must lie in [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     x = 0.5 * (1.0 + np.sqrt(1.0 - arr * arr))

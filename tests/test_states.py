@@ -138,6 +138,40 @@ def test_binary_entropy_values():
         states.binary_entropy(1.1)
 
 
+@pytest.mark.parametrize("measure", [states.binary_entropy, states.entanglement_of_formation])
+@pytest.mark.parametrize("value", [np.nan, [0.5, np.nan], np.full((2, 2), np.nan)])
+def test_measures_reject_nan(measure, value):
+    # NaN fails every comparison, so a range check written as "reject what
+    # lies below or above" lets it through, and the entropy's mask of the
+    # open interval then maps it to 0.0
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        measure(value)
+
+
+# Bits of each measure at these arguments, the tolerance band included;
+# the range check that rejects NaN must not move them
+VALID = [-1e-12, 0.0, 1e-300, 0.25, 0.5, 0.6, 1 - 2**-53, 1.0, 1 + 1e-12]
+FROZEN_BITS = {
+    "binary_entropy": [
+        "0x0.0p+0", "0x0.0p+0", "0x1.4db3639c84769p-987", "0x1.9f5fd8a9063e3p-1",
+        "0x1.0000000000000p+0", "0x1.f1206fb26ddaep-1", "0x1.b38aa3b295c18p-48",
+        "0x0.0p+0", "0x0.0p+0",
+    ],
+    "entanglement_of_formation": [
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.e1c45403d0aaep-4",
+        "0x1.6b16bb5b32136p-2", "0x1.e0406181bc7ccp-2", "0x1.fffffffffffffp-1",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_BITS))
+def test_measures_keep_their_bits_on_valid_input(name):
+    measure = getattr(states, name)
+    assert [measure(x).hex() for x in VALID] == FROZEN_BITS[name]
+    assert [float(v).hex() for v in measure(np.array(VALID))] == FROZEN_BITS[name]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31), weight=st.floats(0.0, 1.0))
 def test_hidden_entanglement_nonnegative(seed, weight):
