@@ -12,8 +12,8 @@ coherence factor q, which fixes the averaged state: the |00><11| corner of
 that state is conj(q)/2, its concurrence is |q| and its E_f follows.
 
 Ensembles and recovery reports take their trajectories from the block
-stream ``noise.stream``, which reduces each block on its own, on worker
-threads or, at one worker, on the calling thread, and adds the block
+stream ``noise.stream``, which reduces each block on its own, on the
+calling thread and the worker threads it starts, and adds the block
 results in block order.  ``run_ensemble`` and
 ``recovery_report`` take a sequence of noise parameters, one per coupling,
 and the seed and trajectory count once, and one pass serves every

@@ -18,15 +18,14 @@ compiled kernel and the numpy fallback draw the same bits
 (``_kernels.sample``), and nothing draws from ``numpy.random``.
 
 Every sampled pass goes through one block stream (``stream``): blocks of
-``BLOCK`` consecutive trajectories are drawn and reduced by worker threads,
-or by the calling thread alone when one worker serves, and each
-coupling's reductions are added in block order.  Each block is
-drawn once in epoch units (``draw_epochs``) up to the widest cut of the
-couplings of the pass (``_kernels.epoch_grid``), which alone sets the
-epochs drawn, and each coupling's batch is a view of those draws with
-its own epoch length (``sample_batch``): the batch kernels form
-a switch time x*L where they read it and read none past the coupling's
-horizon.  So the couplings of one pass that start at the same trajectory
+``BLOCK`` consecutive trajectories are drawn and reduced by workers, the
+calling thread and the threads it starts, and each coupling's reductions
+are added in block order.  Each block is drawn once in epoch units
+(``draw_epochs``) up to the widest cut of the couplings of the pass
+(``_kernels.epoch_grid``), which alone sets the epochs drawn, and each
+coupling's batch is a view of those draws with its own epoch length
+(``sample_batch``): the batch kernels form a switch time x*L where they
+read it and read none past the coupling's horizon.  So the couplings of one pass that start at the same trajectory
 share their trajectories, common random numbers: their Monte Carlo errors
 are correlated, and checks made per coupling are not independent tests.
 The autocorrelation estimate gives each coupling its own trajectories in
@@ -206,19 +205,19 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
     errors and are not independent.
 
     ``n_threads`` workers, and no more than the pass has blocks, take the
-    blocks in turn, first index by first index.  One worker is the calling
-    thread, which then starts no thread; more are threads that the caller
-    starts and joins.  A worker takes a block only while fewer than two
-    blocks per worker are taken and not yet added, so each thread holds
-    one block's draws, at most two blocks' results per worker wait, and
-    memory does not grow with ``n``.  Each coupling's block results are
-    added in block order as soon as the earlier blocks are in, the left
-    fold (b0 + b1) + b2 + ..., so the totals do not depend on the thread
-    count.  The fold adds in place into the first block's result, so a
-    reduce returns a fresh array.  The first exception of a worker stops
-    the others from taking a block, and the caller raises it once they are
-    joined.  The indices, the couplings and their cuts are checked before
-    anything is drawn.
+    blocks in turn, first index by first index.  The calling thread is
+    worker 0: it starts one thread fewer than the workers, runs blocks like
+    them and joins them.  A worker takes a block only while fewer than two
+    blocks per worker are taken and not yet added, so each thread holds one
+    block's draws, at most two blocks' results per worker wait, and memory
+    does not grow with ``n``.  Each coupling's block results are added in
+    block order as soon as the earlier blocks are in, the left fold
+    (b0 + b1) + b2 + ..., so the totals do not depend on the thread count.
+    The fold adds in place into the first block's result, so a reduce
+    returns a fresh array.  The first exception of a worker, the caller's
+    own blocks included, stops the others from taking a block, and the
+    caller raises it once they are joined.  The indices, the couplings and
+    their cuts are checked before anything is drawn.
     """
     couplings = tuple(couplings)
     firsts = ((start_index,) * len(couplings) if isinstance(start_index, numbers.Integral)
@@ -247,24 +246,11 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
                                                  master_seed, start_index=start, draws=draws)))
                 for j in group]
 
-    totals = [None] * len(couplings)
-
-    def fold(results):
-        for j, result in results:
-            if totals[j] is None:
-                totals[j] = result
-            else:
-                totals[j] += result
-
     # no more workers than the pass has blocks: a thread with no block to
     # run would only be started and joined
     workers = max(1, min(n_threads, len(groups) * -(-n // BLOCK)))
-    if workers == 1:
-        for block in blocks():
-            fold(one_block(*block))
-        return totals
-
     pending = blocks()
+    totals = [None] * len(couplings)
     ready = {}  # reduced blocks that wait for an earlier one, by block number
     taken = folded = 0
     failed = []
@@ -291,7 +277,11 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
                 with lock:
                     ready[b] = results
                     while folded in ready:
-                        fold(ready.pop(folded))
+                        for j, result in ready.pop(folded):
+                            if totals[j] is None:
+                                totals[j] = result
+                            else:
+                                totals[j] += result
                         folded += 1
                     lock.notify_all()
         except BaseException as exc:
@@ -299,10 +289,11 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
 
     threads = []
     try:
-        for _ in range(workers):
+        for _ in range(workers - 1):
             thread = Thread(target=work)
             thread.start()
             threads.append(thread)
+        work()  # the calling thread is worker 0
         for thread in threads:
             thread.join()
     except BaseException as exc:

@@ -541,8 +541,10 @@ def test_stream_gives_each_first_index_its_own_blocks(n_threads):
 ])
 def test_stream_starts_no_more_threads_than_blocks(monkeypatch, n, firsts, n_threads, workers):
     # min(n_threads, blocks of the pass) workers, and the totals are those
-    # of one thread; one worker is the calling thread, which starts none.
-    # A huge thread count is tried only with one block
+    # of one thread; the calling thread is one of them and starts the
+    # others, so one worker is the calling thread alone.  Which thread
+    # reduces a block at more workers is up to the scheduler.  A huge
+    # thread count is tried only with one block
     real_thread = noise.Thread
     started = []
     monkeypatch.setattr(noise, "Thread",
@@ -555,35 +557,67 @@ def test_stream_starts_no_more_threads_than_blocks(monkeypatch, n, firsts, n_thr
 
     couplings = [(noise.RTParams(v=1.0, gamma=gamma), 2.0, high_levels) for gamma in (0.5, 3.0)]
     totals = noise.stream(couplings, n, 5, start_index=firsts, n_threads=n_threads)
-    assert max(1, len(started)) == workers
+    assert len(started) == workers - 1
     if workers == 1:
-        assert started == [] and reducers == {threading.current_thread()}
-    else:
-        assert threading.current_thread() not in reducers
+        assert reducers == {threading.current_thread()}
     alone = noise.stream(couplings, n, 5, start_index=firsts, n_threads=1)
     assert [total.tobytes() for total in totals] == [total.tobytes() for total in alone]
 
 
-@pytest.mark.parametrize("n_threads", [1, 2, 3])
-def test_stream_raises_a_failed_block_and_leaves_no_thread(n_threads):
-    # a reduce that fails on a middle block: its exception reaches the
-    # caller, every worker is joined, and the workers take no block far
-    # past it, since at most two blocks per worker are taken and not yet
-    # folded
+@pytest.mark.parametrize("n_threads, fault_type", [
+    pytest.param(n_threads, fault_type, id=f"{n_threads}{suffix}")
+    for fault_type, suffix in ((ZeroDivisionError, ""), (KeyboardInterrupt, "-interrupt"))
+    for n_threads in (1, 2, 3)])
+def test_stream_raises_a_failed_block_and_leaves_no_thread(n_threads, fault_type):
+    # a reduce that fails on a middle block: its exception, an interrupt
+    # too, reaches the caller, every worker is joined, and the workers take
+    # no block far past it, since at most two blocks per worker are taken
+    # and not yet folded
     params = noise.RTParams(v=1.0, gamma=1.0)
     blocks, fault, calls = 6 * n_threads, 2 * n_threads, []
 
     def failing(batch):
         calls.append(batch.n)
         if len(calls) == fault:
-            raise ZeroDivisionError("block fault")
+            raise fault_type("block fault")
         return np.array([float(np.count_nonzero(batch.levels))])
 
     before = threading.active_count()
-    with pytest.raises(ZeroDivisionError, match="block fault"):
+    with pytest.raises(fault_type, match="block fault"):
         noise.stream([(params, 1.0, failing)], blocks * noise.BLOCK, 3, n_threads=n_threads)
     assert threading.active_count() == before
     assert fault <= len(calls) < fault + 2 * n_threads
+
+
+@pytest.mark.parametrize("fault_type", [ZeroDivisionError, KeyboardInterrupt])
+@pytest.mark.parametrize("n_threads", [2, 3])
+def test_stream_raises_a_fault_on_the_callers_own_block(n_threads, fault_type):
+    # the calling thread runs blocks like the threads it starts: a reduce
+    # that fails on the caller alone reaches it, every started thread is
+    # joined, and at most two blocks per worker are reduced.  Each started
+    # thread holds its first block until the caller has run one, so the
+    # caller surely runs a block
+    params = noise.RTParams(v=1.0, gamma=1.0)
+    caller, caller_ran = threading.current_thread(), threading.Event()
+    held, calls = set(), []
+
+    def failing_on_the_caller(batch):
+        calls.append(batch.n)
+        thread = threading.current_thread()
+        if thread is caller:
+            caller_ran.set()
+            raise fault_type("caller's block fault")
+        if thread not in held:
+            held.add(thread)
+            caller_ran.wait(timeout=0.5)
+        return np.array([float(np.count_nonzero(batch.levels))])
+
+    before = threading.active_count()
+    with pytest.raises(fault_type, match="caller's block fault"):
+        noise.stream([(params, 1.0, failing_on_the_caller)], 6 * n_threads * noise.BLOCK, 3,
+                     n_threads=n_threads)
+    assert threading.active_count() == before
+    assert caller_ran.is_set() and len(calls) <= 2 * n_threads
 
 
 @pytest.mark.parametrize("n_threads", [2, 3])
