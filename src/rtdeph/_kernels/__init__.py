@@ -12,11 +12,15 @@ the only record of a row's length), with the epoch length ``scale``:
 switch j of row i is at x[i, j]*scale.  Four kernels work on batches.
 ``sample`` draws the epoch times from counter-based Philox streams (see its
 docstring); they do not depend on the switching rate, and one draw serves
-every rate, each with its own scale.  A cut in epoch units alone says what
-it draws, that of the widest horizon the draws serve (``epoch_grid``): the
-epochs that start at or before it, and of those only the times at or below
-it, so the last epoch's later switches are neither sorted nor stored.  The
-three consumers form each switch time x*scale as they reach it and read no
+every rate, each with its own scale.  The compiled sampler computes its
+Philox blocks in chunks, eight counters per step on AVX2 lanes where the
+CPU has them (``_core.PHILOX_LANES`` is "avx2" or "portable"), and the
+numpy one all at once; either way the words are those of one counter at a
+time.  A cut in epoch units alone says what it draws, that of the widest
+horizon the draws serve (``epoch_grid``): the epochs that start at or
+before it, and of those only the times at or below it, so the last
+epoch's later switches are neither sorted nor stored.  The three
+consumers form each switch time x*scale as they reach it and read no
 switch past the last grid time, so the times between it and the cut need
 no further cut.  ``dwell_times`` (recovery's noise
 phase) and ``levels_at_times`` (autocorrelation) return an (n, m) array,
@@ -149,6 +153,17 @@ def sample(master_seed, start, n, cut, impl=None):
     exact and in (0, 1).  At switching rate gamma the epoch length is
     L = 2*EPOCH_SWITCHES/gamma (``epoch_grid``) and a switch is at x*L; a
     shorter horizon sees a prefix of the same switches.
+
+    The compiled kernel walks the (trajectory, epoch) pairs in row order,
+    a fixed chunk at a time, in four passes: draw 0 of each pair; its count,
+    by counting the table entries at or below its uniform rather than by a
+    search that exits where the entries pass it, and the list of its draws
+    1 to N // 2; those draws; and the sort, cut and append of each epoch.
+    Both Philox passes run eight counters per step on AVX2 lanes where the
+    CPU has them and one at a time otherwise.  Philox is 32-bit integer
+    arithmetic, exact on either path, and a sorted row of doubles has one
+    order, so the order of the work moves no bit: the numpy kernel draws
+    every block of the call at once and sorts whole rows, to the same bytes.
     """
     impl = impl or _impl
     levels = np.empty(n, dtype=np.uint8)

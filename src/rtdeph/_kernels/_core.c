@@ -19,6 +19,18 @@
  * lays out as the padded (n, k) rows, keeping the row counts in scratch of
  * its own.  They serve every switching rate, each with its own scale, up
  * to the cut.  exp_minus_i fills an array with block_sums' phase factor.
+ *
+ * sample walks the call's (row, epoch) pairs in row order, CHUNK at a
+ * time, in four passes (sample_rows): the Philox block of each pair's
+ * first draw; its count, found without a data-dependent exit, and a list
+ * of the extra draws its count needs; the Philox blocks of those; and the
+ * sort, cut and append of each epoch's times.  So the ten-round chains of
+ * the counters run back to back, not behind each epoch's branches.  The
+ * two Philox passes run eight counters per step on AVX2 lanes where the
+ * CPU has them (asked once, at module init, and named by PHILOX_LANES),
+ * and one at a time elsewhere and for the remainder.  Philox is 32-bit
+ * integer arithmetic, which the lanes do exactly as the scalar code does,
+ * so both paths give the same words.
  * Apart from the batches, float_reprs writes the shortest round-trip text
  * of float64 values, byte for byte Python's repr (see repr_fast).
  * rtdeph._kernels validates and converts the arguments, builds the Poisson
@@ -42,7 +54,8 @@
  * grid index finds the same start as numpy's searchsorted; the sampler
  * uses only integer arithmetic, IEEE +, * and comparisons, and a sort per
  * epoch: a min/max network for at most 8 times and an insertion sort
- * above, which order the kept times as numpy's row sort does.
+ * above, which order the kept times as numpy's row sort does, whether its
+ * Philox ran on lanes or not.
  * setup.py compiles this file with -ffp-contract=off, so no multiply-add
  * is fused, and passes the SHA-256 of this file as RTDEPH_SOURCE_SHA256,
  * which the module exposes as SOURCE_SHA256.
@@ -489,20 +502,101 @@ block_sums(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* Philox4x32-10's multipliers and key increments. */
+static const uint32_t PHILOX_M0 = 0xD2511F53u, PHILOX_M1 = 0xCD9E8D57u,
+    PHILOX_W0 = 0x9E3779B9u, PHILOX_W1 = 0xBB67AE85u;
+
 /* Philox4x32-10 (Salmon, Moraes, Dror & Shaw, SC'11): the counter c
    becomes its random block in place, under the key (k0, k1). */
 static inline void
 philox(uint32_t c[4], uint32_t k0, uint32_t k1)
 {
     for (int r = 0; r < 10; r++) {
-        const uint64_t p0 = (uint64_t)0xD2511F53u * c[0], p1 = (uint64_t)0xCD9E8D57u * c[2];
+        const uint64_t p0 = (uint64_t)PHILOX_M0 * c[0], p1 = (uint64_t)PHILOX_M1 * c[2];
         const uint32_t c1 = c[1], c3 = c[3];
         c[0] = (uint32_t)(p1 >> 32) ^ c1 ^ k0;
         c[1] = (uint32_t)p1;
         c[2] = (uint32_t)(p0 >> 32) ^ c3 ^ k1;
         c[3] = (uint32_t)p0;
-        k0 += 0x9E3779B9u;
-        k1 += 0xBB67AE85u;
+        k0 += PHILOX_W0;
+        k1 += PHILOX_W1;
+    }
+}
+
+/* The AVX2 lanes exist only for x86 and a GNU-compatible compiler (gcc,
+   clang), which compile one function for AVX2 through a target attribute
+   and ask the CPU at run time; everything else has the portable path
+   alone. */
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define RTDEPH_AVX2_LANES 1
+#include <immintrin.h>
+
+/* The low and high words of the eight 32x32-bit products a * m (m in
+   every lane).  _mm256_mul_epu32 multiplies the even lanes into 64-bit
+   products, so the odd lanes are shifted down for a second product, and
+   each word is shifted back into its lane. */
+__attribute__((target("avx2"))) static inline void
+mulhilo8(__m256i a, __m256i m, __m256i *lo, __m256i *hi)
+{
+    const __m256i even = _mm256_mul_epu32(a, m);
+    const __m256i odd = _mm256_mul_epu32(_mm256_srli_epi64(a, 32), m);
+    *lo = _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
+    *hi = _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA);
+}
+
+/* philox of the counters (w[0][j], w[1][j], w[2][j], w[3][j]), j < m (a
+   multiple of 8), in place, eight per step: the same rounds on 32-bit
+   lanes. */
+__attribute__((target("avx2"))) static void
+philox_avx2(uint32_t *const w[4], Py_ssize_t m, uint32_t k0, uint32_t k1)
+{
+    const __m256i m0 = _mm256_set1_epi32((int)PHILOX_M0), m1 = _mm256_set1_epi32((int)PHILOX_M1);
+    for (Py_ssize_t j = 0; j < m; j += 8) {
+        __m256i c0 = _mm256_loadu_si256((const __m256i *)(w[0] + j));
+        __m256i c1 = _mm256_loadu_si256((const __m256i *)(w[1] + j));
+        __m256i c2 = _mm256_loadu_si256((const __m256i *)(w[2] + j));
+        __m256i c3 = _mm256_loadu_si256((const __m256i *)(w[3] + j));
+        uint32_t a = k0, b = k1;
+        for (int r = 0; r < 10; r++) {
+            __m256i lo0, hi0, lo1, hi1;
+            mulhilo8(c0, m0, &lo0, &hi0);
+            mulhilo8(c2, m1, &lo1, &hi1);
+            c0 = _mm256_xor_si256(_mm256_xor_si256(hi1, c1), _mm256_set1_epi32((int)a));
+            c1 = lo1;
+            c2 = _mm256_xor_si256(_mm256_xor_si256(hi0, c3), _mm256_set1_epi32((int)b));
+            c3 = lo0;
+            a += PHILOX_W0;
+            b += PHILOX_W1;
+        }
+        _mm256_storeu_si256((__m256i *)(w[0] + j), c0);
+        _mm256_storeu_si256((__m256i *)(w[1] + j), c1);
+        _mm256_storeu_si256((__m256i *)(w[2] + j), c2);
+        _mm256_storeu_si256((__m256i *)(w[3] + j), c3);
+    }
+}
+#endif
+
+/* Whether philox_lanes runs the AVX2 lanes: set once, at module init. */
+static int avx2_lanes;
+
+/* philox of the m counters (w[0][j], w[1][j], w[2][j], w[3][j]) in
+   place: eight at a time on the AVX2 lanes where the CPU has them, the
+   rest, and every counter elsewhere, one at a time. */
+static void
+philox_lanes(uint32_t *const w[4], Py_ssize_t m, uint32_t k0, uint32_t k1)
+{
+    Py_ssize_t j = 0;
+#ifdef RTDEPH_AVX2_LANES
+    if (avx2_lanes) {
+        j = m - m % 8;
+        philox_avx2(w, j, k0, k1);
+    }
+#endif
+    for (; j < m; j++) {
+        uint32_t c[4] = {w[0][j], w[1][j], w[2][j], w[3][j]};
+        philox(c, k0, k1);
+        for (int q = 0; q < 4; q++)
+            w[q][j] = c[q];
     }
 }
 
@@ -514,8 +608,10 @@ uniform(uint32_t a, uint32_t b)
 }
 
 /* An epoch draws fewer switches than the Poisson table has entries; one
-   of at most NETWORK_WIDTH is sorted by sort_network. */
-enum { MAX_TABLE = 64, NETWORK_WIDTH = 8 };
+   of at most NETWORK_WIDTH is sorted by sort_network.  A count is found
+   among the first COUNTED entries of the table without a data-dependent
+   exit, and an epoch's first LISTED extra draws are listed without one. */
+enum { MAX_TABLE = 64, NETWORK_WIDTH = 8, COUNTED = 16, LISTED = 4 };
 
 /* Puts the lesser of *a and *b in *a and the greater in *b: two plain
    conditionals, which the compiler makes a min and a max, not a branch. */
@@ -545,91 +641,211 @@ sort_network(double x[NETWORK_WIDTH])
     compare_exchange(&x[5], &x[6]);
 }
 
-/* One sample call: the key, the first index, the cut and the table. */
+/* One sample call: the key, the first index, the cut, the epochs each row
+   draws (floor(cut) + 1, or 0 for a negative cut) and the table, padded
+   with 1.0 to MAX_TABLE entries. */
 typedef struct {
     uint32_t k0, k1;
-    uint64_t start;
+    uint64_t start, epochs;
     double cut;
-    const double *cdf;
+    double cdf[MAX_TABLE];
 } Stream;
 
-/* Samples trajectory start + i: returns its level bit and appends its
-   epoch times at or below the cut to times[*used...] while they fit in
-   cap, counting them in *count.  The epochs e <= cut are drawn: floor(cut)
-   + 1, or none for a negative cut.  Epoch e's draw 0 gives, from words 0
-   and 1, the count N by inversion against the table (whose last entry is
-   1.0 > u, so N < MAX_TABLE), and the first uniform from words 2 and 3;
-   draws 1, 2, ... give two more uniforms each.  The N times x = (double)e +
-   u at or below the cut are kept in ascending order: x is monotone in u,
-   so they are in the order of their uniforms.  Up to NETWORK_WIDTH times,
-   padded with +inf, go through sort_network, and the sorted prefix at or
-   below the cut is kept (+inf never is); the rarer wider epochs (about 2%
-   at mean 4) drop the times above the cut and insertion-sort the rest.  A
-   sorted multiset of doubles has one order, so both give the same bits.
-   The level is the low bit of word 1 of epoch 0's draw 0. */
-static unsigned char
-sample_row(const Stream *s, Py_ssize_t i, double *times, Py_ssize_t *used, Py_ssize_t cap,
-           Py_ssize_t *count)
+/* (Row, epoch) pairs per chunk of sample, a multiple of the 8 lanes. */
+enum { CHUNK = 64 };
+
+/* The scratch of one chunk.  Each pair's uniforms take a slot of u,
+   max(NETWORK_WIDTH, N | 1) entries for a count N below MAX_TABLE; the
+   extra draws 1 to N / 2 of the chunk's epochs, at most MAX_TABLE / 2 - 1
+   per pair, are listed in extra, and each puts its two uniforms at
+   u[dest] and u[dest + 1]. */
+typedef struct {
+    uint32_t draw[4][CHUNK];
+    int count[CHUNK], slot[CHUNK];
+    uint32_t extra[4][CHUNK * MAX_TABLE / 2];
+    uint16_t dest[CHUNK * MAX_TABLE / 2];
+    double u[CHUNK * MAX_TABLE];
+} Chunk;
+
+/* A place in the walk over the call's (row, epoch) pairs in row order. */
+typedef struct {
+    Py_ssize_t row;
+    uint64_t e;
+} Pair;
+
+static inline void
+next_pair(Pair *q, uint64_t epochs)
 {
-    const uint64_t index = s->start + (uint64_t)i;
-    const uint32_t lo = (uint32_t)index, hi = (uint32_t)(index >> 32);
-    uint32_t c[4] = {lo, hi, 0, 0};
-    philox(c, s->k0, s->k1);
-    const unsigned char level = c[1] & 1u;
-    *count = 0;
-    for (Py_ssize_t e = 0; (double)e <= s->cut; e++) {
-        if (e > 0) {
-            c[0] = lo;
-            c[1] = hi;
-            c[2] = (uint32_t)e;
-            c[3] = 0;
-            philox(c, s->k0, s->k1);
-        }
-        const double un = uniform(c[0], c[1]);
-        int n = 0;
-        while (s->cdf[n] <= un)
-            n++;
-        double u[MAX_TABLE];
-        u[0] = uniform(c[2], c[3]);
-        for (int p = 1; p < n; p += 2) {
-            uint32_t d[4] = {lo, hi, (uint32_t)e, (uint32_t)(p / 2 + 1)};
-            philox(d, s->k0, s->k1);
-            u[p] = uniform(d[0], d[1]);
-            u[p + 1] = uniform(d[2], d[3]);
-        }
+    if (++q->e == epochs) {
+        q->e = 0;
+        q->row++;
+    }
+}
+
+/* Lists extra draw d of the epoch at (lo, hi, e), whose slot starts at slot. */
+static inline void
+list_draw(Chunk *ch, int x, const uint32_t counter[3], int d, int slot)
+{
+    ch->extra[0][x] = counter[0];
+    ch->extra[1][x] = counter[1];
+    ch->extra[2][x] = counter[2];
+    ch->extra[3][x] = (uint32_t)d;
+    ch->dest[x] = (uint16_t)(slot + 2 * d - 1);
+}
+
+/* Where the kept times go: times[used...] while they fit in cap, each row
+   counted in counts[i], the widest row's count k, and room = min(cap,
+   n * k), which the times of the (n, k) rows fill. */
+typedef struct {
+    double *times;
+    Py_ssize_t *counts;
+    Py_ssize_t n, cap, used, k, room, row;
+} Out;
+
+/* Appends an epoch's kept times to the row being drawn: all 8 of a
+   network's with one copy where the room, min(cap, n * k) for the widest
+   row so far, holds them (the entries past the kept ones land where later
+   times or pad_rows write, never past the (n, k) rows), else one at a
+   time while they fit in cap. */
+static inline void
+append(Out *o, const double *sorted, int kept, int network)
+{
+    o->row += kept;
+    if (o->row > o->k) {
+        o->k = o->row;
+        o->room = o->k <= o->cap / o->n ? o->n * o->k : o->cap;
+    }
+    if (network && o->used + NETWORK_WIDTH <= o->room)
+        memcpy(o->times + o->used, sorted, NETWORK_WIDTH * sizeof(double));
+    else
+        for (int p = 0; p < kept; p++)
+            if (o->used + p < o->cap)
+                o->times[o->used + p] = sorted[p];
+    o->used += kept;
+}
+
+/* Sorts the epoch of count n at e, its uniforms in u (a slot whose first
+   NETWORK_WIDTH entries are written), keeps its times at or below the cut
+   and appends them.  The n times x = e + u at or below the cut are kept
+   in ascending order: x is monotone in u, so they are in the order of
+   their uniforms.  Up to NETWORK_WIDTH times, padded with +inf, go through
+   sort_network, and the sorted prefix at or below the cut is kept (+inf
+   never is); the rarer wider epochs (about 2% at mean 4) drop the times
+   above the cut and insertion-sort the rest.  A sorted multiset of
+   doubles has one order, so both give the same bits. */
+static inline void
+keep_epoch(const Stream *s, double e, int n, double *u, Out *o)
+{
+    if (n <= NETWORK_WIDTH) {
         double net[NETWORK_WIDTH];
-        const double *sorted = net;
         int kept = 0;
-        if (n <= NETWORK_WIDTH) {
-            for (int p = 0; p < NETWORK_WIDTH; p++)
-                net[p] = p < n ? (double)e + u[p] : Py_HUGE_VAL;
-            sort_network(net);
-            for (int p = 0; p < NETWORK_WIDTH; p++)
-                kept += net[p] <= s->cut;
+        for (int p = 0; p < NETWORK_WIDTH; p++)
+            net[p] = p < n ? e + u[p] : Py_HUGE_VAL;
+        sort_network(net);
+        for (int p = 0; p < NETWORK_WIDTH; p++)
+            kept += net[p] <= s->cut;
+        append(o, net, kept, 1);
+        return;
+    }
+    int kept = 0;
+    for (int p = 0; p < n; p++) {
+        const double x = e + u[p];
+        if (x <= s->cut)
+            u[kept++] = x;
+    }
+    for (int p = 1; p < kept; p++) {
+        const double x = u[p];
+        int q = p;
+        for (; q > 0 && u[q - 1] > x; q--)
+            u[q] = u[q - 1];
+        u[q] = x;
+    }
+    append(o, u, kept, 0);
+}
+
+/* Samples rows 0 to n - 1 (trajectories start + i) into levels and o,
+   CHUNK of the call's (row, epoch) pairs at a time, in row order, in four
+   passes.  Pass 1 computes draw 0 of each pair, at the counter (index,
+   epoch, 0).  Pass 2 takes the level bit from epoch 0's draw 0 (the low
+   bit of word 1), the count N by inversion against the table (whose last
+   entry is 1.0 > u, so N < MAX_TABLE) and the first uniform from words 2
+   and 3; it counts the first COUNTED entries at or below u, which gives
+   the inversion of a non-decreasing table, and walks on only when all of
+   them are, and it lists the extra draws 1 to N / 2, which give two more
+   uniforms each.  Pass 3 computes the listed draws and puts their
+   uniforms in place.  Pass 4 sorts, cuts and appends each epoch's times.
+   The two Philox passes give the words that philox gives, one counter at
+   a time, whichever lanes run them.  A negative cut draws no epoch: each
+   row's epoch 0 draw 0 then gives its level alone. */
+static void
+sample_rows(const Stream *s, unsigned char *levels, Chunk *ch, Out *o)
+{
+    const uint64_t per_row = s->epochs ? s->epochs : 1;
+    uint32_t *const draw[4] = {ch->draw[0], ch->draw[1], ch->draw[2], ch->draw[3]};
+    uint32_t *const extra[4] = {ch->extra[0], ch->extra[1], ch->extra[2], ch->extra[3]};
+    Pair next = {0, 0};
+    while (next.row < o->n) {
+        const Pair first = next;
+        int m = 0;
+        for (; m < CHUNK && next.row < o->n; m++, next_pair(&next, per_row)) {
+            const uint64_t index = s->start + (uint64_t)next.row;
+            ch->draw[0][m] = (uint32_t)index;
+            ch->draw[1][m] = (uint32_t)(index >> 32);
+            ch->draw[2][m] = (uint32_t)next.e;
+            ch->draw[3][m] = 0;
         }
-        else {
-            for (int p = 0; p < n; p++) {
-                const double x = (double)e + u[p];
-                if (x <= s->cut)
-                    u[kept++] = x;
+        philox_lanes(draw, m, s->k0, s->k1);
+        if (!s->epochs) {
+            for (int p = 0; p < m; p++) {
+                levels[first.row + p] = ch->draw[1][p] & 1u;
+                o->counts[first.row + p] = 0;
             }
-            for (int p = 1; p < kept; p++) {
-                const double x = u[p];
-                int q = p;
-                for (; q > 0 && u[q - 1] > x; q--)
-                    u[q] = u[q - 1];
-                u[q] = x;
-            }
-            sorted = u;
+            continue;
         }
-        for (int p = 0; p < kept; p++) {
-            if (*used < cap)
-                times[*used] = sorted[p];
-            ++*used;
-            ++*count;
+        Pair q = first;
+        int slot = 0, listed = 0;
+        for (int p = 0; p < m; p++, next_pair(&q, per_row)) {
+            if (q.e == 0)
+                levels[q.row] = ch->draw[1][p] & 1u;
+            const double un = uniform(ch->draw[0][p], ch->draw[1][p]);
+            int n = 0;
+            for (int j = 0; j < COUNTED; j++)
+                n += s->cdf[j] <= un;
+            if (n == COUNTED)
+                while (s->cdf[n] <= un)
+                    n++;
+            ch->count[p] = n;
+            ch->slot[p] = slot;
+            double *u = ch->u + slot;
+            /* keep_epoch reads all NETWORK_WIDTH, masked past n: none stale */
+            for (int j = 0; j < NETWORK_WIDTH; j++)
+                u[j] = Py_HUGE_VAL;
+            u[0] = uniform(ch->draw[2][p], ch->draw[3][p]);
+            const uint64_t index = s->start + (uint64_t)q.row;
+            const uint32_t counter[3] = {(uint32_t)index, (uint32_t)(index >> 32), (uint32_t)q.e};
+            /* the first LISTED whatever n is, the later ones overwritten */
+            for (int d = 1; d <= LISTED; d++)
+                list_draw(ch, listed + d - 1, counter, d, slot);
+            for (int d = LISTED + 1; d <= n / 2; d++)
+                list_draw(ch, listed + d - 1, counter, d, slot);
+            listed += n / 2;
+            slot += n < NETWORK_WIDTH ? NETWORK_WIDTH : n | 1;
+        }
+        philox_lanes(extra, listed, s->k0, s->k1);
+        for (int x = 0; x < listed; x++) {
+            double *u = ch->u + ch->dest[x];
+            u[0] = uniform(ch->extra[0][x], ch->extra[1][x]);
+            u[1] = uniform(ch->extra[2][x], ch->extra[3][x]);
+        }
+        q = first;
+        for (int p = 0; p < m; p++, next_pair(&q, per_row)) {
+            keep_epoch(s, (double)q.e, ch->count[p], ch->u + ch->slot[p], o);
+            if (q.e + 1 == per_row) {
+                o->counts[q.row] = o->row;
+                o->row = 0;
+            }
         }
     }
-    return level;
 }
 
 /* Converts a Python int in [0, 2^64) to *out (unsigned long long);
@@ -663,10 +879,11 @@ pad_rows(double *times, const Py_ssize_t *counts, Py_ssize_t n, Py_ssize_t k, Py
    start to start + n - 1 (n = len(levels)) under the 64-bit seed into
    levels (uint8), and returns the widest row's count k of epoch times at
    or below the cut, which must be below 2^32 (not +inf or NaN): the epochs
-   it spans fit the 32-bit counter.  If n * k <= len(times), it also
-   writes the (n, k) epoch times, padded with +inf, row by row into the
-   front of times (float64): the rows go there back to back first, and
-   their counts, kept in scratch of its own, place them (pad_rows). */
+   it spans fit the 32-bit counter.  cdf is non-decreasing and ends at
+   1.0.  If n * k <= len(times), it also writes the (n, k) epoch times,
+   padded with +inf, row by row into the front of times (float64), and
+   nothing past them: the rows go there back to back first, and their
+   counts, kept in scratch of its own, place them (pad_rows). */
 static PyObject *
 sample(PyObject *self, PyObject *args)
 {
@@ -683,35 +900,41 @@ sample(PyObject *self, PyObject *args)
         release(&vs);
         return NULL;
     }
-    const Py_ssize_t n = lv->shape[0], cap = tv->shape[0], table = cdf->shape[0];
-    s.cdf = cdf->buf;
-    if (table < 1 || table > MAX_TABLE || s.cdf[table - 1] != 1.0 || !(s.cut < 0x1p32)
-        || (n > 0 && start + (uint64_t)(n - 1) < start)) {
+    const Py_ssize_t n = lv->shape[0], table = cdf->shape[0];
+    const double *entries = cdf->buf;
+    int sorted = 1;
+    for (Py_ssize_t j = 1; j < table && j < MAX_TABLE; j++)
+        sorted &= entries[j - 1] <= entries[j];
+    if (table < 1 || table > MAX_TABLE || !sorted || entries[table - 1] != 1.0
+        || !(s.cut < 0x1p32) || (n > 0 && start + (uint64_t)(n - 1) < start)) {
         PyErr_SetString(PyExc_ValueError, "bad Poisson table, cut or index range");
         release(&vs);
         return NULL;
     }
+    for (Py_ssize_t j = 0; j < MAX_TABLE; j++)
+        s.cdf[j] = j < table ? entries[j] : 1.0;
     s.k0 = (uint32_t)seed;
     s.k1 = (uint32_t)(seed >> 32);
     s.start = start;
-    unsigned char *levels = lv->buf;
-    Py_ssize_t *counts = PyMem_RawMalloc(n * sizeof(Py_ssize_t)), k = 0, used = 0;
-    double *times = tv->buf;
-    if (!counts) {
+    s.epochs = s.cut >= 0.0 ? (uint64_t)s.cut + 1 : 0;
+    Out out = {.times = tv->buf, .n = n, .cap = tv->shape[0]};
+    Chunk *ch = PyMem_RawMalloc(sizeof(Chunk));
+    out.counts = PyMem_RawMalloc(n * sizeof(Py_ssize_t));
+    if (!ch || !out.counts) {
+        PyMem_RawFree(ch);
+        PyMem_RawFree(out.counts);
         release(&vs);
         return PyErr_NoMemory();
     }
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < n; i++) {
-        levels[i] = sample_row(&s, i, times, &used, cap, &counts[i]);
-        k = counts[i] > k ? counts[i] : k;
-    }
-    if (n > 0 && k <= cap / n)
-        pad_rows(times, counts, n, k, used);
+    sample_rows(&s, lv->buf, ch, &out);
+    if (n > 0 && out.k <= out.cap / n)
+        pad_rows(out.times, out.counts, n, out.k, out.used);
     Py_END_ALLOW_THREADS
-    PyMem_RawFree(counts);
+    PyMem_RawFree(ch);
+    PyMem_RawFree(out.counts);
     release(&vs);
-    return PyLong_FromSsize_t(k);
+    return PyLong_FromSsize_t(out.k);
 }
 
 /* Shortest round-trip text of a double, byte for byte repr(float(x)).
@@ -900,7 +1123,8 @@ static PyMethodDef methods[] = {
      "arrays in float64 out, without the (n, m) array."},
     {"sample", sample, METH_VARARGS,
      "sample(seed, start, cut, cdf, levels, times): draws the epoch times at "
-     "or below the cut (below 2**32) of the telegraph trajectories, with their "
+     "or below the cut (below 2**32) of the telegraph trajectories, counts "
+     "inverted against the non-decreasing table cdf, with their "
      "level bits into uint8 levels, and returns the widest row's count k; if "
      "it fits, writes the +inf-padded (n, k) epoch times into the front of "
      "float64 times."},
@@ -924,8 +1148,14 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__core(void)
 {
+#ifdef RTDEPH_AVX2_LANES
+    __builtin_cpu_init();
+    avx2_lanes = __builtin_cpu_supports("avx2") != 0;
+#endif
     PyObject *mod = PyModule_Create(&module);
-    if (mod && PyModule_AddStringConstant(mod, "SOURCE_SHA256", RTDEPH_SOURCE_SHA256) < 0) {
+    if (mod && (PyModule_AddStringConstant(mod, "SOURCE_SHA256", RTDEPH_SOURCE_SHA256) < 0
+                || PyModule_AddStringConstant(mod, "PHILOX_LANES",
+                                              avx2_lanes ? "avx2" : "portable") < 0)) {
         Py_DECREF(mod);
         return NULL;
     }

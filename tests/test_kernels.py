@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -440,6 +441,7 @@ def test_compiled_sample_rejects_mismatched_buffers(compiled):
         (cdf, levels, np.empty(80)[::2]),  # not contiguous
         (cdf[:-1], levels, times),  # the table does not end at 1.0
         (np.ones(65), levels, times),  # longer than an epoch's buffer
+        (cdf[[1, 0] + list(range(2, 32))], levels, times),  # decreasing: counts would not invert
         (cdf.astype(np.float32), levels, times),
     ):
         with pytest.raises(ValueError):
@@ -617,19 +619,26 @@ def cut_rows(x, scale, horizon):
     return t[:, : counts.max(initial=0)], counts
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+#: (Row, epoch) pairs per chunk of the compiled sampler (_core.c's CHUNK).
+CHUNK = int(re.search(r"enum \{ CHUNK = (\d+) \};", SOURCE.read_text()).group(1))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(
     seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])),
-    start=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 300, 2**32 + 300)),
-    n=st.sampled_from([1, 3, 300]),
+    start=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 300, 2**32 + 300),
+                    st.just(2**32 - 3)),
+    n=st.sampled_from([1, 3, 7, 8, 9, CHUNK - 1, CHUNK, CHUNK + 1, 300, 2048]),
     gamma=st.sampled_from([0.0, 0.05, 0.8, 6.0]),
     horizon=st.floats(0.01, 60.0),
 )
 def test_sample_bit_identical_property(compiled, seed, start, n, gamma, horizon):
-    # seeds over all 64 bits, indices across the counter's high word, the
-    # static limit and horizons of up to 45 epochs: both backends give the
-    # same bytes, and rows scaled by L and cut at the horizon agree with the
-    # scalar oracle of tests/_oracles.py
+    # seeds over all 64 bits, indices across the counter's high word (from
+    # 2**32 - 3 the first 8 lanes hold both high words), the static limit,
+    # horizons of up to 45 epochs, and row counts on either side of the 8
+    # Philox lanes and of a chunk: both backends give the same bytes, and
+    # rows scaled by L and cut at the horizon agree with the scalar oracle
+    # of tests/_oracles.py
     # draws an epoch wider than the horizon's cut, which the rows cut again
     scale, cut = _kernels.epoch_grid(gamma, horizon)
     levels, x = sample_both(compiled, seed, start, n, cut + 1.0)
@@ -690,6 +699,39 @@ def test_every_epoch_size_sorts_alike_on_both_backends(compiled):
     for cut in (3.37, 4.0, math.nextafter(5.0, 0.0)):
         _, x = sample_both(compiled, seed, start, n, cut)
         assert_same_bits(x, past_cut_dropped(wide, cut))
+
+
+def test_an_epoch_past_the_counted_entries_draws_alike(compiled):
+    # the compiled sampler counts the first 16 entries of the Poisson table
+    # at or below an epoch's uniform and walks on only when all 16 are:
+    # trajectory 6944 of seed 16 draws 17 times in epoch 3 (found with
+    # _reference.sample), row 4 of these draws.  17, not 16: a count of 16
+    # is the same with the walk or without it
+    seed, start, n = 16, 6940, 9
+    x = _kernels.sample(seed, start, n, math.nextafter(4.0, 0.0), impl=_reference)[1]
+    assert np.count_nonzero((x[4] >= 3.0) & (x[4] < 4.0)) >= 17
+    for cut in (3.5, math.nextafter(4.0, 0.0), 6.0):
+        sample_both(compiled, seed, start, n, cut)
+
+
+def test_a_negative_cut_draws_the_levels_alike(compiled):
+    # a negative cut draws no epoch, only each row's level bit from epoch
+    # 0's draw 0: 8 rows on the lanes, across the counter's high word, and
+    # one past them
+    levels, x = sample_both(compiled, 11, 2**32 - 3, 9, -0.5)
+    assert x.shape == (9, 0)
+    assert set(levels.tolist()) == {0, 1}
+
+
+def test_philox_lanes_follow_the_cpu(compiled):
+    # the compiled sampler runs Philox on AVX2 lanes where the CPU has them:
+    # a build that loses the fast path on such a CPU fails here
+    assert compiled.PHILOX_LANES in ("avx2", "portable")
+    cpuinfo = pathlib.Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        flags = {word for line in cpuinfo.read_text().splitlines() if line.startswith("flags")
+                 for word in line.split(":", 1)[1].split()}
+        assert compiled.PHILOX_LANES == ("avx2" if "avx2" in flags else "portable")
 
 
 def test_sample_makes_room_for_rows_wider_than_its_guess(monkeypatch):
