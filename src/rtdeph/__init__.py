@@ -66,7 +66,7 @@ from rtdeph.states import (
     entanglement_of_formation,
 )
 
-__version__ = "0.7.4"
+__version__ = "0.7.5"
 
 __all__ = [
     "BACKEND",

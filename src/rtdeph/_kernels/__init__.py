@@ -189,28 +189,36 @@ def _row_room(cut):
     return math.ceil(mean + 6.0 * math.sqrt(mean)) + 8
 
 
+def _check_times(values, name):
+    """``values`` as a float64 array of any shape, each entry a time: finite
+    and non-negative, or else a ValueError that names them.  Every time
+    input (closed-form times, lags, grids) is checked here first."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        raise ValueError(f"{name} must be finite and non-negative")
+    return arr
+
+
 def _prepare(levels, switch_times, t_grid, scale):
     """Contiguous arguments of the dtypes the backends expect.  The grid
-    must be finite, so that the +inf padding never counts as a switch, no
-    switch time may be NaN and the scale must be finite and positive: the
-    backends would order a NaN switch time, or the NaN products of a NaN
-    scale, differently."""
+    holds times (``_check_times``), so the +inf padding never counts as a
+    switch, and it must be 1-D and ascending; no switch time may be NaN and
+    the scale must be finite and positive: the backends would order a NaN
+    switch time, or the NaN products of a NaN scale, differently."""
     scale = float(scale)
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
     levels = np.ascontiguousarray(levels, dtype=np.uint8)
     switch_times = np.ascontiguousarray(switch_times, dtype=np.float64)
-    t_grid = np.ascontiguousarray(t_grid, dtype=np.float64)
+    t_grid = np.ascontiguousarray(_check_times(t_grid, "t_grid"))
     if levels.ndim != 1 or switch_times.ndim != 2 or switch_times.shape[0] != levels.shape[0]:
         raise ValueError("switch_times must be 2-D with one row per trajectory")
     if switch_times.size and np.isnan(switch_times.min()):
         # one reduction, no (n, k) mask: the minimum of an array with a NaN
         # is NaN, and the backends would order a NaN switch differently
         raise ValueError("switch_times must not be NaN")
-    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
-        raise ValueError("t_grid must be 1-D and finite")
-    if t_grid.size and (t_grid[0] < 0.0 or np.any(np.diff(t_grid) < 0.0)):
-        raise ValueError("t_grid must be ascending and non-negative")
+    if t_grid.ndim != 1 or np.any(np.diff(t_grid) < 0.0):
+        raise ValueError("t_grid must be 1-D and ascending")
     return levels, switch_times, t_grid, scale
 
 

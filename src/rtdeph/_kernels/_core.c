@@ -848,12 +848,17 @@ sample_rows(const Stream *s, unsigned char *levels, Chunk *ch, Out *o)
     }
 }
 
-/* Converts a Python int in [0, 2^64) to *out (unsigned long long);
-   OverflowError outside, never a silent wrap. */
+/* Converts an integer in [0, 2^64) to *out (unsigned long long): a Python
+   int or any object with __index__, such as a numpy integer, which the
+   numpy backend takes too; OverflowError outside, never a silent wrap. */
 static int
 to_uint64(PyObject *obj, void *out)
 {
-    const unsigned long long value = PyLong_AsUnsignedLongLong(obj);
+    PyObject *index = PyNumber_Index(obj);
+    if (!index)
+        return 0;
+    const unsigned long long value = PyLong_AsUnsignedLongLong(index);
+    Py_DECREF(index);
     if (value == (unsigned long long)-1 && PyErr_Occurred())
         return 0;
     *(unsigned long long *)out = value;

@@ -30,6 +30,8 @@ factors of ``exp_minus_i`` included, except ``float_reprs``: Python's own
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -269,6 +271,8 @@ def sample(seed, start, cut, cdf, levels, times):
     epoch as the compiled kernel does, since the epochs do not overlap.
     Arrays are indexed (row, epoch, draw).
     """
+    # any integer, as the compiled kernel takes it: numpy ones as Python ints
+    seed, start = operator.index(seed), operator.index(start)
     if not (0 <= seed < 2**64 and 0 <= start < 2**64):
         raise OverflowError("seed and start must be in [0, 2**64)")
     if not cut < 2**32:

@@ -21,17 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rtdeph import _kernels
 from rtdeph.noise import RTParams
 from rtdeph.states import entanglement_of_formation
-
-
-def _check_times(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("times must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("times must be non-negative")
-    return arr
 
 
 def _match_scalar(out: np.ndarray, t):
@@ -64,7 +56,7 @@ def coherence_factor(params: RTParams, t):
     q(t) equals the average of exp(-i * integral of xi) over telegraph
     realizations, which is what the Monte Carlo engine estimates.
     """
-    arr = _check_times(t)
+    arr = _kernels._check_times(t, "times")
     v, gamma = params.v, params.gamma
     s = max(v, gamma)
     kappa = s * cmath.sqrt((gamma / s - v / s) * (gamma / s + v / s))
@@ -88,7 +80,7 @@ def coherence_factor_approx(params: RTParams, t):
     g = params.g
     if not g > 1.0:
         raise ValueError(f"approximation requires strong coupling g > 1, got g = {g!r}")
-    arr = _check_times(t)
+    arr = _kernels._check_times(t, "times")
     half_vt = 0.5 * params.v * arr
     out = np.exp(-0.5 * params.gamma * arr) * (np.cos(half_vt) + np.sin(half_vt) / g)
     return _match_scalar(out, t)
@@ -131,5 +123,5 @@ def envelope(params: RTParams, t):
     The peak values of |q| equal exp(-gamma*t/2) exactly, so this is the
     entanglement of formation of that decay; constant 1 in the static limit.
     """
-    arr = _check_times(t)
+    arr = _kernels._check_times(t, "times")
     return _match_scalar(np.asarray(entanglement_of_formation(np.exp(-0.5 * params.gamma * arr))), t)

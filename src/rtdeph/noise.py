@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from threading import Condition, Thread
 
@@ -136,6 +137,8 @@ class EpochDraws:
 
 
 def _check_indices(master_seed: int, start_index: int, n: int) -> None:
+    # as Python ints: numpy integers would add in fixed width and wrap
+    master_seed, start_index, n = map(operator.index, (master_seed, start_index, n))
     if n < 1:
         raise ValueError(f"need at least one trajectory, got n={n}")
     if start_index < 0:
@@ -220,8 +223,10 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
     their cuts are checked before anything is drawn.
     """
     couplings = tuple(couplings)
-    firsts = ((start_index,) * len(couplings) if isinstance(start_index, numbers.Integral)
-              else tuple(start_index))
+    # as Python ints, as _check_indices takes them: a numpy first index
+    # would add in fixed width, wrap and leave its blocks out
+    firsts = tuple(map(operator.index, [start_index] * len(couplings)
+                       if isinstance(start_index, numbers.Integral) else start_index))
     if not couplings:
         raise ValueError("need at least one coupling")
     if len(firsts) != len(couplings):
@@ -319,12 +324,15 @@ class AutocorrelationResult:
 
 
 def _check_lags(lags) -> np.ndarray:
-    """``lags`` as a float array, which must be 1-D, finite and non-negative."""
-    lag_arr = np.asarray(lags, dtype=float)
+    """``lags`` as a float array of times (``_kernels._check_times``), which
+    must be 1-D and name at least one positive lag: at lag 0 every estimate
+    is exactly 1 with a zero standard error, so a report of no lags, or of
+    zero lags only, would pass by construction."""
+    lag_arr = _kernels._check_times(lags, "lags")
     if lag_arr.ndim != 1:
         raise ValueError("lags must be 1-D")
-    if not np.all(np.isfinite(lag_arr)) or np.any(lag_arr < 0.0):
-        raise ValueError("lags must be finite and non-negative")
+    if not np.any(lag_arr > 0.0):
+        raise ValueError("lags must name at least one positive lag")
     return lag_arr
 
 
@@ -356,9 +364,9 @@ def estimate_autocorrelation(params, lags, n_samples: int, master_seed: int,
     index, bit for bit.  Every coupling is sampled block by block in one
     ``stream`` pass on ``n_threads`` threads, and each block gives its
     integer count of level flips per lag, so memory does not grow with
-    ``n_samples`` and the results do not depend on the thread count.  A
-    coupling whose lags are all 0, or that has none, draws nothing.  Every
-    coupling's lags and indices are checked before anything is drawn.
+    ``n_samples`` and the results do not depend on the thread count.  Every
+    coupling's lags (``_check_lags``: at least one of them positive) and
+    indices are checked before anything is drawn.
     """
     params = tuple(params)
     lag_sets = [_check_lags(lag_list) for lag_list in lags]
@@ -373,17 +381,14 @@ def estimate_autocorrelation(params, lags, n_samples: int, master_seed: int,
 
     # each coupling's distinct lags, ascending, and the map back to its own
     grids = [np.unique(lag_arr, return_inverse=True) for lag_arr in lag_sets]
-    sampled = [j for j, lag_arr in enumerate(lag_sets) if lag_arr.size and lag_arr.max() > 0.0]
-    flips = [np.zeros(lag_arr.size, dtype=np.intp) for lag_arr in lag_sets]
-    if sampled:
-        couplings = [(params[j], float(grids[j][0][-1]), functools.partial(_flips, grids[j][0]))
-                     for j in sampled]
-        counts = stream(couplings, n_samples, master_seed,
-                        start_index=[start_index + j * n_samples for j in sampled],
-                        n_threads=n_threads)
-        for j, count in zip(sampled, counts):
-            flips[j] = count[grids[j][1]]
-    return [_autocorrelation(lag_arr, count, n_samples) for lag_arr, count in zip(lag_sets, flips)]
+    couplings = [(p, float(grid[-1]), functools.partial(_flips, grid))
+                 for p, (grid, _) in zip(params, grids)]
+    counts = stream(couplings, n_samples, master_seed,
+                    start_index=[operator.index(start_index) + j * n_samples
+                                 for j in range(len(params))],
+                    n_threads=n_threads)
+    return [_autocorrelation(lag_arr, count[inverse], n_samples)
+            for lag_arr, (_, inverse), count in zip(lag_sets, grids, counts)]
 
 
 def _autocorrelation(lag_arr: np.ndarray, flips: np.ndarray, n: int) -> AutocorrelationResult:

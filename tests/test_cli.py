@@ -1001,6 +1001,15 @@ def test_threads_default_without_an_affinity_mask(monkeypatch):
     assert _spec().threads == 1
 
 
+def test_spec_builds_from_its_own_defaults(monkeypatch):
+    # threads=None resolves to the usable CPUs in the spec itself, not
+    # only where build_spec reads the flags
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    spec = cli.SweepSpec(**{key: default for key, (_, default, _) in cli._OPTIONS.items()})
+    assert spec.threads == 3
+    assert spec == _spec()
+
+
 def test_threads_from_config_file_and_flag(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     config = tmp_path / "threads.cfg"

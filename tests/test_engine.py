@@ -17,9 +17,13 @@ def params_for(g, v=1.0):
     return noise.RTParams(v=v, gamma=0.0 if math.isinf(g) else v / g)
 
 
-#: Decreasing, repeated, empty, 2-D, no t > 0, a negative start, nan, inf.
-BAD_GRIDS = ([1.0, 0.5], [0.0, 1.0, 1.0], [], [[0.0, 1.0]], [0.0], [-1.0, 1.0],
-             [0.0, math.nan], [0.0, math.inf])
+#: Decreasing, repeated, empty, 2-D, no t > 0, a negative start, nan, inf,
+#: each with the rule that refuses it.
+BAD_GRIDS = (([1.0, 0.5], "strictly increasing"), ([0.0, 1.0, 1.0], "strictly increasing"),
+             ([], "non-empty 1-D"), ([[0.0, 1.0]], "non-empty 1-D"),
+             ([0.0], "extend beyond t = 0"), ([-1.0, 1.0], "finite and non-negative"),
+             ([0.0, math.nan], "finite and non-negative"),
+             ([0.0, math.inf], "finite and non-negative"))
 
 
 @pytest.fixture
@@ -39,8 +43,8 @@ CALLS = (lambda p, n, seed: engine.run_ensemble(p, GRID, n, seed),
 def test_run_config_validation(draws):
     # the grid, count and seed of a run are refused before the first block is drawn
     params = [params_for(5.0)]
-    for bad in BAD_GRIDS:
-        with pytest.raises(ValueError, match="t_grid"):
+    for bad, rule in BAD_GRIDS:
+        with pytest.raises(ValueError, match=f"^t_grid must .*{rule}"):
             engine.run_ensemble(params, bad, 10, 0)
     for call in CALLS:
         with pytest.raises(ValueError, match="at least one trajectory"):
@@ -53,6 +57,29 @@ def test_run_config_validation(draws):
     for call in CALLS:
         call(params, 10, 2**64 - 1)
     assert len(draws) == 2
+
+
+@pytest.mark.parametrize("bad", [[0.5, math.nan], [0.5, math.inf], [0.5, -1.0], -0.5])
+def test_every_time_input_is_checked_alike(bad):
+    # one check, _kernels._check_times, for every time input: a NaN, an
+    # infinite or a negative time is refused with the input's name
+    params = noise.RTParams(v=1.0, gamma=0.2)
+    batch = noise.sample_batch(params, 5.0, 4, 0)
+    rows = batch.levels, batch.times
+    calls = {
+        "times": (lambda t: analytic.coherence_factor(params, t),
+                  lambda t: analytic.coherence_factor_approx(params, t),
+                  lambda t: analytic.envelope(params, t)),
+        "t_grid": (lambda t: engine.run_ensemble([params], t, 10, 0),
+                   lambda t: _kernels.dwell_times(*rows, t),
+                   lambda t: _kernels.levels_at_times(*rows, t),
+                   lambda t: _kernels.block_sums(*rows, t, 1.0)),
+        "lags": (lambda t: noise.estimate_autocorrelation([params], [t], 10, 0),),
+    }
+    for name, funcs in calls.items():
+        for call in funcs:
+            with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative$"):
+                call(bad)
 
 
 def test_one_pass_rejects_configs_that_share_no_trajectories(draws):
@@ -255,6 +282,19 @@ def test_block_holds_no_n_by_m_array(compiled, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 2048 * 601 * 8
+
+
+def test_numpy_integer_seeds_give_the_same_bytes(compiled, monkeypatch):
+    # a seed is any integer: a numpy one runs on either backend and gives
+    # the bytes of the Python int of its value
+    args = [params_for(5.0)], np.linspace(0.0, 3.0, 7), 10
+    for backend in (_reference, compiled):
+        monkeypatch.setattr(_kernels, "_impl", backend)
+        [expected] = engine.run_ensemble(*args, 3)
+        for seed in (np.int64(3), np.uint64(3)):
+            [got] = engine.run_ensemble(*args, seed)
+            for field in ("q_mean", "q_se_re", "q_se_im", "e_f"):
+                assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
 
 
 TWO_PASS_CASES = [(5.0, 1e-3), (1e-4, 1e-3), (0.5, 1.0), (5.0, 6.0 * math.pi)]

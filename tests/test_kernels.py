@@ -431,7 +431,9 @@ def test_static_rows_are_segment_times_grid_factor(compiled):
 
 def test_compiled_sample_rejects_mismatched_buffers(compiled):
     cdf = _kernels._POISSON_CDF
-    levels, times = np.empty(4, np.uint8), np.empty(40)
+    # zeros, not np.empty: the float32 cast below must not meet stale bytes
+    # that overflow it and warn
+    levels, times = np.empty(4, np.uint8), np.zeros(40)
     args = (3, 0, 1.5)
     assert compiled.sample(*args, cdf, levels, times) >= 0
     for bad in (
@@ -451,6 +453,19 @@ def test_compiled_sample_rejects_mismatched_buffers(compiled):
     for seed in (2**64, -1):  # never wrapped into 64 bits
         with pytest.raises(OverflowError):
             compiled.sample(seed, 0, 1.5, cdf, levels, times)
+
+
+def test_sample_takes_numpy_integers(impl):
+    # a numpy integer seed or start draws the bits of the Python int of its
+    # value on either backend, and a negative one is still refused
+    levels, times = _kernels.sample(3, 5, 10, 2.5, impl=impl)
+    for cast in (np.int64, np.uint64, np.int32, np.uint8):
+        got_levels, got_times = _kernels.sample(cast(3), cast(5), 10, 2.5, impl=impl)
+        assert_same_bits(got_levels, levels)
+        assert_same_bits(got_times, times)
+    for seed, start in ((np.int64(-1), 0), (0, np.int64(-1))):
+        with pytest.raises(OverflowError):
+            _kernels.sample(seed, start, 10, 2.5, impl=impl)
 
 
 def test_sample_refuses_a_cut_past_the_epoch_counter(compiled):
@@ -546,9 +561,13 @@ def test_block_slices_reproduce_full_result():
 def test_grid_validation():
     batch = make_batch(n=4)
     args = (batch.levels, batch.switch_times)
-    with pytest.raises(ValueError):
-        _kernels.dwell_times(*args, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
+    # the kernels take any ascending grid, a repeated time too, but not a
+    # decreasing or 2-D one
+    assert _kernels.dwell_times(*args, [0.0, 1.0, 1.0]).shape == (4, 3)
+    for grid in ([1.0, 0.5], [[0.5]]):
+        with pytest.raises(ValueError, match="t_grid must be 1-D and ascending"):
+            _kernels.dwell_times(*args, grid)
+    with pytest.raises(ValueError, match="t_grid must be finite and non-negative"):
         _kernels.dwell_times(*args, np.array([-1.0, 0.5]))
     with pytest.raises(ValueError):
         _kernels.dwell_times(batch.levels, batch.switch_times[:2], np.array([0.5]))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtdeph import _kernels, noise
+from rtdeph._kernels import _reference
 
 from _oracles import dwell, level_bit, riemann_phase
 
@@ -179,6 +180,30 @@ def test_batch_of_a_pass_is_a_view_of_its_draws(gamma, horizon):
     # the batch a coupling draws alone, from its own epochs
     alone = noise.sample_batch(params, horizon, 40, 3, start_index=10)
     np.testing.assert_array_equal(alone.switch_times, batch.switch_times)
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_numpy_start_index_does_not_wrap(backend, request, monkeypatch):
+    # a numpy start index is checked as the Python int of its value: one
+    # whose trajectories pass 2**64 is refused, not wrapped in uint64
+    # arithmetic to trajectories 0 onward
+    monkeypatch.setattr(_kernels, "_impl", _reference if backend == "pure"
+                        else request.getfixturevalue("compiled"))
+    params = noise.RTParams(v=1.0, gamma=1.0)
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        noise.sample_batch(params, 1.0, 10, 3, start_index=np.uint64(2**64 - 5))
+    top = noise.sample_batch(params, 1.0, 5, 3, start_index=np.uint64(2**64 - 5))
+    expected = noise.sample_batch(params, 1.0, 5, 3, start_index=2**64 - 5)
+    np.testing.assert_array_equal(top.levels, expected.levels)
+    np.testing.assert_array_equal(top.times, expected.times)
+    # nor does a pass's first index wrap past the top of int64, for any
+    # coupling of the pass
+    start = 2**63 - 10
+    expected = noise.estimate_autocorrelation([params] * 2, [[1.0]] * 2, 100, 3,
+                                              start_index=start)
+    got = noise.estimate_autocorrelation([params] * 2, [[1.0]] * 2, 100, 3,
+                                         start_index=np.int64(start))
+    assert [r.estimates.tobytes() for r in got] == [r.estimates.tobytes() for r in expected]
 
 
 def test_sample_batch_keys_streams_by_64_bit_seeds_and_indices():
@@ -706,14 +731,11 @@ def test_autocorrelation_of_several_couplings_equals_each_alone(n_threads):
     # one pass for every coupling, each at its own lags: coupling j takes
     # the 2*BLOCK + 5 samples from index 7 + j*n, so its flip counts, and
     # its result, are those of its own call there, bit for bit, at any
-    # thread count.  A coupling with zero lags only, or none, draws
-    # nothing, two equal couplings see different samples, and repeated,
-    # unsorted lags give each repeat the count of the lag alone
+    # thread count.  Two equal couplings see different samples, and
+    # repeated, unsorted lags give each repeat the count of the lag alone
     couplings = [(noise.RTParams(v=1.0, gamma=2.0), [0.05, 0.7, 2.9]),
                  (noise.RTParams(v=1.0, gamma=0.5), [3.0, 0.0, 1.5]),
-                 (noise.RTParams(v=1.0, gamma=1.0), [0.0]),
                  (noise.RTParams(v=2.0, gamma=0.0), [1.0]),
-                 (noise.RTParams(v=1.0, gamma=1.0), []),
                  (noise.RTParams(v=1.0, gamma=2.0), [0.05, 0.7, 2.9]),
                  (noise.RTParams(v=1.0, gamma=0.5), [1.5, 0.2, 3.0, 1.5, 0.0, 0.2])]
     n, start, seed = 2 * noise.BLOCK + 5, 7, 29
@@ -728,12 +750,10 @@ def test_autocorrelation_of_several_couplings_equals_each_alone(n_threads):
             assert getattr(result, field).tobytes() == getattr(alone, field).tobytes()
         assert result.n_samples == n
     np.testing.assert_array_equal(together[2].estimates, [1.0])
-    np.testing.assert_array_equal(together[3].estimates, [1.0])
-    assert together[4].estimates.size == 0
-    assert not np.array_equal(together[0].estimates, together[5].estimates)
-    [distinct] = noise.estimate_autocorrelation([couplings[6][0]], [[0.0, 0.2, 1.5, 3.0]], n,
-                                                seed, start_index=start + 6 * n)
-    assert together[6].estimates.tobytes() == distinct.estimates[[2, 1, 3, 2, 0, 1]].tobytes()
+    assert not np.array_equal(together[0].estimates, together[3].estimates)
+    [distinct] = noise.estimate_autocorrelation([couplings[4][0]], [[0.0, 0.2, 1.5, 3.0]], n,
+                                                seed, start_index=start + 4 * n)
+    assert together[4].estimates.tobytes() == distinct.estimates[[2, 1, 3, 2, 0, 1]].tobytes()
 
 
 def test_autocorrelation_takes_one_lag_sequence_per_coupling():
@@ -765,10 +785,15 @@ def test_autocorrelation_preserves_lag_order():
 
 
 def test_autocorrelation_empty_lags():
+    # at lag 0 every estimate is exactly 1 with a zero standard error, so a
+    # lag list with no positive lag is refused, as --lags refuses it
     params = noise.RTParams(v=1.0, gamma=1.0)
-    [result] = noise.estimate_autocorrelation([params], [[]], 100, master_seed=1)
-    assert result.estimates.size == 0
-    assert result.stderrs.size == 0
+    for lags in ([], [0.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="lags must name at least one positive lag"):
+            noise.estimate_autocorrelation([params], [lags], 100, master_seed=1)
+    # every coupling's lags, also those past the first's
+    with pytest.raises(ValueError, match="at least one positive lag"):
+        noise.estimate_autocorrelation([params, params], [[1.0], [0.0]], 100, master_seed=1)
 
 
 def test_autocorrelation_validation():
