@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rtdeph import _kernels
-from rtdeph.noise import RTParams
+from rtdeph.noise import RTParams, _check_count
 from rtdeph.states import entanglement_of_formation
 
 
@@ -52,7 +52,11 @@ def coherence_factor(params: RTParams, t):
     the bracket 1 + gamma*t/2.  No exponent overflows either: the decay
     rate Re(v^2/(gamma + kappa)) is >= 0 and |expm1(-kappa*t)| <= 2, and
     a kappa*t that overflows, gamma*t past the largest float at g < 1,
-    gives expm1 its limit -1.
+    gives expm1 its limit -1.  Past the float range the decay
+    exp(-Re(rate)*t) reaches 0 first: wherever it underflows to 0, q is 0,
+    with no warning, though the bracket (1 + gamma*t/2 at g = 1) or
+    rate*t overflow there.  Where v*t passes the largest float and the
+    decay is not 0 (gamma = 0, say), the phase and so q are undefined: NaN.
     q(t) equals the average of exp(-i * integral of xi) over telegraph
     realizations, which is what the Monte Carlo engine estimates.
     """
@@ -61,14 +65,18 @@ def coherence_factor(params: RTParams, t):
     s = max(v, gamma)
     kappa = s * cmath.sqrt((gamma / s - v / s) * (gamma / s + v / s))
     rate = 0.5 * (1j * v + v * (v / (gamma + kappa)))
-    if kappa == 0.0:
-        bracket = 1.0 + 0.5 * gamma * arr
-    else:
-        # kappa*t past the largest float is -inf, where expm1 takes its
-        # limit -1 exactly: that overflow is no fault
-        with np.errstate(over="ignore"):
+    # kappa*t past the largest float is -inf, where expm1 takes its limit
+    # -1 exactly; any other overflow meets a decay that is 0, where inf
+    # times 0 gives a NaN that stands for 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kappa == 0.0:
+            bracket = 1.0 + 0.5 * gamma * arr
+        else:
             bracket = 1.0 + 0.5 * (1.0 - gamma / kappa) * np.expm1(-kappa * arr)
-    return _match_scalar(np.exp(-rate * arr) * bracket, t)
+        q = np.exp(-rate * arr) * bracket
+        decay = np.exp(-rate.real * arr)
+    # only the NaNs: a q that is finite keeps its bits, the sign of 0 too
+    return _match_scalar(np.where(np.isnan(q) & (decay == 0.0), 0.0, q), t)
 
 
 def coherence_factor_approx(params: RTParams, t):
@@ -103,11 +111,11 @@ class RevivalTimes:
 def revival_times(params: RTParams, n_max: int) -> RevivalTimes:
     """Revival, peak, and zero times for n = 1..n_max.
 
-    Peak locations require strong coupling; g <= 1 is rejected.  In the
-    static limit (gamma = 0, g = inf) the peaks sit exactly at t_n.
+    ``n_max`` is a count (``noise._check_count``).  Peak locations require
+    strong coupling; g <= 1 is rejected.  In the static limit (gamma = 0,
+    g = inf) the peaks sit exactly at t_n.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_count(n_max, "n_max")
     if not params.g > 1.0:
         raise ValueError(f"peak times require g > 1, got g = {params.g!r}")
     n = np.arange(1, n_max + 1, dtype=float)
@@ -122,6 +130,10 @@ def envelope(params: RTParams, t):
 
     The peak values of |q| equal exp(-gamma*t/2) exactly, so this is the
     entanglement of formation of that decay; constant 1 in the static limit.
+    A gamma*t past the largest float gives the decay exp(-inf) = 0 with no
+    warning.
     """
     arr = _kernels._check_times(t, "times")
-    return _match_scalar(np.asarray(entanglement_of_formation(np.exp(-0.5 * params.gamma * arr))), t)
+    with np.errstate(over="ignore"):
+        decay = np.exp(-0.5 * params.gamma * arr)
+    return _match_scalar(np.asarray(entanglement_of_formation(decay)), t)

@@ -114,10 +114,8 @@ class SweepSpec:
             # array can hold, not on memory
             raise ValueError(f"vt grid has {points:.4g} points, more than one numpy array can "
                              f"hold: vt-max / vt-step = {self.vt_max!r} / {self.vt_step!r}")
-        if self.revival_n < 1:
-            raise ValueError(f"revival-n must be >= 1, got {self.revival_n}")
-        if self.n_traj < 1:
-            raise ValueError(f"n-traj must be >= 1, got {self.n_traj}")
+        noise._check_count(self.revival_n, "revival-n")
+        noise._check_count(self.n_traj, "n-traj")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
@@ -134,8 +132,7 @@ class SweepSpec:
         if self.threads is None:
             # frozen: the default is resolved once, when the spec is built
             object.__setattr__(self, "threads", _usable_cpus())
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        noise._check_count(self.threads, "threads")
         if self.lags is not None:
             try:
                 noise._check_lags(self.lags)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +188,15 @@ class RecoveryReport:
     concurrence_after: float
 
 
+def _revival_time(n: int, v: float) -> float:
+    """The revival time t_n = 2*pi*n/v, which must be a finite float."""
+    # no float holds an index past the largest one, so 2*pi*n overflows
+    t_n = _TWO_PI * n / v if n <= sys.float_info.max else math.inf
+    if not math.isfinite(t_n):
+        raise ValueError(f"revival index {n} at v = {v!r}: the revival time 2*pi*n/v overflows")
+    return t_n
+
+
 def _revival_sums(v: float, n: int, batch: noise.TrajectoryBatch) -> np.ndarray:
     """The sums of the batch's coherences at its horizon, the revival time
     t_n = 2*pi*n/v of its coupling, uncorrected and corrected.  The states
@@ -219,11 +229,14 @@ def recovery_report(params, n: int, n_trajectories: int, master_seed: int,
     corrected state is maximally entangled again.  Knowing vartheta takes
     the realization: that classical record is what turns hidden
     entanglement back into usable entanglement.  The block sums are added
-    in block order, and the ensemble coherences are their means.
+    in block order, and the ensemble coherences are their means.  The
+    revival index, a count (``noise._check_count``), and each coupling's
+    revival time, which must be a finite float, are checked before anything
+    is drawn.
     """
-    if n < 1:
-        raise ValueError(f"revival index must be >= 1, got {n}")
-    couplings = [(p, _TWO_PI * n / p.v, functools.partial(_revival_sums, p.v, n)) for p in params]
+    n = noise._check_count(n, "revival index")
+    couplings = [(p, _revival_time(n, p.v), functools.partial(_revival_sums, p.v, n))
+                 for p in params]
     totals = noise.stream(couplings, n_trajectories, master_seed, n_threads=n_threads)
     reports = []
     for (_, t_n, _), total in zip(couplings, totals):

@@ -136,6 +136,19 @@ class EpochDraws:
         return self.levels.shape[0]
 
 
+def _check_count(value, name: str) -> int:
+    """``value`` as a Python int, which must be at least 1: the one rule of
+    every count (samples, a revival index, ``n_max``, threads, the CLI's
+    trajectories); ``_check_indices`` applies the same rule to a pass's
+    trajectory count with its own message.  ``operator.index`` takes a
+    numpy integer and refuses a float such as 1.5 with a ``TypeError``; a
+    count below 1 is refused as ``<name> must be >= 1, got <value>``."""
+    value = operator.index(value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _check_indices(master_seed: int, start_index: int, n: int) -> None:
     # as Python ints: numpy integers would add in fixed width and wrap
     master_seed, start_index, n = map(operator.index, (master_seed, start_index, n))
@@ -219,12 +232,14 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
     The fold adds in place into the first block's result, so a reduce
     returns a fresh array.  The first exception of a worker, the caller's
     own blocks included, stops the others from taking a block, and the
-    caller raises it once they are joined.  The indices, the couplings and
-    their cuts are checked before anything is drawn.
+    caller raises it once they are joined.  The couplings, their indices
+    and cuts and the thread count (``_check_count``) are checked before
+    anything is drawn.
     """
     couplings = tuple(couplings)
-    # as Python ints, as _check_indices takes them: a numpy first index
-    # would add in fixed width, wrap and leave its blocks out
+    # as Python ints, as _check_indices takes them: a numpy first index or
+    # count would add in fixed width, wrap and leave its blocks out
+    n = operator.index(n)
     firsts = tuple(map(operator.index, [start_index] * len(couplings)
                        if isinstance(start_index, numbers.Integral) else start_index))
     if not couplings:
@@ -253,7 +268,7 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
 
     # no more workers than the pass has blocks: a thread with no block to
     # run would only be started and joined
-    workers = max(1, min(n_threads, len(groups) * -(-n // BLOCK)))
+    workers = min(_check_count(n_threads, "n_threads"), len(groups) * -(-n // BLOCK))
     pending = blocks()
     totals = [None] * len(couplings)
     ready = {}  # reduced blocks that wait for an earlier one, by block number
@@ -366,18 +381,16 @@ def estimate_autocorrelation(params, lags, n_samples: int, master_seed: int,
     integer count of level flips per lag, so memory does not grow with
     ``n_samples`` and the results do not depend on the thread count.  Every
     coupling's lags (``_check_lags``: at least one of them positive) and
-    indices are checked before anything is drawn.
+    the sample count (``_check_count``) are checked here, and each
+    coupling's indices and the thread count by ``stream``, all before
+    anything is drawn.
     """
     params = tuple(params)
     lag_sets = [_check_lags(lag_list) for lag_list in lags]
-    if not params:
-        raise ValueError("need at least one coupling")
     if len(lag_sets) != len(params):
         raise ValueError(f"need one lag sequence per coupling, got {len(lag_sets)} for "
                          f"{len(params)}")
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got n_samples={n_samples}")
-    _check_indices(master_seed, start_index, n_samples * len(params))
+    n_samples = _check_count(n_samples, "n_samples")
 
     # each coupling's distinct lags, ascending, and the map back to its own
     grids = [np.unique(lag_arr, return_inverse=True) for lag_arr in lag_sets]

@@ -147,6 +147,21 @@ def test_coherence_factor_where_kappa_t_overflows():
             assert abs(value - mp_coherence_factor(v, gamma, t)) <= 1e-15 * (1.0 + v * t)
 
 
+def test_closed_forms_are_zero_where_the_decay_underflows():
+    # past the float range the decay exp(-Re(rate)*t) is 0 first: the g = 1
+    # bracket 1 + gamma*t/2 (|q| = (1 + gamma*t/2)*exp(-gamma*t/2)) or
+    # rate*t overflows there, and 0 comes with no warning, which fails a
+    # test here; the values before it keep theirs
+    for params, t in ((RTParams(4.0, 4.0), 1e308), (RTParams(1e300, 0.999e300), 1e10)):
+        q = analytic.coherence_factor(params, np.array([1.0 / params.v, t]))
+        assert q[1] == 0.0
+        assert q[0] == analytic.coherence_factor(params, 1.0 / params.v) != 0.0
+    assert analytic.envelope(RTParams(4.0, 4.0), 1e308) == 0.0
+    # a q that is finite keeps its bits, the sign of a 0 included
+    q = analytic.coherence_factor(RTParams(1.0, 2.0), 1e306)
+    assert q == 0.0 and math.copysign(1.0, q.real) == -1.0
+
+
 def test_branch_swap_invariance():
     # flipping the sign of alpha swaps the two exponentials together with
     # A <-> 1-A and must not change q(t)

@@ -1,11 +1,13 @@
 import math
+import pickle
+import re
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from rtdeph import _kernels, analytic, engine, noise, states
+from rtdeph import _kernels, analytic, cli, engine, noise, states
 from rtdeph._kernels import _reference
 
 from _oracles import dwell, mp_entanglement_of_formation, phased_bell, x_state
@@ -80,6 +82,60 @@ def test_every_time_input_is_checked_alike(bad):
         for call in funcs:
             with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative$"):
                 call(bad)
+
+
+def test_every_count_is_checked_alike(draws, tmp_path, capsys):
+    # one rule, noise._check_count, for every count: 0 and -1 are refused
+    # with the count's name before anything is drawn, 1.5 is no count, and
+    # a numpy integer gives the bytes of the count it holds.  The
+    # trajectory count is _check_indices' own, with its own message
+    params = [noise.RTParams(v=1.0, gamma=0.2)]
+    lags = [[0.5, 1.0]]
+    # the thread counts come last: a pass that let 0 workers through would
+    # wait for them for ever
+    calls = (  # the refusal's message, the call of a count, a valid count
+        ("n_max must be >= 1, got {}",
+         lambda k: analytic.revival_times(params[0], k), 3),
+        ("revival index must be >= 1, got {}",
+         lambda k: engine.recovery_report(params, k, 10, 0), 2),
+        ("n_samples must be >= 1, got {}",
+         lambda k: noise.estimate_autocorrelation(params, lags, k, 0), 10),
+        ("need at least one trajectory, got n={}",
+         lambda k: engine.run_ensemble(params, GRID, k, 0), 10),
+        ("n_threads must be >= 1, got {}",
+         lambda k: engine.run_ensemble(params, GRID, 10, 0, n_threads=k), 2),
+        ("n_threads must be >= 1, got {}",
+         lambda k: engine.recovery_report(params, 1, 10, 0, n_threads=k), 2),
+        ("n_threads must be >= 1, got {}",
+         lambda k: noise.estimate_autocorrelation(params, lags, 10, 0, n_threads=k), 2),
+    )
+    for message, call, _ in calls:
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=f"^{re.escape(message.format(bad))}$"):
+                call(bad)
+        with pytest.raises(TypeError):
+            call(1.5)
+    assert draws == []
+    for _, call, k in calls:
+        assert pickle.dumps(call(np.int64(k))) == pickle.dumps(call(k))
+    out = tmp_path / "out"
+    for flag in ("--n-traj", "--revival-n", "--threads"):
+        for bad in ("0", "-1"):
+            assert cli.main([flag, bad, "--vt-max", "1", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"rtdeph: invalid input: {flag[2:]} must be >= 1, got {bad}\n"
+    assert not out.exists()
+
+
+def test_a_revival_time_that_overflows_is_refused(draws):
+    # t_n = 2*pi*n/v must be a finite float: an index past the floats, or a
+    # tiny v, is refused naming both before any coupling's block is drawn
+    good = noise.RTParams(1.0, 0.2)
+    for params, n in ((good, 10**400), (noise.RTParams(1e-309, 0.0), 1)):
+        message = f"revival index {n} at v = {params.v!r}: the revival time 2*pi*n/v overflows"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            engine.recovery_report([good, params], n, 10, 1)
+    assert draws == []
 
 
 def test_one_pass_rejects_configs_that_share_no_trajectories(draws):

@@ -204,6 +204,11 @@ def test_numpy_start_index_does_not_wrap(backend, request, monkeypatch):
     got = noise.estimate_autocorrelation([params] * 2, [[1.0]] * 2, 100, 3,
                                          start_index=np.int64(start))
     assert [r.estimates.tobytes() for r in got] == [r.estimates.tobytes() for r in expected]
+    # nor does a numpy count, added to a first index past int64
+    couplings = [(params, 1.0, lambda batch: batch.levels.astype(np.int64))]
+    expected = noise.stream(couplings, 5, 3, start_index=2**64 - 5)
+    got = noise.stream(couplings, np.int64(5), 3, start_index=2**64 - 5)
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in expected]
 
 
 def test_sample_batch_keys_streams_by_64_bit_seeds_and_indices():
