@@ -66,7 +66,7 @@ from rtdeph.states import (
     entanglement_of_formation,
 )
 
-__version__ = "0.7.6"
+__version__ = "0.7.7"
 
 __all__ = [
     "BACKEND",

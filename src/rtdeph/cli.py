@@ -22,7 +22,8 @@ in the program (its type and message, no traceback).  Every option is
 declared once, as a ``SweepSpec`` field (``_option``), and ``_OPTIONS``
 is read from those fields; the config keys of the optional plain-text
 file of ``key = value`` lines are exactly the flag names (``vt_max`` or
-``vt-max`` for ``--vt-max``), parsed alike, and flags override them.
+``vt-max`` for ``--vt-max``), each set at most once, parsed alike, and
+flags override them.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def _usable_cpus() -> int:
 
 
 def _read_config(path: str) -> dict:
-    values = {}
+    values, lines = {}, {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -236,6 +237,9 @@ def _read_config(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+            lines[key] = lineno
             values[key] = _parse(key, value.strip(), f"{path}:{lineno}: {key}")
     return values
 
@@ -472,7 +476,12 @@ def cmd_autocorr(spec: SweepSpec) -> tuple[str, int]:
 
     Coupling number j samples trajectories [j*n_traj, (j+1)*n_traj), so
     every g is estimated from its own realizations, and one pass samples
-    them all.
+    them all.  An estimate passes within 3 standard errors of
+    exp(-gamma*tau).  Where no sample flips, or every one does, the
+    estimate is +-1 and its standard error, taken from it alone, is 0;
+    there the band is 3 times the standard error that the expected value
+    implies, sqrt((1 - exp(-2*gamma*tau))/(n - 1)), so zero flips pass
+    where they are likely and fail where they are not.
     """
     params_list = [spec.rt_params(g) for g in spec.g]
     estimates = estimate_autocorrelation(params_list, [spec.autocorr_lags(g) for g in spec.g],
@@ -482,12 +491,14 @@ def cmd_autocorr(spec: SweepSpec) -> tuple[str, int]:
         rows = []
         for lag, value, se in zip(est.lags, est.estimates, est.stderrs):
             expected = math.exp(-params.gamma * lag)
+            band = se or math.sqrt(-math.expm1(-2.0 * params.gamma * lag)
+                                   / max(est.n_samples - 1, 1))
             rows.append({
                 "lag": float(lag),
                 "estimate": float(value),
                 "expected": expected,
                 "stderr": float(se),
-                "within_3se": bool(abs(value - expected) <= AUTOCORR_SE_MULTIPLE * se),
+                "within_3se": bool(abs(value - expected) <= AUTOCORR_SE_MULTIPLE * band),
             })
         sections.append({
             "g": _fmt_g(g),

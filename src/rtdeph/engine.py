@@ -14,12 +14,13 @@ that state is conj(q)/2, its concurrence is |q| and its E_f follows.
 Ensembles and recovery reports take their trajectories from the block
 stream ``noise.stream``, which reduces each block on its own, on the
 calling thread and the worker threads it starts, and adds the block
-results in block order.  ``run_ensemble`` and
-``recovery_report`` take a sequence of noise parameters, one per coupling,
-and the seed and trajectory count once, and one pass serves every
-coupling: each block is drawn once and each coupling reduces its view of
-the draws, with its own epoch length, up to its own last time, so each
-result equals its one-coupling call bit for bit.  The couplings of a pass
+results in block order.  ``run_ensemble`` and ``recovery_report`` take a
+sequence of noise parameters, one per coupling, and the seed and
+trajectory count once, and one pass serves every coupling: each coupling
+(params, last time, reduce, first) names trajectory 0 as its first, so
+each block is drawn once and each coupling reduces its view of the draws,
+with its own epoch length, up to its own last time, and each result
+equals its one-coupling call bit for bit.  The couplings of a pass
 share their realizations (common random numbers): their Monte Carlo errors
 are correlated, and per-coupling checks on them are not independent tests.
 
@@ -144,9 +145,10 @@ def run_ensemble(params, t_grid, n_trajectories: int, master_seed: int,
     seed, independent of ``n_threads``.
     """
     grid = _check_grid(t_grid)
-    couplings = [(p, float(grid[-1]), functools.partial(_block_sums, grid, p.v)) for p in params]
+    couplings = [(p, float(grid[-1]), functools.partial(_block_sums, grid, p.v), 0)
+                 for p in params]
     totals = noise.stream(couplings, n_trajectories, master_seed, n_threads=n_threads)
-    return [_ensemble(n_trajectories, grid, p.v, d) for (p, _, _), d in zip(couplings, totals)]
+    return [_ensemble(n_trajectories, grid, p.v, d) for (p, *_), d in zip(couplings, totals)]
 
 
 def _ensemble(n: int, t_grid: np.ndarray, v: float, d: np.ndarray) -> EnsembleResult:
@@ -235,11 +237,11 @@ def recovery_report(params, n: int, n_trajectories: int, master_seed: int,
     is drawn.
     """
     n = noise._check_count(n, "revival index")
-    couplings = [(p, _revival_time(n, p.v), functools.partial(_revival_sums, p.v, n))
+    couplings = [(p, _revival_time(n, p.v), functools.partial(_revival_sums, p.v, n), 0)
                  for p in params]
     totals = noise.stream(couplings, n_trajectories, master_seed, n_threads=n_threads)
     reports = []
-    for (_, t_n, _), total in zip(couplings, totals):
+    for (_, t_n, *_), total in zip(couplings, totals):
         before, after = np.minimum(np.abs(total / n_trajectories), 1.0)
         reports.append(RecoveryReport(t_n=t_n, revival_index=n,
                                       concurrence_before=float(before),

@@ -17,20 +17,23 @@ in epoch units a switch is at x = e + u, and at rate gamma at x*L.  The
 compiled kernel and the numpy fallback draw the same bits
 (``_kernels.sample``), and nothing draws from ``numpy.random``.
 
-Every sampled pass goes through one block stream (``stream``): blocks of
-``BLOCK`` consecutive trajectories are drawn and reduced by workers, the
-calling thread and the threads it starts, and each coupling's reductions
-are added in block order.  Each block is drawn once in epoch units
-(``draw_epochs``) up to the widest cut of the couplings of the pass
+Every sampled pass goes through one block stream (``stream``), given as
+its list of couplings (params, horizon, reduce, first), each of which
+names its own first trajectory: blocks of ``BLOCK`` consecutive
+trajectories are drawn and reduced by workers, the calling thread and the
+threads it starts, and each coupling's reductions are added in block
+order.  Each block is drawn once in epoch units (``draw_epochs``) up to
+the widest cut of the couplings that share it
 (``_kernels.epoch_grid``), which alone sets the epochs drawn, and each
 coupling's batch is a view of those draws with its own epoch length
 (``sample_batch``): the batch kernels form a switch time x*L where they
-read it and read none past the coupling's horizon.  So the couplings of one pass that start at the same trajectory
-share their trajectories, common random numbers: their Monte Carlo errors
-are correlated, and checks made per coupling are not independent tests.
-The autocorrelation estimate gives each coupling its own trajectories in
-the same pass.  The ensemble, the recovery report and the
-autocorrelation estimate all take these block-order totals, so memory is
+read it and read none past the coupling's horizon.  So the couplings of
+one pass that start at the same trajectory share their trajectories,
+common random numbers: their Monte Carlo errors are correlated, and
+checks made per coupling are not independent tests.  The ensemble and the
+recovery report start every coupling at trajectory 0; the
+autocorrelation estimate gives each coupling its own trajectories in the
+same pass.  All three take these block-order totals, so memory is
 bounded by one block's draws and two blocks' results per thread, and
 results do not depend on the thread count.
 """
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from threading import Condition, Thread
@@ -203,11 +205,11 @@ def sample_batch(params: RTParams, horizon: float, n: int, master_seed: int,
     return TrajectoryBatch(levels=draws.levels, times=times, scale=scale, horizon=horizon)
 
 
-def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 1) -> list:
+def stream(couplings, n: int, master_seed: int, n_threads: int = 1) -> list:
     """Per coupling of ``couplings``, a non-empty sequence of (params,
-    horizon, reduce), its ``reduce(batch)`` summed over the blocks of its
-    trajectories, ``first`` to ``first + n - 1``: ``start_index`` is the
-    first index of every coupling, or a sequence of one per coupling.
+    horizon, reduce, first), its ``reduce(batch)`` summed over the blocks of
+    its trajectories, ``first`` to ``first + n - 1``: a coupling names its
+    own first trajectory, so a pass is its list of couplings.
 
     A coupling's block b holds the next ``BLOCK`` trajectories from
     ``first + b*BLOCK`` (the last block may be shorter), whatever the other
@@ -221,38 +223,34 @@ def stream(couplings, n: int, master_seed: int, start_index=0, n_threads: int = 
     errors and are not independent.
 
     ``n_threads`` workers, and no more than the pass has blocks, take the
-    blocks in turn, first index by first index.  The calling thread is
-    worker 0: it starts one thread fewer than the workers, runs blocks like
-    them and joins them.  A worker takes a block only while fewer than two
-    blocks per worker are taken and not yet added, so each thread holds one
-    block's draws, at most two blocks' results per worker wait, and memory
-    does not grow with ``n``.  Each coupling's block results are added in
-    block order as soon as the earlier blocks are in, the left fold
-    (b0 + b1) + b2 + ..., so the totals do not depend on the thread count.
-    The fold adds in place into the first block's result, so a reduce
-    returns a fresh array.  The first exception of a worker, the caller's
-    own blocks included, stops the others from taking a block, and the
-    caller raises it once they are joined.  The couplings, their indices
-    and cuts and the thread count (``_check_count``) are checked before
-    anything is drawn.
+    blocks in turn, first index by first index in the order the couplings
+    name them.  The calling thread is worker 0: it starts one thread fewer
+    than the workers, runs blocks like them and joins them.  A worker takes
+    a block only while fewer than two blocks per worker are taken and not
+    yet added, so each thread holds one block's draws, at most two blocks'
+    results per worker wait, and memory does not grow with ``n``.  Each
+    coupling's block results are added in block order as soon as the
+    earlier blocks are in, the left fold (b0 + b1) + b2 + ..., so the
+    totals do not depend on the thread count.  The fold adds in place into
+    the first block's result, so a reduce returns a fresh array.  The first
+    exception of a worker, the caller's own blocks included, stops the
+    others from taking a block, and the caller raises it once they are
+    joined.  The couplings, each first index (an integer whose
+    trajectories stay below 2**64: ``_check_indices``), the cuts and the
+    thread count (``_check_count``) are checked before anything is drawn.
     """
     couplings = tuple(couplings)
     # as Python ints, as _check_indices takes them: a numpy first index or
     # count would add in fixed width, wrap and leave its blocks out
     n = operator.index(n)
-    firsts = tuple(map(operator.index, [start_index] * len(couplings)
-                       if isinstance(start_index, numbers.Integral) else start_index))
     if not couplings:
         raise ValueError("need at least one coupling")
-    if len(firsts) != len(couplings):
-        raise ValueError(f"need one start index per coupling, got {len(firsts)} for "
-                         f"{len(couplings)}")
     groups = {}
-    for j, first in enumerate(firsts):
-        groups.setdefault(first, []).append(j)
+    for j, (_, _, _, first) in enumerate(couplings):
+        groups.setdefault(operator.index(first), []).append(j)
     for first in groups:
         _check_indices(master_seed, first, n)
-    cuts = [_kernels.epoch_grid(params.gamma, horizon)[1] for params, horizon, _ in couplings]
+    cuts = [_kernels.epoch_grid(params.gamma, horizon)[1] for params, horizon, *_ in couplings]
 
     def blocks():
         for first, group in groups.items():
@@ -374,9 +372,9 @@ def estimate_autocorrelation(params, lags, n_samples: int, master_seed: int,
     realization; the per-sample product of centered signs at lag 0 and lag
     tau averages to the estimate r.  The products are +-1, so their ddof=1
     standard error is sqrt((1 - r**2)/(n - 1)), from r alone.  Coupling j
-    takes its own samples, trajectories ``start_index + j*n_samples``
-    onward, so its result equals that of a call with it alone at that start
-    index, bit for bit.  Every coupling is sampled block by block in one
+    takes its own samples: it names ``start_index + j*n_samples`` as its
+    first trajectory in the pass, so its result equals that of a call with
+    it alone at that start index, bit for bit.  Every coupling is sampled block by block in one
     ``stream`` pass on ``n_threads`` threads, and each block gives its
     integer count of level flips per lag, so memory does not grow with
     ``n_samples`` and the results do not depend on the thread count.  Every
@@ -394,12 +392,10 @@ def estimate_autocorrelation(params, lags, n_samples: int, master_seed: int,
 
     # each coupling's distinct lags, ascending, and the map back to its own
     grids = [np.unique(lag_arr, return_inverse=True) for lag_arr in lag_sets]
-    couplings = [(p, float(grid[-1]), functools.partial(_flips, grid))
-                 for p, (grid, _) in zip(params, grids)]
-    counts = stream(couplings, n_samples, master_seed,
-                    start_index=[operator.index(start_index) + j * n_samples
-                                 for j in range(len(params))],
-                    n_threads=n_threads)
+    start_index = operator.index(start_index)
+    couplings = [(p, float(grid[-1]), functools.partial(_flips, grid), start_index + j * n_samples)
+                 for j, (p, (grid, _)) in enumerate(zip(params, grids))]
+    counts = stream(couplings, n_samples, master_seed, n_threads=n_threads)
     return [_autocorrelation(lag_arr, count[inverse], n_samples)
             for lag_arr, (_, inverse), count in zip(lag_sets, grids, counts)]
 

@@ -475,6 +475,25 @@ def test_autocorr_mode_fail_path(tmp_path, monkeypatch):
     assert not any(row["within_3se"] for row in report["results"][0]["per_lag"])
 
 
+def test_autocorr_judges_zero_flips_by_the_expected_standard_error(tmp_path, monkeypatch):
+    # at lag 1e-6 about 0.01 of 20000 samples flip, so the likely estimate
+    # is exactly 1 with a standard error of 0 from r alone: it passes
+    # within 3 standard errors of what exp(-gamma*tau) implies
+    out = tmp_path / "ac.json"
+    assert cli.main(["--mode", "autocorr", "--g", "1", "--lags", "1e-6,0.5", "--n-traj", "20000",
+                     "--out", str(out), "--no-timestamp"]) == 0
+    first = json.loads(out.read_text())["results"][0]["per_lag"][0]
+    assert (first["estimate"], first["stderr"], first["within_3se"]) == (1.0, 0.0, True)
+    # zero flips at gamma*tau = 0.01, where some 100 are expected, fail
+    lags = np.array([1e-6, 0.01])
+    monkeypatch.setattr(cli, "estimate_autocorrelation", lambda *a, **k: [
+        noise.AutocorrelationResult(lags, np.ones(2), np.zeros(2), 20000)])
+    assert cli.main(["--mode", "autocorr", "--g", "1", "--lags", "1e-6,0.01", "--n-traj",
+                     "20000", "--out", str(out), "--no-timestamp"]) == 1
+    rows = json.loads(out.read_text())["results"][0]["per_lag"]
+    assert [row["within_3se"] for row in rows] == [True, False]
+
+
 def test_autocorr_rejects_static_limit(tmp_path, monkeypatch, capsys):
     # a static g among finite ones is refused before any g is sampled
     calls = []
@@ -848,6 +867,19 @@ def test_unparsable_config_value_exits_2_naming_it(tmp_path, capsys):
     config.write_text("v = 1.0\nno_timestamp = maybe\n")
     assert cli.main(["--config", str(config)]) == 2
     assert f"{config}:2: no_timestamp:" in capsys.readouterr().err
+
+
+def test_config_key_set_twice_exits_2(tmp_path, capsys):
+    # the last value would win unseen; vt_max and vt-max are one key
+    config, out = tmp_path / "twice.cfg", tmp_path / "fig.csv"
+    for text, message in (("g = 5\ng = 10\nvt_max = 1\nvt-max = 2\n",
+                           "2: g is already set on line 1"),
+                          ("vt_max = 1\n# vt_max = 3\n\nvt-max = 2\n",
+                           "4: vt_max is already set on line 1")):
+        config.write_text(text)
+        assert cli.main(["--config", str(config), "--out", str(out)]) == 2
+        assert f"{config}:{message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_lag_list_exits_2(tmp_path):

@@ -145,7 +145,7 @@ def test_stream_draws_up_to_the_widest_cut(monkeypatch):
     def count(batch):
         return np.array([batch.n])
 
-    couplings = [(noise.RTParams(v=1.0, gamma=gamma), horizon, count)
+    couplings = [(noise.RTParams(v=1.0, gamma=gamma), horizon, count, 0)
                  for gamma, horizon in ((2.0, 1.5), (0.5, 3.0), (0.0, 9.0))]
     assert noise.stream(couplings, 10, 5) == [10, 10, 10]
     assert drawn == [(5, 0, 10, 0.375)]
@@ -204,11 +204,17 @@ def test_numpy_start_index_does_not_wrap(backend, request, monkeypatch):
     got = noise.estimate_autocorrelation([params] * 2, [[1.0]] * 2, 100, 3,
                                          start_index=np.int64(start))
     assert [r.estimates.tobytes() for r in got] == [r.estimates.tobytes() for r in expected]
-    # nor does a numpy count, added to a first index past int64
-    couplings = [(params, 1.0, lambda batch: batch.levels.astype(np.int64))]
-    expected = noise.stream(couplings, 5, 3, start_index=2**64 - 5)
-    got = noise.stream(couplings, np.int64(5), 3, start_index=2**64 - 5)
-    assert [r.tobytes() for r in got] == [r.tobytes() for r in expected]
+    # nor does a numpy count, added to a first index past int64, nor a
+    # coupling's own numpy first index
+    def levels(batch):
+        return batch.levels.astype(np.int64)
+
+    expected = noise.stream([(params, 1.0, levels, 2**64 - 5)], 5, 3)
+    for n, first in ((np.int64(5), 2**64 - 5), (5, np.uint64(2**64 - 5))):
+        got = noise.stream([(params, 1.0, levels, first)], n, 3)
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in expected]
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        noise.stream([(params, 1.0, levels, np.uint64(2**64 - 5))], 10, 3)
 
 
 def test_sample_batch_keys_streams_by_64_bit_seeds_and_indices():
@@ -520,16 +526,17 @@ def test_stream_adds_block_results_in_block_order(n_threads):
     def dwell_sums(batch):
         return _kernels.dwell_times(batch.levels, batch.times, grid, scale=batch.scale).sum(axis=0)
 
-    couplings = [(noise.RTParams(v=1.0, gamma=gamma), 6.0, dwell_sums) for gamma in (0.5, 3.0)]
     n, start, seed = 2 * noise.BLOCK + 5, 9, 41
+    couplings = [(noise.RTParams(v=1.0, gamma=gamma), 6.0, dwell_sums, start)
+                 for gamma in (0.5, 3.0)]
     blocks = [[dwell_sums(noise.sample_batch(params, horizon, count, seed, start_index=first))
-               for params, horizon, _ in couplings]
+               for params, horizon, _, _ in couplings]
               for first, count in ((start, noise.BLOCK), (start + noise.BLOCK, noise.BLOCK),
                                    (start + 2 * noise.BLOCK, 5))]
     left = [(b0 + b1) + b2 for b0, b1, b2 in zip(*blocks)]
     reverse = [(b2 + b1) + b0 for b0, b1, b2 in zip(*blocks)]
     assert all(np.any(a != b) for a, b in zip(left, reverse))
-    totals = noise.stream(couplings, n, seed, start_index=start, n_threads=n_threads)
+    totals = noise.stream(couplings, n, seed, n_threads=n_threads)
     assert len(totals) == len(couplings)
     for total, expected in zip(totals, left):
         assert total.tobytes() == expected.tobytes()
@@ -549,18 +556,38 @@ def test_stream_gives_each_first_index_its_own_blocks(n_threads):
     def dwell_sums(batch):
         return _kernels.dwell_times(batch.levels, batch.times, grid, scale=batch.scale).sum(axis=0)
 
-    couplings = [(noise.RTParams(v=1.0, gamma=gamma), horizon, dwell_sums)
-                 for gamma, horizon in ((0.5, 6.0), (3.0, 6.0), (3.0, 6.0), (0.0, 6.0))]
-    n, seed, firsts = 2 * noise.BLOCK + 5, 41, [9, 9, 9 + 100, 9 + 3 * noise.BLOCK]
-    totals = noise.stream(couplings, n, seed, start_index=firsts, n_threads=n_threads)
-    for coupling, first, total in zip(couplings, firsts, totals):
-        [alone] = noise.stream([coupling], n, seed, start_index=first)
+    n, seed = 2 * noise.BLOCK + 5, 41
+    couplings = [(noise.RTParams(v=1.0, gamma=gamma), 6.0, dwell_sums, first)
+                 for gamma, first in ((0.5, 9), (3.0, 9), (3.0, 9 + 100),
+                                      (0.0, 9 + 3 * noise.BLOCK))]
+    totals = noise.stream(couplings, n, seed, n_threads=n_threads)
+    for coupling, total in zip(couplings, totals):
+        [alone] = noise.stream([coupling], n, seed)
         assert total.tobytes() == alone.tobytes()
     assert totals[1].tobytes() != totals[2].tobytes()
-    with pytest.raises(ValueError, match="one start index per coupling"):
-        noise.stream(couplings, n, seed, start_index=firsts[:3])
     with pytest.raises(ValueError, match="below 2\\*\\*64"):
-        noise.stream(couplings, n, seed, start_index=[0, 0, 0, 2**64 - n + 1])
+        noise.stream(couplings[:3] + [couplings[3][:3] + (2**64 - n + 1,)], n, seed)
+
+
+@pytest.mark.parametrize("first, error, message", [
+    (1.5, TypeError, "integer"),
+    (-1, ValueError, "start_index must be >= 0, got -1"),
+    (2**64 - 64 + 1, ValueError, "below 2\\*\\*64"),
+], ids=["1.5", "-1", "2**64-n+1"])
+def test_stream_refuses_a_bad_first_index_before_drawing(monkeypatch, first, error, message):
+    # a coupling names its own first trajectory, checked with the others'
+    # before any block of the pass is drawn, its valid neighbours' included
+    drawn = []
+    real_draw = noise.draw_epochs
+    monkeypatch.setattr(noise, "draw_epochs", lambda *a: drawn.append(a) or real_draw(*a))
+    params = noise.RTParams(v=1.0, gamma=1.0)
+
+    def count(batch):
+        return np.array([batch.n])
+
+    with pytest.raises(error, match=message):
+        noise.stream([(params, 1.0, count, 0), (params, 2.0, count, first)], 64, 3)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("n, firsts, n_threads, workers", [
@@ -585,12 +612,15 @@ def test_stream_starts_no_more_threads_than_blocks(monkeypatch, n, firsts, n_thr
         reducers.add(threading.current_thread())
         return np.array([float(np.count_nonzero(batch.levels))])
 
-    couplings = [(noise.RTParams(v=1.0, gamma=gamma), 2.0, high_levels) for gamma in (0.5, 3.0)]
-    totals = noise.stream(couplings, n, 5, start_index=firsts, n_threads=n_threads)
+    # a single first index is that of both couplings
+    firsts = [firsts] * 2 if isinstance(firsts, int) else firsts
+    couplings = [(noise.RTParams(v=1.0, gamma=gamma), 2.0, high_levels, first)
+                 for gamma, first in zip((0.5, 3.0), firsts)]
+    totals = noise.stream(couplings, n, 5, n_threads=n_threads)
     assert len(started) == workers - 1
     if workers == 1:
         assert reducers == {threading.current_thread()}
-    alone = noise.stream(couplings, n, 5, start_index=firsts, n_threads=1)
+    alone = noise.stream(couplings, n, 5, n_threads=1)
     assert [total.tobytes() for total in totals] == [total.tobytes() for total in alone]
 
 
@@ -614,7 +644,7 @@ def test_stream_raises_a_failed_block_and_leaves_no_thread(n_threads, fault_type
 
     before = threading.active_count()
     with pytest.raises(fault_type, match="block fault"):
-        noise.stream([(params, 1.0, failing)], blocks * noise.BLOCK, 3, n_threads=n_threads)
+        noise.stream([(params, 1.0, failing, 0)], blocks * noise.BLOCK, 3, n_threads=n_threads)
     assert threading.active_count() == before
     assert fault <= len(calls) < fault + 2 * n_threads
 
@@ -644,7 +674,7 @@ def test_stream_raises_a_fault_on_the_callers_own_block(n_threads, fault_type):
 
     before = threading.active_count()
     with pytest.raises(fault_type, match="caller's block fault"):
-        noise.stream([(params, 1.0, failing_on_the_caller)], 6 * n_threads * noise.BLOCK, 3,
+        noise.stream([(params, 1.0, failing_on_the_caller, 0)], 6 * n_threads * noise.BLOCK, 3,
                      n_threads=n_threads)
     assert threading.active_count() == before
     assert caller_ran.is_set() and len(calls) <= 2 * n_threads
@@ -672,7 +702,7 @@ def test_stream_runs_at_most_two_blocks_per_worker_ahead(monkeypatch, n_threads)
         return np.array([float(np.count_nonzero(batch.levels))])
 
     monkeypatch.setattr(noise, "draw_epochs", draws)
-    coupling = (noise.RTParams(v=1.0, gamma=0.0), 1.0, high_levels)
+    coupling = (noise.RTParams(v=1.0, gamma=0.0), 1.0, high_levels, 0)
     [total] = noise.stream([coupling], 5 * n_threads * noise.BLOCK, 3, n_threads=n_threads)
     assert ahead[0] <= 2 * n_threads - 1
     monkeypatch.setattr(noise, "draw_epochs", real_draws)
@@ -690,21 +720,20 @@ def test_stream_keeps_every_block_under_frequent_thread_switches():
     def count_and_third(batch):
         return np.array([float(batch.n), np.count_nonzero(batch.levels) / 3.0])
 
-    couplings = [(params, 1.0, count_and_third)] * 2
-    n, firsts = 40 * noise.BLOCK + 7, [0, 5]
+    couplings = [(params, 1.0, count_and_third, first) for first in (0, 5)]
+    n = 40 * noise.BLOCK + 7
     out = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         runner = threading.Thread(
-            target=lambda: out.append(noise.stream(couplings, n, 13, start_index=firsts,
-                                                   n_threads=6)))
+            target=lambda: out.append(noise.stream(couplings, n, 13, n_threads=6)))
         runner.start()
         runner.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive() and len(out) == 1
-    alone = noise.stream(couplings, n, 13, start_index=firsts)
+    alone = noise.stream(couplings, n, 13)
     assert [total[0] for total in out[0]] == [n, n]
     assert [total.tobytes() for total in out[0]] == [total.tobytes() for total in alone]
 
@@ -721,7 +750,7 @@ def test_stream_memory_does_not_grow_with_the_blocks(n_threads):
     def peak(blocks):
         tracemalloc.start()
         try:
-            noise.stream([(params, 1.0, high_levels)], blocks * noise.BLOCK, 3,
+            noise.stream([(params, 1.0, high_levels, 0)], blocks * noise.BLOCK, 3,
                          n_threads=n_threads)
             return tracemalloc.get_traced_memory()[1]
         finally:
